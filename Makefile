@@ -10,7 +10,7 @@ RACE_PKGS = ./internal/simnet/... ./internal/mapper/... ./internal/connet/... \
 	./internal/mapd/... ./internal/workload/... ./internal/loadsim/... \
 	./internal/place/...
 
-.PHONY: build vet lint lint-json trace-smoke test race chaos crash-smoke load-smoke bench bench-smoke bench-gate bench-large bench-baseline ci
+.PHONY: build vet lint lint-json trace-smoke test race shuffle chaos crash-smoke load-smoke bench bench-smoke bench-gate bench-large bench-baseline ci
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,12 @@ race:
 	$(GO) vet ./...
 	$(GO) test -race $(RACE_PKGS)
 
+# shuffle reruns the concurrency-sensitive packages three times in random
+# test order: a test that leans on another's leftovers, or on winning a
+# start-up race, fails here instead of at the next re-anchor.
+shuffle:
+	$(GO) test -shuffle=on -count=3 $(RACE_PKGS)
+
 # chaos is the golden-seed fault-injection lane: deterministic schedules,
 # byte-reproducible logs, self-healing remaps checked against the surviving
 # core (see DESIGN.md §9). Every test here pins fixed seeds, so a failure is
@@ -110,14 +116,18 @@ bench-large:
 
 # bench-gate is the wall-clock regression gate (DESIGN.md §12): re-measure
 # the gated lanes — the window-8 probe pipeline and the 1k-switch fat-tree
-# — and check them against the committed baseline's gates block. Fails on a
-# >15% ns/op regression or a broken relative gate (window8 must stay within
-# 2x the serial loop's wall clock). Runs use -count so sanbench can gate on
-# per-lane minima, the statistic that survives shared-runner noise.
-BENCH_BASELINE ?= BENCH_a0bca40.json
+# and the daemon's two start-up layers on the 768-host fat-tree (Q+D and the
+# route table, plus the table's lookup at 0 allocs/op) — and check them
+# against the committed baseline's gates block. Fails on a >15% ns/op
+# regression, an allocating lookup, or a broken relative gate (window8 must
+# stay within 2x the serial loop's wall clock). Runs use -count so sanbench
+# can gate on per-lane minima, the statistic that survives shared-runner
+# noise.
+BENCH_BASELINE ?= BENCH_e76af6c.json
 bench-gate:
 	@{ $(GO) test -bench PipelinedVsSerial -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench LoadReplay -benchtime 100x -count 3 -run ^$$ . && \
+	   $(GO) test -bench 'FatTree768|RouteLookup' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench MapFatTree1k -benchtime 20x -count 3 -run ^$$ . ; } | \
 		$(GO) run ./cmd/sanbench -gate $(BENCH_BASELINE)
 
@@ -135,4 +145,4 @@ bench-baseline:
 		$(GO) run ./cmd/sanbench -rev $(REV) -min -gates bench_gates.json -o BENCH_$(REV).json
 	@echo wrote BENCH_$(REV).json
 
-ci: build lint lint-json trace-smoke test race chaos crash-smoke load-smoke bench-smoke bench-gate bench-large
+ci: build lint lint-json trace-smoke test race shuffle chaos crash-smoke load-smoke bench-smoke bench-gate bench-large

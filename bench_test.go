@@ -580,6 +580,72 @@ func BenchmarkDepthBound(b *testing.B) {
 	}
 }
 
+// fatTree768 is the benchmark's lifecycle-large fabric (fattree2:128x6:
+// 128 leaves, 16 spines, 768 hosts) with the daemon's mapper choice.
+func fatTree768(b *testing.B) (*topology.Network, topology.NodeID) {
+	b.Helper()
+	res, err := genspec.Build("fattree2:128x6", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Net, res.Net.Hosts()[0]
+}
+
+// BenchmarkDepthBoundFatTree768 is the daemon's first start-up layer at
+// scale: Q (one two-unit min-cost flow per vertex, 912 of them) plus the
+// diameter. Run with -benchmem: Q must stay allocation-flat.
+func BenchmarkDepthBoundFatTree768(b *testing.B) {
+	net, h0 := fatTree768(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += net.DepthBound(h0)
+	}
+}
+
+// BenchmarkRoutesComputeFatTree768 is the second: the full §5.5 pipeline
+// for 589,056 ordered host pairs, paid on every start, heal and restart.
+func BenchmarkRoutesComputeFatTree768(b *testing.B) {
+	net, _ := fatTree768(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tab, err := routes.Compute(net, routes.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += len(tab.Labels)
+	}
+}
+
+// BenchmarkRouteLookup is the serve path's table read. One op is a strided
+// walk of 65536 host pairs over the 768-host table, a Route plus a WirePath
+// each (long enough that -benchtime 100x times it stably); ns/lookup is the
+// per-pair figure. Gated at 0 allocs/op.
+func BenchmarkRouteLookup(b *testing.B) {
+	net, _ := fatTree768(b)
+	tab, err := routes.Compute(net, routes.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	hosts := net.Hosts()
+	const sweep = 1 << 16
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := i * sweep; k < (i+1)*sweep; k++ {
+			src, dst := hosts[k%len(hosts)], hosts[(k*331+1)%len(hosts)]
+			r, _ := tab.Route(src, dst)
+			w, _ := tab.WirePath(src, dst)
+			benchSink += len(r) + len(w)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sweep), "ns/lookup")
+}
+
+// benchSink keeps measured results live.
+var benchSink int
+
 // Wormhole-deadlock demonstration (§5.5's motivation): permutation traffic
 // on a torus under hold-and-wait switching, naive vs UP*/DOWN* routes.
 func BenchmarkWormholePermutation(b *testing.B) {

@@ -309,7 +309,9 @@ func RandomizedTrials(trials, couponProbes int, seed int64, workers int) ([]Rand
 		if err != nil {
 			return RandomizedTrial{}, fmt.Errorf("trial %d: %w", trial, err)
 		}
-		if err := isomorph.MustEqualCore(m.Network, net); err != nil {
+		// A private copy: the core and isomorphism analyses run on the
+		// network's cached index, whose scratch arenas are not shareable.
+		if err := isomorph.MustEqualCore(m.Network, net.Clone()); err != nil {
 			return RandomizedTrial{}, fmt.Errorf("trial %d: %w", trial, err)
 		}
 		return RandomizedTrial{Probes: m.Stats.Probes.TotalProbes(),

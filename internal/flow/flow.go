@@ -14,7 +14,19 @@ type Graph struct {
 	cost []int64
 	// head[v] lists indices into the arc arrays for arcs leaving v.
 	head [][]int32
+
+	// TwoUnitCost's scratch (see there), valid for sink potSink while the
+	// graph still has potArcs arc slots.
+	potSink, potArcs int
+	pot              []int64 // exact cost-to-sink of every vertex, unreachable if none
+	tree             []int32 // first arc of a cheapest path to the sink
+	dist             []int64 // search labels, live where mark[v] == gen
+	mark             []uint32
+	gen              uint32
+	buckets          [][]int32 // Dial queue: one stack per reduced-cost residue
 }
+
+const unreachable = math.MaxInt64
 
 // New returns an empty flow network on n vertices numbered 0..n-1.
 func New(n int) *Graph {
@@ -172,4 +184,121 @@ func (g *Graph) MinCostFlow(s, t int, limit int64) (pushed, cost int64, err erro
 		cost += push * dist[t]
 	}
 	return pushed, cost, nil
+}
+
+// TwoUnitCost reports what MinCostFlow(s, t, 2) would — the units pushed
+// and their total cost — but leaves g unchanged, so one graph answers for
+// every source; repeated calls with the same sink share its potentials and
+// scratch and allocate nothing. g must carry no flow, s must differ from t,
+// and costs should be small integers (the search keeps one bucket per
+// distinct reduced cost). See the package comment for why this is exact.
+func (g *Graph) TwoUnitCost(s, t int) (pushed, cost int64) {
+	if g.pot == nil || g.potSink != t || g.potArcs != len(g.to) {
+		g.potentials(t)
+	}
+	if g.pot[s] == unreachable {
+		return 0, 0
+	}
+	// First unit: walk the shortest-path tree; every tree arc is tight, so
+	// its residual twin has reduced cost 0 as well.
+	g.pushTree(s, t, 1)
+	d, ok := g.search(s, t)
+	g.pushTree(s, t, -1)
+	if !ok {
+		return 1, g.pot[s]
+	}
+	return 2, 2*g.pot[s] + d
+}
+
+// potentials fills pot and tree with exact costs to t over arcs with spare
+// capacity (queue-based Bellman-Ford run backwards from the sink; a plain
+// BFS when costs are 0/1) and sizes the bucket ring to the largest reduced
+// cost c(u,v) + pot[v] - pot[u] it leaves.
+func (g *Graph) potentials(t int) {
+	g.potSink, g.potArcs = t, len(g.to)
+	g.pot, g.dist = make([]int64, g.n), make([]int64, g.n)
+	g.tree, g.mark = make([]int32, g.n), make([]uint32, g.n)
+	for i := range g.pot {
+		g.pot[i] = unreachable
+	}
+	g.pot[t] = 0
+	queued := make([]bool, g.n)
+	queue := append(make([]int32, 0, g.n), int32(t))
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		queued[u] = false
+		for _, ai := range g.head[u] {
+			in := ai ^ 1 // the arc v->u paired with u->v
+			if g.cap[in] <= 0 {
+				continue
+			}
+			v := g.to[ai]
+			if nd := g.pot[u] + g.cost[in]; nd < g.pot[v] {
+				g.pot[v], g.tree[v] = nd, in
+				if !queued[v] {
+					queued[v] = true
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	maxReduced := int64(0)
+	for u := range g.head {
+		for _, ai := range g.head[u] {
+			if v := g.to[ai]; g.cap[ai] > 0 && g.pot[u] != unreachable && g.pot[v] != unreachable {
+				maxReduced = max(maxReduced, g.cost[ai]+g.pot[v]-g.pot[u])
+			}
+		}
+	}
+	g.buckets = make([][]int32, maxReduced+1)
+}
+
+// pushTree moves delta units along the tree path s..t.
+func (g *Graph) pushTree(s, t int, delta int64) {
+	for v := int32(s); v != int32(t); {
+		ai := g.tree[v]
+		g.cap[ai] -= delta
+		g.cap[ai^1] += delta
+		v = g.to[ai]
+	}
+}
+
+// search is Dijkstra on reduced costs from s, stopping when t settles: it
+// returns the reduced length of a cheapest residual path, which is that
+// path's cost less pot[s].
+func (g *Graph) search(s, t int) (d int64, ok bool) {
+	g.gen++
+	ring := int64(len(g.buckets))
+	g.dist[s], g.mark[s] = 0, g.gen
+	g.buckets[0] = append(g.buckets[0], int32(s))
+	for pending := 1; pending > 0; d++ {
+		b := &g.buckets[d%ring]
+		for len(*b) > 0 {
+			u := (*b)[len(*b)-1]
+			*b = (*b)[:len(*b)-1]
+			pending--
+			if g.dist[u] != d {
+				continue // superseded by a shorter label
+			}
+			if int(u) == t {
+				for i := range g.buckets {
+					g.buckets[i] = g.buckets[i][:0]
+				}
+				return d, true
+			}
+			for _, ai := range g.head[u] {
+				v := g.to[ai]
+				if g.cap[ai] <= 0 || g.pot[v] == unreachable {
+					continue
+				}
+				nd := d + g.cost[ai] + g.pot[v] - g.pot[u]
+				if g.mark[v] != g.gen || nd < g.dist[v] {
+					g.dist[v], g.mark[v] = nd, g.gen
+					g.buckets[nd%ring] = append(g.buckets[nd%ring], v)
+					pending++
+				}
+			}
+		}
+	}
+	return 0, false
 }

@@ -142,3 +142,67 @@ func TestAddArcValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestTwoUnitCostMatchesMinCostFlow: on random directed networks with mixed
+// capacities and costs, TwoUnitCost answers for every source exactly what a
+// full MinCostFlow(s, t, 2) on a fresh copy does, and leaves no flow behind.
+func TestTwoUnitCostMatchesMinCostFlow(t *testing.T) {
+	for trial := 0; trial < 200; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		n := 3 + rng.Intn(8)
+		build := func() *Graph {
+			r := rand.New(rand.NewSource(int64(trial)))
+			g := New(n)
+			for k := r.Intn(3 * n); k >= 0; k-- {
+				a, b := r.Intn(n), r.Intn(n)
+				if r.Intn(2) == 0 {
+					g.AddEdge(a, b, int64(1+r.Intn(2)), int64(r.Intn(5)))
+				} else {
+					g.AddArc(a, b, int64(r.Intn(3)), int64(r.Intn(5)))
+				}
+			}
+			return g
+		}
+		sink := rng.Intn(n)
+		shared := build()
+		for s := 0; s < n; s++ {
+			if s == sink {
+				continue
+			}
+			wantPushed, wantCost, err := build().MinCostFlow(s, sink, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pushed, cost := shared.TwoUnitCost(s, sink)
+			if pushed != wantPushed || (pushed > 0 && cost != wantCost) {
+				t.Fatalf("trial %d source %d sink %d: got %d units cost %d, want %d units cost %d",
+					trial, s, sink, pushed, cost, wantPushed, wantCost)
+			}
+		}
+		for arc := 0; arc < len(shared.to); arc += 2 {
+			if shared.Flow(arc) != 0 {
+				t.Fatalf("trial %d: arc %d still carries flow", trial, arc)
+			}
+		}
+	}
+}
+
+// TestTwoUnitCostAllocatesOnce: after the first call for a sink, further
+// sources reuse the graph's scratch.
+func TestTwoUnitCostAllocatesOnce(t *testing.T) {
+	g := New(6)
+	for i := 0; i < 4; i++ {
+		g.AddEdge(i, i+1, 1, 1)
+		g.AddEdge(i, (i+2)%5, 1, 1)
+	}
+	g.AddArc(0, 5, 1, 0)
+	g.AddArc(3, 5, 1, 0)
+	g.TwoUnitCost(1, 5)
+	if allocs := testing.AllocsPerRun(50, func() {
+		for s := 0; s < 5; s++ {
+			g.TwoUnitCost(s, 5)
+		}
+	}); allocs != 0 {
+		t.Fatalf("%v allocs per sweep, want 0", allocs)
+	}
+}

@@ -152,6 +152,11 @@ func (s *Server) serveConn(c net.Conn) {
 		if err := enc.Encode(resp); err != nil {
 			return
 		}
+		if req.Op == "stop" {
+			// Only now: shutdown closes this connection, and the reply
+			// must be on it first.
+			s.Close()
+		}
 	}
 }
 
@@ -206,8 +211,7 @@ func (s *Server) handle(req request) map[string]any {
 		return loadAnswer(snap)
 	case "inject", "remap":
 		return s.worldCmd(req)
-	case "stop":
-		s.Close()
+	case "stop": // serveConn closes the server once this reply is written
 		return map[string]any{"ok": true, "op": "stop"}
 	}
 	return map[string]any{"ok": false, "error": fmt.Sprintf("unknown op %q", req.Op)}

@@ -177,13 +177,22 @@ func (s *Server) Close() { s.once.Do(func() { close(s.stop) }) }
 // Run recovers to a converged epoch and then serves. The calling
 // goroutine becomes the world loop: it owns the simulated network, the
 // injector and the mapper session; nothing else touches them.
+//
+// Recovery publishes the store's latest epoch before the first connection
+// is accepted, so a restarted daemon never answers "no epoch committed
+// yet" (clients that dialled earlier wait in the listen backlog). A cold
+// start has nothing to publish and accepts at once.
 func (s *Server) Run() error {
+	defer s.shutdown()
+	walSt, err := s.w.recoverEpoch()
+	if err != nil {
+		return err
+	}
 	if s.ln != nil {
 		s.wg.Add(1)
 		go s.acceptLoop()
 	}
-	defer s.shutdown()
-	if err := s.w.converge(); err != nil {
+	if err := s.w.converge(walSt); err != nil {
 		return err
 	}
 	if s.cfg.Once {
@@ -400,16 +409,14 @@ func (w *world) applyChaos() {
 	fmt.Fprintf(w.out(), "sanmapd: applied %d scheduled fault events\n", len(w.sched.Events))
 }
 
-// converge is crash recovery plus initial convergence: make sure an
-// initial-map epoch exists (resuming an interrupted map job from its
-// WAL), then, under -chaos, apply the faults and heal to the repaired
-// epoch (resuming an interrupted remap job likewise). Publishes a
-// serving snapshot at each committed epoch.
-func (w *world) converge() error {
+// recoverEpoch is crash recovery: pick the WAL job worth resuming (nil when
+// none), discard fenced and stale ones, and publish the latest committed
+// epoch, if there is one, as the serving snapshot.
+func (w *world) recoverEpoch() (*walState, error) {
 	st := w.s.store
 	walSt, err := loadWAL(st.Dir())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	latest := st.Latest()
 	var latestN uint64
@@ -431,17 +438,26 @@ func (w *world) converge() error {
 	for _, p := range staleWALs(st.Dir(), keep) {
 		os.Remove(p)
 	}
-
 	if latest != nil {
 		fmt.Fprintf(w.out(), "sanmapd: recovered %d epoch(s), latest %d\n", len(st.Epochs()), latestN)
 		w.publish(latest)
 	}
+	return walSt, nil
+}
+
+// converge is initial convergence after recoverEpoch: make sure an initial-map
+// epoch exists (resuming an interrupted map job from its WAL), then,
+// under -chaos, apply the faults and heal to the repaired epoch (resuming
+// an interrupted remap job likewise). Publishes a serving snapshot at
+// each committed epoch.
+func (w *world) converge(walSt *walState) error {
+	latest := w.s.store.Latest()
 	if latest == nil {
 		if err := w.mapJob(walSt); err != nil {
 			return err
 		}
 		walSt = nil
-		latest = st.Latest()
+		latest = w.s.store.Latest()
 	}
 	if w.s.cfg.Chaos != "" {
 		w.applyChaos()

@@ -1,6 +1,9 @@
 package mapd
 
 import (
+	"io"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -201,7 +204,10 @@ func TestServerInjectHeals(t *testing.T) {
 }
 
 // TestServerRestartServesPreviousEpoch: a fresh server over an existing
-// state dir serves the recovered epoch immediately, before any remapping.
+// state dir serves the recovered epoch to its very first client, before
+// any remapping. The client dials the instant Addr() is known, while Run is
+// still starting, and the loop gives the scheduler many chances to let it
+// win a race against the publish, if there is one.
 func TestServerRestartServesPreviousEpoch(t *testing.T) {
 	dir := t.TempDir()
 	srv, join := startServer(t, Config{Gen: "now-c", Seed: 1, StateDir: dir, Once: true})
@@ -210,19 +216,64 @@ func TestServerRestartServesPreviousEpoch(t *testing.T) {
 		t.Fatal("no epoch committed")
 	}
 
-	srv2, join2 := startServer(t, Config{Gen: "now-c", Seed: 1, StateDir: dir, Listen: "127.0.0.1:0"})
-	defer join2()
-	cl := dialServer(t, srv2)
-	ep, err := cl.Call(map[string]any{"op": "epoch"})
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 25; i++ {
+		srv2, join2 := startServer(t, Config{Gen: "now-c", Seed: 1, StateDir: dir, Listen: "127.0.0.1:0"})
+		ep, err := dialServer(t, srv2).Call(map[string]any{"op": "epoch"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ep["ok"] != true || ep["epoch"].(float64) != 1 {
+			t.Fatalf("restart %d: recovered epoch: %v", i, ep)
+		}
+		if srv2.Store().NextJobID() < 2 {
+			t.Fatalf("job IDs restarted: next %d", srv2.Store().NextJobID())
+		}
+		join2()
 	}
-	if ep["ok"] != true || ep["epoch"].(float64) != 1 {
-		t.Fatalf("recovered epoch: %v", ep)
+}
+
+// TestStopRepliesBeforeClosing: the stop op's reply reaches the client on
+// every one of 100 consecutive daemon lives, although serving it shuts the
+// server down and shutdown closes the connection. Four such sequences run
+// side by side: the reply used to be lost only when the world loop got
+// scheduled between the shutdown request and the write, and a busy
+// scheduler makes that window wide enough to hit.
+func TestStopRepliesBeforeClosing(t *testing.T) {
+	var wg sync.WaitGroup
+	for worker := 0; worker < 4; worker++ {
+		dir := t.TempDir()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				// Lives after the first recover epoch 1 instead of mapping.
+				srv, err := New(Config{Gen: "now-c", Seed: 1, StateDir: dir, Listen: "unix:" + dir + "/sock", Metrics: obs.NewRegistry()})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				done := make(chan error, 1)
+				go func() { done <- srv.Run() }()
+				conn, err := net.Dial("unix", dir+"/sock")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := conn.Write([]byte(`{"op":"stop"}` + "\n")); err != nil {
+					t.Error(err)
+				}
+				reply, err := io.ReadAll(conn) // the daemon closes the connection after replying
+				conn.Close()
+				if got := strings.TrimSpace(string(reply)); got != `{"ok":true,"op":"stop"}` {
+					t.Errorf("life %d: stop reply %q (read error %v)", i, got, err)
+				}
+				if err := <-done; err != nil {
+					t.Errorf("life %d: Run: %v", i, err)
+				}
+			}
+		}()
 	}
-	if srv2.Store().NextJobID() < 2 {
-		t.Fatalf("job IDs restarted: next %d", srv2.Store().NextJobID())
-	}
+	wg.Wait()
 }
 
 // TestRouteAnswerDegradationLadder drives routeAnswer against crafted

@@ -19,31 +19,7 @@ import (
 func TestHealedTableDeadlockFree(t *testing.T) {
 	for _, spec := range []string{"fattree2:8x2", "dragonfly:2,2,2"} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			res, err := genspec.Build(spec, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			net := res.Net
-			h0 := net.Hosts()[0]
-			sn := simnet.NewDefault(net)
-			sess, err := mapper.NewSession(sn.Endpoint(h0),
-				mapper.WithDepth(net.DepthBound(h0)+net.NumSwitches()),
-				mapper.WithConfirm(2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sess.Map(); err != nil {
-				t.Fatalf("%s seed %d: map: %v", spec, seed, err)
-			}
-			sched := faults.Generate(net, seed, faults.Profile{Cuts: 2, Protect: h0})
-			faults.NewInjector(sn, sched).ApplyAll()
-			healed, err := sess.Remap()
-			if err != nil {
-				t.Fatalf("%s seed %d: remap: %v", spec, seed, err)
-			}
-			if healed.Partial {
-				t.Fatalf("%s seed %d: healed map unexpectedly partial", spec, seed)
-			}
+			net, healed := healedMap(t, spec, seed)
 			tab, err := Compute(healed.Network, DefaultConfig())
 			if err != nil {
 				t.Fatalf("%s seed %d: compute on healed map: %v", spec, seed, err)
@@ -77,4 +53,37 @@ func TestHealedTableDeadlockFree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// healedMap maps spec's fabric, cuts two links (seeded, mapper host
+// protected) and returns the damaged fabric with the session's incremental
+// Remap result.
+func healedMap(t *testing.T, spec string, seed uint64) (*topology.Network, *mapper.Result) {
+	t.Helper()
+	res, err := genspec.Build(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := res.Net
+	h0 := net.Hosts()[0]
+	sn := simnet.NewDefault(net)
+	sess, err := mapper.NewSession(sn.Endpoint(h0),
+		mapper.WithDepth(net.DepthBound(h0)+net.NumSwitches()),
+		mapper.WithConfirm(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Map(); err != nil {
+		t.Fatalf("%s seed %d: map: %v", spec, seed, err)
+	}
+	sched := faults.Generate(net, seed, faults.Profile{Cuts: 2, Protect: h0})
+	faults.NewInjector(sn, sched).ApplyAll()
+	healed, err := sess.Remap()
+	if err != nil {
+		t.Fatalf("%s seed %d: remap: %v", spec, seed, err)
+	}
+	if healed.Partial {
+		t.Fatalf("%s seed %d: healed map unexpectedly partial", spec, seed)
+	}
+	return net, healed
 }

@@ -2,6 +2,9 @@ package routes
 
 import (
 	"fmt"
+	"slices"
+
+	"sanmap/internal/simnet"
 	"sanmap/internal/topology"
 )
 
@@ -22,16 +25,14 @@ func ShortestPaths(net *topology.Network) (*Table, error) {
 	if !net.IsConnected() {
 		return nil, fmt.Errorf("routes: network is disconnected")
 	}
-	t := &Table{Net: net, Root: topology.None}
-	t.paths = make(map[topology.NodeID]map[topology.NodeID][]int)
-	hosts := net.Hosts()
+	t := newTable(net, topology.None)
 	// Per-host BFS over the CSR index (adjacency in port order, matching
 	// the historical per-port scan); the buffers are reused across hosts.
 	ix := net.Index()
 	prevWire := make([]int, net.NumNodes())
 	dist := make([]int, net.NumNodes())
 	queue := make([]topology.NodeID, 0, net.NumNodes())
-	for _, s := range hosts {
+	for si, s := range t.hosts {
 		// BFS recording the first wire on a shortest path to each node.
 		for i := range dist {
 			dist[i] = -1
@@ -52,36 +53,30 @@ func ShortestPaths(net *topology.Network) (*Table, error) {
 				queue = append(queue, topology.NodeID(v))
 			}
 		}
-		t.paths[s] = make(map[topology.NodeID][]int, len(hosts))
-		for _, d := range hosts {
+		for di, d := range t.hosts {
+			lo := len(t.wires)
+			t.off[si*len(t.hosts)+di] = uint32(lo)
 			if d == s {
 				continue
 			}
 			if dist[d] < 0 {
 				return nil, fmt.Errorf("routes: no path %s -> %s", net.NameOf(s), net.NameOf(d))
 			}
-			// Walk back from d to s collecting wires.
-			wires := make([]int, dist[d])
-			cur := d
-			for i := dist[d] - 1; i >= 0; i-- {
-				wi := prevWire[cur]
-				wires[i] = wi
-				cur = net.WireByIndex(wi).Other(endOn(net, wi, cur)).Node
+			// Walk back from d to s, filling the pair's span from its end.
+			t.wires = slices.Grow(t.wires, dist[d])[:lo+dist[d]]
+			cur := int(d)
+			for i := len(t.wires) - 1; i >= lo; i-- {
+				t.wires[i] = prevWire[cur]
+				cur = t.across(prevWire[cur], cur)
 			}
-			t.paths[s][d] = wires
 		}
 	}
-	t.buildTurns()
-	return t, nil
-}
-
-// endOn returns the end of wire wi that sits on node v.
-func endOn(net *topology.Network, wi int, v topology.NodeID) topology.End {
-	w := net.WireByIndex(wi)
-	if w.A.Node == v {
-		return w.A
+	t.off[len(t.off)-1] = uint32(len(t.wires))
+	t.turns = make([]simnet.Turn, len(t.wires))
+	for slot := range t.off[1:] {
+		t.walkTurns(slot)
 	}
-	return w.B
+	return t, nil
 }
 
 // LinkLoads returns, per wire index, the number of routes in the table that
@@ -90,12 +85,8 @@ func endOn(net *topology.Network, wi int, v topology.NodeID) topology.End {
 // this is the measurement.
 func (t *Table) LinkLoads() map[int]int {
 	loads := make(map[int]int)
-	for _, row := range t.paths {
-		for _, wires := range row {
-			for _, wi := range wires {
-				loads[wi]++
-			}
-		}
+	for _, wi := range t.wires {
+		loads[wi]++
 	}
 	return loads
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"sanmap/internal/simnet"
 	"sanmap/internal/topology"
@@ -34,16 +35,39 @@ func DefaultConfig() Config {
 }
 
 // Table is a computed route set: one relative-turn source route per ordered
-// host pair.
+// host pair, held in two flat arenas (doc.go has the layout's rationale).
 type Table struct {
 	Net    *topology.Network
 	Root   topology.NodeID
 	Labels []int64 // BFS labels after dominant relabelling
-	// routes[src][dst] is the wire sequence from host src to host dst.
-	paths map[topology.NodeID]map[topology.NodeID][]int
-	turns map[topology.NodeID]map[topology.NodeID]simnet.Route
 	// Dominant lists switches that were locally dominant before the fix.
 	Dominant []topology.NodeID
+
+	// hosts lists the hosts in ascending id order and ord maps a node id
+	// back to its position there (-1 for switches). Ordered pair (s, d) is
+	// slot ord[s]*len(hosts)+ord[d]; its wire path is
+	// wires[off[slot]:off[slot+1]], empty on the diagonal. turns runs
+	// parallel to wires — turns[i] is the turn taken onto wires[i] — so the
+	// pair's route is turns[off[slot]+1:off[slot+1]] and the first cell of
+	// every span is unused.
+	hosts []topology.NodeID
+	ord   []int32
+	off   []uint32
+	wires []int
+	turns []simnet.Turn
+}
+
+// newTable returns an empty table over net's hosts with room for off.
+func newTable(net *topology.Network, root topology.NodeID) *Table {
+	t := &Table{Net: net, Root: root, hosts: net.Hosts(), ord: make([]int32, net.NumNodes())}
+	for i := range t.ord {
+		t.ord[i] = -1
+	}
+	for i, h := range t.hosts {
+		t.ord[h] = int32(i)
+	}
+	t.off = make([]uint32, len(t.hosts)*len(t.hosts)+1)
+	return t
 }
 
 // ChooseRoot picks the UP*/DOWN* root: the switch maximising the minimum
@@ -52,9 +76,11 @@ type Table struct {
 // packets to flow up to the least common ancestor of a source and
 // destination".
 func ChooseRoot(net *topology.Network, ignore ...topology.NodeID) topology.NodeID {
-	skip := make(map[topology.NodeID]bool, len(ignore))
+	hosts := net.Hosts()
 	for _, h := range ignore {
-		skip[h] = true
+		if i := slices.Index(hosts, h); i >= 0 {
+			hosts = slices.Delete(hosts, i, i+1)
+		}
 	}
 	best := topology.None
 	bestMin, bestSum := -1, -1
@@ -65,8 +91,8 @@ func ChooseRoot(net *topology.Network, ignore ...topology.NodeID) topology.NodeI
 	for _, s := range net.Switches() {
 		ix.BFSInto(s, dist)
 		minD, sumD := math.MaxInt, 0
-		for _, h := range net.Hosts() {
-			if skip[h] || dist[h] < 0 {
+		for _, h := range hosts {
+			if dist[h] < 0 {
 				continue
 			}
 			if int(dist[h]) < minD {
@@ -100,12 +126,11 @@ func Compute(net *topology.Network, cfg Config) (*Table, error) {
 	if root == topology.None || net.KindOf(root) != topology.SwitchNode {
 		return nil, fmt.Errorf("routes: no usable root switch")
 	}
-	t := &Table{Net: net, Root: root}
+	t := newTable(net, root)
 	t.label(cfg)
 	if err := t.allPairs(cfg); err != nil {
 		return nil, err
 	}
-	t.buildTurns()
 	return t, nil
 }
 
@@ -186,117 +211,160 @@ func (t *Table) upEnd(w topology.Wire, from topology.End) bool {
 // construction the paper cites: FW over up-only arcs gives U[i][j]; a
 // compliant s→t path is up to some meeting node w then down, and a down
 // path w→t is an up path t→w reversed, so cost(s,t) = min_w U[s][w]+U[t][w].
+//
+// A host's only arc is its own wire, and it points up (BFS labels a host
+// after its switch, and relabelling only lowers switches). So hosts are
+// never meeting or transit nodes, FW runs over switches alone, and the pair
+// (s,t) is s's wire, the path of the leaf-switch pair (leaf(s), leaf(t)),
+// then t's wire — the meeting-node scan and both extractions happen once
+// per leaf-switch pair and every host pair under it copies the result.
 func (t *Table) allPairs(cfg Config) error {
-	n := t.Net.NumNodes()
+	net := t.Net
 	const inf = int32(math.MaxInt32 / 4)
-	up := make([][]int32, n)  // up[i][j]: shortest up-only distance
-	via := make([][]int32, n) // via[i][j]: first wire on that path
-	for i := range up {
-		up[i] = make([]int32, n)
-		via[i] = make([]int32, n)
-		for j := range up[i] {
-			up[i][j] = inf
-			via[i][j] = -1
-		}
-		up[i][i] = 0
+	// Switch ordinals ascend with node ids, so scanning ordinals keeps the
+	// node-order tie-breaks of a scan over all nodes.
+	swNode := net.Switches()
+	S := len(swNode)
+	sw := make([]int32, net.NumNodes())
+	for i, s := range swNode {
+		sw[s] = int32(i)
 	}
-	// Direct up arcs. Parallel wires: keep one; remember all for load
-	// balancing at extraction time.
-	t.Net.WiresIndexed(func(wi int, w topology.Wire) {
-		for _, from := range []topology.End{w.A, w.B} {
-			if w.A.Node == w.B.Node {
-				continue // loopback cables are never on shortest paths
-			}
+	up := make([]int32, S*S)  // up[i*S+j]: shortest up-only distance
+	via := make([]int32, S*S) // via[i*S+j]: first wire on that path
+	for i := range up {
+		up[i], via[i] = inf, -1
+	}
+	for i := 0; i < S; i++ {
+		up[i*S+i] = 0
+	}
+	// Direct up arcs. Parallel wires: keep one; the Rng may swap in a later
+	// one for load balance.
+	net.WiresIndexed(func(wi int, w topology.Wire) {
+		if w.A.Node == w.B.Node || net.KindOf(w.A.Node) != topology.SwitchNode || net.KindOf(w.B.Node) != topology.SwitchNode {
+			return // loopback cables are never on shortest paths; host wires are added per pair
+		}
+		for _, from := range [2]topology.End{w.A, w.B} {
 			if !t.upEnd(w, from) {
 				continue
 			}
-			to := w.Other(from)
-			i, j := int(from.Node), int(to.Node)
-			if up[i][j] > 1 {
-				up[i][j] = 1
-				via[i][j] = int32(wi)
-			} else if up[i][j] == 1 && cfg.Rng != nil && cfg.Rng.Intn(2) == 0 {
-				via[i][j] = int32(wi) // random choice among parallel wires
+			k := int(sw[from.Node])*S + int(sw[w.Other(from).Node])
+			if up[k] > 1 {
+				up[k], via[k] = 1, int32(wi)
+			} else if cfg.Rng != nil && cfg.Rng.Intn(2) == 0 {
+				via[k] = int32(wi) // random choice among parallel wires
 			}
 		}
 	})
-	for k := 0; k < n; k++ {
-		upk := up[k]
-		for i := 0; i < n; i++ {
-			if up[i][k] == inf {
+	for k := 0; k < S; k++ {
+		upk := up[k*S : k*S+S]
+		for i := 0; i < S; i++ {
+			uik := up[i*S+k]
+			if uik == inf {
 				continue
 			}
-			uik := up[i][k]
-			for j := 0; j < n; j++ {
-				if d := uik + upk[j]; d < up[i][j] {
-					up[i][j] = d
-					via[i][j] = via[i][k]
+			row, vrow := up[i*S:i*S+S], via[i*S:i*S+S]
+			for j, ukj := range upk {
+				if d := uik + ukj; d < row[j] {
+					row[j], vrow[j] = d, vrow[k]
 				}
 			}
 		}
+	}
+	// fillUp writes the recorded up path from switch i to j, all len(dst)
+	// wires of it. First-hop extraction is sound because up distances
+	// strictly decrease along recorded first hops.
+	fillUp := func(dst []int, i, j int) {
+		for k := range dst {
+			dst[k] = int(via[i*S+j])
+			i = int(sw[t.across(dst[k], int(swNode[i]))])
+		}
+	}
+	// anc lists every switch's up-reachable switches, itself included, in
+	// ascending order: the only candidate meeting nodes, a short list on
+	// real fabrics.
+	var anc []int32
+	ancOff := make([]int32, S+1)
+	for a := 0; a < S; a++ {
+		for w, d := range up[a*S : a*S+S] {
+			if d < inf {
+				anc = append(anc, int32(w))
+			}
+		}
+		ancOff[a+1] = int32(len(anc))
+	}
+	H := len(t.hosts)
+	leaf := make([]int, H)     // each host's switch,
+	leafPort := make([]int, H) // the port it occupies there
+	hostWire := make([]int, H) // and the wire between them
+	for i, h := range t.hosts {
+		hostWire[i] = net.WireAt(h, topology.HostPort)
+		far := net.WireByIndex(hostWire[i]).Other(topology.End{Node: h, Port: topology.HostPort})
+		leaf[i], leafPort[i] = int(sw[far.Node]), far.Port
 	}
 
-	// For each host pair, pick the best meeting node and extract the path.
-	// Candidate meeting nodes for s are exactly its up-reachable ancestors —
-	// a short list on real fabrics, against n for the naive scan — so
-	// precompute each host's ancestor list once. Ascending node order is
-	// preserved, which keeps the first-strict-minimum choice (and therefore
-	// every extracted path) identical to the full scan's.
-	hosts := t.Net.Hosts()
-	anc := make(map[topology.NodeID][]int32, len(hosts))
-	for _, s := range hosts {
-		var a []int32
-		for w := 0; w < n; w++ {
-			if up[s][w] < inf {
-				a = append(a, int32(w))
-			}
-		}
-		anc[s] = a
-	}
-	t.paths = make(map[topology.NodeID]map[topology.NodeID][]int, len(hosts))
-	for _, s := range hosts {
-		t.paths[s] = make(map[topology.NodeID][]int, len(hosts))
-		for _, d := range hosts {
-			if s == d {
+	// Size pass, in ascending (s,t) order: the first pair under a leaf-
+	// switch pair picks its meeting node — first strict minimum over
+	// ascending switches — and the best cost is the exact length of the
+	// shared middle, so every span is known before the arena exists.
+	meet := make([]int32, S*S) // meeting switch + 1; 0 until scanned
+	total := 0
+	for si, a := range leaf {
+		for di, b := range leaf {
+			t.off[si*H+di] = uint32(total)
+			if si == di {
 				continue
 			}
-			bestW, bestC := -1, inf
-			for _, w32 := range anc[s] {
-				w := int(w32)
-				if up[d][w] == inf {
-					continue
+			if meet[a*S+b] == 0 {
+				bestW, bestC := -1, inf
+				for _, w := range anc[ancOff[a]:ancOff[a+1]] {
+					if c := up[a*S+int(w)] + up[b*S+int(w)]; c < bestC {
+						bestC, bestW = c, int(w)
+					}
 				}
-				if c := up[s][w] + up[d][w]; c < bestC {
-					bestC, bestW = c, w
+				if bestW < 0 {
+					return fmt.Errorf("routes: no compliant path %s -> %s",
+						net.NameOf(t.hosts[si]), net.NameOf(t.hosts[di]))
 				}
+				meet[a*S+b] = int32(bestW) + 1
 			}
-			if bestW < 0 {
-				return fmt.Errorf("routes: no compliant path %s -> %s",
-					t.Net.NameOf(s), t.Net.NameOf(d))
+			w := int(meet[a*S+b]) - 1
+			total += 2 + int(up[a*S+w]+up[b*S+w])
+		}
+	}
+	t.off[H*H] = uint32(total)
+
+	// Fill pass: the first pair under a leaf-switch pair extracts the middle
+	// in place (up half, then the down half reversed where it lies) and
+	// walks its turns; later pairs copy both, and only the turns at the two
+	// leaves shift, by the difference in host ports.
+	t.wires, t.turns = make([]int, total), make([]simnet.Turn, total)
+	first := make([]int32, S*S) // slot of that first pair + 1; 0 until written
+	for si, a := range leaf {
+		for di, b := range leaf {
+			slot := si*H + di
+			lo, hi := t.off[slot], t.off[slot+1]
+			if lo == hi {
+				continue
 			}
-			upPath := t.extract(via, int(s), bestW)
-			downPath := t.extract(via, int(d), bestW)
-			reverseInts(downPath)
-			t.paths[s][d] = append(upPath, downPath...)
+			t.wires[lo], t.wires[hi-1] = hostWire[si], hostWire[di]
+			mid := t.wires[lo+1 : hi-1]
+			if f := int(first[a*S+b]) - 1; f >= 0 {
+				copy(mid, t.wires[t.off[f]+1:])
+				copy(t.turns[lo+1:hi], t.turns[t.off[f]+1:])
+				t.turns[lo+1] += simnet.Turn(leafPort[f/H] - leafPort[si])
+				t.turns[hi-1] += simnet.Turn(leafPort[di] - leafPort[f%H])
+				continue
+			}
+			w := int(meet[a*S+b]) - 1
+			k := up[a*S+w]
+			fillUp(mid[:k], a, w)
+			fillUp(mid[k:], b, w)
+			slices.Reverse(mid[k:])
+			t.walkTurns(slot)
+			first[a*S+b] = int32(slot) + 1
 		}
 	}
 	return nil
-}
-
-// extract returns the wire sequence of the up path i→j recorded in via.
-// First-hop extraction is sound because up distances strictly decrease
-// along recorded first hops.
-func (t *Table) extract(via [][]int32, i, j int) []int {
-	var out []int
-	for i != j {
-		w := via[i][j]
-		if w < 0 {
-			return nil
-		}
-		out = append(out, int(w))
-		i = t.across(int(w), i)
-	}
-	return out
 }
 
 // across returns the node on the far side of wire wi from node `from`.
@@ -308,72 +376,65 @@ func (t *Table) across(wi, from int) int {
 	return int(w.A.Node)
 }
 
-func reverseInts(s []int) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
+// walkTurns converts one slot's wire path into the relative-turn source
+// route the interfaces consume: at each intermediate switch the routing
+// flit is the signed difference between the output and input ports (§2.2's
+// addressing).
+func (t *Table) walkTurns(slot int) {
+	lo, hi := t.off[slot], t.off[slot+1]
+	cur, inPort := t.hosts[slot/len(t.hosts)], topology.HostPort
+	for i := lo; i < hi; i++ {
+		w := t.Net.WireByIndex(t.wires[i])
+		from, to := w.A, w.B
+		if from.Node != cur {
+			from, to = to, from
+		}
+		if i > lo {
+			t.turns[i] = simnet.Turn(from.Port - inPort)
+		}
+		cur, inPort = to.Node, to.Port
 	}
 }
 
-// buildTurns converts wire paths into the relative-turn source routes the
-// interfaces consume: at each intermediate switch the turn is the signed
-// difference between the output and input ports (§2.2's addressing).
-func (t *Table) buildTurns() {
-	t.turns = make(map[topology.NodeID]map[topology.NodeID]simnet.Route, len(t.paths))
-	for s, row := range t.paths {
-		t.turns[s] = make(map[topology.NodeID]simnet.Route, len(row))
-		for d, wires := range row {
-			t.turns[s][d] = t.TurnsFor(s, wires)
-		}
+// span returns the arena bounds of the pair's wire path; lo == hi when the
+// table holds no route from src to dst.
+//
+//sanlint:hotpath
+func (t *Table) span(src, dst topology.NodeID) (lo, hi uint32) {
+	if uint(src) >= uint(len(t.ord)) || uint(dst) >= uint(len(t.ord)) || t.ord[src] < 0 || t.ord[dst] < 0 {
+		return 0, 0
 	}
+	slot := int(t.ord[src])*len(t.hosts) + int(t.ord[dst])
+	return t.off[slot], t.off[slot+1]
 }
 
-// TurnsFor converts a wire path starting at host src into a turn route:
-// at each intermediate switch the routing flit is outPort − inPort.
-func (t *Table) TurnsFor(src topology.NodeID, wires []int) simnet.Route {
-	var route simnet.Route
-	curNode := src
-	inPort := topology.HostPort
-	for i, wi := range wires {
-		w := t.Net.WireByIndex(wi)
-		var from, to topology.End
-		if w.A.Node == curNode {
-			from, to = w.A, w.B
-		} else {
-			from, to = w.B, w.A
-		}
-		if i > 0 {
-			route = append(route, simnet.Turn(from.Port-inPort))
-		}
-		curNode, inPort = to.Node, to.Port
-	}
-	return route
-}
-
-// Route returns the turn route from src to dst.
+// Route returns the turn route from src to dst. The slice aliases the
+// table's arena (capacity capped at its length); callers must not modify it.
+//
+//sanlint:hotpath
 func (t *Table) Route(src, dst topology.NodeID) (simnet.Route, bool) {
-	row, ok := t.turns[src]
-	if !ok {
+	lo, hi := t.span(src, dst)
+	if lo == hi {
 		return nil, false
 	}
-	r, ok := row[dst]
-	return r, ok
+	return t.turns[lo+1 : hi : hi], true
 }
 
-// WirePath returns the wire sequence from src to dst.
+// WirePath returns the wire sequence from src to dst, aliasing the arena
+// like Route.
+//
+//sanlint:hotpath
 func (t *Table) WirePath(src, dst topology.NodeID) ([]int, bool) {
-	row, ok := t.paths[src]
-	if !ok {
-		return nil, false
-	}
-	p, ok := row[dst]
-	return p, ok
+	lo, hi := t.span(src, dst)
+	return t.wires[lo:hi:hi], lo != hi
 }
 
-// Pairs calls f for every ordered host pair with a route.
+// Pairs calls f for every ordered host pair with a route, in ascending
+// (src, dst) order.
 func (t *Table) Pairs(f func(src, dst topology.NodeID, wires []int, turns simnet.Route)) {
-	for s, row := range t.paths {
-		for d, wires := range row {
-			f(s, d, wires, t.turns[s][d])
+	for slot, lo := range t.off[:len(t.off)-1] {
+		if hi := t.off[slot+1]; lo < hi {
+			f(t.hosts[slot/len(t.hosts)], t.hosts[slot%len(t.hosts)], t.wires[lo:hi:hi], t.turns[lo+1:hi:hi])
 		}
 	}
 }

@@ -152,11 +152,13 @@ type HostTable struct {
 
 // Distribute produces one HostTable per host, keyed by host name.
 func (t *Table) Distribute() map[string]*HostTable {
-	out := make(map[string]*HostTable, len(t.turns))
-	for src, row := range t.turns {
-		ht := &HostTable{Host: t.Net.NameOf(src), Routes: make(map[string]simnet.Route, len(row))}
-		for dst, r := range row {
-			ht.Routes[t.Net.NameOf(dst)] = r
+	out := make(map[string]*HostTable, len(t.hosts))
+	for _, src := range t.hosts {
+		ht := &HostTable{Host: t.Net.NameOf(src), Routes: make(map[string]simnet.Route, len(t.hosts)-1)}
+		for _, dst := range t.hosts {
+			if r, ok := t.Route(src, dst); ok {
+				ht.Routes[t.Net.NameOf(dst)] = r
+			}
 		}
 		out[ht.Host] = ht
 	}

@@ -18,11 +18,16 @@ import (
 // and then tightens by one). Q(v) is a 2-unit minimum-cost flow: reversing
 // the path, we need two edge-disjoint unit paths out of v — one to h0 and
 // one to any host — where h0's single host wire may carry both units (that
-// is exactly the "first and last may be the same" anomaly).
+// is exactly the "first and last may be the same" anomaly). Every v shares
+// the one sink, so Q builds the network once and asks flow.TwoUnitCost for
+// each vertex in turn.
 
 // qGraph builds the flow network shared by Q(v) and FByFlow. Node ids map
 // directly to flow vertices; the sink is vertex NumNodes().
 func (n *Network) qGraph(h0 NodeID) *flow.Graph {
+	if n.nodes[h0].kind != HostNode {
+		panic(fmt.Sprintf("topology: mapper %d is not a host", h0))
+	}
 	g := flow.New(len(n.nodes) + 1)
 	sink := len(n.nodes)
 	h0Wire := n.WireAt(h0, HostPort)
@@ -50,14 +55,7 @@ func (n *Network) qGraph(h0 NodeID) *flow.Graph {
 // QOf computes Q(v) for the given mapper host h0. ok is false when Q(v) is
 // undefined, i.e. v ∈ F.
 func (n *Network) QOf(h0, v NodeID) (q int, ok bool) {
-	if n.nodes[h0].kind != HostNode {
-		panic(fmt.Sprintf("topology: mapper %d is not a host", h0))
-	}
-	g := n.qGraph(h0)
-	pushed, cost, err := g.MinCostFlow(int(v), len(n.nodes), 2)
-	if err != nil {
-		panic(err) // positive costs: unreachable
-	}
+	pushed, cost := n.qGraph(h0).TwoUnitCost(int(v), len(n.nodes))
 	if pushed < 2 {
 		return 0, false
 	}
@@ -69,14 +67,13 @@ func (n *Network) QOf(h0, v NodeID) (q int, ok bool) {
 // equals F, which TestLemma1 verifies against the switch-bridge definition.
 func (n *Network) Q(h0 NodeID) (q int, undefined map[NodeID]bool) {
 	undefined = make(map[NodeID]bool)
+	g := n.qGraph(h0)
 	for i := range n.nodes {
-		qi, ok := n.QOf(h0, NodeID(i))
-		if !ok {
+		pushed, cost := g.TwoUnitCost(i, len(n.nodes))
+		if pushed < 2 {
 			undefined[NodeID(i)] = true
-			continue
-		}
-		if qi > q {
-			q = qi
+		} else if int(cost) > q {
+			q = int(cost)
 		}
 	}
 	return q, undefined
