@@ -10,7 +10,7 @@ RACE_PKGS = ./internal/simnet/... ./internal/mapper/... ./internal/connet/... \
 	./internal/mapd/... ./internal/workload/... ./internal/loadsim/... \
 	./internal/place/...
 
-.PHONY: build vet lint lint-json trace-smoke test race shuffle chaos crash-smoke load-smoke bench bench-smoke bench-gate bench-large bench-baseline ci
+.PHONY: build vet lint lint-json trace-smoke test race shuffle chaos crash-smoke load-smoke fuzz-smoke bench bench-smoke bench-gate bench-large bench-baseline ci
 
 build:
 	$(GO) build ./...
@@ -28,11 +28,23 @@ vet:
 #   //sanlint:topostate      (field) epoch-guarded state for epochcheck
 #   //sanlint:guards a,b     (field) mutex field protecting sibling fields a,b
 #   //sanlint:daemon         (func)  may launch unjoined goroutines
+#
+# Two surface checks keep the probe plane at one way to send a probe: the
+# module has no external importers, so a deprecated symbol is always
+# deletable now rather than kept; and simnet exports exactly Prober and
+# BatchProber — a third prober interface is the compatibility layer growing
+# back.
 lint: vet
 	$(GO) run ./cmd/sanlint ./...
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	$(GO) mod tidy -diff
+	@dep=$$(grep -rl --include='*.go' --exclude='*_test.go' '// Deprecated:' internal cmd); \
+	if [ -n "$$dep" ]; then \
+		echo "deprecated symbols must be deleted, not kept:"; echo "$$dep"; exit 1; fi
+	@n=$$(cat internal/simnet/*.go | grep -cE '^type ([A-Z][A-Za-z0-9]*)?Prober interface'); \
+	if [ "$$n" -gt 2 ]; then \
+		echo "simnet exports $$n prober interfaces, want at most 2 (Prober, BatchProber)"; exit 1; fi
 
 # trace-smoke is the golden-trace lane: a chaos run on a pinned seed must
 # emit a Chrome trace sidecar byte-identical to the checked-in fixture
@@ -94,6 +106,12 @@ crash-smoke:
 load-smoke:
 	$(GO) test -count=1 -v -run 'TestLoadSmokeGolden' ./cmd/sanload/
 
+# fuzz-smoke gives every native fuzz target a short run (ROADMAP item 3b):
+# long enough to replay the seed corpus and mutate past the obvious
+# inputs, short enough for every CI run.
+fuzz-smoke:
+	$(GO) test -run ^$$ -fuzz FuzzParseRoute -fuzztime=10s ./internal/simnet/
+
 bench:
 	$(GO) test -bench . -benchtime 1x -run ^$$ .
 
@@ -145,4 +163,4 @@ bench-baseline:
 		$(GO) run ./cmd/sanbench -rev $(REV) -min -gates bench_gates.json -o BENCH_$(REV).json
 	@echo wrote BENCH_$(REV).json
 
-ci: build lint lint-json trace-smoke test race shuffle chaos crash-smoke load-smoke bench-smoke bench-gate bench-large
+ci: build lint lint-json trace-smoke test race shuffle chaos crash-smoke load-smoke fuzz-smoke bench-smoke bench-gate bench-large

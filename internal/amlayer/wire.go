@@ -11,11 +11,11 @@ import (
 // every host probe is encoded into the Myrinet frame format, carried by the
 // simulator, decoded and answered by the destination host's Daemon, and the
 // reply is routed back over the inverted route and decoded by the mapper.
-// Switch probes loop back as framed TLoopback messages. It implements the
-// same simnet.Prober contract as the built-in transport, so the mappers run
-// over it unchanged — which is how the tests show the whole system works
-// end-to-end over the wire format, including CRC rejection of corrupted
-// frames.
+// Switch probes loop back as framed TLoopback messages. Its WireProber
+// implements the same simnet.Prober contract as the built-in transport, so
+// the mappers run over it unchanged — which is how the tests show the whole
+// system works end-to-end over the wire format, including CRC rejection of
+// corrupted frames.
 type WireNet struct {
 	sn      *simnet.Net
 	daemons map[topology.NodeID]*Daemon
@@ -46,11 +46,44 @@ func (w *WireNet) Prober(h topology.NodeID) *WireProber {
 	return &WireProber{net: w, host: h}
 }
 
-// WireProber implements simnet.Prober over WireNet.
+// WireProber implements simnet.Prober over WireNet for the two §2.3 probe
+// kinds the frame format carries. A probe's frames make their whole round
+// trip through the daemons inside Submit, so the result is complete — and
+// the clock already at its Done time — when Submit returns.
 type WireProber struct {
 	net  *WireNet
 	host topology.NodeID
 }
+
+// Probes implements simnet.Prober: host and switch probes only.
+func (p *WireProber) Probes() simnet.ProbeCaps { return simnet.CapHost | simnet.CapSwitch }
+
+// Submit implements simnet.Prober.
+func (p *WireProber) Submit(pr simnet.Probe) simnet.ProbeResult {
+	r := simnet.ProbeResult{Probe: pr}
+	issue := p.Clock()
+	switch pr.Kind {
+	case simnet.ProbeHost:
+		r.Host, r.OK = p.hostProbe(pr.Route)
+	case simnet.ProbeSwitch:
+		r.OK = p.switchProbe(pr.Route)
+	default:
+		r.Err = simnet.ErrUnsupported
+	}
+	if !r.OK && r.Err == nil {
+		r.Err = simnet.ErrTimeout
+	}
+	r.Done = p.Clock()
+	r.Latency = r.Done - issue
+	return r
+}
+
+// Collect implements simnet.Prober. Submit already waited the response out,
+// so there is nothing left to wait for.
+func (p *WireProber) Collect(simnet.ProbeResult) {}
+
+// Sleep implements simnet.Prober: advance the virtual clock without probing.
+func (p *WireProber) Sleep(d time.Duration) { p.net.sn.AdvanceClock(d) }
 
 // LocalHost implements simnet.Prober.
 func (p *WireProber) LocalHost() string { return p.net.sn.Topology().NameOf(p.host) }
@@ -83,9 +116,9 @@ func (w *WireNet) transmit(src topology.NodeID, msg Message) (dst topology.NodeI
 	return res.Dest, raw, true
 }
 
-// HostProbe implements simnet.Prober: frame → network → daemon → framed
-// reply → network → decode.
-func (p *WireProber) HostProbe(turns simnet.Route) (string, bool) {
+// hostProbe runs one host probe: frame → network → daemon → framed reply →
+// network → decode.
+func (p *WireProber) hostProbe(turns simnet.Route) (string, bool) {
 	w := p.net
 	timing := w.sn.Timing()
 	w.seq++
@@ -126,9 +159,9 @@ func (p *WireProber) HostProbe(turns simnet.Route) (string, bool) {
 	return string(reply.Payload), true
 }
 
-// SwitchProbe implements simnet.Prober: the loopback frame must physically
+// switchProbe runs one switch probe: the loopback frame must physically
 // return to the sender and still decode.
-func (p *WireProber) SwitchProbe(turns simnet.Route) bool {
+func (p *WireProber) switchProbe(turns simnet.Route) bool {
 	w := p.net
 	timing := w.sn.Timing()
 	w.seq++

@@ -70,8 +70,8 @@ func (n *Net) send(t time.Duration, hops []simnet.DirectedHop, msgBytes int) (ti
 }
 
 // Endpoint binds the contended net to one host and one simulation process.
-// It implements simnet.RawProber: each probe advances the process's virtual
-// time by the probe's true round-trip (or the response timeout).
+// It implements simnet.Prober: each collected probe advances the process's
+// virtual time by the probe's true round-trip (or the response timeout).
 type Endpoint struct {
 	net   *Net
 	host  topology.NodeID
@@ -108,14 +108,14 @@ func (e *Endpoint) MaxPorts() int { return e.net.quiet.Topology().MaxPorts() }
 // Stats implements the optional probe-counter interface.
 func (e *Endpoint) Stats() simnet.Stats { return e.stats }
 
-// submit is the shared implementation: pay the per-probe host overhead,
+// Submit implements simnet.Prober: pay the per-probe host overhead,
 // evaluate the route, inject the worm (and the reply worm for host probes)
 // into the contended links, and compute the virtual completion time. It
 // does NOT sleep until the response: Collect does, which is what lets a
 // pipelined caller keep several probes' timeouts in flight while other
 // processes' traffic continues to contend the links at the true injection
 // times.
-func (e *Endpoint) submit(p simnet.Probe) simnet.ProbeResult {
+func (e *Endpoint) Submit(p simnet.Probe) simnet.ProbeResult {
 	r := simnet.ProbeResult{Probe: p}
 	timeout := e.net.timing.ResponseTimeout
 	if p.Timeout > 0 {
@@ -194,21 +194,7 @@ func (e *Endpoint) submit(p simnet.Probe) simnet.ProbeResult {
 	return r
 }
 
-// Submit implements simnet.AsyncProber. The worm is injected (and contends
-// for links) at submission time; the result's Done carries the response's
-// arrival, which Collect waits out.
-func (e *Endpoint) Submit(p simnet.Probe) <-chan simnet.ProbeResult {
-	ch := make(chan simnet.ProbeResult, 1)
-	ch <- e.submit(p)
-	close(ch)
-	return ch
-}
-
-// SubmitDirect implements simnet.DirectProber: the injection happens at
-// call time exactly as in Submit, without the channel round-trip.
-func (e *Endpoint) SubmitDirect(p simnet.Probe) simnet.ProbeResult { return e.submit(p) }
-
-// Collect implements simnet.AsyncProber: sleep the process until the
+// Collect implements simnet.Prober: sleep the process until the
 // result's completion time (no-op if it already passed).
 func (e *Endpoint) Collect(r simnet.ProbeResult) {
 	if d := r.Done - e.proc.Now(); d > 0 {
@@ -216,39 +202,18 @@ func (e *Endpoint) Collect(r simnet.ProbeResult) {
 	}
 }
 
-// Probes implements simnet.AsyncProber.
+// Probes implements simnet.Prober.
 func (e *Endpoint) Probes() simnet.ProbeCaps {
 	return simnet.CapHost | simnet.CapSwitch | simnet.CapRaw
 }
 
-// Sleep implements simnet.Sleeper: retry-backoff waits advance the bound
+// Sleep implements simnet.Prober: retry-backoff waits advance the bound
 // process's virtual clock, so other processes' traffic keeps flowing while
 // this endpoint backs off.
 func (e *Endpoint) Sleep(d time.Duration) {
 	if d > 0 {
 		e.proc.Sleep(d)
 	}
-}
-
-// SwitchProbe implements simnet.Prober.
-func (e *Endpoint) SwitchProbe(turns simnet.Route) bool {
-	r := e.submit(simnet.Probe{Kind: simnet.ProbeSwitch, Route: turns})
-	e.Collect(r)
-	return r.OK
-}
-
-// HostProbe implements simnet.Prober.
-func (e *Endpoint) HostProbe(turns simnet.Route) (string, bool) {
-	r := e.submit(simnet.Probe{Kind: simnet.ProbeHost, Route: turns})
-	e.Collect(r)
-	return r.Host, r.OK
-}
-
-// RawLoopback implements simnet.RawProber.
-func (e *Endpoint) RawLoopback(route simnet.Route) bool {
-	r := e.submit(simnet.Probe{Kind: simnet.ProbeRaw, Route: route})
-	e.Collect(r)
-	return r.OK
 }
 
 // SendWorm injects an application traffic worm of the given payload size

@@ -33,9 +33,10 @@ func TestProbesMatchQuiescentSemantics(t *testing.T) {
 	var okHost, okSwitch, badProbe bool
 	eng.Spawn("m", func(p *desim.Proc) {
 		ep := cn.Endpoint(h0, p)
-		gotHost, okHost = ep.HostProbe(simnet.Route{3, 3})
-		okSwitch = ep.SwitchProbe(simnet.Route{3})
-		_, badProbe = ep.HostProbe(simnet.Route{1})
+		r := simnet.Do(ep, simnet.Probe{Kind: simnet.ProbeHost, Route: simnet.Route{3, 3}})
+		gotHost, okHost = r.Host, r.OK
+		okSwitch = simnet.Do(ep, simnet.Probe{Kind: simnet.ProbeSwitch, Route: simnet.Route{3}}).OK
+		badProbe = simnet.Do(ep, simnet.Probe{Kind: simnet.ProbeHost, Route: simnet.Route{1}}).OK
 	})
 	eng.Run()
 	if !okHost || gotHost != "h1" {
@@ -60,7 +61,7 @@ func TestProbeAdvancesVirtualTime(t *testing.T) {
 		var took time.Duration
 		eng.Spawn("m", func(p *desim.Proc) {
 			ep := cn.Endpoint(h0, p)
-			ep.HostProbe(route)
+			simnet.Do(ep, simnet.Probe{Kind: simnet.ProbeHost, Route: route})
 			took = p.Now()
 		})
 		eng.Run()

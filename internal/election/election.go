@@ -32,11 +32,11 @@ import (
 // cancel is the passivation poll the election machinery supplies. Both the
 // Berkeley and the Myricom algorithm fit ("both algorithms have two
 // operational modes", §4.2); see BerkeleyAlgo and MyricomAlgo.
-type Algo func(ep simnet.RawProber, cancel func() bool) (*mapper.Result, error)
+type Algo func(ep simnet.Prober, cancel func() bool) (*mapper.Result, error)
 
 // BerkeleyAlgo adapts the Berkeley mapper for election mode.
 func BerkeleyAlgo(cfg mapper.Config) Algo {
-	return func(ep simnet.RawProber, cancel func() bool) (*mapper.Result, error) {
+	return func(ep simnet.Prober, cancel func() bool) (*mapper.Result, error) {
 		cfg := cfg
 		cfg.Cancel = cancel
 		m, err := mapper.RunConfig(ep, cfg)
@@ -52,7 +52,7 @@ func BerkeleyAlgo(cfg mapper.Config) Algo {
 
 // MyricomAlgo adapts the Myricom mapper for election mode.
 func MyricomAlgo(cfg myricom.Config) Algo {
-	return func(ep simnet.RawProber, cancel func() bool) (*mapper.Result, error) {
+	return func(ep simnet.Prober, cancel func() bool) (*mapper.Result, error) {
 		cfg := cfg
 		cfg.Cancel = cancel
 		m, err := myricom.Run(ep, cfg)

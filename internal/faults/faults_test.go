@@ -47,7 +47,7 @@ func TestClassifyLinkDown(t *testing.T) {
 	inj.ApplyAll()
 
 	ep := sn.Endpoint(h0)
-	r := <-ep.Submit(simnet.Probe{Kind: simnet.ProbeHost, Route: simnet.Route{1, 1}})
+	r := ep.Submit(simnet.Probe{Kind: simnet.ProbeHost, Route: simnet.Route{1, 1}})
 	if r.OK {
 		t.Fatalf("probe across cut link succeeded: %+v", r)
 	}
@@ -69,7 +69,7 @@ func TestClassifySwitchDead(t *testing.T) {
 	inj.ApplyAll()
 
 	ep := sn.Endpoint(h0)
-	r := <-ep.Submit(simnet.Probe{Kind: simnet.ProbeHost, Route: simnet.Route{1, 1}})
+	r := ep.Submit(simnet.Probe{Kind: simnet.ProbeHost, Route: simnet.Route{1, 1}})
 	if r.OK {
 		t.Fatalf("probe through dead switch succeeded: %+v", r)
 	}
@@ -91,8 +91,8 @@ func TestSwitchRestartRestoresService(t *testing.T) {
 	inj.ApplyAll()
 
 	ep := sn.Endpoint(h0)
-	if host, ok := ep.HostProbe(simnet.Route{1, 1}); !ok || host != "H1" {
-		t.Fatalf("probe after restart: host=%q ok=%v", host, ok)
+	if r := simnet.Do(ep, simnet.Probe{Kind: simnet.ProbeHost, Route: simnet.Route{1, 1}}); !r.OK || r.Host != "H1" {
+		t.Fatalf("probe after restart: host=%q ok=%v", r.Host, r.OK)
 	}
 }
 
@@ -106,8 +106,8 @@ func TestLinkFlapRestoresService(t *testing.T) {
 	inj.ApplyAll()
 
 	ep := sn.Endpoint(h0)
-	if host, ok := ep.HostProbe(simnet.Route{1, 1}); !ok || host != "H1" {
-		t.Fatalf("probe after flap restore: host=%q ok=%v", host, ok)
+	if r := simnet.Do(ep, simnet.Probe{Kind: simnet.ProbeHost, Route: simnet.Route{1, 1}}); !r.OK || r.Host != "H1" {
+		t.Fatalf("probe after flap restore: host=%q ok=%v", r.Host, r.OK)
 	}
 	// The flap must be on the record even though it healed.
 	var sawCut, sawRestore bool
@@ -130,7 +130,7 @@ func TestProbeLossClassification(t *testing.T) {
 	Attach(sn, Schedule{LossRate: 1, Seed: 7})
 
 	ep := sn.Endpoint(h0)
-	r := <-ep.Submit(simnet.Probe{Kind: simnet.ProbeHost, Route: simnet.Route{1, 1}})
+	r := ep.Submit(simnet.Probe{Kind: simnet.ProbeHost, Route: simnet.Route{1, 1}})
 	if r.OK {
 		t.Fatalf("probe under LossRate=1 succeeded")
 	}
@@ -148,7 +148,7 @@ func TestProbeTruncationClassification(t *testing.T) {
 	Attach(sn, Schedule{TruncRate: 1, Seed: 7})
 
 	ep := sn.Endpoint(h0)
-	r := <-ep.Submit(simnet.Probe{Kind: simnet.ProbeHost, Route: simnet.Route{1, 1}})
+	r := ep.Submit(simnet.Probe{Kind: simnet.ProbeHost, Route: simnet.Route{1, 1}})
 	if r.OK {
 		t.Fatalf("probe under TruncRate=1 succeeded")
 	}
@@ -275,7 +275,7 @@ func TestCrossTrafficQuantised(t *testing.T) {
 	// enough quanta; determinism is covered by TestInjectorLogDeterminism.
 	hits, misses := 0, 0
 	for i := 0; i < 40; i++ {
-		if _, ok := ep.HostProbe(simnet.Route{1, 1}); ok {
+		if simnet.Do(ep, simnet.Probe{Kind: simnet.ProbeHost, Route: simnet.Route{1, 1}}).OK {
 			hits++
 		} else {
 			misses++

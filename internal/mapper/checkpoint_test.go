@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"sanmap/internal/faults"
 	"sanmap/internal/genspec"
@@ -30,24 +29,15 @@ var goldenChaos = []struct {
 // ckptProber records every probe a session issues so interrupted and
 // uninterrupted runs can be compared probe for probe.
 type ckptProber struct {
-	p   simnet.Prober
+	simnet.Prober
 	log *[]string
 }
 
-func (r *ckptProber) SwitchProbe(t simnet.Route) bool {
-	ok := r.p.SwitchProbe(t)
-	*r.log = append(*r.log, fmt.Sprintf("S %v -> %v", t, ok))
-	return ok
+func (r *ckptProber) Submit(p simnet.Probe) simnet.ProbeResult {
+	res := r.Prober.Submit(p)
+	*r.log = append(*r.log, fmt.Sprintf("%v %v -> %q %v", p.Kind, p.Route, res.Host, res.OK))
+	return res
 }
-
-func (r *ckptProber) HostProbe(t simnet.Route) (string, bool) {
-	h, ok := r.p.HostProbe(t)
-	*r.log = append(*r.log, fmt.Sprintf("H %v -> %q %v", t, h, ok))
-	return h, ok
-}
-
-func (r *ckptProber) LocalHost() string    { return r.p.LocalHost() }
-func (r *ckptProber) Clock() time.Duration { return r.p.Clock() }
 
 // ckptWorld builds the daemon's scenario: structural chaos events are
 // withheld while the initial map runs (rates-only injector) and are
@@ -98,7 +88,7 @@ func refRun(t *testing.T, topoSeed uint64, profile string) (remapLog []string, m
 	t.Helper()
 	var log []string
 	sn, inj, h0, depth := ckptWorld(t, topoSeed, profile)
-	pr := &ckptProber{p: sn.Endpoint(h0), log: &log}
+	pr := &ckptProber{Prober: sn.Endpoint(h0), log: &log}
 	s, err := NewSession(pr, WithDepth(depth), WithConfirm(2))
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +111,7 @@ func TestCheckpointEncodeDecodeEncode(t *testing.T) {
 	for _, g := range goldenChaos {
 		var log []string
 		sn, _, h0, depth := ckptWorld(t, g.topoSeed, g.profile)
-		pr := &ckptProber{p: sn.Endpoint(h0), log: &log}
+		pr := &ckptProber{Prober: sn.Endpoint(h0), log: &log}
 		s, err := NewSession(pr, WithDepth(depth), WithConfirm(2))
 		if err != nil {
 			t.Fatal(err)
@@ -158,7 +148,7 @@ func TestCheckpointRestoreRemap(t *testing.T) {
 
 		var log []string
 		sn, _, h0, depth := ckptWorld(t, g.topoSeed, g.profile)
-		pr := &ckptProber{p: sn.Endpoint(h0), log: &log}
+		pr := &ckptProber{Prober: sn.Endpoint(h0), log: &log}
 		s, err := NewSession(pr, WithDepth(depth), WithConfirm(2))
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +163,7 @@ func TestCheckpointRestoreRemap(t *testing.T) {
 
 		sn2, inj2, h02, depth2 := ckptWorld(t, g.topoSeed, g.profile)
 		var rlog []string
-		pr2 := &ckptProber{p: sn2.Endpoint(h02), log: &rlog}
+		pr2 := &ckptProber{Prober: sn2.Endpoint(h02), log: &rlog}
 		s2, err := RestoreSession(pr2, img, WithDepth(depth2), WithConfirm(2))
 		if err != nil {
 			t.Fatalf("seed=%d restore: %v", g.topoSeed, err)
@@ -205,7 +195,7 @@ func TestCheckpointSuspendEveryStep(t *testing.T) {
 		for k := 1; k <= 16; k++ {
 			var log []string
 			sn, inj, h0, depth := ckptWorld(t, g.topoSeed, g.profile)
-			pr := &ckptProber{p: sn.Endpoint(h0), log: &log}
+			pr := &ckptProber{Prober: sn.Endpoint(h0), log: &log}
 			s, err := NewSession(pr, WithDepth(depth), WithConfirm(2))
 			if err != nil {
 				t.Fatal(err)
@@ -247,7 +237,7 @@ func TestCheckpointSuspendEveryStep(t *testing.T) {
 
 			sn2, inj2, h02, depth2 := ckptWorld(t, g.topoSeed, g.profile)
 			var post []string
-			pr2 := &ckptProber{p: sn2.Endpoint(h02), log: &post}
+			pr2 := &ckptProber{Prober: sn2.Endpoint(h02), log: &post}
 			s2, err := RestoreSession(pr2, img, WithDepth(depth2), WithConfirm(2))
 			if err != nil {
 				t.Fatalf("seed=%d k=%d restore: %v", g.topoSeed, k, err)
@@ -290,7 +280,7 @@ func TestCheckpointResumeSavesProbes(t *testing.T) {
 
 	var log []string
 	sn, inj, h0, depth := ckptWorld(t, g.topoSeed, g.profile)
-	pr := &ckptProber{p: sn.Endpoint(h0), log: &log}
+	pr := &ckptProber{Prober: sn.Endpoint(h0), log: &log}
 	s, err := NewSession(pr, WithDepth(depth), WithConfirm(2))
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +309,7 @@ func TestCheckpointResumeSavesProbes(t *testing.T) {
 
 	sn2, inj2, h02, depth2 := ckptWorld(t, g.topoSeed, g.profile)
 	var post []string
-	pr2 := &ckptProber{p: sn2.Endpoint(h02), log: &post}
+	pr2 := &ckptProber{Prober: sn2.Endpoint(h02), log: &post}
 	s2, err := RestoreSession(pr2, img, WithDepth(depth2), WithConfirm(2))
 	if err != nil {
 		t.Fatal(err)

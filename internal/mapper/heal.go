@@ -240,10 +240,10 @@ func (r *run) sweep() (int, error) {
 // the far host's name for host edges, a switch loopback for switch edges.
 func (r *run) verifyEdge(far *Vertex, s simnet.Route) bool {
 	if far.kind == topology.HostNode {
-		host, ok := r.p.HostProbe(s)
-		return ok && host == far.name
+		res := simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeHost, Route: s})
+		return res.OK && res.Host == far.name
 	}
-	return r.p.SwitchProbe(s)
+	return simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeSwitch, Route: s}).OK
 }
 
 // reexploreAt re-enqueues v for exploration over a known-fresh route,

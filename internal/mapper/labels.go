@@ -84,9 +84,9 @@ func LabelRun(p simnet.Prober, depth int) (*Map, error) {
 			}
 			probeStr := v.route.Extend(t)
 			var child *tnode
-			if host, ok := p.HostProbe(probeStr); ok {
-				child = newNode(topology.HostNode, host, probeStr, v)
-			} else if p.SwitchProbe(probeStr) {
+			if res := simnet.Do(p, simnet.Probe{Kind: simnet.ProbeHost, Route: probeStr}); res.OK {
+				child = newNode(topology.HostNode, res.Host, probeStr, v)
+			} else if simnet.Do(p, simnet.Probe{Kind: simnet.ProbeSwitch, Route: probeStr}).OK {
 				child = newNode(topology.SwitchNode, "", probeStr, v)
 				frontier = append(frontier, child)
 			} else {

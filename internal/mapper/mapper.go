@@ -97,13 +97,12 @@ type Config struct {
 	// struct. The pipelined probe engine inherits it unless
 	// Pipeline.Metrics is set explicitly.
 	Metrics *obs.Registry
-	// Pipeline configures the pipelined probe engine. With Window > 1 and a
-	// transport that implements simnet.AsyncProber, the explorer prefetches
-	// all independent probes of each frontier slot-window through a
-	// simnet.ProbeWindow, overlapping their response timeouts; results are
-	// applied by the unchanged serial deduction loop, so the produced map is
-	// byte-identical to the serial one. Window <= 1 (the zero value) keeps
-	// the strictly serial path.
+	// Pipeline configures the pipelined probe engine. With Window > 1 the
+	// explorer prefetches all independent probes of each frontier
+	// slot-window through a simnet.ProbeWindow, overlapping their response
+	// timeouts; results are applied by the unchanged serial deduction loop,
+	// so the produced map is byte-identical to the serial one. Window <= 1
+	// (the zero value) keeps the strictly serial path.
 	Pipeline simnet.WindowConfig
 	// Confirm, when > 1, requires K-of-N probe confirmation before an edge
 	// is committed to the model: a response that would create an edge must
@@ -423,6 +422,15 @@ func proberMaxPorts(p any) int {
 	return topology.SwitchPorts
 }
 
+// requireCaps rejects a transport that cannot execute every probe kind an
+// algorithm depends on.
+func requireCaps(p simnet.Prober, want simnet.ProbeCaps) error {
+	if !p.Probes().Has(want) {
+		return fmt.Errorf("mapper: transport lacks a probe kind the algorithm needs: %w", simnet.ErrUnsupported)
+	}
+	return nil
+}
+
 // resolveMaxPorts fills a zero Config.MaxPorts from the prober and bounds
 // the result to representable radices.
 func resolveMaxPorts(cfg *Config, p any) error {
@@ -569,24 +577,21 @@ func (r *run) probePair(s simnet.Route) simnet.ProbeResponse {
 	return r.confirmResponse(s, r.probeOnce(s))
 }
 
+// probeOrder returns the two §2.3 probe kinds in the configured order.
+func (r *run) probeOrder() (first, second simnet.ProbeKind) {
+	if r.cfg.ProbeOrder == SwitchFirst {
+		return simnet.ProbeSwitch, simnet.ProbeHost
+	}
+	return simnet.ProbeHost, simnet.ProbeSwitch
+}
+
 // probeOnce issues one live probe pair in the configured order.
 func (r *run) probeOnce(s simnet.Route) simnet.ProbeResponse {
-	if r.cfg.ProbeOrder == SwitchFirst {
-		if r.p.SwitchProbe(s) {
-			return simnet.ProbeResponse{Kind: simnet.RespSwitch}
-		}
-		if host, ok := r.p.HostProbe(s); ok {
-			return simnet.ProbeResponse{Kind: simnet.RespHost, Host: host}
-		}
-		return simnet.ProbeResponse{Kind: simnet.RespNothing}
+	first, second := r.probeOrder()
+	if res := simnet.Do(r.p, simnet.Probe{Kind: first, Route: s}); res.OK {
+		return pairResponse(first, res)
 	}
-	if host, ok := r.p.HostProbe(s); ok {
-		return simnet.ProbeResponse{Kind: simnet.RespHost, Host: host}
-	}
-	if r.p.SwitchProbe(s) {
-		return simnet.ProbeResponse{Kind: simnet.RespSwitch}
-	}
-	return simnet.ProbeResponse{Kind: simnet.RespNothing}
+	return pairResponse(second, simnet.Do(r.p, simnet.Probe{Kind: second, Route: s}))
 }
 
 // confirmResponse implements K-of-N commit confirmation (Config.Confirm):

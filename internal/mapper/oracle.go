@@ -23,7 +23,10 @@ import (
 // Unlike the Berkeley algorithm, the oracle mapper has no prune stage and
 // therefore maps hostless switch-bridge regions too (its output is
 // isomorphic to all of N, not N−F).
-func OracleRun(p simnet.IDProber, depth int) (*Map, error) {
+func OracleRun(p simnet.Prober, depth int) (*Map, error) {
+	if err := requireCaps(p, simnet.CapHost|simnet.CapID); err != nil {
+		return nil, err
+	}
 	if depth < 1 {
 		return nil, fmt.Errorf("mapper: depth must be >= 1, got %d: %w", depth, ErrDepthExceeded)
 	}
@@ -53,14 +56,14 @@ func OracleRun(p simnet.IDProber, depth int) (*Map, error) {
 	hostEdges := map[string][2]int{} // host name -> (switch oracle id, port)
 
 	// The root switch: the empty prefix parks on the mapper's own switch.
-	rootID, rootEntry, ok := p.IDProbe(simnet.Route{})
-	if !ok {
+	first := simnet.Do(p, simnet.Probe{Kind: simnet.ProbeID, Route: simnet.Route{}})
+	if !first.OK {
 		return nil, fmt.Errorf("mapper: oracle cannot reach the first switch")
 	}
-	root := &oswitch{id: rootID, node: net.AddSwitchRadix(fmt.Sprintf("o%d", rootID), maxPorts),
-		entry: rootEntry, route: simnet.Route{}}
-	seen[rootID] = root
-	hostEdges[p.LocalHost()] = [2]int{rootID, rootEntry}
+	root := &oswitch{id: first.SwitchID, node: net.AddSwitchRadix(fmt.Sprintf("o%d", first.SwitchID), maxPorts),
+		entry: first.EntryPort, route: simnet.Route{}}
+	seen[root.id] = root
+	hostEdges[p.LocalHost()] = [2]int{root.id, root.entry}
 
 	frontier := []*oswitch{root}
 	for len(frontier) > 0 {
@@ -76,17 +79,18 @@ func OracleRun(p simnet.IDProber, depth int) (*Map, error) {
 			}
 			t := simnet.Turn(port - sw.entry)
 			probe := sw.route.Extend(t)
-			if host, ok := p.HostProbe(probe); ok {
-				if _, dup := hosts[host]; !dup {
-					hosts[host] = net.AddHost(host)
+			if res := simnet.Do(p, simnet.Probe{Kind: simnet.ProbeHost, Route: probe}); res.OK {
+				if _, dup := hosts[res.Host]; !dup {
+					hosts[res.Host] = net.AddHost(res.Host)
 				}
-				hostEdges[host] = [2]int{sw.id, port}
+				hostEdges[res.Host] = [2]int{sw.id, port}
 				continue
 			}
-			id, entry, ok := p.IDProbe(probe)
-			if !ok {
+			res := simnet.Do(p, simnet.Probe{Kind: simnet.ProbeID, Route: probe})
+			if !res.OK {
 				continue
 			}
+			id, entry := res.SwitchID, res.EntryPort
 			other, known := seen[id]
 			if !known {
 				other = &oswitch{id: id, node: net.AddSwitchRadix(fmt.Sprintf("o%d", id), maxPorts),

@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -95,11 +96,8 @@ func TestOracleProbeEconomy(t *testing.T) {
 func TestOracleRequiresSelfID(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	net := topology.MustLine(2, 1, rng)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic without EnableSelfID")
-		}
-	}()
 	sn := simnet.NewDefault(net)
-	_, _ = OracleRun(sn.Endpoint(net.Hosts()[0]), 3) //nolint:errcheck
+	if _, err := OracleRun(sn.Endpoint(net.Hosts()[0]), 3); !errors.Is(err, simnet.ErrUnsupported) {
+		t.Errorf("OracleRun without EnableSelfID: err = %v, want simnet.ErrUnsupported", err)
+	}
 }

@@ -16,21 +16,17 @@ import (
 // exported map) is byte-identical to the serial run's; only the virtual
 // clock and the speculative probe counts differ.
 
-// initPipeline activates the probe engine when configured and supported.
-// The engine inherits the run's metrics registry unless the window config
-// names its own, so one WithMetrics covers both layers.
+// initPipeline activates the probe engine when configured. The engine
+// inherits the run's metrics registry unless the window config names its
+// own, so one WithMetrics covers both layers.
 func (r *run) initPipeline() {
 	if r.cfg.Pipeline.Window <= 1 {
-		return
-	}
-	ap, ok := r.p.(simnet.AsyncProber)
-	if !ok || !ap.Probes().Has(simnet.CapHost|simnet.CapSwitch) {
 		return
 	}
 	if r.cfg.Pipeline.Metrics == nil {
 		r.cfg.Pipeline.Metrics = r.cfg.Metrics
 	}
-	r.win = simnet.NewProbeWindow(ap, r.cfg.Pipeline)
+	r.win = simnet.NewProbeWindow(r.p, r.cfg.Pipeline)
 }
 
 // finishPipeline folds the engine counters into the run statistics.
@@ -73,10 +69,7 @@ func (r *run) beginStream(jb job, turns []simnet.Turn, retryOnly bool) {
 	if r.win == nil {
 		return
 	}
-	first, second := simnet.ProbeHost, simnet.ProbeSwitch
-	if r.cfg.ProbeOrder == SwitchFirst {
-		first, second = second, first
-	}
+	first, second := r.probeOrder()
 	ps := &r.psPool
 	ps.st = r.win.Stream()
 	ps.jb, ps.retryOnly = jb, retryOnly

@@ -16,7 +16,7 @@ import (
 //
 // The coupon phase assumes the §6 firmware change: a host receiving a
 // message with leftover routing flits reads it and responds
-// (simnet.TolerantProber), telling the mapper how much of the random route
+// (simnet.ProbeTolerant), telling the mapper how much of the random route
 // the network accepted. Every such response contributes a whole chain of
 // switch vertices ending in a host anchor — dense merge fodder — after
 // which the ordinary BFS (phase 2) only has to fill in the gaps, skipping
@@ -35,7 +35,10 @@ type RandomizedConfig struct {
 }
 
 // RandomizedRun executes the coupon-collecting hybrid.
-func RandomizedRun(p simnet.TolerantProber, cfg RandomizedConfig) (*Map, error) {
+func RandomizedRun(p simnet.Prober, cfg RandomizedConfig) (*Map, error) {
+	if err := requireCaps(p, simnet.CapHost|simnet.CapSwitch|simnet.CapTolerant); err != nil {
+		return nil, err
+	}
 	if cfg.Depth < 1 {
 		return nil, fmt.Errorf("mapper: Depth must be at least 1, got %d: %w", cfg.Depth, ErrDepthExceeded)
 	}
@@ -79,25 +82,24 @@ func RandomizedRun(p simnet.TolerantProber, cfg RandomizedConfig) (*Map, error) 
 		}
 		routes[i] = route
 	}
-	walk := func(route simnet.Route, host string, consumed int, ok bool) {
-		if !ok {
+	walk := func(res simnet.ProbeResult) {
+		if !res.OK {
 			return
 		}
-		r.walkChain(rootSwitch, route[:consumed], host)
+		r.walkChain(rootSwitch, res.Probe.Route[:res.Consumed], res.Host)
 		r.model.processMerges()
 	}
-	if r.win != nil && r.win.Prober().Probes().Has(simnet.CapTolerant) {
-		batch := make([]simnet.Probe, len(routes))
-		for i, route := range routes {
-			batch[i] = simnet.Probe{Kind: simnet.ProbeTolerant, Route: route}
-		}
-		for i, res := range r.win.Do(batch) {
-			walk(routes[i], res.Host, res.Consumed, res.OK)
+	batch := make([]simnet.Probe, len(routes))
+	for i, route := range routes {
+		batch[i] = simnet.Probe{Kind: simnet.ProbeTolerant, Route: route}
+	}
+	if r.win != nil {
+		for _, res := range r.win.Do(batch) {
+			walk(res)
 		}
 	} else {
-		for _, route := range routes {
-			host, consumed, ok := p.TolerantHostProbe(route)
-			walk(route, host, consumed, ok)
+		for _, probe := range batch {
+			walk(simnet.Do(p, probe))
 		}
 	}
 

@@ -28,11 +28,7 @@ func TestSentinelErrors(t *testing.T) {
 		t.Errorf("Run without WithDepth: err = %v, want ErrDepthExceeded", err)
 	}
 
-	do := func(p simnet.Probe) simnet.ProbeResult {
-		r := <-ep.Submit(p)
-		ep.Collect(r)
-		return r
-	}
+	do := func(p simnet.Probe) simnet.ProbeResult { return simnet.Do(ep, p) }
 	if r := do(simnet.Probe{Kind: simnet.ProbeHost, Route: simnet.Route{1}}); !errors.Is(r.Err, simnet.ErrTimeout) {
 		t.Errorf("dead-end probe: err = %v, want simnet.ErrTimeout", r.Err)
 	}
@@ -75,7 +71,7 @@ func TestMapWithFlakyResponses(t *testing.T) {
 			h0 := net.Hosts()[0]
 			sn := simnet.NewDefault(net)
 			fp := &simnet.FlakyProber{
-				Inner:    sn.Endpoint(h0),
+				Prober:   sn.Endpoint(h0),
 				DropRate: rate,
 				Rng:      rand.New(rand.NewSource(seed + 99)),
 			}
@@ -115,7 +111,7 @@ func TestMapZeroDropIsExact(t *testing.T) {
 	net := topology.MustStar(3, 3, rng)
 	h0 := net.Hosts()[0]
 	sn := simnet.NewDefault(net)
-	fp := &simnet.FlakyProber{Inner: sn.Endpoint(h0), DropRate: 0, Rng: rng}
+	fp := &simnet.FlakyProber{Prober: sn.Endpoint(h0), DropRate: 0, Rng: rng}
 	m, err := Run(fp, WithDepth(net.DepthBound(h0)))
 	if err != nil {
 		t.Fatal(err)

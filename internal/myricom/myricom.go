@@ -57,13 +57,12 @@ type Config struct {
 	// Cancel, when non-nil, is polled between candidates; returning true
 	// aborts the run with ErrCanceled (election-mode passivation, §4.2).
 	Cancel func() bool
-	// Pipeline configures the pipelined probe engine. With Window > 1 and a
-	// transport implementing simnet.AsyncProber with raw/host/switch
-	// capability, each switch exploration issues its probes through a
-	// simnet.ProbeWindow in three phases (loop-cable probes for every turn,
-	// host probes for the loop misses, switch probes for the host misses) —
-	// exactly the probes the serial scan sends, so the map and the Fig 10
-	// message counts are unchanged; only the virtual time shrinks.
+	// Pipeline configures the pipelined probe engine. With Window > 1 each
+	// switch exploration issues its probes through a simnet.ProbeWindow in
+	// three phases (loop-cable probes for every turn, host probes for the
+	// loop misses, switch probes for the host misses) — exactly the probes
+	// the serial scan sends, so the map and the Fig 10 message counts are
+	// unchanged; only the virtual time shrinks.
 	Pipeline simnet.WindowConfig
 }
 
@@ -121,7 +120,7 @@ type candidate struct {
 }
 
 type runner struct {
-	p     simnet.RawProber
+	p     simnet.Prober
 	cfg   Config
 	stats Stats
 	done  []*swRecord
@@ -130,7 +129,10 @@ type runner struct {
 }
 
 // Run executes the Myricom algorithm.
-func Run(p simnet.RawProber, cfg Config) (*Map, error) {
+func Run(p simnet.Prober, cfg Config) (*Map, error) {
+	if !p.Probes().Has(simnet.CapRaw | simnet.CapHost | simnet.CapSwitch) {
+		return nil, fmt.Errorf("myricom: transport lacks raw, host or switch probes: %w", simnet.ErrUnsupported)
+	}
 	if cfg.Depth < 1 {
 		return nil, fmt.Errorf("myricom: Depth must be >= 1")
 	}
@@ -139,10 +141,7 @@ func Run(p simnet.RawProber, cfg Config) (*Map, error) {
 	}
 	r := &runner{p: p, cfg: cfg}
 	if cfg.Pipeline.Window > 1 {
-		if ap, ok := p.(simnet.AsyncProber); ok &&
-			ap.Probes().Has(simnet.CapRaw|simnet.CapHost|simnet.CapSwitch) {
-			r.win = simnet.NewProbeWindow(ap, cfg.Pipeline)
-		}
+		r.win = simnet.NewProbeWindow(p, cfg.Pipeline)
 	}
 	start := p.Clock()
 
@@ -248,7 +247,7 @@ func (r *runner) compare(c candidate) (*swRecord, int) {
 			probe = append(probe, x)
 			probe = append(probe, rev...)
 			r.stats.Compare++
-			if r.p.RawLoopback(probe) {
+			if simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeRaw, Route: probe}).OK {
 				r.stats.Matches++
 				return b, -int(x)
 			}
@@ -361,7 +360,7 @@ func (r *runner) explore(rec *swRecord) []candidate {
 		if p != nil {
 			loopHit = p.loop
 		} else {
-			loopHit = r.p.RawLoopback(loopRoute(t))
+			loopHit = simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeRaw, Route: loopRoute(t)}).OK
 		}
 		if loopHit {
 			rec.loopAt[idx] = true
@@ -374,7 +373,8 @@ func (r *runner) explore(rec *swRecord) []candidate {
 		if p != nil && p.hostDone {
 			host, hostHit = p.host, p.hostOK
 		} else {
-			host, hostHit = r.p.HostProbe(rec.route.Extend(t))
+			res := simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeHost, Route: rec.route.Extend(t)})
+			host, hostHit = res.Host, res.OK
 		}
 		if hostHit {
 			rec.hostAt[idx] = host
@@ -386,7 +386,7 @@ func (r *runner) explore(rec *swRecord) []candidate {
 		if p != nil && p.swMapped {
 			swHit = p.sw
 		} else {
-			swHit = r.p.SwitchProbe(rec.route.Extend(t))
+			swHit = simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeSwitch, Route: rec.route.Extend(t)}).OK
 		}
 		if swHit {
 			rec.use(idx)

@@ -25,8 +25,8 @@ func TestBackoffChargesVirtualTime(t *testing.T) {
 	if bs.BackoffWait <= 0 {
 		t.Fatalf("backoff retries recorded no wait: %+v", bs)
 	}
-	// The waits advance the transport's virtual clock (Endpoint implements
-	// Sleeper) and are charged to TimeoutCost on top of the miss timeouts.
+	// The waits advance the transport's virtual clock (Prober.Sleep) and are
+	// charged to TimeoutCost on top of the miss timeouts.
 	if got, want := backed.Clock()-plain.Clock(), bs.BackoffWait; got != want {
 		t.Errorf("clock advanced by %v, BackoffWait says %v", got, want)
 	}

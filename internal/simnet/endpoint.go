@@ -7,61 +7,7 @@ import (
 	"sanmap/internal/topology"
 )
 
-// Prober is the view a mapping algorithm has of the network: the ability to
-// send the two §2.3 probe types from one fixed host and observe responses
-// and elapsed time. Both the Berkeley and Myricom mappers run against this
-// interface, so the same algorithm code runs over the quiescent transport,
-// the discrete-event concurrent transport, and fault-injecting wrappers.
-//
-// Deprecated: new code should use the unified Probe request type through
-// AsyncProber (or SyncAdapter over it); Prober and its three extensions
-// remain as thin shims so existing call sites migrate incrementally.
-type Prober interface {
-	// SwitchProbe reports whether the loopback probe for turns returned.
-	SwitchProbe(turns Route) bool
-	// HostProbe reports the name of the host that answered, if any.
-	HostProbe(turns Route) (host string, ok bool)
-	// LocalHost is the unique name of the probing host.
-	LocalHost() string
-	// Clock is the prober's elapsed virtual time.
-	Clock() time.Duration
-}
-
-// RawProber extends Prober with the raw loopback primitive the Myricom
-// algorithm's comparison and loop-cable probes require.
-//
-// Deprecated: use Probe{Kind: ProbeRaw} through AsyncProber instead.
-type RawProber interface {
-	Prober
-	// RawLoopback sends an arbitrary routing address and reports whether
-	// the message came back to the sender.
-	RawLoopback(route Route) bool
-}
-
-// IDProber extends Prober with the §6 self-identifying-switch oracle: a
-// switch probe whose response carries the switch's unique id and the
-// absolute entry port.
-//
-// Deprecated: use Probe{Kind: ProbeID} through AsyncProber instead.
-type IDProber interface {
-	Prober
-	// IDProbe reports the identity and entry port of the switch the probe
-	// prefix parks on.
-	IDProbe(turns Route) (id, entryPort int, ok bool)
-}
-
-// TolerantProber extends Prober with the §6 tolerant host probe (hosts read
-// and answer messages that arrive with leftover routing flits).
-//
-// Deprecated: use Probe{Kind: ProbeTolerant} through AsyncProber instead.
-type TolerantProber interface {
-	Prober
-	// TolerantHostProbe sends a maximal-depth probe; consumed is the number
-	// of turns applied before a responding host was reached.
-	TolerantHostProbe(route Route) (host string, consumed int, ok bool)
-}
-
-// Endpoint binds a Net to a source host, implementing RawProber.
+// Endpoint binds a Net to a source host, implementing BatchProber.
 type Endpoint struct {
 	net  *Net
 	host topology.NodeID
@@ -75,12 +21,6 @@ func (n *Net) Endpoint(h topology.NodeID) *Endpoint {
 	return &Endpoint{net: n, host: h}
 }
 
-// SwitchProbe implements Prober.
-func (e *Endpoint) SwitchProbe(turns Route) bool { return e.net.SwitchProbe(e.host, turns) }
-
-// HostProbe implements Prober.
-func (e *Endpoint) HostProbe(turns Route) (string, bool) { return e.net.HostProbe(e.host, turns) }
-
 // LocalHost implements Prober.
 func (e *Endpoint) LocalHost() string { return e.net.topo.NameOf(e.host) }
 
@@ -91,41 +31,17 @@ func (e *Endpoint) MaxPorts() int { return e.net.MaxPorts() }
 // Clock implements Prober.
 func (e *Endpoint) Clock() time.Duration { return e.net.Clock() }
 
-// Sleep advances the virtual clock by d without probing, implementing the
-// optional Sleeper interface the ProbeWindow uses to realise backoff waits.
+// Sleep implements Prober: advance the virtual clock by d without probing.
 func (e *Endpoint) Sleep(d time.Duration) { e.net.AdvanceClock(d) }
 
 // Stats exposes the transport's probe counters (picked up by the mappers'
 // run statistics).
 func (e *Endpoint) Stats() Stats { return e.net.Stats() }
 
-// RawLoopback implements RawProber.
-func (e *Endpoint) RawLoopback(route Route) bool { return e.net.RawLoopback(e.host, route) }
-
-// IDProbe implements IDProber (requires EnableSelfID on the transport).
-func (e *Endpoint) IDProbe(turns Route) (id, entryPort int, ok bool) {
-	return e.net.IDProbe(e.host, turns)
-}
-
-// TolerantHostProbe implements TolerantProber.
-func (e *Endpoint) TolerantHostProbe(route Route) (string, int, bool) {
-	return e.net.TolerantHostProbe(e.host, route)
-}
-
-// Submit implements AsyncProber: the probe is evaluated and its messages
+// Submit implements Prober: the probe is evaluated and its messages
 // accounted immediately (paying only the per-probe host overhead), while
-// the response completes at the returned result's Done time. The channel
-// already holds the result when Submit returns.
-func (e *Endpoint) Submit(p Probe) <-chan ProbeResult {
-	ch := make(chan ProbeResult, 1)
-	ch <- e.net.submit(e.host, p)
-	close(ch)
-	return ch
-}
-
-// SubmitDirect implements DirectProber: identical to Submit, minus the
-// channel. The ProbeWindow routes every probe through this path.
-func (e *Endpoint) SubmitDirect(p Probe) ProbeResult { return e.net.submit(e.host, p) }
+// the response completes at the returned result's Done time.
+func (e *Endpoint) Submit(p Probe) ProbeResult { return e.net.submit(e.host, p) }
 
 // SubmitBatch implements BatchProber: the probes are issued in order with
 // the transport's per-probe setup (turn bound, structural version, route
@@ -134,19 +50,12 @@ func (e *Endpoint) SubmitBatch(ps []Probe, out []ProbeResult) {
 	e.net.submitBatch(e.host, ps, out)
 }
 
-// Collect implements AsyncProber: advance the clock to the result's
-// completion time.
+// Collect implements Prober: advance the clock to the result's completion
+// time.
 func (e *Endpoint) Collect(r ProbeResult) { e.net.collect(r) }
 
-// Probes implements AsyncProber: the quiescent transport executes every
-// probe kind; the §6 oracle kinds require their hardware switches.
-func (e *Endpoint) Probes() ProbeCaps {
-	caps := CapHost | CapSwitch | CapRaw | CapTolerant
-	if e.net.selfID {
-		caps |= CapID
-	}
-	return caps
-}
+// Probes implements Prober.
+func (e *Endpoint) Probes() ProbeCaps { return e.net.probes() }
 
 // Host returns the bound host id.
 func (e *Endpoint) Host() topology.NodeID { return e.host }
@@ -157,45 +66,29 @@ func (e *Endpoint) Net() *Net { return e.net }
 // FlakyProber wraps a Prober and drops each response with probability
 // DropRate — message corruption and loss, the error class the paper's model
 // explicitly leaves out ("Other errors such as message corruption are not
-// addressed in the model") but that a deployed mapper must tolerate.
-// Dropped responses still cost the response timeout.
+// addressed in the model") but that a deployed mapper must tolerate. A
+// dropped response completes when the real one would have.
 type FlakyProber struct {
-	Inner    Prober
+	Prober
 	DropRate float64
 	Rng      *rand.Rand
 	Dropped  int64
 }
 
-// SwitchProbe implements Prober with random response loss.
-func (f *FlakyProber) SwitchProbe(turns Route) bool {
-	ok := f.Inner.SwitchProbe(turns)
-	if ok && f.Rng.Float64() < f.DropRate {
+// Submit implements Prober with random response loss.
+func (f *FlakyProber) Submit(p Probe) ProbeResult {
+	r := f.Prober.Submit(p)
+	if r.OK && f.Rng.Float64() < f.DropRate {
 		f.Dropped++
-		return false
+		return ProbeResult{Probe: p, Err: ErrTimeout, Done: r.Done, Latency: r.Latency}
 	}
-	return ok
+	return r
 }
-
-// HostProbe implements Prober with random response loss.
-func (f *FlakyProber) HostProbe(turns Route) (string, bool) {
-	host, ok := f.Inner.HostProbe(turns)
-	if ok && f.Rng.Float64() < f.DropRate {
-		f.Dropped++
-		return "", false
-	}
-	return host, ok
-}
-
-// LocalHost implements Prober.
-func (f *FlakyProber) LocalHost() string { return f.Inner.LocalHost() }
-
-// Clock implements Prober.
-func (f *FlakyProber) Clock() time.Duration { return f.Inner.Clock() }
 
 // MaxPorts forwards the fabric's largest port count when the inner
 // transport exposes it (0 otherwise: callers fall back to the default).
 func (f *FlakyProber) MaxPorts() int {
-	if mp, ok := f.Inner.(interface{ MaxPorts() int }); ok {
+	if mp, ok := f.Prober.(interface{ MaxPorts() int }); ok {
 		return mp.MaxPorts()
 	}
 	return 0
@@ -203,7 +96,7 @@ func (f *FlakyProber) MaxPorts() int {
 
 // Stats forwards the inner transport's counters when available.
 func (f *FlakyProber) Stats() Stats {
-	if s, ok := f.Inner.(interface{ Stats() Stats }); ok {
+	if s, ok := f.Prober.(interface{ Stats() Stats }); ok {
 		return s.Stats()
 	}
 	return Stats{}

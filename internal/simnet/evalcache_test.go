@@ -200,7 +200,7 @@ func TestEvalZeroAllocs(t *testing.T) {
 	// Warm up: grow every scratch buffer to its high-water mark.
 	for _, r := range routes {
 		sn.Eval(h0, r)
-		sn.SwitchProbe(h0, r[:1])
+		sn.Do(h0, Probe{Kind: ProbeSwitch, Route: r[:1]})
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		for _, r := range routes {
@@ -215,8 +215,8 @@ func TestEvalZeroAllocs(t *testing.T) {
 	// Routes are hoisted so the slice literals don't charge the closure.
 	sw, hp := Route{3}, Route{3, 3}
 	allocs = testing.AllocsPerRun(200, func() {
-		sn.SwitchProbe(h0, sw)
-		sn.HostProbe(h0, hp)
+		sn.Do(h0, Probe{Kind: ProbeSwitch, Route: sw})
+		sn.Do(h0, Probe{Kind: ProbeHost, Route: hp})
 	})
 	if allocs != 0 {
 		t.Errorf("probe path: AllocsPerRun = %v, want 0", allocs)

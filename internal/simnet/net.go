@@ -99,7 +99,7 @@ type Net struct {
 	silent map[topology.NodeID]bool //sanlint:topostate
 	// probeLog, when non-nil, receives every probe issued (testing hook).
 	probeLog func(kind string, from topology.NodeID, r Route, ok bool)
-	// selfID enables the §6 self-identifying-switch oracle (IDProbe).
+	// selfID enables the §6 self-identifying-switch oracle (ProbeID).
 	selfID bool
 	// injector, when non-nil, is the fault-injection hook consulted around
 	// every probe (see Injector). The nil check keeps the fault-free
@@ -277,10 +277,10 @@ func (n *Net) transitTime(hops, turns int) time.Duration {
 // submit executes one probe of any kind against the quiescent evaluator: it
 // classifies the response, bills the per-probe host overhead to the clock,
 // and computes the virtual completion time Done — but does NOT wait for the
-// response. collect (or the synchronous wrappers) advances the clock to
-// Done; keeping the two separate is what lets the pipelined engine overlap
-// many response timeouts while the serial methods remain byte-identical to
-// their historical accounting (overhead first, then wait).
+// response. collect advances the clock to Done; keeping the two separate is
+// what lets the pipelined engine overlap many response timeouts, while
+// submit-then-collect (Do) is the serial accounting: overhead first, then
+// wait.
 func (n *Net) submit(from topology.NodeID, p Probe) ProbeResult {
 	if n.injector != nil {
 		n.injector.Advance(n.clock)
@@ -312,7 +312,7 @@ func (n *Net) submitBatch(from topology.NodeID, ps []Probe, out []ProbeResult) {
 	keyed := n.scratch.keyOK(from, n.model, n.epoch, ver)
 	for i := range ps {
 		out[i] = n.submitKeyed(from, ps[i], maxTurn, ver, keyed)
-		if CapOf(ps[i].Kind) != 0 {
+		if n.supports(ps[i].Kind) {
 			// Every supported kind ran the evaluator, which re-keyed the
 			// memo to this batch's key; resumability is now just the valid
 			// bit. Unsupported kinds leave the scratch (and keyed) untouched.
@@ -352,6 +352,12 @@ func (n *Net) submitKeyed(from topology.NodeID, p Probe, maxTurn Turn, ver uint6
 		panic(fmt.Sprintf("simnet: source %d is not a host", from))
 	}
 	r := ProbeResult{Probe: p}
+	if !n.supports(p.Kind) {
+		// Nothing is sent, no counter moves and no virtual time passes.
+		r.Err = ErrUnsupported
+		r.Done = n.clock
+		return r
+	}
 	var wait time.Duration
 	// eval is the decisive evaluator verdict for the fault filter, and
 	// evRoute the route that verdict walked (p.Route, or the loopback
@@ -408,9 +414,6 @@ func (n *Net) submitKeyed(from topology.NodeID, p Probe, maxTurn Turn, ver uint6
 		}
 		logKind = "raw"
 	case ProbeID:
-		if !n.selfID {
-			panic("simnet: IDProbe requires EnableSelfID (the §6 hardware extension)")
-		}
 		if !p.Route.ValidProbeFor(maxTurn) {
 			panic(fmt.Sprintf("simnet: invalid probe prefix %v", p.Route))
 		}
@@ -454,10 +457,6 @@ func (n *Net) submitKeyed(from topology.NodeID, p Probe, maxTurn Turn, ver uint6
 			r.Err = ErrTimeout
 		}
 		logKind = "tolerant"
-	default:
-		r.Err = ErrUnsupported
-		r.Done = n.clock
-		return r
 	}
 	if n.injector != nil {
 		if ierr := n.injector.FilterProbe(p.Kind, evRoute, r.OK, eval, n.scratch.hops); ierr != nil {
@@ -508,39 +507,28 @@ func (n *Net) collect(r ProbeResult) {
 	}
 }
 
-// SwitchProbe sends the loopback probe for the given turn prefix (§2.3):
-// turns a1...ak 0 -ak...-a1. It reports whether the mapper received its own
-// loopback message, which proves the node k hops beyond the first switch is
-// a switch.
-func (n *Net) SwitchProbe(from topology.NodeID, turns Route) bool {
-	r := n.submit(from, Probe{Kind: ProbeSwitch, Route: turns})
-	n.collect(r)
-	return r.OK
+// probes reports the probe kinds this transport executes: every kind, the
+// §6 oracle kind only with its hardware switches (EnableSelfID).
+func (n *Net) probes() ProbeCaps {
+	caps := CapHost | CapSwitch | CapRaw | CapTolerant
+	if n.selfID {
+		caps |= CapID
+	}
+	return caps
 }
 
-// HostProbe sends the probe a1...ak and reports the name of the responding
-// host, if any (§2.3). A response requires the message to be delivered AND
-// the destination host to run a responder daemon; the reply retraces the
-// probe's route in reverse (it carries its route, so the receiver can
-// invert it).
-func (n *Net) HostProbe(from topology.NodeID, turns Route) (host string, ok bool) {
-	r := n.submit(from, Probe{Kind: ProbeHost, Route: turns})
-	n.collect(r)
-	return r.Host, r.OK
+// supports reports whether submit executes probes of kind k.
+func (n *Net) supports(k ProbeKind) bool {
+	c := CapOf(k)
+	return c != 0 && n.probes().Has(c)
 }
 
-// IDProbe is the §6 "architectural support for self-identifying switches"
-// oracle: "if a probe made it to a switch and back, it would carry a unique
-// identifier". It behaves like SwitchProbe but, on success, also reports a
-// unique identifier for the reflecting switch and the absolute port the
-// probe entered it on (what a self-identifying switch would stamp into the
-// returning message). Only available when self-identification is enabled
-// on the transport; the default Myrinet-faithful configuration has no such
-// mechanism ("Myrinet lacks a mechanism to query a switch directly").
-func (n *Net) IDProbe(from topology.NodeID, turns Route) (id int, entryPort int, ok bool) {
-	r := n.submit(from, Probe{Kind: ProbeID, Route: turns})
+// Do sends one probe from host from and waits for its response (submit,
+// then collect). See the ProbeKind constants for what each kind asks.
+func (n *Net) Do(from topology.NodeID, p Probe) ProbeResult {
+	r := n.submit(from, p)
 	n.collect(r)
-	return r.SwitchID, r.EntryPort, r.OK
+	return r
 }
 
 // EnableSelfID turns on the §6 hardware extension for this transport.
@@ -577,43 +565,6 @@ func (n *Net) AccountProbe(hostClass bool, rtt time.Duration, hit bool) {
 // plus one pipelined serialisation of msgBytes.
 func (t Timing) TransitTime(hops, msgBytes int) time.Duration {
 	return time.Duration(hops)*t.SwitchLatency + time.Duration(msgBytes)*t.ByteTime
-}
-
-// TolerantHostProbe models the §6 firmware change the randomized hybrid
-// mapper assumes: "instead of a 'hit host too soon' error causing a message
-// to be discarded, the host could read it and send a response". The probe
-// succeeds both when it is delivered exactly and when it reaches a
-// responding host with flits left over; consumed reports how many turns the
-// network actually applied, i.e. route[:consumed] is a valid host-probe
-// route to the responder.
-func (n *Net) TolerantHostProbe(from topology.NodeID, route Route) (host string, consumed int, ok bool) {
-	r := n.submit(from, Probe{Kind: ProbeTolerant, Route: route})
-	n.collect(r)
-	return r.Host, r.Consumed, r.OK
-}
-
-// RawLoopback sends a message with an arbitrary routing address and reports
-// whether it was delivered back to the sending host itself. This is the
-// primitive behind the Myricom algorithm's generalised loopback probes
-// (§4.1): comparison probes T1..Tn X −Sm..−S1 and loop-cable probes. The
-// message is counted as a switch-class probe.
-func (n *Net) RawLoopback(from topology.NodeID, route Route) bool {
-	r := n.submit(from, Probe{Kind: ProbeRaw, Route: route})
-	n.collect(r)
-	return r.OK
-}
-
-// ProbePair performs the paper's §2.3 "probe": the pair of the two tests on
-// the same prefix. It returns the combined response R(a1...ak): a host
-// name, "switch", or "nothing".
-func (n *Net) ProbePair(from topology.NodeID, turns Route) ProbeResponse {
-	if host, ok := n.HostProbe(from, turns); ok {
-		return ProbeResponse{Kind: RespHost, Host: host}
-	}
-	if n.SwitchProbe(from, turns) {
-		return ProbeResponse{Kind: RespSwitch}
-	}
-	return ProbeResponse{Kind: RespNothing}
 }
 
 // RespKind is the probe response alphabet H ∪ {"switch", "nothing"}.

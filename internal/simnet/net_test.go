@@ -23,11 +23,11 @@ func probeNet(t *testing.T) (*Net, topology.NodeID, topology.NodeID) {
 
 func TestHostProbeAndCounters(t *testing.T) {
 	sn, h0, _ := probeNet(t)
-	host, ok := sn.HostProbe(h0, Route{3, 3})
-	if !ok || host != "h1" {
-		t.Fatalf("HostProbe = %q %v", host, ok)
+	r := sn.Do(h0, Probe{Kind: ProbeHost, Route: Route{3, 3}})
+	if !r.OK || r.Host != "h1" {
+		t.Fatalf("host probe = %q %v", r.Host, r.OK)
 	}
-	if _, ok := sn.HostProbe(h0, Route{1}); ok {
+	if sn.Do(h0, Probe{Kind: ProbeHost, Route: Route{1}}).OK {
 		t.Fatal("probe into empty port answered")
 	}
 	st := sn.Stats()
@@ -38,10 +38,10 @@ func TestHostProbeAndCounters(t *testing.T) {
 
 func TestSwitchProbe(t *testing.T) {
 	sn, h0, _ := probeNet(t)
-	if !sn.SwitchProbe(h0, Route{3}) {
+	if !sn.Do(h0, Probe{Kind: ProbeSwitch, Route: Route{3}}).OK {
 		t.Error("switch-probe to s1 failed")
 	}
-	if sn.SwitchProbe(h0, Route{3, 3}) {
+	if sn.Do(h0, Probe{Kind: ProbeSwitch, Route: Route{3, 3}}).OK {
 		t.Error("switch-probe onto a host succeeded")
 	}
 	st := sn.Stats()
@@ -50,15 +50,27 @@ func TestSwitchProbe(t *testing.T) {
 	}
 }
 
+// TestProbePair: the paper's §2.3 "probe" is the pair of the two tests on
+// the same prefix, giving the combined response R(a1...ak): a host name,
+// "switch", or "nothing".
 func TestProbePair(t *testing.T) {
 	sn, h0, _ := probeNet(t)
-	if r := sn.ProbePair(h0, Route{3, 3}); r.Kind != RespHost || r.Host != "h1" {
+	pair := func(turns Route) ProbeResponse {
+		if r := sn.Do(h0, Probe{Kind: ProbeHost, Route: turns}); r.OK {
+			return ProbeResponse{Kind: RespHost, Host: r.Host}
+		}
+		if sn.Do(h0, Probe{Kind: ProbeSwitch, Route: turns}).OK {
+			return ProbeResponse{Kind: RespSwitch}
+		}
+		return ProbeResponse{Kind: RespNothing}
+	}
+	if r := pair(Route{3, 3}); r.Kind != RespHost || r.Host != "h1" {
 		t.Errorf("pair host: %+v", r)
 	}
-	if r := sn.ProbePair(h0, Route{3}); r.Kind != RespSwitch {
+	if r := pair(Route{3}); r.Kind != RespSwitch {
 		t.Errorf("pair switch: %+v", r)
 	}
-	if r := sn.ProbePair(h0, Route{1}); r.Kind != RespNothing {
+	if r := pair(Route{1}); r.Kind != RespNothing {
 		t.Errorf("pair nothing: %+v", r)
 	}
 }
@@ -66,13 +78,13 @@ func TestProbePair(t *testing.T) {
 func TestClockAccounting(t *testing.T) {
 	sn, h0, _ := probeNet(t)
 	tm := sn.Timing()
-	sn.HostProbe(h0, Route{3, 3}) // hit: overhead + 2*transit
+	sn.Do(h0, Probe{Kind: ProbeHost, Route: Route{3, 3}}) // hit: overhead + 2*transit
 	hit := sn.Clock()
 	if hit <= tm.HostOverhead || hit >= tm.HostOverhead+tm.ResponseTimeout {
 		t.Errorf("hit cost %v implausible", hit)
 	}
 	sn.ResetClock()
-	sn.HostProbe(h0, Route{1}) // miss: overhead + timeout
+	sn.Do(h0, Probe{Kind: ProbeHost, Route: Route{1}}) // miss: overhead + timeout
 	miss := sn.Clock()
 	if miss != tm.HostOverhead+tm.ResponseTimeout {
 		t.Errorf("miss cost %v, want %v", miss, tm.HostOverhead+tm.ResponseTimeout)
@@ -89,11 +101,11 @@ func TestClockAccounting(t *testing.T) {
 func TestSilentHostsDoNotAnswer(t *testing.T) {
 	sn, h0, h1 := probeNet(t)
 	sn.SetResponder(h1, false)
-	if _, ok := sn.HostProbe(h0, Route{3, 3}); ok {
+	if sn.Do(h0, Probe{Kind: ProbeHost, Route: Route{3, 3}}).OK {
 		t.Error("silent host answered")
 	}
 	sn.SetResponder(h1, true)
-	if _, ok := sn.HostProbe(h0, Route{3, 3}); !ok {
+	if !sn.Do(h0, Probe{Kind: ProbeHost, Route: Route{3, 3}}).OK {
 		t.Error("re-enabled host did not answer")
 	}
 }
@@ -101,38 +113,38 @@ func TestSilentHostsDoNotAnswer(t *testing.T) {
 func TestTolerantHostProbe(t *testing.T) {
 	sn, h0, _ := probeNet(t)
 	// Overshooting route: reaches h1 after 2 turns with 3 left over.
-	host, consumed, ok := sn.TolerantHostProbe(h0, Route{3, 3, 1, 1, 1})
-	if !ok || host != "h1" || consumed != 2 {
-		t.Fatalf("tolerant = %q %d %v", host, consumed, ok)
+	r := sn.Do(h0, Probe{Kind: ProbeTolerant, Route: Route{3, 3, 1, 1, 1}})
+	if !r.OK || r.Host != "h1" || r.Consumed != 2 {
+		t.Fatalf("tolerant = %q %d %v", r.Host, r.Consumed, r.OK)
 	}
 	// Exact delivery also works and consumes everything.
-	host, consumed, ok = sn.TolerantHostProbe(h0, Route{3, 3})
-	if !ok || host != "h1" || consumed != 2 {
-		t.Fatalf("tolerant exact = %q %d %v", host, consumed, ok)
+	r = sn.Do(h0, Probe{Kind: ProbeTolerant, Route: Route{3, 3}})
+	if !r.OK || r.Host != "h1" || r.Consumed != 2 {
+		t.Fatalf("tolerant exact = %q %d %v", r.Host, r.Consumed, r.OK)
 	}
 	// Dead-end routes still fail.
-	if _, _, ok := sn.TolerantHostProbe(h0, Route{1}); ok {
+	if sn.Do(h0, Probe{Kind: ProbeTolerant, Route: Route{1}}).OK {
 		t.Error("tolerant probe into empty port answered")
 	}
 }
 
 func TestRawLoopback(t *testing.T) {
 	sn, h0, _ := probeNet(t)
-	if !sn.RawLoopback(h0, Route{3}.Loopback()) {
+	if !sn.Do(h0, Probe{Kind: ProbeRaw, Route: Route{3}.Loopback()}).OK {
 		t.Error("raw loopback of a valid switch probe failed")
 	}
-	if sn.RawLoopback(h0, Route{3, 3}) {
+	if sn.Do(h0, Probe{Kind: ProbeRaw, Route: Route{3, 3}}).OK {
 		t.Error("raw loopback delivered to another host counted as loopback")
 	}
 }
 
 func TestFlakyProber(t *testing.T) {
 	sn, h0, _ := probeNet(t)
-	f := &FlakyProber{Inner: sn.Endpoint(h0), DropRate: 1.0, Rng: rand.New(rand.NewSource(1))}
-	if _, ok := f.HostProbe(Route{3, 3}); ok {
+	f := &FlakyProber{Prober: sn.Endpoint(h0), DropRate: 1.0, Rng: rand.New(rand.NewSource(1))}
+	if Do(f, Probe{Kind: ProbeHost, Route: Route{3, 3}}).OK {
 		t.Error("drop-rate-1 prober returned a response")
 	}
-	if f.SwitchProbe(Route{3}) {
+	if Do(f, Probe{Kind: ProbeSwitch, Route: Route{3}}).OK {
 		t.Error("drop-rate-1 switch probe returned")
 	}
 	if f.Dropped != 2 {
@@ -142,7 +154,7 @@ func TestFlakyProber(t *testing.T) {
 		t.Errorf("LocalHost = %q", f.LocalHost())
 	}
 	f.DropRate = 0
-	if _, ok := f.HostProbe(Route{3, 3}); !ok {
+	if !Do(f, Probe{Kind: ProbeHost, Route: Route{3, 3}}).OK {
 		t.Error("drop-rate-0 prober lost a response")
 	}
 }
@@ -153,11 +165,11 @@ func TestProbeLogHook(t *testing.T) {
 	sn.SetProbeLog(func(kind string, _ topology.NodeID, _ Route, _ bool) {
 		kinds = append(kinds, kind)
 	})
-	sn.HostProbe(h0, Route{3, 3})
-	sn.SwitchProbe(h0, Route{3})
-	sn.RawLoopback(h0, Route{3}.Loopback())
+	sn.Do(h0, Probe{Kind: ProbeHost, Route: Route{3, 3}})
+	sn.Do(h0, Probe{Kind: ProbeSwitch, Route: Route{3}})
+	sn.Do(h0, Probe{Kind: ProbeRaw, Route: Route{3}.Loopback()})
 	sn.SetProbeLog(nil)
-	sn.HostProbe(h0, Route{3, 3})
+	sn.Do(h0, Probe{Kind: ProbeHost, Route: Route{3, 3}})
 	if len(kinds) != 3 || kinds[0] != "host" || kinds[1] != "switch" || kinds[2] != "raw" {
 		t.Errorf("kinds = %v", kinds)
 	}
@@ -169,10 +181,10 @@ func TestEndpointBinding(t *testing.T) {
 	if ep.LocalHost() != "h0" || ep.Host() != h0 || ep.Net() != sn {
 		t.Error("endpoint identity broken")
 	}
-	if host, ok := ep.HostProbe(Route{3, 3}); !ok || host != "h1" {
-		t.Errorf("endpoint host probe: %q %v", host, ok)
+	if r := Do(ep, Probe{Kind: ProbeHost, Route: Route{3, 3}}); !r.OK || r.Host != "h1" {
+		t.Errorf("endpoint host probe: %q %v", r.Host, r.OK)
 	}
-	if !ep.SwitchProbe(Route{3}) {
+	if !Do(ep, Probe{Kind: ProbeSwitch, Route: Route{3}}).OK {
 		t.Error("endpoint switch probe")
 	}
 	if ep.Stats().TotalProbes() != 2 {

@@ -6,13 +6,11 @@ import (
 	"time"
 )
 
-// This file defines the unified probe request/response API that subsumes the
-// four historical prober interfaces (Prober, RawProber, IDProber,
-// TolerantProber). A probe is a value with a Kind; a transport reports which
-// kinds it supports through Probes(); and the asynchronous Submit/Collect
-// pair decouples issuing a probe from waiting for its response, which is
-// what lets the mappers overlap response timeouts (§6's parallel-probing
-// direction: sequential round trips, not wire time, dominate mapping cost).
+// This file defines the probe request/response API. The paper's mapper has
+// one primitive — send a routed message and observe "host h", "switch" or
+// "nothing" (§2.3) — so a probe is a value with a Kind, a transport reports
+// which kinds it supports through Probes(), and one interface, Prober,
+// sends them.
 
 // Sentinel errors for probe outcomes. Transports wrap or return these so
 // callers can classify failures with errors.Is.
@@ -25,7 +23,7 @@ var (
 	// failure class matters to robustness analyses (Fig 9).
 	ErrNoResponder = errors.New("simnet: probe reached a silent host")
 	// ErrUnsupported reports a probe kind the transport cannot execute
-	// (see AsyncProber.Probes).
+	// (see Prober.Probes).
 	ErrUnsupported = errors.New("simnet: probe kind not supported by transport")
 	// ErrTruncated reports a probe worm cut short in flight — a dropped
 	// tail flit or CRC failure destroyed the message before it reached its
@@ -38,19 +36,39 @@ var (
 type ProbeKind uint8
 
 const (
-	// ProbeHost is the §2.3 host probe: deliver along the route, a
-	// responding host answers with its name over the reversed route.
+	// ProbeHost is the §2.3 host probe: send a1...ak and report the name of
+	// the responding host, if any. A response requires the message to be
+	// delivered AND the destination host to run a responder daemon; the
+	// reply retraces the probe's route in reverse (it carries its route, so
+	// the receiver can invert it).
 	ProbeHost ProbeKind = iota
-	// ProbeSwitch is the §2.3 switch probe: the loopback message
-	// turns a1..ak 0 −ak..−a1 must return to the sender.
+	// ProbeSwitch is the §2.3 switch probe: the loopback message with turns
+	// a1...ak 0 −ak...−a1. The mapper receiving its own loopback proves the
+	// node k hops beyond the first switch is a switch.
 	ProbeSwitch
-	// ProbeRaw sends an arbitrary routing address and succeeds when the
-	// message returns to the sender (Myricom comparison/loop-cable probes).
+	// ProbeRaw sends a message with an arbitrary routing address and
+	// succeeds when it is delivered back to the sending host itself — the
+	// primitive behind the Myricom algorithm's generalised loopback probes
+	// (§4.1): comparison probes T1..Tn X −Sm..−S1 and loop-cable probes. It
+	// is counted as a switch-class probe.
 	ProbeRaw
-	// ProbeID is the §6 self-identifying-switch oracle probe.
+	// ProbeID is the §6 "architectural support for self-identifying
+	// switches" oracle: "if a probe made it to a switch and back, it would
+	// carry a unique identifier". It behaves like ProbeSwitch but, on
+	// success, also reports a unique identifier for the reflecting switch
+	// and the absolute port the probe entered it on (what a
+	// self-identifying switch would stamp into the returning message). Only
+	// supported after Net.EnableSelfID; the default Myrinet-faithful
+	// configuration has no such mechanism ("Myrinet lacks a mechanism to
+	// query a switch directly").
 	ProbeID
-	// ProbeTolerant is the §6 tolerant host probe (hosts answer messages
-	// arriving with leftover routing flits).
+	// ProbeTolerant models the §6 firmware change the randomized hybrid
+	// mapper assumes: "instead of a 'hit host too soon' error causing a
+	// message to be discarded, the host could read it and send a response".
+	// The probe succeeds both when it is delivered exactly and when it
+	// reaches a responding host with flits left over; Consumed reports how
+	// many turns the network actually applied, i.e. Route[:Consumed] is a
+	// valid host-probe route to the responder.
 	ProbeTolerant
 )
 
@@ -145,23 +163,30 @@ func CapOf(k ProbeKind) ProbeCaps {
 	return 0
 }
 
-// AsyncProber is the pipelined probe interface. Submit issues a probe —
-// paying only the per-probe host overhead — and returns a channel that
-// yields the eventual result; the caller's virtual clock does not wait for
-// the response. Collect synchronises the caller's clock with a result's
-// completion time; collecting results in submission order keeps every run
-// deterministic. The channel is buffered and already holds the result by
-// the time Submit returns, so receiving from it never blocks.
+// Prober is the one view a mapping algorithm has of the network: the ability
+// to send probes from one fixed host and observe responses and elapsed
+// virtual time. Every mapper (Berkeley, Myricom, label, oracle, randomized,
+// election) runs against it, so the same algorithm code runs over the
+// quiescent transport, the discrete-event contended transport, the framed
+// wire transport and fault-injecting wrappers.
 //
-// Submit-then-immediately-Collect is arithmetically identical to the
-// synchronous probe methods, which is how the window=1 configuration
-// reproduces the serial transcript byte for byte.
-type AsyncProber interface {
-	// Submit issues a probe and returns its pending result.
-	Submit(p Probe) <-chan ProbeResult
+// Submit issues a probe — paying only the per-probe host overhead — and
+// returns its completed result; the caller's virtual clock does not wait for
+// the response. Collect synchronises the clock with a result's completion
+// time. Keeping the two apart is what lets the ProbeWindow overlap many
+// response timeouts (§6's parallel-probing direction: sequential round
+// trips, not wire time, dominate mapping cost); collecting results in
+// submission order keeps every run deterministic. Serial callers use Do.
+type Prober interface {
+	// Submit issues a probe and returns its result. A kind outside Probes()
+	// yields ErrUnsupported, sends nothing and costs no virtual time.
+	Submit(p Probe) ProbeResult
 	// Collect advances the caller's virtual clock to the result's Done time
 	// (no-op if the clock is already past it).
 	Collect(r ProbeResult)
+	// Sleep advances the virtual clock by d without probing; the ProbeWindow
+	// realises retry-backoff waits with it.
+	Sleep(d time.Duration)
 	// Probes reports which probe kinds the transport supports.
 	Probes() ProbeCaps
 	// LocalHost is the unique name of the probing host.
@@ -170,184 +195,21 @@ type AsyncProber interface {
 	Clock() time.Duration
 }
 
-// DirectProber is the channel-free fast path over AsyncProber. Every
-// transport in this repo completes a probe at Submit time (the result
-// channel is buffered and already filled when Submit returns), so the
-// channel exists only to satisfy the interface — one heap allocation and
-// two synchronisation points per probe for nothing. SubmitDirect is the
-// same operation returning the result inline; the ProbeWindow detects the
-// capability and routes every probe through it. Submit and SubmitDirect
-// must be observationally identical: same clock billing, same counters,
-// same result.
-type DirectProber interface {
-	AsyncProber
-	// SubmitDirect issues a probe and returns its completed result without
-	// channel plumbing.
-	SubmitDirect(p Probe) ProbeResult
+// Do sends one probe and waits for its response: Submit, then Collect — the
+// serial probing pattern of the paper's mappers.
+func Do(p Prober, probe Probe) ProbeResult {
+	r := p.Submit(probe)
+	p.Collect(r)
+	return r
 }
 
-// BatchProber is the batched fast path over AsyncProber: SubmitBatch
-// issues len(ps) probes in submission order, filling out[i] with the i-th
-// result. It must be observationally identical to len(ps) sequential
-// Submit calls; transports use the batch boundary to hoist per-probe
-// setup (turn-bound lookups, memo key validation) out of the loop — see
-// Net.EvalBatch.
+// BatchProber is the batched fast path over Prober: SubmitBatch issues
+// len(ps) probes in submission order, filling out[i] with the i-th result.
+// It must be observationally identical to len(ps) sequential Submit calls;
+// transports use the batch boundary to hoist per-probe setup (turn-bound
+// lookups, memo key validation) out of the loop — see Net.EvalBatch.
 type BatchProber interface {
-	AsyncProber
+	Prober
 	// SubmitBatch issues every probe in order; out must have len(ps).
 	SubmitBatch(ps []Probe, out []ProbeResult)
-}
-
-// SyncAdapter exposes the legacy synchronous prober methods on top of any
-// AsyncProber, so code written against Prober/RawProber/IDProber/
-// TolerantProber runs unchanged over a purely asynchronous transport.
-type SyncAdapter struct {
-	P AsyncProber
-}
-
-// do submits one probe and immediately collects it (the serial pattern).
-func (s SyncAdapter) do(p Probe) ProbeResult {
-	r := <-s.P.Submit(p)
-	s.P.Collect(r)
-	return r
-}
-
-// SwitchProbe implements Prober.
-func (s SyncAdapter) SwitchProbe(turns Route) bool {
-	return s.do(Probe{Kind: ProbeSwitch, Route: turns}).OK
-}
-
-// HostProbe implements Prober.
-func (s SyncAdapter) HostProbe(turns Route) (string, bool) {
-	r := s.do(Probe{Kind: ProbeHost, Route: turns})
-	return r.Host, r.OK
-}
-
-// RawLoopback implements RawProber.
-func (s SyncAdapter) RawLoopback(route Route) bool {
-	return s.do(Probe{Kind: ProbeRaw, Route: route}).OK
-}
-
-// IDProbe implements IDProber.
-func (s SyncAdapter) IDProbe(turns Route) (id, entryPort int, ok bool) {
-	r := s.do(Probe{Kind: ProbeID, Route: turns})
-	return r.SwitchID, r.EntryPort, r.OK
-}
-
-// TolerantHostProbe implements TolerantProber.
-func (s SyncAdapter) TolerantHostProbe(route Route) (string, int, bool) {
-	r := s.do(Probe{Kind: ProbeTolerant, Route: route})
-	return r.Host, r.Consumed, r.OK
-}
-
-// LocalHost implements Prober.
-func (s SyncAdapter) LocalHost() string { return s.P.LocalHost() }
-
-// Clock implements Prober.
-func (s SyncAdapter) Clock() time.Duration { return s.P.Clock() }
-
-// MaxPorts forwards the fabric's largest port count when the adapted
-// transport exposes it (0 otherwise: callers fall back to the default).
-func (s SyncAdapter) MaxPorts() int {
-	if mp, ok := s.P.(interface{ MaxPorts() int }); ok {
-		return mp.MaxPorts()
-	}
-	return 0
-}
-
-// AsyncAdapter lifts a legacy synchronous Prober into the AsyncProber API.
-// The adapted transport executes each probe at Submit time and completes it
-// immediately (Done equals the post-probe clock), so it gains the unified
-// request type, capability reporting, caching and retry machinery — but not
-// the timeout-overlap speedup, which needs native Submit/Collect support.
-type AsyncAdapter struct {
-	P Prober
-}
-
-// Submit implements AsyncProber by running the probe synchronously.
-func (a AsyncAdapter) Submit(p Probe) <-chan ProbeResult {
-	ch := make(chan ProbeResult, 1)
-	ch <- a.SubmitDirect(p)
-	close(ch)
-	return ch
-}
-
-// SubmitDirect implements DirectProber: the synchronous probe result,
-// without the channel.
-func (a AsyncAdapter) SubmitDirect(p Probe) ProbeResult {
-	r := ProbeResult{Probe: p}
-	issue := a.P.Clock()
-	switch p.Kind {
-	case ProbeHost:
-		r.Host, r.OK = a.P.HostProbe(p.Route)
-	case ProbeSwitch:
-		r.OK = a.P.SwitchProbe(p.Route)
-	case ProbeRaw:
-		if rp, ok := a.P.(RawProber); ok {
-			r.OK = rp.RawLoopback(p.Route)
-		} else {
-			r.Err = ErrUnsupported
-		}
-	case ProbeID:
-		if ip, ok := a.P.(IDProber); ok {
-			r.SwitchID, r.EntryPort, r.OK = ip.IDProbe(p.Route)
-		} else {
-			r.Err = ErrUnsupported
-		}
-	case ProbeTolerant:
-		if tp, ok := a.P.(TolerantProber); ok {
-			r.Host, r.Consumed, r.OK = tp.TolerantHostProbe(p.Route)
-		} else {
-			r.Err = ErrUnsupported
-		}
-	default:
-		r.Err = ErrUnsupported
-	}
-	if !r.OK && r.Err == nil {
-		r.Err = ErrTimeout
-	}
-	r.Done = a.P.Clock()
-	r.Latency = r.Done - issue
-	return r
-}
-
-// SubmitBatch implements BatchProber by issuing the probes sequentially.
-func (a AsyncAdapter) SubmitBatch(ps []Probe, out []ProbeResult) {
-	for i, p := range ps {
-		out[i] = a.SubmitDirect(p)
-	}
-}
-
-// Collect implements AsyncProber. The adapted probe already ran to
-// completion at Submit time, so there is nothing to wait for.
-func (a AsyncAdapter) Collect(ProbeResult) {}
-
-// Probes reports capabilities from the wrapped prober's method set.
-func (a AsyncAdapter) Probes() ProbeCaps {
-	caps := CapHost | CapSwitch
-	if _, ok := a.P.(RawProber); ok {
-		caps |= CapRaw
-	}
-	if _, ok := a.P.(IDProber); ok {
-		caps |= CapID
-	}
-	if _, ok := a.P.(TolerantProber); ok {
-		caps |= CapTolerant
-	}
-	return caps
-}
-
-// LocalHost implements AsyncProber.
-func (a AsyncAdapter) LocalHost() string { return a.P.LocalHost() }
-
-// Clock implements AsyncProber.
-func (a AsyncAdapter) Clock() time.Duration { return a.P.Clock() }
-
-// MaxPorts forwards the fabric's largest port count when the adapted
-// transport exposes it (0 otherwise: callers fall back to the default).
-func (a AsyncAdapter) MaxPorts() int {
-	if mp, ok := a.P.(interface{ MaxPorts() int }); ok {
-		return mp.MaxPorts()
-	}
-	return 0
 }

@@ -12,7 +12,7 @@ import (
 type WindowConfig struct {
 	// Window is the maximum number of in-flight probes. Values <= 1 degrade
 	// to strict submit-then-collect serial operation, which reproduces the
-	// synchronous transcript byte for byte.
+	// serial Do-per-probe transcript byte for byte.
 	Window int
 	// Retries is how many times a missed probe is re-submitted (serially,
 	// at collection time) before its failure is accepted. Useful over lossy
@@ -28,9 +28,9 @@ type WindowConfig struct {
 	// Backoff, when positive, replaces immediate retry resubmission with
 	// capped exponential backoff: the k-th retry of a probe waits
 	// Backoff<<k (bounded by BackoffCap) plus a deterministic jitter of up
-	// to ±¼ of that base before resubmitting. The wait is virtual time —
-	// transports implementing Sleeper consume it on their clock — and is
-	// charged to WindowStats.TimeoutCost either way.
+	// to ±¼ of that base before resubmitting. The wait is virtual time,
+	// slept on the transport's clock and charged to
+	// WindowStats.TimeoutCost.
 	Backoff time.Duration
 	// BackoffCap bounds the exponential growth (default 8×Backoff).
 	BackoffCap time.Duration
@@ -47,12 +47,6 @@ type WindowConfig struct {
 	// aggregate; nil gets a private registry, preserving the historical
 	// per-window Stats semantics.
 	Metrics *obs.Registry
-}
-
-// Sleeper is optionally implemented by transports whose virtual clock can
-// advance without probing; the window uses it to realise backoff waits.
-type Sleeper interface {
-	Sleep(d time.Duration)
 }
 
 // WindowStats counts what a ProbeWindow did.
@@ -97,12 +91,8 @@ func (s WindowStats) String() string {
 // A ProbeWindow is not safe for concurrent use; like the transports, its
 // concurrency is virtual.
 type ProbeWindow struct {
-	p AsyncProber
-	// dp/bp are the transport's channel-free and batched fast paths (nil
-	// when unsupported). Every transport in this repo implements at least
-	// DirectProber, so the channel machinery below is a compatibility
-	// fallback, not the common case.
-	dp    DirectProber
+	p Prober
+	// bp is the transport's batched fast path (nil when unsupported).
 	bp    BatchProber
 	cfg   WindowConfig
 	cache map[string]cacheEntry
@@ -157,7 +147,7 @@ func registerWindowMetrics(reg *obs.Registry) windowMetrics {
 }
 
 // NewProbeWindow builds a window over a transport.
-func NewProbeWindow(p AsyncProber, cfg WindowConfig) *ProbeWindow {
+func NewProbeWindow(p Prober, cfg WindowConfig) *ProbeWindow {
 	if cfg.Window < 1 {
 		cfg.Window = 1
 	}
@@ -169,9 +159,6 @@ func NewProbeWindow(p AsyncProber, cfg WindowConfig) *ProbeWindow {
 		reg = obs.NewRegistry()
 	}
 	w := &ProbeWindow{p: p, cfg: cfg, m: registerWindowMetrics(reg)}
-	if dp, ok := p.(DirectProber); ok {
-		w.dp = dp
-	}
 	if bp, ok := p.(BatchProber); ok {
 		w.bp = bp
 	}
@@ -229,7 +216,7 @@ func (w *ProbeWindow) Stats() WindowStats {
 }
 
 // Prober returns the underlying transport.
-func (w *ProbeWindow) Prober() AsyncProber { return w.p }
+func (w *ProbeWindow) Prober() Prober { return w.p }
 
 // appendProbeKey appends the probe's cache/budget identity to dst: the kind
 // byte followed by the raw turn bytes. It replaces the old
@@ -301,17 +288,13 @@ func (w *ProbeWindow) Do(batch []Probe) []ProbeResult {
 	return out
 }
 
-// spending is one queued Stream entry. On the direct/batch fast paths the
-// result is already in res (done=true) when the entry is queued; the channel
-// is only used for transports without SubmitDirect, and drains into res the
-// first time NextDone or Collect looks at the entry. The probe itself lives
-// in res.Probe — every transport echoes the submitted probe there — so the
-// entry is one ProbeResult wide, not two.
+// spending is one queued Stream entry. The transport completes a probe at
+// submit time, so res already holds the result when the entry is queued.
+// The probe itself lives in res.Probe — every transport echoes the submitted
+// probe there — so the entry is one ProbeResult wide, not two.
 type spending struct {
 	tag    int
-	ch     <-chan ProbeResult // pending result; nil once res is filled
 	res    ProbeResult
-	done   bool // res holds the completed transport result
 	cached bool // res came from the window cache (no transport slot held)
 }
 
@@ -395,20 +378,12 @@ func (s *Stream) Submit(p Probe, tag int) {
 	if w.cache != nil {
 		if c, ok := w.cache[string(w.probeKey(p))]; ok {
 			w.m.cacheHits.Inc()
-			s.push(spending{tag: tag, res: c.hit(p, w.p.Clock()), done: true, cached: true})
+			s.push(spending{tag: tag, res: c.hit(p, w.p.Clock()), cached: true})
 			return
 		}
 	}
-	e := spending{tag: tag}
-	if w.dp != nil {
-		e.res = w.dp.SubmitDirect(w.withTimeout(p))
-		e.done = true
-	} else {
-		e.ch = w.p.Submit(w.withTimeout(p))
-		e.res.Probe = p
-	}
 	s.live++
-	s.push(e)
+	s.push(spending{tag: tag, res: w.p.Submit(w.withTimeout(p))})
 	w.m.submitted.Inc()
 	if s.live > s.maxSeen {
 		s.maxSeen = s.live
@@ -449,7 +424,7 @@ func (s *Stream) SubmitBatch(ps []Probe, base int) {
 			w.bp.SubmitBatch(buf, res)
 			for j := 0; j < run; j++ {
 				s.live++
-				s.push(spending{tag: base + start + j, res: res[j], done: true})
+				s.push(spending{tag: base + start + j, res: res[j]})
 				w.m.submitted.Inc()
 				if s.live > s.maxSeen {
 					s.maxSeen = s.live
@@ -459,7 +434,7 @@ func (s *Stream) SubmitBatch(ps []Probe, base int) {
 		}
 		if hit {
 			w.m.cacheHits.Inc()
-			s.push(spending{tag: base + i, res: c.hit(ps[i], w.p.Clock()), done: true, cached: true})
+			s.push(spending{tag: base + i, res: c.hit(ps[i], w.p.Clock()), cached: true})
 		}
 		start = i + 1
 	}
@@ -475,22 +450,15 @@ func (w *ProbeWindow) batchScratch(n int) ([]Probe, []ProbeResult) {
 }
 
 // NextDone peeks at the completion time of the oldest queued entry without
-// collecting it (the transport fills the result at Submit time, so the peek
-// never blocks). Schedulers use it to decide whether a further speculative
-// submission rides for free: as long as the clock has not reached the oldest
-// completion, issuing another probe overlaps time the stream would spend
-// waiting anyway.
+// collecting it. Schedulers use it to decide whether a further speculative
+// submission rides for free: as long as the clock has not reached the
+// oldest completion, issuing another probe overlaps time the stream would
+// spend waiting anyway.
 func (s *Stream) NextDone() (time.Duration, bool) {
 	if s.n == 0 {
 		return 0, false
 	}
-	e := &s.ring[s.head]
-	if !e.done {
-		e.res = <-e.ch
-		e.ch = nil
-		e.done = true
-	}
-	return e.res.Done, true
+	return s.ring[s.head].res.Done, true
 }
 
 // Collect retires the oldest entry: synchronise the clock with its
@@ -505,9 +473,6 @@ func (s *Stream) Collect() (int, ProbeResult) {
 	w := s.w
 	p0 := e.res.Probe
 	r := e.res
-	if !e.done {
-		r = <-e.ch
-	}
 	w.p.Collect(r)
 	if !r.OK {
 		w.m.timeoutCost.AddDuration(r.Latency)
@@ -524,20 +489,13 @@ func (s *Stream) Collect() (int, ProbeResult) {
 		}
 		if w.cfg.Backoff > 0 {
 			wait := w.backoffWait(attempt)
-			if sl, ok := w.p.(Sleeper); ok {
-				sl.Sleep(wait)
-			}
+			w.p.Sleep(wait)
 			w.m.timeoutCost.AddDuration(wait)
 			w.m.backoffWait.AddDuration(wait)
 		}
 		w.m.retries.Inc()
 		w.m.submitted.Inc()
-		if w.dp != nil {
-			r = w.dp.SubmitDirect(w.withTimeout(p0))
-		} else {
-			r = <-w.p.Submit(w.withTimeout(p0))
-		}
-		w.p.Collect(r)
+		r = Do(w.p, w.withTimeout(p0))
 		if !r.OK {
 			w.m.timeoutCost.AddDuration(r.Latency)
 			w.m.missWait.Observe(r.Latency)

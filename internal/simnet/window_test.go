@@ -19,18 +19,18 @@ func transcript(sn *Net) *[]string {
 }
 
 // TestWindowOneMatchesSerial: a ProbeWindow with window 1 reproduces the
-// synchronous methods' transcript byte for byte — same probes in the same
+// serial Do transcript byte for byte — same probes in the same
 // order, same message counters, same virtual clock.
 func TestWindowOneMatchesSerial(t *testing.T) {
 	serial, sh0, _ := probeNet(t)
 	piped, ph0, _ := probeNet(t)
 	slog, plog := transcript(serial), transcript(piped)
 
-	serial.HostProbe(sh0, Route{3, 3})
-	serial.HostProbe(sh0, Route{1})
-	serial.SwitchProbe(sh0, Route{3})
-	serial.SwitchProbe(sh0, Route{3, 3})
-	serial.RawLoopback(sh0, Route{3, 1, -1, -3})
+	serial.Do(sh0, Probe{Kind: ProbeHost, Route: Route{3, 3}})
+	serial.Do(sh0, Probe{Kind: ProbeHost, Route: Route{1}})
+	serial.Do(sh0, Probe{Kind: ProbeSwitch, Route: Route{3}})
+	serial.Do(sh0, Probe{Kind: ProbeSwitch, Route: Route{3, 3}})
+	serial.Do(sh0, Probe{Kind: ProbeRaw, Route: Route{3, 1, -1, -3}})
 
 	w := NewProbeWindow(piped.Endpoint(ph0), WindowConfig{Window: 1})
 	w.Do([]Probe{
@@ -123,24 +123,24 @@ func TestWindowCache(t *testing.T) {
 // dropFirst fails the first host probe (after paying its real cost), then
 // behaves normally — a deterministic single-loss transport.
 type dropFirst struct {
-	*Endpoint
+	Prober
 	dropped bool
 }
 
-func (d *dropFirst) HostProbe(turns Route) (string, bool) {
-	if !d.dropped {
+func (d *dropFirst) Submit(p Probe) ProbeResult {
+	r := d.Prober.Submit(p)
+	if p.Kind == ProbeHost && !d.dropped {
 		d.dropped = true
-		d.Endpoint.HostProbe(turns)
-		return "", false
+		return ProbeResult{Probe: p, Err: ErrTimeout, Done: r.Done, Latency: r.Latency}
 	}
-	return d.Endpoint.HostProbe(turns)
+	return r
 }
 
 // TestWindowRetryAfterTimeout: the bounded retry resubmits a missed probe
 // and surfaces the eventual response.
 func TestWindowRetryAfterTimeout(t *testing.T) {
 	sn, h0, _ := probeNet(t)
-	w := NewProbeWindow(AsyncAdapter{P: &dropFirst{Endpoint: sn.Endpoint(h0)}},
+	w := NewProbeWindow(&dropFirst{Prober: sn.Endpoint(h0)},
 		WindowConfig{Window: 4, Retries: 1})
 	r := w.DoOne(Probe{Kind: ProbeHost, Route: Route{3, 3}})
 	if !r.OK || r.Host != "h1" {
@@ -157,11 +157,7 @@ func TestWindowRetryAfterTimeout(t *testing.T) {
 func TestProbeErrorClassification(t *testing.T) {
 	sn, h0, h1 := probeNet(t)
 	ep := sn.Endpoint(h0)
-	do := func(p Probe) ProbeResult {
-		r := <-ep.Submit(p)
-		ep.Collect(r)
-		return r
-	}
+	do := func(p Probe) ProbeResult { return Do(ep, p) }
 	if r := do(Probe{Kind: ProbeHost, Route: Route{1}}); !errors.Is(r.Err, ErrTimeout) {
 		t.Errorf("dead-end probe: err = %v, want ErrTimeout", r.Err)
 	}
@@ -180,7 +176,7 @@ func TestProbeErrorClassification(t *testing.T) {
 // and the cache's treatment of each.
 func TestWindowMixedRetryTimeoutCache(t *testing.T) {
 	sn, h0, _ := probeNet(t)
-	w := NewProbeWindow(AsyncAdapter{P: &dropFirst{Endpoint: sn.Endpoint(h0)}},
+	w := NewProbeWindow(&dropFirst{Prober: sn.Endpoint(h0)},
 		WindowConfig{Window: 4, Retries: 1, Cache: true})
 
 	batch := []Probe{

@@ -1,0 +1,116 @@
+package sanmap_test
+
+import (
+	"errors"
+	"testing"
+	"time"
+
+	"sanmap/internal/amlayer"
+	"sanmap/internal/connet"
+	"sanmap/internal/desim"
+	"sanmap/internal/simnet"
+	"sanmap/internal/topology"
+)
+
+// Contract tests every simnet.Prober implementation must pass, run over all
+// three transports: the quiescent endpoint, the contended endpoint (inside
+// its simulation process) and the framed wire prober.
+
+// contractFabric is h0 — s0 — s1 — h1: Route{3} parks on s1, Route{3, 3}
+// reaches h1, Route{7} leaves s0 through an unwired port.
+func contractFabric() (*topology.Network, topology.NodeID) {
+	n := &topology.Network{}
+	s0 := n.AddSwitch("s0")
+	s1 := n.AddSwitch("s1")
+	h0 := n.AddHost("h0")
+	h1 := n.AddHost("h1")
+	n.MustConnect(h0, 0, s0, 2)
+	n.MustConnect(s0, 5, s1, 3)
+	n.MustConnect(s1, 6, h1, 0)
+	return n, h0
+}
+
+// proberTransports lists the transports; each run builds a fresh fabric and
+// transport and hands the prober bound to h0 to body.
+var proberTransports = []struct {
+	name string
+	run  func(body func(p simnet.Prober))
+}{
+	{"simnet.Endpoint", func(body func(simnet.Prober)) {
+		net, h0 := contractFabric()
+		body(simnet.NewDefault(net).Endpoint(h0))
+	}},
+	{"simnet.Endpoint+SelfID", func(body func(simnet.Prober)) {
+		net, h0 := contractFabric()
+		sn := simnet.NewDefault(net)
+		sn.EnableSelfID()
+		body(sn.Endpoint(h0))
+	}},
+	{"connet.Endpoint", func(body func(simnet.Prober)) {
+		net, h0 := contractFabric()
+		eng := desim.New()
+		cn := connet.New(net, simnet.CircuitModel, simnet.DefaultTiming())
+		eng.Spawn("prober", func(p *desim.Proc) { body(cn.Endpoint(h0, p)) })
+		eng.Run()
+	}},
+	{"amlayer.WireProber", func(body func(simnet.Prober)) {
+		net, h0 := contractFabric()
+		body(amlayer.NewWireNet(simnet.NewDefault(net)).Prober(h0))
+	}},
+}
+
+// TestProberCapabilityHonesty: a transport executes exactly the probe kinds
+// its Probes() reports; any other kind comes back ErrUnsupported having sent
+// nothing and cost no virtual time.
+func TestProberCapabilityHonesty(t *testing.T) {
+	kinds := []simnet.ProbeKind{simnet.ProbeHost, simnet.ProbeSwitch, simnet.ProbeRaw, simnet.ProbeID, simnet.ProbeTolerant}
+	for _, tr := range proberTransports {
+		tr.run(func(p simnet.Prober) {
+			sent := func() int64 {
+				return p.(interface{ Stats() simnet.Stats }).Stats().TotalProbes()
+			}
+			for _, k := range kinds {
+				clock, msgs := p.Clock(), sent()
+				r := simnet.Do(p, simnet.Probe{Kind: k, Route: simnet.Route{3}})
+				supported := p.Probes().Has(simnet.CapOf(k))
+				if refused := errors.Is(r.Err, simnet.ErrUnsupported); refused == supported {
+					t.Errorf("%s: %v probe: Probes() says supported=%v, Submit returned %v", tr.name, k, supported, r.Err)
+				}
+				if supported {
+					if sent() != msgs+1 || p.Clock() == clock {
+						t.Errorf("%s: %v probe sent %d messages in %v", tr.name, k, sent()-msgs, p.Clock()-clock)
+					}
+				} else if sent() != msgs || p.Clock() != clock {
+					t.Errorf("%s: unsupported %v probe sent %d messages and took %v", tr.name, k, sent()-msgs, p.Clock()-clock)
+				}
+			}
+		})
+	}
+}
+
+// TestBackoffWaitsOnEveryTransport: the retry backoff the window bills to
+// WindowStats.BackoffWait is virtual time the transport really spends — the
+// clock of a backed-off run is ahead of the same run without backoff by
+// exactly that much.
+func TestBackoffWaitsOnEveryTransport(t *testing.T) {
+	miss := simnet.Probe{Kind: simnet.ProbeHost, Route: simnet.Route{7}}
+	for _, tr := range proberTransports {
+		elapsed := func(cfg simnet.WindowConfig) (took time.Duration, st simnet.WindowStats) {
+			tr.run(func(p simnet.Prober) {
+				start := p.Clock()
+				w := simnet.NewProbeWindow(p, cfg)
+				w.DoOne(miss)
+				took, st = p.Clock()-start, w.Stats()
+			})
+			return took, st
+		}
+		plain, _ := elapsed(simnet.WindowConfig{Window: 1, Retries: 2})
+		backed, st := elapsed(simnet.WindowConfig{Window: 1, Retries: 2, Backoff: time.Millisecond, Seed: 9})
+		if st.BackoffWait <= 0 {
+			t.Errorf("%s: backoff retries recorded no wait: %+v", tr.name, st)
+		}
+		if backed-plain != st.BackoffWait {
+			t.Errorf("%s: clock advanced by %v, BackoffWait says %v", tr.name, backed-plain, st.BackoffWait)
+		}
+	}
+}

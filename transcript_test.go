@@ -76,8 +76,8 @@ func TestProbeTranscriptGolden(t *testing.T) {
 	depth := sys.Net.DepthBound(h0)
 
 	var got bytes.Buffer
-	berkeley := func(name string, model simnet.Model, selfID bool, run func(ep *simnet.Endpoint) (*mapper.Map, error)) {
-		sn, h := loggedNet(sys, model)
+	driver := func(name string, selfID bool, run func(ep *simnet.Endpoint) (*mapper.Map, error)) {
+		sn, h := loggedNet(sys, simnet.CircuitModel)
 		if selfID {
 			sn.EnableSelfID()
 		}
@@ -88,19 +88,19 @@ func TestProbeTranscriptGolden(t *testing.T) {
 		fmt.Fprintf(&got, "%s transcript=%s map=%s clock=%d stats=%+v\n",
 			name, sum(h), mapDigest(t, m.Network), sn.Clock(), m.Stats)
 	}
-	berkeley("berkeley-serial", simnet.CircuitModel, false, func(ep *simnet.Endpoint) (*mapper.Map, error) {
+	driver("berkeley-serial", false, func(ep *simnet.Endpoint) (*mapper.Map, error) {
 		return mapper.Run(ep, mapper.WithDepth(depth))
 	})
-	berkeley("berkeley-window8", simnet.CircuitModel, false, func(ep *simnet.Endpoint) (*mapper.Map, error) {
+	driver("berkeley-window8", false, func(ep *simnet.Endpoint) (*mapper.Map, error) {
 		return mapper.Run(ep, mapper.WithDepth(depth), mapper.WithPipeline(8))
 	})
-	berkeley("label", simnet.CircuitModel, false, func(ep *simnet.Endpoint) (*mapper.Map, error) {
+	driver("label", false, func(ep *simnet.Endpoint) (*mapper.Map, error) {
 		return mapper.LabelRun(ep, depth)
 	})
-	berkeley("oracle", simnet.CircuitModel, true, func(ep *simnet.Endpoint) (*mapper.Map, error) {
+	driver("oracle", true, func(ep *simnet.Endpoint) (*mapper.Map, error) {
 		return mapper.OracleRun(ep, depth)
 	})
-	berkeley("randomized", simnet.CircuitModel, false, func(ep *simnet.Endpoint) (*mapper.Map, error) {
+	driver("randomized", false, func(ep *simnet.Endpoint) (*mapper.Map, error) {
 		return mapper.RandomizedRun(ep, mapper.RandomizedConfig{
 			Config:       mapper.DefaultConfig(depth),
 			CouponProbes: 200,
