@@ -33,7 +33,10 @@ vet:
 # module has no external importers, so a deprecated symbol is always
 # deletable now rather than kept; and simnet exports exactly Prober and
 # BatchProber — a third prober interface is the compatibility layer growing
-# back.
+# back. A third keeps sanmapd's replies typed: map[string]any belongs to the
+# client (internal/mapd/client.go) and to tests, and in the serve path it is
+# the per-query map and encoding/json reflection growing back.
+MAPD_SRC = $(filter-out %_test.go internal/mapd/client.go,$(wildcard internal/mapd/*.go))
 lint: vet
 	$(GO) run ./cmd/sanlint ./...
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
@@ -45,6 +48,10 @@ lint: vet
 	@n=$$(cat internal/simnet/*.go | grep -cE '^type ([A-Z][A-Za-z0-9]*)?Prober interface'); \
 	if [ "$$n" -gt 2 ]; then \
 		echo "simnet exports $$n prober interfaces, want at most 2 (Prober, BatchProber)"; exit 1; fi
+	@untyped=$$(grep -nE 'map\[string\](any|interface *\{)' $(MAPD_SRC)); \
+	if [ -n "$$untyped" ]; then \
+		echo "untyped reply maps in sanmapd's serve path (append typed replies instead):"; \
+		echo "$$untyped"; exit 1; fi
 
 # trace-smoke is the golden-trace lane: a chaos run on a pinned seed must
 # emit a Chrome trace sidecar byte-identical to the checked-in fixture
@@ -111,6 +118,8 @@ load-smoke:
 # inputs, short enough for every CI run.
 fuzz-smoke:
 	$(GO) test -run ^$$ -fuzz FuzzParseRoute -fuzztime=10s ./internal/simnet/
+	$(GO) test -run ^$$ -fuzz FuzzDecodeRequest -fuzztime=10s ./internal/mapd/
+	$(GO) test -run ^$$ -fuzz FuzzAppendString -fuzztime=10s ./internal/mapd/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run ^$$ .
@@ -135,17 +144,18 @@ bench-large:
 # bench-gate is the wall-clock regression gate (DESIGN.md §12): re-measure
 # the gated lanes — the window-8 probe pipeline and the 1k-switch fat-tree
 # and the daemon's two start-up layers on the 768-host fat-tree (Q+D and the
-# route table, plus the table's lookup at 0 allocs/op) — and check them
-# against the committed baseline's gates block. Fails on a >15% ns/op
-# regression, an allocating lookup, or a broken relative gate (window8 must
-# stay within 2x the serial loop's wall clock). Runs use -count so sanbench
+# route table, plus the table's lookup and a whole served route query, each
+# at 0 allocs/op) — and check them against the committed baseline's gates
+# block. Fails on a >15% ns/op regression, an allocating lookup or query, or
+# a broken relative gate (window8 must stay within 2x the serial loop's
+# wall clock). Runs use -count so sanbench
 # can gate on per-lane minima, the statistic that survives shared-runner
 # noise.
-BENCH_BASELINE ?= BENCH_e76af6c.json
+BENCH_BASELINE ?= BENCH_a5c7565.json
 bench-gate:
 	@{ $(GO) test -bench PipelinedVsSerial -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench LoadReplay -benchtime 100x -count 3 -run ^$$ . && \
-	   $(GO) test -bench 'FatTree768|RouteLookup' -benchtime 100x -count 3 -run ^$$ . && \
+	   $(GO) test -bench 'FatTree768|RouteLookup|ServeRoute' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench MapFatTree1k -benchtime 20x -count 3 -run ^$$ . ; } | \
 		$(GO) run ./cmd/sanbench -gate $(BENCH_BASELINE)
 

@@ -6,8 +6,12 @@
 package sanmap_test
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"math/rand"
+	"net"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -16,8 +20,10 @@ import (
 	"sanmap/internal/experiments"
 	"sanmap/internal/genspec"
 	"sanmap/internal/loadsim"
+	"sanmap/internal/mapd"
 	"sanmap/internal/mapper"
 	"sanmap/internal/myricom"
+	"sanmap/internal/obs"
 	"sanmap/internal/routes"
 	"sanmap/internal/simnet"
 	"sanmap/internal/topology"
@@ -641,6 +647,90 @@ func BenchmarkRouteLookup(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sweep), "ns/lookup")
+}
+
+// serveBench starts an in-process sanmapd on now-cab (the serve-steady
+// fabric), waits for its first snapshot and returns it with one canonical
+// route request line per strided host pair.
+func serveBench(b *testing.B, listen string) (*mapd.Server, [][]byte) {
+	srv, err := mapd.New(mapd.Config{Gen: "now-cab", Seed: 1, StateDir: b.TempDir(), Listen: listen, Metrics: obs.NewRegistry()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Run() }()
+	b.Cleanup(func() {
+		srv.Close()
+		if err := <-done; err != nil {
+			b.Error(err)
+		}
+	})
+	for srv.Snapshot() == nil {
+		select {
+		case err := <-done:
+			b.Fatalf("sanmapd exited before serving: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	fabric := srv.Snapshot().Net
+	hosts := fabric.Hosts()
+	lines := make([][]byte, 4096)
+	for k := range lines {
+		from, to := fabric.NameOf(hosts[k%len(hosts)]), fabric.NameOf(hosts[(k*37+1)%len(hosts)])
+		lines[k] = []byte(fmt.Sprintf(`{"op":"route","from":%q,"to":%q}`, from, to))
+	}
+	return srv, lines
+}
+
+// BenchmarkServeRoute is what sanmapd does with one route query between the
+// read and the write: decode the line, look the pair up, append the reply,
+// bump the counters. One op is 4096 queries; ns/query is the per-query
+// figure. Gated at 0 allocs/op, which holds on any host at any speed.
+func BenchmarkServeRoute(b *testing.B) {
+	srv, lines := serveBench(b, "")
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, line := range lines {
+			buf, _ = srv.Answer(buf[:0], line)
+			benchSink += len(buf)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lines)), "ns/query")
+}
+
+// BenchmarkServeBatch64 is serve-steady's unit of work through a real unix
+// socket: 64 route queries in one write, 64 replies read back, closed loop.
+func BenchmarkServeBatch64(b *testing.B) {
+	const batch = 64
+	sock := filepath.Join(b.TempDir(), "sock")
+	_, lines := serveBench(b, "unix:"+sock)
+	conn, err := net.Dial("unix", sock)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	batches := make([][]byte, len(lines)/batch)
+	for k := range batches {
+		batches[k] = append(bytes.Join(lines[k*batch:(k+1)*batch], []byte("\n")), '\n')
+	}
+	br := bufio.NewReader(conn)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := conn.Write(batches[i%len(batches)]); err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < batch; k++ {
+			reply, err := br.ReadSlice('\n')
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink += len(reply)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/query")
 }
 
 // benchSink keeps measured results live.

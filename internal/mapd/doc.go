@@ -17,16 +17,20 @@
 //     from the last record instead of restarting — monotone progress —
 //     and unique job IDs fence a stale resumed mapper off a newer epoch.
 //
-//   - The query front-end (query.go) serves route/topology/epoch queries
-//     over a unix or tcp socket in line-delimited JSON, always against an
-//     atomically-swapped immutable Snapshot of the latest epoch; queries
-//     never block on healing. A degradation ladder annotates responses as
-//     confidence drops and, at the bottom rung, refuses only routes that
-//     cross suspect edges. The `load` op goes beyond "what is the route":
-//     it replays a canned seeded traffic plan over the epoch's table with
-//     internal/loadsim and reports route quality — throughput, latency
-//     percentiles, peak link utilisation, deadlock freedom — cached per
-//     snapshot (see WORKLOADS.md).
+//   - The query front-end (conn.go, wire.go, query.go) serves
+//     route/topology/epoch queries over a unix or tcp socket in
+//     line-delimited JSON, always against an atomically-swapped immutable
+//     Snapshot of the latest epoch; queries never block on healing. A query
+//     allocates nothing: requests in the canonical form are scanned in
+//     place, replies are appended to the connection's buffer, which is
+//     written out when the next read would block, and what depends on the
+//     snapshot alone is rendered once per snapshot. A degradation ladder
+//     annotates responses as confidence drops and, at the bottom rung,
+//     refuses only routes that cross suspect edges. The `load` op goes
+//     beyond "what is the route": it replays a canned seeded traffic plan
+//     over the epoch's table with internal/loadsim and reports route
+//     quality — throughput, latency percentiles, peak link utilisation,
+//     deadlock freedom — once per snapshot (see WORKLOADS.md).
 //
 // The continuous remap loop (server.go) is driven by internal/faults
 // suspicion records, with capped exponential backoff (charged to virtual

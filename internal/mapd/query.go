@@ -1,11 +1,10 @@
 package mapd
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"net"
+	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -26,6 +25,7 @@ const (
 	LevelGuarded
 )
 
+//sanlint:hotpath
 func levelName(l int) string {
 	switch l {
 	case LevelFull:
@@ -58,11 +58,11 @@ type Snapshot struct {
 	Table      *routes.Table // nil when route computation failed
 	Metrics    map[string]int64
 
-	// Route quality under the canned load replay, measured lazily on the
-	// first `load` query and cached for the snapshot's lifetime (the
-	// snapshot is immutable, so the replay is too).
-	loadOnce sync.Once
-	quality  map[string]any
+	// What the epoch, topo and load ops reply, and the frozen registry as the
+	// metrics op embeds it: functions of the fields above alone, so each is
+	// rendered by the first query that asks and kept for the snapshot's
+	// lifetime. The load reply is where the canned replay runs.
+	epochReply, topoReply, loadReply, metricsObject lazyReply
 }
 
 // buildSnapshot materializes the serving state for a committed epoch.
@@ -96,232 +96,298 @@ func buildSnapshot(ep *Epoch) (*Snapshot, error) {
 	return snap, nil
 }
 
-// request is one line-delimited JSON query.
-type request struct {
-	Op   string `json:"op"`
-	From string `json:"from,omitempty"`
-	To   string `json:"to,omitempty"`
-	Spec string `json:"spec,omitempty"`
+// outcome classifies a reply for the daemon's counters: every query counts
+// in queries, a refusal in refused, any other failure in failed_reads.
+type outcome uint8
+
+const (
+	served  outcome = iota // ok:true
+	refused                // ok:false, refused:true: the guarded rung declined a route
+	failed                 // ok:false otherwise
+)
+
+const noEpochYet = "no epoch committed yet"
+
+// lazyReply is reply text that depends on the snapshot alone. The first
+// query that needs it builds it — on a connection goroutine, so publishing
+// a snapshot costs the world loop nothing — and every later one copies it.
+type lazyReply struct {
+	once sync.Once
+	text []byte
+	res  outcome
 }
 
-// acceptLoop admits connections until the listener closes at shutdown.
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		if !s.track(c) {
-			c.Close()
-			return
-		}
-		s.wg.Add(1)
-		go s.serveConn(c)
-	}
+func (l *lazyReply) get(build func() ([]byte, outcome)) ([]byte, outcome) {
+	l.once.Do(func() { l.text, l.res = build() })
+	return l.text, l.res
 }
 
-// serveConn answers one client's queries. Reads hit only the atomic
-// snapshot; state changes are forwarded to the world loop.
-func (s *Server) serveConn(c net.Conn) {
-	defer s.wg.Done()
-	defer s.untrack(c)
-	sc := bufio.NewScanner(c)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	enc := json.NewEncoder(c)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var req request
-		var resp map[string]any
-		if err := json.Unmarshal(line, &req); err != nil {
-			resp = map[string]any{"ok": false, "error": "bad request: " + err.Error()}
-		} else {
-			resp = s.handle(req)
-		}
-		s.queries.Add(1)
-		if ok, _ := resp["ok"].(bool); !ok {
-			if refused, _ := resp["refused"].(bool); refused {
-				s.refused.Add(1)
-			} else {
-				s.failedReads.Add(1)
-			}
-		}
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
-		if req.Op == "stop" {
-			// Only now: shutdown closes this connection, and the reply
-			// must be on it first.
-			s.Close()
-		}
-	}
-}
-
-// handle dispatches one request. Must stay safe for concurrent calls:
-// reads touch only the snapshot, writes go through the command channel.
-func (s *Server) handle(req request) map[string]any {
+// handle appends the reply to one request and classifies it. Must stay safe
+// for concurrent calls: reads touch only the snapshot, writes go through the
+// command channel.
+func (s *Server) handle(dst []byte, req request) ([]byte, outcome) {
 	snap := s.snap.Load()
-	switch req.Op {
+	switch string(req.Op) {
 	case "ping":
-		resp := map[string]any{"ok": true, "op": "ping"}
+		dst = append(dst, '{')
 		if snap != nil {
-			resp["epoch"] = snap.Epoch
+			dst = fieldUint(dst, "epoch", snap.Epoch)
 		}
-		return resp
+		dst = fieldBool(dst, "ok", true)
+		dst = fieldString(dst, "op", "ping")
+		return append(dst, '}', '\n'), served
 	case "epoch":
 		if snap == nil {
-			return noEpoch("epoch")
+			return appendFailure(dst, "epoch", noEpochYet), failed
 		}
-		return map[string]any{
-			"ok": true, "op": "epoch",
-			"epoch": snap.Epoch, "job": snap.Job, "resumed": snap.Resumed,
-			"level": levelName(snap.Level), "confidence": snap.Confidence,
-			"partial": snap.Partial, "suspects": len(snap.Suspects),
-			"probes": snap.Probes, "vclock_ns": int64(snap.VClock),
-		}
+		text, res := snap.epochReply.get(snap.buildEpochReply)
+		return append(dst, text...), res
 	case "topo":
 		if snap == nil {
-			return noEpoch("topo")
+			return appendFailure(dst, "topo", noEpochYet), failed
 		}
-		var b bytes.Buffer
-		if err := snap.Net.Write(&b); err != nil {
-			return map[string]any{"ok": false, "op": "topo", "error": err.Error()}
-		}
-		return map[string]any{
-			"ok": true, "op": "topo", "epoch": snap.Epoch,
-			"hosts": snap.Net.NumHosts(), "switches": snap.Net.NumSwitches(),
-			"wires": snap.Net.NumWires(), "network": b.String(),
-		}
+		text, res := snap.topoReply.get(snap.buildTopoReply)
+		return append(dst, text...), res
 	case "route":
-		return routeAnswer(snap, req.From, req.To)
+		return appendRoute(dst, snap, req.From, req.To)
 	case "metrics":
 		if snap == nil {
-			return noEpoch("metrics")
+			return appendFailure(dst, "metrics", noEpochYet), failed
 		}
-		return map[string]any{
-			"ok": true, "op": "metrics", "epoch": snap.Epoch,
-			"metrics": snap.Metrics,
-			"queries": s.queries.Load(), "refused": s.refused.Load(),
-			"failed_reads": s.failedReads.Load(),
-		}
+		frozen, _ := snap.metricsObject.get(snap.buildMetricsObject)
+		dst = append(dst, '{')
+		dst = fieldUint(dst, "epoch", snap.Epoch)
+		dst = fieldInt(dst, "failed_reads", s.failedReads.Load())
+		dst = append(appendKey(dst, "metrics"), frozen...)
+		dst = fieldBool(dst, "ok", true)
+		dst = fieldString(dst, "op", "metrics")
+		dst = fieldInt(dst, "queries", s.queries.Load())
+		dst = fieldInt(dst, "refused", s.refused.Load())
+		return append(dst, '}', '\n'), served
 	case "load":
-		return loadAnswer(snap)
+		if snap == nil {
+			return appendFailure(dst, "load", noEpochYet), failed
+		}
+		text, res := snap.loadReply.get(snap.buildLoadReply)
+		return append(dst, text...), res
 	case "inject", "remap":
-		return s.worldCmd(req)
+		return s.worldCmd(dst, string(req.Op), string(req.Spec))
 	case "stop": // serveConn closes the server once this reply is written
-		return map[string]any{"ok": true, "op": "stop"}
+		dst = append(dst, '{')
+		dst = fieldBool(dst, "ok", true)
+		dst = fieldString(dst, "op", "stop")
+		return append(dst, '}', '\n'), served
 	}
-	return map[string]any{"ok": false, "error": fmt.Sprintf("unknown op %q", req.Op)}
+	return appendFailure(dst, "", fmt.Sprintf("unknown op %q", req.Op)), failed
 }
 
-// worldCmd hands a state change to the world loop and waits for its
-// reply, bailing out if the server shuts down first.
-func (s *Server) worldCmd(req request) map[string]any {
-	cmd := command{op: req.Op, spec: req.Spec, reply: make(chan cmdReply, 1)}
+// worldCmd hands a state change to the world loop and waits for its reply,
+// bailing out if the server shuts down first. op and spec are copies, not
+// views of the connection's read buffer: the world loop may still be
+// reading them after a shutdown has let this return.
+func (s *Server) worldCmd(dst []byte, op, spec string) ([]byte, outcome) {
+	cmd := command{op: op, spec: spec, reply: make(chan cmdReply, 1)}
 	select {
 	case s.cmds <- cmd:
 	case <-s.stop:
-		return map[string]any{"ok": false, "op": req.Op, "error": "server shutting down"}
+		return appendFailure(dst, op, "server shutting down"), failed
 	}
 	select {
 	case rep := <-cmd.reply:
+		dst = append(dst, '{')
+		dst = fieldUint(dst, "epoch", rep.epoch)
 		if rep.err != nil {
-			return map[string]any{"ok": false, "op": req.Op, "error": rep.err.Error(), "epoch": rep.epoch}
+			dst = fieldString(dst, "error", rep.err.Error())
+			dst = fieldBool(dst, "ok", false)
+			dst = fieldString(dst, "op", op)
+			return append(dst, '}', '\n'), failed
 		}
-		return map[string]any{"ok": true, "op": req.Op, "result": rep.msg, "epoch": rep.epoch}
+		dst = fieldBool(dst, "ok", true)
+		dst = fieldString(dst, "op", op)
+		dst = fieldString(dst, "result", rep.msg)
+		return append(dst, '}', '\n'), served
 	case <-s.stop:
-		return map[string]any{"ok": false, "op": req.Op, "error": "server shutting down"}
+		return appendFailure(dst, op, "server shutting down"), failed
 	}
 }
 
-func noEpoch(op string) map[string]any {
-	return map[string]any{"ok": false, "op": op, "error": "no epoch committed yet"}
+func (snap *Snapshot) buildEpochReply() ([]byte, outcome) {
+	dst := []byte{'{'}
+	dst = fieldFloat(dst, "confidence", snap.Confidence)
+	dst = fieldUint(dst, "epoch", snap.Epoch)
+	dst = fieldUint(dst, "job", snap.Job)
+	dst = fieldString(dst, "level", levelName(snap.Level))
+	dst = fieldBool(dst, "ok", true)
+	dst = fieldString(dst, "op", "epoch")
+	dst = fieldBool(dst, "partial", snap.Partial)
+	dst = fieldInt(dst, "probes", snap.Probes)
+	dst = fieldBool(dst, "resumed", snap.Resumed)
+	dst = fieldInt(dst, "suspects", int64(len(snap.Suspects)))
+	dst = fieldInt(dst, "vclock_ns", int64(snap.VClock))
+	return append(dst, '}', '\n'), served
 }
 
-// routeAnswer computes one route response against a snapshot, applying
-// the degradation ladder: annotation below full confidence, refusal —
-// and only refusal — for routes crossing the suspect region at the
-// guarded level.
-func routeAnswer(snap *Snapshot, from, to string) map[string]any {
-	resp := map[string]any{"op": "route", "from": from, "to": to}
+func (snap *Snapshot) buildTopoReply() ([]byte, outcome) {
+	var text bytes.Buffer
+	if err := snap.Net.Write(&text); err != nil {
+		return appendFailure(nil, "topo", err.Error()), failed
+	}
+	dst := []byte{'{'}
+	dst = fieldUint(dst, "epoch", snap.Epoch)
+	dst = fieldInt(dst, "hosts", int64(snap.Net.NumHosts()))
+	dst = fieldString(dst, "network", text.Bytes())
+	dst = fieldBool(dst, "ok", true)
+	dst = fieldString(dst, "op", "topo")
+	dst = fieldInt(dst, "switches", int64(snap.Net.NumSwitches()))
+	dst = fieldInt(dst, "wires", int64(snap.Net.NumWires()))
+	return append(dst, '}', '\n'), served
+}
+
+// buildMetricsObject renders the registry as frozen at publish; the metrics
+// op appends the live query counters around it.
+func (snap *Snapshot) buildMetricsObject() ([]byte, outcome) {
+	if snap.Metrics == nil {
+		return []byte("null"), served
+	}
+	names := make([]string, 0, len(snap.Metrics))
+	for name := range snap.Metrics {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	dst := []byte{'{'}
+	for i, name := range names {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(appendString(dst, name), ':')
+		dst = strconv.AppendInt(dst, snap.Metrics[name], 10)
+	}
+	return append(dst, '}'), served
+}
+
+// appendRoute answers one route query against a snapshot, applying the
+// degradation ladder: annotation below full confidence, refusal — and only
+// refusal — for routes crossing the suspect region at the guarded level.
+//
+//sanlint:hotpath
+func appendRoute(dst []byte, snap *Snapshot, from, to []byte) ([]byte, outcome) {
+	var (
+		fail    string                          // why no route is served, unless a suspect is why
+		suspect topology.NodeID = topology.None // the suspect node a refused route crosses
+		route   simnet.Route
+		wires   []int
+	)
+	dst = append(dst, '{')
 	if snap == nil {
-		resp["ok"] = false
-		resp["error"] = "no epoch committed yet"
-		return resp
-	}
-	resp["epoch"] = snap.Epoch
-	if snap.Level != LevelFull {
-		resp["degraded"] = levelName(snap.Level)
-		resp["confidence"] = snap.Confidence
-	}
-	src, dst := snap.Net.Lookup(from), snap.Net.Lookup(to)
-	if src == topology.None || dst == topology.None {
-		resp["ok"] = false
-		resp["error"] = "unknown host"
-		return resp
-	}
-	if snap.Table == nil {
-		resp["ok"] = false
-		resp["error"] = "no route table for this epoch"
-		return resp
-	}
-	route, ok := snap.Table.Route(src, dst)
-	if !ok {
-		resp["ok"] = false
-		resp["error"] = "no route"
-		return resp
-	}
-	wires, _ := snap.Table.WirePath(src, dst)
-	if snap.Level == LevelGuarded {
-		if bad := crossesSuspect(snap, src, dst, wires); bad != topology.None {
-			resp["ok"] = false
-			resp["refused"] = true
-			resp["error"] = fmt.Sprintf("route crosses suspect node %s", snap.Net.NameOf(bad))
-			return resp
+		fail = noEpochYet
+	} else {
+		if snap.Level != LevelFull {
+			dst = fieldFloat(dst, "confidence", snap.Confidence)
+			dst = fieldString(dst, "degraded", levelName(snap.Level))
+		}
+		dst = fieldUint(dst, "epoch", snap.Epoch)
+		src, dest := snap.Net.LookupBytes(from), snap.Net.LookupBytes(to)
+		switch {
+		case src == topology.None || dest == topology.None:
+			fail = "unknown host"
+		case snap.Table == nil:
+			fail = "no route table for this epoch"
+		default:
+			var ok bool
+			if route, ok = snap.Table.Route(src, dest); !ok {
+				fail = "no route"
+				break
+			}
+			wires, _ = snap.Table.WirePath(src, dest)
+			if snap.Level == LevelGuarded {
+				suspect = crossesSuspect(snap, src, dest, wires)
+			}
 		}
 	}
-	resp["ok"] = true
-	resp["route"] = route.String()
-	resp["hops"] = len(wires)
-	return resp
+	res := served
+	switch {
+	case suspect != topology.None:
+		res = refused
+		dst = appendKey(dst, "error")
+		dst = append(dst, `"route crosses suspect node `...)
+		dst = appendEscaped(dst, snap.Net.NameOf(suspect))
+		dst = append(dst, '"')
+	case fail != "":
+		res = failed
+		dst = fieldString(dst, "error", fail)
+	}
+	dst = fieldString(dst, "from", from)
+	if res == served {
+		dst = fieldInt(dst, "hops", int64(len(wires)))
+	}
+	dst = fieldBool(dst, "ok", res == served)
+	dst = fieldString(dst, "op", "route")
+	switch res {
+	case refused:
+		dst = fieldBool(dst, "refused", true)
+	case served:
+		dst = appendKey(dst, "route")
+		dst = append(dst, '"')
+		if len(route) == 0 {
+			dst = append(dst, "ε"...) // as Route.String spells the empty route
+		}
+		dst = route.AppendText(dst)
+		dst = append(dst, '"')
+	}
+	dst = fieldString(dst, "to", to)
+	return append(dst, '}', '\n'), res
 }
 
-// loadAnswer reports route quality of the served epoch: a canned seeded
+// buildLoadReply reports route quality of the served epoch: a canned seeded
 // traffic plan (uniform, light load) replayed over the snapshot's route
 // table via internal/loadsim, so operators can ask not just "what is the
 // route" but "how good are this epoch's routes under load". The replay is
 // a pure function of the epoch's network, so answers are deterministic and
-// cached on the snapshot; degraded epochs carry the same annotation the
+// built once per snapshot; degraded epochs carry the same annotation the
 // route op uses.
-func loadAnswer(snap *Snapshot) map[string]any {
-	resp := map[string]any{"op": "load"}
-	if snap == nil {
-		return noEpoch("load")
-	}
-	resp["epoch"] = snap.Epoch
-	if snap.Level != LevelFull {
-		resp["degraded"] = levelName(snap.Level)
-		resp["confidence"] = snap.Confidence
-	}
+func (snap *Snapshot) buildLoadReply() ([]byte, outcome) {
+	fail := ""
+	var rep *loadsim.Report
 	if snap.Table == nil {
-		resp["ok"] = false
-		resp["error"] = "no route table for this epoch"
-		return resp
+		fail = "no route table for this epoch"
+	} else if rep = measureQuality(snap); rep == nil {
+		fail = "load replay failed (fewer than two hosts?)"
 	}
-	snap.loadOnce.Do(func() { snap.quality = measureQuality(snap) })
-	if snap.quality == nil {
-		resp["ok"] = false
-		resp["error"] = "load replay failed (fewer than two hosts?)"
-		return resp
+	degraded := snap.Level != LevelFull
+	dst := []byte{'{'}
+	if fail != "" {
+		if degraded {
+			dst = fieldFloat(dst, "confidence", snap.Confidence)
+			dst = fieldString(dst, "degraded", levelName(snap.Level))
+		}
+		dst = fieldUint(dst, "epoch", snap.Epoch)
+		dst = fieldString(dst, "error", fail)
+		dst = fieldBool(dst, "ok", false)
+		dst = fieldString(dst, "op", "load")
+		return append(dst, '}', '\n'), failed
 	}
-	for k, v := range snap.quality {
-		resp[k] = v
+	dst = fieldInt(dst, "blocked", rep.Blocked)
+	if degraded {
+		dst = fieldFloat(dst, "confidence", snap.Confidence)
 	}
-	resp["ok"] = true
-	return resp
+	dst = fieldInt(dst, "congested_links", int64(len(rep.Links)))
+	dst = fieldBool(dst, "deadlock_free", rep.DeadlockFree)
+	if degraded {
+		dst = fieldString(dst, "degraded", levelName(snap.Level))
+	}
+	dst = fieldInt(dst, "delivered", rep.Delivered)
+	dst = fieldUint(dst, "epoch", snap.Epoch)
+	dst = fieldInt(dst, "lost", rep.Lost)
+	dst = fieldInt(dst, "makespan_ns", int64(rep.Makespan))
+	dst = fieldInt(dst, "max_latency_ns", int64(rep.MaxLatency))
+	dst = fieldBool(dst, "ok", true)
+	dst = fieldString(dst, "op", "load")
+	dst = fieldInt(dst, "p50_ns", int64(rep.P50))
+	dst = fieldInt(dst, "p99_ns", int64(rep.P99))
+	dst = fieldInt(dst, "peak_util_ppm", rep.MaxUtilPPM())
+	dst = fieldInt(dst, "sent", rep.Sent)
+	dst = fieldInt(dst, "throughput_bps", rep.ThroughputBps)
+	return append(dst, '}', '\n'), served
 }
 
 // loadProbePlan is the canned replay: light uniform traffic, fixed seed,
@@ -334,8 +400,8 @@ func loadProbePlan(net *topology.Network) *workload.Plan {
 	})
 }
 
-// measureQuality runs the canned replay and flattens the report.
-func measureQuality(snap *Snapshot) map[string]any {
+// measureQuality runs the canned replay; nil when it cannot run.
+func measureQuality(snap *Snapshot) *loadsim.Report {
 	eng, err := loadsim.New(snap.Net, snap.Table, simnet.DefaultTiming(), 512)
 	if err != nil {
 		return nil
@@ -344,24 +410,13 @@ func measureQuality(snap *Snapshot) map[string]any {
 	if err != nil {
 		return nil
 	}
-	return map[string]any{
-		"deadlock_free":   rep.DeadlockFree,
-		"sent":            rep.Sent,
-		"delivered":       rep.Delivered,
-		"lost":            rep.Lost,
-		"blocked":         rep.Blocked,
-		"throughput_bps":  rep.ThroughputBps,
-		"p50_ns":          int64(rep.P50),
-		"p99_ns":          int64(rep.P99),
-		"max_latency_ns":  int64(rep.MaxLatency),
-		"peak_util_ppm":   rep.MaxUtilPPM(),
-		"congested_links": len(rep.Links),
-		"makespan_ns":     int64(rep.Makespan),
-	}
+	return rep
 }
 
 // crossesSuspect returns the first suspect node the route touches
 // (endpoints included), or topology.None.
+//
+//sanlint:hotpath
 func crossesSuspect(snap *Snapshot, src, dst topology.NodeID, wires []int) topology.NodeID {
 	if snap.SuspectIDs[src] {
 		return src

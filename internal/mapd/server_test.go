@@ -1,6 +1,7 @@
 package mapd
 
 import (
+	"encoding/json"
 	"io"
 	"net"
 	"strings"
@@ -301,37 +302,66 @@ func TestRouteAnswerDegradationLadder(t *testing.T) {
 		Net:        n, Table: tab,
 	}
 
-	refused := routeAnswer(snap, "h0", "h1")
-	if refused["ok"] != false || refused["refused"] != true {
-		t.Fatalf("route across suspect not refused: %v", refused)
+	// route decodes one typed reply the way a client would.
+	route := func(snap *Snapshot, from, to string) (map[string]any, outcome) {
+		t.Helper()
+		line, res := appendRoute(nil, snap, []byte(from), []byte(to))
+		return decodeReply(t, line), res
 	}
-	served := routeAnswer(snap, "h0", "h2")
-	if served["ok"] != true {
-		t.Fatalf("clean route refused at guarded level: %v", served)
+
+	crossing, res := route(snap, "h0", "h1")
+	if res != refused || crossing["ok"] != false || crossing["refused"] != true {
+		t.Fatalf("route across suspect not refused (outcome %d): %v", res, crossing)
 	}
-	if served["degraded"] != "guarded" || served["confidence"].(float64) != 0.9 {
-		t.Fatalf("guarded response not annotated: %v", served)
+	if crossing["error"] != "route crosses suspect node s1" {
+		t.Fatalf("refusal does not name the suspect: %v", crossing)
+	}
+	clean, res := route(snap, "h0", "h2")
+	if res != served || clean["ok"] != true {
+		t.Fatalf("clean route refused at guarded level (outcome %d): %v", res, clean)
+	}
+	if clean["degraded"] != "guarded" || clean["confidence"].(float64) != 0.9 {
+		t.Fatalf("guarded response not annotated: %v", clean)
+	}
+	if clean["route"] != "+3" || clean["hops"].(float64) != 2 {
+		t.Fatalf("h0->h2 is one turn over two wires: %v", clean)
 	}
 
 	snap.Level = LevelAnnotated
 	snap.SuspectIDs = nil
-	ann := routeAnswer(snap, "h0", "h1")
-	if ann["ok"] != true || ann["degraded"] != "annotated" {
-		t.Fatalf("annotated response: %v", ann)
+	ann, res := route(snap, "h0", "h1")
+	if res != served || ann["ok"] != true || ann["degraded"] != "annotated" {
+		t.Fatalf("annotated response (outcome %d): %v", res, ann)
 	}
 
 	snap.Level = LevelFull
-	full := routeAnswer(snap, "h0", "h1")
-	if full["ok"] != true {
-		t.Fatalf("full response: %v", full)
+	full, res := route(snap, "h0", "h1")
+	if res != served || full["ok"] != true {
+		t.Fatalf("full response (outcome %d): %v", res, full)
 	}
 	if _, deg := full["degraded"]; deg {
 		t.Fatalf("full-level response annotated: %v", full)
 	}
-
-	if none := routeAnswer(nil, "h0", "h1"); none["ok"] != false {
-		t.Fatalf("nil snapshot served: %v", none)
+	if unknown, res := route(snap, "h0", "h9"); res != failed || unknown["error"] != "unknown host" {
+		t.Fatalf("unknown host (outcome %d): %v", res, unknown)
 	}
+
+	if none, res := route(nil, "h0", "h1"); res != failed || none["ok"] != false {
+		t.Fatalf("nil snapshot served (outcome %d): %v", res, none)
+	}
+}
+
+// decodeReply parses one reply line as a client would.
+func decodeReply(t *testing.T, line []byte) map[string]any {
+	t.Helper()
+	if len(line) == 0 || line[len(line)-1] != '\n' {
+		t.Fatalf("reply is not one terminated line: %q", line)
+	}
+	var out map[string]any
+	if err := json.Unmarshal(line, &out); err != nil {
+		t.Fatalf("reply %q: %v", line, err)
+	}
+	return out
 }
 
 // TestServerMapperOverride: -mapper picks the session host; a bogus name
@@ -397,10 +427,11 @@ func TestLoadQuery(t *testing.T) {
 	}
 
 	// Tableless snapshot: the answer is an error, not a panic.
-	if resp := loadAnswer(&Snapshot{Epoch: 9}); resp["ok"] != false {
-		t.Errorf("tableless snapshot served a load report: %v", resp)
+	if line, res := (&Snapshot{Epoch: 9}).buildLoadReply(); res != failed || decodeReply(t, line)["ok"] != false {
+		t.Errorf("tableless snapshot served a load report: %s", line)
 	}
-	if resp := loadAnswer(nil); resp["ok"] != false {
-		t.Errorf("nil snapshot served a load report: %v", resp)
+	bare := &Server{}
+	if line, _ := bare.Answer(nil, []byte(`{"op":"load"}`)); decodeReply(t, line)["ok"] != false || bare.failedReads.Load() != 1 {
+		t.Errorf("nil snapshot served a load report: %s", line)
 	}
 }

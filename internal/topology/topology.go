@@ -344,11 +344,24 @@ func (n *Network) NumSwitches() int { return len(n.nodes) - n.NumHosts() }
 func (n *Network) KindOf(id NodeID) Kind { return n.nodes[id].kind }
 
 // NameOf reports the node's name ("" for unnamed switches).
+//
+//sanlint:hotpath
 func (n *Network) NameOf(id NodeID) string { return n.nodes[id].name }
 
 // Lookup returns the node with the given name, or None.
 func (n *Network) Lookup(name string) NodeID {
 	if id, ok := n.byName[name]; ok {
+		return id
+	}
+	return None
+}
+
+// LookupBytes is Lookup for a name still sitting in a read buffer: the
+// conversion inside a map index does not allocate.
+//
+//sanlint:hotpath
+func (n *Network) LookupBytes(name []byte) NodeID {
+	if id, ok := n.byName[string(name)]; ok {
 		return id
 	}
 	return None
