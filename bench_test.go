@@ -540,7 +540,19 @@ func BenchmarkIndexDiameter1k(b *testing.B) {
 // committed baseline; worms/op doubles as a determinism canary — any drift
 // in plan materialisation or replay arithmetic moves the count.
 func BenchmarkLoadReplay(b *testing.B) {
-	res, err := genspec.Build("fattree2:16x2,8", nil)
+	benchLoadReplay(b, "fattree2:16x2,8", 0.3, time.Millisecond)
+}
+
+// BenchmarkLoadReplayFatTree128 is the same replay on the repo benchmark's
+// load-report fabric and load: 128 hosts keep 128 pending injections a few
+// µs apart in the scheduler queue, the population the 32-host lane is too
+// small to show. The horizon is sized so one op is ~10 ms.
+func BenchmarkLoadReplayFatTree128(b *testing.B) {
+	benchLoadReplay(b, "fattree2:32x4", 0.4, 2500*time.Microsecond)
+}
+
+func benchLoadReplay(b *testing.B, gen string, load float64, duration time.Duration) {
+	res, err := genspec.Build(gen, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -552,9 +564,9 @@ func BenchmarkLoadReplay(b *testing.B) {
 	timing := simnet.DefaultTiming()
 	plan := workload.NewPlan(net, workload.PlanConfig{
 		Pattern:  workload.Uniform,
-		Load:     0.3,
+		Load:     load,
 		MsgBytes: 512,
-		Duration: time.Millisecond,
+		Duration: duration,
 		ByteTime: timing.ByteTime,
 		Seed:     1,
 	})

@@ -18,7 +18,7 @@
 // Endpoints carry Spawn/Send/Recv process-level primitives; SpawnPlan
 // replays an internal/workload traffic plan through them. When only
 // aggregate route quality matters — millions of worms, no interacting
-// processes — internal/loadsim reimplements this package's reservation
-// rule on flat arrays; its tests pin the two transports to identical
-// per-worm arithmetic.
+// processes — internal/loadsim applies this package's link rule on flat
+// arrays; its differential test replays the same plans through both and
+// holds them to equal delivered, blocked and delayed counts.
 package connet

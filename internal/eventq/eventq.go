@@ -1,10 +1,11 @@
-// Package eventq provides a typed binary min-heap for discrete-event
-// simulators. Unlike container/heap, whose interface methods force every
-// Push/Pop through an `any` conversion (one heap allocation per event for
-// value types), this heap is generic over the element type: events are
-// stored inline in a slice and no boxing ever happens. The desim engine and
-// the wormsim hold-and-wait simulator both schedule through it; their event
-// types stay plain structs.
+// Package eventq provides the one scheduler queue of the tree: a typed
+// binary min-heap for discrete-event simulators. Unlike container/heap,
+// whose interface methods force every Push/Pop through an `any` conversion
+// (one heap allocation per event for value types), this heap is generic over
+// the element type: events are stored inline in a slice and no boxing ever
+// happens. desim, wormsim, loadsim and place all schedule through it; their
+// event types stay plain structs. container/heap is the reference its tests
+// cross-check it against.
 package eventq
 
 // Heap is a typed binary min-heap ordered by the less function given to New.
@@ -80,26 +81,15 @@ func (h *Heap[T]) Reserve(n int) {
 	h.items = items
 }
 
-// At returns the item at heap slot i (0 is the minimum; other slots are in
-// heap order, not sorted order). It panics if i is out of range.
-//
-//sanlint:hotpath
-func (h *Heap[T]) At(i int) T { return h.items[i] }
-
-// Set replaces the item at heap slot i and restores heap order, the typed
-// equivalent of container/heap.Fix. O(log n), no allocation.
+// Set replaces the item at heap slot i (0 is the minimum; other slots are
+// in heap order, not sorted order) and restores heap order, the typed
+// equivalent of container/heap.Fix. O(log n), no allocation. A k-way merge
+// replaces the minimum with its source's next item via Set(0, next): one
+// sift where Pop+Push pays two.
 //
 //sanlint:hotpath
 func (h *Heap[T]) Set(i int, v T) {
 	h.items[i] = v
-	h.Fix(i)
-}
-
-// Fix re-establishes heap order after the item at slot i changed in place
-// (via Set, or externally when T holds pointers).
-//
-//sanlint:hotpath
-func (h *Heap[T]) Fix(i int) {
 	h.down(i)
 	h.up(i)
 }

@@ -9,23 +9,27 @@
 // degraded fabric still running a stale table, and on a healed fabric after
 // route recomputation. cmd/sanload drives all three regimes over one plan.
 //
-// Fidelity matches the connet transport exactly at link-reservation level:
-// a worm reserves each directed link for its full serialisation time from
-// the head's arrival, waits behind earlier reservations, and dies to the
-// blocked-port forward reset when a wait exceeds the 55 ms ROM timeout —
-// with the killed worm's earlier reservations left in place, as the
-// hardware leaves flits strung through upstream switches. What loadsim
+// The link rule is the connet transport's: a worm reserves each directed
+// link for its full serialisation time from the head's arrival, waits
+// behind earlier reservations, and dies to the blocked-port forward reset
+// when a wait exceeds the 55 ms ROM timeout — with the killed worm's earlier
+// reservations left in place, as the hardware leaves flits strung through
+// upstream switches. TestDifferentialConnet replays the same plans through
+// both and holds them to equal delivered, blocked and delayed counts. The
+// source model is not connet's: a connet sender sleeps out its own
+// serialisation before its next send, loadsim queues the next worm on the
+// host's own link like on any other (TestSourceModelDiffers). What loadsim
 // drops is the process machinery: no goroutines, no channels, no maps in
-// the replay loop. Routes compile once into flat directed-hop arrays; a
-// calendar queue (internal/eventq) orders injections by (time, host, seq);
-// the per-worm walk is a zero-allocation array scan. That flattening is
-// what buys 1M+ worms per run where desim/connet tops out around thousands
-// of processes.
+// the replay loop. Routes compile once into flat directed-hop arrays; the
+// replay is a k-way merge of the per-host schedules on an eventq.Heap
+// ordered by (time, host, seq); the per-worm walk is a zero-allocation
+// array scan. That flattening is what buys 1M+ worms per run where
+// desim/connet tops out around thousands of processes.
 //
 // Determinism: a replay is a pure function of (engine, plan). The injection
 // order is a strict total order, aggregation never iterates a map, and
 // Report.WriteText renders integers and sorted link lists only — so equal
 // seeds yield byte-identical reports, the property the load-smoke CI lane
 // pins. workload.SpawnPlan replays the same plans over desim/connet when
-// contended-transport cross-checking is wanted.
+// process-level fidelity is wanted.
 package loadsim

@@ -53,7 +53,7 @@ type Engine struct {
 	pairBytes []int64 // delivered payload per pair
 	lat       []int64 // per-delivered-worm latency, ns
 
-	q *eventq.Bucketed[inj]
+	q *eventq.Heap[inj]
 
 	sent, delivered, lost, blocked, delayed int64
 	payload                                 int64
@@ -111,6 +111,7 @@ func New(net *topology.Network, tab *routes.Table, timing simnet.Timing, msgByte
 		tab:    tab,
 		timing: timing,
 		hosts:  net.Hosts(),
+		q:      eventq.New(injLess),
 	}
 	e.nh = len(e.hosts)
 	if e.nh < 2 {
@@ -234,11 +235,13 @@ func (e *Engine) reset() {
 	e.makespan = 0
 }
 
-// inject walks one worm through the link reservations — the loadsim twin
-// of connet's send, with the blocking, the forward-reset kill and the
-// reservation side effects of a killed worm's earlier hops all identical.
-// It returns the delivery completion time in ns and whether the worm
-// survived, and charges the per-link accumulators as it goes.
+// inject walks one worm through the link reservations: wait behind an
+// earlier reservation, die to the forward reset when the wait exceeds
+// BlockedPortReset, leave a killed worm's earlier hops reserved. That is
+// connet.send's link rule, and TestDifferentialConnet holds the two to the
+// same fates; what differs is the source (TestSourceModelDiffers). It
+// returns the delivery completion time in ns and whether the worm survived,
+// and charges the per-link accumulators as it goes.
 //
 //sanlint:hotpath
 func (e *Engine) inject(at int64, p int, payload int64) (int64, bool) {
@@ -294,29 +297,22 @@ func (e *Engine) Run(plan *workload.Plan) (*Report, error) {
 		}
 		sender[i] = e.hidx[h]
 	}
-	if e.q == nil {
-		// Bucket width near the per-host serialisation scale keeps pops
-		// O(1); the far-future overflow heap absorbs the tail.
-		width := int64(e.timing.SwitchLatency)
-		if width <= 0 {
-			width = 1
-		}
-		e.q = eventq.NewBucketed[inj](width*64, 1024, func(v inj) int64 { return v.at },
-			injLess)
-	} else {
-		e.q.Reset()
-	}
+	e.q.Reset()
 	for i := range plan.Hosts {
 		if len(plan.Sends[i]) > 0 {
 			e.q.Push(inj{at: int64(plan.Sends[i][0].At), host: int32(i), seq: 0})
 		}
 	}
 	payload := int64(plan.MsgBytes)
+	// A k-way merge of the per-host schedules: the queue holds each host's
+	// next send, and the earliest is replaced in place by its successor.
 	for e.q.Len() > 0 {
-		v := e.q.Pop()
+		v, _ := e.q.Peek()
 		sends := plan.Sends[v.host]
 		if int(v.seq+1) < len(sends) {
-			e.q.Push(inj{at: int64(sends[v.seq+1].At), host: v.host, seq: v.seq + 1})
+			e.q.Set(0, inj{at: int64(sends[v.seq+1].At), host: v.host, seq: v.seq + 1})
+		} else {
+			e.q.Pop()
 		}
 		s := sends[v.seq]
 		e.sent++

@@ -28,9 +28,6 @@ func WithTurnOrder(o TurnOrder) Option { return func(c *Config) { c.TurnOrder = 
 // WithEliminateProbes toggles §3.3's provably-safe probe elimination.
 func WithEliminateProbes(on bool) Option { return func(c *Config) { c.EliminateProbes = on } }
 
-// WithSkipKnownSlots toggles suppression of probes for occupied slots.
-func WithSkipKnownSlots(on bool) Option { return func(c *Config) { c.SkipKnownSlots = on } }
-
 // WithMaxVertices bounds the model graph (0 = default 1<<20).
 func WithMaxVertices(n int) Option { return func(c *Config) { c.MaxVertices = n } }
 
@@ -71,14 +68,6 @@ func WithConfirm(k int) Option { return func(c *Config) { c.Confirm = k } }
 // WithFaultBudget bounds the contradictions a run tolerates before it stops
 // exploring and reports a partial result (0 = unbounded).
 func WithFaultBudget(n int) Option { return func(c *Config) { c.FaultBudget = n } }
-
-// WithSelfHeal toggles contradiction-triggered incremental re-exploration.
-// NewSession turns it on by default.
-func WithSelfHeal(on bool) Option { return func(c *Config) { c.SelfHeal = on } }
-
-// WithConfig replaces the whole configuration (a migration aid for callers
-// that assemble a Config programmatically); options after it still apply.
-func WithConfig(cfg Config) Option { return func(c *Config) { *c = cfg } }
 
 // BuildConfig resolves options over the defaults.
 func BuildConfig(opts ...Option) Config {

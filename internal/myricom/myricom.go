@@ -397,9 +397,21 @@ func (r *runner) explore(rec *swRecord) []candidate {
 	return out
 }
 
+// sortedIdx returns a frame-index map's keys in ascending order.
+func sortedIdx[V any](m map[int]V) []int {
+	idx := make([]int, 0, len(m))
+	for i := range m {
+		idx = append(idx, i)
+	}
+	sort.Ints(idx)
+	return idx
+}
+
 // export assembles the final map, normalising each switch's frame indices
 // into concrete ports 0..7 (any offset inside the feasible window yields
-// identical relative routes).
+// identical relative routes). Hosts and reflectors are added in ascending
+// port order, so NodeIDs and Network.Write output are the same on every
+// run.
 func (r *runner) export() (*Map, error) {
 	net := &topology.Network{}
 	ids := make([]topology.NodeID, len(r.done))
@@ -417,7 +429,8 @@ func (r *runner) export() (*Map, error) {
 	m := &Map{Network: net}
 	hostIDs := make(map[string]topology.NodeID)
 	for i, rec := range r.done {
-		for idx, host := range rec.hostAt {
+		for _, idx := range sortedIdx(rec.hostAt) {
+			host := rec.hostAt[idx]
 			h, ok := hostIDs[host]
 			if !ok {
 				h = net.AddHost(host)
@@ -427,7 +440,7 @@ func (r *runner) export() (*Map, error) {
 				return nil, fmt.Errorf("myricom: export host edge: %w", err)
 			}
 		}
-		for idx := range rec.loopAt {
+		for _, idx := range sortedIdx(rec.loopAt) {
 			if err := net.AddReflector(ids[i], idx+base[i]); err != nil {
 				return nil, fmt.Errorf("myricom: export reflector: %w", err)
 			}

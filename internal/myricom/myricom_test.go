@@ -1,6 +1,7 @@
 package myricom
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -54,6 +55,25 @@ func TestMyricomClusterC(t *testing.T) {
 	s := m.Stats
 	if s.Compare < s.Loop || s.Compare < s.Switch {
 		t.Errorf("expected comparison probes to dominate: %+v", s)
+	}
+}
+
+// TestMyricomExportDeterministic: two runs on now-c seed 1 must export the
+// same network byte for byte — same NodeIDs, same Write line order — not
+// merely isomorphic ones. export once ranged over its per-switch port maps,
+// so host insertion order followed Go's map iteration.
+func TestMyricomExportDeterministic(t *testing.T) {
+	write := func() []byte {
+		sys := cluster.CConfig(rand.New(rand.NewSource(1)))
+		m := runOn(t, sys.Net, sys.Mapper(), simnet.PacketModel)
+		var buf bytes.Buffer
+		if err := m.Network.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if a, b := write(), write(); !bytes.Equal(a, b) {
+		t.Errorf("two runs exported different files:\n%s--- vs ---\n%s", a, b)
 	}
 }
 

@@ -69,7 +69,7 @@ type Sim struct {
 	waiters map[simnet.DirectedHop][]*worm
 	worms   []*worm
 
-	events *eventq.Bucketed[event]
+	events *eventq.Heap[event]
 	seq    int64
 	now    time.Duration
 	// down, when non-nil, reports links the fault layer has taken out of
@@ -85,17 +85,6 @@ type Sim struct {
 
 // New creates a simulation over the network.
 func New(net *topology.Network, timing simnet.Timing) *Sim {
-	// The event times cluster at now+SwitchLatency (hop acquisitions) and
-	// now+serialisation (deliveries), so a calendar queue pops in O(1); the
-	// sparse BlockedPortReset break timers (55 ms out) ride in its overflow
-	// heap. Buckets an eighth of a SwitchLatency wide keep the population
-	// of any one bucket small even when a release storm wakes many blocked
-	// worms at the same instant (a wake lands at "now", the front of its
-	// bucket, and pays for every event sorted after it in that bucket).
-	width := int64(timing.SwitchLatency) / 8
-	if width <= 0 {
-		width = 1
-	}
 	return &Sim{
 		net: net,
 		// Path evaluation uses packet semantics: legal routes are simple
@@ -104,7 +93,7 @@ func New(net *topology.Network, timing simnet.Timing) *Sim {
 		timing:  timing,
 		owner:   make(map[simnet.DirectedHop]*worm),
 		waiters: make(map[simnet.DirectedHop][]*worm),
-		events:  eventq.NewBucketed(width, 256, eventAt, eventLess),
+		events:  eventq.New(eventLess),
 	}
 }
 
@@ -128,11 +117,6 @@ const (
 	evDeliver                  // tail drained: release everything
 	evBreak                    // deadlock timeout fired
 )
-
-// eventAt is the calendar queue's bucketing key.
-//
-//sanlint:hotpath
-func eventAt(e event) int64 { return int64(e.at) }
 
 // eventLess orders by virtual time, sequence number breaking ties so equal
 // timestamps dispatch in scheduling order.
@@ -159,11 +143,6 @@ func (s *Sim) Inject(at time.Duration, src topology.NodeID, route simnet.Route) 
 	}
 	w := &worm{id: len(s.worms), src: src, dst: res.Dest, hops: hops}
 	s.worms = append(s.worms, w)
-	if n := len(s.worms); n&(n-1) == 0 {
-		// Track the break-timer high-water mark (at most one pending per
-		// worm) in power-of-two steps; Reserve's doubling keeps this O(n).
-		s.events.Reserve(n)
-	}
 	s.stats.Injected++
 	s.push(at, w, evAcquire)
 	return nil

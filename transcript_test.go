@@ -7,8 +7,6 @@ import (
 	"hash"
 	"math/rand"
 	"os"
-	"sort"
-	"strings"
 	"testing"
 
 	"sanmap/internal/cluster"
@@ -40,21 +38,6 @@ func mapDigest(t *testing.T, net *topology.Network) string {
 	if err := net.Write(h); err != nil {
 		t.Fatal(err)
 	}
-	return sum(h)
-}
-
-// sortedMapDigest hashes the file form's lines in sorted order: the same
-// named graph whatever order its nodes were added in.
-func sortedMapDigest(t *testing.T, net *topology.Network) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := net.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(buf.String(), "\n")
-	sort.Strings(lines)
-	h := sha256.New()
-	h.Write([]byte(strings.Join(lines, "\n")))
 	return sum(h)
 }
 
@@ -114,10 +97,8 @@ func TestProbeTranscriptGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("myricom: %v", err)
 		}
-		// myricom's export adds hosts in map-iteration order, so its node
-		// order (not its graph) differs from run to run; pin the graph.
 		fmt.Fprintf(&got, "myricom transcript=%s map=%s clock=%d stats=%+v\n",
-			sum(h), sortedMapDigest(t, m.Network), sn.Clock(), m.Stats)
+			sum(h), mapDigest(t, m.Network), sn.Clock(), m.Stats)
 	}
 
 	{
