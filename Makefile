@@ -35,8 +35,12 @@ vet:
 # BatchProber — a third prober interface is the compatibility layer growing
 # back. A third keeps sanmapd's replies typed: map[string]any belongs to the
 # client (internal/mapd/client.go) and to tests, and in the serve path it is
-# the per-query map and encoding/json reflection growing back.
+# the per-query map and encoding/json reflection growing back. A fourth
+# keeps the Berkeley mapper at one run path: one function that reads a
+# topology.Network off a *Model (strict callers refuse its suspect list),
+# and none of the knobs and wrappers the second path hung from.
 MAPD_SRC = $(filter-out %_test.go internal/mapd/client.go,$(wildcard internal/mapd/*.go))
+MAPPER_SRC = $(filter-out %_test.go,$(wildcard internal/mapper/*.go))
 lint: vet
 	$(GO) run ./cmd/sanlint ./...
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
@@ -52,6 +56,13 @@ lint: vet
 	if [ -n "$$untyped" ]; then \
 		echo "untyped reply maps in sanmapd's serve path (append typed replies instead):"; \
 		echo "$$untyped"; exit 1; fi
+	@n=$$(cat $(MAPPER_SRC) | grep -c '^func export'); \
+	if [ "$$n" -gt 1 ]; then \
+		echo "internal/mapper declares $$n exporters, want one (strict callers check its suspect list)"; exit 1; fi
+	@fork=$$(grep -rnE --include='*.go' --exclude=export_oracle_test.go \
+		'SelfHeal|SkipKnownSlots|RunResult|exportTolerant' . ); \
+	if [ -n "$$fork" ]; then \
+		echo "the second Berkeley run path is growing back:"; echo "$$fork"; exit 1; fi
 
 # trace-smoke is the golden-trace lane: a chaos run on a pinned seed must
 # emit a Chrome trace sidecar byte-identical to the checked-in fixture

@@ -214,21 +214,6 @@ type Fig7Row struct {
 	PaperMaster, PaperElection string
 }
 
-// Fig7 measures master-mode and election-mode mapping times over `runs`
-// repetitions, varying the random cabling embedding and election addresses
-// per run (the real system's variation came from rerunning on live
-// hardware). The pipelined column uses the default window of 8.
-func Fig7(runs int) ([]Fig7Row, error) {
-	return Fig7Windowed(runs, 8)
-}
-
-// Fig7Windowed is Fig7 with an explicit pipeline window (values <= 1 make
-// the pipelined column degenerate to a serial rerun). The trials run
-// serially; Fig7Sweep spreads them over a worker pool.
-func Fig7Windowed(runs, window int) ([]Fig7Row, error) {
-	return Fig7Sweep(runs, window, 1)
-}
-
 // FormatFig7 renders the table, plus the pipelined-engine extension column
 // (serial master time vs the same mapping with timeouts overlapped).
 func FormatFig7(rows []Fig7Row) string {
@@ -253,16 +238,11 @@ func FormatFig7(rows []Fig7Row) string {
 
 // ---------------------------------------------------------------- Fig 8
 
-// Fig8 runs an instrumented mapping of C+A+B and returns the per-switch-
-// exploration series of model-graph nodes, edges and frontier size.
-func Fig8() ([]mapper.Snapshot, error) {
-	return Fig8Obs(nil, nil)
-}
-
-// Fig8Obs is Fig8 with the mapping run recorded onto the observability
-// layer: the trace carries the explore/prune spans and per-probe instants
-// whose density Fig 8's growth curve summarises. Either argument may be
-// nil.
+// Fig8Obs runs an instrumented mapping of C+A+B and returns the per-switch-
+// exploration series of model-graph nodes, edges and frontier size. The
+// run is recorded onto the observability layer: the trace carries the
+// explore/prune spans and per-probe instants whose density Fig 8's growth
+// curve summarises. Either argument may be nil.
 func Fig8Obs(tr *obs.Tracer, reg *obs.Registry) ([]mapper.Snapshot, error) {
 	m, _, err := mapOnceObs(Systems(0)[2].Sys, true, tr, reg)
 	if err != nil {
@@ -303,23 +283,6 @@ type Fig9Point struct {
 	Responders int
 	Time       time.Duration
 	Probes     int64
-}
-
-// Fig9 sweeps the number of hosts running (responding) mappers from 1 to
-// the full system, in subcluster order and in random order, on the C+A+B
-// system. The mapper host always responds. step controls the sweep
-// granularity.
-func Fig9(step int, seed int64) (ordered, random []Fig9Point, err error) {
-	return Fig9AtDepth(step, seed, 0)
-}
-
-// Fig9AtDepth is Fig9 with an explicit probe depth (0 = the proven Q+D
-// bound). The paper does not state its production depth; smaller depths
-// shrink the replicate tail that dominates the low-responder points, which
-// is the sensitivity EXPERIMENTS.md discusses. The per-k mappings run
-// serially; Fig9Sweep spreads them over a worker pool.
-func Fig9AtDepth(step int, seed int64, depth int) (ordered, random []Fig9Point, err error) {
-	return Fig9Sweep(step, seed, depth, 1)
 }
 
 // FormatFig9 renders the two curves and the paper's landmarks.
@@ -371,14 +334,6 @@ var fig10Paper = map[string][6]int64{
 	"C":     {134, 713, 152, 450, 1449, 1414},
 	"C+A":   {283, 1484, 329, 1234, 3330, 2197},
 	"C+A+B": {424, 2293, 611, 5089, 8413, 4009},
-}
-
-// Fig10 runs the Myricom algorithm on the three systems (packet collision
-// model — the regime the firmware mapper is designed for) and the Berkeley
-// algorithm for the ratio comparisons of §5.4. The systems run serially;
-// Fig10Sweep spreads them over a worker pool.
-func Fig10() ([]Fig10Row, error) {
-	return Fig10Sweep(1)
 }
 
 // FormatFig10 renders the table with the §5.4 ratios.

@@ -94,10 +94,14 @@ type fig7Trial struct {
 	pipeline  simnet.WindowStats
 }
 
-// Fig7Sweep is Fig7Windowed with the (system × run) trials spread over a
-// worker pool. Each trial builds its own system from a per-run seed, so
-// trials share nothing; the reduction walks trials in index order and the
-// rows are byte-identical to the serial run.
+// Fig7Sweep measures master-mode and election-mode mapping times over
+// `runs` repetitions, varying the random cabling embedding and election
+// addresses per run (the real system's variation came from rerunning on
+// live hardware). window is the pipelined column's probe window (values
+// <= 1 make it degenerate to a serial rerun). The (system × run) trials are
+// spread over a worker pool: each builds its own system from a per-run
+// seed, so trials share nothing; the reduction walks trials in index order
+// and the rows are byte-identical for any worker count.
 func Fig7Sweep(runs, window, workers int) ([]Fig7Row, error) {
 	paper := map[string][2]string{
 		"C":     {"248 / 256 / 265", "277 / 278 / 282"},
@@ -180,10 +184,14 @@ func Fig7Sweep(runs, window, workers int) ([]Fig7Row, error) {
 
 // ---------------------------------------------------------------- Fig 9
 
-// Fig9Sweep is Fig9AtDepth with the per-k mappings (both curves) spread
-// over a worker pool. The system, host orders and sampled k values are
-// fixed up front; each trial builds its own transport over the shared
-// read-only topology, so any worker count produces byte-identical curves.
+// Fig9Sweep sweeps the number of hosts running (responding) mappers from 1
+// to the full system, in subcluster order and in random order, on the
+// C+A+B system. The mapper host always responds; step is the sweep
+// granularity and depth the probe depth (0 = the proven Q+D bound; the
+// paper does not state its own, and EXPERIMENTS.md discusses the
+// sensitivity). The system, host orders and sampled k values are fixed up
+// front and each trial builds its own transport over the shared read-only
+// topology, so any worker count produces byte-identical curves.
 func Fig9Sweep(step int, seed int64, depth, workers int) (ordered, random []Fig9Point, err error) {
 	if step < 1 {
 		step = 1
@@ -250,8 +258,11 @@ func Fig9Sweep(step int, seed int64, depth, workers int) (ordered, random []Fig9
 
 // --------------------------------------------------------------- Fig 10
 
-// Fig10Sweep is Fig10 with one trial per system. Each trial rebuilds its
-// own system, so the three mappings run concurrently without sharing.
+// Fig10Sweep runs the Myricom algorithm on the three systems (packet
+// collision model — the regime the firmware mapper is designed for) and
+// the Berkeley algorithm for the ratio comparisons of §5.4, one trial per
+// system. Each trial rebuilds its own system, so the three mappings run
+// concurrently without sharing.
 func Fig10Sweep(workers int) ([]Fig10Row, error) {
 	names := []string{"C", "C+A", "C+A+B"}
 	return Sweep(len(names), workers, func(trial int) (Fig10Row, error) {
@@ -309,9 +320,7 @@ func RandomizedTrials(trials, couponProbes int, seed int64, workers int) ([]Rand
 		if err != nil {
 			return RandomizedTrial{}, fmt.Errorf("trial %d: %w", trial, err)
 		}
-		// A private copy: the core and isomorphism analyses run on the
-		// network's cached index, whose scratch arenas are not shareable.
-		if err := isomorph.MustEqualCore(m.Network, net.Clone()); err != nil {
+		if err := isomorph.MustEqualCore(m.Network, net); err != nil {
 			return RandomizedTrial{}, fmt.Errorf("trial %d: %w", trial, err)
 		}
 		return RandomizedTrial{Probes: m.Stats.Probes.TotalProbes(),

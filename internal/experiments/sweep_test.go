@@ -3,9 +3,15 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
+
+	"sanmap/internal/isomorph"
+	"sanmap/internal/routes"
+	"sanmap/internal/simnet"
+	"sanmap/internal/topology"
 )
 
 // TestSweepOrderAndBound: results come back indexed by trial, and the pool
@@ -93,5 +99,60 @@ func TestRandomizedTrialsDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel randomized trials differ from serial:\n%v\n%v", serial, parallel)
+	}
+}
+
+// TestReadOnlyAnalysesShareOneNetwork: read-only means shareable. Eight
+// workers run the diameter, Q, bridges, the route pipeline and the core
+// isomorphism check on one Network at once — its index not even built when
+// they start — and each must see what a serial pass over a private copy
+// saw. The race lane turns any shared scratch into a failure.
+func TestReadOnlyAnalysesShareOneNetwork(t *testing.T) {
+	net := topology.MustRandomConnected(8, 12, 4, rand.New(rand.NewSource(5)))
+	topology.WithTail(net, net.Switches()[0], 2, rand.New(rand.NewSource(6)))
+	h0 := net.Hosts()[0]
+
+	ref := net.Clone()
+	wantDiameter := ref.Diameter()
+	wantQ, _ := ref.Q(h0)
+	wantBridges := ref.Bridges()
+	allRoutes := func(n *topology.Network) (string, error) {
+		tbl, err := routes.Compute(n, routes.DefaultConfig())
+		if err != nil {
+			return "", err
+		}
+		out := fmt.Sprintf("root %d", tbl.Root)
+		tbl.Pairs(func(src, dst topology.NodeID, _ []int, turns simnet.Route) {
+			out += fmt.Sprintf("\n%d>%d %v", src, dst, turns)
+		})
+		return out, nil
+	}
+	wantRoutes, err := allRoutes(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core, _ := ref.Core()
+
+	_, err = Sweep(32, 8, func(trial int) (struct{}, error) {
+		var none struct{}
+		if d := net.Diameter(); d != wantDiameter {
+			return none, fmt.Errorf("trial %d: diameter %d, want %d", trial, d, wantDiameter)
+		}
+		if q, _ := net.Q(h0); q != wantQ {
+			return none, fmt.Errorf("trial %d: Q %d, want %d", trial, q, wantQ)
+		}
+		if b := net.Bridges(); !reflect.DeepEqual(b, wantBridges) {
+			return none, fmt.Errorf("trial %d: bridges %v, want %v", trial, b, wantBridges)
+		}
+		if got, err := allRoutes(net); err != nil || got != wantRoutes {
+			return none, fmt.Errorf("trial %d: route table differs from the serial one (err %v)", trial, err)
+		}
+		if err := isomorph.MustEqualCore(core, net); err != nil {
+			return none, fmt.Errorf("trial %d: %w", trial, err)
+		}
+		return none, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

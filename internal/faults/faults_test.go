@@ -192,11 +192,15 @@ func TestInjectorLogDeterminism(t *testing.T) {
 		sn := simnet.NewDefault(ref.Clone())
 		inj := Attach(sn, sched)
 		h0 := sn.Topology().Hosts()[0]
-		m, err := mapper.RunResult(sn.Endpoint(h0),
+		s, err := mapper.NewSession(sn.Endpoint(h0),
 			mapper.WithDepth(sn.Topology().DepthBound(h0)+4),
 			mapper.WithConfirm(2))
 		if err != nil {
-			t.Fatalf("RunResult: %v", err)
+			t.Fatalf("NewSession: %v", err)
+		}
+		m, err := s.Map()
+		if err != nil {
+			t.Fatalf("Map: %v", err)
 		}
 		return m.Network.String(), FormatLog(inj.Log())
 	}

@@ -109,18 +109,22 @@ func checkpointable(cfg Config) error {
 	return nil
 }
 
+// b2i renders a flag as the 0/1 the checkpoint format stores.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // configLine renders the fields a restore must agree on.
 func configLine(cfg Config) string {
-	b2i := func(b bool) int {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	return fmt.Sprintf("config %d %d %d %d %d %d %d %d %d",
+	// The trailing 1 is the column of a retired switch (skip slots that
+	// already hold an edge) that was never anything but on.
+	return fmt.Sprintf("config %d %d %d %d %d %d %d %d 1",
 		cfg.Depth, cfg.MaxPorts, cfg.Confirm, cfg.FaultBudget,
 		cfg.Policy, cfg.ProbeOrder, cfg.TurnOrder,
-		b2i(cfg.EliminateProbes), b2i(cfg.SkipKnownSlots))
+		b2i(cfg.EliminateProbes))
 }
 
 // Checkpoint serializes the session — model graph, heal position, pending
@@ -140,12 +144,6 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	w := bufio.NewWriter(&buf)
 	fmt.Fprintln(w, checkpointMagic)
 	fmt.Fprintln(w, configLine(r.cfg))
-	b2i := func(b bool) int {
-		if b {
-			return 1
-		}
-		return 0
-	}
 	fmt.Fprintf(w, "heal %d %d %d %d %d\n",
 		s.heal.round, b2i(s.heal.sweepDone), s.heal.dropped, b2i(s.heal.done), b2i(r.partial))
 	fmt.Fprintf(w, "stats %d %d %d %d %d %d %d %d\n",
@@ -175,11 +173,11 @@ func (s *Session) Checkpoint() ([]byte, error) {
 			v.id, kind, b2i(v.explored), wc, wlo, whi, v.name, v.probe.String())
 	}
 
-	// Edges are enumerated once, in the deterministic walk order the
-	// exporters use (vertex creation order, sorted slots, slot-list
+	// Edges are enumerated once, in the deterministic walk order
+	// export uses (vertex creation order, sorted slots, slot-list
 	// order); the slot lines then record, per (vertex, slot), the indices
-	// into that enumeration in list order. List order is semantic: the
-	// tolerant exporter trusts the oldest deduction in a conflicted slot.
+	// into that enumeration in list order. List order is semantic: export
+	// trusts the oldest deduction in a conflicted slot.
 	edgeIdx := make(map[*Edge]int)
 	var edges []*Edge
 	type slotLine struct {
@@ -308,6 +306,24 @@ func (cr *ckptReader) fields(line, key string, n int) ([]string, error) {
 	return f[1:], nil
 }
 
+// ints reads the next line as a key record of exactly n integer fields
+// (n < 0: any number).
+func (cr *ckptReader) ints(key string, n int) ([]int, error) {
+	line, err := cr.next()
+	if err != nil {
+		return nil, err
+	}
+	f, err := cr.fields(line, key, n)
+	if err != nil {
+		return nil, err
+	}
+	v, err := atoiAll(f)
+	if err != nil {
+		return nil, cr.errf("%s: %v", key, err)
+	}
+	return v, nil
+}
+
 func atoiAll(fields []string) ([]int, error) {
 	out := make([]int, len(fields))
 	for i, f := range fields {
@@ -378,14 +394,11 @@ func splitQuoted(s string, nPlain, nQuoted int) (plain []string, quoted []string
 // so restoring replays no deductions and re-fires no contradiction hooks.
 func RestoreSession(p simnet.Prober, data []byte, opts ...Option) (*Session, error) {
 	cfg := BuildConfig(opts...)
-	cfg.SelfHeal = true
 	if err := checkpointable(cfg); err != nil {
 		return nil, err
 	}
-	if cfg.MaxVertices == 0 {
-		cfg.MaxVertices = 1 << 20
-	}
-	if err := resolveMaxPorts(&cfg, p); err != nil {
+	r, err := newRun(p, cfg)
+	if err != nil {
 		return nil, err
 	}
 
@@ -402,77 +415,42 @@ func RestoreSession(p simnet.Prober, data []byte, opts ...Option) (*Session, err
 	if err != nil {
 		return nil, err
 	}
-	if want := configLine(cfg); line != want {
+	if want := configLine(r.cfg); line != want {
 		return nil, fmt.Errorf("%w: checkpoint %q vs session %q", ErrCheckpointMismatch, line, want)
 	}
 
-	s := &Session{r: &run{cfg: cfg, p: p, model: newModel(), m: registerRunMetrics(cfg.Metrics)}}
-	r := s.r
-	r.model.maxPorts = cfg.MaxPorts
-	r.staleCount = make(map[*Vertex]int)
-	r.model.onInconsistency = r.noteContradiction
-	r.start = p.Clock()
+	s := &Session{r: r}
 
-	// heal
-	line, err = cr.next()
+	hv, err := cr.ints("heal", 5)
 	if err != nil {
 		return nil, err
-	}
-	f, err := cr.fields(line, "heal", 5)
-	if err != nil {
-		return nil, err
-	}
-	hv, err := atoiAll(f)
-	if err != nil {
-		return nil, cr.errf("heal: %v", err)
 	}
 	s.heal = healState{round: hv[0], sweepDone: hv[1] != 0, dropped: hv[2], done: hv[3] != 0}
 	r.partial = hv[4] != 0
 
-	// stats
-	line, err = cr.next()
+	sv, err := cr.ints("stats", 8)
 	if err != nil {
 		return nil, err
-	}
-	if f, err = cr.fields(line, "stats", 8); err != nil {
-		return nil, err
-	}
-	sv, err := atoiAll(f)
-	if err != nil {
-		return nil, cr.errf("stats: %v", err)
 	}
 	r.stats.Explorations, r.stats.SkippedJobs, r.stats.Merges, r.stats.PrunedVerts = sv[0], sv[1], sv[2], sv[3]
 	r.stats.Inconsistent, r.stats.EliminatedPro, r.stats.Contradictions, r.stats.Reexplored = sv[4], sv[5], sv[6], sv[7]
 
-	// model
-	line, err = cr.next()
+	mv, err := cr.ints("model", 2)
 	if err != nil {
 		return nil, err
-	}
-	if f, err = cr.fields(line, "model", 2); err != nil {
-		return nil, err
-	}
-	mv, err := atoiAll(f)
-	if err != nil {
-		return nil, cr.errf("model: %v", err)
 	}
 	m := r.model
 	m.Inconsistencies = mv[1]
 
 	count := func(key string) (int, error) {
-		line, err := cr.next()
+		v, err := cr.ints(key, 1)
 		if err != nil {
 			return 0, err
 		}
-		f, err := cr.fields(line, key, 1)
-		if err != nil {
-			return 0, err
+		if v[0] < 0 {
+			return 0, cr.errf("%s count %d", key, v[0])
 		}
-		n, err := strconv.Atoi(f[0])
-		if err != nil || n < 0 {
-			return 0, cr.errf("%s count %q", key, f[0])
-		}
-		return n, nil
+		return v[0], nil
 	}
 
 	// verts
@@ -537,17 +515,9 @@ func RestoreSession(p simnet.Prober, data []byte, opts ...Option) (*Session, err
 	}
 	edges := make([]*Edge, nEdges)
 	for i := 0; i < nEdges; i++ {
-		line, err := cr.next()
+		ev, err := cr.ints("e", 4)
 		if err != nil {
 			return nil, err
-		}
-		f, err := cr.fields(line, "e", 4)
-		if err != nil {
-			return nil, err
-		}
-		ev, err := atoiAll(f)
-		if err != nil {
-			return nil, cr.errf("edge: %v", err)
 		}
 		a, okA := byID[ev[0]]
 		b, okB := byID[ev[2]]
@@ -564,20 +534,12 @@ func RestoreSession(p simnet.Prober, data []byte, opts ...Option) (*Session, err
 		return nil, err
 	}
 	for i := 0; i < nSlots; i++ {
-		line, err := cr.next()
+		lv, err := cr.ints("s", -1)
 		if err != nil {
 			return nil, err
 		}
-		f, err := cr.fields(line, "s", -1)
-		if err != nil {
-			return nil, err
-		}
-		if len(f) < 3 {
+		if len(lv) < 3 {
 			return nil, cr.errf("slot record wants at least 3 fields")
-		}
-		lv, err := atoiAll(f)
-		if err != nil {
-			return nil, cr.errf("slot: %v", err)
 		}
 		v, ok := byID[lv[0]]
 		if !ok {
@@ -629,17 +591,9 @@ func RestoreSession(p simnet.Prober, data []byte, opts ...Option) (*Session, err
 		return nil, err
 	}
 	for i := 0; i < nStale; i++ {
-		line, err := cr.next()
+		cv, err := cr.ints("c", 2)
 		if err != nil {
 			return nil, err
-		}
-		f, err := cr.fields(line, "c", 2)
-		if err != nil {
-			return nil, err
-		}
-		cv, err := atoiAll(f)
-		if err != nil {
-			return nil, cr.errf("stale: %v", err)
 		}
 		v, ok := byID[cv[0]]
 		if !ok {
@@ -683,6 +637,5 @@ func RestoreSession(p simnet.Prober, data []byte, opts ...Option) (*Session, err
 	if _, ok := m.hostByName[p.LocalHost()]; !ok {
 		return nil, fmt.Errorf("%w: mapping host %q missing from checkpoint", ErrCheckpointMismatch, p.LocalHost())
 	}
-	r.initPipeline()
 	return s, nil
 }

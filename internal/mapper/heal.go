@@ -36,20 +36,18 @@ type healState struct {
 	done      bool // a sweep found nothing wrong; Remap only needs result()
 }
 
-// NewSession builds a self-healing session over the prober. SelfHeal is
-// forced on (it is the session's reason to exist); the remaining options
-// are as for Run.
+// NewSession builds a self-healing session over the prober; the options are
+// as for Run, which is a session's first Map with the strict refusal rule.
 func NewSession(p simnet.Prober, opts ...Option) (*Session, error) {
-	cfg := BuildConfig(opts...)
-	cfg.SelfHeal = true
-	r, err := newRun(p, cfg)
+	r, err := newRun(p, BuildConfig(opts...))
 	if err != nil {
 		return nil, err
 	}
+	r.initialize()
 	return &Session{r: r}, nil
 }
 
-// Map runs the initial exploration and returns the tolerant Result. The
+// Map runs the initial exploration and returns its Result. The
 // session keeps the model for later Remap calls. The step hook (OnStep)
 // fires once with StepMap after the frontier drains; on a session restored
 // from a post-map checkpoint the drain is a no-op and Map just re-derives
@@ -84,9 +82,7 @@ const healRounds = 4
 // single-loop implementation.
 func (s *Session) Remap() (*Result, error) {
 	for !s.heal.done && s.heal.round < healRounds {
-		if s.r.budgetExhausted() {
-			s.r.partial = true
-			s.r.observe("budget-exhausted", nil)
+		if s.r.budgetSpent() {
 			break
 		}
 		if !s.heal.sweepDone {
@@ -112,16 +108,6 @@ func (s *Session) Remap() (*Result, error) {
 	}
 	s.heal = healState{}
 	return s.r.result()
-}
-
-// RunResult is the tolerant analogue of Run: one self-healing Map() over a
-// fresh session.
-func RunResult(p simnet.Prober, opts ...Option) (*Result, error) {
-	s, err := NewSession(p, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return s.Map()
 }
 
 // sweepItem is one BFS visit of the verification sweep: a committed switch
@@ -246,13 +232,15 @@ func (r *run) verifyEdge(far *Vertex, s simnet.Route) bool {
 	return simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeSwitch, Route: s}).OK
 }
 
-// reexploreAt re-enqueues v for exploration over a known-fresh route,
-// subject to the same per-vertex staleness cap as markStale.
+// reexploreAt clears v's explored bit and re-enqueues it for exploration
+// over the given route. Each vertex is re-enqueued at most staleLimit times,
+// so a persistently contradicting region degrades into suspect edges
+// instead of an endless probe loop.
 func (r *run) reexploreAt(v *Vertex, route simnet.Route, entry int) {
 	if v.deleted || v.kind != topology.SwitchNode {
 		return
 	}
-	if r.staleCount == nil || r.staleCount[v] >= staleLimit {
+	if r.staleCount[v] >= staleLimit {
 		return
 	}
 	r.staleCount[v]++

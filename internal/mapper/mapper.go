@@ -3,7 +3,6 @@ package mapper
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"sanmap/internal/obs"
@@ -25,8 +24,9 @@ const (
 	// have lost to self-collisions. A middle ground between probe cost and
 	// the label algorithm's exhaustiveness.
 	RetryUnknown
-	// ExploreAll explores every created vertex to the depth bound exactly
-	// as the §3.1 label algorithm does. Maximum probes, maximum coverage.
+	// ExploreAll explores every created vertex to the depth bound as the
+	// §3.1 label algorithm does. No policy re-probes a slot that already
+	// holds an edge, so today it probes exactly what RetryUnknown does.
 	ExploreAll
 )
 
@@ -69,8 +69,6 @@ type Config struct {
 	// EliminateProbes enables §3.3's provably-safe probe elimination using
 	// the feasible-port window. Disabling it is the ablation baseline.
 	EliminateProbes bool
-	// SkipKnownSlots suppresses probes for slots that already hold an edge.
-	SkipKnownSlots bool
 	// MaxVertices aborts pathological runs (0 = default 1<<20).
 	MaxVertices int
 	// MaxPorts is the largest switch radix the run plans for: it bounds
@@ -112,15 +110,9 @@ type Config struct {
 	// byte-identical to historical runs.
 	Confirm int
 	// FaultBudget, when > 0, bounds the contradictions a run tolerates
-	// before it stops exploring and reports a partial result (Sessions turn
-	// that into Result.Partial rather than an error).
+	// before it stops exploring and reports a partial result
+	// (Result.Partial rather than an error).
 	FaultBudget int
-	// SelfHeal enables contradiction-triggered incremental re-exploration:
-	// a deduction that contradicts the committed model marks the vertices
-	// involved stale and re-enqueues them for a scoped re-explore instead
-	// of silently poisoning the model. Sessions set it; the plain Run path
-	// leaves it off and stays byte-identical to historical behaviour.
-	SelfHeal bool
 }
 
 // DefaultConfig returns the paper-faithful production configuration; the
@@ -132,7 +124,6 @@ func DefaultConfig(depth int) Config {
 		ProbeOrder:      HostFirst,
 		TurnOrder:       SmallTurnsFirst,
 		EliminateProbes: true,
-		SkipKnownSlots:  true,
 	}
 }
 
@@ -158,9 +149,9 @@ type Stats struct {
 	Inconsistent  int // contradictory deductions (nonzero only under noise)
 	EliminatedPro int // probes skipped by the safe-elimination window
 	// Contradictions counts deductions that disagreed with the committed
-	// model during a self-healing run; Reexplored counts the scoped
+	// model; Reexplored counts the scoped
 	// re-explorations those contradictions (and verification sweeps)
-	// scheduled. Both stay zero on the legacy quiescent path.
+	// scheduled. Both stay zero on a quiescent network.
 	Contradictions int
 	Reexplored     int
 	// Pipeline carries the probe-engine counters when Config.Pipeline
@@ -222,10 +213,10 @@ type run struct {
 	win    *simnet.ProbeWindow
 	ps     *exploreStream
 	psPool exploreStream
-	// Self-healing state (SelfHeal runs only): partial marks a run stopped
-	// by an exhausted fault budget; obs is the mapper-side fault log;
-	// staleCount bounds per-vertex re-explorations so a persistently lying
-	// region cannot loop the run forever.
+	// Self-healing state: partial marks a run stopped by an exhausted fault
+	// budget; obs is the mapper-side fault log; staleCount bounds per-vertex
+	// re-explorations so a persistently lying region cannot loop the run
+	// forever.
 	partial    bool
 	obs        []Observation
 	staleCount map[*Vertex]int
@@ -271,15 +262,16 @@ func RunConfig(p simnet.Prober, cfg Config) (*Map, error) {
 	if err != nil {
 		return nil, err
 	}
+	r.initialize()
 	if err := r.runLoop(); err != nil {
 		return nil, err
 	}
 	return r.finish()
 }
 
-// newRun validates the configuration and performs INITIALIZATION (§3.1):
-// the root host-vertex for the mapper itself and its adjacent
-// switch-vertex; the frontier starts with that switch.
+// newRun validates the configuration and builds the run every entry point
+// (Run, NewSession, RestoreSession, RandomizedRun) starts from: an empty
+// model with the contradiction hook and staleness caps installed.
 func newRun(p simnet.Prober, cfg Config) (*run, error) {
 	if cfg.Depth < 1 {
 		return nil, fmt.Errorf("mapper: Depth must be at least 1, got %d: %w", cfg.Depth, ErrDepthExceeded)
@@ -290,21 +282,24 @@ func newRun(p simnet.Prober, cfg Config) (*run, error) {
 	if err := resolveMaxPorts(&cfg, p); err != nil {
 		return nil, err
 	}
-	r := &run{cfg: cfg, p: p, model: newModel(), m: registerRunMetrics(cfg.Metrics)}
+	r := &run{cfg: cfg, p: p, model: newModel(), m: registerRunMetrics(cfg.Metrics),
+		staleCount: make(map[*Vertex]int), start: p.Clock()}
 	r.model.maxPorts = cfg.MaxPorts
-	if cfg.SelfHeal {
-		r.staleCount = make(map[*Vertex]int)
-		r.model.onInconsistency = r.noteContradiction
-	}
+	r.model.onInconsistency = r.noteContradiction
 	r.initPipeline()
-	r.start = p.Clock()
+	return r, nil
+}
 
-	h0, _ := r.model.hostVertex(p.LocalHost(), simnet.Route{})
+// initialize performs INITIALIZATION (§3.1): the root host-vertex for the
+// mapper itself and its adjacent switch-vertex, which it returns; the
+// frontier starts with that switch.
+func (r *run) initialize() *Vertex {
+	h0, _ := r.model.hostVertex(r.p.LocalHost(), simnet.Route{})
 	rootSwitch := r.model.newVertex(topology.SwitchNode, "", simnet.Route{})
 	// The host's single wire is the switch's entry port, relative index 0.
 	r.model.addEdge(h0, 0, rootSwitch, 0)
 	r.front = append(r.front, job{v: rootSwitch, route: simnet.Route{}})
-	return r, nil
+	return rootSwitch
 }
 
 // runLoop drains the frontier: EXPLORE + MERGE, interleaved per §3.3
@@ -319,9 +314,7 @@ func (r *run) runLoop() error {
 		if r.cfg.Cancel != nil && r.cfg.Cancel() {
 			return ErrCanceled
 		}
-		if r.budgetExhausted() {
-			r.partial = true
-			r.observe("budget-exhausted", nil)
+		if r.budgetSpent() {
 			r.front = r.front[:0]
 			break
 		}
@@ -334,33 +327,32 @@ func (r *run) runLoop() error {
 	return nil
 }
 
-// budgetExhausted reports whether the configured fault budget is spent.
-func (r *run) budgetExhausted() bool {
-	return r.cfg.FaultBudget > 0 && r.stats.Contradictions > r.cfg.FaultBudget
+// budgetSpent reports whether the configured fault budget is exhausted,
+// marking the run partial when it is.
+func (r *run) budgetSpent() bool {
+	if r.cfg.FaultBudget <= 0 || r.stats.Contradictions <= r.cfg.FaultBudget {
+		return false
+	}
+	r.partial = true
+	r.observe("budget-exhausted", nil)
+	return true
 }
 
-// finish runs PRUNE (§3.1) — repeatedly delete switch-vertices of degree
-// ≤ 1, removing both unexplored deep frontier leftovers and the replicated
-// fringes of F — then snapshots the statistics and exports the model.
+// finish is the strict view of result: the same map, refused when any
+// deduction had to be dropped to export it.
 func (r *run) finish() (*Map, error) {
-	r.prune()
-
-	r.stats.Elapsed = r.p.Clock() - r.start
-	if ns, ok := r.p.(interface{ Stats() simnet.Stats }); ok {
-		r.stats.Probes = ns.Stats()
-	}
-	r.stats.Inconsistent = r.model.Inconsistencies
-	r.finishPipeline()
-
-	net, mapperID, err := r.export()
+	res, err := r.result()
 	if err != nil {
 		return nil, err
 	}
-	return &Map{Network: net, Mapper: mapperID, Stats: r.stats, Series: r.series}, nil
+	if err := refuseSuspects(res.Suspect); err != nil {
+		return nil, err
+	}
+	return res.Map, nil
 }
 
-// noteContradiction handles one contradictory deduction on a self-healing
-// run: count it against the budget and mark both involved regions stale.
+// noteContradiction handles one contradictory deduction: count it against
+// the budget and mark both involved regions stale.
 func (r *run) noteContradiction(a, b *Vertex) {
 	r.stats.Contradictions++
 	r.m.contradictions.Inc()
@@ -369,25 +361,12 @@ func (r *run) noteContradiction(a, b *Vertex) {
 	r.markStale(b)
 }
 
-// markStale flags a vertex for scoped incremental re-exploration: its
-// explored bit is cleared and a fresh frontier job re-enqueued over its
-// discovery route. Each vertex is re-enqueued at most staleLimit times so a
-// persistently contradicting region degrades into suspect edges instead of
-// an endless probe loop.
+// markStale flags a vertex for scoped incremental re-exploration over its
+// discovery route (see reexploreAt for the cap that turns a persistently
+// contradicting region into suspect edges instead of an endless loop).
 func (r *run) markStale(v *Vertex) {
 	root, _ := find(v)
-	if root.deleted || root.kind != topology.SwitchNode {
-		return
-	}
-	if r.staleCount == nil || r.staleCount[root] >= staleLimit {
-		return
-	}
-	r.staleCount[root]++
-	root.explored = false
-	r.stats.Reexplored++
-	r.m.reexplored.Inc()
-	r.observe("re-explore", root.probe)
-	r.front = append(r.front, job{v: root, route: root.probe})
+	r.reexploreAt(root, root.probe, 0)
 }
 
 // turnSequence returns the candidate turns in configured order, bounded by
@@ -458,13 +437,11 @@ func (r *run) explore(jb job) error {
 			return nil
 		}
 	case RetryUnknown, ExploreAll:
-		// Proceed; RetryUnknown filters per-slot below.
+		// Proceed; slots that already hold an edge are skipped below.
 	}
 	if len(jb.route) >= r.cfg.Depth {
 		return nil // beyond SearchDepth: vertex stays, unexplored
 	}
-	retryOnly := r.cfg.Policy == RetryUnknown && root.explored
-
 	began := r.p.Clock()
 	if r.cfg.Tracer != nil {
 		r.cfg.Tracer.Begin("mapper", "explore", began,
@@ -472,7 +449,7 @@ func (r *run) explore(jb job) error {
 		defer func() { r.cfg.Tracer.End(r.p.Clock()) }()
 	}
 	entry := jb.entry + shift // frame index of this route's entry port
-	r.beginStream(jb, r.turnSequence(), retryOnly)
+	r.beginStream(jb, r.turnSequence())
 	for ti, t := range r.turnSequence() {
 		idx := entry + int(t)
 		if r.cfg.EliminateProbes {
@@ -483,8 +460,8 @@ func (r *run) explore(jb job) error {
 				continue
 			}
 		}
-		if root.occupied(idx) && (r.cfg.SkipKnownSlots || retryOnly) {
-			continue
+		if root.occupied(idx) {
+			continue // the slot already holds an edge; nothing to learn
 		}
 		resp, probeStr := r.pairAt(root, entry, ti, jb.route, t)
 		if r.tracing() {
@@ -568,13 +545,7 @@ func (r *run) pairAt(root *Vertex, entry int, ti int, base simnet.Route, t simne
 		}
 	}
 	s := base.Extend(t)
-	return r.probePair(s), s
-}
-
-// probePair issues one live probe pair for route s, applying the configured
-// probe order and skipping the second probe when the first answers.
-func (r *run) probePair(s simnet.Route) simnet.ProbeResponse {
-	return r.confirmResponse(s, r.probeOnce(s))
+	return r.confirmResponse(s, r.probeOnce(s)), s
 }
 
 // probeOrder returns the two §2.3 probe kinds in the configured order.
@@ -585,7 +556,8 @@ func (r *run) probeOrder() (first, second simnet.ProbeKind) {
 	return simnet.ProbeHost, simnet.ProbeSwitch
 }
 
-// probeOnce issues one live probe pair in the configured order.
+// probeOnce issues one live probe pair in the configured order, skipping
+// the second probe when the first answers.
 func (r *run) probeOnce(s simnet.Route) simnet.ProbeResponse {
 	first, second := r.probeOrder()
 	if res := simnet.Do(r.p, simnet.Probe{Kind: first, Route: s}); res.OK {
@@ -670,91 +642,4 @@ func (m *Model) prune(keepHost string) int {
 		}
 	}
 	return pruned
-}
-
-// export converts the model graph into a topology.Network.
-func (r *run) export() (*topology.Network, topology.NodeID, error) {
-	return exportModel(r.model, r.p.LocalHost())
-}
-
-// exportModel converts a model graph into a topology.Network. Relative slot
-// indices become concrete ports via the feasible window (any choice inside
-// the window yields identical relative routes; Lemma 2). The returned node
-// id is the vertex whose host name is localHost.
-func exportModel(model *Model, localHost string) (*topology.Network, topology.NodeID, error) {
-	net := &topology.Network{}
-	ids := make(map[*Vertex]topology.NodeID)
-	swCount := 0
-	for _, v := range model.liveVertices() {
-		if v.kind == topology.HostNode {
-			ids[v] = net.AddHost(v.name)
-		} else {
-			// Model switches carry the radix the run planned for; on the
-			// paper's 8-port fabrics this is exactly AddSwitch.
-			ids[v] = net.AddSwitchRadix(fmt.Sprintf("m%d", swCount), model.maxPorts)
-			swCount++
-		}
-	}
-	// Port assignment: place index i at port i+p0 with p0 = lo (the lowest
-	// feasible offset).
-	portOf := make(map[*Vertex]int) // cached p0 per vertex
-	base := func(v *Vertex) int {
-		if p0, ok := portOf[v]; ok {
-			return p0
-		}
-		lo, hi := model.window(v)
-		if lo > hi {
-			lo = 0 // inconsistent window (possible only under noise)
-		}
-		portOf[v] = lo
-		return lo
-	}
-	seen := make(map[*Edge]bool)
-	var slotIdx []int
-	for _, v := range model.liveVertices() {
-		// Walk slots in sorted index order: wire creation order (and with it
-		// the exported byte stream) must not depend on map iteration order.
-		slotIdx = slotIdx[:0]
-		for i := range v.slots {
-			slotIdx = append(slotIdx, i)
-		}
-		sort.Ints(slotIdx)
-		for _, i := range slotIdx {
-			for _, e := range v.slots[i] {
-				if e.deleted || seen[e] {
-					continue
-				}
-				seen[e] = true
-				pa, pb := e.ai, e.bi
-				if e.a.kind == topology.SwitchNode {
-					pa += base(e.a)
-				} else {
-					pa = 0
-				}
-				if e.b.kind == topology.SwitchNode {
-					pb += base(e.b)
-				} else {
-					pb = 0
-				}
-				if e.a == e.b && pa == pb {
-					// A port deduced to be cabled to itself is a loopback
-					// plug: probes out of it re-entered through it, and the
-					// merge machinery collapsed the apparent far switch
-					// onto this one at the same index.
-					if err := net.AddReflector(ids[e.a], pa); err != nil {
-						return nil, 0, fmt.Errorf("mapper: export reflector: %w", err)
-					}
-					continue
-				}
-				if _, err := net.Connect(ids[e.a], pa, ids[e.b], pb); err != nil {
-					return nil, 0, fmt.Errorf("mapper: export: %w", err)
-				}
-			}
-		}
-	}
-	mapperID := net.Lookup(localHost)
-	if mapperID == topology.None {
-		return nil, 0, errors.New("mapper: mapping host missing from its own map")
-	}
-	return net, mapperID, nil
 }

@@ -41,9 +41,13 @@ func MergeMaps(partials ...*Map) (*Map, error) {
 		importNetwork(model, pm.Network)
 		model.processMerges()
 	}
-	model.prune(partials[0].Network.NameOf(partials[0].Mapper))
+	vantage := partials[0].Network.NameOf(partials[0].Mapper)
+	model.prune(vantage)
 
-	net, mapperID, err := exportModel(model, partials[0].Network.NameOf(partials[0].Mapper))
+	net, mapperID, suspects, _, err := export(model, vantage)
+	if err == nil {
+		err = refuseSuspects(suspects)
+	}
 	if err != nil {
 		return nil, err
 	}

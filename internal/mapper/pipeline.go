@@ -51,7 +51,6 @@ func (r *run) finishPipeline() {
 type exploreStream struct {
 	st            *simnet.Stream
 	jb            job
-	retryOnly     bool
 	turns         []simnet.Turn
 	next          int
 	first, second simnet.ProbeKind
@@ -65,14 +64,14 @@ type exploreStream struct {
 }
 
 // beginStream opens the pipelined stream for one exploration.
-func (r *run) beginStream(jb job, turns []simnet.Turn, retryOnly bool) {
+func (r *run) beginStream(jb job, turns []simnet.Turn) {
 	if r.win == nil {
 		return
 	}
 	first, second := r.probeOrder()
 	ps := &r.psPool
 	ps.st = r.win.Stream()
-	ps.jb, ps.retryOnly = jb, retryOnly
+	ps.jb = jb
 	ps.turns = turns
 	ps.next = 0
 	ps.first, ps.second = first, second
@@ -111,7 +110,7 @@ func (ps *exploreStream) fillStep(r *run, root *Vertex, entry int) {
 			return
 		}
 	}
-	if root.occupied(idx) && (r.cfg.SkipKnownSlots || ps.retryOnly) {
+	if root.occupied(idx) {
 		return
 	}
 	tag := len(ps.routes)
@@ -147,7 +146,7 @@ func (ps *exploreStream) stale(r *run, root *Vertex, entry int, tag int) bool {
 			return true
 		}
 	}
-	return root.occupied(idx) && (r.cfg.SkipKnownSlots || ps.retryOnly)
+	return root.occupied(idx)
 }
 
 // streamWant resolves the probe pair for the candidate at index ti of the

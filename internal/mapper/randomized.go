@@ -39,29 +39,17 @@ func RandomizedRun(p simnet.Prober, cfg RandomizedConfig) (*Map, error) {
 	if err := requireCaps(p, simnet.CapHost|simnet.CapSwitch|simnet.CapTolerant); err != nil {
 		return nil, err
 	}
-	if cfg.Depth < 1 {
-		return nil, fmt.Errorf("mapper: Depth must be at least 1, got %d: %w", cfg.Depth, ErrDepthExceeded)
-	}
 	if cfg.Rng == nil {
 		return nil, fmt.Errorf("mapper: RandomizedConfig.Rng is required")
 	}
-	if cfg.MaxVertices == 0 {
-		cfg.MaxVertices = 1 << 20
-	}
-	if err := resolveMaxPorts(&cfg.Config, p); err != nil {
+	r, err := newRun(p, cfg.Config)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxTurnMagnitude <= 0 || cfg.MaxTurnMagnitude > cfg.MaxPorts-1 {
+	if cfg.MaxTurnMagnitude <= 0 || cfg.MaxTurnMagnitude > r.cfg.MaxPorts-1 {
 		cfg.MaxTurnMagnitude = 4
 	}
-	r := &run{cfg: cfg.Config, p: p, model: newModel()}
-	r.model.maxPorts = cfg.MaxPorts
-	r.initPipeline()
-	start := p.Clock()
-
-	h0, _ := r.model.hostVertex(p.LocalHost(), simnet.Route{})
-	rootSwitch := r.model.newVertex(topology.SwitchNode, "", simnet.Route{})
-	r.model.addEdge(h0, 0, rootSwitch, 0)
+	rootSwitch := r.initialize()
 
 	// Phase 1: coupon collecting. Each successful random probe of maximal
 	// depth yields a chain root → ... → host; walk it into the model,
@@ -103,12 +91,11 @@ func RandomizedRun(p simnet.Prober, cfg RandomizedConfig) (*Map, error) {
 		}
 	}
 
-	// Phase 2: breadth-first completion over the dangling edges. Every live
-	// switch vertex becomes a frontier job carrying the route and entry
-	// index recorded at its creation; the standard explorer skips occupied
-	// slots, so only genuinely unknown ports cost probes.
-	rootJob := job{v: rootSwitch, route: simnet.Route{}}
-	r.front = append(r.front, rootJob)
+	// Phase 2: breadth-first completion over the dangling edges. Behind the
+	// root switch (on the frontier since INITIALIZATION) every live switch
+	// vertex becomes a frontier job carrying the route and entry index
+	// recorded at its creation; the standard explorer skips occupied slots,
+	// so only genuinely unknown ports cost probes.
 	for _, v := range r.model.liveVertices() {
 		if v.kind != topology.SwitchNode || v == rootSwitch {
 			continue
@@ -121,26 +108,10 @@ func RandomizedRun(p simnet.Prober, cfg RandomizedConfig) (*Map, error) {
 		// index 0, like BFS vertices, so no extra entry offset is needed.
 		r.front = append(r.front, job{v: v, route: v.probe})
 	}
-	for len(r.front) > 0 {
-		jb := r.front[0]
-		r.front = r.front[1:]
-		if err := r.explore(jb); err != nil {
-			return nil, err
-		}
-	}
-	r.prune()
-
-	r.stats.Elapsed = p.Clock() - start
-	if ns, ok := p.(interface{ Stats() simnet.Stats }); ok {
-		r.stats.Probes = ns.Stats()
-	}
-	r.stats.Inconsistent = r.model.Inconsistencies
-	r.finishPipeline()
-	net, mapperID, err := r.export()
-	if err != nil {
+	if err := r.runLoop(); err != nil {
 		return nil, err
 	}
-	return &Map{Network: net, Mapper: mapperID, Stats: r.stats, Series: r.series}, nil
+	return r.finish()
 }
 
 // walkChain threads one successful probe prefix through the model: the

@@ -3,6 +3,7 @@ package mapper
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -17,9 +18,12 @@ import (
 // ground-truth log (internal/faults): the injector records what actually
 // happened to the network, the Observation log what the mapper deduced.
 type Observation struct {
-	At    time.Duration
-	What  string
-	Probe string // route string involved, "" when not applicable
+	At   time.Duration
+	What string
+	// Probe is the route string involved ("" when not applicable); a
+	// "suspect-edge" entry carries the dropped deduction's a[i]--b[j] text,
+	// as listed in Result.Suspect.
+	Probe string
 }
 
 // String renders one log line.
@@ -30,23 +34,37 @@ func (o Observation) String() string {
 	return fmt.Sprintf("%v %s probe=%s", o.At, o.What, o.Probe)
 }
 
-// observe appends one entry to the run's fault log (self-healing runs
-// only; the legacy path keeps no log) and mirrors it onto the tracer as a
-// cat-"heal" instant.
+// observe appends one route-scoped entry to the run's fault log.
 func (r *run) observe(what string, probe simnet.Route) {
-	if !r.cfg.SelfHeal {
-		return
-	}
-	o := Observation{At: r.p.Clock(), What: what}
+	detail := ""
 	if probe != nil {
-		o.Probe = probe.String()
+		detail = probe.String()
 	}
+	r.record(what, "route", detail)
+}
+
+// record appends one entry to the fault log and mirrors it onto the tracer
+// as a cat-"heal" instant whose argument key names what detail is.
+func (r *run) record(what, key, detail string) {
+	o := Observation{At: r.p.Clock(), What: what, Probe: detail}
 	r.obs = append(r.obs, o)
 	if r.cfg.Tracer != nil {
-		if o.Probe != "" {
-			r.cfg.Tracer.Instant("heal", what, o.At, obs.String("route", o.Probe))
+		if detail != "" {
+			r.cfg.Tracer.Instant("heal", what, o.At, obs.String(key, detail))
 		} else {
 			r.cfg.Tracer.Instant("heal", what, o.At)
+		}
+	}
+}
+
+// recordSuspects logs each dropped deduction once per session: the log is
+// checkpointed, so an entry written by an earlier Map/Remap — in this
+// process or the one that wrote the checkpoint — suppresses its repeat.
+func (r *run) recordSuspects(suspects []string) {
+	for _, s := range suspects {
+		logged := func(o Observation) bool { return o.What == "suspect-edge" && o.Probe == s }
+		if !slices.ContainsFunc(r.obs, logged) {
+			r.record("suspect-edge", "edge", s)
 		}
 	}
 }
@@ -77,9 +95,10 @@ type Result struct {
 	FaultLog []Observation
 }
 
-// result assembles a Result from the run's current model: prune, tolerant
-// export, confidence. Unlike the strict export path, conflicting
-// deductions are skipped and reported instead of failing the run.
+// result is the one epilogue of a run (§3.1): PRUNE, snapshot the
+// statistics, read the map off the model graph. Conflicting deductions are
+// left out of the map and reported — Suspect, SuspectIDs, Confidence, the
+// fault log — instead of failing the run; finish is the strict view.
 func (r *run) result() (*Result, error) {
 	r.prune()
 	r.stats.Elapsed = r.p.Clock() - r.start
@@ -89,14 +108,11 @@ func (r *run) result() (*Result, error) {
 	r.stats.Inconsistent = r.model.Inconsistencies
 	r.finishPipeline()
 
-	net, mapperID, suspects, suspectIDs, err := exportTolerant(r.model, r.p.LocalHost())
+	net, mapperID, suspects, suspectIDs, err := export(r.model, r.p.LocalHost())
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range suspects {
-		r.observe("suspect-edge", nil)
-		_ = s
-	}
+	r.recordSuspects(suspects)
 	edges := net.NumWires()
 	bad := r.stats.Contradictions + len(suspects)
 	conf := 1.0
@@ -116,13 +132,26 @@ func (r *run) result() (*Result, error) {
 	}, nil
 }
 
-// exportTolerant converts a model graph into a topology.Network like
-// exportModel, but degrades instead of failing: when a slot holds several
-// live edges (an unresolved contradiction) only the oldest is exported,
-// and wiring the strict exporter would reject is skipped. Every dropped
-// deduction is reported in suspects (sorted); the exported ids its
-// endpoints map to are collected in suspectIDs (sorted, deduplicated).
-func exportTolerant(model *Model, localHost string) (*topology.Network, topology.NodeID, []string, []topology.NodeID, error) {
+// refuseSuspects is the refusal rule of the strict callers (Run, RunConfig,
+// RandomizedRun, MergeMaps): a map that needed deductions dropped is an
+// error, not a map.
+func refuseSuspects(suspects []string) error {
+	if len(suspects) == 0 {
+		return nil
+	}
+	return fmt.Errorf("mapper: export: %d conflicting deductions, first %s", len(suspects), suspects[0])
+}
+
+// export converts a model graph into a topology.Network. Relative slot
+// indices become concrete ports via the feasible window (any choice inside
+// the window yields identical relative routes; Lemma 2). The returned node
+// id is the vertex whose host name is localHost. Conflicts degrade instead
+// of failing: when a slot holds several live edges (an unresolved
+// contradiction) only the oldest is exported, and wiring the network
+// rejects is skipped. Every dropped deduction is reported in suspects
+// (sorted); the exported ids its endpoints map to are collected in
+// suspectIDs (sorted, deduplicated).
+func export(model *Model, localHost string) (*topology.Network, topology.NodeID, []string, []topology.NodeID, error) {
 	net := &topology.Network{}
 	ids := make(map[*Vertex]topology.NodeID)
 	swCount := 0
@@ -130,12 +159,16 @@ func exportTolerant(model *Model, localHost string) (*topology.Network, topology
 		if v.kind == topology.HostNode {
 			ids[v] = net.AddHost(v.name)
 		} else {
+			// Model switches carry the radix the run planned for; on the
+			// paper's 8-port fabrics this is exactly AddSwitch.
 			ids[v] = net.AddSwitchRadix(fmt.Sprintf("m%d", swCount), model.maxPorts)
 			swCount++
 		}
 	}
 	var suspects []string
-	portOf := make(map[*Vertex]int)
+	// Port assignment: place index i at port i+p0 with p0 = lo (the lowest
+	// feasible offset).
+	portOf := make(map[*Vertex]int) // cached p0 per vertex
 	base := func(v *Vertex) int {
 		if p0, ok := portOf[v]; ok {
 			return p0
@@ -165,6 +198,8 @@ func exportTolerant(model *Model, localHost string) (*topology.Network, topology
 	seen := make(map[*Edge]bool)
 	var slotIdx []int
 	for _, v := range model.liveVertices() {
+		// Walk slots in sorted index order: wire creation order (and with it
+		// the exported byte stream) must not depend on map iteration order.
 		slotIdx = slotIdx[:0]
 		for i := range v.slots {
 			slotIdx = append(slotIdx, i)
@@ -201,6 +236,10 @@ func exportTolerant(model *Model, localHost string) (*topology.Network, topology
 					pb = 0
 				}
 				if e.a == e.b && pa == pb {
+					// A port deduced to be cabled to itself is a loopback
+					// plug: probes out of it re-entered through it, and the
+					// merge machinery collapsed the apparent far switch
+					// onto this one at the same index.
 					if err := net.AddReflector(ids[e.a], pa); err != nil {
 						suspect(e)
 					}
@@ -217,13 +256,10 @@ func exportTolerant(model *Model, localHost string) (*topology.Network, topology
 		return nil, 0, nil, nil, errors.New("mapper: mapping host missing from its own map")
 	}
 	sort.Strings(suspects)
-	suspectIDs := make([]topology.NodeID, 0, len(suspectIDSet))
+	var suspectIDs []topology.NodeID
 	for id := range suspectIDSet {
 		suspectIDs = append(suspectIDs, id)
 	}
-	sort.Slice(suspectIDs, func(i, j int) bool { return suspectIDs[i] < suspectIDs[j] })
-	if len(suspectIDs) == 0 {
-		suspectIDs = nil
-	}
+	slices.Sort(suspectIDs)
 	return net, mapperID, suspects, suspectIDs, nil
 }

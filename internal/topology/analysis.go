@@ -16,10 +16,12 @@ package topology
 // BFS returns the hop distance from src to every node (-1 if unreachable).
 func (n *Network) BFS(src NodeID) []int {
 	dist := make([]int, len(n.nodes))
-	d32 := n.Index().bfsArena(src)
-	for i, d := range d32 {
+	ix := n.Index()
+	sc := ix.scratch.Get().(*indexScratch)
+	for i, d := range ix.bfs(src, sc.dist, sc) {
 		dist[i] = int(d)
 	}
+	ix.scratch.Put(sc)
 	return dist
 }
 
@@ -28,7 +30,10 @@ func (n *Network) IsConnected() bool {
 	if len(n.nodes) == 0 {
 		return true
 	}
-	for _, d := range n.Index().bfsArena(0) {
+	ix := n.Index()
+	sc := ix.scratch.Get().(*indexScratch)
+	defer ix.scratch.Put(sc)
+	for _, d := range ix.bfs(0, sc.dist, sc) {
 		if d == -1 {
 			return false
 		}
@@ -39,11 +44,13 @@ func (n *Network) IsConnected() bool {
 // Components returns a component label per node and the component count.
 func (n *Network) Components() (label []int, count int) {
 	ix := n.Index()
-	count = ix.ComponentsInto(ix.dist)
+	sc := ix.scratch.Get().(*indexScratch)
+	count = ix.components(sc.dist, sc)
 	label = make([]int, len(n.nodes))
-	for i, l := range ix.dist {
+	for i, l := range sc.dist {
 		label[i] = int(l)
 	}
+	ix.scratch.Put(sc)
 	return label, count
 }
 
@@ -55,10 +62,8 @@ func (n *Network) Diameter() int { return n.Index().Diameter() }
 // wires with a parallel twin are never bridges; see Index.BridgesInto for
 // the multigraph-correct DFS.
 func (n *Network) Bridges() []int {
-	ix := n.Index()
-	ix.bridges = ix.BridgesInto(ix.bridges[:0])
 	var out []int
-	for _, wi := range ix.bridges {
+	for _, wi := range n.Index().BridgesInto(nil) {
 		out = append(out, int(wi))
 	}
 	return out

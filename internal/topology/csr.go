@@ -1,5 +1,7 @@
 package topology
 
+import "sync"
+
 // CSR (compressed sparse row) view of a Network.
 //
 // The pointer/map representation of Network is convenient to mutate but
@@ -8,15 +10,16 @@ package topology
 // datacenter scale (1k-10k switches) those allocations dominate the graph
 // analyses, so the analyses run on a flat index instead: adjacency entries
 // packed in port order with per-node offsets, built once per Version() and
-// cached on the Network. The index also carries reusable scratch arenas
+// cached on the Network. The index also pools reusable scratch arenas
 // (distances, queues, DFS frames) sized at build time, so the traversals
 // themselves stay allocation-free under the hotpath gates.
 //
 // The index is derived state: building or refreshing it does not count as
-// a structural mutation and leaves Version() unchanged. Like the Network
-// itself it is not safe for concurrent use — the analyses share the
-// scratch arenas. Build (or Clone) before handing a network to concurrent
-// readers.
+// a structural mutation and leaves Version() unchanged. Read-only means
+// shareable: the index itself is immutable once built, every traversal
+// borrows its own scratch from the pool, and the cache slot on the Network
+// is an atomic pointer, so any number of goroutines may run analyses on one
+// unchanging Network. Mutating a Network still needs exclusive access.
 
 // Index is the flat adjacency view of a Network at one Version().
 type Index struct {
@@ -31,13 +34,18 @@ type Index struct {
 	// port) pair, cabled or not, has the unique id portOff[node]+port.
 	portOff []int32
 	kinds   []Kind
-	// Scratch arenas, reused across analyses.
-	dist    []int32
-	queue   []int32
-	disc    []int32
-	low     []int32
-	frames  []dfsFrame
-	bridges []int32
+	// scratch pools *indexScratch values sized for this index.
+	scratch sync.Pool
+}
+
+// indexScratch is the working set of one traversal, borrowed from the
+// index's pool for the traversal's duration and reused across analyses.
+type indexScratch struct {
+	dist   []int32
+	queue  []int32
+	disc   []int32
+	low    []int32
+	frames []dfsFrame
 }
 
 type dfsFrame struct {
@@ -49,8 +57,8 @@ type dfsFrame struct {
 // Index returns the CSR view of the network, rebuilding it only when the
 // structural version has changed since the last call.
 func (n *Network) Index() *Index {
-	if n.csr != nil && n.csr.version == n.version {
-		return n.csr
+	if ix := n.csr.Load(); ix != nil && ix.version == n.version {
+		return ix
 	}
 	nn := len(n.nodes)
 	ix := &Index{
@@ -58,11 +66,15 @@ func (n *Network) Index() *Index {
 		off:     make([]int32, nn+1),
 		portOff: make([]int32, nn+1),
 		kinds:   make([]Kind, nn),
-		dist:    make([]int32, nn),
-		queue:   make([]int32, 0, nn),
-		disc:    make([]int32, nn),
-		low:     make([]int32, nn),
-		frames:  make([]dfsFrame, 0, nn),
+	}
+	ix.scratch.New = func() any {
+		return &indexScratch{
+			dist:   make([]int32, nn),
+			queue:  make([]int32, 0, nn),
+			disc:   make([]int32, nn),
+			low:    make([]int32, nn),
+			frames: make([]dfsFrame, 0, nn),
+		}
 	}
 	entries := 0
 	ends := int32(0)
@@ -93,7 +105,7 @@ func (n *Network) Index() *Index {
 			k++
 		}
 	}
-	n.csr = ix
+	n.csr.Store(ix)
 	return ix
 }
 
@@ -147,11 +159,21 @@ func (ix *Index) EndID(id NodeID, port int) int32 {
 func (ix *Index) NumEnds() int { return int(ix.portOff[len(ix.portOff)-1]) }
 
 // BFSInto runs a breadth-first search from src and fills dist with hop
-// distances (-1 when unreachable), reusing the index's queue arena. dist
-// must have NumNodes entries; the filled slice is returned.
+// distances (-1 when unreachable). dist must have NumNodes entries; the
+// filled slice is returned.
 //
 //sanlint:hotpath
 func (ix *Index) BFSInto(src NodeID, dist []int32) []int32 {
+	sc := ix.scratch.Get().(*indexScratch)
+	ix.bfs(src, dist, sc)
+	ix.scratch.Put(sc)
+	return dist
+}
+
+// bfs is BFSInto on a borrowed scratch's queue arena.
+//
+//sanlint:hotpath
+func (ix *Index) bfs(src NodeID, dist []int32, sc *indexScratch) []int32 {
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -159,34 +181,34 @@ func (ix *Index) BFSInto(src NodeID, dist []int32) []int32 {
 		return dist
 	}
 	dist[src] = 0
-	ix.queue = append(ix.queue[:0], int32(src))
-	for head := 0; head < len(ix.queue); head++ {
-		u := ix.queue[head]
+	sc.queue = append(sc.queue[:0], int32(src))
+	for head := 0; head < len(sc.queue); head++ {
+		u := sc.queue[head]
 		du := dist[u]
 		for _, v := range ix.nbr[ix.off[u]:ix.off[u+1]] {
 			if dist[v] == -1 {
 				dist[v] = du + 1
-				ix.queue = append(ix.queue, v)
+				sc.queue = append(sc.queue, v)
 			}
 		}
 	}
 	return dist
 }
 
-// bfsArena runs BFSInto on the index's own distance arena. The result is
-// valid until the next arena-based analysis.
-//
-//sanlint:hotpath
-func (ix *Index) bfsArena(src NodeID) []int32 {
-	return ix.BFSInto(src, ix.dist)
-}
-
 // Eccentricity returns the largest finite BFS distance from src.
 //
 //sanlint:hotpath
 func (ix *Index) Eccentricity(src NodeID) int {
+	sc := ix.scratch.Get().(*indexScratch)
+	e := ix.eccentricity(src, sc)
+	ix.scratch.Put(sc)
+	return e
+}
+
+//sanlint:hotpath
+func (ix *Index) eccentricity(src NodeID, sc *indexScratch) int {
 	e := int32(0)
-	for _, d := range ix.bfsArena(src) {
+	for _, d := range ix.bfs(src, sc.dist, sc) {
 		if d > e {
 			e = d
 		}
@@ -199,12 +221,14 @@ func (ix *Index) Eccentricity(src NodeID) int {
 //
 //sanlint:hotpath
 func (ix *Index) Diameter() int {
+	sc := ix.scratch.Get().(*indexScratch)
 	d := 0
 	for i := 0; i < ix.NumNodes(); i++ {
-		if e := ix.Eccentricity(NodeID(i)); e > d {
+		if e := ix.eccentricity(NodeID(i), sc); e > d {
 			d = e
 		}
 	}
+	ix.scratch.Put(sc)
 	return d
 }
 
@@ -213,6 +237,14 @@ func (ix *Index) Diameter() int {
 //
 //sanlint:hotpath
 func (ix *Index) ComponentsInto(label []int32) int {
+	sc := ix.scratch.Get().(*indexScratch)
+	count := ix.components(label, sc)
+	ix.scratch.Put(sc)
+	return count
+}
+
+//sanlint:hotpath
+func (ix *Index) components(label []int32, sc *indexScratch) int {
 	for i := range label {
 		label[i] = -1
 	}
@@ -222,13 +254,13 @@ func (ix *Index) ComponentsInto(label []int32) int {
 			continue
 		}
 		label[i] = count
-		ix.queue = append(ix.queue[:0], int32(i))
-		for head := 0; head < len(ix.queue); head++ {
-			u := ix.queue[head]
+		sc.queue = append(sc.queue[:0], int32(i))
+		for head := 0; head < len(sc.queue); head++ {
+			u := sc.queue[head]
 			for _, v := range ix.nbr[ix.off[u]:ix.off[u+1]] {
 				if label[v] == -1 {
 					label[v] = count
-					ix.queue = append(ix.queue, v)
+					sc.queue = append(sc.queue, v)
 				}
 			}
 		}
@@ -245,21 +277,29 @@ func (ix *Index) ComponentsInto(label []int32) int {
 //
 //sanlint:hotpath
 func (ix *Index) BridgesInto(out []int32) []int32 {
+	sc := ix.scratch.Get().(*indexScratch)
+	out = ix.bridges(out, sc)
+	ix.scratch.Put(sc)
+	return out
+}
+
+//sanlint:hotpath
+func (ix *Index) bridges(out []int32, sc *indexScratch) []int32 {
 	const unvisited = -1
-	for i := range ix.disc {
-		ix.disc[i] = unvisited
+	for i := range sc.disc {
+		sc.disc[i] = unvisited
 	}
 	timer := int32(0)
 	for root := 0; root < ix.NumNodes(); root++ {
-		if ix.disc[root] != unvisited {
+		if sc.disc[root] != unvisited {
 			continue
 		}
-		ix.frames = append(ix.frames[:0], dfsFrame{node: int32(root), inWire: -1, next: ix.off[root]})
-		ix.disc[root] = timer
-		ix.low[root] = timer
+		sc.frames = append(sc.frames[:0], dfsFrame{node: int32(root), inWire: -1, next: ix.off[root]})
+		sc.disc[root] = timer
+		sc.low[root] = timer
 		timer++
-		for len(ix.frames) > 0 {
-			f := &ix.frames[len(ix.frames)-1]
+		for len(sc.frames) > 0 {
+			f := &sc.frames[len(sc.frames)-1]
 			u := f.node
 			advanced := false
 			for ; f.next < ix.off[u+1]; f.next++ {
@@ -271,17 +311,17 @@ func (ix *Index) BridgesInto(out []int32) []int32 {
 				if v == u {
 					continue // self-loop cable: irrelevant to connectivity
 				}
-				if ix.disc[v] == unvisited {
-					ix.disc[v] = timer
-					ix.low[v] = timer
+				if sc.disc[v] == unvisited {
+					sc.disc[v] = timer
+					sc.low[v] = timer
 					timer++
 					f.next++
-					ix.frames = append(ix.frames, dfsFrame{node: v, inWire: wi, next: ix.off[v]})
+					sc.frames = append(sc.frames, dfsFrame{node: v, inWire: wi, next: ix.off[v]})
 					advanced = true
 					break
 				}
-				if ix.disc[v] < ix.low[u] {
-					ix.low[u] = ix.disc[v]
+				if sc.disc[v] < sc.low[u] {
+					sc.low[u] = sc.disc[v]
 				}
 			}
 			if advanced {
@@ -289,13 +329,13 @@ func (ix *Index) BridgesInto(out []int32) []int32 {
 			}
 			// u is fully explored; pop and propagate low-link.
 			inWire := f.inWire
-			ix.frames = ix.frames[:len(ix.frames)-1]
-			if len(ix.frames) > 0 {
-				p := ix.frames[len(ix.frames)-1].node
-				if ix.low[u] < ix.low[p] {
-					ix.low[p] = ix.low[u]
+			sc.frames = sc.frames[:len(sc.frames)-1]
+			if len(sc.frames) > 0 {
+				p := sc.frames[len(sc.frames)-1].node
+				if sc.low[u] < sc.low[p] {
+					sc.low[p] = sc.low[u]
 				}
-				if ix.low[u] > ix.disc[p] {
+				if sc.low[u] > sc.disc[p] {
 					out = append(out, inWire)
 				}
 			}

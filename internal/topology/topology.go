@@ -18,6 +18,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // SwitchPorts is the default number of ports on a switch (§2.1: "A switch
@@ -121,8 +122,9 @@ type Network struct {
 	version uint64 //sanlint:epoch
 	// csr is the cached flat-adjacency view (csr.go). It is derived state
 	// keyed on version, rebuilt lazily by Index(); updating it is not a
-	// structural mutation.
-	csr *Index
+	// structural mutation, and the slot is atomic so concurrent readers of
+	// an unchanging network may all call Index().
+	csr atomic.Pointer[Index]
 }
 
 // Version reports the structural mutation counter: it changes whenever a
