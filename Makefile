@@ -39,8 +39,13 @@ vet:
 # keeps the Berkeley mapper at one run path: one function that reads a
 # topology.Network off a *Model (strict callers refuse its suspect list),
 # and none of the knobs and wrappers the second path hung from.
+# A fifth keeps traffic at one generator with no source processes: the
+# retired sender, decoder and config stay deleted (the process-per-host
+# replay survives only as a test reference), and the one desim process
+# internal/workload starts is the mapper.
 MAPD_SRC = $(filter-out %_test.go internal/mapd/client.go,$(wildcard internal/mapd/*.go))
 MAPPER_SRC = $(filter-out %_test.go,$(wildcard internal/mapper/*.go))
+WORKLOAD_SRC = $(filter-out %_test.go,$(wildcard internal/workload/*.go))
 lint: vet
 	$(GO) run ./cmd/sanlint ./...
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
@@ -63,6 +68,13 @@ lint: vet
 		'SelfHeal|SkipKnownSlots|RunResult|exportTolerant' . ); \
 	if [ -n "$$fork" ]; then \
 		echo "the second Berkeley run path is growing back:"; echo "$$fork"; exit 1; fi
+	@fork=$$(grep -rnE --include='*.go' --exclude=reference_replay_test.go \
+		'SendWorm|ReadPlan|workload\.Config' . ; grep -n '^func Spawn(' $(WORKLOAD_SRC)); \
+	if [ -n "$$fork" ]; then \
+		echo "the second traffic generator is growing back:"; echo "$$fork"; exit 1; fi
+	@n=$$(cat $(WORKLOAD_SRC) | grep -cE '\.Spawn(At)?\('); \
+	if [ "$$n" -gt 1 ]; then \
+		echo "internal/workload starts $$n desim processes, want one (the mapper; sources are Engine.At callbacks)"; exit 1; fi
 
 # trace-smoke is the golden-trace lane: a chaos run on a pinned seed must
 # emit a Chrome trace sidecar byte-identical to the checked-in fixture

@@ -64,8 +64,8 @@ func TestHealCongestionAndPlacement(t *testing.T) {
 	}
 }
 
-// TestPlanRoundTrip: -plan-out writes a sanplan v1 file that parses back
-// into the identical schedule.
+// TestPlanRoundTrip: -plan-out dumps exactly the plan the run replayed —
+// the file's bytes are NewPlan(the run's mix).Write.
 func TestPlanRoundTrip(t *testing.T) {
 	o := smokeOptions()
 	o.cuts, o.place = 0, 0
@@ -78,28 +78,21 @@ func TestPlanRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(o.planOut)
+	got, err := os.ReadFile(o.planOut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	got, err := workload.ReadPlan(res.Net, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := workload.NewPlan(res.Net, workload.PlanConfig{
+	plan := workload.NewPlan(res.Net, workload.PlanConfig{
 		Pattern: workload.Uniform, Load: o.load, MsgBytes: o.msg,
 		Duration: o.duration, ByteTime: simnet.DefaultTiming().ByteTime, Seed: o.seed,
 	})
-	if got.TotalSends() != want.TotalSends() || got.Seed != want.Seed {
-		t.Fatalf("round-trip mismatch: %d/%d sends", got.TotalSends(), want.TotalSends())
+	var want bytes.Buffer
+	if err := plan.Write(res.Net, &want); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want.Sends {
-		for k, s := range want.Sends[i] {
-			if got.Sends[i][k] != s {
-				t.Fatalf("host %d send %d: %+v != %+v", i, k, got.Sends[i][k], s)
-			}
-		}
+	if plan.TotalSends() == 0 || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("-plan-out wrote %d bytes, NewPlan(...).Write %d bytes (%d sends)",
+			len(got), want.Len(), plan.TotalSends())
 	}
 }
 

@@ -10,7 +10,6 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"sanmap/internal/cluster"
@@ -29,16 +28,14 @@ func main() {
 
 	fmt.Println("mapping subcluster C under uniform cross-traffic")
 	fmt.Printf("%-8s %-10s %-10s %-12s %s\n", "load", "accuracy", "traffic", "map time", "notes")
-	for _, load := range []float64{0, 0.01, 0.05, 0.1, 0.25, 0.5, 0.8} {
-		pattern := workload.Uniform
+	for _, load := range []float64{0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.35, 0.45} {
 		m, tstats, took, err := workload.MapUnderTraffic(net, h0,
 			simnet.CircuitModel, simnet.DefaultTiming(),
-			mapper.DefaultConfig(depth), workload.Config{
-				Pattern:  pattern,
+			mapper.DefaultConfig(depth), workload.PlanConfig{
+				Pattern:  workload.Uniform,
 				Load:     load,
 				MsgBytes: 4096,
-				Duration: 12 * time.Second, // longer than any mapping run here
-				Rng:      rand.New(rand.NewSource(int64(load*1000) + 1)),
+				Seed:     uint64(load*1000) + 1,
 			})
 		if err != nil {
 			fmt.Printf("%-8.2f %-10s %-10s %-12v mapping failed: %v\n",
@@ -59,6 +56,7 @@ func main() {
 			load, sim.Score(), delivered, took.Round(time.Millisecond), notes)
 	}
 	fmt.Println("\naccuracy 1.00 = isomorphic to N-F; traffic = worms delivered vs sent")
-	fmt.Println("heavier load costs mapping time first (blocked probes retry as timeouts),")
-	fmt.Println("and only extreme load corrupts the map itself")
+	fmt.Println("load is offered payload per host as a fraction of link bandwidth; heavier load")
+	fmt.Println("costs mapping time first (blocked probes retry as timeouts), and past about a")
+	fmt.Println("third of the bandwidth probes die often enough to corrupt the map itself")
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // Net is the shared contended network. All endpoints must run as processes
-// of the same desim engine; the engine's one-process-at-a-time execution is
-// the synchronisation.
+// of the same desim engine, and every Inject as a callback on it; the
+// engine's one-event-at-a-time execution is the synchronisation.
 type Net struct {
 	quiet  *simnet.Net // route evaluation + silent-host bookkeeping
 	timing simnet.Timing
@@ -37,9 +37,6 @@ func New(topo *topology.Network, model simnet.Model, timing simnet.Timing) *Net 
 
 // Quiet exposes the underlying quiescent evaluator (for responder setup).
 func (n *Net) Quiet() *simnet.Net { return n.quiet }
-
-// Topology returns the shared topology.
-func (n *Net) Topology() *topology.Network { return n.quiet.Topology() }
 
 // send injects a worm at virtual time t and walks it hop by hop against
 // the link reservations. It returns the delivery time and whether the worm
@@ -68,6 +65,28 @@ func (n *Net) send(t time.Duration, hops []simnet.DirectedHop, msgBytes int) (ti
 	}
 	return arr + occupancy, true
 }
+
+// Inject sends one application traffic worm of the given payload size from
+// host src along a precomputed source route at virtual time at. It needs no
+// process: a traffic source is a timed callback that calls Inject and
+// re-arms itself. It returns when src's interface is free again (cut-through
+// injection: the host is busy for the serialisation time, not the full
+// transit; a source sends its next worm no earlier) and whether the worm
+// was delivered (route valid, no contention kill). A route that does not
+// deliver costs the host no time.
+func (n *Net) Inject(at time.Duration, src topology.NodeID, route simnet.Route, payloadBytes int) (free time.Duration, delivered bool) {
+	res, hops := n.quiet.EvalPath(src, route)
+	if res.Outcome != simnet.Delivered {
+		return at, false
+	}
+	msgBytes := simnet.MessageBytes(len(route)) + payloadBytes
+	_, alive := n.send(at, hops, msgBytes)
+	return at + time.Duration(msgBytes)*n.timing.ByteTime, alive
+}
+
+// BusyUntil reports when the directed link's last reservation ends: the
+// state the link rule leaves behind, which differential tests compare.
+func (n *Net) BusyUntil(hop simnet.DirectedHop) time.Duration { return n.busyUntil[hop] }
 
 // Endpoint binds the contended net to one host and one simulation process.
 // It implements simnet.Prober: each collected probe advances the process's
@@ -214,25 +233,6 @@ func (e *Endpoint) Sleep(d time.Duration) {
 	if d > 0 {
 		e.proc.Sleep(d)
 	}
-}
-
-// SendWorm injects an application traffic worm of the given payload size
-// from the endpoint's host along a precomputed source route. It returns
-// whether the worm was delivered (route valid, no contention kill) and
-// advances virtual time by the transmission time at the source (cut-through
-// injection: the host is busy for the serialisation time, not the full
-// transit).
-func (e *Endpoint) SendWorm(route simnet.Route, payloadBytes int) bool {
-	res, hops := e.net.quiet.EvalPath(e.host, route)
-	if res.Outcome != simnet.Delivered {
-		return false
-	}
-	now := e.proc.Now()
-	msgBytes := simnet.MessageBytes(len(route)) + payloadBytes
-	occupied := time.Duration(msgBytes) * e.net.timing.ByteTime
-	_, alive := e.net.send(now, hops, msgBytes)
-	e.proc.Sleep(occupied)
-	return alive
 }
 
 func reverseHops(hops []simnet.DirectedHop) []simnet.DirectedHop {

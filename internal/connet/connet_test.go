@@ -89,19 +89,27 @@ func TestContentionDelays(t *testing.T) {
 	run := func(both bool) *Net {
 		eng := desim.New()
 		cn := New(net, simnet.CircuitModel, simnet.DefaultTiming())
-		worker := func(h topology.NodeID, route simnet.Route) func(*desim.Proc) {
-			return func(p *desim.Proc) {
-				ep := cn.Endpoint(h, p)
-				for i := 0; i < 50; i++ {
-					ep.SendWorm(route, 4096)
+		// A sender is a callback that re-arms itself for the moment its
+		// interface frees up: 50 worms back to back.
+		sender := func(h topology.NodeID, route simnet.Route) {
+			left := 50
+			var fire func()
+			fire = func() {
+				free, _ := cn.Inject(eng.Now(), h, route, 4096)
+				if left--; left > 0 {
+					eng.At(free, fire)
 				}
 			}
+			eng.At(0, fire)
 		}
-		eng.Spawn("a", worker(h0, simnet.Route{3, 3})) // s0@2 -> s1 -> h1
+		sender(h0, simnet.Route{3, 3}) // s0@2 -> s1 -> h1
 		if both {
-			eng.Spawn("b", worker(h2, simnet.Route{4, 3})) // s0@1 -> s1 -> h1
+			sender(h2, simnet.Route{4, 3}) // s0@1 -> s1 -> h1
 		}
 		eng.Run()
+		if want := int64(50); !both && cn.Worms != want || both && cn.Worms != 2*want {
+			t.Fatalf("injected %d worms", cn.Worms)
+		}
 		return cn
 	}
 	if solo := run(false); solo.Delayed != 0 {
@@ -112,6 +120,29 @@ func TestContentionDelays(t *testing.T) {
 		t.Errorf("contending senders never queued: %+v", *duo)
 	}
 	_ = h1
+}
+
+// TestInjectSourceModel: a delivered worm keeps its host's interface for
+// its own serialisation time and leaves that reservation on the host link;
+// a route that does not deliver never enters the links and costs no time.
+func TestInjectSourceModel(t *testing.T) {
+	net, h0, _ := lineNet()
+	timing := simnet.DefaultTiming()
+	cn := New(net, simnet.CircuitModel, timing)
+	const at = 7 * time.Microsecond
+	route := simnet.Route{3, 3}
+	free, ok := cn.Inject(at, h0, route, 512)
+	want := at + time.Duration(simnet.MessageBytes(len(route))+512)*timing.ByteTime
+	if !ok || free != want {
+		t.Fatalf("Inject = %v, %v; want %v, true", free, ok, want)
+	}
+	_, hops := cn.Quiet().EvalPath(h0, route)
+	if got := cn.BusyUntil(hops[0]); got != want {
+		t.Errorf("host link reserved until %v, want %v", got, want)
+	}
+	if free, ok := cn.Inject(at, h0, simnet.Route{1}, 512); ok || free != at || cn.Worms != 1 {
+		t.Errorf("dead-end route: Inject = %v, %v, Worms %d; want %v, false, 1", free, ok, cn.Worms, at)
+	}
 }
 
 // TestMappingOverContendedTransport: a full Berkeley run over connet (no

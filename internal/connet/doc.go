@@ -15,10 +15,15 @@
 // failures and silent hosts come from the simnet evaluator, so the
 // quiescent semantics embed exactly.
 //
-// Endpoints carry Spawn/Send/Recv process-level primitives; SpawnPlan
-// replays an internal/workload traffic plan through them. When only
-// aggregate route quality matters — millions of worms, no interacting
-// processes — internal/loadsim applies this package's link rule on flat
-// arrays; its differential test replays the same plans through both and
-// holds them to equal delivered, blocked and delayed counts.
+// There are two ways in, and one link rule behind both. An Endpoint binds a
+// host to a desim process and implements simnet.Prober: mappers block on
+// their probes, so they are processes. Net.Inject sends one traffic worm
+// with no process at all: a traffic source is a timed callback on the same
+// engine that calls Inject and re-arms itself no earlier than its host's
+// interface is free again (workload.SpawnPlan replays a traffic plan that
+// way). When only aggregate route quality matters — millions of worms,
+// nothing reacting to them — internal/loadsim applies this package's link
+// rule on flat arrays; its differential test replays the same plans
+// through both and holds them to equal delivered, blocked and delayed
+// counts and equal per-link reservation horizons.
 package connet

@@ -1,10 +1,15 @@
-// Package desim is a small deterministic discrete-event simulation engine.
-// Each simulated process is a goroutine; the engine runs exactly one
-// process at a time and hands control between them in virtual-time order,
-// so shared state needs no locking and runs are reproducible. It drives the
-// paper's concurrent-mapping experiments: the election operational mode
-// (§4.2), multi-mapper parallel mapping (§6), and mapping under application
-// cross-traffic (§6).
+// Package desim is a small deterministic discrete-event simulation engine
+// with two kinds of event on one virtual clock. A process is a goroutine;
+// the engine runs exactly one at a time and hands control between them in
+// virtual-time order, so shared state needs no locking and runs are
+// reproducible. A timed callback (At) is a function the engine calls
+// itself: no goroutine, no channel. Processes are for mappers, which block
+// mid-algorithm — submit a probe, wait out the response, decide the next —
+// and need a stack of their own; anything that is only a schedule (a
+// traffic source, a crash) is a callback that re-arms itself. The engine
+// drives the paper's concurrent-mapping experiments: the election
+// operational mode (§4.2), multi-mapper parallel mapping (§6), and mapping
+// under application cross-traffic (§6).
 package desim
 
 import (
@@ -14,7 +19,7 @@ import (
 	"sanmap/internal/eventq"
 )
 
-// Engine schedules processes over virtual time.
+// Engine schedules processes and callbacks over virtual time.
 type Engine struct {
 	now    time.Duration
 	events *eventq.Heap[event]
@@ -30,6 +35,9 @@ func New() *Engine {
 	return &Engine{yield: make(chan struct{}), events: eventq.New(eventLess)}
 }
 
+// Now returns the current virtual time.
+func (e *Engine) Now() time.Duration { return e.now }
+
 // Proc is the handle a process uses to interact with virtual time.
 type Proc struct {
 	eng  *Engine
@@ -38,17 +46,16 @@ type Proc struct {
 	dead bool
 }
 
-// Name returns the process name.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.eng.now }
 
+// event is a callback (fn), a process launch (p, start) or a wake-up (p).
 type event struct {
 	at    time.Duration
 	seq   int64
 	p     *Proc
-	start func(*Proc) // non-nil for process launches
+	start func(*Proc)
+	fn    func()
 }
 
 // eventLess orders by virtual time, sequence number breaking ties so equal
@@ -61,30 +68,36 @@ func eventLess(a, b event) bool {
 }
 
 func (e *Engine) push(ev event) {
+	if ev.at < e.now {
+		ev.at = e.now
+	}
 	ev.seq = e.seq
 	e.seq++
 	e.events.Push(ev)
 }
 
+// At schedules fn to run on the engine at virtual time t (now, if t has
+// passed). Callbacks and process wake-ups due at one instant run in the
+// order they were scheduled. fn may schedule callbacks (a source re-arms
+// itself) and spawn processes; it must not block, having no process to
+// suspend.
+func (e *Engine) At(t time.Duration, fn func()) {
+	e.push(event{at: t, fn: fn})
+}
+
 // Spawn registers a process to start at the current virtual time (or at
 // Run's start). Spawning after Run has returned is an error.
 func (e *Engine) Spawn(name string, f func(*Proc)) {
-	p := &Proc{eng: e, name: name, wake: make(chan struct{})}
-	e.running++
-	// Each live process owns at most one pending event, so the live count
-	// is the queue's high-water mark; Reserve's doubling growth keeps
-	// per-spawn tracking O(n) overall.
-	e.events.Reserve(e.running)
-	e.push(event{at: e.now, p: p, start: f})
+	e.SpawnAt(e.now, name, f)
 }
 
 // SpawnAt registers a process to start at the given virtual time.
 func (e *Engine) SpawnAt(at time.Duration, name string, f func(*Proc)) {
-	if at < e.now {
-		at = e.now
-	}
 	p := &Proc{eng: e, name: name, wake: make(chan struct{})}
 	e.running++
+	// Each live process owns at most one pending event, so the live count
+	// is a floor on the queue's high-water mark; Reserve's doubling growth
+	// keeps per-spawn tracking O(n) overall.
 	e.events.Reserve(e.running)
 	e.push(event{at: at, p: p, start: f})
 }
@@ -98,11 +111,12 @@ func (e *Engine) Run() time.Duration {
 	e.started = true
 	for e.events.Len() > 0 {
 		ev := e.events.Pop()
-		if ev.p.dead {
-			continue
-		}
 		e.now = ev.at
-		if ev.start != nil {
+		switch {
+		case ev.fn != nil:
+			ev.fn()
+			continue
+		case ev.start != nil:
 			go func(p *Proc, f func(*Proc)) {
 				defer func() {
 					p.dead = true
@@ -111,7 +125,7 @@ func (e *Engine) Run() time.Duration {
 				}()
 				f(p)
 			}(ev.p, ev.start)
-		} else {
+		default:
 			ev.p.wake <- struct{}{}
 		}
 		<-e.yield
@@ -125,16 +139,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if p.dead {
 		panic(fmt.Sprintf("desim: process %s slept after death", p.name))
 	}
-	if d < 0 {
-		d = 0
-	}
 	p.eng.push(event{at: p.eng.now + d, p: p})
 	p.eng.yield <- struct{}{}
 	<-p.wake
 }
-
-// Kill marks a process so its pending wakeups are discarded. Intended for
-// cancelling a sleeping process from another process; the killed goroutine
-// leaks by design if it never wakes (runs end with the program in these
-// simulations). Killing the running process is not supported.
-func (p *Proc) Kill() { p.dead = true }

@@ -1,6 +1,8 @@
 package desim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -86,23 +88,81 @@ func TestSpawnAt(t *testing.T) {
 	}
 }
 
-// TestKill: a killed sleeping process never runs again.
-func TestKill(t *testing.T) {
+// TestCallbacksInterleaveWithProcesses: callbacks and process wake-ups due
+// at one instant fire in the order they were scheduled, whichever kind each
+// is; a callback in the past runs now.
+func TestCallbacksInterleaveWithProcesses(t *testing.T) {
+	for trial := 0; trial < 25; trial++ {
+		e := New()
+		var log []string
+		mark := func(s string) func() { return func() { log = append(log, s) } }
+		e.At(10*time.Millisecond, mark("cb1"))
+		e.Spawn("p", func(p *Proc) {
+			p.Sleep(10 * time.Millisecond) // scheduled after cb1 and cb2, before cb3
+			log = append(log, "p")
+			e.At(10*time.Millisecond, mark("cb3"))
+			e.At(time.Millisecond, mark("late")) // in the past: clamped to now
+			p.Sleep(0)
+			log = append(log, "p'")
+		})
+		e.At(10*time.Millisecond, mark("cb2"))
+		e.At(5*time.Millisecond, mark("cb0"))
+		if end := e.Run(); end != 10*time.Millisecond {
+			t.Fatalf("trial %d: end %v", trial, end)
+		}
+		want := "cb0 cb1 cb2 p cb3 late p'"
+		if got := strings.Join(log, " "); got != want {
+			t.Fatalf("trial %d: order %q, want %q", trial, got, want)
+		}
+	}
+}
+
+// TestCallbackSchedulesAndSpawns: a callback may schedule further callbacks
+// and spawn processes; both start from the callback's instant.
+func TestCallbackSchedulesAndSpawns(t *testing.T) {
 	e := New()
-	var victim *Proc
-	ran := false
-	e.Spawn("victim", func(p *Proc) {
-		victim = p
-		p.Sleep(10 * time.Millisecond)
-		ran = true
-	})
-	e.Spawn("killer", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		victim.Kill()
+	var log []string
+	e.At(3*time.Millisecond, func() {
+		log = append(log, fmt.Sprint("cb@", e.Now()))
+		e.Spawn("child", func(p *Proc) {
+			log = append(log, fmt.Sprint("child@", p.Now()))
+			p.Sleep(2 * time.Millisecond)
+			log = append(log, fmt.Sprint("child'@", p.Now()))
+		})
+		e.At(4*time.Millisecond, func() { log = append(log, fmt.Sprint("cb'@", e.Now())) })
 	})
 	e.Run()
-	if ran {
-		t.Fatal("killed process ran")
+	want := "cb@3ms child@3ms cb'@4ms child'@5ms"
+	if got := strings.Join(log, " "); got != want {
+		t.Fatalf("order %q, want %q", got, want)
+	}
+}
+
+// TestRunEndsWithStoppedSource: a self-rearming callback is a source with
+// no end of its own. Once the process consuming it returns and stops it,
+// its one pending firing finds the flag and does not re-arm, and Run
+// returns.
+func TestRunEndsWithStoppedSource(t *testing.T) {
+	e := New()
+	fired, stopped := 0, false
+	var tick func()
+	tick = func() {
+		if stopped {
+			return
+		}
+		fired++
+		e.At(e.Now()+time.Millisecond, tick)
+	}
+	e.At(0, tick)
+	e.Spawn("consumer", func(p *Proc) {
+		p.Sleep(10*time.Millisecond + time.Microsecond)
+		stopped = true
+	})
+	if end := e.Run(); end != 11*time.Millisecond {
+		t.Fatalf("end %v, want the stopped source's last pending instant", end)
+	}
+	if fired != 11 {
+		t.Fatalf("source fired %d times, want 11 (t = 0..10ms)", fired)
 	}
 }
 

@@ -5,12 +5,12 @@
 // introduces a single point of failure, whereas the election mode is more
 // robust ... but has a performance cost."
 //
-// Every host starts an active Berkeley mapper (one desim process per host)
-// over the contended transport. Host-probe traffic carries the sender's
-// interface address; whenever a host learns of a higher address — either by
-// being probed or from a probe response — it passivates (keeps answering
-// probes, stops mapping). The highest-address host is never passivated and
-// its completed map wins.
+// Every host starts an active Berkeley mapper (one desim process per host;
+// scheduled crashes are engine callbacks) over the contended transport.
+// Host-probe traffic carries the sender's interface address; whenever a
+// host learns of a higher address — either by being probed or from a probe
+// response — it passivates (keeps answering probes, stops mapping). The
+// highest-address host is never passivated and its completed map wins.
 package election
 
 import (
@@ -204,14 +204,13 @@ func Run(net *topology.Network, cfg Config) (*Result, error) {
 	var bestAddr uint64 // highest completer address (resume mode)
 
 	for hi, h := range hosts {
-		hi, h := hi, h
 		at, doomed := cfg.Crash[net.NameOf(h)]
 		if !doomed {
 			continue
 		}
-		eng.SpawnAt(at, net.NameOf(h)+".crash", func(p *desim.Proc) {
+		eng.At(at, func() {
 			crashed[h] = true
-			cfg.Tracer.OnTrack(hi+1).Instant("election", "crash", p.Now(), obs.String("host", net.NameOf(h)))
+			cfg.Tracer.OnTrack(hi+1).Instant("election", "crash", eng.Now(), obs.String("host", net.NameOf(h)))
 			cn.Quiet().SetResponder(h, false)
 			// Revoke the dead host's leases in deterministic host order, so
 			// passivated mappers notice the vacancy at their next poll.

@@ -15,21 +15,21 @@
 // when a wait exceeds the 55 ms ROM timeout — with the killed worm's earlier
 // reservations left in place, as the hardware leaves flits strung through
 // upstream switches. TestDifferentialConnet replays the same plans through
-// both and holds them to equal delivered, blocked and delayed counts. The
-// source model is not connet's: a connet sender sleeps out its own
-// serialisation before its next send, loadsim queues the next worm on the
-// host's own link like on any other (TestSourceModelDiffers). What loadsim
-// drops is the process machinery: no goroutines, no channels, no maps in
-// the replay loop. Routes compile once into flat directed-hop arrays; the
+// both and holds them to equal delivered, blocked and delayed counts and
+// equal final reservations on every directed link. The source model is not
+// connet's: a connet source holds its next worm until its interface has
+// finished serialising the previous one, loadsim queues the next worm on
+// the host's own link like on any other (TestSourceModelDiffers). What
+// loadsim drops is the shared engine: no mapper process to interleave
+// with, no callbacks, no maps in the replay loop. Routes compile once into flat directed-hop arrays; the
 // replay is a k-way merge of the per-host schedules on an eventq.Heap
 // ordered by (time, host, seq); the per-worm walk is a zero-allocation
-// array scan. That flattening is what buys 1M+ worms per run where
-// desim/connet tops out around thousands of processes.
+// array scan. That flattening is what buys 1M+ worms per run in seconds.
 //
 // Determinism: a replay is a pure function of (engine, plan). The injection
 // order is a strict total order, aggregation never iterates a map, and
 // Report.WriteText renders integers and sorted link lists only — so equal
 // seeds yield byte-identical reports, the property the load-smoke CI lane
 // pins. workload.SpawnPlan replays the same plans over desim/connet when
-// process-level fidelity is wanted.
+// the traffic has to share its links with a mapper's probes.
 package loadsim

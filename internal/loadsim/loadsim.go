@@ -160,7 +160,7 @@ func New(net *topology.Network, tab *routes.Table, timing simnet.Timing, msgByte
 					net.NameOf(s), net.NameOf(d), cur)
 			}
 			e.valid[p] = true
-			// Worm size matches connet.SendWorm: envelope + one routing
+			// Worm size matches connet.Inject: envelope + one routing
 			// flit per transited switch + payload.
 			e.wormBytes[p] = int32(simnet.MessageBytes(len(wires)-1) + msgBytes)
 		}

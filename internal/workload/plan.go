@@ -8,10 +8,7 @@ import (
 	"math/rand"
 	"time"
 
-	"sanmap/internal/connet"
-	"sanmap/internal/desim"
 	"sanmap/internal/faults"
-	"sanmap/internal/routes"
 	"sanmap/internal/topology"
 )
 
@@ -21,10 +18,10 @@ type Send struct {
 	Dst topology.NodeID
 }
 
-// PlanConfig parameterises plan materialisation. Unlike Config it carries
-// no *rand.Rand: every stochastic choice derives from Seed and the sending
-// host's index alone, so two hosts' schedules can be materialised in any
-// order — or concurrently — and still come out byte-identical.
+// PlanConfig parameterises a traffic mix. It carries no *rand.Rand: every
+// stochastic choice derives from Seed and the sending host's index alone,
+// so two hosts' schedules can be drawn in any order — or concurrently — and
+// still come out byte-identical.
 type PlanConfig struct {
 	Pattern Pattern
 	// Load is the offered load per host as a fraction of link bandwidth
@@ -62,52 +59,96 @@ type Plan struct {
 	Sends [][]Send
 }
 
-// hostStream returns host i's private generator: the plan seed advanced by
-// a per-host golden-ratio offset, per the faults.NewSource convention, so
-// schedules are independent of the order hosts are materialised in.
-func hostStream(seed uint64, i int) *rand.Rand {
-	return rand.New(faults.NewSource(seed + uint64(i+1)*0x9e3779b97f4a7c15))
+// stream is one host's traffic schedule, drawn on demand, and the only
+// place a destination or a gap is ever drawn: NewPlan drains it to the
+// horizon, live cross-traffic (MapUnderTraffic) draws from it for as long
+// as its mapper runs.
+type stream struct {
+	rng         *rand.Rand
+	pattern     Pattern
+	hotFraction float64
+	hosts       []topology.NodeID
+	self        topology.NodeID
+	hot, perm   topology.NodeID
+	gap         time.Duration // mean time between offered worms
+	t           time.Duration // when the next draw is offered
 }
 
-// NewPlan materialises a plan over the network's hosts. The per-send gap,
-// destination draws and Poisson-like jitter match Spawn's generation
-// process; the difference is that every host's schedule comes from its own
-// seeded stream, keyed on (cfg.Seed, host index), instead of a shared
-// *rand.Rand consumed in spawn order.
-func NewPlan(net *topology.Network, cfg PlanConfig) *Plan {
-	if cfg.MsgBytes <= 0 {
-		cfg.MsgBytes = 512
+// newStreams returns one stream per host, or nil when the mix offers no
+// traffic. Host i's generator is the seed advanced by a per-host
+// golden-ratio offset, per the faults.NewSource convention, so schedules
+// are independent of the order hosts are drawn in. Global choices (the
+// hotspot) come from the bare seed's stream; they must not depend on any
+// host's draw position.
+func newStreams(hosts []topology.NodeID, cfg PlanConfig) []*stream {
+	if len(hosts) < 2 || cfg.Load <= 0 {
+		return nil
 	}
 	if cfg.HotFraction == 0 {
 		cfg.HotFraction = 0.5
 	}
-	p := &Plan{Pattern: cfg.Pattern, Seed: cfg.Seed, MsgBytes: cfg.MsgBytes, Hosts: net.Hosts()}
-	p.Sends = make([][]Send, len(p.Hosts))
-	if len(p.Hosts) < 2 || cfg.Load <= 0 || cfg.Duration <= 0 {
-		return p
-	}
-	gap := time.Duration(float64(cfg.MsgBytes) * float64(cfg.ByteTime) / cfg.Load)
+	gap := time.Duration(float64(cfg.msgBytes()) * float64(cfg.ByteTime) / cfg.Load)
 	if gap <= 0 {
 		gap = time.Nanosecond
 	}
-	// Global choices (the hotspot) come from the bare seed's stream; they
-	// must not depend on any host's draw position.
 	global := rand.New(faults.NewSource(cfg.Seed))
-	hot := p.Hosts[global.Intn(len(p.Hosts))]
-	for i, h := range p.Hosts {
-		rng := hostStream(cfg.Seed, i)
-		perm := p.Hosts[(i+1+rng.Intn(len(p.Hosts)-1))%len(p.Hosts)]
-		var sends []Send
-		for t := time.Duration(0); t < cfg.Duration; {
-			dst := pickDest(Config{Pattern: cfg.Pattern, HotFraction: cfg.HotFraction},
-				rng, p.Hosts, h, hot, perm)
-			if dst != h {
-				sends = append(sends, Send{At: t, Dst: dst})
-			}
-			jitter := -math.Log(1 - rng.Float64())
-			t += time.Duration(float64(gap) * jitter)
+	hot := hosts[global.Intn(len(hosts))]
+	out := make([]*stream, len(hosts))
+	for i, h := range hosts {
+		rng := rand.New(faults.NewSource(cfg.Seed + uint64(i+1)*0x9e3779b97f4a7c15))
+		out[i] = &stream{
+			rng: rng, pattern: cfg.Pattern, hotFraction: cfg.HotFraction,
+			hosts: hosts, self: h, hot: hot,
+			perm: hosts[(i+1+rng.Intn(len(hosts)-1))%len(hosts)],
+			gap:  gap,
 		}
-		p.Sends[i] = sends
+	}
+	return out
+}
+
+// msgBytes is the payload size with its default applied.
+func (cfg PlanConfig) msgBytes() int {
+	if cfg.MsgBytes <= 0 {
+		return 512
+	}
+	return cfg.MsgBytes
+}
+
+// next draws the host's next send. Offers are Poisson-like (exponential
+// gaps around the mean, deterministic per seed); one that draws the host
+// itself as destination is skipped, its gap still spent.
+func (s *stream) next() Send {
+	for {
+		at, dst := s.t, s.pickDest()
+		jitter := -math.Log(1 - s.rng.Float64())
+		s.t += time.Duration(float64(s.gap) * jitter)
+		if dst != s.self {
+			return Send{At: at, Dst: dst}
+		}
+	}
+}
+
+func (s *stream) pickDest() topology.NodeID {
+	switch s.pattern {
+	case Hotspot:
+		if s.rng.Float64() < s.hotFraction && s.hot != s.self {
+			return s.hot
+		}
+	case Permutation:
+		return s.perm
+	}
+	return s.hosts[s.rng.Intn(len(s.hosts))]
+}
+
+// NewPlan materialises a plan over the network's hosts: every host's stream
+// drained to cfg.Duration.
+func NewPlan(net *topology.Network, cfg PlanConfig) *Plan {
+	p := &Plan{Pattern: cfg.Pattern, Seed: cfg.Seed, MsgBytes: cfg.msgBytes(), Hosts: net.Hosts()}
+	p.Sends = make([][]Send, len(p.Hosts))
+	for i, st := range newStreams(p.Hosts, cfg) {
+		for s := st.next(); s.At < cfg.Duration; s = st.next() {
+			p.Sends[i] = append(p.Sends[i], s)
+		}
 	}
 	return p
 }
@@ -172,131 +213,4 @@ func (p *Plan) Write(net *topology.Network, w io.Writer) error {
 	}
 	fmt.Fprintln(bw, "end")
 	return bw.Flush()
-}
-
-// ReadPlan parses the sanplan v1 format against the network that named its
-// hosts. It rejects unknown hosts, malformed counts and a missing trailer.
-func ReadPlan(net *topology.Network, r io.Reader) (*Plan, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	p := &Plan{}
-	line := func() (string, error) {
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil {
-				return "", err
-			}
-			return "", io.ErrUnexpectedEOF
-		}
-		return sc.Text(), nil
-	}
-	l, err := line()
-	if err != nil || l != "sanplan v1" {
-		return nil, fmt.Errorf("workload: bad plan header %q", l)
-	}
-	var patName string
-	for _, parse := range []struct {
-		key string
-		dst any
-	}{{"pattern", &patName}, {"seed", &p.Seed}, {"msg", &p.MsgBytes}} {
-		if l, err = line(); err != nil {
-			return nil, fmt.Errorf("workload: truncated plan header: %w", err)
-		}
-		if _, err := fmt.Sscanf(l, parse.key+" %v", parse.dst); err != nil {
-			return nil, fmt.Errorf("workload: bad plan line %q: %w", l, err)
-		}
-	}
-	switch patName {
-	case Uniform.String():
-		p.Pattern = Uniform
-	case Hotspot.String():
-		p.Pattern = Hotspot
-	case Permutation.String():
-		p.Pattern = Permutation
-	default:
-		return nil, fmt.Errorf("workload: unknown pattern %q", patName)
-	}
-	lookup := func(name string) (topology.NodeID, error) {
-		id := net.Lookup(name)
-		if id == topology.None {
-			return id, fmt.Errorf("workload: plan names unknown host %q", name)
-		}
-		return id, nil
-	}
-	for {
-		if l, err = line(); err != nil {
-			return nil, fmt.Errorf("workload: truncated plan: %w", err)
-		}
-		if l == "end" {
-			return p, nil
-		}
-		var name string
-		var count int
-		if _, err := fmt.Sscanf(l, "host %s %d", &name, &count); err != nil {
-			return nil, fmt.Errorf("workload: bad host line %q: %w", l, err)
-		}
-		h, err := lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		sends := make([]Send, 0, count)
-		for k := 0; k < count; k++ {
-			if l, err = line(); err != nil {
-				return nil, fmt.Errorf("workload: truncated sends for %s: %w", name, err)
-			}
-			var at int64
-			var dst string
-			if _, err := fmt.Sscanf(l, "send %d %s", &at, &dst); err != nil {
-				return nil, fmt.Errorf("workload: bad send line %q: %w", l, err)
-			}
-			d, err := lookup(dst)
-			if err != nil {
-				return nil, err
-			}
-			if len(sends) > 0 && time.Duration(at) < sends[len(sends)-1].At {
-				return nil, fmt.Errorf("workload: sends for %s out of order at %d", name, at)
-			}
-			sends = append(sends, Send{At: time.Duration(at), Dst: d})
-		}
-		p.Hosts = append(p.Hosts, h)
-		p.Sends = append(p.Sends, sends)
-	}
-}
-
-// SpawnPlan starts one open-loop replay process per plan host on the
-// engine: each process injects its scheduled worms at their planned times
-// (or as soon after as the host's interface frees up), following the given
-// route table. It is the contended-transport twin of loadsim's flat replay:
-// same plan in, desim/connet fidelity out. Returns the shared Stats, valid
-// after eng.Run() completes.
-func SpawnPlan(eng *desim.Engine, cn *connet.Net, tab *routes.Table, p *Plan) *Stats {
-	stats := &Stats{}
-	net := cn.Topology()
-	for i, h := range p.Hosts {
-		h := h
-		sends := p.Sends[i]
-		if len(sends) == 0 {
-			continue
-		}
-		eng.Spawn("replay-"+net.NameOf(h), func(proc *desim.Proc) {
-			ep := cn.Endpoint(h, proc)
-			for _, s := range sends {
-				if d := s.At - proc.Now(); d > 0 {
-					proc.Sleep(d)
-				}
-				route, ok := tab.Route(h, s.Dst)
-				if !ok {
-					stats.Lost++
-					stats.Sent++
-					continue
-				}
-				stats.Sent++
-				if ep.SendWorm(route, p.MsgBytes) {
-					stats.Delivered++
-				} else {
-					stats.Lost++
-				}
-			}
-		})
-	}
-	return stats
 }

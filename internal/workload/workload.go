@@ -2,8 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"time"
 
 	"sanmap/internal/connet"
@@ -40,110 +38,92 @@ func (p Pattern) String() string {
 	return fmt.Sprintf("pattern(%d)", uint8(p))
 }
 
-// Config parameterises a traffic mix.
-type Config struct {
-	Pattern Pattern
-	// Load is the offered load per host as a fraction of link bandwidth
-	// (0..1): a host sends MsgBytes every MsgBytes×ByteTime/Load.
-	Load float64
-	// MsgBytes is the payload size per worm.
-	MsgBytes int
-	// HotFraction is the share of traffic aimed at the hotspot (Hotspot
-	// pattern only; default 0.5).
-	HotFraction float64
-	// Duration is how long each host keeps sending.
-	Duration time.Duration
-	// Rng seeds per-host generators; required.
-	Rng *rand.Rand
-}
-
 // Stats aggregates traffic outcomes.
 type Stats struct {
 	Sent      int64
 	Delivered int64
-	Lost      int64 // destroyed by contention (forward reset)
+	Lost      int64 // no route, or destroyed by contention (forward reset)
 }
 
-// Spawn starts one traffic process per host on the engine. Traffic follows
-// the given route table (computed on the actual network, as resident
-// applications would have it). It returns the shared Stats, valid after
-// eng.Run() completes.
-func Spawn(eng *desim.Engine, cn *connet.Net, tab *routes.Table, cfg Config) *Stats {
-	if cfg.Rng == nil {
-		panic("workload: Config.Rng is required")
+// traffic is what a set of sources on the contended transport share. A
+// source is one host's schedule as a self-rearming engine callback: its
+// send times come from the schedule, never from deliveries, except that a
+// worm leaves no earlier than the host's interface finished serialising
+// the previous one (connet.Inject).
+type traffic struct {
+	eng      *desim.Engine
+	cn       *connet.Net
+	tab      *routes.Table
+	msgBytes int
+	stats    Stats
+	// stopped silences sources whose schedule has no end of its own.
+	stopped bool
+}
+
+// start makes host a source of the sends next yields, until it yields false.
+func (tr *traffic) start(host topology.NodeID, next func() (Send, bool)) {
+	var send Send // the armed send
+	var fire func()
+	// arm schedules the next send at its planned time, or when the host's
+	// interface frees up if that is later.
+	arm := func(free time.Duration) {
+		var ok bool
+		if send, ok = next(); ok {
+			tr.eng.At(max(send.At, free), fire)
+		}
 	}
-	if cfg.MsgBytes <= 0 {
-		cfg.MsgBytes = 512
+	fire = func() {
+		if tr.stopped {
+			return
+		}
+		now := tr.eng.Now()
+		free, delivered := now, false
+		if route, ok := tr.tab.Route(host, send.Dst); ok {
+			free, delivered = tr.cn.Inject(now, host, route, tr.msgBytes)
+		}
+		tr.stats.Sent++
+		if delivered {
+			tr.stats.Delivered++
+		} else {
+			tr.stats.Lost++
+		}
+		arm(free)
 	}
-	if cfg.HotFraction == 0 {
-		cfg.HotFraction = 0.5
-	}
-	stats := &Stats{}
-	net := cn.Topology()
-	hosts := net.Hosts()
-	if len(hosts) < 2 || cfg.Load <= 0 {
-		return stats
-	}
-	hot := hosts[cfg.Rng.Intn(len(hosts))]
-	gap := time.Duration(float64(cfg.MsgBytes) * float64(cn.Quiet().Timing().ByteTime) / cfg.Load)
-	if gap <= 0 {
-		gap = time.Nanosecond
-	}
-	for i, h := range hosts {
-		h := h
-		seed := cfg.Rng.Int63()
-		perm := hosts[(i+1+cfg.Rng.Intn(len(hosts)-1))%len(hosts)]
-		eng.Spawn("traffic-"+net.NameOf(h), func(p *desim.Proc) {
-			rng := rand.New(rand.NewSource(seed))
-			ep := cn.Endpoint(h, p)
-			for p.Now() < cfg.Duration {
-				dst := pickDest(cfg, rng, hosts, h, hot, perm)
-				if dst == h {
-					p.Sleep(gap)
-					continue
-				}
-				route, ok := tab.Route(h, dst)
-				if !ok {
-					p.Sleep(gap)
-					continue
-				}
-				stats.Sent++
-				if ep.SendWorm(route, cfg.MsgBytes) {
-					stats.Delivered++
-				} else {
-					stats.Lost++
-				}
-				// Exponential-ish inter-send gap for a Poisson-like offered
-				// load, deterministic per seed.
-				jitter := -math.Log(1 - rng.Float64())
-				p.Sleep(time.Duration(float64(gap) * jitter))
+	arm(0)
+}
+
+// SpawnPlan replays a plan over the contended transport: every plan host
+// becomes a source that injects its scheduled worms at their planned times
+// (or as soon after as the host's interface frees up), following the given
+// route table. It is the contended-transport twin of loadsim's flat replay:
+// same plan in, desim/connet fidelity out. Returns the shared Stats, valid
+// after eng.Run() completes.
+func SpawnPlan(eng *desim.Engine, cn *connet.Net, tab *routes.Table, p *Plan) *Stats {
+	tr := &traffic{eng: eng, cn: cn, tab: tab, msgBytes: p.MsgBytes}
+	for i, h := range p.Hosts {
+		sends := p.Sends[i]
+		tr.start(h, func() (s Send, ok bool) {
+			if ok = len(sends) > 0; ok {
+				s, sends = sends[0], sends[1:]
 			}
+			return s, ok
 		})
 	}
-	return stats
+	return &tr.stats
 }
 
-func pickDest(cfg Config, rng *rand.Rand, hosts []topology.NodeID, self, hot, perm topology.NodeID) topology.NodeID {
-	switch cfg.Pattern {
-	case Hotspot:
-		if rng.Float64() < cfg.HotFraction && hot != self {
-			return hot
-		}
-		return hosts[rng.Intn(len(hosts))]
-	case Permutation:
-		return perm
-	default:
-		return hosts[rng.Intn(len(hosts))]
-	}
-}
-
-// MapUnderTraffic runs a Berkeley mapping while cross-traffic flows and
-// returns the resulting map — which may be wrong or incomplete; measuring
-// how wrong, as a function of offered load, is the experiment — together
-// with the traffic stats and the mapping duration in virtual time.
+// MapUnderTraffic runs a Berkeley mapping while every host offers the mix
+// as cross-traffic along deadlock-free routes (computed on the actual
+// network, as resident applications would have them), and returns the
+// resulting map — which may be wrong or incomplete; measuring how wrong, as
+// a function of offered load, is the experiment — together with the traffic
+// stats and the mapping duration in virtual time. The traffic is the plan
+// NewPlan would materialise from the same mix, drawn lazily and cut off
+// when the mapper returns: mix.Duration is not consulted, and mix.ByteTime
+// is the transport's.
 func MapUnderTraffic(net *topology.Network, mapperHost topology.NodeID,
 	model simnet.Model, timing simnet.Timing,
-	mcfg mapper.Config, wcfg Config) (*mapper.Map, *Stats, time.Duration, error) {
+	mcfg mapper.Config, mix PlanConfig) (*mapper.Map, *Stats, time.Duration, error) {
 
 	tab, err := routes.Compute(net, routes.DefaultConfig())
 	if err != nil {
@@ -151,17 +131,19 @@ func MapUnderTraffic(net *topology.Network, mapperHost topology.NodeID,
 	}
 	eng := desim.New()
 	cn := connet.New(net, model, timing)
-	stats := Spawn(eng, cn, tab, wcfg)
+	mix.ByteTime = timing.ByteTime
+	tr := &traffic{eng: eng, cn: cn, tab: tab, msgBytes: mix.msgBytes()}
+	for _, st := range newStreams(net.Hosts(), mix) {
+		tr.start(st.self, func() (Send, bool) { return st.next(), true })
+	}
 	var out *mapper.Map
 	var mapErr error
 	var took time.Duration
 	eng.Spawn("mapper", func(p *desim.Proc) {
 		out, mapErr = mapper.RunConfig(cn.Endpoint(mapperHost, p), mcfg)
 		took = p.Now()
+		tr.stopped = true
 	})
 	eng.Run()
-	if mapErr != nil {
-		return nil, stats, took, mapErr
-	}
-	return out, stats, took, nil
+	return out, &tr.stats, took, mapErr
 }
