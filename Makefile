@@ -9,6 +9,10 @@ RACE_PKGS = ./internal/simnet/... ./internal/mapper/... ./internal/connet/... \
 	./internal/experiments/... ./internal/amlayer/... ./internal/obs/... \
 	./internal/mapd/... ./internal/workload/... ./internal/loadsim/... \
 	./internal/place/...
+# cmd/sanload replays its three tables on concurrent goroutines, so it rides
+# the race and shuffle lanes too — under -short, which keeps the 25 s
+# TestScaleMillionWorms out of the race detector.
+RACE_CMDS = ./cmd/sanload/...
 
 .PHONY: build vet lint lint-json trace-smoke test race shuffle chaos crash-smoke load-smoke fuzz-smoke bench bench-smoke bench-gate bench-large bench-baseline ci
 
@@ -43,9 +47,14 @@ vet:
 # retired sender, decoder and config stay deleted (the process-per-host
 # replay survives only as a test reference), and the one desim process
 # internal/workload starts is the mapper.
+# A sixth keeps loadsim's per-worm path engine-local: the replay functions
+# (Run, replay, scan, inject) update no obs handle — replays run
+# concurrently and registries are folded in afterwards — and the package
+# sorts nothing through sort.Slice's reflect swapper.
 MAPD_SRC = $(filter-out %_test.go internal/mapd/client.go,$(wildcard internal/mapd/*.go))
 MAPPER_SRC = $(filter-out %_test.go,$(wildcard internal/mapper/*.go))
 WORKLOAD_SRC = $(filter-out %_test.go,$(wildcard internal/workload/*.go))
+LOADSIM_SRC = $(filter-out %_test.go,$(wildcard internal/loadsim/*.go))
 lint: vet
 	$(GO) run ./cmd/sanlint ./...
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
@@ -72,6 +81,11 @@ lint: vet
 		'SendWorm|ReadPlan|workload\.Config' . ; grep -n '^func Spawn(' $(WORKLOAD_SRC)); \
 	if [ -n "$$fork" ]; then \
 		echo "the second traffic generator is growing back:"; echo "$$fork"; exit 1; fi
+	@slow=$$(awk '/^func \(e \*Engine\) (Run|replay|scan|inject)\(/,/^}/' internal/loadsim/loadsim.go | \
+		grep -n 'e\.m\.'; grep -n 'sort\.Slice' $(LOADSIM_SRC)); \
+	if [ -n "$$slow" ]; then \
+		echo "per-worm overhead is back in loadsim's replay path (mirror after the loop, slices.Sort):"; \
+		echo "$$slow"; exit 1; fi
 	@n=$$(cat $(WORKLOAD_SRC) | grep -cE '\.Spawn(At)?\('); \
 	if [ "$$n" -gt 1 ]; then \
 		echo "internal/workload starts $$n desim processes, want one (the mapper; sources are Engine.At callbacks)"; exit 1; fi
@@ -102,12 +116,14 @@ test:
 race:
 	$(GO) vet ./...
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -short $(RACE_CMDS)
 
 # shuffle reruns the concurrency-sensitive packages three times in random
 # test order: a test that leans on another's leftovers, or on winning a
 # start-up race, fails here instead of at the next re-anchor.
 shuffle:
 	$(GO) test -shuffle=on -count=3 $(RACE_PKGS)
+	$(GO) test -shuffle=on -count=3 -short $(RACE_CMDS)
 
 # chaos is the golden-seed fault-injection lane: deterministic schedules,
 # byte-reproducible logs, self-healing remaps checked against the surviving
@@ -177,7 +193,7 @@ bench-large:
 BENCH_BASELINE ?= BENCH_a5c7565.json
 bench-gate:
 	@{ $(GO) test -bench PipelinedVsSerial -benchtime 100x -count 3 -run ^$$ . && \
-	   $(GO) test -bench LoadReplay -benchtime 100x -count 3 -run ^$$ . && \
+	   $(GO) test -bench 'LoadReplay|LoadReport' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench 'FatTree768|RouteLookup|ServeRoute' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench MapFatTree1k -benchtime 20x -count 3 -run ^$$ . ; } | \
 		$(GO) run ./cmd/sanbench -gate $(BENCH_BASELINE)

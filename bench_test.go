@@ -552,6 +552,51 @@ func BenchmarkLoadReplayFatTree128(b *testing.B) {
 }
 
 func benchLoadReplay(b *testing.B, gen string, load float64, duration time.Duration) {
+	plan, eng := loadFixture(b, gen, load, duration)
+	var rep *loadsim.Report
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err = eng.Run(plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(rep.Sent), "worms/op")
+	b.ReportMetric(float64(rep.Delivered), "delivered/op")
+}
+
+// BenchmarkLoadReportFatTree128 is the replay part of one sanload report on
+// the repo benchmark's load-report fabric and load: the plan merged once
+// and replayed on three engines through RunAll, as cmd/sanload replays its
+// healthy, stale and healed tables. worms/op is three replays' worth.
+func BenchmarkLoadReportFatTree128(b *testing.B) {
+	plan, eng := loadFixture(b, "fattree2:32x4", 0.4, 2500*time.Microsecond)
+	engines := []*loadsim.Engine{eng, eng.Copy(), eng.Copy()}
+	var reps []*loadsim.Report
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reps, err = loadsim.RunAll(plan, engines...)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	var sent int64
+	for _, r := range reps {
+		sent += r.Sent
+	}
+	b.ReportMetric(float64(sent), "worms/op")
+}
+
+// loadFixture builds a fabric, its routes, a seed-1 uniform plan and an
+// engine to replay it on.
+func loadFixture(b *testing.B, gen string, load float64, duration time.Duration) (*workload.Plan, *loadsim.Engine) {
+	b.Helper()
 	res, err := genspec.Build(gen, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -574,17 +619,7 @@ func benchLoadReplay(b *testing.B, gen string, load float64, duration time.Durat
 	if err != nil {
 		b.Fatal(err)
 	}
-	var rep *loadsim.Report
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err = eng.Run(plan)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(rep.Sent), "worms/op")
-	b.ReportMetric(float64(rep.Delivered), "delivered/op")
+	return plan, eng
 }
 
 // BenchmarkDepthBound measures the Q+D computation (min-cost flows per

@@ -19,11 +19,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"sanmap/internal/faults"
@@ -54,6 +56,32 @@ type options struct {
 	tracer   *obs.Tracer
 }
 
+// errUsage marks a flag value no run can honour: run returns it before
+// building anything, and main exits with status 2 on it.
+var errUsage = errors.New("invalid flag")
+
+// validate rejects the flag values the layers below would quietly turn into
+// something else: loadsim.New replays a non-positive -msg as 512 bytes,
+// NewPlan answers a negative -load or -duration with an empty plan, and a
+// negative count reads as zero.
+func (o options) validate() error {
+	switch {
+	case o.msg <= 0:
+		return fmt.Errorf("%w: -msg %d: payload must be positive", errUsage, o.msg)
+	case o.load < 0:
+		return fmt.Errorf("%w: -load %v: offered load cannot be negative", errUsage, o.load)
+	case o.duration < 0:
+		return fmt.Errorf("%w: -duration %v: horizon cannot be negative", errUsage, o.duration)
+	case o.cuts < 0:
+		return fmt.Errorf("%w: -cuts %d: cannot be negative", errUsage, o.cuts)
+	case o.top < 0:
+		return fmt.Errorf("%w: -top %d: cannot be negative", errUsage, o.top)
+	case o.place < 0:
+		return fmt.Errorf("%w: -place %d: cannot be negative", errUsage, o.place)
+	}
+	return nil
+}
+
 func main() {
 	var o options
 	flag.StringVar(&o.gen, "gen", "fattree2:8x2", "fabric generator spec (see sangen -list)")
@@ -73,6 +101,9 @@ func main() {
 
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "sanload: %v\n", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 	if err := tele.Begin(); err != nil {
@@ -87,8 +118,15 @@ func main() {
 	}
 }
 
-// run executes the full pipeline and writes the deterministic report.
+// run executes the full pipeline and writes the deterministic report:
+// everything the three replays need is built first — the cuts applied, the
+// map healed, the healed routes computed — then one RunAll replays the plan
+// on the healthy, stale and healed engines at once, and the sections print
+// in the pipeline's order.
 func run(o options, w io.Writer) error {
+	if err := o.validate(); err != nil {
+		return err
+	}
 	var pat workload.Pattern
 	switch o.pattern {
 	case "uniform":
@@ -138,34 +176,65 @@ func run(o options, w io.Writer) error {
 		return err
 	}
 	eng.Instrument(o.reg)
-	fmt.Fprintf(w, "== healthy routes ==\n")
-	healthy, err := eng.Run(plan)
+	engines := []*loadsim.Engine{eng}
+	var hl *heal
+	if o.cuts > 0 {
+		if hl, err = cutAndHeal(o, net, timing, eng); err != nil {
+			return err
+		}
+		engines = append(engines, hl.stale, hl.healed)
+	}
+	reps, err := loadsim.RunAll(plan, engines...)
 	if err != nil {
 		return err
 	}
-	if err := healthy.WriteText(w, net, o.top); err != nil {
+
+	fmt.Fprintf(w, "== healthy routes ==\n")
+	if err := reps[0].WriteText(w, net, o.top); err != nil {
 		return err
 	}
-
-	if o.cuts > 0 {
-		if err := healSweep(o, w, net, timing, eng, plan, healthy); err != nil {
+	measured := eng
+	if hl != nil {
+		fmt.Fprintf(w, "== faults ==\n%s== stale table ==\n", hl.faults)
+		if err := reps[1].WriteText(w, net, o.top); err != nil {
 			return err
 		}
+		fmt.Fprintf(w, "== heal ==\n%s== healed routes ==\n", hl.remap)
+		if err := reps[2].WriteText(w, net, o.top); err != nil {
+			return err
+		}
+		// The heal's congestion bill: the traffic that used the cut wires
+		// now crowds the surviving links around them.
+		hb, eb := reps[0].BusyOn(hl.adjacent), reps[2].BusyOn(hl.adjacent)
+		fmt.Fprintf(w, "congestion on %d links around the cuts: healthy=%v healed=%v (%+d%%)\n",
+			len(hl.adjacent), hb, eb, pctDelta(int64(hb), int64(eb)))
+		// After cuts, placement reads what the stale table still delivered —
+		// the demand the fabric last measured before its routes were
+		// recomputed — and the golden report pins that choice.
+		measured = hl.stale
 	}
 	if o.place > 0 {
-		if err := placement(o, w, eng, net); err != nil {
+		if err := placement(o, w, measured, net); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// healSweep runs the fault → stale → remap → healed phases: map the
-// pristine fabric, cut links, replay against the now-stale table, heal the
-// map incrementally, recompute routes on the survivor and replay again.
-func healSweep(o options, w io.Writer, net *topology.Network, timing simnet.Timing,
-	stale *loadsim.Engine, plan *workload.Plan, healthy *loadsim.Report) error {
+// heal is what the fault → stale → remap → healed phases leave for the
+// replays and the report: the two engines, the bodies of the "== faults =="
+// and "== heal ==" sections (worded while the cut wires still existed), and
+// the surviving wires around the cuts.
+type heal struct {
+	stale, healed *loadsim.Engine
+	faults, remap string
+	adjacent      []int
+}
 
+// cutAndHeal maps the pristine fabric, cuts links, revalidates a copy of the
+// healthy engine against them (the stale table), heals the map
+// incrementally and compiles the routes recomputed on the survivor.
+func cutAndHeal(o options, net *topology.Network, timing simnet.Timing, healthy *loadsim.Engine) (*heal, error) {
 	h0 := net.Hosts()[0]
 	depth := net.DepthBound(h0) + net.NumSwitches()
 	sn := simnet.NewDefault(net)
@@ -174,69 +243,48 @@ func healSweep(o options, w io.Writer, net *topology.Network, timing simnet.Timi
 		mapper.WithDepth(depth), mapper.WithConfirm(2),
 		mapper.WithTracer(o.tracer), mapper.WithMetrics(o.reg))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if _, err := sess.Map(); err != nil {
-		return fmt.Errorf("initial map: %w", err)
+		return nil, fmt.Errorf("initial map: %w", err)
 	}
 	mapProbes := ep.Stats().SwitchProbes + ep.Stats().HostProbes
 
+	hl := &heal{}
 	sched := faults.Generate(net, o.seed, faults.Profile{Cuts: o.cuts, Protect: h0})
-	inj := faults.NewInjector(sn, sched)
 	ends := make(map[topology.NodeID]bool)
-	fmt.Fprintf(w, "== faults ==\n")
+	var cuts strings.Builder
 	for _, ev := range sched.Events {
 		wire := net.WireByIndex(ev.Wire)
-		fmt.Fprintf(w, "cut wire %d sw%d/%d--sw%d/%d\n",
+		fmt.Fprintf(&cuts, "cut wire %d sw%d/%d--sw%d/%d\n",
 			ev.Wire, wire.A.Node, wire.A.Port, wire.B.Node, wire.B.Port)
 		ends[wire.A.Node] = true
 		ends[wire.B.Node] = true
 	}
-	inj.ApplyAll()
+	hl.faults = cuts.String()
+	faults.NewInjector(sn, sched).ApplyAll()
 
-	fmt.Fprintf(w, "== stale table ==\n")
-	stale.Revalidate()
-	staleRep, err := stale.Run(plan)
-	if err != nil {
-		return err
-	}
-	if err := staleRep.WriteText(w, net, o.top); err != nil {
-		return err
-	}
+	hl.stale = healthy.Copy()
+	hl.stale.Revalidate()
 
 	healed, err := sess.Remap()
 	if err != nil {
-		return fmt.Errorf("remap: %w", err)
+		return nil, fmt.Errorf("remap: %w", err)
 	}
 	healProbes := ep.Stats().SwitchProbes + ep.Stats().HostProbes - mapProbes
-	fmt.Fprintf(w, "== heal ==\nremap: probes=%d confidence=%.2f suspects=%d partial=%v\n",
+	hl.remap = fmt.Sprintf("remap: probes=%d confidence=%.2f suspects=%d partial=%v\n",
 		healProbes, healed.Confidence, len(healed.Suspect), healed.Partial)
 
-	tab2, err := routes.Compute(net, routes.DefaultConfig())
+	tab, err := routes.Compute(net, routes.DefaultConfig())
 	if err != nil {
-		return fmt.Errorf("healed routes: %w", err)
+		return nil, fmt.Errorf("healed routes: %w", err)
 	}
-	eng2, err := loadsim.New(net, tab2, timing, plan.MsgBytes)
-	if err != nil {
-		return err
+	if hl.healed, err = loadsim.New(net, tab, timing, o.msg); err != nil {
+		return nil, err
 	}
-	eng2.Instrument(o.reg)
-	fmt.Fprintf(w, "== healed routes ==\n")
-	healedRep, err := eng2.Run(plan)
-	if err != nil {
-		return err
-	}
-	if err := healedRep.WriteText(w, net, o.top); err != nil {
-		return err
-	}
-
-	// The heal's congestion bill: the traffic that used the cut wires now
-	// crowds the surviving links around them.
-	adj := cutAdjacent(net, ends)
-	hb, eb := healthy.BusyOn(adj), healedRep.BusyOn(adj)
-	fmt.Fprintf(w, "congestion on %d links around the cuts: healthy=%v healed=%v (%+d%%)\n",
-		len(adj), hb, eb, pctDelta(int64(hb), int64(eb)))
-	return nil
+	hl.healed.Instrument(o.reg)
+	hl.adjacent = cutAdjacent(net, ends)
+	return hl, nil
 }
 
 // cutAdjacent lists the surviving wires incident to either endpoint switch
@@ -259,8 +307,11 @@ func cutAdjacent(net *topology.Network, ends map[topology.NodeID]bool) []int {
 // from the measured demand matrix and compares against the identity and
 // random baselines.
 func placement(o options, w io.Writer, eng *loadsim.Engine, net *topology.Network) error {
-	full := eng.Matrix()
-	m := heaviest(full, o.place)
+	if o.place < 2 {
+		fmt.Fprintf(w, "== placement ==\nfewer than two tasks to place\n")
+		return nil
+	}
+	m := heaviest(eng.Matrix(), o.place)
 	if len(m.Hosts) < 2 {
 		fmt.Fprintf(w, "== placement ==\nno measured traffic to place\n")
 		return nil

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -93,6 +94,58 @@ func TestPlanRoundTrip(t *testing.T) {
 	if plan.TotalSends() == 0 || !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("-plan-out wrote %d bytes, NewPlan(...).Write %d bytes (%d sends)",
 			len(got), want.Len(), plan.TotalSends())
+	}
+}
+
+// TestRejectsBadFlags: a value no run can honour is refused as a usage
+// error (exit status 2 in main) before anything is built or printed.
+func TestRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		set  func(*options)
+	}{
+		{"-msg -5", func(o *options) { o.msg = -5 }},
+		{"-msg 0", func(o *options) { o.msg = 0 }},
+		{"-load -1", func(o *options) { o.load = -1 }},
+		{"-duration -1ms", func(o *options) { o.duration = -time.Millisecond }},
+		{"-cuts -1", func(o *options) { o.cuts = -1 }},
+		{"-top -1", func(o *options) { o.top = -1 }},
+		{"-place -1", func(o *options) { o.place = -1 }},
+	} {
+		o := smokeOptions()
+		tc.set(&o)
+		var buf bytes.Buffer
+		err := run(o, &buf)
+		if !errors.Is(err, errUsage) {
+			t.Errorf("%s: run returned %v, want a usage error", tc.flag, err)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, tc.flag) || strings.Contains(msg, "\n") {
+			t.Errorf("%s: error %q is not one line naming the flag and its value", tc.flag, msg)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: printed %q before refusing", tc.flag, buf.String())
+		}
+	}
+	// The boundary values stay legal: no load, no horizon, no cuts, no list.
+	o := smokeOptions()
+	o.load, o.duration, o.cuts, o.top, o.place = 0, 0, 0, 0, 0
+	if err := run(o, &bytes.Buffer{}); err != nil {
+		t.Errorf("zero-valued flags: %v", err)
+	}
+}
+
+// TestPlaceOneTask: -place 1 asks for nothing to optimize, which is not
+// the same as having measured no traffic.
+func TestPlaceOneTask(t *testing.T) {
+	o := smokeOptions()
+	o.cuts, o.place = 0, 1
+	var buf bytes.Buffer
+	if err := run(o, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := section(buf.String(), "== placement ==\n"); got != "fewer than two tasks to place\n" {
+		t.Errorf("placement section = %q", got)
 	}
 }
 

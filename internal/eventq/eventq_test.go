@@ -114,8 +114,8 @@ func (h *refHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; 
 
 // adversarySchedule drives q and the container/heap oracle through the same
 // randomized schedule of pushes, pops and replace-the-minimum steps (Set(0)
-// against heap.Fix, the k-way-merge step loadsim takes), checking every pop
-// and peek. Push times respect the discrete-event invariant (never before
+// against heap.Fix, the k-way-merge step workload.Plan.Merge takes), checking
+// every pop and peek. Push times respect the discrete-event invariant (never before
 // the last popped item) but are otherwise drawn from the given increment
 // distribution.
 func adversarySchedule(t *testing.T, q *Heap[ev], rng *rand.Rand, ops int, incr func(*rand.Rand) int64) {

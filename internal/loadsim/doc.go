@@ -21,10 +21,18 @@
 // finished serialising the previous one, loadsim queues the next worm on
 // the host's own link like on any other (TestSourceModelDiffers). What
 // loadsim drops is the shared engine: no mapper process to interleave
-// with, no callbacks, no maps in the replay loop. Routes compile once into flat directed-hop arrays; the
-// replay is a k-way merge of the per-host schedules on an eventq.Heap
-// ordered by (time, host, seq); the per-worm walk is a zero-allocation
-// array scan. That flattening is what buys 1M+ worms per run in seconds.
+// with, no callbacks, no maps in the replay loop. Routes compile once into
+// flat directed-hop arrays; the plan's per-host schedules are merged once
+// (workload.Plan.Merge: a k-way merge on an eventq.Heap ordered by (time,
+// host, seq)) into one flat injection order, and a replay is a linear scan
+// of it — the per-worm walk a zero-allocation array scan that touches
+// nothing outside its engine. That flattening is what buys 1M+ worms per
+// run in seconds, and the isolation is what lets RunAll replay one merged
+// schedule on several engines concurrently (cmd/sanload's healthy, stale
+// and healed tables; Engine.Copy shares the compiled routes between the
+// first two). Instrument's mirrors are folded in after the replays, engine
+// by engine in argument order, so a shared registry reads as if the
+// engines had run one after another.
 //
 // Determinism: a replay is a pure function of (engine, plan). The injection
 // order is a strict total order, aggregation never iterates a map, and

@@ -2,9 +2,9 @@ package loadsim
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
-	"sanmap/internal/eventq"
 	"sanmap/internal/obs"
 	"sanmap/internal/routes"
 	"sanmap/internal/simnet"
@@ -20,7 +20,9 @@ type linkID = int32
 // link-reservation fidelity, flattened for throughput: routes are
 // precompiled into directed-hop arrays once, and the per-worm walk touches
 // only preallocated slices — no goroutines, no channels, no maps. The same
-// Engine can replay many plans; accumulators reset at each Run.
+// Engine can replay many plans; accumulators reset at each Run. Nothing in
+// a replay is shared with another engine's — not even with a Copy's — so
+// RunAll replays one plan on several engines at once.
 //
 // An Engine snapshots its route table at New/Revalidate time. After the
 // underlying network mutates (link cuts), Revalidate re-checks each
@@ -29,18 +31,23 @@ type linkID = int32
 // recomputation" regime sanload measures.
 type Engine struct {
 	net    *topology.Network
-	tab    *routes.Table
 	timing simnet.Timing
 
 	hosts []topology.NodeID
 	hidx  []int32 // NodeID -> dense host index, -1 for non-plan nodes
 	nh    int
 
-	// Compiled routes: pair (si*nh+di) p covers hops[pairStart[p]:pairStart[p+1]].
+	// Compiled routes, immutable after New and shared with every Copy:
+	// pair (si*nh+di) p covers hops[pairStart[p]:pairStart[p+1]].
 	pairStart []int32
 	hops      []linkID
-	valid     []bool  // route exists and every wire is alive
 	wormBytes []int32 // full worm size: envelope + routing flits + payload
+	// wires holds the two ends of every wire a compiled route crosses, as
+	// they were at New: reports name link endpoints from here, so they
+	// still render after the wire has been cut.
+	wires []topology.Wire
+
+	valid []bool // route exists and every wire is alive
 
 	nLinks int
 	// busyUntil is the per-directed-link reservation horizon, in ns.
@@ -51,17 +58,17 @@ type Engine struct {
 	linkWorms []int64
 	linkWait  []int64 // head blocking time per directed link, ns
 	pairBytes []int64 // delivered payload per pair
-	lat       []int64 // per-delivered-worm latency, ns
+	lat       []int64 // per-delivered-worm latency, ns; sorted by report
 
-	q *eventq.Heap[inj]
-
-	sent, delivered, lost, blocked, delayed int64
-	payload                                 int64
-	makespan                                int64
+	sent, lost, blocked, delayed int64
+	makespan                     int64
 
 	deadlockFree bool
 
 	m metrics
+	// The run's own latency and link-wait histograms, merged into m's
+	// after the replay; nil on an uninstrumented engine.
+	latTally, waitTally *obs.Histogram
 }
 
 // metrics is the engine's obs handle set (nil-safe no-ops when
@@ -79,25 +86,6 @@ type metrics struct {
 	makespan  *obs.Gauge
 }
 
-// inj is one pending injection: the scheduled time, the sending host's
-// dense index, and the position in that host's schedule. Ordering is
-// (time, host, seq) — a strict total order, so replay is deterministic.
-type inj struct {
-	at   int64
-	host int32
-	seq  int32
-}
-
-func injLess(a, b inj) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.host != b.host {
-		return a.host < b.host
-	}
-	return a.seq < b.seq
-}
-
 // New compiles the route table into a replay engine. The table must have
 // been computed on net (wire indices are shared); msgBytes is the payload
 // size worms carry. Deadlock freedom of the table is verified once here and
@@ -108,10 +96,8 @@ func New(net *topology.Network, tab *routes.Table, timing simnet.Timing, msgByte
 	}
 	e := &Engine{
 		net:    net,
-		tab:    tab,
 		timing: timing,
 		hosts:  net.Hosts(),
-		q:      eventq.New(injLess),
 	}
 	e.nh = len(e.hosts)
 	if e.nh < 2 {
@@ -125,6 +111,7 @@ func New(net *topology.Network, tab *routes.Table, timing simnet.Timing, msgByte
 		e.hidx[h] = int32(i)
 	}
 	e.nLinks = 2 * net.NumWireSlots()
+	e.wires = make([]topology.Wire, net.NumWireSlots())
 	e.pairStart = make([]int32, e.nh*e.nh+1)
 	e.valid = make([]bool, e.nh*e.nh)
 	e.wormBytes = make([]int32, e.nh*e.nh)
@@ -142,6 +129,7 @@ func New(net *topology.Network, tab *routes.Table, timing simnet.Timing, msgByte
 			cur := s
 			for _, wi := range wires {
 				w := net.WireByIndex(wi)
+				e.wires[wi] = w
 				var from topology.End
 				if w.A.Node == cur {
 					from = w.A
@@ -166,19 +154,41 @@ func New(net *topology.Network, tab *routes.Table, timing simnet.Timing, msgByte
 		}
 	}
 	e.pairStart[e.nh*e.nh] = int32(len(e.hops))
+	e.deadlockFree = tab.VerifyDeadlockFree() == nil
+	e.allocState()
+	return e, nil
+}
+
+// allocState gives the engine reservation and accumulator arrays of its own.
+func (e *Engine) allocState() {
 	e.busyUntil = make([]int64, e.nLinks)
 	e.linkBusy = make([]int64, e.nLinks)
 	e.linkWorms = make([]int64, e.nLinks)
 	e.linkWait = make([]int64, e.nLinks)
 	e.pairBytes = make([]int64, e.nh*e.nh)
-	e.deadlockFree = tab.VerifyDeadlockFree() == nil
-	return e, nil
+	e.lat = nil
+}
+
+// Copy returns an engine over the same compiled routes with route validity,
+// reservations and accumulators of its own: what the copy replays or
+// Revalidates never shows in e, and the other way round. It costs the
+// per-link and per-pair arrays, not a route compilation. The copy mirrors
+// onto the registry e is instrumented with.
+func (e *Engine) Copy() *Engine {
+	c := *e
+	c.valid = append([]bool(nil), e.valid...)
+	c.allocState()
+	return &c
 }
 
 // Instrument mirrors replay outcomes onto the unified observability layer:
-// per-worm counters and latency/wait histograms update during the replay
-// loop, per-link peak gauges at its end. A nil registry is a no-op.
-// Returns the engine for chaining.
+// worm counters, latency and link-wait histograms and per-link peak gauges.
+// Nothing is mirrored while a replay runs — registries are not safe for
+// concurrent use, and RunAll's replays are concurrent. A replay keeps its
+// own tallies and Run folds them in when it ends, RunAll after all replays
+// have, engine by engine in argument order; the counts are what per-worm
+// updates would have left. A nil registry is a no-op. Returns the engine
+// for chaining.
 func (e *Engine) Instrument(reg *obs.Registry) *Engine {
 	e.m = metrics{
 		sent:      reg.Counter("load.worms.sent"),
@@ -218,8 +228,8 @@ func (e *Engine) Revalidate() {
 	}
 }
 
-// reset clears all per-run state.
-func (e *Engine) reset() {
+// reset clears all per-run state and sizes lat for a schedule of n worms.
+func (e *Engine) reset(n int) {
 	for i := range e.busyUntil {
 		e.busyUntil[i] = 0
 		e.linkBusy[i] = 0
@@ -229,10 +239,18 @@ func (e *Engine) reset() {
 	for i := range e.pairBytes {
 		e.pairBytes[i] = 0
 	}
+	if cap(e.lat) < n {
+		e.lat = make([]int64, 0, n)
+	}
 	e.lat = e.lat[:0]
-	e.sent, e.delivered, e.lost, e.blocked, e.delayed = 0, 0, 0, 0, 0
-	e.payload = 0
+	e.sent, e.lost, e.blocked, e.delayed = 0, 0, 0, 0
 	e.makespan = 0
+	e.latTally, e.waitTally = nil, nil
+	if e.m.latency != nil {
+		own := obs.NewRegistry()
+		e.latTally = own.Histogram("latency", obs.DefaultBuckets())
+		e.waitTally = own.Histogram("wait", obs.DefaultBuckets())
+	}
 }
 
 // inject walks one worm through the link reservations: wait behind an
@@ -255,11 +273,10 @@ func (e *Engine) inject(at int64, p int, payload int64) (int64, bool) {
 			wait := b - arr
 			if wait > reset {
 				e.blocked++
-				e.m.blocked.Inc()
 				return 0, false
 			}
 			e.linkWait[id] += wait
-			e.m.waitHist.Observe(time.Duration(wait))
+			e.waitTally.Observe(time.Duration(wait))
 			arr = b
 			wasDelayed = true
 		}
@@ -270,26 +287,48 @@ func (e *Engine) inject(at int64, p int, payload int64) (int64, bool) {
 	}
 	if wasDelayed {
 		e.delayed++
-		e.m.delayed.Inc()
 	}
 	done := arr + occupancy
 	e.pairBytes[p] += payload
 	return done, true
 }
 
-// Run replays the plan and returns its report. The replay is a pure
-// function of (engine state, plan): repeated Runs of one plan produce
-// byte-identical reports.
-func (e *Engine) Run(plan *workload.Plan) (*Report, error) {
-	e.reset()
+// scan replays a merged schedule in order; sender maps a plan host's index
+// to the engine's. It returns the index of the first injection whose
+// destination is not a host of the network, or -1.
+//
+//sanlint:hotpath
+func (e *Engine) scan(sched []workload.Injection, sender []int32, payload int64) int {
+	for i, s := range sched {
+		di := e.hidx[s.Dst]
+		if di < 0 {
+			return i
+		}
+		e.sent++
+		p := int(sender[s.Src])*e.nh + int(di)
+		if !e.valid[p] {
+			e.lost++
+			continue
+		}
+		at := int64(s.At)
+		done, alive := e.inject(at, p, payload)
+		if !alive {
+			continue
+		}
+		e.lat = append(e.lat, done-at)
+		if done > e.makespan {
+			e.makespan = done
+		}
+	}
+	return -1
+}
+
+// replay runs one merged schedule of plan through the engine and assembles
+// the report. It touches nothing outside the engine.
+func (e *Engine) replay(plan *workload.Plan, sched []workload.Injection) (*Report, error) {
 	if len(plan.Hosts) > e.nh {
 		return nil, fmt.Errorf("loadsim: plan has %d hosts, network %d", len(plan.Hosts), e.nh)
 	}
-	total := plan.TotalSends()
-	if cap(e.lat) < total {
-		e.lat = make([]int64, 0, total)
-	}
-	// sender[i] maps plan host i to its dense engine index.
 	sender := make([]int32, len(plan.Hosts))
 	for i, h := range plan.Hosts {
 		if int(h) >= len(e.hidx) || e.hidx[h] < 0 {
@@ -297,48 +336,79 @@ func (e *Engine) Run(plan *workload.Plan) (*Report, error) {
 		}
 		sender[i] = e.hidx[h]
 	}
-	e.q.Reset()
-	for i := range plan.Hosts {
-		if len(plan.Sends[i]) > 0 {
-			e.q.Push(inj{at: int64(plan.Sends[i][0].At), host: int32(i), seq: 0})
+	e.reset(len(sched))
+	if bad := e.scan(sched, sender, int64(plan.MsgBytes)); bad >= 0 {
+		return nil, fmt.Errorf("loadsim: plan destination %d not in network", sched[bad].Dst)
+	}
+	if e.latTally != nil {
+		for _, v := range e.lat {
+			e.latTally.Observe(time.Duration(v))
 		}
 	}
-	payload := int64(plan.MsgBytes)
-	// A k-way merge of the per-host schedules: the queue holds each host's
-	// next send, and the earliest is replaced in place by its successor.
-	for e.q.Len() > 0 {
-		v, _ := e.q.Peek()
-		sends := plan.Sends[v.host]
-		if int(v.seq+1) < len(sends) {
-			e.q.Set(0, inj{at: int64(sends[v.seq+1].At), host: v.host, seq: v.seq + 1})
-		} else {
-			e.q.Pop()
-		}
-		s := sends[v.seq]
-		e.sent++
-		e.m.sent.Inc()
-		di := e.hidx[s.Dst]
-		if di < 0 {
-			return nil, fmt.Errorf("loadsim: plan destination %d not in network", s.Dst)
-		}
-		p := int(sender[v.host])*e.nh + int(di)
-		if !e.valid[p] {
-			e.lost++
-			e.m.lost.Inc()
-			continue
-		}
-		done, alive := e.inject(v.at, p, payload)
-		if !alive {
-			continue
-		}
-		e.delivered++
-		e.m.delivered.Inc()
-		e.payload += payload
-		e.lat = append(e.lat, done-v.at)
-		e.m.latency.Observe(time.Duration(done - v.at))
-		if done > e.makespan {
-			e.makespan = done
-		}
+	return e.report(plan), nil
+}
+
+// mirror folds a finished replay into the registry the engine is
+// instrumented with.
+func (e *Engine) mirror(r *Report) {
+	e.m.sent.Add(r.Sent)
+	e.m.delivered.Add(r.Delivered)
+	e.m.lost.Add(r.Lost)
+	e.m.blocked.Add(r.Blocked)
+	e.m.delayed.Add(r.Delayed)
+	e.m.latency.Merge(e.latTally)
+	e.m.waitHist.Merge(e.waitTally)
+	var peakUtil, peakWait int64
+	for _, ll := range r.Links {
+		peakUtil = max(peakUtil, ll.UtilPPM)
+		peakWait = max(peakWait, int64(ll.Wait))
 	}
-	return e.report(plan)
+	e.m.peakUtil.Set(peakUtil)
+	e.m.peakWait.Set(peakWait)
+	e.m.makespan.Set(int64(r.Makespan))
+}
+
+// Run replays the plan and returns its report. The replay is a pure
+// function of (engine state, plan): repeated Runs of one plan produce
+// byte-identical reports.
+func (e *Engine) Run(plan *workload.Plan) (*Report, error) {
+	reps, err := RunAll(plan, e)
+	if err != nil {
+		return nil, err
+	}
+	return reps[0], nil
+}
+
+// RunAll replays one plan on every engine — the plan's schedules are merged
+// once and each engine scans the result, several engines concurrently — and
+// returns their reports in argument order. It is what Run on each engine in
+// turn would return, and leaves in their registries what that would leave:
+// replays share no state, and the engines' mirrors are folded in one at a
+// time, in argument order, after all replays have ended. Like those Runs it
+// stops at the first engine, in that order, whose replay fails. The engines
+// must be distinct.
+func RunAll(plan *workload.Plan, engines ...*Engine) ([]*Report, error) {
+	sched := plan.Merge()
+	reps := make([]*Report, len(engines))
+	errs := make([]error, len(engines))
+	if len(engines) == 1 {
+		reps[0], errs[0] = engines[0].replay(plan, sched)
+	} else {
+		var wg sync.WaitGroup
+		for i, e := range engines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				reps[i], errs[i] = e.replay(plan, sched)
+			}()
+		}
+		wg.Wait()
+	}
+	for i, e := range engines {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		e.mirror(reps[i])
+	}
+	return reps, nil
 }

@@ -2,6 +2,7 @@ package loadsim
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -219,5 +220,255 @@ func TestInjectZeroAlloc(t *testing.T) {
 		e.inject(at, p, 512)
 	}); avg != 0 {
 		t.Errorf("inject allocates %.1f per worm", avg)
+	}
+}
+
+// TestScanZeroAlloc guards the replay loop: scanning a merged schedule into
+// the preallocated accumulators must not allocate, instrumented or not.
+func TestScanZeroAlloc(t *testing.T) {
+	net, tab := line3(t)
+	e, err := New(net, tab, simnet.DefaultTiming(), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Instrument(obs.NewRegistry())
+	plan := plan2(net, 100)
+	sched := plan.Merge()
+	sender := []int32{0, 1}
+	e.reset(len(sched))
+	if avg := testing.AllocsPerRun(1000, func() {
+		e.lat = e.lat[:0]
+		if bad := e.scan(sched, sender, 512); bad >= 0 {
+			t.Fatalf("injection %d rejected", bad)
+		}
+	}); avg != 0 {
+		t.Errorf("scan allocates %.1f per schedule", avg)
+	}
+}
+
+// sameSlice reports whether two slices start at the same element.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
+// TestEngineCopySharesRoutesNotState: a copy reads the source's compiled
+// routes and owns everything a replay or a Revalidate writes.
+func TestEngineCopySharesRoutesNotState(t *testing.T) {
+	net, tab := line3(t)
+	src, err := New(net, tab, simnet.DefaultTiming(), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := plan2(net, 100)
+	want, err := src.Run(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := src.Copy()
+	if !sameSlice(cp.pairStart, src.pairStart) || !sameSlice(cp.hops, src.hops) ||
+		!sameSlice(cp.wormBytes, src.wormBytes) || !sameSlice(cp.wires, src.wires) {
+		t.Error("copy recompiled or duplicated the routes")
+	}
+	if sameSlice(cp.valid, src.valid) || sameSlice(cp.busyUntil, src.busyUntil) ||
+		sameSlice(cp.linkBusy, src.linkBusy) || sameSlice(cp.linkWorms, src.linkWorms) ||
+		sameSlice(cp.linkWait, src.linkWait) || sameSlice(cp.pairBytes, src.pairBytes) ||
+		sameSlice(cp.lat, src.lat) {
+		t.Error("copy shares replay state with its source")
+	}
+
+	// The copy goes stale; the source must not notice, before or after the
+	// copy replays.
+	w, _ := tab.WirePath(net.Lookup("h0"), net.Lookup("h2"))
+	if err := net.RemoveWire(w[1]); err != nil {
+		t.Fatal(err)
+	}
+	cp.Revalidate()
+	stale, err := cp.Run(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stale.Lost != 2 {
+		t.Errorf("revalidated copy lost %d worms, want 2", stale.Lost)
+	}
+	if got := src.Matrix().Bytes[0][2]; got != 512 {
+		t.Errorf("source's matrix reads %d bytes h0->h2 after the copy's replay, want 512", got)
+	}
+	again, err := src.Run(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, want) {
+		t.Errorf("source replays differently after its copy was revalidated:\n got %+v\nwant %+v", again, want)
+	}
+}
+
+// TestWriteTextSurvivesCut: a report names its links from what the engine
+// compiled, so it renders the same after a listed wire is gone.
+func TestWriteTextSurvivesCut(t *testing.T) {
+	res, err := genspec.Build("fattree2:4x2", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := res.Net
+	tab, err := routes.Compute(net, routes.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	timing := simnet.DefaultTiming()
+	e, err := New(net, tab, timing, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := e.Run(workload.NewPlan(net, workload.PlanConfig{
+		Pattern: workload.Uniform, Load: 0.3, MsgBytes: 256,
+		Duration: 200 * time.Microsecond, ByteTime: timing.ByteTime, Seed: 7,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after bytes.Buffer
+	if err := r.WriteText(&before, net, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.RemoveWire(r.Links[0].Wire); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteText(&after, net, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Errorf("rendering changed with the cut:\n--- before ---\n%s--- after ---\n%s", before.Bytes(), after.Bytes())
+	}
+}
+
+// TestRunAllMatchesSequential: RunAll on a healthy, a healed and a stale
+// engine sharing one registry returns what three Runs on fresh engines
+// return and leaves the registry they leave — in argument order, however
+// the replays finish. The stale engine loses most of its worms, so it
+// finishes first though it is started last: mirrors folded in completion
+// order would leave the gauges on another engine's values.
+func TestRunAllMatchesSequential(t *testing.T) {
+	res, err := genspec.Build("fattree2:8x2", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := res.Net
+	timing := simnet.DefaultTiming()
+	plan := workload.NewPlan(net, workload.PlanConfig{
+		Pattern: workload.Uniform, Load: 0.5, MsgBytes: 512,
+		Duration: 2 * time.Millisecond, ByteTime: timing.ByteTime, Seed: 3,
+	})
+	before, err := routes.Compute(net, routes.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, err := New(net, before, timing, plan.MsgBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut one uplink of every leaf switch but the first: the stale table
+	// loses the routes over them, the healed one detours.
+	cut := map[topology.NodeID]bool{}
+	net.WiresIndexed(func(idx int, w topology.Wire) {
+		if net.KindOf(w.A.Node) != topology.SwitchNode || net.KindOf(w.B.Node) != topology.SwitchNode ||
+			cut[w.A.Node] || cut[w.B.Node] {
+			return
+		}
+		cut[w.A.Node], cut[w.B.Node] = true, true
+		if err := net.RemoveWire(idx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	after, err := routes.Compute(net, routes.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// engines builds the three on one registry, from scratch.
+	engines := func() ([]*Engine, *obs.Registry) {
+		reg := obs.NewRegistry()
+		healed, err := New(net, after, timing, plan.MsgBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := healthy.Copy().Instrument(reg)
+		stale := h.Copy()
+		stale.Revalidate()
+		return []*Engine{h, healed.Instrument(reg), stale}, reg
+	}
+	render := func(reps []*Report) []byte {
+		var buf bytes.Buffer
+		for _, r := range reps {
+			if err := r.WriteText(&buf, net, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+
+	seq, seqReg := engines()
+	want := make([]*Report, len(seq))
+	for i, e := range seq {
+		if want[i], err = e.Run(plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want[2].Lost*2 < want[2].Sent || want[1].Lost != 0 || want[0].Makespan == want[2].Makespan {
+		t.Fatalf("fixture: stale lost %d of %d, healed lost %d, makespans %v / %v",
+			want[2].Lost, want[2].Sent, want[1].Lost, want[0].Makespan, want[2].Makespan)
+	}
+	for rep := 0; rep < 20; rep++ {
+		all, reg := engines()
+		got, err := RunAll(plan, all...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("repetition %d: RunAll's reports differ from three Runs'", rep)
+		}
+		if !bytes.Equal(render(got), render(want)) {
+			t.Fatalf("repetition %d: renderings differ", rep)
+		}
+		if g, w := dump(t, reg), dump(t, seqReg); g != w {
+			t.Fatalf("repetition %d: shared registry differs:\n got %s\nwant %s", rep, g, w)
+		}
+		for i, e := range all {
+			if !reflect.DeepEqual(e.Matrix(), seq[i].Matrix()) {
+				t.Fatalf("repetition %d: engine %d's demand matrix differs", rep, i)
+			}
+		}
+	}
+}
+
+// TestRunAllStopsAtFirstError: a plan one engine cannot replay fails the
+// call with that engine's error, and engines before it have mirrored.
+func TestRunAllStopsAtFirstError(t *testing.T) {
+	net, tab := line3(t)
+	small := &topology.Network{}
+	a, b, s := small.AddHost("a"), small.AddHost("b"), small.AddSwitch("s")
+	for _, h := range []topology.NodeID{a, b} {
+		if _, _, _, err := small.ConnectFree(h, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	smallTab, err := routes.Compute(small, routes.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	ok, err := New(net, tab, simnet.DefaultTiming(), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := New(small, smallTab, simnet.DefaultTiming(), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// line3's h2 is node 2, which is the switch on the two-host network.
+	reps, err := RunAll(plan2(net, 100), ok.Instrument(reg), bad.Instrument(reg))
+	if err == nil || reps != nil {
+		t.Fatalf("RunAll = %v, %v; want the second engine's error", reps, err)
+	}
+	if got := reg.Counter("load.worms.sent").Value(); got != 2 {
+		t.Errorf("load.worms.sent = %d after the failed call, want the first engine's 2", got)
 	}
 }

@@ -2,9 +2,10 @@ package loadsim
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"sanmap/internal/topology"
@@ -15,6 +16,9 @@ import (
 type LinkLoad struct {
 	Wire  int
 	FromA bool // traversal direction: true = A-end toward B-end
+	// From and To are the link's two ends in traversal order, as they were
+	// when the engine compiled its routes — a report outlives the wire.
+	From, To topology.End
 	// Busy is the total occupancy reserved on the link.
 	Busy time.Duration
 	// Wait is the total head-blocking time worms spent queued for it.
@@ -59,28 +63,29 @@ type Report struct {
 	wireBusy map[int]time.Duration
 }
 
-// report assembles the Report from the engine's accumulators.
-func (e *Engine) report(plan *workload.Plan) (*Report, error) {
+// report assembles the Report from the engine's accumulators, sorting the
+// latencies in place.
+func (e *Engine) report(plan *workload.Plan) *Report {
+	delivered := int64(len(e.lat))
 	r := &Report{
 		Hosts:        e.nh,
 		Sent:         e.sent,
-		Delivered:    e.delivered,
+		Delivered:    delivered,
 		Lost:         e.lost,
 		Blocked:      e.blocked,
 		Delayed:      e.delayed,
-		PayloadBytes: e.payload,
+		PayloadBytes: delivered * int64(plan.MsgBytes),
 		Makespan:     time.Duration(e.makespan),
 		DeadlockFree: e.deadlockFree,
 		wireBusy:     make(map[int]time.Duration),
 	}
 	if e.makespan > 0 {
-		r.ThroughputBps = e.payload * int64(time.Second) / e.makespan
+		r.ThroughputBps = r.PayloadBytes * int64(time.Second) / e.makespan
 	}
 	if n := len(e.lat); n > 0 {
-		sorted := append([]int64(nil), e.lat...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		slices.Sort(e.lat)
 		var sum int64
-		for _, v := range sorted {
+		for _, v := range e.lat {
 			sum += v
 		}
 		pct := func(p int) time.Duration {
@@ -88,50 +93,41 @@ func (e *Engine) report(plan *workload.Plan) (*Report, error) {
 			if i > 0 {
 				i--
 			}
-			return time.Duration(sorted[i])
+			return time.Duration(e.lat[i])
 		}
 		r.P50, r.P90, r.P99 = pct(50), pct(90), pct(99)
 		r.Mean = time.Duration(sum / int64(n))
-		r.MaxLatency = time.Duration(sorted[n-1])
+		r.MaxLatency = time.Duration(e.lat[n-1])
 	}
-	var peakUtil, peakWait int64
 	for id := 0; id < e.nLinks; id++ {
 		if e.linkWorms[id] == 0 {
 			continue
 		}
+		w := e.wires[id/2]
 		ll := LinkLoad{
 			Wire:  id / 2,
 			FromA: id%2 == 0,
+			From:  w.A,
+			To:    w.B,
 			Busy:  time.Duration(e.linkBusy[id]),
 			Wait:  time.Duration(e.linkWait[id]),
 			Worms: e.linkWorms[id],
 		}
+		if !ll.FromA {
+			ll.From, ll.To = w.B, w.A
+		}
 		if e.makespan > 0 {
 			ll.UtilPPM = e.linkBusy[id] * 1_000_000 / e.makespan
-		}
-		if ll.UtilPPM > peakUtil {
-			peakUtil = ll.UtilPPM
-		}
-		if w := int64(ll.Wait); w > peakWait {
-			peakWait = w
 		}
 		r.Links = append(r.Links, ll)
 		r.wireBusy[ll.Wire] += ll.Busy
 	}
-	sort.Slice(r.Links, func(i, j int) bool {
-		a, b := r.Links[i], r.Links[j]
-		if a.Busy != b.Busy {
-			return a.Busy > b.Busy
-		}
-		if a.Wire != b.Wire {
-			return a.Wire < b.Wire
-		}
-		return a.FromA && !b.FromA
+	// Busiest first; the links were appended in id order, so equally busy
+	// ones stay by wire, the A-to-B direction first.
+	slices.SortStableFunc(r.Links, func(a, b LinkLoad) int {
+		return cmp.Compare(b.Busy, a.Busy)
 	})
-	e.m.peakUtil.Set(peakUtil)
-	e.m.peakWait.Set(peakWait)
-	e.m.makespan.Set(e.makespan)
-	return r, nil
+	return r
 }
 
 // BusyOn sums both directions' busy time over a set of wire indices — the
@@ -174,7 +170,9 @@ func (e *Engine) Matrix() *workload.Matrix {
 
 // WriteText renders the report deterministically: the aggregate block,
 // the latency distribution, and the topK most congested directed links
-// (topK <= 0 means all). Link lines name the wire's switch endpoints.
+// (topK <= 0 means all). Link lines name the wire's switch endpoints; net
+// supplies the node names only, so a report renders the same before and
+// after its links are cut.
 func (r *Report) WriteText(w io.Writer, net *topology.Network, topK int) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "worms sent=%d delivered=%d lost=%d blocked=%d delayed=%d\n",
@@ -189,13 +187,8 @@ func (r *Report) WriteText(w io.Writer, net *topology.Network, topK int) error {
 		n = topK
 	}
 	for _, ll := range r.Links[:n] {
-		wire := net.WireByIndex(ll.Wire)
-		from, to := wire.A, wire.B
-		if !ll.FromA {
-			from, to = to, from
-		}
 		fmt.Fprintf(bw, "link %d %s/%d->%s/%d util=%dppm worms=%d wait=%v\n",
-			ll.Wire, endName(net, from.Node), from.Port, endName(net, to.Node), to.Port,
+			ll.Wire, endName(net, ll.From.Node), ll.From.Port, endName(net, ll.To.Node), ll.To.Port,
 			ll.UtilPPM, ll.Worms, ll.Wait)
 	}
 	return bw.Flush()

@@ -196,6 +196,27 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.n++
 }
 
+// Merge adds every observation from has counted to h, as if each had been
+// Observed on h directly. It is how a component that tallies into a
+// histogram of its own while it runs — registries are not safe for
+// concurrent use — folds the tally into a shared registry afterwards. The
+// two must have been registered with the same bounds. Either being nil is
+// a no-op.
+func (h *Histogram) Merge(from *Histogram) {
+	if h == nil || from == nil {
+		return
+	}
+	if len(from.counts) != len(h.counts) {
+		panic(fmt.Sprintf("obs: merging %q (%d buckets) into %q (%d buckets)",
+			from.name, len(from.counts), h.name, len(h.counts)))
+	}
+	for i, c := range from.counts {
+		h.counts[i] += c
+	}
+	h.sum += from.sum
+	h.n += from.n
+}
+
 // N returns the number of observations (0 on nil).
 func (h *Histogram) N() int64 {
 	if h == nil {

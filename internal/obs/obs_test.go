@@ -248,6 +248,43 @@ func TestMetricsFastPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestHistogramMerge: merging a histogram that tallied on the side leaves
+// what observing on the shared one directly would have, and nil on either
+// side is a no-op.
+func TestHistogramMerge(t *testing.T) {
+	waits := []time.Duration{500 * time.Nanosecond, time.Microsecond, 5 * time.Microsecond, 3 * time.Millisecond, 2 * time.Second}
+	direct, folded := NewRegistry(), NewRegistry()
+	d := direct.Histogram("wait", DefaultBuckets())
+	f := folded.Histogram("wait", DefaultBuckets())
+	side := NewRegistry().Histogram("side", DefaultBuckets())
+	d.Observe(time.Millisecond)
+	f.Observe(time.Millisecond)
+	for _, w := range waits {
+		d.Observe(w)
+		side.Observe(w)
+	}
+	f.Merge(side)
+	f.Merge(nil)
+	var nilH *Histogram
+	nilH.Merge(side)
+	var a, b bytes.Buffer
+	if err := direct.WriteText(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := folded.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("merged:\n%s\nobserved directly:\n%s", b.Bytes(), a.Bytes())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic on merging histograms with different buckets")
+		}
+	}()
+	f.Merge(NewRegistry().Histogram("coarse", []time.Duration{time.Millisecond}))
+}
+
 // TestHistogramBadBounds: non-ascending bounds are a programming error.
 func TestHistogramBadBounds(t *testing.T) {
 	defer func() {

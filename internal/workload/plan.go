@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"time"
 
+	"sanmap/internal/eventq"
 	"sanmap/internal/faults"
 	"sanmap/internal/topology"
 )
@@ -160,6 +161,59 @@ func (p *Plan) TotalSends() int {
 		n += len(s)
 	}
 	return n
+}
+
+// Injection is one worm of a merged schedule: when it is sent, by which
+// plan host (an index into Plan.Hosts) and to whom.
+type Injection struct {
+	At  time.Duration
+	Src int32
+	Dst topology.NodeID
+}
+
+// pending is a host's next unmerged send: its time, the host's index and
+// the position in that host's schedule.
+type pending struct {
+	at        time.Duration
+	host, seq int32
+}
+
+// pendingLess orders by (time, host). The queue never holds two sends of one
+// host, so that is a strict total order and the merged schedule a pure
+// function of the plan.
+func pendingLess(a, b pending) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.host < b.host
+}
+
+// Merge flattens the per-host schedules into the plan's one injection
+// order: ascending time, same-instant sends by host index, then by position
+// in the host's schedule. It is a k-way merge — the queue holds each host's
+// next send, and the earliest is replaced in place by its successor — done
+// afresh on every call: replay the result as often as needed rather than
+// merging again.
+func (p *Plan) Merge() []Injection {
+	out := make([]Injection, 0, p.TotalSends())
+	q := eventq.New(pendingLess)
+	q.Reserve(len(p.Hosts))
+	for i := range p.Hosts {
+		if sends := p.Sends[i]; len(sends) > 0 {
+			q.Push(pending{at: sends[0].At, host: int32(i)})
+		}
+	}
+	for q.Len() > 0 {
+		v, _ := q.Peek()
+		sends := p.Sends[v.host]
+		out = append(out, Injection{At: v.at, Src: v.host, Dst: sends[v.seq].Dst})
+		if next := v.seq + 1; int(next) < len(sends) {
+			q.Set(0, pending{at: sends[next].At, host: v.host, seq: next})
+		} else {
+			q.Pop()
+		}
+	}
+	return out
 }
 
 // Matrix is an aggregated demand matrix: payload bytes offered between

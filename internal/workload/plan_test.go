@@ -102,3 +102,59 @@ func TestPlanMatrixConsistent(t *testing.T) {
 		t.Fatalf("matrix volume %d, want %d", total, want)
 	}
 }
+
+// TestMergeOrder: Merge lists every send once, ordered by time, then by host
+// index, then by position in the host's schedule, and skips hosts with
+// nothing to send.
+func TestMergeOrder(t *testing.T) {
+	plan := &Plan{
+		MsgBytes: 512,
+		Hosts:    []topology.NodeID{10, 11, 12, 13},
+		Sends: [][]Send{
+			{{At: 5, Dst: 11}, {At: 5, Dst: 12}, {At: 9, Dst: 13}},
+			{},
+			{{At: 0, Dst: 10}, {At: 5, Dst: 13}},
+			{{At: 5, Dst: 10}},
+		},
+	}
+	want := []Injection{
+		{At: 0, Src: 2, Dst: 10},
+		{At: 5, Src: 0, Dst: 11}, {At: 5, Src: 0, Dst: 12}, {At: 5, Src: 2, Dst: 13}, {At: 5, Src: 3, Dst: 10},
+		{At: 9, Src: 0, Dst: 13},
+	}
+	got := plan.Merge()
+	if len(got) != len(want) {
+		t.Fatalf("merged %d injections, want %d: %v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("injection %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if got := (&Plan{Hosts: plan.Hosts, Sends: make([][]Send, 4)}).Merge(); len(got) != 0 {
+		t.Errorf("empty plan merged to %v", got)
+	}
+
+	res, err := genspec.Build("fattree2:8x2", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := NewPlan(res.Net, planConfig(Uniform, 3))
+	merged := big.Merge()
+	if len(merged) != big.TotalSends() {
+		t.Fatalf("merged %d of %d sends", len(merged), big.TotalSends())
+	}
+	next := make([]int, len(big.Hosts))
+	for i, in := range merged {
+		if i > 0 {
+			prev := merged[i-1]
+			if in.At < prev.At || (in.At == prev.At && in.Src < prev.Src) {
+				t.Fatalf("injection %d (%+v) sorts before its predecessor %+v", i, in, prev)
+			}
+		}
+		if s := big.Sends[in.Src][next[in.Src]]; s.At != in.At || s.Dst != in.Dst {
+			t.Fatalf("injection %d (%+v) is not host %d's next send %+v", i, in, in.Src, s)
+		}
+		next[in.Src]++
+	}
+}
