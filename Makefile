@@ -51,6 +51,9 @@ vet:
 # (Run, replay, scan, inject) update no obs handle — replays run
 # concurrently and registries are folded in afterwards — and the package
 # sorts nothing through sort.Slice's reflect swapper.
+# A seventh keeps the probe-response cache out of the mappers: a run's
+# probes are unique within it and stale across it (DESIGN.md §12), so no
+# mapper, experiment driver or command switches WindowConfig.Cache on.
 MAPD_SRC = $(filter-out %_test.go internal/mapd/client.go,$(wildcard internal/mapd/*.go))
 MAPPER_SRC = $(filter-out %_test.go,$(wildcard internal/mapper/*.go))
 WORKLOAD_SRC = $(filter-out %_test.go,$(wildcard internal/workload/*.go))
@@ -86,6 +89,11 @@ lint: vet
 	if [ -n "$$slow" ]; then \
 		echo "per-worm overhead is back in loadsim's replay path (mirror after the loop, slices.Sort):"; \
 		echo "$$slow"; exit 1; fi
+	@cached=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'Cache:[[:space:]]*true' \
+		internal/mapper internal/myricom internal/experiments cmd); \
+	if [ -n "$$cached" ]; then \
+		echo "a mapper is switching the probe-response cache on (nothing to hit within a run, stale across one):"; \
+		echo "$$cached"; exit 1; fi
 	@n=$$(cat $(WORKLOAD_SRC) | grep -cE '\.Spawn(At)?\('); \
 	if [ "$$n" -gt 1 ]; then \
 		echo "internal/workload starts $$n desim processes, want one (the mapper; sources are Engine.At callbacks)"; exit 1; fi

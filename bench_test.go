@@ -488,15 +488,24 @@ func fatTree1k() *topology.Network {
 // the 1004-switch fat-tree. On a fat tree the diameter (6) bounds route
 // depth far better than the generic Q+D bound, which is what keeps the
 // probe count in the low hundreds of thousands.
-func BenchmarkMapFatTree1k(b *testing.B) {
+func BenchmarkMapFatTree1k(b *testing.B) { benchFatTree1k(b, 1) }
+
+// BenchmarkMapFatTree1kWindow8 is the same map through the window-8 probe
+// engine. It is gated relative to the serial lane (bench_gates.json): the
+// window buys virtual time, and must not cost more than twice the serial
+// loop's wall clock or allocate past it for ~1 % more probes.
+func BenchmarkMapFatTree1kWindow8(b *testing.B) { benchFatTree1k(b, 8) }
+
+func benchFatTree1k(b *testing.B, window int) {
 	net := fatTree1k()
 	h0 := net.Hosts()[0]
 	depth := net.Diameter() + 2
 	var last *mapper.Map
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sn := simnet.NewDefault(net)
-		m, err := mapper.Run(sn.Endpoint(h0), mapper.WithDepth(depth))
+		m, err := mapper.Run(sn.Endpoint(h0), mapper.WithDepth(depth), mapper.WithPipeline(window))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -504,6 +513,7 @@ func BenchmarkMapFatTree1k(b *testing.B) {
 	}
 	b.StopTimer()
 	reportMap(b, last)
+	b.ReportMetric(float64(last.Stats.Pipeline.Submitted), "submitted/op")
 }
 
 // BenchmarkIndexBFS1k measures one arena BFS over the 1k fabric's CSR

@@ -397,7 +397,7 @@ func RestoreSession(p simnet.Prober, data []byte, opts ...Option) (*Session, err
 	if err := checkpointable(cfg); err != nil {
 		return nil, err
 	}
-	r, err := newRun(p, cfg)
+	r, err := newRun(p, cfg, true)
 	if err != nil {
 		return nil, err
 	}

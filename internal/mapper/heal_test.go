@@ -50,25 +50,30 @@ func TestSessionMapMatchesRun(t *testing.T) {
 // switch-switch wire goes, disconnection included.
 func cutSwitchWire(t *testing.T, net *topology.Network, allowBridge bool) int {
 	t.Helper()
+	return cutNthSwitchWire(t, net, allowBridge, 0)
+}
+
+// cutNthSwitchWire is cutSwitchWire with a choice: of the eligible wires, in
+// index order, it removes the k-th (mod their number).
+func cutNthSwitchWire(t *testing.T, net *topology.Network, allowBridge bool, k int) int {
+	t.Helper()
 	bridge := make(map[int]bool)
 	if !allowBridge {
 		for _, b := range net.Bridges() {
 			bridge[b] = true
 		}
 	}
-	victim := -1
+	var eligible []int
 	net.WiresIndexed(func(idx int, w topology.Wire) {
-		if victim >= 0 || bridge[idx] {
-			return
-		}
-		if net.KindOf(w.A.Node) == topology.SwitchNode &&
+		if !bridge[idx] && net.KindOf(w.A.Node) == topology.SwitchNode &&
 			net.KindOf(w.B.Node) == topology.SwitchNode && w.A.Node != w.B.Node {
-			victim = idx
+			eligible = append(eligible, idx)
 		}
 	})
-	if victim < 0 {
+	if len(eligible) == 0 {
 		t.Fatalf("no cuttable wire")
 	}
+	victim := eligible[k%len(eligible)]
 	if err := net.RemoveWire(victim); err != nil {
 		t.Fatalf("RemoveWire: %v", err)
 	}

@@ -258,7 +258,7 @@ const staleLimit = 3
 // RunConfig executes the Berkeley algorithm from the given prober with an
 // explicit configuration. Most callers should use Run with options.
 func RunConfig(p simnet.Prober, cfg Config) (*Map, error) {
-	r, err := newRun(p, cfg)
+	r, err := newRun(p, cfg, false)
 	if err != nil {
 		return nil, err
 	}
@@ -271,8 +271,9 @@ func RunConfig(p simnet.Prober, cfg Config) (*Map, error) {
 
 // newRun validates the configuration and builds the run every entry point
 // (Run, NewSession, RestoreSession, RandomizedRun) starts from: an empty
-// model with the contradiction hook and staleness caps installed.
-func newRun(p simnet.Prober, cfg Config) (*run, error) {
+// model with the contradiction hook and staleness caps installed. session
+// marks a run that outlives its first map (see initPipeline).
+func newRun(p simnet.Prober, cfg Config, session bool) (*run, error) {
 	if cfg.Depth < 1 {
 		return nil, fmt.Errorf("mapper: Depth must be at least 1, got %d: %w", cfg.Depth, ErrDepthExceeded)
 	}
@@ -286,7 +287,7 @@ func newRun(p simnet.Prober, cfg Config) (*run, error) {
 		staleCount: make(map[*Vertex]int), start: p.Clock()}
 	r.model.maxPorts = cfg.MaxPorts
 	r.model.onInconsistency = r.noteContradiction
-	r.initPipeline()
+	r.initPipeline(session)
 	return r, nil
 }
 
@@ -560,10 +561,12 @@ func (r *run) probeOrder() (first, second simnet.ProbeKind) {
 // the second probe when the first answers.
 func (r *run) probeOnce(s simnet.Route) simnet.ProbeResponse {
 	first, second := r.probeOrder()
-	if res := simnet.Do(r.p, simnet.Probe{Kind: first, Route: s}); res.OK {
-		return pairResponse(first, res)
+	res := simnet.Do(r.p, simnet.Probe{Kind: first, Route: s})
+	if res.OK {
+		return pairResponse(first, &res)
 	}
-	return pairResponse(second, simnet.Do(r.p, simnet.Probe{Kind: second, Route: s}))
+	res = simnet.Do(r.p, simnet.Probe{Kind: second, Route: s})
+	return pairResponse(second, &res)
 }
 
 // confirmResponse implements K-of-N commit confirmation (Config.Confirm):

@@ -18,15 +18,21 @@ import (
 
 // initPipeline activates the probe engine when configured. The engine
 // inherits the run's metrics registry unless the window config names its
-// own, so one WithMetrics covers both layers.
-func (r *run) initPipeline() {
-	if r.cfg.Pipeline.Window <= 1 {
+// own, so one WithMetrics covers both layers. A mapper's probes are unique
+// within a run and stale across runs, so a response cache has nothing to
+// answer in a one-shot Run and only pre-fault answers in a session's Remap:
+// a session's window is built without one even when Config.Pipeline.Cache
+// asks (r.cfg.Pipeline itself stays as the caller gave it).
+func (r *run) initPipeline(session bool) {
+	wc := r.cfg.Pipeline
+	if wc.Window <= 1 {
 		return
 	}
-	if r.cfg.Pipeline.Metrics == nil {
-		r.cfg.Pipeline.Metrics = r.cfg.Metrics
+	if wc.Metrics == nil {
+		wc.Metrics = r.cfg.Metrics
 	}
-	r.win = simnet.NewProbeWindow(r.p, r.cfg.Pipeline)
+	wc.Cache = wc.Cache && !session
+	r.win = simnet.NewProbeWindow(r.p, wc)
 }
 
 // finishPipeline folds the engine counters into the run statistics.
@@ -196,7 +202,7 @@ func (r *run) streamWant(root *Vertex, entry int, ti int) {
 }
 
 // pairResponse folds one probe result into the §2.3 response alphabet.
-func pairResponse(kind simnet.ProbeKind, res simnet.ProbeResult) simnet.ProbeResponse {
+func pairResponse(kind simnet.ProbeKind, res *simnet.ProbeResult) simnet.ProbeResponse {
 	if !res.OK {
 		return simnet.ProbeResponse{Kind: simnet.RespNothing}
 	}

@@ -41,7 +41,10 @@ func (e *Endpoint) Stats() Stats { return e.net.Stats() }
 // Submit implements Prober: the probe is evaluated and its messages
 // accounted immediately (paying only the per-probe host overhead), while
 // the response completes at the returned result's Done time.
-func (e *Endpoint) Submit(p Probe) ProbeResult { return e.net.submit(e.host, p) }
+func (e *Endpoint) Submit(p Probe) (r ProbeResult) {
+	e.net.submit(e.host, p, &r)
+	return r
+}
 
 // SubmitBatch implements BatchProber: the probes are issued in order with
 // the transport's per-probe setup (turn bound, structural version, route
@@ -52,7 +55,7 @@ func (e *Endpoint) SubmitBatch(ps []Probe, out []ProbeResult) {
 
 // Collect implements Prober: advance the clock to the result's completion
 // time.
-func (e *Endpoint) Collect(r ProbeResult) { e.net.collect(r) }
+func (e *Endpoint) Collect(r ProbeResult) { e.net.collect(r.Done) }
 
 // Probes implements Prober.
 func (e *Endpoint) Probes() ProbeCaps { return e.net.probes() }

@@ -280,14 +280,16 @@ func (n *Net) transitTime(hops, turns int) time.Duration {
 // response. collect advances the clock to Done; keeping the two separate is
 // what lets the pipelined engine overlap many response timeouts, while
 // submit-then-collect (Do) is the serial accounting: overhead first, then
-// wait.
-func (n *Net) submit(from topology.NodeID, p Probe) ProbeResult {
+// wait. The result is built in *r, the caller's own storage (a named return
+// value, a batch slot), not returned by value through each layer: a
+// ProbeResult is 136 bytes.
+func (n *Net) submit(from topology.NodeID, p Probe, r *ProbeResult) {
 	if n.injector != nil {
 		n.injector.Advance(n.clock)
 	}
 	ver := n.topo.Version()
-	return n.submitKeyed(from, p, n.MaxTurn(), ver,
-		n.scratch.keyOK(from, n.model, n.epoch, ver))
+	n.submitKeyed(from, p, n.MaxTurn(), ver,
+		n.scratch.keyOK(from, n.model, n.epoch, ver), r)
 }
 
 // submitBatch issues ps in order, filling out[i] with the i-th result. It
@@ -303,7 +305,7 @@ func (n *Net) submitBatch(from topology.NodeID, ps []Probe, out []ProbeResult) {
 	}
 	if n.injector != nil {
 		for i := range ps {
-			out[i] = n.submit(from, ps[i])
+			n.submit(from, ps[i], &out[i])
 		}
 		return
 	}
@@ -311,7 +313,7 @@ func (n *Net) submitBatch(from topology.NodeID, ps []Probe, out []ProbeResult) {
 	ver := n.topo.Version()
 	keyed := n.scratch.keyOK(from, n.model, n.epoch, ver)
 	for i := range ps {
-		out[i] = n.submitKeyed(from, ps[i], maxTurn, ver, keyed)
+		n.submitKeyed(from, ps[i], maxTurn, ver, keyed, &out[i])
 		if n.supports(ps[i].Kind) {
 			// Every supported kind ran the evaluator, which re-keyed the
 			// memo to this batch's key; resumability is now just the valid
@@ -346,17 +348,18 @@ func (n *Net) EvalBatch(from topology.NodeID, routes []Route, out []Result) {
 // caller: maxTurn is the fabric's turn bound, ver the topology's structural
 // version, and keyed whether the route memo holds a resumable walk for
 // (from, model, epoch, ver) — see evalScratch. submitBatch amortizes all
-// three across a window-sized batch.
-func (n *Net) submitKeyed(from topology.NodeID, p Probe, maxTurn Turn, ver uint64, keyed bool) ProbeResult {
+// three across a window-sized batch. *r is overwritten whole.
+func (n *Net) submitKeyed(from topology.NodeID, p Probe, maxTurn Turn, ver uint64, keyed bool, r *ProbeResult) {
 	if n.topo.KindOf(from) != topology.HostNode {
 		panic(fmt.Sprintf("simnet: source %d is not a host", from))
 	}
-	r := ProbeResult{Probe: p}
+	*r = ProbeResult{}
+	r.Probe = p
 	if !n.supports(p.Kind) {
 		// Nothing is sent, no counter moves and no virtual time passes.
 		r.Err = ErrUnsupported
 		r.Done = n.clock
-		return r
+		return
 	}
 	var wait time.Duration
 	// eval is the decisive evaluator verdict for the fault filter, and
@@ -497,13 +500,12 @@ func (n *Net) submitKeyed(from topology.NodeID, p Probe, maxTurn Turn, ver uint6
 	if logKind != "" && n.probeLog != nil {
 		n.probeLog(logKind, from, p.Route, r.OK)
 	}
-	return r
 }
 
 // collect advances the clock to a submitted probe's completion time.
-func (n *Net) collect(r ProbeResult) {
-	if r.Done > n.clock {
-		n.clock = r.Done
+func (n *Net) collect(done time.Duration) {
+	if done > n.clock {
+		n.clock = done
 	}
 }
 
@@ -525,9 +527,9 @@ func (n *Net) supports(k ProbeKind) bool {
 
 // Do sends one probe from host from and waits for its response (submit,
 // then collect). See the ProbeKind constants for what each kind asks.
-func (n *Net) Do(from topology.NodeID, p Probe) ProbeResult {
-	r := n.submit(from, p)
-	n.collect(r)
+func (n *Net) Do(from topology.NodeID, p Probe) (r ProbeResult) {
+	n.submit(from, p, &r)
+	n.collect(r.Done)
 	return r
 }
 

@@ -197,8 +197,8 @@ type Prober interface {
 
 // Do sends one probe and waits for its response: Submit, then Collect — the
 // serial probing pattern of the paper's mappers.
-func Do(p Prober, probe Probe) ProbeResult {
-	r := p.Submit(probe)
+func Do(p Prober, probe Probe) (r ProbeResult) {
+	r = p.Submit(probe)
 	p.Collect(r)
 	return r
 }

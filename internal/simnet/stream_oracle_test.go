@@ -1,0 +1,377 @@
+package simnet
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+)
+
+// copyingStream is the Stream as it stood before results moved in place,
+// kept as the oracle for TestStreamInPlaceMatchesCopying: every entry is
+// built as a value, pushed into the ring, popped out of it (clearing the
+// slot) and returned by value. Only the names and the recycling differ from
+// the original; see Abandon.
+type copyingStream struct {
+	w       *ProbeWindow
+	ring    []spending
+	head    int // index of the oldest entry
+	n       int // queued entries
+	live    int // entries occupying transport window slots
+	maxSeen int // high-water mark already pushed to the gauge
+}
+
+// Free reports the remaining window capacity.
+func (s *copyingStream) Free() int { return s.w.cfg.Window - s.live }
+
+// Len reports queued entries awaiting Collect.
+func (s *copyingStream) Len() int { return s.n }
+
+// push appends an entry at the ring's tail, growing if full.
+func (s *copyingStream) push(e spending) {
+	if s.n == len(s.ring) {
+		s.grow()
+	}
+	s.ring[(s.head+s.n)%len(s.ring)] = e
+	s.n++
+}
+
+// pop removes and returns the oldest entry.
+func (s *copyingStream) pop() spending {
+	e := s.ring[s.head]
+	s.ring[s.head] = spending{}
+	s.head = (s.head + 1) % len(s.ring)
+	s.n--
+	return e
+}
+
+// grow doubles the ring (initially sizing it to hold a full window plus
+// cache-hit slack) and linearises the live entries at the front.
+func (s *copyingStream) grow() {
+	size := 2 * len(s.ring)
+	if min := s.w.cfg.Window + 8; size < min {
+		size = min
+	}
+	buf := make([]spending, size)
+	for i := 0; i < s.n; i++ {
+		buf[i] = s.ring[(s.head+i)%len(s.ring)]
+	}
+	s.ring = buf
+	s.head = 0
+}
+
+// Submit enqueues one probe. A cache hit retires instantly without sending
+// a message; otherwise the probe is handed to the transport. Submit never
+// blocks — callers wanting overlap should stay within Free().
+func (s *copyingStream) Submit(p Probe, tag int) {
+	w := s.w
+	if w.cache != nil {
+		if c, ok := w.cache[string(w.probeKey(p))]; ok {
+			w.m.cacheHits.Inc()
+			s.push(spending{tag: tag, res: c.hit(p, w.p.Clock()), cached: true})
+			return
+		}
+	}
+	s.live++
+	s.push(spending{tag: tag, res: w.p.Submit(w.withTimeout(p))})
+	w.m.submitted.Inc()
+	if s.live > s.maxSeen {
+		s.maxSeen = s.live
+		w.m.maxInFlight.SetMax(int64(s.live))
+	}
+}
+
+// SubmitBatch enqueues a contiguous run of probes with tags base, base+1, …
+// Maximal runs of consecutive cache misses go through the transport's
+// SubmitBatch (amortising its per-probe setup over the run); cache hits are
+// interleaved at exactly the position — and therefore the clock reading —
+// the equivalent Submit loop would give them.
+func (s *copyingStream) SubmitBatch(ps []Probe, base int) {
+	w := s.w
+	if w.bp == nil || len(ps) < 2 {
+		for i := range ps {
+			s.Submit(ps[i], base+i)
+		}
+		return
+	}
+	start := 0
+	for i := 0; i <= len(ps); i++ {
+		var c cacheEntry
+		hit := false
+		if i < len(ps) {
+			if w.cache != nil {
+				c, hit = w.cache[string(w.probeKey(ps[i]))]
+			}
+			if !hit {
+				continue
+			}
+		}
+		if run := i - start; run > 0 {
+			buf, res := w.batchScratch(run)
+			for j := 0; j < run; j++ {
+				buf[j] = w.withTimeout(ps[start+j])
+			}
+			w.bp.SubmitBatch(buf, res)
+			for j := 0; j < run; j++ {
+				s.live++
+				s.push(spending{tag: base + start + j, res: res[j]})
+				w.m.submitted.Inc()
+				if s.live > s.maxSeen {
+					s.maxSeen = s.live
+					w.m.maxInFlight.SetMax(int64(s.live))
+				}
+			}
+		}
+		if hit {
+			w.m.cacheHits.Inc()
+			s.push(spending{tag: base + i, res: c.hit(ps[i], w.p.Clock()), cached: true})
+		}
+		start = i + 1
+	}
+}
+
+// NextDone peeks at the completion time of the oldest queued entry without
+// collecting it. Schedulers use it to decide whether a further speculative
+// submission rides for free: as long as the clock has not reached the
+// oldest completion, issuing another probe overlaps time the stream would
+// spend waiting anyway.
+func (s *copyingStream) NextDone() (time.Duration, bool) {
+	if s.n == 0 {
+		return 0, false
+	}
+	return s.ring[s.head].res.Done, true
+}
+
+// Collect retires the oldest entry: synchronise the clock with its
+// completion, run the bounded retry loop on a miss, cache the final result
+// and return it with the submitter's tag.
+func (s *copyingStream) Collect() (int, ProbeResult) {
+	e := s.pop()
+	if e.cached {
+		return e.tag, e.res
+	}
+	s.live--
+	w := s.w
+	p0 := e.res.Probe
+	r := e.res
+	w.p.Collect(r)
+	if !r.OK {
+		w.m.timeoutCost.AddDuration(r.Latency)
+		w.m.missWait.Observe(r.Latency)
+	}
+	for attempt := 0; !r.OK && !errors.Is(r.Err, ErrUnsupported) && attempt < w.cfg.Retries; attempt++ {
+		if w.routeSpent != nil {
+			key := string(w.probeKey(p0))
+			if w.routeSpent[key] >= w.cfg.RouteBudget {
+				w.m.budgetDenied.Inc()
+				break
+			}
+			w.routeSpent[key]++
+		}
+		if w.cfg.Backoff > 0 {
+			wait := w.backoffWait(attempt)
+			w.p.Sleep(wait)
+			w.m.timeoutCost.AddDuration(wait)
+			w.m.backoffWait.AddDuration(wait)
+		}
+		w.m.retries.Inc()
+		w.m.submitted.Inc()
+		r = Do(w.p, w.withTimeout(p0))
+		if !r.OK {
+			w.m.timeoutCost.AddDuration(r.Latency)
+			w.m.missWait.Observe(r.Latency)
+		}
+	}
+	if w.cache != nil {
+		w.cache[string(w.probeKey(p0))] = cacheEntry{ok: r.OK, host: r.Host, err: r.Err}
+	}
+	return e.tag, r
+}
+
+// Abandon drops every queued entry without collecting it. The oracle does
+// not recycle into the window — w.spare and w.spareStream belong to the
+// in-place Stream — and opens every stream on a fresh, zeroed ring, which is
+// what the recycled one looked like after the old Abandon cleared it.
+func (s *copyingStream) Abandon() {
+	for i := range s.ring {
+		s.ring[i] = spending{}
+	}
+	s.head, s.n, s.live = 0, 0, 0
+	s.ring = nil
+}
+
+// streamLike is what the differential test drives: the two streams differ
+// only in how Collect hands its result over.
+type streamLike interface {
+	Free() int
+	Len() int
+	Submit(p Probe, tag int)
+	SubmitBatch(ps []Probe, base int)
+	NextDone() (time.Duration, bool)
+	collect() (int, ProbeResult)
+	Abandon()
+}
+
+func (s *copyingStream) collect() (int, ProbeResult) { return s.Collect() }
+
+func (s *Stream) collect() (int, ProbeResult) {
+	tag, r := s.Collect()
+	return tag, *r
+}
+
+// streamWorld is one side of the differential: a fresh probeNet, a transport
+// stack over it, a window, and whichever Stream implementation open hands out.
+type streamWorld struct {
+	net  *Net
+	w    *ProbeWindow
+	open func() streamLike
+	st   streamLike
+}
+
+// streamProbes is the script alphabet on probeNet: hits and misses of every
+// supported kind, a per-probe timeout, and two kinds the transport refuses
+// (which cost nothing and must never be retried). The pool is small so that
+// scripts repeat probes, which is what exercises Cache and RouteBudget.
+var streamProbes = []Probe{
+	{Kind: ProbeHost, Route: Route{3, 3}},
+	{Kind: ProbeSwitch, Route: Route{3}},
+	{Kind: ProbeRaw, Route: Route{3, 1, -1, -3}},
+	{Kind: ProbeTolerant, Route: Route{3, 3, 1}},
+	{Kind: ProbeHost, Route: Route{1}},
+	{Kind: ProbeHost, Route: Route{7}},
+	{Kind: ProbeHost, Route: Route{3}},
+	{Kind: ProbeSwitch, Route: Route{3, 3}},
+	{Kind: ProbeSwitch, Route: Route{-1}, Timeout: 700 * time.Microsecond},
+	{Kind: ProbeID, Route: Route{3}},
+	{Kind: ProbeKind(99)},
+}
+
+// TestStreamInPlaceMatchesCopying drives the in-place Stream and the copying
+// oracle through the same seeded scripts — single and batched submissions
+// (within and beyond the window, so the ring wraps and grows), collections,
+// peeks, and abandons with entries still queued — over a batching transport,
+// a lossy one and a one-shot dropper, under every window feature. After each
+// operation the two sides must agree on what was collected, on Free, Len and
+// NextDone, and on the virtual clock; at the end on the window's and the
+// transport's counters.
+func TestStreamInPlaceMatchesCopying(t *testing.T) {
+	transports := []struct {
+		name string
+		wrap func(ep *Endpoint) Prober
+	}{
+		{"endpoint", func(ep *Endpoint) Prober { return ep }},
+		{"flaky", func(ep *Endpoint) Prober {
+			return &FlakyProber{Prober: ep, DropRate: 0.3, Rng: rand.New(rand.NewSource(17))}
+		}},
+		{"dropFirst", func(ep *Endpoint) Prober { return &dropFirst{Prober: ep} }},
+	}
+	configs := []WindowConfig{
+		{Window: 4},
+		{Window: 8, Cache: true},
+		{Window: 1, Retries: 1, Cache: true},
+		{Window: 3, Retries: 2, Backoff: time.Millisecond, Seed: 5},
+		{Window: 4, Retries: 3, RouteBudget: 2, Cache: true},
+		{Window: 2, Retries: 1, RouteBudget: 1, Timeout: 3 * time.Millisecond},
+	}
+	for _, tr := range transports {
+		for ci, cfg := range configs {
+			for seed := int64(1); seed <= 4; seed++ {
+				name := fmt.Sprintf("%s/cfg%d/seed%d", tr.name, ci, seed)
+				world := func(copying bool) *streamWorld {
+					sn, h0, _ := probeNet(t)
+					sw := &streamWorld{net: sn, w: NewProbeWindow(tr.wrap(sn.Endpoint(h0)), cfg)}
+					if copying {
+						sw.open = func() streamLike { return &copyingStream{w: sw.w} }
+					} else {
+						sw.open = func() streamLike { return sw.w.Stream() }
+					}
+					sw.st = sw.open()
+					return sw
+				}
+				runStreamScript(t, name, rand.New(rand.NewSource(seed)), world(false), world(true))
+			}
+		}
+	}
+}
+
+// runStreamScript plays one seeded script on both worlds in lockstep.
+func runStreamScript(t *testing.T, name string, rng *rand.Rand, got, want *streamWorld) {
+	t.Helper()
+	both := func(f func(sw *streamWorld)) { f(got); f(want) }
+	collect := func(op int) {
+		gt, gr := got.st.collect()
+		wt, wr := want.st.collect()
+		if gt != wt || !reflect.DeepEqual(gr, wr) {
+			t.Fatalf("%s op %d: collected (%d, %+v), oracle (%d, %+v)", name, op, gt, gr, wt, wr)
+		}
+	}
+	pick := func() Probe { return streamProbes[rng.Intn(len(streamProbes))] }
+	tag := 0
+	for op := 0; op < 400; op++ {
+		switch k := rng.Intn(20); {
+		case k < 7: // one probe, whether or not the window has room
+			p := pick()
+			both(func(sw *streamWorld) { sw.st.Submit(p, tag) })
+			tag++
+		case k < 10:
+			ps := make([]Probe, 1+rng.Intn(6))
+			for i := range ps {
+				ps[i] = pick()
+			}
+			both(func(sw *streamWorld) { sw.st.SubmitBatch(ps, tag) })
+			tag += len(ps)
+		case k < 19:
+			if got.st.Len() > 0 {
+				collect(op)
+			}
+		default: // lose interest with entries still queued; the next stream recycles the ring
+			both(func(sw *streamWorld) { sw.st.Abandon(); sw.st = sw.open() })
+		}
+		gd, gok := got.st.NextDone()
+		wd, wok := want.st.NextDone()
+		if got.st.Free() != want.st.Free() || got.st.Len() != want.st.Len() || gd != wd || gok != wok {
+			t.Fatalf("%s op %d: free/len/next = %d/%d/%v,%v, oracle %d/%d/%v,%v", name, op,
+				got.st.Free(), got.st.Len(), gd, gok, want.st.Free(), want.st.Len(), wd, wok)
+		}
+		if got.net.Clock() != want.net.Clock() {
+			t.Fatalf("%s op %d: clock %v, oracle %v", name, op, got.net.Clock(), want.net.Clock())
+		}
+	}
+	for got.st.Len() > 0 {
+		collect(-1)
+	}
+	if got.w.Stats() != want.w.Stats() {
+		t.Errorf("%s: window stats %+v, oracle %+v", name, got.w.Stats(), want.w.Stats())
+	}
+	if got.net.Stats() != want.net.Stats() || got.net.Clock() != want.net.Clock() {
+		t.Errorf("%s: transport %+v at %v, oracle %+v at %v", name,
+			got.net.Stats(), got.net.Clock(), want.net.Stats(), want.net.Clock())
+	}
+}
+
+// TestStreamSteadyStateZeroAlloc: once the ring exists, a Submit and the
+// Collect that retires it allocate nothing — the result is written into the
+// ring slot and read out of it through a pointer.
+func TestStreamSteadyStateZeroAlloc(t *testing.T) {
+	for _, cfg := range []WindowConfig{{Window: 8}, {Window: 8, Cache: true}} {
+		sn, h0, _ := probeNet(t)
+		st := NewProbeWindow(sn.Endpoint(h0), cfg).Stream()
+		hit, miss := Probe{Kind: ProbeHost, Route: Route{3, 3}}, Probe{Kind: ProbeSwitch, Route: Route{3, 3}}
+		pair := func() {
+			st.Submit(hit, 0)
+			st.Submit(miss, 1)
+			if _, r := st.Collect(); !r.OK || r.Host != "h1" {
+				t.Fatalf("hit collected as %+v", *r)
+			}
+			if _, r := st.Collect(); r.OK {
+				t.Fatalf("miss collected as %+v", *r)
+			}
+		}
+		pair() // sizes the ring (and, with Cache, inserts both keys)
+		if allocs := testing.AllocsPerRun(200, pair); allocs != 0 {
+			t.Errorf("cache=%v: steady-state Submit+Collect allocates %v times per pair", cfg.Cache, allocs)
+		}
+	}
+}

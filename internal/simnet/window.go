@@ -23,7 +23,11 @@ type WindowConfig struct {
 	Timeout time.Duration
 	// Cache enables the probe-response cache keyed by probe kind and route
 	// string: a repeated probe is answered from the cache at zero virtual
-	// cost and without sending a message.
+	// cost and without sending a message. It pays only for a caller that
+	// repeats probes over a fabric that holds still. The mappers do
+	// neither — their probes are unique within a run and stale across
+	// one — so none of them turns it on: every submission would pay a map
+	// insert for zero hits (DESIGN.md §12).
 	Cache bool
 	// Backoff, when positive, replaces immediate retry resubmission with
 	// capped exponential backoff: the k-th retry of a probe waits
@@ -271,7 +275,7 @@ func (w *ProbeWindow) Do(batch []Probe) []ProbeResult {
 		free := st.Free()
 		if free <= 0 {
 			tag, r := st.Collect()
-			out[tag] = r
+			out[tag] = *r
 			continue
 		}
 		if rem := len(batch) - i; rem < free {
@@ -282,7 +286,7 @@ func (w *ProbeWindow) Do(batch []Probe) []ProbeResult {
 	}
 	for st.Len() > 0 {
 		tag, r := st.Collect()
-		out[tag] = r
+		out[tag] = *r
 	}
 	st.Abandon() // empty: recycles the ring
 	return out
@@ -305,9 +309,11 @@ type spending struct {
 // tagged probes as Free() allows and Collect results strictly in submission
 // order; cache and bounded retry apply exactly as in Do.
 //
-// Entries live in a power-of-two-free ring buffer: push/pop are O(1) with no
-// per-entry allocation, and the live (slot-holding) count is tracked
-// incrementally instead of rescanned.
+// Entries live in a ring buffer and a result is moved once: Submit has the
+// transport's answer stored straight into the ring's tail slot, and Collect
+// hands out a pointer to the head slot instead of a copy. A collected slot
+// is not cleared — the next Submit that lands on it overwrites every field —
+// so the ring pins at most its own length in old routes and host names.
 type Stream struct {
 	w       *ProbeWindow
 	ring    []spending
@@ -337,22 +343,19 @@ func (s *Stream) Free() int { return s.w.cfg.Window - s.live }
 // Len reports queued entries awaiting Collect.
 func (s *Stream) Len() int { return s.n }
 
-// push appends an entry at the ring's tail, growing if full.
-func (s *Stream) push(e spending) {
+// slot queues one entry at the ring's tail, growing if full, and returns it
+// for the caller to fill in place. Whatever an earlier entry left in the
+// slot is still there: the caller assigns tag, res and cached, all three.
+func (s *Stream) slot() *spending {
 	if s.n == len(s.ring) {
 		s.grow()
 	}
-	s.ring[(s.head+s.n)%len(s.ring)] = e
+	i := s.head + s.n
+	if i >= len(s.ring) {
+		i -= len(s.ring)
+	}
 	s.n++
-}
-
-// pop removes and returns the oldest entry.
-func (s *Stream) pop() spending {
-	e := s.ring[s.head]
-	s.ring[s.head] = spending{}
-	s.head = (s.head + 1) % len(s.ring)
-	s.n--
-	return e
+	return &s.ring[i]
 }
 
 // grow doubles the ring (initially sizing it to hold a full window plus
@@ -370,6 +373,26 @@ func (s *Stream) grow() {
 	s.head = 0
 }
 
+// sent books one entry just handed to the transport: it holds a window slot
+// until collected.
+func (s *Stream) sent() {
+	s.live++
+	s.w.m.submitted.Inc()
+	if s.live > s.maxSeen {
+		s.maxSeen = s.live
+		s.w.m.maxInFlight.SetMax(int64(s.live))
+	}
+}
+
+// queueHit queues the cached answer c for a repeat submission of p.
+func (s *Stream) queueHit(c cacheEntry, p Probe, tag int) {
+	w := s.w
+	w.m.cacheHits.Inc()
+	e := s.slot()
+	e.tag, e.cached = tag, true
+	e.res = c.hit(p, w.p.Clock())
+}
+
 // Submit enqueues one probe. A cache hit retires instantly without sending
 // a message; otherwise the probe is handed to the transport. Submit never
 // blocks — callers wanting overlap should stay within Free().
@@ -377,18 +400,14 @@ func (s *Stream) Submit(p Probe, tag int) {
 	w := s.w
 	if w.cache != nil {
 		if c, ok := w.cache[string(w.probeKey(p))]; ok {
-			w.m.cacheHits.Inc()
-			s.push(spending{tag: tag, res: c.hit(p, w.p.Clock()), cached: true})
+			s.queueHit(c, p, tag)
 			return
 		}
 	}
-	s.live++
-	s.push(spending{tag: tag, res: w.p.Submit(w.withTimeout(p))})
-	w.m.submitted.Inc()
-	if s.live > s.maxSeen {
-		s.maxSeen = s.live
-		w.m.maxInFlight.SetMax(int64(s.live))
-	}
+	e := s.slot()
+	e.tag, e.cached = tag, false
+	e.res = w.p.Submit(w.withTimeout(p))
+	s.sent()
 }
 
 // SubmitBatch enqueues a contiguous run of probes with tags base, base+1, …
@@ -423,18 +442,14 @@ func (s *Stream) SubmitBatch(ps []Probe, base int) {
 			}
 			w.bp.SubmitBatch(buf, res)
 			for j := 0; j < run; j++ {
-				s.live++
-				s.push(spending{tag: base + start + j, res: res[j]})
-				w.m.submitted.Inc()
-				if s.live > s.maxSeen {
-					s.maxSeen = s.live
-					w.m.maxInFlight.SetMax(int64(s.live))
-				}
+				e := s.slot()
+				e.tag, e.cached = base+start+j, false
+				e.res = res[j]
+				s.sent()
 			}
 		}
 		if hit {
-			w.m.cacheHits.Inc()
-			s.push(spending{tag: base + i, res: c.hit(ps[i], w.p.Clock()), cached: true})
+			s.queueHit(c, ps[i], base+i)
 		}
 		start = i + 1
 	}
@@ -463,22 +478,28 @@ func (s *Stream) NextDone() (time.Duration, bool) {
 
 // Collect retires the oldest entry: synchronise the clock with its
 // completion, run the bounded retry loop on a miss, cache the final result
-// and return it with the submitter's tag.
-func (s *Stream) Collect() (int, ProbeResult) {
-	e := s.pop()
+// and return it with the submitter's tag. The result is the ring slot
+// itself, valid until the stream's next Submit, SubmitBatch or Abandon;
+// copy it to keep it longer.
+func (s *Stream) Collect() (int, *ProbeResult) {
+	e := &s.ring[s.head]
+	if s.head++; s.head == len(s.ring) {
+		s.head = 0
+	}
+	s.n--
+	r := &e.res
 	if e.cached {
-		return e.tag, e.res
+		return e.tag, r
 	}
 	s.live--
 	w := s.w
-	p0 := e.res.Probe
-	r := e.res
-	w.p.Collect(r)
+	p0 := r.Probe
+	w.p.Collect(*r)
 	if !r.OK {
 		w.m.timeoutCost.AddDuration(r.Latency)
 		w.m.missWait.Observe(r.Latency)
 	}
-	for attempt := 0; !r.OK && !errors.Is(r.Err, ErrUnsupported) && attempt < w.cfg.Retries; attempt++ {
+	for attempt := 0; attempt < w.cfg.Retries && !r.OK && !errors.Is(r.Err, ErrUnsupported); attempt++ {
 		if w.routeSpent != nil {
 			key := string(w.probeKey(p0))
 			if w.routeSpent[key] >= w.cfg.RouteBudget {
@@ -495,7 +516,7 @@ func (s *Stream) Collect() (int, ProbeResult) {
 		}
 		w.m.retries.Inc()
 		w.m.submitted.Inc()
-		r = Do(w.p, w.withTimeout(p0))
+		*r = Do(w.p, w.withTimeout(p0))
 		if !r.OK {
 			w.m.timeoutCost.AddDuration(r.Latency)
 			w.m.missWait.Observe(r.Latency)
@@ -509,14 +530,18 @@ func (s *Stream) Collect() (int, ProbeResult) {
 
 // Abandon drops every queued entry without collecting it: the messages were
 // sent and their overhead paid, but nobody waits for the responses. Used
-// when the consumer loses interest in its speculative lookahead. The ring
-// and the Stream itself are recycled to the window for the next stream, so
-// a Stream must not be used after Abandon.
+// when the consumer loses interest in its speculative lookahead. The
+// entries still queued are cleared, so the recycled ring pins no result
+// that nobody will read. The ring and the Stream itself are recycled to the
+// window for the next stream, so a Stream must not be used after Abandon.
 func (s *Stream) Abandon() {
-	for i := range s.ring {
-		s.ring[i] = spending{}
+	for ; s.n > 0; s.n-- {
+		s.ring[s.head] = spending{}
+		if s.head++; s.head == len(s.ring) {
+			s.head = 0
+		}
 	}
-	s.head, s.n, s.live = 0, 0, 0
+	s.head, s.live = 0, 0
 	if s.ring != nil {
 		s.w.spare = s.ring
 		s.ring = nil
