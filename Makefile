@@ -35,11 +35,12 @@ vet:
 #
 # Two surface checks keep the probe plane at one way to send a probe: the
 # module has no external importers, so a deprecated symbol is always
-# deletable now rather than kept; and simnet exports exactly Prober and
-# BatchProber — a third prober interface is the compatibility layer growing
-# back. A third keeps sanmapd's replies typed: map[string]any belongs to the
-# client (internal/mapd/client.go) and to tests, and in the serve path it is
-# the per-query map and encoding/json reflection growing back. A fourth
+# deletable now rather than kept; and simnet declares exactly one prober
+# interface, Prober — a second is a transport-specific submit path or the
+# compatibility layer growing back. A third keeps sanmapd's replies typed:
+# map[string]any belongs to the client (internal/mapd/client.go) and to
+# tests, and in the serve path it is the per-query map and encoding/json
+# reflection growing back. A fourth
 # keeps the Berkeley mapper at one run path: one function that reads a
 # topology.Network off a *Model (strict callers refuse its suspect list),
 # and none of the knobs and wrappers the second path hung from.
@@ -51,9 +52,10 @@ vet:
 # (Run, replay, scan, inject) update no obs handle — replays run
 # concurrently and registries are folded in afterwards — and the package
 # sorts nothing through sort.Slice's reflect swapper.
-# A seventh keeps the probe-response cache out of the mappers: a run's
-# probes are unique within it and stale across it (DESIGN.md §12), so no
-# mapper, experiment driver or command switches WindowConfig.Cache on.
+# A seventh keeps a probe window only a window: the response cache no
+# mapper could hit, the batch submit path that measured no faster than a
+# Submit loop, the option function that existed to switch the cache on and
+# the Myricom prefetch no caller enabled stay deleted (DESIGN.md §12).
 MAPD_SRC = $(filter-out %_test.go internal/mapd/client.go,$(wildcard internal/mapd/*.go))
 MAPPER_SRC = $(filter-out %_test.go,$(wildcard internal/mapper/*.go))
 WORKLOAD_SRC = $(filter-out %_test.go,$(wildcard internal/workload/*.go))
@@ -66,9 +68,9 @@ lint: vet
 	@dep=$$(grep -rl --include='*.go' --exclude='*_test.go' '// Deprecated:' internal cmd); \
 	if [ -n "$$dep" ]; then \
 		echo "deprecated symbols must be deleted, not kept:"; echo "$$dep"; exit 1; fi
-	@n=$$(cat internal/simnet/*.go | grep -cE '^type ([A-Z][A-Za-z0-9]*)?Prober interface'); \
-	if [ "$$n" -gt 2 ]; then \
-		echo "simnet exports $$n prober interfaces, want at most 2 (Prober, BatchProber)"; exit 1; fi
+	@n=$$(cat internal/simnet/*.go | grep -cE '^type ([A-Za-z][A-Za-z0-9]*)?Prober interface'); \
+	if [ "$$n" -ne 1 ]; then \
+		echo "simnet declares $$n prober interfaces, want exactly one (Prober)"; exit 1; fi
 	@untyped=$$(grep -nE 'map\[string\](any|interface *\{)' $(MAPD_SRC)); \
 	if [ -n "$$untyped" ]; then \
 		echo "untyped reply maps in sanmapd's serve path (append typed replies instead):"; \
@@ -89,11 +91,11 @@ lint: vet
 	if [ -n "$$slow" ]; then \
 		echo "per-worm overhead is back in loadsim's replay path (mirror after the loop, slices.Sort):"; \
 		echo "$$slow"; exit 1; fi
-	@cached=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'Cache:[[:space:]]*true' \
-		internal/mapper internal/myricom internal/experiments cmd); \
-	if [ -n "$$cached" ]; then \
-		echo "a mapper is switching the probe-response cache on (nothing to hit within a run, stale across one):"; \
-		echo "$$cached"; exit 1; fi
+	@fork=$$(grep -rnE --include='*.go' \
+		'BatchProber|SubmitBatch|EvalBatch|submitKeyed|cacheEntry|WithPipelineConfig|prefetchExplore' . ); \
+	if [ -n "$$fork" ]; then \
+		echo "a second way into a transport, or the window's response cache, is growing back:"; \
+		echo "$$fork"; exit 1; fi
 	@n=$$(cat $(WORKLOAD_SRC) | grep -cE '\.Spawn(At)?\('); \
 	if [ "$$n" -gt 1 ]; then \
 		echo "internal/workload starts $$n desim processes, want one (the mapper; sources are Engine.At callbacks)"; exit 1; fi

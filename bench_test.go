@@ -393,23 +393,33 @@ func BenchmarkRandomizedHybrid(b *testing.B) {
 		b.StopTimer()
 		reportMap(b, last)
 	})
-	b.Run("hybrid", func(b *testing.B) {
-		var last *mapper.Map
-		for i := 0; i < b.N; i++ {
-			sn := simnet.NewDefault(net)
-			m, err := mapper.RandomizedRun(sn.Endpoint(h0), mapper.RandomizedConfig{
-				Config:       mapper.DefaultConfig(depth),
-				CouponProbes: 200,
-				Rng:          rand.New(rand.NewSource(int64(i))),
-			})
-			if err != nil {
-				b.Fatal(err)
+	// hybrid-window8 sends the coupon batch through ProbeWindow.Do, the one
+	// caller that hands a window a whole batch at once.
+	for _, hc := range []struct {
+		name   string
+		window int
+	}{{"hybrid", 1}, {"hybrid-window8", 8}} {
+		b.Run(hc.name, func(b *testing.B) {
+			cfg := mapper.DefaultConfig(depth)
+			cfg.Pipeline = simnet.WindowConfig{Window: hc.window}
+			var last *mapper.Map
+			for i := 0; i < b.N; i++ {
+				sn := simnet.NewDefault(net)
+				m, err := mapper.RandomizedRun(sn.Endpoint(h0), mapper.RandomizedConfig{
+					Config:       cfg,
+					CouponProbes: 200,
+					Rng:          rand.New(rand.NewSource(int64(i))),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = m
 			}
-			last = m
-		}
-		b.StopTimer()
-		reportMap(b, last)
-	})
+			b.StopTimer()
+			reportMap(b, last)
+			b.ReportMetric(float64(last.Stats.Pipeline.Submitted), "submitted/op")
+		})
+	}
 }
 
 // BenchmarkRandomizedTrials runs batches of independent hybrid trials

@@ -6,7 +6,12 @@
 //	sanmap [-topo file | -gen spec] [-algo berkeley|myricom|label|random]
 //	       [-model circuit|cutthrough|packet] [-depth N] [-mapper host]
 //	       [-routes] [-dot] [-v] [-chaos seed=N[,cuts=N,flaps=N,kills=N,loss=F,...]]
-//	       [-trace file.json] [-metrics file] [-tracelog]
+//	       [-window N] [-trace file.json] [-metrics file] [-tracelog]
+//
+// -window N keeps up to N probes in flight (the map is the serial one, the
+// virtual time shorter). Only -algo berkeley and -algo random probe through
+// a window: with myricom, label or -chaos, N > 1 is refused (exit status 2)
+// rather than mapped serially without a word.
 //
 // The telemetry flags are the unified observability surface (see
 // internal/obs and OBSERVABILITY.md): -trace writes a Chrome trace_event
@@ -53,10 +58,14 @@ func main() {
 	verbose := flag.Bool("v", false, "print probe statistics")
 	traceOut := flag.Bool("tracelog", false, "dump the run's trace text log to stderr (berkeley/random only)")
 	seed := flag.Int64("seed", 1, "seed for randomised algorithms and port embeddings")
-	window := flag.Int("window", 1, "pipelined probe window (1 = serial; berkeley/random only)")
+	window := flag.Int("window", 1, "probes in flight (1 = serial); above 1 only with -algo berkeley or random, and not with -chaos")
 	chaos := flag.String("chaos", "", "map under injected faults with self-healing, e.g. seed=3 or seed=3,cuts=2,loss=0.02")
 	tele := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
+	if err := checkWindow(*window, *algo, *chaos != ""); err != nil {
+		fmt.Fprintf(os.Stderr, "sanmap: %v\n", err)
+		os.Exit(2)
+	}
 	if err := tele.Begin(); err != nil {
 		die("%v", err)
 	}
@@ -140,6 +149,24 @@ func main() {
 		fmt.Printf("routes: distributed %d per-interface tables (root %s)\n",
 			len(tables), m.Network.NameOf(tab.Root))
 	}
+}
+
+// checkWindow refuses a -window the chosen run would not honour: only the
+// Berkeley and randomized mappers probe through a window, and a -chaos run
+// is a serial self-healing session whatever -algo says.
+func checkWindow(window int, algo string, chaos bool) error {
+	serial := ""
+	switch {
+	case window <= 1:
+	case chaos:
+		serial = "a -chaos run"
+	case algo == "myricom" || algo == "label":
+		serial = "-algo " + algo
+	}
+	if serial == "" {
+		return nil
+	}
+	return fmt.Errorf("-window %d: %s maps serially; only -algo berkeley and -algo random take a window", window, serial)
 }
 
 func die(format string, args ...any) {

@@ -58,8 +58,8 @@ type Step struct {
 var ErrSuspended = errors.New("mapper: session suspended by step hook")
 
 // ErrUncheckpointable reports a session whose configuration carries state
-// the checkpoint format cannot capture (pipelined probe window, response
-// cache, per-route retry budgets, Fig 8 snapshot series).
+// the checkpoint format cannot capture (pipelined probe window, per-route
+// retry budgets, Fig 8 snapshot series).
 var ErrUncheckpointable = errors.New("mapper: session configuration not checkpointable")
 
 // ErrCheckpointMismatch reports a checkpoint restored under a different
@@ -91,16 +91,15 @@ func (s *Session) emitStep(k StepKind) error {
 const checkpointMagic = "sanmap-checkpoint 1"
 
 // checkpointable rejects configurations whose probe-engine state the text
-// format cannot capture: the pipelined window and its cache carry answers
-// across calls, route budgets carry spend maps, and the Fig 8 series is
+// format cannot capture: a pipelined window carries its counters, its
+// backoff jitter sequence (jitterSeq) and, with a route budget, its
+// per-route spend (routeSpent) across calls, and the Fig 8 series is
 // analysis-only. The serial self-healing path — what a serving daemon
 // runs — has no such state.
 func checkpointable(cfg Config) error {
 	switch {
 	case cfg.Pipeline.Window > 1:
 		return fmt.Errorf("%w: pipelined window %d", ErrUncheckpointable, cfg.Pipeline.Window)
-	case cfg.Pipeline.Cache:
-		return fmt.Errorf("%w: response cache enabled", ErrUncheckpointable)
 	case cfg.Pipeline.RouteBudget > 0:
 		return fmt.Errorf("%w: per-route retry budget", ErrUncheckpointable)
 	case cfg.Snapshots:
@@ -397,7 +396,7 @@ func RestoreSession(p simnet.Prober, data []byte, opts ...Option) (*Session, err
 	if err := checkpointable(cfg); err != nil {
 		return nil, err
 	}
-	r, err := newRun(p, cfg, true)
+	r, err := newRun(p, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -39,7 +39,7 @@ type healState struct {
 // NewSession builds a self-healing session over the prober; the options are
 // as for Run, which is a session's first Map with the strict refusal rule.
 func NewSession(p simnet.Prober, opts ...Option) (*Session, error) {
-	r, err := newRun(p, BuildConfig(opts...), true)
+	r, err := newRun(p, BuildConfig(opts...))
 	if err != nil {
 		return nil, err
 	}

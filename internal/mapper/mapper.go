@@ -258,7 +258,7 @@ const staleLimit = 3
 // RunConfig executes the Berkeley algorithm from the given prober with an
 // explicit configuration. Most callers should use Run with options.
 func RunConfig(p simnet.Prober, cfg Config) (*Map, error) {
-	r, err := newRun(p, cfg, false)
+	r, err := newRun(p, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -271,9 +271,8 @@ func RunConfig(p simnet.Prober, cfg Config) (*Map, error) {
 
 // newRun validates the configuration and builds the run every entry point
 // (Run, NewSession, RestoreSession, RandomizedRun) starts from: an empty
-// model with the contradiction hook and staleness caps installed. session
-// marks a run that outlives its first map (see initPipeline).
-func newRun(p simnet.Prober, cfg Config, session bool) (*run, error) {
+// model with the contradiction hook and staleness caps installed.
+func newRun(p simnet.Prober, cfg Config) (*run, error) {
 	if cfg.Depth < 1 {
 		return nil, fmt.Errorf("mapper: Depth must be at least 1, got %d: %w", cfg.Depth, ErrDepthExceeded)
 	}
@@ -287,7 +286,7 @@ func newRun(p simnet.Prober, cfg Config, session bool) (*run, error) {
 		staleCount: make(map[*Vertex]int), start: p.Clock()}
 	r.model.maxPorts = cfg.MaxPorts
 	r.model.onInconsistency = r.noteContradiction
-	r.initPipeline(session)
+	r.initPipeline()
 	return r, nil
 }
 

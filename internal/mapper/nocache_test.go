@@ -11,13 +11,13 @@ import (
 	"sanmap/internal/topology"
 )
 
-// Two facts keep the response cache out of the mappers (DESIGN.md §12): a
-// run never sends the same probe twice, so the cache has nothing to answer;
-// and a session's answers go stale at the first fault, so across runs it has
-// only wrong ones. One test each.
+// Two facts are why the probe window has no response cache (DESIGN.md §12):
+// a run never sends the same probe twice, so a cache would have nothing to
+// answer; and a session's answers go stale at the first fault, so across
+// runs it would have only wrong ones. One test each.
 
-// recordingProber remembers every (kind, route) handed to the transport,
-// through either submission path, and lists the ones it saw again.
+// recordingProber remembers every (kind, route) handed to the transport and
+// lists the ones it saw again.
 type recordingProber struct {
 	*simnet.Endpoint
 	seen    map[string]bool
@@ -35,13 +35,6 @@ func (r *recordingProber) note(p simnet.Probe) {
 func (r *recordingProber) Submit(p simnet.Probe) simnet.ProbeResult {
 	r.note(p)
 	return r.Endpoint.Submit(p)
-}
-
-func (r *recordingProber) SubmitBatch(ps []simnet.Probe, out []simnet.ProbeResult) {
-	for _, p := range ps {
-		r.note(p)
-	}
-	r.Endpoint.SubmitBatch(ps, out)
 }
 
 // TestRunNeverRepeatsAProbe: on one small fabric per registered generator,
@@ -86,12 +79,10 @@ func TestRunNeverRepeatsAProbe(t *testing.T) {
 }
 
 // TestPipelinedRemapMatchesSerial: a pipelined session heals exactly as the
-// serial one does. With a response cache in the session's window, Remap
-// re-explored the switches beside a cut from their pre-fault answers,
-// contradicted itself and re-explored again until staleLimit refused
-// (ring 6×2, 30 seeds: 120 contradictions against 30, confidence 0.81
-// against 0.94). The window a session builds carries no cache, whether the
-// config came from WithPipeline or asks for one explicitly.
+// serial one does. A window that remembered answers across calls would have
+// Remap re-explore the switches beside a cut from their pre-fault answers,
+// contradict itself and re-explore again until staleLimit refused (ring 6×2,
+// 30 seeds: 120 contradictions against 30, confidence 0.81 against 0.94).
 func TestPipelinedRemapMatchesSerial(t *testing.T) {
 	fabrics := []struct {
 		name  string
@@ -112,7 +103,6 @@ func TestPipelinedRemapMatchesSerial(t *testing.T) {
 	}{
 		{"serial", nil},
 		{"WithPipeline(8)", WithPipeline(8)},
-		{"Window 8, Cache", WithPipelineConfig(simnet.WindowConfig{Window: 8, Cache: true})},
 	}
 	type healed struct {
 		Contradictions, Reexplored int
@@ -142,9 +132,6 @@ func TestPipelinedRemapMatchesSerial(t *testing.T) {
 				}
 				got := healed{res.Stats.Contradictions, res.Stats.Reexplored, res.Confidence,
 					res.Suspect, string(exportBytes(t, res.Map))}
-				if hits := res.Stats.Pipeline.CacheHits; hits != 0 {
-					t.Errorf("%s seed %d %s: %d probes answered from a response cache", fab.name, seed, v.name, hits)
-				}
 				if vi == 0 {
 					want = got
 					continue

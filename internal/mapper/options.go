@@ -47,21 +47,12 @@ func WithMetrics(reg *obs.Registry) Option { return func(c *Config) { c.Metrics 
 
 // WithPipeline enables the pipelined probe engine with the given in-flight
 // window. A window of 1 or less keeps the serial path (byte-identical to the
-// historical transcript). The response cache stays off: every probe string
-// an explore loop sends is new within a run, so a cache can only cost (see
-// DESIGN.md §12). Use WithPipelineConfig for retry, timeout and backoff.
+// historical transcript). Retry, timeout and backoff are set on
+// Config.Pipeline directly.
 func WithPipeline(window int) Option {
 	return func(c *Config) {
 		c.Pipeline = simnet.WindowConfig{Window: window}
 	}
-}
-
-// WithPipelineConfig sets the full pipelined-engine configuration. Cache is
-// honoured by a one-shot Run only: a Session's window never carries a
-// response cache, because answers remembered from before a fault would
-// rebuild the healed region from the old fabric.
-func WithPipelineConfig(wc simnet.WindowConfig) Option {
-	return func(c *Config) { c.Pipeline = wc }
 }
 
 // WithConfirm sets K-of-N probe confirmation: an edge-creating response

@@ -18,12 +18,8 @@ import (
 
 // initPipeline activates the probe engine when configured. The engine
 // inherits the run's metrics registry unless the window config names its
-// own, so one WithMetrics covers both layers. A mapper's probes are unique
-// within a run and stale across runs, so a response cache has nothing to
-// answer in a one-shot Run and only pre-fault answers in a session's Remap:
-// a session's window is built without one even when Config.Pipeline.Cache
-// asks (r.cfg.Pipeline itself stays as the caller gave it).
-func (r *run) initPipeline(session bool) {
+// own, so one WithMetrics covers both layers.
+func (r *run) initPipeline() {
 	wc := r.cfg.Pipeline
 	if wc.Window <= 1 {
 		return
@@ -31,7 +27,6 @@ func (r *run) initPipeline(session bool) {
 	if wc.Metrics == nil {
 		wc.Metrics = r.cfg.Metrics
 	}
-	wc.Cache = wc.Cache && !session
 	r.win = simnet.NewProbeWindow(r.p, wc)
 }
 

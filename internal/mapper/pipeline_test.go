@@ -159,7 +159,7 @@ func TestPipelinedRandomizedRun(t *testing.T) {
 		return m
 	}
 	serial := run(simnet.WindowConfig{})
-	piped := run(simnet.WindowConfig{Window: 8, Cache: true})
+	piped := run(simnet.WindowConfig{Window: 8})
 	if !bytes.Equal(exportBytes(t, serial), exportBytes(t, piped)) {
 		t.Error("pipelined hybrid export differs from serial")
 	}

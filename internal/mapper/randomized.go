@@ -42,7 +42,7 @@ func RandomizedRun(p simnet.Prober, cfg RandomizedConfig) (*Map, error) {
 	if cfg.Rng == nil {
 		return nil, fmt.Errorf("mapper: RandomizedConfig.Rng is required")
 	}
-	r, err := newRun(p, cfg.Config, false)
+	r, err := newRun(p, cfg.Config)
 	if err != nil {
 		return nil, err
 	}

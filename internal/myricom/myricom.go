@@ -34,9 +34,6 @@ type Stats struct {
 	Compare int64 // switch-disambiguation comparison probes
 	Matches int64 // comparisons that identified a replicate
 	Elapsed time.Duration
-	// Pipeline carries the probe-engine counters when Config.Pipeline
-	// activated the pipelined explore path.
-	Pipeline simnet.WindowStats
 }
 
 // Total is the total message count, the paper's comparison metric.
@@ -57,13 +54,6 @@ type Config struct {
 	// Cancel, when non-nil, is polled between candidates; returning true
 	// aborts the run with ErrCanceled (election-mode passivation, §4.2).
 	Cancel func() bool
-	// Pipeline configures the pipelined probe engine. With Window > 1 each
-	// switch exploration issues its probes through a simnet.ProbeWindow in
-	// three phases (loop-cable probes for every turn, host probes for the
-	// loop misses, switch probes for the host misses) — exactly the probes
-	// the serial scan sends, so the map and the Fig 10 message counts are
-	// unchanged; only the virtual time shrinks.
-	Pipeline simnet.WindowConfig
 }
 
 // ErrCanceled reports a run aborted by Config.Cancel.
@@ -125,7 +115,6 @@ type runner struct {
 	stats Stats
 	done  []*swRecord
 	edges []swEdge
-	win   *simnet.ProbeWindow
 }
 
 // Run executes the Myricom algorithm.
@@ -140,9 +129,6 @@ func Run(p simnet.Prober, cfg Config) (*Map, error) {
 		cfg.MaxCandidates = 1 << 16
 	}
 	r := &runner{p: p, cfg: cfg}
-	if cfg.Pipeline.Window > 1 {
-		r.win = simnet.NewProbeWindow(p, cfg.Pipeline)
-	}
 	start := p.Clock()
 
 	frontier := []candidate{{route: simnet.Route{}}}
@@ -180,9 +166,6 @@ func Run(p simnet.Prober, cfg Config) (*Map, error) {
 	}
 
 	r.stats.Elapsed = p.Clock() - start
-	if r.win != nil {
-		r.stats.Pipeline = r.win.Stats()
-	}
 	return r.export()
 }
 
@@ -269,126 +252,40 @@ func sortByLenDiff(recs []*swRecord, n int) {
 	})
 }
 
-// preProbe holds the prefetched responses for one turn of an exploration.
-type preProbe struct {
-	loop               bool
-	host               string
-	hostOK             bool
-	sw                 bool
-	hostDone, swMapped bool
-}
-
-// prefetchExplore issues one exploration's probes through the pipelined
-// window in three phases mirroring the serial short-circuit order: the
-// loop-cable probe for every turn, host probes for the loop misses, switch
-// probes for the host misses. The serial scan's decisions depend only on
-// each turn's own responses, so this is exactly the probe set the serial
-// loop sends — same map, same Fig 10 counts, overlapped timeouts.
-func (r *runner) prefetchExplore(rec *swRecord, turns []simnet.Turn,
-	loopRoute func(simnet.Turn) simnet.Route) map[simnet.Turn]*preProbe {
-	if r.win == nil {
-		return nil
-	}
-	pre := make(map[simnet.Turn]*preProbe, len(turns))
-	batch := make([]simnet.Probe, len(turns))
-	for i, t := range turns {
-		batch[i] = simnet.Probe{Kind: simnet.ProbeRaw, Route: loopRoute(t)}
-	}
-	var hostTurns []simnet.Turn
-	for i, res := range r.win.Do(batch) {
-		pre[turns[i]] = &preProbe{loop: res.OK}
-		if !res.OK {
-			hostTurns = append(hostTurns, turns[i])
-		}
-	}
-	batch = batch[:0]
-	for _, t := range hostTurns {
-		batch = append(batch, simnet.Probe{Kind: simnet.ProbeHost, Route: rec.route.Extend(t)})
-	}
-	var swTurns []simnet.Turn
-	for i, res := range r.win.Do(batch) {
-		p := pre[hostTurns[i]]
-		p.hostDone = true
-		p.hostOK, p.host = res.OK, res.Host
-		if !res.OK {
-			swTurns = append(swTurns, hostTurns[i])
-		}
-	}
-	batch = batch[:0]
-	for _, t := range swTurns {
-		batch = append(batch, simnet.Probe{Kind: simnet.ProbeSwitch, Route: rec.route.Extend(t)})
-	}
-	for i, res := range r.win.Do(batch) {
-		p := pre[swTurns[i]]
-		p.swMapped = true
-		p.sw = res.OK
-	}
-	return pre
-}
-
 // explore probes all ports of a newly-accepted switch: loop-cable probes,
 // host probes, then switch probes for the remainder (up to 14 each, §4.2's
-// message accounting). With the pipelined engine active, the probes are
-// prefetched through the window and the loop below only applies them.
+// message accounting).
 func (r *runner) explore(rec *swRecord) []candidate {
 	var out []candidate
 	if len(rec.route) >= r.cfg.Depth {
 		return nil
 	}
 	revT := rec.route.Reversed()
-	// Loop-cable probe: T t −t −T. A loopback plug reflects the message
-	// straight back in; −t returns it to the entry port; −T walks home.
-	loopRoute := func(t simnet.Turn) simnet.Route {
-		probe := make(simnet.Route, 0, len(rec.route)*2+2)
-		probe = append(probe, rec.route...)
-		probe = append(probe, t, -t)
-		probe = append(probe, revT...)
-		return probe
-	}
-	turns := make([]simnet.Turn, 0, 2*simnet.MaxTurn)
 	for t := simnet.Turn(-simnet.MaxTurn); t <= simnet.MaxTurn; t++ {
-		if t != 0 {
-			turns = append(turns, t)
+		if t == 0 {
+			continue
 		}
-	}
-	pre := r.prefetchExplore(rec, turns, loopRoute)
-	for _, t := range turns {
 		idx := int(t)
-		p := pre[t]
+		// Loop-cable probe: T t −t −T. A loopback plug reflects the message
+		// straight back in; −t returns it to the entry port; −T walks home.
+		loop := make(simnet.Route, 0, len(rec.route)*2+2)
+		loop = append(loop, rec.route...)
+		loop = append(loop, t, -t)
+		loop = append(loop, revT...)
 		r.stats.Loop++
-		loopHit := false
-		if p != nil {
-			loopHit = p.loop
-		} else {
-			loopHit = simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeRaw, Route: loopRoute(t)}).OK
-		}
-		if loopHit {
+		if simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeRaw, Route: loop}).OK {
 			rec.loopAt[idx] = true
 			rec.use(idx)
 			continue
 		}
 		r.stats.Host++
-		var host string
-		var hostHit bool
-		if p != nil && p.hostDone {
-			host, hostHit = p.host, p.hostOK
-		} else {
-			res := simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeHost, Route: rec.route.Extend(t)})
-			host, hostHit = res.Host, res.OK
-		}
-		if hostHit {
-			rec.hostAt[idx] = host
+		if res := simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeHost, Route: rec.route.Extend(t)}); res.OK {
+			rec.hostAt[idx] = res.Host
 			rec.use(idx)
 			continue
 		}
 		r.stats.Switch++
-		swHit := false
-		if p != nil && p.swMapped {
-			swHit = p.sw
-		} else {
-			swHit = simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeSwitch, Route: rec.route.Extend(t)}).OK
-		}
-		if swHit {
+		if simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeSwitch, Route: rec.route.Extend(t)}).OK {
 			rec.use(idx)
 			rec.swCandAt[idx] = true
 			out = append(out, candidate{route: rec.route.Extend(t), parent: rec, parentIdx: idx})

@@ -47,7 +47,6 @@
 // Counter.DurationValue. Current names include:
 //
 //	probe.window.submitted        probes handed to the transport
-//	probe.window.cache.hits       probes answered from the response cache
 //	probe.window.retries          re-submissions after a miss
 //	probe.window.budget.denied    retries suppressed by the route budget
 //	probe.window.inflight.max     in-flight high-water mark (gauge)

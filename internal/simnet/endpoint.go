@@ -7,7 +7,7 @@ import (
 	"sanmap/internal/topology"
 )
 
-// Endpoint binds a Net to a source host, implementing BatchProber.
+// Endpoint binds a Net to a source host, implementing Prober.
 type Endpoint struct {
 	net  *Net
 	host topology.NodeID
@@ -44,13 +44,6 @@ func (e *Endpoint) Stats() Stats { return e.net.Stats() }
 func (e *Endpoint) Submit(p Probe) (r ProbeResult) {
 	e.net.submit(e.host, p, &r)
 	return r
-}
-
-// SubmitBatch implements BatchProber: the probes are issued in order with
-// the transport's per-probe setup (turn bound, structural version, route
-// memo key) validated once for the whole batch.
-func (e *Endpoint) SubmitBatch(ps []Probe, out []ProbeResult) {
-	e.net.submitBatch(e.host, ps, out)
 }
 
 // Collect implements Prober: advance the clock to the result's completion

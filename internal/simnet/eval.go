@@ -285,10 +285,9 @@ func evalRoute(topo *topology.Network, from topology.NodeID, route Route, m Mode
 
 // evalResume is the walk body of evalRoute with the source-kind check and
 // memo-key validation hoisted to the caller: keyed reports that the memo
-// holds a resumable walk for (from, m, epoch, ver). The batch paths
-// (Net.EvalBatch, Net.submitBatch) validate the key once per batch — after
-// any completed walk the memo key equals the batch key, so the validation
-// collapses to the scratch's valid bit.
+// holds a resumable walk for (from, m, epoch, ver). Net.submit validates the
+// key once for a ProbeID's two walks — after a completed walk the memo key
+// equals the caller's, so the validation collapses to the scratch's valid bit.
 //
 //sanlint:hotpath
 func evalResume(topo *topology.Network, from topology.NodeID, route Route, m Model, s *evalScratch, epoch, ver uint64, keyed bool) Result {

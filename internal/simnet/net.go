@@ -280,79 +280,22 @@ func (n *Net) transitTime(hops, turns int) time.Duration {
 // response. collect advances the clock to Done; keeping the two separate is
 // what lets the pipelined engine overlap many response timeouts, while
 // submit-then-collect (Do) is the serial accounting: overhead first, then
-// wait. The result is built in *r, the caller's own storage (a named return
-// value, a batch slot), not returned by value through each layer: a
-// ProbeResult is 136 bytes.
+// wait. The result is built in *r, the caller's own storage, not returned by
+// value through each layer: a ProbeResult is 136 bytes. *r is overwritten
+// whole.
 func (n *Net) submit(from topology.NodeID, p Probe, r *ProbeResult) {
 	if n.injector != nil {
 		n.injector.Advance(n.clock)
 	}
-	ver := n.topo.Version()
-	n.submitKeyed(from, p, n.MaxTurn(), ver,
-		n.scratch.keyOK(from, n.model, n.epoch, ver), r)
-}
-
-// submitBatch issues ps in order, filling out[i] with the i-th result. It
-// is observationally identical to len(ps) sequential submit calls — same
-// clock billing, counters and results — but the turn bound, structural
-// version and route-memo key are validated once per batch instead of once
-// or twice per probe. With a fault injector installed the per-probe path is
-// used unchanged: Advance may mutate the topology mid-batch, so nothing is
-// safe to hoist (and the fault-free configuration stays on the fast path).
-func (n *Net) submitBatch(from topology.NodeID, ps []Probe, out []ProbeResult) {
-	if len(ps) != len(out) {
-		panic("simnet: submitBatch length mismatch")
+	if n.topo.KindOf(from) != topology.HostNode {
+		panic(fmt.Sprintf("simnet: source %d is not a host", from))
 	}
-	if n.injector != nil {
-		for i := range ps {
-			n.submit(from, ps[i], &out[i])
-		}
-		return
-	}
+	// Read after Advance, which may have mutated the topology. keyed: the
+	// route memo holds a resumable walk for (from, model, epoch, ver) — see
+	// evalScratch.
 	maxTurn := n.MaxTurn()
 	ver := n.topo.Version()
 	keyed := n.scratch.keyOK(from, n.model, n.epoch, ver)
-	for i := range ps {
-		n.submitKeyed(from, ps[i], maxTurn, ver, keyed, &out[i])
-		if n.supports(ps[i].Kind) {
-			// Every supported kind ran the evaluator, which re-keyed the
-			// memo to this batch's key; resumability is now just the valid
-			// bit. Unsupported kinds leave the scratch (and keyed) untouched.
-			keyed = n.scratch.valid
-		}
-	}
-}
-
-// EvalBatch evaluates a batch of raw routes from one source in a single
-// pass over the shared scratch, with no clock or counter effects: the memo
-// key is validated once for the whole batch and consecutive routes resume
-// from each other's memoized prefixes exactly as in repeated Eval calls.
-// out must have len(routes). Results are identical to calling Eval on each
-// route in order.
-func (n *Net) EvalBatch(from topology.NodeID, routes []Route, out []Result) {
-	if len(routes) != len(out) {
-		panic("simnet: EvalBatch length mismatch")
-	}
-	if n.topo.KindOf(from) != topology.HostNode {
-		panic(fmt.Sprintf("simnet: source %d is not a host", from))
-	}
-	ver := n.topo.Version()
-	keyed := n.scratch.keyOK(from, n.model, n.epoch, ver)
-	for i, rt := range routes {
-		out[i] = evalResume(n.topo, from, rt, n.model, &n.scratch, n.epoch, ver, keyed)
-		keyed = n.scratch.valid
-	}
-}
-
-// submitKeyed is the body of submit with the per-probe setup hoisted to the
-// caller: maxTurn is the fabric's turn bound, ver the topology's structural
-// version, and keyed whether the route memo holds a resumable walk for
-// (from, model, epoch, ver) — see evalScratch. submitBatch amortizes all
-// three across a window-sized batch. *r is overwritten whole.
-func (n *Net) submitKeyed(from topology.NodeID, p Probe, maxTurn Turn, ver uint64, keyed bool, r *ProbeResult) {
-	if n.topo.KindOf(from) != topology.HostNode {
-		panic(fmt.Sprintf("simnet: source %d is not a host", from))
-	}
 	*r = ProbeResult{}
 	r.Probe = p
 	if !n.supports(p.Kind) {

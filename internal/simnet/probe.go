@@ -121,9 +121,6 @@ type ProbeResult struct {
 	Done time.Duration
 	// Latency is Done minus the submission time.
 	Latency time.Duration
-	// Cached marks results served from a ProbeWindow cache (no message was
-	// sent and no virtual time elapsed).
-	Cached bool
 }
 
 // ProbeCaps is the capability set a transport reports via Probes().
@@ -201,15 +198,4 @@ func Do(p Prober, probe Probe) (r ProbeResult) {
 	r = p.Submit(probe)
 	p.Collect(r)
 	return r
-}
-
-// BatchProber is the batched fast path over Prober: SubmitBatch issues
-// len(ps) probes in submission order, filling out[i] with the i-th result.
-// It must be observationally identical to len(ps) sequential Submit calls;
-// transports use the batch boundary to hoist per-probe setup (turn-bound
-// lookups, memo key validation) out of the loop — see Net.EvalBatch.
-type BatchProber interface {
-	Prober
-	// SubmitBatch issues every probe in order; out must have len(ps).
-	SubmitBatch(ps []Probe, out []ProbeResult)
 }

@@ -47,11 +47,11 @@ func (s *copyingStream) pop() spending {
 	return e
 }
 
-// grow doubles the ring (initially sizing it to hold a full window plus
-// cache-hit slack) and linearises the live entries at the front.
+// grow doubles the ring (initially sizing it to hold a full window) and
+// linearises the live entries at the front.
 func (s *copyingStream) grow() {
 	size := 2 * len(s.ring)
-	if min := s.w.cfg.Window + 8; size < min {
+	if min := s.w.cfg.Window; size < min {
 		size = min
 	}
 	buf := make([]spending, size)
@@ -62,73 +62,16 @@ func (s *copyingStream) grow() {
 	s.head = 0
 }
 
-// Submit enqueues one probe. A cache hit retires instantly without sending
-// a message; otherwise the probe is handed to the transport. Submit never
-// blocks — callers wanting overlap should stay within Free().
+// Submit hands one probe to the transport and queues its result. Submit
+// never blocks — callers wanting overlap should stay within Free().
 func (s *copyingStream) Submit(p Probe, tag int) {
 	w := s.w
-	if w.cache != nil {
-		if c, ok := w.cache[string(w.probeKey(p))]; ok {
-			w.m.cacheHits.Inc()
-			s.push(spending{tag: tag, res: c.hit(p, w.p.Clock()), cached: true})
-			return
-		}
-	}
 	s.live++
 	s.push(spending{tag: tag, res: w.p.Submit(w.withTimeout(p))})
 	w.m.submitted.Inc()
 	if s.live > s.maxSeen {
 		s.maxSeen = s.live
 		w.m.maxInFlight.SetMax(int64(s.live))
-	}
-}
-
-// SubmitBatch enqueues a contiguous run of probes with tags base, base+1, …
-// Maximal runs of consecutive cache misses go through the transport's
-// SubmitBatch (amortising its per-probe setup over the run); cache hits are
-// interleaved at exactly the position — and therefore the clock reading —
-// the equivalent Submit loop would give them.
-func (s *copyingStream) SubmitBatch(ps []Probe, base int) {
-	w := s.w
-	if w.bp == nil || len(ps) < 2 {
-		for i := range ps {
-			s.Submit(ps[i], base+i)
-		}
-		return
-	}
-	start := 0
-	for i := 0; i <= len(ps); i++ {
-		var c cacheEntry
-		hit := false
-		if i < len(ps) {
-			if w.cache != nil {
-				c, hit = w.cache[string(w.probeKey(ps[i]))]
-			}
-			if !hit {
-				continue
-			}
-		}
-		if run := i - start; run > 0 {
-			buf, res := w.batchScratch(run)
-			for j := 0; j < run; j++ {
-				buf[j] = w.withTimeout(ps[start+j])
-			}
-			w.bp.SubmitBatch(buf, res)
-			for j := 0; j < run; j++ {
-				s.live++
-				s.push(spending{tag: base + start + j, res: res[j]})
-				w.m.submitted.Inc()
-				if s.live > s.maxSeen {
-					s.maxSeen = s.live
-					w.m.maxInFlight.SetMax(int64(s.live))
-				}
-			}
-		}
-		if hit {
-			w.m.cacheHits.Inc()
-			s.push(spending{tag: base + i, res: c.hit(ps[i], w.p.Clock()), cached: true})
-		}
-		start = i + 1
 	}
 }
 
@@ -145,13 +88,10 @@ func (s *copyingStream) NextDone() (time.Duration, bool) {
 }
 
 // Collect retires the oldest entry: synchronise the clock with its
-// completion, run the bounded retry loop on a miss, cache the final result
-// and return it with the submitter's tag.
+// completion, run the bounded retry loop on a miss and return the final
+// result with the submitter's tag.
 func (s *copyingStream) Collect() (int, ProbeResult) {
 	e := s.pop()
-	if e.cached {
-		return e.tag, e.res
-	}
 	s.live--
 	w := s.w
 	p0 := e.res.Probe
@@ -184,9 +124,6 @@ func (s *copyingStream) Collect() (int, ProbeResult) {
 			w.m.missWait.Observe(r.Latency)
 		}
 	}
-	if w.cache != nil {
-		w.cache[string(w.probeKey(p0))] = cacheEntry{ok: r.OK, host: r.Host, err: r.Err}
-	}
 	return e.tag, r
 }
 
@@ -208,7 +145,6 @@ type streamLike interface {
 	Free() int
 	Len() int
 	Submit(p Probe, tag int)
-	SubmitBatch(ps []Probe, base int)
 	NextDone() (time.Duration, bool)
 	collect() (int, ProbeResult)
 	Abandon()
@@ -233,7 +169,7 @@ type streamWorld struct {
 // streamProbes is the script alphabet on probeNet: hits and misses of every
 // supported kind, a per-probe timeout, and two kinds the transport refuses
 // (which cost nothing and must never be retried). The pool is small so that
-// scripts repeat probes, which is what exercises Cache and RouteBudget.
+// scripts repeat probes, which is what exercises RouteBudget.
 var streamProbes = []Probe{
 	{Kind: ProbeHost, Route: Route{3, 3}},
 	{Kind: ProbeSwitch, Route: Route{3}},
@@ -249,13 +185,14 @@ var streamProbes = []Probe{
 }
 
 // TestStreamInPlaceMatchesCopying drives the in-place Stream and the copying
-// oracle through the same seeded scripts — single and batched submissions
-// (within and beyond the window, so the ring wraps and grows), collections,
-// peeks, and abandons with entries still queued — over a batching transport,
-// a lossy one and a one-shot dropper, under every window feature. After each
-// operation the two sides must agree on what was collected, on Free, Len and
-// NextDone, and on the virtual clock; at the end on the window's and the
-// transport's counters.
+// oracle through the same seeded scripts — single submissions and runs of
+// them (within and beyond the window, so the ring wraps and grows),
+// collections, peeks, and abandons with entries still queued — over the
+// quiescent transport, a lossy one and a one-shot dropper, under every window
+// feature. After each operation the two sides must agree on what was
+// collected, on Free, Len and NextDone, and on the virtual clock, and Free
+// must be the window less what is queued; at the end they must agree on the
+// window's and the transport's counters.
 func TestStreamInPlaceMatchesCopying(t *testing.T) {
 	transports := []struct {
 		name string
@@ -269,10 +206,10 @@ func TestStreamInPlaceMatchesCopying(t *testing.T) {
 	}
 	configs := []WindowConfig{
 		{Window: 4},
-		{Window: 8, Cache: true},
-		{Window: 1, Retries: 1, Cache: true},
+		{Window: 8},
+		{Window: 1, Retries: 1},
 		{Window: 3, Retries: 2, Backoff: time.Millisecond, Seed: 5},
-		{Window: 4, Retries: 3, RouteBudget: 2, Cache: true},
+		{Window: 4, Retries: 3, RouteBudget: 2},
 		{Window: 2, Retries: 1, RouteBudget: 1, Timeout: 3 * time.Millisecond},
 	}
 	for _, tr := range transports {
@@ -315,13 +252,12 @@ func runStreamScript(t *testing.T, name string, rng *rand.Rand, got, want *strea
 			p := pick()
 			both(func(sw *streamWorld) { sw.st.Submit(p, tag) })
 			tag++
-		case k < 10:
-			ps := make([]Probe, 1+rng.Intn(6))
-			for i := range ps {
-				ps[i] = pick()
+		case k < 10: // a run of probes, usually past what the window has free
+			for n := 1 + rng.Intn(6); n > 0; n-- {
+				p := pick()
+				both(func(sw *streamWorld) { sw.st.Submit(p, tag) })
+				tag++
 			}
-			both(func(sw *streamWorld) { sw.st.SubmitBatch(ps, tag) })
-			tag += len(ps)
 		case k < 19:
 			if got.st.Len() > 0 {
 				collect(op)
@@ -337,6 +273,10 @@ func runStreamScript(t *testing.T, name string, rng *rand.Rand, got, want *strea
 		}
 		if got.net.Clock() != want.net.Clock() {
 			t.Fatalf("%s op %d: clock %v, oracle %v", name, op, got.net.Clock(), want.net.Clock())
+		}
+		if got.st.Free() != got.w.cfg.Window-got.st.Len() {
+			t.Fatalf("%s op %d: free %d with %d queued in a window of %d", name, op,
+				got.st.Free(), got.st.Len(), got.w.cfg.Window)
 		}
 	}
 	for got.st.Len() > 0 {
@@ -355,23 +295,21 @@ func runStreamScript(t *testing.T, name string, rng *rand.Rand, got, want *strea
 // Collect that retires it allocate nothing — the result is written into the
 // ring slot and read out of it through a pointer.
 func TestStreamSteadyStateZeroAlloc(t *testing.T) {
-	for _, cfg := range []WindowConfig{{Window: 8}, {Window: 8, Cache: true}} {
-		sn, h0, _ := probeNet(t)
-		st := NewProbeWindow(sn.Endpoint(h0), cfg).Stream()
-		hit, miss := Probe{Kind: ProbeHost, Route: Route{3, 3}}, Probe{Kind: ProbeSwitch, Route: Route{3, 3}}
-		pair := func() {
-			st.Submit(hit, 0)
-			st.Submit(miss, 1)
-			if _, r := st.Collect(); !r.OK || r.Host != "h1" {
-				t.Fatalf("hit collected as %+v", *r)
-			}
-			if _, r := st.Collect(); r.OK {
-				t.Fatalf("miss collected as %+v", *r)
-			}
+	sn, h0, _ := probeNet(t)
+	st := NewProbeWindow(sn.Endpoint(h0), WindowConfig{Window: 8}).Stream()
+	hit, miss := Probe{Kind: ProbeHost, Route: Route{3, 3}}, Probe{Kind: ProbeSwitch, Route: Route{3, 3}}
+	pair := func() {
+		st.Submit(hit, 0)
+		st.Submit(miss, 1)
+		if _, r := st.Collect(); !r.OK || r.Host != "h1" {
+			t.Fatalf("hit collected as %+v", *r)
 		}
-		pair() // sizes the ring (and, with Cache, inserts both keys)
-		if allocs := testing.AllocsPerRun(200, pair); allocs != 0 {
-			t.Errorf("cache=%v: steady-state Submit+Collect allocates %v times per pair", cfg.Cache, allocs)
+		if _, r := st.Collect(); r.OK {
+			t.Fatalf("miss collected as %+v", *r)
 		}
+	}
+	pair() // sizes the ring
+	if allocs := testing.AllocsPerRun(200, pair); allocs != 0 {
+		t.Errorf("steady-state Submit+Collect allocates %v times per pair", allocs)
 	}
 }

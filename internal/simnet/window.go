@@ -21,14 +21,6 @@ type WindowConfig struct {
 	// Timeout, when positive, overrides the transport's response timeout
 	// for every probe issued through the window.
 	Timeout time.Duration
-	// Cache enables the probe-response cache keyed by probe kind and route
-	// string: a repeated probe is answered from the cache at zero virtual
-	// cost and without sending a message. It pays only for a caller that
-	// repeats probes over a fabric that holds still. The mappers do
-	// neither — their probes are unique within a run and stale across
-	// one — so none of them turns it on: every submission would pay a map
-	// insert for zero hits (DESIGN.md §12).
-	Cache bool
 	// Backoff, when positive, replaces immediate retry resubmission with
 	// capped exponential backoff: the k-th retry of a probe waits
 	// Backoff<<k (bounded by BackoffCap) plus a deterministic jitter of up
@@ -55,11 +47,8 @@ type WindowConfig struct {
 
 // WindowStats counts what a ProbeWindow did.
 type WindowStats struct {
-	// Submitted counts probes actually handed to the transport (retries
-	// included, cache hits excluded).
+	// Submitted counts probes handed to the transport, retries included.
 	Submitted int64
-	// CacheHits counts probes answered from the response cache.
-	CacheHits int64
 	// Retries counts re-submissions after a miss.
 	Retries int64
 	// MaxInFlight is the in-flight high-water mark.
@@ -76,8 +65,8 @@ type WindowStats struct {
 
 // String renders the counters on one line.
 func (s WindowStats) String() string {
-	out := fmt.Sprintf("submitted=%d cache=%d retries=%d inflight≤%d timeout-cost=%v",
-		s.Submitted, s.CacheHits, s.Retries, s.MaxInFlight, s.TimeoutCost)
+	out := fmt.Sprintf("submitted=%d retries=%d inflight≤%d timeout-cost=%v",
+		s.Submitted, s.Retries, s.MaxInFlight, s.TimeoutCost)
 	if s.BackoffWait > 0 || s.BudgetDenied > 0 {
 		out += fmt.Sprintf(" backoff=%v budget-denied=%d", s.BackoffWait, s.BudgetDenied)
 	}
@@ -95,23 +84,16 @@ func (s WindowStats) String() string {
 // A ProbeWindow is not safe for concurrent use; like the transports, its
 // concurrency is virtual.
 type ProbeWindow struct {
-	p Prober
-	// bp is the transport's batched fast path (nil when unsupported).
-	bp    BatchProber
-	cfg   WindowConfig
-	cache map[string]cacheEntry
-	m     windowMetrics
+	p   Prober
+	cfg WindowConfig
+	m   windowMetrics
 	// routeSpent tracks retries charged per route (RouteBudget > 0 only);
 	// jitterSeq numbers backoff draws so jitter is deterministic per window.
 	routeSpent map[string]int
 	jitterSeq  uint64
-	// keyBuf is the reusable cache/budget key scratch (probe kind byte plus
-	// raw turn bytes); map lookups through string(keyBuf) do not allocate.
+	// keyBuf is the reusable budget key scratch (probe kind byte plus raw
+	// turn bytes); map lookups through string(keyBuf) do not allocate.
 	keyBuf []byte
-	// batchBuf/batchRes are the reusable staging slices for transport-level
-	// SubmitBatch calls.
-	batchBuf []Probe
-	batchRes []ProbeResult
 	// spare/spareStream recycle the ring buffer and Stream header between
 	// streams: Abandon returns them, the next Stream picks them up. Only
 	// one stream is live at a time in every engine in this repo, so one
@@ -127,7 +109,6 @@ type ProbeWindow struct {
 // aggregates several windows into one telemetry sidecar.
 type windowMetrics struct {
 	submitted    *obs.Counter
-	cacheHits    *obs.Counter
 	retries      *obs.Counter
 	budgetDenied *obs.Counter
 	timeoutCost  *obs.Counter // virtual ns lost to misses
@@ -140,7 +121,6 @@ type windowMetrics struct {
 func registerWindowMetrics(reg *obs.Registry) windowMetrics {
 	return windowMetrics{
 		submitted:    reg.Counter("probe.window.submitted"),
-		cacheHits:    reg.Counter("probe.window.cache.hits"),
 		retries:      reg.Counter("probe.window.retries"),
 		budgetDenied: reg.Counter("probe.window.budget.denied"),
 		timeoutCost:  reg.Counter("probe.window.timeout.cost.ns"),
@@ -163,15 +143,6 @@ func NewProbeWindow(p Prober, cfg WindowConfig) *ProbeWindow {
 		reg = obs.NewRegistry()
 	}
 	w := &ProbeWindow{p: p, cfg: cfg, m: registerWindowMetrics(reg)}
-	if bp, ok := p.(BatchProber); ok {
-		w.bp = bp
-	}
-	if cfg.Cache {
-		// Pre-sized: response caches on real mapping runs hold thousands of
-		// entries, and incremental map growth (rehash + table copies) was a
-		// measurable slice of the pipelined engine's wall-clock overhead.
-		w.cache = make(map[string]cacheEntry, 2048)
-	}
 	if cfg.RouteBudget > 0 {
 		w.routeSpent = make(map[string]int)
 	}
@@ -210,7 +181,6 @@ func (w *ProbeWindow) backoffWait(attempt int) time.Duration {
 func (w *ProbeWindow) Stats() WindowStats {
 	return WindowStats{
 		Submitted:    w.m.submitted.Value(),
-		CacheHits:    w.m.cacheHits.Value(),
 		Retries:      w.m.retries.Value(),
 		MaxInFlight:  int(w.m.maxInFlight.Value()),
 		TimeoutCost:  w.m.timeoutCost.DurationValue(),
@@ -222,11 +192,9 @@ func (w *ProbeWindow) Stats() WindowStats {
 // Prober returns the underlying transport.
 func (w *ProbeWindow) Prober() Prober { return w.p }
 
-// appendProbeKey appends the probe's cache/budget identity to dst: the kind
-// byte followed by the raw turn bytes. It replaces the old
-// kind.String()+"|"+route.String() key: same uniqueness (turns are int8, one
-// byte each), none of the fmt machinery, and map lookups through
-// string(keyBuf) compile to zero-allocation access.
+// appendProbeKey appends the probe's route-budget identity to dst: the kind
+// byte followed by the raw turn bytes (turns are int8, one byte each), so
+// map lookups through string(keyBuf) compile to zero-allocation access.
 //
 //sanlint:hotpath
 func appendProbeKey(dst []byte, p Probe) []byte {
@@ -243,46 +211,18 @@ func (w *ProbeWindow) probeKey(p Probe) []byte {
 	return w.keyBuf
 }
 
-// cacheEntry is the compact stored form of a cached response — only the
-// fields a repeat probe's answer carries forward. The rest of the hit's
-// ProbeResult is rebuilt at hit time (the probe is the repeat submission's
-// own, completion is the current clock, latency zero), so the cache map
-// stays a third the width of full results.
-type cacheEntry struct {
-	ok   bool
-	host string
-	err  error
-}
-
-// hit materialises the cached answer for a repeat submission of p.
-func (c cacheEntry) hit(p Probe, now time.Duration) ProbeResult {
-	return ProbeResult{Probe: p, OK: c.ok, Host: c.host, Err: c.err, Done: now, Cached: true}
-}
-
 // Do issues the batch through the sliding window and returns one result per
-// probe, in submission order. Results for probes answered from the cache
-// carry Cached=true and zero latency.
-//
-// Contiguous submissions (the initial window fill, and window-sized refills
-// after drains) go through the transport's batch path when it has one; the
-// submit/collect interleaving — and with it every virtual timestamp — is
-// identical to the one-at-a-time loop.
+// probe, in submission order: the window is kept full with Submit, and the
+// oldest probe is collected whenever it is.
 func (w *ProbeWindow) Do(batch []Probe) []ProbeResult {
 	out := make([]ProbeResult, len(batch))
 	st := w.Stream()
-	i := 0
-	for i < len(batch) {
-		free := st.Free()
-		if free <= 0 {
+	for i, p := range batch {
+		if st.Free() == 0 {
 			tag, r := st.Collect()
 			out[tag] = *r
-			continue
 		}
-		if rem := len(batch) - i; rem < free {
-			free = rem
-		}
-		st.SubmitBatch(batch[i:i+free], i)
-		i += free
+		st.Submit(p, i)
 	}
 	for st.Len() > 0 {
 		tag, r := st.Collect()
@@ -297,9 +237,8 @@ func (w *ProbeWindow) Do(batch []Probe) []ProbeResult {
 // The probe itself lives in res.Probe — every transport echoes the submitted
 // probe there — so the entry is one ProbeResult wide, not two.
 type spending struct {
-	tag    int
-	res    ProbeResult
-	cached bool // res came from the window cache (no transport slot held)
+	tag int
+	res ProbeResult
 }
 
 // Stream is the incremental interface to a ProbeWindow — the fully general
@@ -307,7 +246,7 @@ type spending struct {
 // (e.g. a follow-up probe submitted the moment its predecessor's miss is
 // collected, while the rest of the window stays in flight). Callers submit
 // tagged probes as Free() allows and Collect results strictly in submission
-// order; cache and bounded retry apply exactly as in Do.
+// order; bounded retry applies exactly as in Do.
 //
 // Entries live in a ring buffer and a result is moved once: Submit has the
 // transport's answer stored straight into the ring's tail slot, and Collect
@@ -318,8 +257,7 @@ type Stream struct {
 	w       *ProbeWindow
 	ring    []spending
 	head    int // index of the oldest entry
-	n       int // queued entries
-	live    int // entries occupying transport window slots
+	n       int // queued entries, each holding a transport window slot
 	maxSeen int // high-water mark already pushed to the gauge
 }
 
@@ -331,21 +269,21 @@ func (w *ProbeWindow) Stream() *Stream {
 		s = &Stream{w: w}
 	} else {
 		w.spareStream = nil
-		s.head, s.n, s.live, s.maxSeen = 0, 0, 0, 0
+		s.head, s.n, s.maxSeen = 0, 0, 0
 	}
 	s.ring, w.spare = w.spare, nil
 	return s
 }
 
 // Free reports the remaining window capacity.
-func (s *Stream) Free() int { return s.w.cfg.Window - s.live }
+func (s *Stream) Free() int { return s.w.cfg.Window - s.n }
 
 // Len reports queued entries awaiting Collect.
 func (s *Stream) Len() int { return s.n }
 
 // slot queues one entry at the ring's tail, growing if full, and returns it
 // for the caller to fill in place. Whatever an earlier entry left in the
-// slot is still there: the caller assigns tag, res and cached, all three.
+// slot is still there: the caller assigns tag and res, both.
 func (s *Stream) slot() *spending {
 	if s.n == len(s.ring) {
 		s.grow()
@@ -358,11 +296,11 @@ func (s *Stream) slot() *spending {
 	return &s.ring[i]
 }
 
-// grow doubles the ring (initially sizing it to hold a full window plus
-// cache-hit slack) and linearises the live entries at the front.
+// grow doubles the ring (initially sizing it to hold a full window) and
+// linearises the queued entries at the front.
 func (s *Stream) grow() {
 	size := 2 * len(s.ring)
-	if min := s.w.cfg.Window + 8; size < min {
+	if min := s.w.cfg.Window; size < min {
 		size = min
 	}
 	buf := make([]spending, size)
@@ -373,95 +311,19 @@ func (s *Stream) grow() {
 	s.head = 0
 }
 
-// sent books one entry just handed to the transport: it holds a window slot
-// until collected.
-func (s *Stream) sent() {
-	s.live++
-	s.w.m.submitted.Inc()
-	if s.live > s.maxSeen {
-		s.maxSeen = s.live
-		s.w.m.maxInFlight.SetMax(int64(s.live))
-	}
-}
-
-// queueHit queues the cached answer c for a repeat submission of p.
-func (s *Stream) queueHit(c cacheEntry, p Probe, tag int) {
-	w := s.w
-	w.m.cacheHits.Inc()
-	e := s.slot()
-	e.tag, e.cached = tag, true
-	e.res = c.hit(p, w.p.Clock())
-}
-
-// Submit enqueues one probe. A cache hit retires instantly without sending
-// a message; otherwise the probe is handed to the transport. Submit never
-// blocks — callers wanting overlap should stay within Free().
+// Submit hands one probe to the transport and queues its result; the entry
+// holds a window slot until collected. Submit never blocks — callers wanting
+// overlap should stay within Free().
 func (s *Stream) Submit(p Probe, tag int) {
 	w := s.w
-	if w.cache != nil {
-		if c, ok := w.cache[string(w.probeKey(p))]; ok {
-			s.queueHit(c, p, tag)
-			return
-		}
-	}
 	e := s.slot()
-	e.tag, e.cached = tag, false
+	e.tag = tag
 	e.res = w.p.Submit(w.withTimeout(p))
-	s.sent()
-}
-
-// SubmitBatch enqueues a contiguous run of probes with tags base, base+1, …
-// Maximal runs of consecutive cache misses go through the transport's
-// SubmitBatch (amortising its per-probe setup over the run); cache hits are
-// interleaved at exactly the position — and therefore the clock reading —
-// the equivalent Submit loop would give them.
-func (s *Stream) SubmitBatch(ps []Probe, base int) {
-	w := s.w
-	if w.bp == nil || len(ps) < 2 {
-		for i := range ps {
-			s.Submit(ps[i], base+i)
-		}
-		return
+	w.m.submitted.Inc()
+	if s.n > s.maxSeen {
+		s.maxSeen = s.n
+		w.m.maxInFlight.SetMax(int64(s.n))
 	}
-	start := 0
-	for i := 0; i <= len(ps); i++ {
-		var c cacheEntry
-		hit := false
-		if i < len(ps) {
-			if w.cache != nil {
-				c, hit = w.cache[string(w.probeKey(ps[i]))]
-			}
-			if !hit {
-				continue
-			}
-		}
-		if run := i - start; run > 0 {
-			buf, res := w.batchScratch(run)
-			for j := 0; j < run; j++ {
-				buf[j] = w.withTimeout(ps[start+j])
-			}
-			w.bp.SubmitBatch(buf, res)
-			for j := 0; j < run; j++ {
-				e := s.slot()
-				e.tag, e.cached = base+start+j, false
-				e.res = res[j]
-				s.sent()
-			}
-		}
-		if hit {
-			s.queueHit(c, ps[i], base+i)
-		}
-		start = i + 1
-	}
-}
-
-// batchScratch returns the window's reusable batch staging slices sized n.
-func (w *ProbeWindow) batchScratch(n int) ([]Probe, []ProbeResult) {
-	if cap(w.batchBuf) < n {
-		w.batchBuf = make([]Probe, n)
-		w.batchRes = make([]ProbeResult, n)
-	}
-	return w.batchBuf[:n], w.batchRes[:n]
 }
 
 // NextDone peeks at the completion time of the oldest queued entry without
@@ -477,10 +339,9 @@ func (s *Stream) NextDone() (time.Duration, bool) {
 }
 
 // Collect retires the oldest entry: synchronise the clock with its
-// completion, run the bounded retry loop on a miss, cache the final result
-// and return it with the submitter's tag. The result is the ring slot
-// itself, valid until the stream's next Submit, SubmitBatch or Abandon;
-// copy it to keep it longer.
+// completion, run the bounded retry loop on a miss and return the final
+// result with the submitter's tag. The result is the ring slot itself, valid
+// until the stream's next Submit or Abandon; copy it to keep it longer.
 func (s *Stream) Collect() (int, *ProbeResult) {
 	e := &s.ring[s.head]
 	if s.head++; s.head == len(s.ring) {
@@ -488,10 +349,6 @@ func (s *Stream) Collect() (int, *ProbeResult) {
 	}
 	s.n--
 	r := &e.res
-	if e.cached {
-		return e.tag, r
-	}
-	s.live--
 	w := s.w
 	p0 := r.Probe
 	w.p.Collect(*r)
@@ -522,9 +379,6 @@ func (s *Stream) Collect() (int, *ProbeResult) {
 			w.m.missWait.Observe(r.Latency)
 		}
 	}
-	if w.cache != nil {
-		w.cache[string(w.probeKey(p0))] = cacheEntry{ok: r.OK, host: r.Host, err: r.Err}
-	}
 	return e.tag, r
 }
 
@@ -541,7 +395,7 @@ func (s *Stream) Abandon() {
 			s.head = 0
 		}
 	}
-	s.head, s.live = 0, 0
+	s.head = 0
 	if s.ring != nil {
 		s.w.spare = s.ring
 		s.ring = nil
@@ -549,7 +403,7 @@ func (s *Stream) Abandon() {
 	s.w.spareStream = s
 }
 
-// DoOne runs a single probe through the window (cache and retry apply; no
+// DoOne runs a single probe through the window (retry applies; no
 // overlap, since there is nothing to overlap with).
 func (w *ProbeWindow) DoOne(p Probe) ProbeResult {
 	return w.Do([]Probe{p})[0]

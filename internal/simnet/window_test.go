@@ -94,32 +94,6 @@ func TestWindowOverlapsTimeouts(t *testing.T) {
 	}
 }
 
-// TestWindowCache: a repeated probe is answered from the cache — identical
-// response, no message, no virtual time.
-func TestWindowCache(t *testing.T) {
-	sn, h0, _ := probeNet(t)
-	w := NewProbeWindow(sn.Endpoint(h0), WindowConfig{Window: 4, Cache: true})
-	first := w.DoOne(Probe{Kind: ProbeHost, Route: Route{3, 3}})
-	if !first.OK || first.Host != "h1" || first.Cached {
-		t.Fatalf("first probe: %+v", first)
-	}
-	mark := sn.Clock()
-	again := w.DoOne(Probe{Kind: ProbeHost, Route: Route{3, 3}})
-	if !again.Cached || !again.OK || again.Host != first.Host || again.Latency != 0 {
-		t.Errorf("cached probe: %+v", again)
-	}
-	if sn.Clock() != mark {
-		t.Errorf("cache hit advanced the clock by %v", sn.Clock()-mark)
-	}
-	st := w.Stats()
-	if st.Submitted != 1 || st.CacheHits != 1 {
-		t.Errorf("stats %+v, want 1 submitted / 1 cache hit", st)
-	}
-	if sn.Stats().HostProbes != 1 {
-		t.Errorf("transport saw %d host probes, want 1", sn.Stats().HostProbes)
-	}
-}
-
 // dropFirst fails the first host probe (after paying its real cost), then
 // behaves normally — a deterministic single-loss transport.
 type dropFirst struct {
@@ -170,21 +144,20 @@ func TestProbeErrorClassification(t *testing.T) {
 	}
 }
 
-// TestWindowMixedRetryTimeoutCache drives one window through every outcome
-// class at once — a retried-then-successful probe, a permanent timeout that
+// TestWindowMixedRetryTimeout drives one window through every outcome class
+// at once — a retried-then-successful probe, a permanent timeout that
 // exhausts its retry budget, and a plain success — and checks the counters
-// and the cache's treatment of each.
-func TestWindowMixedRetryTimeoutCache(t *testing.T) {
+// and what the transport saw.
+func TestWindowMixedRetryTimeout(t *testing.T) {
 	sn, h0, _ := probeNet(t)
 	w := NewProbeWindow(&dropFirst{Prober: sn.Endpoint(h0)},
-		WindowConfig{Window: 4, Retries: 1, Cache: true})
+		WindowConfig{Window: 4, Retries: 1})
 
-	batch := []Probe{
+	res := w.Do([]Probe{
 		{Kind: ProbeHost, Route: Route{3, 3}}, // dropped once, succeeds on retry
 		{Kind: ProbeHost, Route: Route{1}},    // dead end: times out, retries, times out
 		{Kind: ProbeSwitch, Route: Route{3}},  // succeeds outright
-	}
-	res := w.Do(batch)
+	})
 	if !res[0].OK || res[0].Host != "h1" {
 		t.Fatalf("retried probe: %+v", res[0])
 	}
@@ -194,36 +167,9 @@ func TestWindowMixedRetryTimeoutCache(t *testing.T) {
 	if !res[2].OK {
 		t.Fatalf("switch probe: %+v", res[2])
 	}
-	st := w.Stats()
 	// 3 first attempts + 2 retries (the dropped probe and the dead end).
-	if st.Submitted != 5 || st.Retries != 2 || st.CacheHits != 0 {
+	if st := w.Stats(); st.Submitted != 5 || st.Retries != 2 {
 		t.Fatalf("after mixed batch: %+v", st)
-	}
-
-	// Replays: every final outcome — success AND exhausted failure — was
-	// cached, so the same batch costs no messages and no virtual time.
-	mark := sn.Clock()
-	res = w.Do(batch)
-	if !res[0].Cached || !res[0].OK || res[0].Host != "h1" {
-		t.Errorf("cached success: %+v", res[0])
-	}
-	if !res[1].Cached || res[1].OK || !errors.Is(res[1].Err, ErrTimeout) {
-		t.Errorf("cached failure: %+v", res[1])
-	}
-	if !res[2].Cached || !res[2].OK {
-		t.Errorf("cached switch probe: %+v", res[2])
-	}
-	for i, r := range res {
-		if r.Latency != 0 {
-			t.Errorf("cached probe %d paid latency %v", i, r.Latency)
-		}
-	}
-	if sn.Clock() != mark {
-		t.Errorf("cache replay advanced the clock by %v", sn.Clock()-mark)
-	}
-	st = w.Stats()
-	if st.Submitted != 5 || st.CacheHits != 3 {
-		t.Errorf("after replay: %+v", st)
 	}
 	if sn.Stats().HostProbes != 4 {
 		t.Errorf("transport saw %d host probes, want 4", sn.Stats().HostProbes)

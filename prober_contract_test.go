@@ -2,6 +2,8 @@ package sanmap_test
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,9 +14,10 @@ import (
 	"sanmap/internal/topology"
 )
 
-// Contract tests every simnet.Prober implementation must pass, run over all
-// three transports: the quiescent endpoint, the contended endpoint (inside
-// its simulation process) and the framed wire prober.
+// Contract tests every simnet.Prober implementation must pass, run over
+// every transport: the quiescent endpoint, bare and behind a lossy wrapper,
+// the contended endpoint (inside its simulation process) and the framed
+// wire prober.
 
 // contractFabric is h0 — s0 — s1 — h1: Route{3} parks on s1, Route{3, 3}
 // reaches h1, Route{7} leaves s0 through an unwired port.
@@ -45,6 +48,11 @@ var proberTransports = []struct {
 		sn := simnet.NewDefault(net)
 		sn.EnableSelfID()
 		body(sn.Endpoint(h0))
+	}},
+	{"simnet.FlakyProber", func(body func(simnet.Prober)) {
+		net, h0 := contractFabric()
+		body(&simnet.FlakyProber{Prober: simnet.NewDefault(net).Endpoint(h0),
+			DropRate: 0.3, Rng: rand.New(rand.NewSource(17))})
 	}},
 	{"connet.Endpoint", func(body func(simnet.Prober)) {
 		net, h0 := contractFabric()
@@ -111,6 +119,91 @@ func TestBackoffWaitsOnEveryTransport(t *testing.T) {
 		}
 		if backed-plain != st.BackoffWait {
 			t.Errorf("%s: clock advanced by %v, BackoffWait says %v", tr.name, backed-plain, st.BackoffWait)
+		}
+	}
+}
+
+// TestWindowDoIsASubmitLoop: on every transport, ProbeWindow.Do returns — in
+// submission order — what a hand-written Stream fill/collect loop returns,
+// at the same clock and with the same window and transport counters; at a
+// window of 1 that is simnet.Do per probe. The loop's side sees the
+// transport through the Prober interface alone, so whatever else a transport
+// offers, Do can only be reaching it through Submit.
+func TestWindowDoIsASubmitLoop(t *testing.T) {
+	alphabet := []simnet.Probe{
+		{Kind: simnet.ProbeHost, Route: simnet.Route{3, 3}},
+		{Kind: simnet.ProbeSwitch, Route: simnet.Route{3}},
+		{Kind: simnet.ProbeHost, Route: simnet.Route{7}},
+		{Kind: simnet.ProbeRaw, Route: simnet.Route{3, 0, -3}},
+		{Kind: simnet.ProbeHost, Route: simnet.Route{3}},
+		{Kind: simnet.ProbeTolerant, Route: simnet.Route{3, 3, 1}},
+		{Kind: simnet.ProbeSwitch, Route: simnet.Route{-1}, Timeout: 700 * time.Microsecond},
+		{Kind: simnet.ProbeID, Route: simnet.Route{3}},
+	}
+	batch := make([]simnet.Probe, 0, 3*len(alphabet)-1)
+	for len(batch) < cap(batch) {
+		batch = append(batch, alphabet[(5*len(batch))%len(alphabet)])
+	}
+	type observed struct {
+		Results   []simnet.ProbeResult
+		Clock     time.Duration
+		Window    simnet.WindowStats
+		Transport simnet.Stats
+	}
+	for _, tr := range proberTransports {
+		observe := func(drive func(p simnet.Prober) ([]simnet.ProbeResult, simnet.WindowStats)) (o observed) {
+			tr.run(func(p simnet.Prober) {
+				o.Results, o.Window = drive(p)
+				o.Clock = p.Clock()
+				o.Transport = p.(interface{ Stats() simnet.Stats }).Stats()
+			})
+			return o
+		}
+		for _, cfg := range []simnet.WindowConfig{
+			{Window: 1},
+			{Window: 3},
+			{Window: 8, Retries: 1},
+			{Window: 4, Retries: 2, Backoff: time.Millisecond, Seed: 9, RouteBudget: 1},
+		} {
+			do := observe(func(p simnet.Prober) ([]simnet.ProbeResult, simnet.WindowStats) {
+				w := simnet.NewProbeWindow(p, cfg)
+				return w.Do(batch), w.Stats()
+			})
+			loop := observe(func(p simnet.Prober) ([]simnet.ProbeResult, simnet.WindowStats) {
+				w := simnet.NewProbeWindow(struct{ simnet.Prober }{p}, cfg)
+				st, out := w.Stream(), make([]simnet.ProbeResult, len(batch))
+				for i := 0; i < len(batch) || st.Len() > 0; {
+					if i < len(batch) && st.Free() > 0 {
+						st.Submit(batch[i], i)
+						i++
+						continue
+					}
+					tag, r := st.Collect()
+					out[tag] = *r
+				}
+				return out, w.Stats()
+			})
+			if !reflect.DeepEqual(do, loop) {
+				t.Errorf("%s %+v: Do observed\n%+v\na Submit loop\n%+v", tr.name, cfg, do, loop)
+			}
+			for i, r := range do.Results {
+				if !reflect.DeepEqual(r.Probe.Route, batch[i].Route) || r.Probe.Kind != batch[i].Kind {
+					t.Errorf("%s %+v: result %d answers %v, submitted %v", tr.name, cfg, i, r.Probe, batch[i])
+				}
+			}
+			if cfg.Window != 1 {
+				continue
+			}
+			serial := observe(func(p simnet.Prober) ([]simnet.ProbeResult, simnet.WindowStats) {
+				out := make([]simnet.ProbeResult, len(batch))
+				for i, probe := range batch {
+					out[i] = simnet.Do(p, probe)
+				}
+				return out, do.Window // a serial caller keeps no window counters
+			})
+			if !reflect.DeepEqual(do, serial) {
+				t.Errorf("%s: Do at window 1 observed\n%+v\nsimnet.Do per probe\n%+v", tr.name, do, serial)
+			}
 		}
 	}
 }
