@@ -2,11 +2,10 @@ GO ?= go
 
 # Packages with concurrency-sensitive code (the pipelined probe engine and
 # everything layered on it, plus the event queue, worm simulator, experiment
-# drivers, active-message layer and telemetry) get a dedicated race-detector
-# lane.
+# drivers and telemetry) get a dedicated race-detector lane.
 RACE_PKGS = ./internal/simnet/... ./internal/mapper/... ./internal/connet/... \
 	./internal/election/... ./internal/eventq/... ./internal/wormsim/... \
-	./internal/experiments/... ./internal/amlayer/... ./internal/obs/... \
+	./internal/experiments/... ./internal/obs/... \
 	./internal/mapd/... ./internal/workload/... ./internal/loadsim/... \
 	./internal/place/...
 # cmd/sanload replays its three tables on concurrent goroutines, so it rides
@@ -33,30 +32,36 @@ vet:
 #   //sanlint:guards a,b     (field) mutex field protecting sibling fields a,b
 #   //sanlint:daemon         (func)  may launch unjoined goroutines
 #
-# Two surface checks keep the probe plane at one way to send a probe: the
-# module has no external importers, so a deprecated symbol is always
-# deletable now rather than kept; and simnet declares exactly one prober
-# interface, Prober — a second is a transport-specific submit path or the
-# compatibility layer growing back. A third keeps sanmapd's replies typed:
-# map[string]any belongs to the client (internal/mapd/client.go) and to
-# tests, and in the serve path it is the per-query map and encoding/json
-# reflection growing back. A fourth
-# keeps the Berkeley mapper at one run path: one function that reads a
-# topology.Network off a *Model (strict callers refuse its suspect list),
-# and none of the knobs and wrappers the second path hung from.
-# A fifth keeps traffic at one generator with no source processes: the
-# retired sender, decoder and config stay deleted (the process-per-host
-# replay survives only as a test reference), and the one desim process
-# internal/workload starts is the mapper.
-# A sixth keeps loadsim's per-worm path engine-local: the replay functions
-# (Run, replay, scan, inject) update no obs handle — replays run
-# concurrently and registries are folded in afterwards — and the package
-# sorts nothing through sort.Slice's reflect swapper.
-# A seventh keeps a probe window only a window: the response cache no
-# mapper could hit, the batch submit path that measured no faster than a
-# Submit loop, the option function that existed to switch the cache on and
-# the Myricom prefetch no caller enabled stay deleted (DESIGN.md §12).
-MAPD_SRC = $(filter-out %_test.go internal/mapd/client.go,$(wildcard internal/mapd/*.go))
+# Surface checks, in the order they run:
+#  1. The module has no external importers, so a deprecated symbol is
+#     always deletable now rather than kept.
+#  2. simnet declares exactly one prober interface, Prober: a second is a
+#     transport-specific submit path or the compatibility layer growing back.
+#  3. sanmapd's replies stay typed: map[string]any belongs to tests, and in
+#     the serve path it is the per-query map and encoding/json reflection
+#     growing back.
+#  4. The Berkeley mapper keeps one run path: one function that reads a
+#     topology.Network off a *Model (strict callers refuse its suspect
+#     list), and none of the knobs and wrappers the second path hung from.
+#  5. Traffic keeps one generator with no source processes: the retired
+#     sender, decoder and config stay deleted (the process-per-host replay
+#     survives only as a test reference), and the one desim process
+#     internal/workload starts is the mapper.
+#  6. loadsim's per-worm path stays engine-local: the replay functions
+#     (Run, replay, scan, inject) update no obs handle — replays run
+#     concurrently and registries are folded in afterwards — and the
+#     package sorts nothing through sort.Slice's reflect swapper.
+#  7. A probe window stays only a window, and Net.submit the only code that
+#     bills a probe: the response cache no mapper could hit, the batch
+#     submit path that measured no faster than a Submit loop, the option
+#     function that switched the cache on, the Myricom prefetch no caller
+#     enabled, and simnet's side door for external transports (and the
+#     wire-format package that used it) stay deleted (DESIGN.md §12).
+#  8. Nothing under internal/ lives only for its tests: every package has a
+#     non-test importer outside itself (cmd/, examples/, benchmark/ and the
+#     root package count). go list skips testdata; analysistest is
+#     test support by name.
+MAPD_SRC = $(filter-out %_test.go,$(wildcard internal/mapd/*.go))
 MAPPER_SRC = $(filter-out %_test.go,$(wildcard internal/mapper/*.go))
 WORKLOAD_SRC = $(filter-out %_test.go,$(wildcard internal/workload/*.go))
 LOADSIM_SRC = $(filter-out %_test.go,$(wildcard internal/loadsim/*.go))
@@ -86,19 +91,25 @@ lint: vet
 		'SendWorm|ReadPlan|workload\.Config' . ; grep -n '^func Spawn(' $(WORKLOAD_SRC)); \
 	if [ -n "$$fork" ]; then \
 		echo "the second traffic generator is growing back:"; echo "$$fork"; exit 1; fi
+	@n=$$(cat $(WORKLOAD_SRC) | grep -cE '\.Spawn(At)?\('); \
+	if [ "$$n" -gt 1 ]; then \
+		echo "internal/workload starts $$n desim processes, want one (the mapper; sources are Engine.At callbacks)"; exit 1; fi
 	@slow=$$(awk '/^func \(e \*Engine\) (Run|replay|scan|inject)\(/,/^}/' internal/loadsim/loadsim.go | \
 		grep -n 'e\.m\.'; grep -n 'sort\.Slice' $(LOADSIM_SRC)); \
 	if [ -n "$$slow" ]; then \
 		echo "per-worm overhead is back in loadsim's replay path (mirror after the loop, slices.Sort):"; \
 		echo "$$slow"; exit 1; fi
 	@fork=$$(grep -rnE --include='*.go' \
-		'BatchProber|SubmitBatch|EvalBatch|submitKeyed|cacheEntry|WithPipelineConfig|prefetchExplore' . ); \
+		'BatchProber|SubmitBatch|EvalBatch|submitKeyed|cacheEntry|WithPipelineConfig|prefetchExplore|AccountProbe|TransitTime|WireProber|WireNet|amlayer' . ); \
 	if [ -n "$$fork" ]; then \
-		echo "a second way into a transport, or the window's response cache, is growing back:"; \
+		echo "a second way into a transport or to bill a probe, or the window's response cache, is growing back:"; \
 		echo "$$fork"; exit 1; fi
-	@n=$$(cat $(WORKLOAD_SRC) | grep -cE '\.Spawn(At)?\('); \
-	if [ "$$n" -gt 1 ]; then \
-		echo "internal/workload starts $$n desim processes, want one (the mapper; sources are Engine.At callbacks)"; exit 1; fi
+	@used=" $$($(GO) list -f '{{join .Imports " "}}' ./... | tr '\n' ' ') "; \
+	orphans=$$(for p in $$($(GO) list ./internal/... | grep -v '/internal/analysis/analysistest$$'); do \
+		case "$$used" in *" $$p "*) ;; *) echo "$$p";; esac; done); \
+	if [ -n "$$orphans" ]; then \
+		echo "internal packages no non-test code imports (delete them, or give them a caller):"; \
+		echo "$$orphans"; exit 1; fi
 
 # trace-smoke is the golden-trace lane: a chaos run on a pinned seed must
 # emit a Chrome trace sidecar byte-identical to the checked-in fixture

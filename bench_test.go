@@ -264,7 +264,7 @@ func BenchmarkAblationPolicy(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sn := simnet.NewDefault(sys.Net)
 				m, err := mapper.Run(sn.Endpoint(h0),
-					mapper.WithDepth(depth), mapper.WithPolicy(pc.policy))
+					mapper.WithDepth(depth), func(c *mapper.Config) { c.Policy = pc.policy })
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -298,8 +298,9 @@ func BenchmarkAblationProbeOrder(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sn := simnet.NewDefault(sys.Net)
 				m, err := mapper.Run(sn.Endpoint(h0),
-					mapper.WithDepth(depth), mapper.WithTurnOrder(pc.order),
-					mapper.WithEliminateProbes(pc.eliminate))
+					mapper.WithDepth(depth), func(c *mapper.Config) {
+						c.TurnOrder, c.EliminateProbes = pc.order, pc.eliminate
+					})
 				if err != nil {
 					b.Fatal(err)
 				}

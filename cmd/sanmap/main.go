@@ -74,9 +74,9 @@ func main() {
 	if err != nil {
 		die("topology: %v", err)
 	}
-	h0 := pickMapper(net, utility, *mapperHost)
-	if h0 == topology.None {
-		die("no usable mapping host")
+	h0, err := net.MappingHost(utility, *mapperHost)
+	if err != nil {
+		die("%v", err)
 	}
 	d := *depth
 	if d == 0 {
@@ -189,22 +189,6 @@ func loadTopology(file, gen string, seed int64) (*topology.Network, string, erro
 		return nil, "", err
 	}
 	return res.Net, res.Utility, nil
-}
-
-func pickMapper(net *topology.Network, utility, override string) topology.NodeID {
-	if override != "" {
-		return net.Lookup(override)
-	}
-	if utility != "" {
-		if u := net.Lookup(utility); u != topology.None {
-			return u
-		}
-	}
-	hosts := net.Hosts()
-	if len(hosts) == 0 {
-		return topology.None
-	}
-	return hosts[0]
 }
 
 func parseModel(s string) simnet.Model {

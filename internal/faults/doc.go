@@ -38,10 +38,10 @@
 // that must be stable under reordering (the injector can roll probe N's
 // loss without having rolled probes 1..N−1), the sequential source for
 // call sites that genuinely consume a stream (topology generation,
-// sanwatch's mutation loop). Never seed from the wall clock, never touch
-// global math/rand — sanlint's determinism analyzer (rule D2) enforces
-// the negative half, and the golden-file CI lanes would catch the drift
-// anyway.
+// traffic plans, placement tie-breaks). Never seed from the wall clock,
+// never touch global math/rand — sanlint's determinism analyzer (rule D2)
+// enforces the negative half, and the golden-file CI lanes would catch
+// the drift anyway.
 //
 // # Observability
 //

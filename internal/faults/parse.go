@@ -9,13 +9,13 @@ import (
 	"sanmap/internal/topology"
 )
 
-// ParseProfile parses the "-chaos" spec shared by sanmap, sanwatch and
-// sanmapd: comma-separated key=value pairs, e.g. "seed=7" or
-// "seed=3,cuts=2,flaps=1,loss=0.02". Unknown keys are errors. A spec that
-// names no fault at all (bare "seed=N") gets the default mixed load of one
-// cut, one flap and 2% loss. Protect comes back as topology.None; callers
-// that want the mapper's attachment switch shielded set it before
-// Generate.
+// ParseProfile parses the fault spec shared by sanmap -chaos, sanmapd
+// -chaos and sanmapd's inject op: comma-separated key=value pairs, e.g.
+// "seed=7" or "seed=3,cuts=2,flaps=1,loss=0.02". Unknown keys are
+// errors. A spec that names no fault at all (bare "seed=N") gets the
+// default mixed load of one cut, one flap and 2% loss. Protect comes back
+// as topology.None; callers that want the mapper's attachment switch
+// shielded set it before Generate.
 func ParseProfile(spec string) (Profile, uint64, error) {
 	p := Profile{Protect: topology.None}
 	seed := uint64(1)

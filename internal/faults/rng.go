@@ -4,7 +4,7 @@ package faults
 // stream (state advances by the golden-ratio increment, outputs pass the
 // mix64 finalizer also used for keyed decisions). It implements
 // math/rand's Source and Source64, so call sites that consume a stream —
-// topology generation, sanwatch's mutation loop — write
+// topology generation, traffic plans — write
 //
 //	rng := rand.New(faults.NewSource(seed))
 //

@@ -307,9 +307,9 @@ func (s *Server) buildWorld() (*world, error) {
 		return nil, err
 	}
 	topo := res.Net
-	h0 := pickMapper(topo, res.Utility, s.cfg.Mapper)
-	if h0 == topology.None {
-		return nil, fmt.Errorf("mapd: no attached mapping host in %q", s.cfg.Gen)
+	h0, err := topo.MappingHost(res.Utility, s.cfg.Mapper)
+	if err != nil {
+		return nil, fmt.Errorf("mapd: %s: %w", s.cfg.Gen, err)
 	}
 	depth := s.cfg.Depth
 	if depth <= 0 {
@@ -353,28 +353,6 @@ func (s *Server) buildWorld() (*world, error) {
 		w.attachInjector(rates)
 	}
 	return w, nil
-}
-
-// pickMapper chooses the mapping host: the named override, else the
-// generator's utility host, else the first host with an attached wire.
-func pickMapper(topo *topology.Network, utility, override string) topology.NodeID {
-	if override != "" {
-		if u := topo.Lookup(override); u != topology.None && topo.WireAt(u, topology.HostPort) >= 0 {
-			return u
-		}
-		return topology.None
-	}
-	if utility != "" {
-		if u := topo.Lookup(utility); u != topology.None && topo.WireAt(u, topology.HostPort) >= 0 {
-			return u
-		}
-	}
-	for _, h := range topo.Hosts() {
-		if topo.WireAt(h, topology.HostPort) >= 0 {
-			return h
-		}
-	}
-	return topology.None
 }
 
 func (w *world) out() io.Writer { return w.s.cfg.Out }

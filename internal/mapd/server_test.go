@@ -365,11 +365,13 @@ func decodeReply(t *testing.T, line []byte) map[string]any {
 }
 
 // TestServerMapperOverride: -mapper picks the session host; a bogus name
-// is a construction error, not a silent fallback.
+// or a switch is a construction error, not a silent fallback or a panic.
 func TestServerMapperOverride(t *testing.T) {
-	if _, err := New(Config{Gen: "now-c", Seed: 1, StateDir: t.TempDir(),
-		Mapper: "no-such-host", Metrics: obs.NewRegistry()}); err == nil {
-		t.Fatal("bogus -mapper accepted")
+	for _, name := range []string{"no-such-host", "C-L0"} {
+		if _, err := New(Config{Gen: "now-c", Seed: 1, StateDir: t.TempDir(),
+			Mapper: name, Metrics: obs.NewRegistry()}); err == nil {
+			t.Errorf("-mapper %s accepted", name)
+		}
 	}
 }
 

@@ -187,7 +187,7 @@ func TestRemapPartialOnExhaustedBudget(t *testing.T) {
 	h0 := net.Hosts()[0]
 	sn := simnet.NewDefault(net)
 
-	s, err := NewSession(sn.Endpoint(h0), WithDepth(healDepth(net)), WithFaultBudget(1))
+	s, err := NewSession(sn.Endpoint(h0), WithDepth(healDepth(net)), func(c *Config) { c.FaultBudget = 1 })
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}

@@ -9,33 +9,19 @@ import (
 // defaults (DefaultConfig). The functional-options constructor replaces the
 // historical DefaultConfig(depth)-plus-field-pokes idiom at call sites;
 // Config itself remains exported for programmatic composition (election,
-// workload) through RunConfig.
+// workload) through RunConfig. A field with no With function is set on the
+// Config, or through an Option literal.
 type Option func(*Config)
 
 // WithDepth sets the maximum probe-string length ("SearchDepth"). Required:
 // a run without a depth fails with ErrDepthExceeded.
 func WithDepth(d int) Option { return func(c *Config) { c.Depth = d } }
 
-// WithPolicy sets the replicate re-exploration policy.
-func WithPolicy(p ReplicatePolicy) Option { return func(c *Config) { c.Policy = p } }
-
-// WithProbeOrder sets host-versus-switch probe order per candidate turn.
-func WithProbeOrder(o ProbeOrder) Option { return func(c *Config) { c.ProbeOrder = o } }
-
-// WithTurnOrder sets the turn exploration heuristic.
-func WithTurnOrder(o TurnOrder) Option { return func(c *Config) { c.TurnOrder = o } }
-
-// WithEliminateProbes toggles §3.3's provably-safe probe elimination.
-func WithEliminateProbes(on bool) Option { return func(c *Config) { c.EliminateProbes = on } }
-
 // WithMaxVertices bounds the model graph (0 = default 1<<20).
 func WithMaxVertices(n int) Option { return func(c *Config) { c.MaxVertices = n } }
 
 // WithSnapshots enables the Fig 8 per-exploration instrumentation.
 func WithSnapshots(on bool) Option { return func(c *Config) { c.Snapshots = on } }
-
-// WithCancel installs the between-explorations cancellation poll.
-func WithCancel(f func() bool) Option { return func(c *Config) { c.Cancel = f } }
 
 // WithTracer records the run onto an obs.Tracer: phase spans plus one
 // instant per trace event (see Config.Tracer).
@@ -59,10 +45,6 @@ func WithPipeline(window int) Option {
 // must repeat k times within 2k−1 samples before it is believed. k <= 1
 // keeps the single-shot quiescent behaviour.
 func WithConfirm(k int) Option { return func(c *Config) { c.Confirm = k } }
-
-// WithFaultBudget bounds the contradictions a run tolerates before it stops
-// exploring and reports a partial result (0 = unbounded).
-func WithFaultBudget(n int) Option { return func(c *Config) { c.FaultBudget = n } }
 
 // BuildConfig resolves options over the defaults.
 func BuildConfig(opts ...Option) Config {

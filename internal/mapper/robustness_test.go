@@ -132,7 +132,7 @@ func TestCancelAborts(t *testing.T) {
 		calls++
 		return calls > 3
 	}
-	if _, err := Run(sn.Endpoint(h0), WithDepth(net.DepthBound(h0)), WithCancel(cancel)); !errors.Is(err, ErrCanceled) {
+	if _, err := Run(sn.Endpoint(h0), WithDepth(net.DepthBound(h0)), func(c *Config) { c.Cancel = cancel }); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
@@ -172,7 +172,7 @@ func TestSwitchFirstProbeOrder(t *testing.T) {
 	run := func(order ProbeOrder) *Map {
 		sn := simnet.NewDefault(net)
 		m, err := Run(sn.Endpoint(net.Hosts()[0]),
-			WithDepth(net.DepthBound(net.Hosts()[0])), WithProbeOrder(order))
+			WithDepth(net.DepthBound(net.Hosts()[0])), func(c *Config) { c.ProbeOrder = order })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,6 @@
 //   - cat "election": per-participant spans "mapper" (one per host, on
 //     its own track) and instants "passivate", "resume", "crash",
 //     "complete", "lead".
-//   - cat "watch": per-epoch spans of the sanwatch operational loop.
 //
 // # Metric naming scheme
 //
@@ -79,7 +78,7 @@
 // Tracer.WriteChrome emits the Chrome trace_event JSON array format,
 // loadable in chrome://tracing and https://ui.perfetto.dev; WriteText is
 // the deterministic line-oriented log. Registry.WriteText renders every
-// metric sorted by name. The Flags helper gives the sanmap, sanexp and
-// sanwatch commands their common -trace/-metrics/-cpuprofile/-memprofile
-// surface. See OBSERVABILITY.md for the user-facing guide.
+// metric sorted by name. The Flags helper gives the sanmap, sanexp,
+// sanload and sanmapd commands their common
+// -trace/-metrics/-cpuprofile/-memprofile surface. See OBSERVABILITY.md for the user-facing guide.
 package obs

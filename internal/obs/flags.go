@@ -8,10 +8,10 @@ import (
 	"runtime/pprof"
 )
 
-// Flags is the telemetry flag surface shared by the sanmap, sanexp and
-// sanwatch commands: every figure or mapping run can emit its trace and
-// metrics sidecars plus wall-clock pprof profiles with the same four
-// flags. Zero-valued paths disable the corresponding sink; Tracer and
+// Flags is the telemetry flag surface shared by the sanmap, sanexp,
+// sanload and sanmapd commands: every figure or mapping run can emit its
+// trace and metrics sidecars plus wall-clock pprof profiles with the same
+// four flags. Zero-valued paths disable the corresponding sink; Tracer and
 // Metrics stay nil then, which the instrumentation layers treat as "off".
 type Flags struct {
 	TracePath   string

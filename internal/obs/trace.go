@@ -115,7 +115,7 @@ func (t *Tracer) Span(cat, name string, from, to time.Duration, args ...Arg) {
 
 // Track is a view of a Tracer that records onto one Chrome thread id.
 // Perfetto renders each tid as its own row, so virtually-concurrent
-// actors — election mappers, sanwatch epochs — get separate, readable
+// actors — election mappers — get separate, readable
 // rows instead of overlapping spans on one track. A nil *Track (from a
 // nil Tracer) is a valid no-op.
 type Track struct {

@@ -479,39 +479,6 @@ func (n *Net) Do(from topology.NodeID, p Probe) (r ProbeResult) {
 // EnableSelfID turns on the §6 hardware extension for this transport.
 func (n *Net) EnableSelfID() { n.selfID = true }
 
-// AccountProbe applies the clock-and-counter effects of one probe of the
-// given class without evaluating anything: per-probe host overhead, plus
-// the supplied round trip on a hit or the response timeout on a miss.
-// External transports that implement their own delivery logic on top of
-// Eval (e.g. the amlayer wire prober, which pushes every probe through the
-// real message framing and host daemons) use this to bill time and
-// statistics identically to the built-in probes.
-func (n *Net) AccountProbe(hostClass bool, rtt time.Duration, hit bool) {
-	if hostClass {
-		n.stats.HostProbes++
-		if hit {
-			n.stats.HostHits++
-		}
-	} else {
-		n.stats.SwitchProbes++
-		if hit {
-			n.stats.SwitchHits++
-		}
-	}
-	n.clock += n.timing.HostOverhead
-	if hit {
-		n.clock += rtt
-	} else {
-		n.clock += n.timing.ResponseTimeout
-	}
-}
-
-// TransitTime exposes the cut-through latency model: per-hop switch latency
-// plus one pipelined serialisation of msgBytes.
-func (t Timing) TransitTime(hops, msgBytes int) time.Duration {
-	return time.Duration(hops)*t.SwitchLatency + time.Duration(msgBytes)*t.ByteTime
-}
-
 // RespKind is the probe response alphabet H ∪ {"switch", "nothing"}.
 type RespKind uint8
 

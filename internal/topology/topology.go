@@ -16,6 +16,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -499,6 +500,38 @@ func (n *Network) HostSwitch(h NodeID) (sw NodeID, port int, ok bool) {
 		return None, 0, false
 	}
 	return end.Node, end.Port, true
+}
+
+// MappingHost chooses the host a mapper probes from: the node named by
+// override, else the utility host, else the first host with a cable. An
+// override that names no node, a switch or a host without a cable is an
+// error, as is a network with no cabled host at all.
+func (n *Network) MappingHost(utility, override string) (NodeID, error) {
+	cabled := func(h NodeID) bool {
+		_, _, ok := n.HostSwitch(h)
+		return ok
+	}
+	if override != "" {
+		h := n.Lookup(override)
+		switch {
+		case h == None:
+			return None, fmt.Errorf("mapper %q: no such node", override)
+		case n.KindOf(h) != HostNode:
+			return None, fmt.Errorf("mapper %q is a switch, not a host", override)
+		case !cabled(h):
+			return None, fmt.Errorf("mapper %q has no cable", override)
+		}
+		return h, nil
+	}
+	if h := n.Lookup(utility); h != None && cabled(h) {
+		return h, nil
+	}
+	for _, h := range n.Hosts() {
+		if cabled(h) {
+			return h, nil
+		}
+	}
+	return None, errors.New("no cabled host to map from")
 }
 
 // Clone returns a deep copy of the network.

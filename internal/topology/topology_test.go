@@ -158,6 +158,42 @@ func TestHostSwitch(t *testing.T) {
 	}
 }
 
+// TestMappingHost: -mapper may name only a cabled host; anything else is an
+// error rather than a mapper id that panics further on. Without an override
+// the utility host is taken when cabled, else the first cabled host.
+func TestMappingHost(t *testing.T) {
+	n := &Network{}
+	n.AddHost("x") // never cabled
+	h := n.AddHost("h")
+	u := n.AddHost("u")
+	s := n.AddSwitch("s")
+	n.MustConnect(h, 0, s, 1)
+	n.MustConnect(u, 0, s, 2)
+	for _, c := range []struct {
+		utility, override string
+		want              NodeID // None: an error
+	}{
+		{"u", "", u},
+		{"", "", h},
+		{"x", "", h},
+		{"u", "u", u},
+		{"u", "h", h},
+		{"u", "s", None},
+		{"u", "nope", None},
+		{"u", "x", None},
+	} {
+		got, err := n.MappingHost(c.utility, c.override)
+		if got != c.want || (err != nil) != (c.want == None) {
+			t.Errorf("MappingHost(%q, %q) = %v, %v; want %v", c.utility, c.override, got, err, c.want)
+		}
+	}
+	bare := &Network{}
+	bare.AddHost("x")
+	if got, err := bare.MappingHost("", ""); err == nil {
+		t.Errorf("no cabled host: MappingHost = %v, want an error", got)
+	}
+}
+
 func TestReflectors(t *testing.T) {
 	n := &Network{}
 	s := n.AddSwitch("s0")

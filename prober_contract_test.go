@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"sanmap/internal/amlayer"
 	"sanmap/internal/connet"
 	"sanmap/internal/desim"
 	"sanmap/internal/simnet"
@@ -16,8 +15,8 @@ import (
 
 // Contract tests every simnet.Prober implementation must pass, run over
 // every transport: the quiescent endpoint, bare and behind a lossy wrapper,
-// the contended endpoint (inside its simulation process) and the framed
-// wire prober.
+// the contended endpoint (inside its simulation process) and a transport
+// that finishes each round trip inside Submit.
 
 // contractFabric is h0 — s0 — s1 — h1: Route{3} parks on s1, Route{3, 3}
 // reaches h1, Route{7} leaves s0 through an unwired port.
@@ -61,11 +60,25 @@ var proberTransports = []struct {
 		eng.Spawn("prober", func(p *desim.Proc) { body(cn.Endpoint(h0, p)) })
 		eng.Run()
 	}},
-	{"amlayer.WireProber", func(body func(simnet.Prober)) {
+	{"syncProber", func(body func(simnet.Prober)) {
 		net, h0 := contractFabric()
-		body(amlayer.NewWireNet(simnet.NewDefault(net)).Prober(h0))
+		body(syncProber{simnet.NewDefault(net).Endpoint(h0)})
 	}},
 }
+
+// syncProber is a transport that blocks on the wire: Submit returns only once
+// the response is in, with the clock already at Done, so Collect has nothing
+// left to wait for. A window that waited out its retry backoff through
+// Collect instead of Sleep would not wait at all over it.
+type syncProber struct{ *simnet.Endpoint }
+
+func (p syncProber) Submit(pr simnet.Probe) simnet.ProbeResult {
+	r := p.Endpoint.Submit(pr)
+	p.Endpoint.Collect(r)
+	return r
+}
+
+func (syncProber) Collect(simnet.ProbeResult) {}
 
 // TestProberCapabilityHonesty: a transport executes exactly the probe kinds
 // its Probes() reports; any other kind comes back ErrUnsupported having sent
