@@ -205,8 +205,9 @@ bench-large:
 # the gated lanes — the window-8 probe pipeline and the 1k-switch fat-tree
 # and the daemon's two start-up layers on the 768-host fat-tree (Q+D and the
 # route table, plus the table's lookup and a whole served route query, each
-# at 0 allocs/op) — and check them against the committed baseline's gates
-# block. Fails on a >15% ns/op regression, an allocating lookup or query, or
+# at 0 allocs/op), and the load report's plan draw, merge and replays (on
+# allocs/op alone) — and check them against the committed baseline's gates
+# block. Fails on a >15% ns/op regression, an allocation ceiling broken, or
 # a broken relative gate (window8 must stay within 2x the serial loop's
 # wall clock). Runs use -count so sanbench
 # can gate on per-lane minima, the statistic that survives shared-runner
@@ -214,7 +215,7 @@ bench-large:
 BENCH_BASELINE ?= BENCH_a5c7565.json
 bench-gate:
 	@{ $(GO) test -bench PipelinedVsSerial -benchtime 100x -count 3 -run ^$$ . && \
-	   $(GO) test -bench 'LoadReplay|LoadReport' -benchtime 100x -count 3 -run ^$$ . && \
+	   $(GO) test -bench 'LoadReplay|LoadReport|NewPlan|PlanMerge' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench 'FatTree768|RouteLookup|ServeRoute' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench MapFatTree1k -benchtime 20x -count 3 -run ^$$ . ; } | \
 		$(GO) run ./cmd/sanbench -gate $(BENCH_BASELINE)

@@ -614,8 +614,20 @@ func BenchmarkLoadReportFatTree128(b *testing.B) {
 	b.ReportMetric(float64(sent), "worms/op")
 }
 
-// loadFixture builds a fabric, its routes, a seed-1 uniform plan and an
-// engine to replay it on.
+// loadMix is the seed-1 uniform mix the load lanes draw their plans from.
+func loadMix(load float64, duration time.Duration) workload.PlanConfig {
+	return workload.PlanConfig{
+		Pattern:  workload.Uniform,
+		Load:     load,
+		MsgBytes: 512,
+		Duration: duration,
+		ByteTime: simnet.DefaultTiming().ByteTime,
+		Seed:     1,
+	}
+}
+
+// loadFixture builds a fabric, its routes, a loadMix plan and an engine to
+// replay it on.
 func loadFixture(b *testing.B, gen string, load float64, duration time.Duration) (*workload.Plan, *loadsim.Engine) {
 	b.Helper()
 	res, err := genspec.Build(gen, nil)
@@ -627,20 +639,45 @@ func loadFixture(b *testing.B, gen string, load float64, duration time.Duration)
 	if err != nil {
 		b.Fatal(err)
 	}
-	timing := simnet.DefaultTiming()
-	plan := workload.NewPlan(net, workload.PlanConfig{
-		Pattern:  workload.Uniform,
-		Load:     load,
-		MsgBytes: 512,
-		Duration: duration,
-		ByteTime: timing.ByteTime,
-		Seed:     1,
-	})
-	eng, err := loadsim.New(net, tab, timing, plan.MsgBytes)
+	plan := workload.NewPlan(net, loadMix(load, duration))
+	eng, err := loadsim.New(net, tab, simnet.DefaultTiming(), plan.MsgBytes)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return plan, eng
+}
+
+// BenchmarkNewPlan draws the 128-host lanes' plan: every host's stream
+// drained to the horizon, blocks of hosts concurrently, each schedule into
+// one slice sized up front. Gated on allocs/op alone (5 per host): the
+// draw is bound by allocation, and ns/op gates flake with host load.
+func BenchmarkNewPlan(b *testing.B) {
+	res, err := genspec.Build("fattree2:32x4", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mix := loadMix(0.4, 2500*time.Microsecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += workload.NewPlan(res.Net, mix).TotalSends()
+	}
+}
+
+// BenchmarkPlanMerge is RunAll's serial front on the same plan: 128
+// schedules sorted into one injection order. Gated at 2 allocs/op, the
+// order and its sort's scratch.
+func BenchmarkPlanMerge(b *testing.B) {
+	res, err := genspec.Build("fattree2:32x4", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := workload.NewPlan(res.Net, loadMix(0.4, 2500*time.Microsecond))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += len(plan.Merge())
+	}
 }
 
 // BenchmarkDepthBound measures the Q+D computation (min-cost flows per

@@ -193,7 +193,7 @@ func run(o options, w io.Writer) error {
 	if err := reps[0].WriteText(w, net, o.top); err != nil {
 		return err
 	}
-	measured := eng
+	measured, live := eng, tab
 	if hl != nil {
 		fmt.Fprintf(w, "== faults ==\n%s== stale table ==\n", hl.faults)
 		if err := reps[1].WriteText(w, net, o.top); err != nil {
@@ -211,10 +211,10 @@ func run(o options, w io.Writer) error {
 		// After cuts, placement reads what the stale table still delivered —
 		// the demand the fabric last measured before its routes were
 		// recomputed — and the golden report pins that choice.
-		measured = hl.stale
+		measured, live = hl.stale, hl.tab
 	}
 	if o.place > 0 {
-		if err := placement(o, w, measured, net); err != nil {
+		if err := placement(o, w, measured, live); err != nil {
 			return err
 		}
 	}
@@ -222,11 +222,13 @@ func run(o options, w io.Writer) error {
 }
 
 // heal is what the fault → stale → remap → healed phases leave for the
-// replays and the report: the two engines, the bodies of the "== faults =="
-// and "== heal ==" sections (worded while the cut wires still existed), and
-// the surviving wires around the cuts.
+// replays and the report: the two engines, the routes recomputed on the cut
+// network, the bodies of the "== faults ==" and "== heal ==" sections
+// (worded while the cut wires still existed), and the surviving wires
+// around the cuts.
 type heal struct {
 	stale, healed *loadsim.Engine
+	tab           *routes.Table
 	faults, remap string
 	adjacent      []int
 }
@@ -275,11 +277,10 @@ func cutAndHeal(o options, net *topology.Network, timing simnet.Timing, healthy 
 	hl.remap = fmt.Sprintf("remap: probes=%d confidence=%.2f suspects=%d partial=%v\n",
 		healProbes, healed.Confidence, len(healed.Suspect), healed.Partial)
 
-	tab, err := routes.Compute(net, routes.DefaultConfig())
-	if err != nil {
+	if hl.tab, err = routes.Compute(net, routes.DefaultConfig()); err != nil {
 		return nil, fmt.Errorf("healed routes: %w", err)
 	}
-	if hl.healed, err = loadsim.New(net, tab, timing, o.msg); err != nil {
+	if hl.healed, err = loadsim.New(net, hl.tab, timing, o.msg); err != nil {
 		return nil, err
 	}
 	hl.healed.Instrument(o.reg)
@@ -304,9 +305,9 @@ func cutAdjacent(net *topology.Network, ends map[topology.NodeID]bool) []int {
 }
 
 // placement optimizes the placement of the heaviest-communicating tasks
-// from the measured demand matrix and compares against the identity and
-// random baselines.
-func placement(o options, w io.Writer, eng *loadsim.Engine, net *topology.Network) error {
+// from the measured demand matrix over the routes the network has now, and
+// compares against the identity and random baselines.
+func placement(o options, w io.Writer, eng *loadsim.Engine, tab *routes.Table) error {
 	if o.place < 2 {
 		fmt.Fprintf(w, "== placement ==\nfewer than two tasks to place\n")
 		return nil
@@ -315,10 +316,6 @@ func placement(o options, w io.Writer, eng *loadsim.Engine, net *topology.Networ
 	if len(m.Hosts) < 2 {
 		fmt.Fprintf(w, "== placement ==\nno measured traffic to place\n")
 		return nil
-	}
-	tab, err := routes.Compute(net, routes.DefaultConfig())
-	if err != nil {
-		return err
 	}
 	res, err := place.Optimize(tab, m, place.DefaultConfig())
 	if err != nil {

@@ -3,9 +3,9 @@
 // whose interface methods force every Push/Pop through an `any` conversion
 // (one heap allocation per event for value types), this heap is generic over
 // the element type: events are stored inline in a slice and no boxing ever
-// happens. desim, wormsim, workload and place all schedule through it; their
-// event types stay plain structs. container/heap is the reference its tests
-// cross-check it against.
+// happens. desim, wormsim and place schedule through it; their event types
+// stay plain structs. container/heap is the reference its tests cross-check
+// it against.
 package eventq
 
 // Heap is a typed binary min-heap ordered by the less function given to New.

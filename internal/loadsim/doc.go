@@ -23,8 +23,9 @@
 // loadsim drops is the shared engine: no mapper process to interleave
 // with, no callbacks, no maps in the replay loop. Routes compile once into
 // flat directed-hop arrays; the plan's per-host schedules are merged once
-// (workload.Plan.Merge: a k-way merge on an eventq.Heap ordered by (time,
-// host, seq)) into one flat injection order, and a replay is a linear scan
+// (workload.Plan.Merge: a stable radix sort by time of the schedules laid
+// end to end in host order, which is the order (time, host, seq)) into one
+// flat injection order, and a replay is a linear scan
 // of it — the per-worm walk a zero-allocation array scan that touches
 // nothing outside its engine. That flattening is what buys 1M+ worms per
 // run in seconds, and the isolation is what lets RunAll replay one merged

@@ -58,7 +58,9 @@ type Engine struct {
 	linkWorms []int64
 	linkWait  []int64 // head blocking time per directed link, ns
 	pairBytes []int64 // delivered payload per pair
-	lat       []int64 // per-delivered-worm latency, ns; sorted by report
+	lat       []int64 // per-delivered-worm latency, ns
+	// latScratch is the second buffer report's radix sort of lat needs.
+	latScratch []int64
 
 	sent, lost, blocked, delayed int64
 	makespan                     int64
@@ -166,7 +168,7 @@ func (e *Engine) allocState() {
 	e.linkWorms = make([]int64, e.nLinks)
 	e.linkWait = make([]int64, e.nLinks)
 	e.pairBytes = make([]int64, e.nh*e.nh)
-	e.lat = nil
+	e.lat, e.latScratch = nil, nil
 }
 
 // Copy returns an engine over the same compiled routes with route validity,

@@ -2,7 +2,9 @@ package loadsim
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -246,8 +248,10 @@ func TestScanZeroAlloc(t *testing.T) {
 	}
 }
 
-// sameSlice reports whether two slices start at the same element.
+// sameSlice reports whether two slices start at the same element, counting
+// an emptied slice by the array it still holds.
 func sameSlice[T any](a, b []T) bool {
+	a, b = a[:cap(a)], b[:cap(b)]
 	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
@@ -265,6 +269,9 @@ func TestEngineCopySharesRoutesNotState(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp := src.Copy()
+	if _, err := cp.Run(plan); err != nil {
+		t.Fatal(err)
+	}
 	if !sameSlice(cp.pairStart, src.pairStart) || !sameSlice(cp.hops, src.hops) ||
 		!sameSlice(cp.wormBytes, src.wormBytes) || !sameSlice(cp.wires, src.wires) {
 		t.Error("copy recompiled or duplicated the routes")
@@ -272,7 +279,8 @@ func TestEngineCopySharesRoutesNotState(t *testing.T) {
 	if sameSlice(cp.valid, src.valid) || sameSlice(cp.busyUntil, src.busyUntil) ||
 		sameSlice(cp.linkBusy, src.linkBusy) || sameSlice(cp.linkWorms, src.linkWorms) ||
 		sameSlice(cp.linkWait, src.linkWait) || sameSlice(cp.pairBytes, src.pairBytes) ||
-		sameSlice(cp.lat, src.lat) {
+		sameSlice(cp.lat, src.lat) || sameSlice(cp.latScratch, src.latScratch) ||
+		sameSlice(cp.lat, src.latScratch) || sameSlice(cp.latScratch, src.lat) {
 		t.Error("copy shares replay state with its source")
 	}
 
@@ -470,5 +478,60 @@ func TestRunAllStopsAtFirstError(t *testing.T) {
 	}
 	if got := reg.Counter("load.worms.sent").Value(); got != 2 {
 		t.Errorf("load.worms.sent = %d after the failed call, want the first engine's 2", got)
+	}
+}
+
+// referencePercentiles is report's latency summary as it was computed
+// before the radix sort: slices.Sort, then the same ranks.
+func referencePercentiles(lat []int64) [5]time.Duration {
+	s := slices.Clone(lat)
+	slices.Sort(s)
+	n := len(s)
+	var sum int64
+	for _, v := range s {
+		sum += v
+	}
+	pct := func(p int) time.Duration {
+		i := (n*p + 99) / 100
+		if i > 0 {
+			i--
+		}
+		return time.Duration(s[i])
+	}
+	return [5]time.Duration{pct(50), pct(90), pct(99), time.Duration(sum / int64(n)), time.Duration(s[n-1])}
+}
+
+// TestReportPercentilesMatchSort: the radix-sorted latency summary equals
+// slices.Sort's on random latencies thick with duplicates and zeros, from a
+// single worm up to spreads that need every pass, on one engine whose
+// scratch grows and shrinks between runs.
+func TestReportPercentilesMatchSort(t *testing.T) {
+	net, tab := line3(t)
+	e, err := New(net, tab, simnet.DefaultTiming(), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := plan2(net, 100)
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		n    int
+		span int64
+	}{{1, 1000}, {1, 0}, {2, 0}, {3, 5}, {100, 1}, {5000, 1 << 20}, {20000, 1 << 40}, {777, 1 << 33}, {3, 1 << 61}} {
+		lat := make([]int64, tc.n)
+		for i := range lat {
+			switch rng.Intn(4) {
+			case 0: // zero
+			case 1:
+				lat[i] = lat[rng.Intn(i+1)]
+			default:
+				lat[i] = rng.Int63n(tc.span + 1)
+			}
+		}
+		e.lat = append(e.lat[:0], lat...)
+		r := e.report(plan)
+		got := [5]time.Duration{r.P50, r.P90, r.P99, r.Mean, r.MaxLatency}
+		if want := referencePercentiles(lat); got != want {
+			t.Errorf("%d latencies over %d ns: p50/p90/p99/mean/max %v, want %v", tc.n, tc.span, got, want)
+		}
 	}
 }

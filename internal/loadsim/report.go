@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -63,8 +64,41 @@ type Report struct {
 	wireBusy map[int]time.Duration
 }
 
-// report assembles the Report from the engine's accumulators, sorting the
-// latencies in place.
+// sortedLatencies sorts the run's latencies by LSD radix on their offset
+// from the least, eleven bits a pass (three passes span 8.6 s), through the
+// engine's scratch slice, and returns whichever of the two holds the
+// result. Neither allocates once both have grown to a run's size.
+func (e *Engine) sortedLatencies() []int64 {
+	const digit = 11
+	src := e.lat
+	if cap(e.latScratch) < len(src) {
+		e.latScratch = make([]int64, len(src))
+	}
+	dst := e.latScratch[:len(src)]
+	lo, hi := src[0], src[0]
+	for _, v := range src {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	for shift := 0; shift < bits.Len64(uint64(hi)-uint64(lo)); shift += digit {
+		var starts [1 << digit]int
+		for _, v := range src {
+			starts[(uint64(v)-uint64(lo))>>shift%(1<<digit)]++
+		}
+		sum := 0
+		for b, n := range starts {
+			starts[b], sum = sum, sum+n
+		}
+		for _, v := range src {
+			b := (uint64(v) - uint64(lo)) >> shift % (1 << digit)
+			dst[starts[b]] = v
+			starts[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// report assembles the Report from the engine's accumulators.
 func (e *Engine) report(plan *workload.Plan) *Report {
 	delivered := int64(len(e.lat))
 	r := &Report{
@@ -83,9 +117,9 @@ func (e *Engine) report(plan *workload.Plan) *Report {
 		r.ThroughputBps = r.PayloadBytes * int64(time.Second) / e.makespan
 	}
 	if n := len(e.lat); n > 0 {
-		slices.Sort(e.lat)
+		lat := e.sortedLatencies()
 		var sum int64
-		for _, v := range e.lat {
+		for _, v := range lat {
 			sum += v
 		}
 		pct := func(p int) time.Duration {
@@ -93,11 +127,11 @@ func (e *Engine) report(plan *workload.Plan) *Report {
 			if i > 0 {
 				i--
 			}
-			return time.Duration(e.lat[i])
+			return time.Duration(lat[i])
 		}
 		r.P50, r.P90, r.P99 = pct(50), pct(90), pct(99)
 		r.Mean = time.Duration(sum / int64(n))
-		r.MaxLatency = time.Duration(e.lat[n-1])
+		r.MaxLatency = time.Duration(lat[n-1])
 	}
 	for id := 0; id < e.nLinks; id++ {
 		if e.linkWorms[id] == 0 {
