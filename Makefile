@@ -55,8 +55,11 @@ vet:
 #     bills a probe: the response cache no mapper could hit, the batch
 #     submit path that measured no faster than a Submit loop, the option
 #     function that switched the cache on, the Myricom prefetch no caller
-#     enabled, and simnet's side door for external transports (and the
-#     wire-format package that used it) stay deleted (DESIGN.md §12).
+#     enabled, simnet's side door for external transports (and the
+#     wire-format package that used it), and the retry engine no program
+#     switched on (backoff, route budget, timeout override, DoOne) stay
+#     deleted (DESIGN.md §12). A miss is the answer, so Prober has no
+#     Sleep for a backoff to wait with.
 #  8. Nothing under internal/ lives only for its tests: every package has a
 #     non-test importer outside itself (cmd/, examples/, benchmark/ and the
 #     root package count). go list skips testdata; analysistest is
@@ -100,10 +103,14 @@ lint: vet
 		echo "per-worm overhead is back in loadsim's replay path (mirror after the loop, slices.Sort):"; \
 		echo "$$slow"; exit 1; fi
 	@fork=$$(grep -rnE --include='*.go' \
-		'BatchProber|SubmitBatch|EvalBatch|submitKeyed|cacheEntry|WithPipelineConfig|prefetchExplore|AccountProbe|TransitTime|WireProber|WireNet|amlayer' . ); \
+		'BatchProber|SubmitBatch|EvalBatch|submitKeyed|cacheEntry|WithPipelineConfig|prefetchExplore|AccountProbe|TransitTime|WireProber|WireNet|amlayer|RouteBudget|BackoffCap|BudgetDenied|BackoffWait|jitterSeq|withTimeout|DoOne' . ); \
 	if [ -n "$$fork" ]; then \
-		echo "a second way into a transport or to bill a probe, or the window's response cache, is growing back:"; \
+		echo "a second way into a transport or to bill a probe, or the window's response cache or retry engine, is growing back:"; \
 		echo "$$fork"; exit 1; fi
+	@sleep=$$(awk '/^type Prober interface/,/^}/' internal/simnet/*.go | grep -n 'Sleep'); \
+	if [ -n "$$sleep" ]; then \
+		echo "simnet.Prober declares Sleep again (a miss is the answer; nothing backs off):"; \
+		echo "$$sleep"; exit 1; fi
 	@used=" $$($(GO) list -f '{{join .Imports " "}}' ./... | tr '\n' ' ') "; \
 	orphans=$$(for p in $$($(GO) list ./internal/... | grep -v '/internal/analysis/analysistest$$'); do \
 		case "$$used" in *" $$p "*) ;; *) echo "$$p";; esac; done); \
@@ -151,7 +158,7 @@ shuffle:
 # core (see DESIGN.md §9). Every test here pins fixed seeds, so a failure is
 # a real regression, never flake.
 chaos:
-	$(GO) test -run 'Chaos|Fault|Heal|Remap|Backoff|Crash|Injector|Classify|LinkFilter' \
+	$(GO) test -run 'Chaos|Fault|Heal|Remap|Crash|Injector|Classify|LinkFilter' \
 		./internal/faults/... ./internal/mapper/... ./internal/simnet/... \
 		./internal/wormsim/... ./internal/election/... ./internal/experiments/...
 
@@ -180,6 +187,7 @@ fuzz-smoke:
 	$(GO) test -run ^$$ -fuzz FuzzParseRoute -fuzztime=10s ./internal/simnet/
 	$(GO) test -run ^$$ -fuzz FuzzDecodeRequest -fuzztime=10s ./internal/mapd/
 	$(GO) test -run ^$$ -fuzz FuzzAppendString -fuzztime=10s ./internal/mapd/
+	$(GO) test -run ^$$ -fuzz FuzzParseProfile -fuzztime=10s ./internal/faults/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run ^$$ .

@@ -136,10 +136,6 @@ func (e *Endpoint) Stats() simnet.Stats { return e.stats }
 // times.
 func (e *Endpoint) Submit(p simnet.Probe) simnet.ProbeResult {
 	r := simnet.ProbeResult{Probe: p}
-	timeout := e.net.timing.ResponseTimeout
-	if p.Timeout > 0 {
-		timeout = p.Timeout
-	}
 	var route simnet.Route
 	wantLoopback := false
 	switch p.Kind {
@@ -166,7 +162,7 @@ func (e *Endpoint) Submit(p simnet.Probe) simnet.ProbeResult {
 
 	fail := func(err error) simnet.ProbeResult {
 		r.Err = err
-		r.Done = now + timeout
+		r.Done = now + e.net.timing.ResponseTimeout
 		r.Latency = r.Done - issue
 		return r
 	}
@@ -224,15 +220,6 @@ func (e *Endpoint) Collect(r simnet.ProbeResult) {
 // Probes implements simnet.Prober.
 func (e *Endpoint) Probes() simnet.ProbeCaps {
 	return simnet.CapHost | simnet.CapSwitch | simnet.CapRaw
-}
-
-// Sleep implements simnet.Prober: retry-backoff waits advance the bound
-// process's virtual clock, so other processes' traffic keeps flowing while
-// this endpoint backs off.
-func (e *Endpoint) Sleep(d time.Duration) {
-	if d > 0 {
-		e.proc.Sleep(d)
-	}
 }
 
 func reverseHops(hops []simnet.DirectedHop) []simnet.DirectedHop {

@@ -92,19 +92,12 @@ type Config struct {
 	// Rng drives interface-address assignment and start staggering; it must
 	// be non-nil (the variance it induces is Fig 7's point).
 	Rng *rand.Rand
-	// MaxStagger bounds the random daemon start offsets.
-	MaxStagger time.Duration
 	// Crash schedules host failures by host name: at the given virtual
 	// time the host stops mapping AND stops answering probes — the single
 	// point of failure §4.2's election mode exists to survive. When the
 	// crashed host held the leadership lease, its lease entries are reset
 	// so passivated mappers can detect the vacancy and resume.
 	Crash map[string]time.Duration
-	// ResumePoll is how often a passivated mapper re-checks its leadership
-	// lease when crashes are scheduled (default 5ms). Without scheduled
-	// crashes passivation is final and the poll never runs, preserving the
-	// historical behaviour exactly.
-	ResumePoll time.Duration
 	// Tracer, when non-nil, records the run onto the unified observability
 	// layer (internal/obs): one cat-"election" span per participant
 	// mapper, each host on its own track so the virtually-concurrent
@@ -136,16 +129,19 @@ type Result struct {
 	Probes simnet.Stats
 }
 
+const (
+	// maxStagger bounds the random daemon start offsets.
+	maxStagger = 500 * time.Microsecond
+	// resumePoll is how often a passivated mapper re-checks its leadership
+	// lease when crashes are scheduled. Without scheduled crashes
+	// passivation is final and the poll never runs.
+	resumePoll = 5 * time.Millisecond
+)
+
 // Run executes one election-mode mapping of the network.
 func Run(net *topology.Network, cfg Config) (*Result, error) {
 	if cfg.Rng == nil {
 		return nil, fmt.Errorf("election: Config.Rng is required")
-	}
-	if cfg.MaxStagger == 0 {
-		cfg.MaxStagger = 500 * time.Microsecond
-	}
-	if cfg.ResumePoll == 0 {
-		cfg.ResumePoll = 5 * time.Millisecond
 	}
 	hosts := net.Hosts()
 	if len(hosts) < 2 {
@@ -224,7 +220,7 @@ func Run(net *topology.Network, cfg Config) (*Result, error) {
 
 	for hi, h := range hosts {
 		hi, h := hi, h
-		start := time.Duration(cfg.Rng.Int63n(int64(cfg.MaxStagger)))
+		start := time.Duration(cfg.Rng.Int63n(int64(maxStagger)))
 		eng.SpawnAt(start, net.NameOf(h), func(p *desim.Proc) {
 			// Each participant records onto its own track: the mapper
 			// lifetimes are virtually concurrent and would otherwise
@@ -270,7 +266,7 @@ func Run(net *topology.Network, cfg Config) (*Result, error) {
 					// Hold as a warm standby: if the lease clears (the
 					// leader died before anyone completed), restart mapping.
 					for heard[h] > addr[h] && !done && !crashed[h] {
-						p.Sleep(cfg.ResumePoll)
+						p.Sleep(resumePoll)
 					}
 					if heard[h] > addr[h] || done || crashed[h] {
 						res.Passivated++

@@ -80,7 +80,7 @@ type Schedule struct {
 	CrossRate float64
 	// CrossQuantum is the refresh period of the cross-traffic busy set
 	// (default 1ms): within one quantum a link is consistently busy or
-	// free, so retries spaced by backoff can route around a busy spell.
+	// free, so a probe repeated inside the quantum meets the same busy set.
 	CrossQuantum time.Duration
 	// Seed drives every stochastic decision.
 	Seed uint64

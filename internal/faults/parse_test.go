@@ -45,6 +45,68 @@ func TestParseProfileDefaultsAndErrors(t *testing.T) {
 			t.Errorf("ParseProfile(%q) accepted", bad)
 		}
 	}
+	// Values that parse as numbers but name no fault load: the error must
+	// name the offending key.
+	for _, c := range []struct{ spec, key string }{
+		{"seed=1,cuts=-3", "cuts"},
+		{"seed=1,flaps=-1", "flaps"},
+		{"seed=1,kills=-2", "kills"},
+		{"seed=1,loss=NaN", "loss"},
+		{"seed=1,loss=-0.5", "loss"},
+		{"seed=1,loss=1.5", "loss"},
+		{"seed=1,trunc=Inf", "trunc"},
+		{"seed=1,cross=-0", ""},
+		{"seed=1,cross=2", "cross"},
+		{"seed=1,window=-4", "window"},
+		{"seed=1,window=NaN", "window"},
+		{"seed=1,window=Inf", "window"},
+		{"seed=1,window=1e300", "window"},
+	} {
+		_, _, err := ParseProfile(c.spec)
+		switch {
+		case c.key == "" && err != nil:
+			t.Errorf("ParseProfile(%q): %v", c.spec, err)
+		case c.key != "" && err == nil:
+			t.Errorf("ParseProfile(%q) accepted", c.spec)
+		case c.key != "" && !strings.Contains(err.Error(), c.key):
+			t.Errorf("ParseProfile(%q): error %q does not name %s", c.spec, err, c.key)
+		}
+	}
+	// The bounds themselves are valid.
+	p, _, err = ParseProfile("seed=1,cuts=0,loss=1,trunc=0,cross=1,window=0")
+	if err != nil || p.LossRate != 1 || p.CrossRate != 1 || p.Window != 0 {
+		t.Errorf("bounds: %+v, %v", p, err)
+	}
+}
+
+// FuzzParseProfile: the chaos grammar never panics, and every profile it
+// accepts is a fault load Generate can draw — counts non-negative, rates in
+// [0, 1], the window non-negative.
+func FuzzParseProfile(f *testing.F) {
+	for _, s := range []string{
+		"seed=7", "seed=3,cuts=2,flaps=1,loss=0.02",
+		"seed=9,cuts=2,flaps=1,kills=1,restart=true,loss=0.25,trunc=0.5,cross=0.125,window=2.5",
+		"cuts=-3", "loss=NaN", "loss=-0.5", "window=-4", "window=1e300", "cuts", "", ",",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, _, err := ParseProfile(spec)
+		if err != nil {
+			return
+		}
+		if p.Cuts < 0 || p.Flaps < 0 || p.SwitchKills < 0 {
+			t.Fatalf("ParseProfile(%q) accepted a negative count: %+v", spec, p)
+		}
+		for _, r := range []float64{p.LossRate, p.TruncRate, p.CrossRate} {
+			if !(r >= 0 && r <= 1) {
+				t.Fatalf("ParseProfile(%q) accepted rate %v: %+v", spec, r, p)
+			}
+		}
+		if p.Window < 0 {
+			t.Fatalf("ParseProfile(%q) accepted window %v", spec, p.Window)
+		}
+	})
 }
 
 func TestProfileStructural(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"sanmap/internal/genspec"
 	"sanmap/internal/obs"
@@ -28,9 +27,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	listen := fs.String("listen", "", "query front-end: unix:PATH or host:port (port 0 picks one)")
 	once := fs.Bool("once", false, "exit after initial convergence instead of serving")
 	crashAfter := fs.Int("crash-after", 0, "crash injection: kill the process at the n-th WAL append")
-	healAttempts := fs.Int("heal-attempts", 3, "max remap attempts per suspicion burst")
-	healBackoff := fs.Duration("heal-backoff", 2*time.Millisecond, "initial virtual-time backoff between heal attempts")
-	healBackoffCap := fs.Duration("heal-backoff-cap", 50*time.Millisecond, "virtual-time backoff cap")
 	tele := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -57,7 +53,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	srv, err := New(Config{
 		Gen: *gen, Seed: *seed, Chaos: *chaos, Depth: *depth, Mapper: *mapperHost,
 		StateDir: *state, Listen: *listen, Once: *once, CrashAfter: *crashAfter,
-		HealAttempts: *healAttempts, HealBackoff: *healBackoff, HealBackoffCap: *healBackoffCap,
 		Interrupt: sigc, Tracer: tele.Tracer, Metrics: reg, Out: stdout,
 	})
 	if err != nil {

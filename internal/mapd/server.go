@@ -39,14 +39,6 @@ type Config struct {
 	// harness. 0 disables.
 	CrashAfter int
 
-	// Heal loop tuning: attempts per suspicion burst, and the capped
-	// exponential backoff between attempts. The backoff is charged to the
-	// simulation's virtual clock, never the wall clock, so healing is
-	// deterministic and tests are fast.
-	HealAttempts   int
-	HealBackoff    time.Duration
-	HealBackoffCap time.Duration
-
 	// Interrupt, when non-nil, makes Run return cleanly on a received
 	// signal (cmd/sanmapd wires SIGINT/SIGTERM here).
 	Interrupt <-chan os.Signal
@@ -110,15 +102,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Gen == "" {
 		cfg.Gen = "now-c"
-	}
-	if cfg.HealAttempts <= 0 {
-		cfg.HealAttempts = 3
-	}
-	if cfg.HealBackoff <= 0 {
-		cfg.HealBackoff = 2 * time.Millisecond
-	}
-	if cfg.HealBackoffCap <= 0 {
-		cfg.HealBackoffCap = 50 * time.Millisecond
 	}
 	if cfg.Out == nil {
 		cfg.Out = io.Discard
@@ -489,13 +472,23 @@ func (w *world) mapJob(resume *walState) error {
 	return w.commit(wal, 0, resumed, probes, res)
 }
 
+// The heal loop's tuning: remap attempts per suspicion burst, and the capped
+// exponential backoff between attempts. The backoff is charged to the
+// simulation's virtual clock, never the wall clock, so healing is
+// deterministic and tests are fast.
+const (
+	healAttempts   = 3
+	healBackoff    = 2 * time.Millisecond
+	healBackoffMax = 50 * time.Millisecond
+)
+
 // heal is the continuous remap loop's active phase: remap until the
 // result is clean (not partial, no suspects, no new suspicion raised
 // mid-remap) or attempts run out, with capped exponential backoff —
 // charged to virtual time — between attempts. The first attempt may
 // resume an interrupted remap job from its WAL.
 func (w *world) heal(reason string, resume *walState) error {
-	backoff := w.s.cfg.HealBackoff
+	backoff := healBackoff
 	for attempt := 1; ; attempt++ {
 		w.m.healAttempts.Inc()
 		before := w.suspicion
@@ -505,7 +498,7 @@ func (w *world) heal(reason string, resume *walState) error {
 			return err
 		}
 		clean := !res.Partial && len(res.Suspect) == 0 && w.suspicion == before
-		if clean || attempt >= w.s.cfg.HealAttempts {
+		if clean || attempt >= healAttempts {
 			w.handled = w.suspicion
 			if !clean {
 				fmt.Fprintf(w.out(), "sanmapd: heal attempts exhausted (%d); serving degraded\n", attempt)
@@ -514,8 +507,8 @@ func (w *world) heal(reason string, resume *walState) error {
 		}
 		fmt.Fprintf(w.out(), "sanmapd: heal attempt %d still suspicious; backing off %v\n", attempt, backoff)
 		w.sn.AdvanceClock(backoff)
-		if backoff *= 2; backoff > w.s.cfg.HealBackoffCap {
-			backoff = w.s.cfg.HealBackoffCap
+		if backoff *= 2; backoff > healBackoffMax {
+			backoff = healBackoffMax
 		}
 	}
 }

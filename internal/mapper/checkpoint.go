@@ -58,8 +58,8 @@ type Step struct {
 var ErrSuspended = errors.New("mapper: session suspended by step hook")
 
 // ErrUncheckpointable reports a session whose configuration carries state
-// the checkpoint format cannot capture (pipelined probe window, per-route
-// retry budgets, Fig 8 snapshot series).
+// the checkpoint format cannot capture (pipelined probe window, Fig 8
+// snapshot series).
 var ErrUncheckpointable = errors.New("mapper: session configuration not checkpointable")
 
 // ErrCheckpointMismatch reports a checkpoint restored under a different
@@ -91,17 +91,13 @@ func (s *Session) emitStep(k StepKind) error {
 const checkpointMagic = "sanmap-checkpoint 1"
 
 // checkpointable rejects configurations whose probe-engine state the text
-// format cannot capture: a pipelined window carries its counters, its
-// backoff jitter sequence (jitterSeq) and, with a route budget, its
-// per-route spend (routeSpent) across calls, and the Fig 8 series is
-// analysis-only. The serial self-healing path — what a serving daemon
-// runs — has no such state.
+// format cannot capture: a pipelined window carries its counters across
+// calls, and the Fig 8 series is analysis-only. The serial self-healing
+// path — what a serving daemon runs — has no such state.
 func checkpointable(cfg Config) error {
 	switch {
 	case cfg.Pipeline.Window > 1:
 		return fmt.Errorf("%w: pipelined window %d", ErrUncheckpointable, cfg.Pipeline.Window)
-	case cfg.Pipeline.RouteBudget > 0:
-		return fmt.Errorf("%w: per-route retry budget", ErrUncheckpointable)
 	case cfg.Snapshots:
 		return fmt.Errorf("%w: snapshot series enabled", ErrUncheckpointable)
 	}

@@ -326,14 +326,13 @@ func TestCheckpointResumeSavesProbes(t *testing.T) {
 	}
 }
 
-// TestCheckpointUnsupportedConfigs: sessions tuned for pipelined or
-// route-budgeted probing refuse to checkpoint rather than lie about
+// TestCheckpointUnsupportedConfigs: sessions with a pipelined window or a
+// Fig 8 snapshot series refuse to checkpoint rather than lie about
 // resumability.
 func TestCheckpointUnsupportedConfigs(t *testing.T) {
 	sn, _, h0, depth := ckptWorld(t, 1, "seed=5,cuts=2")
 	for _, opts := range [][]Option{
 		{WithDepth(depth), WithPipeline(4)},
-		{WithDepth(depth), func(c *Config) { c.Pipeline.RouteBudget = 2 }},
 		{WithDepth(depth), WithSnapshots(true)},
 	} {
 		s, err := NewSession(sn.Endpoint(h0), opts...)

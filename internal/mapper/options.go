@@ -33,8 +33,7 @@ func WithMetrics(reg *obs.Registry) Option { return func(c *Config) { c.Metrics 
 
 // WithPipeline enables the pipelined probe engine with the given in-flight
 // window. A window of 1 or less keeps the serial path (byte-identical to the
-// historical transcript). Retry, timeout and backoff are set on
-// Config.Pipeline directly.
+// historical transcript).
 func WithPipeline(window int) Option {
 	return func(c *Config) {
 		c.Pipeline = simnet.WindowConfig{Window: window}

@@ -46,11 +46,8 @@
 // Counter.DurationValue. Current names include:
 //
 //	probe.window.submitted        probes handed to the transport
-//	probe.window.retries          re-submissions after a miss
-//	probe.window.budget.denied    retries suppressed by the route budget
 //	probe.window.inflight.max     in-flight high-water mark (gauge)
 //	probe.window.timeout.cost.ns  virtual time lost to misses
-//	probe.window.backoff.wait.ns  portion of the above spent in backoff
 //	probe.window.miss.wait        histogram of per-miss waits
 //	mapper.explorations           frontier switches explored
 //	mapper.merges / mapper.pruned / mapper.eliminated

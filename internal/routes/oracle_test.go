@@ -25,7 +25,7 @@ func oracleCompute(net *topology.Network, cfg Config) (*oracleTable, error) {
 		root = ChooseRoot(net, cfg.IgnoreHosts...)
 	}
 	t := &Table{Net: net, Root: root}
-	t.label(cfg)
+	t.label()
 	o := &oracleTable{}
 	if err := o.allPairs(t, cfg); err != nil {
 		return nil, err

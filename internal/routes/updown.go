@@ -23,15 +23,12 @@ type Config struct {
 	// Rng randomises the choice among equal-cost parallel edges for load
 	// balance; nil picks deterministically.
 	Rng *rand.Rand
-	// RelabelDominant applies the paper's fix for locally dominant
-	// switches ("relabelling them with the minimum of their neighbors' BFS
-	// labels minus one").
-	RelabelDominant bool
 }
 
-// DefaultConfig enables the paper's full §5.5 pipeline.
+// DefaultConfig runs the paper's §5.5 pipeline from its natural root,
+// choosing deterministically among parallel edges.
 func DefaultConfig() Config {
-	return Config{Root: topology.None, RelabelDominant: true}
+	return Config{Root: topology.None}
 }
 
 // Table is a computed route set: one relative-turn source route per ordered
@@ -127,7 +124,7 @@ func Compute(net *topology.Network, cfg Config) (*Table, error) {
 		return nil, fmt.Errorf("routes: no usable root switch")
 	}
 	t := newTable(net, root)
-	t.label(cfg)
+	t.label()
 	if err := t.allPairs(cfg); err != nil {
 		return nil, err
 	}
@@ -135,9 +132,11 @@ func Compute(net *topology.Network, cfg Config) (*Table, error) {
 }
 
 // label assigns BFS numbers from the root ("a breadth-first labeling of the
-// network map") and optionally applies the dominant-switch relabelling.
+// network map") and applies the paper's fix for locally dominant switches
+// ("relabelling them with the minimum of their neighbors' BFS labels minus
+// one").
 // Labels are int64 so relabelled switches can sink below 0 without clashes.
-func (t *Table) label(cfg Config) {
+func (t *Table) label() {
 	n := t.Net.NumNodes()
 	t.Labels = make([]int64, n)
 	ix := t.Net.Index()
@@ -160,9 +159,6 @@ func (t *Table) label(cfg Config) {
 	}
 	for i, u := range order {
 		t.Labels[u] = int64(i)
-	}
-	if !cfg.RelabelDominant {
-		return
 	}
 	// A locally dominant switch has a larger label than every neighbour:
 	// all its links run down into it, so no UP*/DOWN* route can transit it.

@@ -31,9 +31,6 @@ func (e *Endpoint) MaxPorts() int { return e.net.MaxPorts() }
 // Clock implements Prober.
 func (e *Endpoint) Clock() time.Duration { return e.net.Clock() }
 
-// Sleep implements Prober: advance the virtual clock by d without probing.
-func (e *Endpoint) Sleep(d time.Duration) { e.net.AdvanceClock(d) }
-
 // Stats exposes the transport's probe counters (picked up by the mappers'
 // run statistics).
 func (e *Endpoint) Stats() Stats { return e.net.Stats() }

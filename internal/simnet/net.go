@@ -428,16 +428,12 @@ func (n *Net) submit(from topology.NodeID, p Probe, r *ProbeResult) {
 			n.stats.SwitchHits++
 		}
 	}
-	timeout := n.timing.ResponseTimeout
-	if p.Timeout > 0 {
-		timeout = p.Timeout
-	}
 	issue := n.clock
 	n.clock += n.timing.HostOverhead
 	if r.OK {
 		r.Done = n.clock + wait
 	} else {
-		r.Done = n.clock + timeout
+		r.Done = n.clock + n.timing.ResponseTimeout
 	}
 	r.Latency = r.Done - issue
 	if logKind != "" && n.probeLog != nil {

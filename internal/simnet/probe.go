@@ -95,8 +95,6 @@ func (k ProbeKind) String() string {
 type Probe struct {
 	Kind  ProbeKind
 	Route Route
-	// Timeout overrides the transport's response timeout when positive.
-	Timeout time.Duration
 }
 
 // ProbeResult is the response to one Probe.
@@ -164,8 +162,8 @@ func CapOf(k ProbeKind) ProbeCaps {
 // to send probes from one fixed host and observe responses and elapsed
 // virtual time. Every mapper (Berkeley, Myricom, label, oracle, randomized,
 // election) runs against it, so the same algorithm code runs over the
-// quiescent transport, the discrete-event contended transport, the framed
-// wire transport and fault-injecting wrappers.
+// quiescent transport, the discrete-event contended transport and
+// fault-injecting wrappers.
 //
 // Submit issues a probe — paying only the per-probe host overhead — and
 // returns its completed result; the caller's virtual clock does not wait for
@@ -176,14 +174,12 @@ func CapOf(k ProbeKind) ProbeCaps {
 // submission order keeps every run deterministic. Serial callers use Do.
 type Prober interface {
 	// Submit issues a probe and returns its result. A kind outside Probes()
-	// yields ErrUnsupported, sends nothing and costs no virtual time.
+	// yields ErrUnsupported, sends nothing and costs no virtual time. A
+	// miss waits out the transport's one response timeout.
 	Submit(p Probe) ProbeResult
 	// Collect advances the caller's virtual clock to the result's Done time
 	// (no-op if the clock is already past it).
 	Collect(r ProbeResult)
-	// Sleep advances the virtual clock by d without probing; the ProbeWindow
-	// realises retry-backoff waits with it.
-	Sleep(d time.Duration)
 	// Probes reports which probe kinds the transport supports.
 	Probes() ProbeCaps
 	// LocalHost is the unique name of the probing host.

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -67,7 +66,7 @@ func (s *copyingStream) grow() {
 func (s *copyingStream) Submit(p Probe, tag int) {
 	w := s.w
 	s.live++
-	s.push(spending{tag: tag, res: w.p.Submit(w.withTimeout(p))})
+	s.push(spending{tag: tag, res: w.p.Submit(p)})
 	w.m.submitted.Inc()
 	if s.live > s.maxSeen {
 		s.maxSeen = s.live
@@ -88,41 +87,17 @@ func (s *copyingStream) NextDone() (time.Duration, bool) {
 }
 
 // Collect retires the oldest entry: synchronise the clock with its
-// completion, run the bounded retry loop on a miss and return the final
-// result with the submitter's tag.
+// completion, count a miss's wait and return the result with the
+// submitter's tag.
 func (s *copyingStream) Collect() (int, ProbeResult) {
 	e := s.pop()
 	s.live--
 	w := s.w
-	p0 := e.res.Probe
 	r := e.res
 	w.p.Collect(r)
 	if !r.OK {
 		w.m.timeoutCost.AddDuration(r.Latency)
 		w.m.missWait.Observe(r.Latency)
-	}
-	for attempt := 0; !r.OK && !errors.Is(r.Err, ErrUnsupported) && attempt < w.cfg.Retries; attempt++ {
-		if w.routeSpent != nil {
-			key := string(w.probeKey(p0))
-			if w.routeSpent[key] >= w.cfg.RouteBudget {
-				w.m.budgetDenied.Inc()
-				break
-			}
-			w.routeSpent[key]++
-		}
-		if w.cfg.Backoff > 0 {
-			wait := w.backoffWait(attempt)
-			w.p.Sleep(wait)
-			w.m.timeoutCost.AddDuration(wait)
-			w.m.backoffWait.AddDuration(wait)
-		}
-		w.m.retries.Inc()
-		w.m.submitted.Inc()
-		r = Do(w.p, w.withTimeout(p0))
-		if !r.OK {
-			w.m.timeoutCost.AddDuration(r.Latency)
-			w.m.missWait.Observe(r.Latency)
-		}
 	}
 	return e.tag, r
 }
@@ -167,9 +142,7 @@ type streamWorld struct {
 }
 
 // streamProbes is the script alphabet on probeNet: hits and misses of every
-// supported kind, a per-probe timeout, and two kinds the transport refuses
-// (which cost nothing and must never be retried). The pool is small so that
-// scripts repeat probes, which is what exercises RouteBudget.
+// supported kind, and two kinds the transport refuses (which cost nothing).
 var streamProbes = []Probe{
 	{Kind: ProbeHost, Route: Route{3, 3}},
 	{Kind: ProbeSwitch, Route: Route{3}},
@@ -179,7 +152,7 @@ var streamProbes = []Probe{
 	{Kind: ProbeHost, Route: Route{7}},
 	{Kind: ProbeHost, Route: Route{3}},
 	{Kind: ProbeSwitch, Route: Route{3, 3}},
-	{Kind: ProbeSwitch, Route: Route{-1}, Timeout: 700 * time.Microsecond},
+	{Kind: ProbeSwitch, Route: Route{-1}},
 	{Kind: ProbeID, Route: Route{3}},
 	{Kind: ProbeKind(99)},
 }
@@ -188,8 +161,8 @@ var streamProbes = []Probe{
 // oracle through the same seeded scripts — single submissions and runs of
 // them (within and beyond the window, so the ring wraps and grows),
 // collections, peeks, and abandons with entries still queued — over the
-// quiescent transport, a lossy one and a one-shot dropper, under every window
-// feature. After each operation the two sides must agree on what was
+// quiescent transport, a lossy one and a one-shot dropper, at several window
+// sizes. After each operation the two sides must agree on what was
 // collected, on Free, Len and NextDone, and on the virtual clock, and Free
 // must be the window less what is queued; at the end they must agree on the
 // window's and the transport's counters.
@@ -207,10 +180,9 @@ func TestStreamInPlaceMatchesCopying(t *testing.T) {
 	configs := []WindowConfig{
 		{Window: 4},
 		{Window: 8},
-		{Window: 1, Retries: 1},
-		{Window: 3, Retries: 2, Backoff: time.Millisecond, Seed: 5},
-		{Window: 4, Retries: 3, RouteBudget: 2},
-		{Window: 2, Retries: 1, RouteBudget: 1, Timeout: 3 * time.Millisecond},
+		{Window: 1},
+		{Window: 3},
+		{Window: 2},
 	}
 	for _, tr := range transports {
 		for ci, cfg := range configs {

@@ -23,7 +23,7 @@
 // is the mapper.
 //
 // Three destination patterns are provided: Uniform (uniformly random
-// destination per message), Hotspot (a fraction of all traffic aimed at
+// destination per message), Hotspot (half of all traffic aimed at
 // one hot host), and Permutation (one fixed destination per source, the
 // classic adversarial pattern for interconnects). Aggregated demand is
 // exposed as a Matrix, the interface the branch-and-bound placement

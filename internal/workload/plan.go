@@ -33,9 +33,6 @@ type PlanConfig struct {
 	Load float64
 	// MsgBytes is the payload size per worm (default 512).
 	MsgBytes int
-	// HotFraction is the share of traffic aimed at the hotspot (Hotspot
-	// pattern only; default 0.5).
-	HotFraction float64
 	// Duration is the injection horizon: sends are scheduled in
 	// [0, Duration).
 	Duration time.Duration
@@ -67,14 +64,13 @@ type Plan struct {
 // horizon, live cross-traffic (MapUnderTraffic) draws from it for as long
 // as its mapper runs.
 type stream struct {
-	rng         *rand.Rand
-	pattern     Pattern
-	hotFraction float64
-	hosts       []topology.NodeID
-	self        topology.NodeID
-	hot, perm   topology.NodeID
-	gap         time.Duration // mean time between offered worms
-	t           time.Duration // when the next draw is offered
+	rng       *rand.Rand
+	pattern   Pattern
+	hosts     []topology.NodeID
+	self      topology.NodeID
+	hot, perm topology.NodeID
+	gap       time.Duration // mean time between offered worms
+	t         time.Duration // when the next draw is offered
 }
 
 // newStreams returns one stream per host, or nil when the mix offers no
@@ -86,9 +82,6 @@ type stream struct {
 func newStreams(hosts []topology.NodeID, cfg PlanConfig) []*stream {
 	if len(hosts) < 2 || cfg.Load <= 0 {
 		return nil
-	}
-	if cfg.HotFraction == 0 {
-		cfg.HotFraction = 0.5
 	}
 	// A tiny load makes a gap past the largest Duration; a plain conversion
 	// would wrap it negative and offer the most traffic instead of the least.
@@ -105,7 +98,7 @@ func newStreams(hosts []topology.NodeID, cfg PlanConfig) []*stream {
 	for i, h := range hosts {
 		rng := rand.New(faults.NewSource(cfg.Seed + uint64(i+1)*0x9e3779b97f4a7c15))
 		out[i] = &stream{
-			rng: rng, pattern: cfg.Pattern, hotFraction: cfg.HotFraction,
+			rng: rng, pattern: cfg.Pattern,
 			hosts: hosts, self: h, hot: hot,
 			perm: hosts[(i+1+rng.Intn(len(hosts)-1))%len(hosts)],
 			gap:  gap,
@@ -142,10 +135,13 @@ func (s *stream) next() Send {
 	}
 }
 
+// hotFraction is the share of a Hotspot host's traffic aimed at the hotspot.
+const hotFraction = 0.5
+
 func (s *stream) pickDest() topology.NodeID {
 	switch s.pattern {
 	case Hotspot:
-		if s.rng.Float64() < s.hotFraction && s.hot != s.self {
+		if s.rng.Float64() < hotFraction && s.hot != s.self {
 			return s.hot
 		}
 	case Permutation:

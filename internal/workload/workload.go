@@ -18,7 +18,7 @@ type Pattern uint8
 const (
 	// Uniform draws a fresh uniformly-random destination per message.
 	Uniform Pattern = iota
-	// Hotspot sends a fraction of traffic to one hot destination.
+	// Hotspot sends half of all traffic to one hot destination.
 	Hotspot
 	// Permutation fixes one destination per source (a classic adversarial
 	// pattern for interconnects).

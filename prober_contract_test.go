@@ -15,8 +15,7 @@ import (
 
 // Contract tests every simnet.Prober implementation must pass, run over
 // every transport: the quiescent endpoint, bare and behind a lossy wrapper,
-// the contended endpoint (inside its simulation process) and a transport
-// that finishes each round trip inside Submit.
+// and the contended endpoint (inside its simulation process).
 
 // contractFabric is h0 — s0 — s1 — h1: Route{3} parks on s1, Route{3, 3}
 // reaches h1, Route{7} leaves s0 through an unwired port.
@@ -60,25 +59,7 @@ var proberTransports = []struct {
 		eng.Spawn("prober", func(p *desim.Proc) { body(cn.Endpoint(h0, p)) })
 		eng.Run()
 	}},
-	{"syncProber", func(body func(simnet.Prober)) {
-		net, h0 := contractFabric()
-		body(syncProber{simnet.NewDefault(net).Endpoint(h0)})
-	}},
 }
-
-// syncProber is a transport that blocks on the wire: Submit returns only once
-// the response is in, with the clock already at Done, so Collect has nothing
-// left to wait for. A window that waited out its retry backoff through
-// Collect instead of Sleep would not wait at all over it.
-type syncProber struct{ *simnet.Endpoint }
-
-func (p syncProber) Submit(pr simnet.Probe) simnet.ProbeResult {
-	r := p.Endpoint.Submit(pr)
-	p.Endpoint.Collect(r)
-	return r
-}
-
-func (syncProber) Collect(simnet.ProbeResult) {}
 
 // TestProberCapabilityHonesty: a transport executes exactly the probe kinds
 // its Probes() reports; any other kind comes back ErrUnsupported having sent
@@ -109,33 +90,6 @@ func TestProberCapabilityHonesty(t *testing.T) {
 	}
 }
 
-// TestBackoffWaitsOnEveryTransport: the retry backoff the window bills to
-// WindowStats.BackoffWait is virtual time the transport really spends — the
-// clock of a backed-off run is ahead of the same run without backoff by
-// exactly that much.
-func TestBackoffWaitsOnEveryTransport(t *testing.T) {
-	miss := simnet.Probe{Kind: simnet.ProbeHost, Route: simnet.Route{7}}
-	for _, tr := range proberTransports {
-		elapsed := func(cfg simnet.WindowConfig) (took time.Duration, st simnet.WindowStats) {
-			tr.run(func(p simnet.Prober) {
-				start := p.Clock()
-				w := simnet.NewProbeWindow(p, cfg)
-				w.DoOne(miss)
-				took, st = p.Clock()-start, w.Stats()
-			})
-			return took, st
-		}
-		plain, _ := elapsed(simnet.WindowConfig{Window: 1, Retries: 2})
-		backed, st := elapsed(simnet.WindowConfig{Window: 1, Retries: 2, Backoff: time.Millisecond, Seed: 9})
-		if st.BackoffWait <= 0 {
-			t.Errorf("%s: backoff retries recorded no wait: %+v", tr.name, st)
-		}
-		if backed-plain != st.BackoffWait {
-			t.Errorf("%s: clock advanced by %v, BackoffWait says %v", tr.name, backed-plain, st.BackoffWait)
-		}
-	}
-}
-
 // TestWindowDoIsASubmitLoop: on every transport, ProbeWindow.Do returns — in
 // submission order — what a hand-written Stream fill/collect loop returns,
 // at the same clock and with the same window and transport counters; at a
@@ -150,7 +104,7 @@ func TestWindowDoIsASubmitLoop(t *testing.T) {
 		{Kind: simnet.ProbeRaw, Route: simnet.Route{3, 0, -3}},
 		{Kind: simnet.ProbeHost, Route: simnet.Route{3}},
 		{Kind: simnet.ProbeTolerant, Route: simnet.Route{3, 3, 1}},
-		{Kind: simnet.ProbeSwitch, Route: simnet.Route{-1}, Timeout: 700 * time.Microsecond},
+		{Kind: simnet.ProbeSwitch, Route: simnet.Route{-1}},
 		{Kind: simnet.ProbeID, Route: simnet.Route{3}},
 	}
 	batch := make([]simnet.Probe, 0, 3*len(alphabet)-1)
@@ -175,8 +129,8 @@ func TestWindowDoIsASubmitLoop(t *testing.T) {
 		for _, cfg := range []simnet.WindowConfig{
 			{Window: 1},
 			{Window: 3},
-			{Window: 8, Retries: 1},
-			{Window: 4, Retries: 2, Backoff: time.Millisecond, Seed: 9, RouteBudget: 1},
+			{Window: 8},
+			{Window: 4},
 		} {
 			do := observe(func(p simnet.Prober) ([]simnet.ProbeResult, simnet.WindowStats) {
 				w := simnet.NewProbeWindow(p, cfg)
