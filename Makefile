@@ -2,12 +2,13 @@ GO ?= go
 
 # Packages with concurrency-sensitive code (the pipelined probe engine and
 # everything layered on it, plus the event queue, worm simulator, experiment
-# drivers and telemetry) get a dedicated race-detector lane.
+# drivers, telemetry and the route table's parallel fill) get a dedicated
+# race-detector lane.
 RACE_PKGS = ./internal/simnet/... ./internal/mapper/... ./internal/connet/... \
 	./internal/election/... ./internal/eventq/... ./internal/wormsim/... \
 	./internal/experiments/... ./internal/obs/... \
 	./internal/mapd/... ./internal/workload/... ./internal/loadsim/... \
-	./internal/place/...
+	./internal/place/... ./internal/routes/...
 # cmd/sanload replays its three tables on concurrent goroutines, so it rides
 # the race and shuffle lanes too — under -short, which keeps the 25 s
 # TestScaleMillionWorms out of the race detector.
@@ -211,10 +212,11 @@ bench-large:
 
 # bench-gate is the wall-clock regression gate (DESIGN.md §12): re-measure
 # the gated lanes — the window-8 probe pipeline and the 1k-switch fat-tree
-# and the daemon's two start-up layers on the 768-host fat-tree (Q+D and the
-# route table, plus the table's lookup and a whole served route query, each
-# at 0 allocs/op), and the load report's plan draw, merge and replays (on
-# allocs/op alone) — and check them against the committed baseline's gates
+# (with its diameter at 0 allocs/op) and the daemon's two start-up layers on
+# the 768-host fat-tree (Q+D and the route table, plus the table's lookup and
+# a whole served route query, each at 0 allocs/op), and the load report's
+# plan draw, merge and replays (on allocs/op alone) — and check them against
+# the committed baseline's gates
 # block. Fails on a >15% ns/op regression, an allocation ceiling broken, or
 # a broken relative gate (window8 must stay within 2x the serial loop's
 # wall clock). Runs use -count so sanbench
@@ -225,7 +227,7 @@ bench-gate:
 	@{ $(GO) test -bench PipelinedVsSerial -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench 'LoadReplay|LoadReport|NewPlan|PlanMerge' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench 'FatTree768|RouteLookup|ServeRoute' -benchtime 100x -count 3 -run ^$$ . && \
-	   $(GO) test -bench MapFatTree1k -benchtime 20x -count 3 -run ^$$ . ; } | \
+	   $(GO) test -bench 'MapFatTree1k|IndexDiameter1k' -benchtime 20x -count 3 -run ^$$ . ; } | \
 		$(GO) run ./cmd/sanbench -gate $(BENCH_BASELINE)
 
 # bench-baseline records a benchstat-compatible JSON baseline for the

@@ -541,8 +541,9 @@ func BenchmarkIndexBFS1k(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexDiameter1k is the all-pairs eccentricity sweep on the 1k
-// fabric, the heaviest pure-graph analysis the tools run.
+// BenchmarkIndexDiameter1k is the eccentricity sweep on the 1k fabric, one
+// search per switch (hosts are leaves), the heaviest pure-graph analysis
+// the tools run. Gated at 0 allocs/op.
 func BenchmarkIndexDiameter1k(b *testing.B) {
 	net := fatTree1k()
 	ix := net.Index()
@@ -704,7 +705,8 @@ func fatTree768(b *testing.B) (*topology.Network, topology.NodeID) {
 
 // BenchmarkDepthBoundFatTree768 is the daemon's first start-up layer at
 // scale: Q (one two-unit min-cost flow per vertex, 912 of them) plus the
-// diameter. Run with -benchmem: Q must stay allocation-flat.
+// diameter (one search per switch, 144 of them: a host's eccentricity is
+// read off its switch's). Run with -benchmem: Q must stay allocation-flat.
 func BenchmarkDepthBoundFatTree768(b *testing.B) {
 	net, h0 := fatTree768(b)
 	b.ReportAllocs()

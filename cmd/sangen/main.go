@@ -107,10 +107,11 @@ func listGenerators(w io.Writer) {
 func printAnalysis(w io.Writer, net *topology.Network, parallel int) error {
 	h0 := net.Hosts()[0]
 	q, undef := net.Q(h0)
+	d := net.Diameter()
 	fmt.Fprintf(w, "analysis: %v\n", net)
-	fmt.Fprintf(w, "  diameter D      = %d\n", net.Diameter())
+	fmt.Fprintf(w, "  diameter D      = %d\n", d)
 	fmt.Fprintf(w, "  probe bound Q   = %d (from %s)\n", q, net.NameOf(h0))
-	fmt.Fprintf(w, "  search depth    = %d (Q+D)\n", q+net.Diameter())
+	fmt.Fprintf(w, "  search depth    = %d (Q+D)\n", q+d)
 	fmt.Fprintf(w, "  |F|             = %d\n", len(undef))
 	fmt.Fprintf(w, "  switch-bridges  = %d\n", len(net.SwitchBridges()))
 	fmt.Fprintf(w, "  loopback plugs  = %d\n", len(net.Reflectors()))

@@ -35,6 +35,10 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "sanmapd: -state is required")
 		return 2
 	}
+	if err := checkDepth(*depth); err != nil {
+		fmt.Fprintln(stderr, "sanmapd:", err)
+		return 2
+	}
 	if err := tele.Begin(); err != nil {
 		fmt.Fprintln(stderr, "sanmapd:", err)
 		return 1

@@ -100,6 +100,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.StateDir == "" {
 		return nil, fmt.Errorf("mapd: StateDir is required")
 	}
+	if err := checkDepth(cfg.Depth); err != nil {
+		return nil, fmt.Errorf("mapd: %w", err)
+	}
 	if cfg.Gen == "" {
 		cfg.Gen = "now-c"
 	}
@@ -137,6 +140,15 @@ func New(cfg Config) (*Server, error) {
 		fmt.Fprintf(cfg.Out, "sanmapd: listening on %v\n", ln.Addr())
 	}
 	return s, nil
+}
+
+// checkDepth refuses a negative -depth: 0 derives Q+D, and a mapper needs
+// at least 1.
+func checkDepth(depth int) error {
+	if depth < 0 {
+		return fmt.Errorf("-depth must be 0 (derive Q+D) or positive, got %d", depth)
+	}
+	return nil
 }
 
 // Addr returns the front-end listener address (nil without Listen).
@@ -295,7 +307,7 @@ func (s *Server) buildWorld() (*world, error) {
 		return nil, fmt.Errorf("mapd: %s: %w", s.cfg.Gen, err)
 	}
 	depth := s.cfg.Depth
-	if depth <= 0 {
+	if depth == 0 {
 		depth = topo.DepthBound(h0)
 	}
 	// Healing routes can need more depth than the clean bound once cuts

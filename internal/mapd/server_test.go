@@ -375,6 +375,30 @@ func TestServerMapperOverride(t *testing.T) {
 	}
 }
 
+// TestNegativeDepthRefused: -depth -3 is an error naming the flag, from
+// both the command line and New, not a silent "derive Q+D"; 0 still
+// derives it.
+func TestNegativeDepthRefused(t *testing.T) {
+	var stdout, stderr strings.Builder
+	if code := Main([]string{"-gen", "now-c", "-state", t.TempDir(), "-depth", "-3", "-once"}, &stdout, &stderr); code != 2 {
+		t.Errorf("sanmapd -depth -3 exited %d, want 2", code)
+	}
+	if got := stderr.String(); !strings.Contains(got, "-depth") || strings.Count(got, "\n") != 1 || stdout.Len() != 0 {
+		t.Errorf("sanmapd -depth -3: stdout %q, stderr %q; want one stderr line naming -depth", stdout.String(), got)
+	}
+	_, err := New(Config{Gen: "now-c", Seed: 1, StateDir: t.TempDir(), Depth: -3, Metrics: obs.NewRegistry()})
+	if err == nil || !strings.Contains(err.Error(), "-depth") {
+		t.Errorf("New with Depth -3: err %v, want one naming -depth", err)
+	}
+	srv, err := New(Config{Gen: "now-c", Seed: 1, StateDir: t.TempDir(), Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := srv.w; w.depth != w.topo.DepthBound(w.h0)+w.topo.NumSwitches() {
+		t.Errorf("Depth 0: depth %d, want Q+D %d plus the %d-switch margin", w.depth, w.topo.DepthBound(w.h0), w.topo.NumSwitches())
+	}
+}
+
 // TestSplitListen covers the -listen grammar.
 func TestSplitListen(t *testing.T) {
 	cases := []struct{ in, nw, addr string }{

@@ -20,12 +20,19 @@
 // node, Floyd-Warshall runs over the switches alone, and the route s→t is
 // s's wire, then the route between their two leaf switches, then t's wire.
 // The meeting-node scan and both path extractions run once per leaf-switch
-// pair; every host pair under it copies the wires, and copies the turns
-// too, shifting the two turns at the leaves by the difference in host
-// ports. The scan order and the Rng's draw order (one draw per parallel
-// switch-switch cable, in wire order) are those of the construction over
-// all nodes, so the tables are the same byte for byte: oracle_test.go keeps
-// the replaced construction, and flat_diff_test.go compares against it.
+// pair, serially, into a template: the middle's wires, its interior turns,
+// and the ports it leaves the first leaf by and enters the second by. Leaf
+// pairs are visited in the order of their first host pair, so a pair with
+// no compliant path is reported under the same host names as a scan over
+// host pairs would. Each source row's length depends only on its leaf, so a
+// prefix sum over hosts places every row, and the rows are then filled in
+// contiguous blocks, one per GOMAXPROCS: a pair copies its template and
+// writes the two turns at the leaves from the host ports. The scan order
+// and the Rng's draw order (one draw per parallel switch-switch cable, in
+// wire order) are those of the construction over all nodes, so the tables
+// are the same byte for byte at any GOMAXPROCS: oracle_test.go keeps the
+// replaced construction, flat_diff_test.go compares against it, and
+// parallel_test.go compares the arenas across goroutine counts.
 //
 // A Table stores the result in two flat arenas. Hosts get dense ordinals
 // in ascending id order; ordered pair (s,t) is slot ord(s)*H+ord(t); one

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
 
 	"sanmap/internal/simnet"
 	"sanmap/internal/topology"
@@ -213,7 +215,7 @@ func (t *Table) upEnd(w topology.Wire, from topology.End) bool {
 // never meeting or transit nodes, FW runs over switches alone, and the pair
 // (s,t) is s's wire, the path of the leaf-switch pair (leaf(s), leaf(t)),
 // then t's wire — the meeting-node scan and both extractions happen once
-// per leaf-switch pair and every host pair under it copies the result.
+// per leaf-switch pair, into a template every host pair under it copies.
 func (t *Table) allPairs(cfg Config) error {
 	net := t.Net
 	const inf = int32(math.MaxInt32 / 4)
@@ -288,79 +290,154 @@ func (t *Table) allPairs(cfg Config) error {
 		}
 		ancOff[a+1] = int32(len(anc))
 	}
+	// Leaves get dense ordinals in the order their first host appears, so
+	// ascending leaf-ordinal pairs visit leaf-switch pairs in the order of
+	// their first host pair under ascending (s,t).
 	H := len(t.hosts)
-	leaf := make([]int, H)     // each host's switch,
+	var leaves []int           // each leaf's switch ordinal,
+	lord := make([]int32, H)   // each host's leaf ordinal,
 	leafPort := make([]int, H) // the port it occupies there
 	hostWire := make([]int, H) // and the wire between them
+	lordOf := make([]int32, S) // a switch's leaf ordinal + 1; 0 if it has no host
 	for i, h := range t.hosts {
 		hostWire[i] = net.WireAt(h, topology.HostPort)
 		far := net.WireByIndex(hostWire[i]).Other(topology.End{Node: h, Port: topology.HostPort})
-		leaf[i], leafPort[i] = int(sw[far.Node]), far.Port
+		a := sw[far.Node]
+		if lordOf[a] == 0 {
+			leaves = append(leaves, int(a))
+			lordOf[a] = int32(len(leaves))
+		}
+		lord[i], leafPort[i] = lordOf[a]-1, far.Port
 	}
+	L := len(leaves)
 
-	// Size pass, in ascending (s,t) order: the first pair under a leaf-
-	// switch pair picks its meeting node — first strict minimum over
-	// ascending switches — and the best cost is the exact length of the
-	// shared middle, so every span is known before the arena exists.
-	meet := make([]int32, S*S) // meeting switch + 1; 0 until scanned
-	total := 0
-	for si, a := range leaf {
-		for di, b := range leaf {
-			t.off[si*H+di] = uint32(total)
-			if si == di {
+	// Template pass, serial: each leaf pair picks its meeting node — first
+	// strict minimum over ascending switches — and the best cost is the
+	// exact length of its middle, so the template arena is sized before it
+	// exists. A leaf paired with itself has an empty middle.
+	paths := make([]leafPath, L*L)
+	meet := make([]int32, L*L)
+	n := int32(0)
+	for i, a := range leaves {
+		for j, b := range leaves {
+			p := &paths[i*L+j]
+			p.lo = n
+			if i == j {
 				continue
 			}
-			if meet[a*S+b] == 0 {
-				bestW, bestC := -1, inf
-				for _, w := range anc[ancOff[a]:ancOff[a+1]] {
-					if c := up[a*S+int(w)] + up[b*S+int(w)]; c < bestC {
-						bestC, bestW = c, int(w)
-					}
+			bestW, bestC := -1, inf
+			for _, w := range anc[ancOff[a]:ancOff[a+1]] {
+				if c := up[a*S+int(w)] + up[b*S+int(w)]; c < bestC {
+					bestC, bestW = c, int(w)
 				}
-				if bestW < 0 {
-					return fmt.Errorf("routes: no compliant path %s -> %s",
-						net.NameOf(t.hosts[si]), net.NameOf(t.hosts[di]))
-				}
-				meet[a*S+b] = int32(bestW) + 1
 			}
-			w := int(meet[a*S+b]) - 1
-			total += 2 + int(up[a*S+w]+up[b*S+w])
+			if bestW < 0 {
+				// The first host pair under it is the first to fail.
+				s, d := t.hosts[slices.Index(lord, int32(i))], t.hosts[slices.Index(lord, int32(j))]
+				return fmt.Errorf("routes: no compliant path %s -> %s", net.NameOf(s), net.NameOf(d))
+			}
+			meet[i*L+j], p.n = int32(bestW), bestC
+			n += bestC
 		}
 	}
-	t.off[H*H] = uint32(total)
-
-	// Fill pass: the first pair under a leaf-switch pair extracts the middle
-	// in place (up half, then the down half reversed where it lies) and
-	// walks its turns; later pairs copy both, and only the turns at the two
-	// leaves shift, by the difference in host ports.
-	t.wires, t.turns = make([]int, total), make([]simnet.Turn, total)
-	first := make([]int32, S*S) // slot of that first pair + 1; 0 until written
-	for si, a := range leaf {
-		for di, b := range leaf {
-			slot := si*H + di
-			lo, hi := t.off[slot], t.off[slot+1]
-			if lo == hi {
+	// Extract each middle (up half, then the down half reversed where it
+	// lies) and walk its turns.
+	mids, midTurns := make([]int, n), make([]simnet.Turn, n)
+	for i, a := range leaves {
+		for j, b := range leaves {
+			p := &paths[i*L+j]
+			if p.n == 0 {
 				continue
 			}
-			t.wires[lo], t.wires[hi-1] = hostWire[si], hostWire[di]
-			mid := t.wires[lo+1 : hi-1]
-			if f := int(first[a*S+b]) - 1; f >= 0 {
-				copy(mid, t.wires[t.off[f]+1:])
-				copy(t.turns[lo+1:hi], t.turns[t.off[f]+1:])
-				t.turns[lo+1] += simnet.Turn(leafPort[f/H] - leafPort[si])
-				t.turns[hi-1] += simnet.Turn(leafPort[di] - leafPort[f%H])
-				continue
-			}
-			w := int(meet[a*S+b]) - 1
+			mid := mids[p.lo : p.lo+p.n]
+			w := int(meet[i*L+j])
 			k := up[a*S+w]
 			fillUp(mid[:k], a, w)
 			fillUp(mid[k:], b, w)
 			slices.Reverse(mid[k:])
-			t.walkTurns(slot)
-			first[a*S+b] = int32(slot) + 1
+			out, in := t.walk(mid, midTurns[p.lo:p.lo+p.n], swNode[a])
+			p.out, p.in = int32(out), int32(in)
 		}
 	}
+
+	// Row starts: a source row's length depends only on its leaf — each
+	// pair's span is the template's middle between two host wires — so one
+	// pass per leaf pair and a prefix sum over hosts size the whole arena.
+	// Each row's start is parked in its first slot's offset.
+	perLeaf := make([]int, L) // hosts on each leaf
+	for _, i := range lord {
+		perLeaf[i]++
+	}
+	rowLen := make([]int, L)
+	for i := range leaves {
+		rowLen[i] = -2 // a host's own pair has no span
+		for j, c := range perLeaf {
+			rowLen[i] += c * (2 + int(paths[i*L+j].n))
+		}
+	}
+	total := 0
+	for si, i := range lord {
+		t.off[si*H] = uint32(total)
+		total += rowLen[i]
+	}
+	t.off[H*H] = uint32(total)
+
+	// Fill pass: contiguous blocks of source rows, one per GOMAXPROCS, each
+	// writing only its own rows' offsets and spans. A pair copies its
+	// template's middle and interior turns; the two turns at the leaves are
+	// written from the host ports directly.
+	t.wires, t.turns = make([]int, total), make([]simnet.Turn, total)
+	fillRows := func(from, to int) {
+		for si := from; si < to; si++ {
+			row := paths[int(lord[si])*L : int(lord[si]+1)*L]
+			off := t.off[si*H : si*H+H]
+			pos := off[0]
+			for di, dl := range lord {
+				off[di] = pos
+				if di == si {
+					continue
+				}
+				p := &row[dl]
+				wires, turns := t.wires[pos:pos+2+uint32(p.n)], t.turns[pos:pos+2+uint32(p.n)]
+				wires[0], wires[len(wires)-1] = hostWire[si], hostWire[di]
+				if p.n == 0 {
+					turns[1] = simnet.Turn(leafPort[di] - leafPort[si])
+				} else {
+					// The middles are a few wires long: a loop beats copy's call.
+					for x, w := range mids[p.lo : p.lo+p.n] {
+						wires[1+x] = w
+					}
+					for x, turn := range midTurns[p.lo+1 : p.lo+p.n] {
+						turns[2+x] = turn
+					}
+					turns[1] = simnet.Turn(int(p.out) - leafPort[si])
+					turns[len(turns)-1] = simnet.Turn(leafPort[di] - int(p.in))
+				}
+				pos += uint32(len(wires))
+			}
+		}
+	}
+	blocks := min(runtime.GOMAXPROCS(0), H)
+	var wg sync.WaitGroup
+	for b := 0; b < blocks; b++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fillRows(b*H/blocks, (b+1)*H/blocks)
+		}()
+	}
+	wg.Wait()
 	return nil
+}
+
+// leafPath is the template of every route between two leaf switches: the
+// middle between the two host wires, held at [lo, lo+n) in the template
+// arenas with its interior turns, and the ports the middle leaves the
+// source leaf by and enters the destination leaf by. n is 0 when the two
+// leaves are one switch.
+type leafPath struct {
+	lo, n   int32
+	out, in int32
 }
 
 // across returns the node on the far side of wire wi from node `from`.
@@ -373,23 +450,32 @@ func (t *Table) across(wi, from int) int {
 }
 
 // walkTurns converts one slot's wire path into the relative-turn source
-// route the interfaces consume: at each intermediate switch the routing
-// flit is the signed difference between the output and input ports (§2.2's
-// addressing).
+// route the interfaces consume.
 func (t *Table) walkTurns(slot int) {
 	lo, hi := t.off[slot], t.off[slot+1]
-	cur, inPort := t.hosts[slot/len(t.hosts)], topology.HostPort
-	for i := lo; i < hi; i++ {
-		w := t.Net.WireByIndex(t.wires[i])
+	t.walk(t.wires[lo:hi], t.turns[lo:hi], t.hosts[slot/len(t.hosts)])
+}
+
+// walk follows wires from node cur and writes turns[i], for i ≥ 1, the turn
+// taken from wires[i-1] onto wires[i]: at each intermediate switch the
+// routing flit is the signed difference between the output and input ports
+// (§2.2's addressing). It returns the port the first wire leaves cur by and
+// the port the last wire arrives on.
+func (t *Table) walk(wires []int, turns []simnet.Turn, cur topology.NodeID) (out, in int) {
+	for i, wi := range wires {
+		w := t.Net.WireByIndex(wi)
 		from, to := w.A, w.B
 		if from.Node != cur {
 			from, to = to, from
 		}
-		if i > lo {
-			t.turns[i] = simnet.Turn(from.Port - inPort)
+		if i == 0 {
+			out = from.Port
+		} else {
+			turns[i] = simnet.Turn(from.Port - in)
 		}
-		cur, inPort = to.Node, to.Port
+		cur, in = to.Node, to.Port
 	}
+	return out, in
 }
 
 // span returns the arena bounds of the pair's wire path; lo == hi when the

@@ -219,17 +219,47 @@ func (ix *Index) eccentricity(src NodeID, sc *indexScratch) int {
 // Diameter returns the largest finite BFS distance between any node pair,
 // considering each component separately.
 //
+// Only nodes that are not leaves run a search. A leaf u (one cabled port,
+// so every host) reaches everything through its one neighbour v, so
+// ecc(u) = 1 + max over x≠u of dist(v, x). v's own search gives that: v's
+// eccentricity m is at least 1, because u is at distance 1, and when v's
+// component holds a third node the farthest x≠u is still at m (if m = 1,
+// that third node is at distance 1 too), so ecc(u) = m+1. When the
+// component is just {u, v}, ecc(u) = 1 = m. Two leaves cabled to each
+// other are such a component, with no search behind it. On a fabric where
+// hosts outnumber switches this skips most of the searches.
+//
 //sanlint:hotpath
 func (ix *Index) Diameter() int {
 	sc := ix.scratch.Get().(*indexScratch)
 	d := 0
 	for i := 0; i < ix.NumNodes(); i++ {
-		if e := ix.eccentricity(NodeID(i), sc); e > d {
-			d = e
+		if ix.Degree(NodeID(i)) == 1 {
+			if ix.Degree(NodeID(ix.Neighbors(NodeID(i))[0])) == 1 {
+				d = max(d, 1)
+			}
+			continue
 		}
+		e := ix.eccentricity(NodeID(i), sc)
+		if len(sc.queue) > 2 && ix.hasLeaf(NodeID(i)) {
+			e++
+		}
+		d = max(d, e)
 	}
 	ix.scratch.Put(sc)
 	return d
+}
+
+// hasLeaf reports whether one of node id's neighbours is a leaf.
+//
+//sanlint:hotpath
+func (ix *Index) hasLeaf(id NodeID) bool {
+	for _, v := range ix.Neighbors(id) {
+		if ix.Degree(NodeID(v)) == 1 {
+			return true
+		}
+	}
+	return false
 }
 
 // ComponentsInto fills label with a component id per node and returns the
