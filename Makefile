@@ -23,15 +23,13 @@ vet:
 	$(GO) vet ./...
 
 # lint runs go vet plus the repo's own analyzers (cmd/sanlint: determinism,
-# epochcheck, goroutine, hotpath, lockcheck, senterr — see DESIGN.md §8 and
-# §13), then checks that the tree is gofmt-clean and go.mod/go.sum are tidy.
+# epochcheck, goroutine, hotpath, senterr — see DESIGN.md §8 and §13), then
+# checks that the tree is gofmt-clean and go.mod/go.sum are tidy.
 #
 # Annotation grammar recognised by the analyzers:
 #   //sanlint:hotpath        (func)  body must be allocation-free; exports the fact
 #   //sanlint:epoch          (field) cache-epoch counter for epochcheck
 #   //sanlint:topostate      (field) epoch-guarded state for epochcheck
-#   //sanlint:guards a,b     (field) mutex field protecting sibling fields a,b
-#   //sanlint:daemon         (func)  may launch unjoined goroutines
 #
 # Surface checks, in the order they run:
 #  1. The module has no external importers, so a deprecated symbol is
@@ -65,6 +63,10 @@ vet:
 #     non-test importer outside itself (cmd/, examples/, benchmark/ and the
 #     root package count). go list skips testdata; analysistest is
 #     test support by name.
+#  9. sanlint stays five analyzers over object facts: the lock-order
+#     analyzer (one production mutex, covered by the race lane), the
+#     package facts only it used, and the goroutine analyzer's unclaimed
+#     daemon exemption stay deleted.
 MAPD_SRC = $(filter-out %_test.go,$(wildcard internal/mapd/*.go))
 MAPPER_SRC = $(filter-out %_test.go,$(wildcard internal/mapper/*.go))
 WORKLOAD_SRC = $(filter-out %_test.go,$(wildcard internal/workload/*.go))
@@ -118,6 +120,11 @@ lint: vet
 	if [ -n "$$orphans" ]; then \
 		echo "internal packages no non-test code imports (delete them, or give them a caller):"; \
 		echo "$$orphans"; exit 1; fi
+	@fork=$$(grep -rnE --include='*.go' \
+		'lockcheck|AcquiresFact|LockOrderFact|PackageFact|DaemonFact|FuncIsDaemon|sanlint:daemon' . ); \
+	if [ -n "$$fork" ]; then \
+		echo "the lock-order analyzer, package facts or the daemon exemption are growing back:"; \
+		echo "$$fork"; exit 1; fi
 
 # trace-smoke is the golden-trace lane: a chaos run on a pinned seed must
 # emit a Chrome trace sidecar byte-identical to the checked-in fixture

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"net"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -424,20 +425,21 @@ func BenchmarkRandomizedHybrid(b *testing.B) {
 }
 
 // BenchmarkRandomizedTrials runs batches of independent hybrid trials
-// through the experiments.Sweep worker pool, serial vs parallel — the
-// randomized-trial counterpart of the Fig 7/9/10 sweeps. Results are
-// deterministic per trial seed, so both lanes do identical work.
+// through experiments.Sweep under GOMAXPROCS 1 and 4 — the randomized-trial
+// counterpart of the Fig 7/9/10 sweeps. Results are deterministic per trial
+// seed, so both lanes do identical work.
 func BenchmarkRandomizedTrials(b *testing.B) {
 	const trials, coupons, seed = 8, 200, 3
 	for _, bc := range []struct {
-		name    string
-		workers int
+		name  string
+		procs int
 	}{{"serial", 1}, {"parallel4", 4}} {
 		b.Run(bc.name, func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(bc.procs))
 			var probes int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RandomizedTrials(trials, coupons, seed, bc.workers)
+				res, err := experiments.RandomizedTrials(trials, coupons, seed)
 				if err != nil {
 					b.Fatal(err)
 				}

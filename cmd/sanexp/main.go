@@ -3,8 +3,11 @@
 //
 // Usage:
 //
-//	sanexp [-fig all|3|4|5|6|7|8|9|10|routes] [-runs N] [-window W] [-step N] [-seed N] [-parallel P] [-dot]
+//	sanexp [-fig all|3|4|5|6|7|8|9|10|routes|chaos] [-runs N] [-window W] [-step N] [-seed N] [-dot]
 //	       [-trace file.json] [-metrics file]
+//
+// The multi-trial sweeps (Figs 7, 9, 10 and chaos) run one trial per
+// GOMAXPROCS at a time; their output is the same at any setting.
 //
 // Every report prints the measured values next to the paper's, so the
 // shape comparison is visible at a glance. Timings are virtual (see
@@ -29,18 +32,19 @@ import (
 
 func main() {
 	fig := flag.String("fig", "all", "which figure to reproduce: all, 3, 4, 5, 6, 7, 8, 9, 10, routes, chaos")
-	runs := flag.Int("runs", 5, "repetitions for the Fig 7 timing table")
+	runs := flag.Int("runs", 5, "repetitions for the Fig 7 timing table and seeds per chaos severity (at least 1)")
 	window := flag.Int("window", 8, "pipelined probe window for the Fig 7 pipelined column (1 = serial)")
 	step := flag.Int("step", 5, "responder sweep granularity for Fig 9")
 	seed := flag.Int64("seed", 1, "seed for randomised orders")
 	depth := flag.Int("depth", 0, "probe depth for the Fig 9 sweep (0 = the Q+D bound)")
 	dotOut := flag.Bool("dot", false, "emit Graphviz DOT instead of ASCII for figs 4 and 5")
 	tsvDir := flag.String("tsv", "", "also write Fig 8/9 series as TSV files into this directory")
-	parallel := flag.Int("parallel", 1, "worker pool size for the Fig 7/9/10 sweeps (0 = one per CPU); output is identical for any value")
 	tele := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
-
-	workers := experiments.DefaultWorkers(*parallel)
+	if *runs < 1 {
+		fmt.Fprintf(os.Stderr, "sanexp: -runs must be at least 1, got %d\n", *runs)
+		os.Exit(2)
+	}
 
 	want := func(name string) bool { return *fig == "all" || *fig == name }
 	ran := false
@@ -95,7 +99,7 @@ func main() {
 	}
 	if want("7") {
 		ran = true
-		rows, err := experiments.Fig7Sweep(*runs, *window, workers)
+		rows, err := experiments.Fig7Sweep(*runs, *window)
 		if err != nil {
 			fail("fig 7", err)
 		}
@@ -116,7 +120,7 @@ func main() {
 	}
 	if want("9") {
 		ran = true
-		ordered, random, err := experiments.Fig9Sweep(*step, *seed, *depth, workers)
+		ordered, random, err := experiments.Fig9Sweep(*step, *seed, *depth)
 		if err != nil {
 			fail("fig 9", err)
 		}
@@ -129,7 +133,7 @@ func main() {
 	}
 	if want("10") {
 		ran = true
-		rows, err := experiments.Fig10Sweep(workers)
+		rows, err := experiments.Fig10Sweep()
 		if err != nil {
 			fail("fig 10", err)
 		}
@@ -141,7 +145,7 @@ func main() {
 		for i := range seeds {
 			seeds[i] = uint64(*seed) + uint64(i)
 		}
-		rows, err := experiments.ChaosSweep(seeds, workers)
+		rows, err := experiments.ChaosSweep(seeds)
 		if err != nil {
 			fail("chaos", err)
 		}

@@ -8,7 +8,6 @@
 //	sangen -gen now-cab -o cab.san
 //	sangen -gen random:8,20,4 -seed 7 -analyze
 //	sangen -gen fattree:6x4 -tail 2 -analyze      # adds a hostless F region
-//	sangen -gen now-cab -analyze -parallel 8      # per-host Q table, 8 workers
 //	sangen -list                                  # enumerate registered generators
 package main
 
@@ -31,7 +30,6 @@ func main() {
 	tail := flag.Int("tail", 0, "attach a hostless switch tail of this length (creates F)")
 	loops := flag.Int("loops", 0, "add this many loopback plugs on free switch ports")
 	analyze := flag.Bool("analyze", false, "print D, Q, |F| and other analysis parameters")
-	parallel := flag.Int("parallel", 1, "worker pool size for the -analyze per-host Q table (0 = one per CPU); output is identical for any value")
 	list := flag.Bool("list", false, "list registered generators and exit")
 	flag.Parse()
 
@@ -82,7 +80,7 @@ func main() {
 	}
 
 	if *analyze {
-		if err := printAnalysis(os.Stderr, net, *parallel); err != nil {
+		if err := printAnalysis(os.Stderr, net); err != nil {
 			die("%v", err)
 		}
 	}
@@ -102,9 +100,9 @@ func listGenerators(w io.Writer) {
 
 // printAnalysis writes the §3.1.4 analysis parameters of net to w. The
 // output is a pure function of the network: it is byte-identical across
-// runs and worker counts (the regression test in main_test.go holds it to
-// that).
-func printAnalysis(w io.Writer, net *topology.Network, parallel int) error {
+// runs and GOMAXPROCS settings (the regression test in main_test.go holds
+// it to that).
+func printAnalysis(w io.Writer, net *topology.Network) error {
 	h0 := net.Hosts()[0]
 	q, undef := net.Q(h0)
 	d := net.Diameter()
@@ -118,8 +116,8 @@ func printAnalysis(w io.Writer, net *topology.Network, parallel int) error {
 
 	// Per-host probe bounds: the Q each candidate mapper host would
 	// need, computed through the parallel sweep runner (one min-cost
-	// flow sweep per host; output is identical for any worker count).
-	rows, err := experiments.HostQTable(net, experiments.DefaultWorkers(parallel))
+	// flow sweep per host; output is identical at any GOMAXPROCS).
+	rows, err := experiments.HostQTable(net)
 	if err != nil {
 		return fmt.Errorf("host Q table: %w", err)
 	}

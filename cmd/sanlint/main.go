@@ -1,13 +1,13 @@
-// Command sanlint is the repo's multichecker: it runs the six sanlint
-// analyzers (determinism, epochcheck, goroutine, hotpath, lockcheck,
-// senterr) whole-program over the packages matched by the given patterns
+// Command sanlint is the repo's multichecker: it runs the five sanlint
+// analyzers (determinism, epochcheck, goroutine, hotpath, senterr)
+// whole-program over the packages matched by the given patterns
 // (default ./...) and exits non-zero if any diagnostic is reported.
 // `make lint` runs it over the whole tree.
 //
 // Packages load in dependency order so facts exported by a dependency —
-// hotpath's allocation-free proofs, determinism's taint chains, lockcheck's
-// lock orders, goroutine's completion signals — are visible when its
-// importers are analyzed.
+// hotpath's allocation-free proofs, determinism's taint chains,
+// goroutine's completion signals — are visible when its importers are
+// analyzed.
 //
 // Diagnostics print in the familiar vet format:
 //
@@ -16,7 +16,7 @@
 // With -json they print instead as a JSON array of findings, sorted by
 // file, line, column, then analyzer — byte-identical across runs, so CI can
 // archive the output as an artifact and diff it between commits. With
-// -fact-debug the exported fact tables print after the diagnostics.
+// -fact-debug the exported object facts print after the diagnostics.
 //
 // The determinism analyzer's diagnostics are scoped to the packages whose
 // output feeds the reproducibility guarantee (experiments, mapper, dot,
@@ -39,7 +39,6 @@ import (
 	"sanmap/internal/analysis/epochcheck"
 	"sanmap/internal/analysis/goroutine"
 	"sanmap/internal/analysis/hotpath"
-	"sanmap/internal/analysis/lockcheck"
 	"sanmap/internal/analysis/senterr"
 )
 
@@ -49,7 +48,6 @@ var analyzers = []*analysis.Analyzer{
 	epochcheck.Analyzer,
 	goroutine.Analyzer,
 	hotpath.Analyzer,
-	lockcheck.Analyzer,
 	senterr.Analyzer,
 }
 
@@ -91,7 +89,7 @@ func run(wd string, args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	jsonOut := fs.Bool("json", false, "print findings as a sorted JSON array (stable across runs)")
-	factDebug := fs.Bool("fact-debug", false, "dump the exported object and package facts after the findings")
+	factDebug := fs.Bool("fact-debug", false, "dump the exported object facts after the findings")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: sanlint [-list] [-json] [-fact-debug] [packages]\n\n")
 		fmt.Fprintf(stderr, "Runs the sanlint analyzers whole-program over the given package patterns (default ./...).\n")
@@ -181,9 +179,6 @@ func run(wd string, args []string, stdout, stderr io.Writer) int {
 	if *factDebug {
 		for _, of := range res.ObjectFacts() {
 			fmt.Fprintf(stdout, "fact %s %s %v\n", of.Analyzer, of.Key, of.Fact)
-		}
-		for _, pf := range res.PackageFacts() {
-			fmt.Fprintf(stdout, "packagefact %s %s %v\n", pf.Analyzer, pf.Path, pf.Fact)
 		}
 	}
 

@@ -25,6 +25,7 @@ func parseChaos(spec string, net *topology.Network, h0 topology.NodeID) (faults.
 // runChaos maps the network under an injected fault schedule with the
 // self-healing pipeline: map, force any remaining scheduled faults, remap
 // incrementally, and report the degraded result against the surviving core.
+// Every error it returns starts "chaos: " — faults.ParseProfile's own do.
 func runChaos(spec string, net *topology.Network, h0 topology.NodeID,
 	model simnet.Model, depth int, verbose bool, tele *obs.Flags) error {
 	sched, err := parseChaos(spec, net, h0)
@@ -40,16 +41,16 @@ func runChaos(spec string, net *topology.Network, h0 topology.NodeID,
 		mapper.WithDepth(depth+net.NumSwitches()), mapper.WithConfirm(2),
 		mapper.WithTracer(tele.Tracer), mapper.WithMetrics(tele.Metrics))
 	if err != nil {
-		return err
+		return fmt.Errorf("chaos: %v", err)
 	}
 	if _, err := s.Map(); err != nil {
-		return fmt.Errorf("initial map: %v", err)
+		return fmt.Errorf("chaos: initial map: %v", err)
 	}
 	inj.ApplyAll() // any faults the map phase outran land now
 	sn.Reconfigure()
 	res, err := s.Remap()
 	if err != nil {
-		return fmt.Errorf("remap: %v", err)
+		return fmt.Errorf("chaos: remap: %v", err)
 	}
 
 	fmt.Printf("chaos: %d scheduled events, rates loss=%.3g trunc=%.3g cross=%.3g (seed %d)\n",

@@ -84,7 +84,7 @@ func main() {
 	}
 	if *chaos != "" {
 		if err := runChaos(*chaos, net, h0, parseModel(*model), d, *verbose, tele); err != nil {
-			die("chaos: %v", err)
+			die("%v", err)
 		}
 		if err := tele.Finish(); err != nil {
 			die("%v", err)

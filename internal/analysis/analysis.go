@@ -5,14 +5,13 @@
 // named check with a Run function, a Pass hands it one type-checked package,
 // and diagnostics are collected positions with messages.
 //
-// Since PR 8 the framework is whole-program: the loader returns the full
-// in-module dependency closure in dependency order, analyzers export typed
-// Facts on objects and packages (facts.go) and import them when analyzing
-// dependents, and an analyzer may Require others — most usefully the
-// callgraph analyzer — whose per-package results arrive via Pass.ResultOf.
-// That is what lets hotpath's h7 and the determinism taint follow calls
-// across package boundaries, and lockcheck accumulate a global lock-order
-// graph.
+// The framework is whole-program: the loader returns the full in-module
+// dependency closure in dependency order, analyzers export typed Facts on
+// objects (facts.go) and import them when analyzing dependents, and an
+// analyzer may Require others — most usefully the callgraph analyzer —
+// whose per-package results arrive via Pass.ResultOf. That is what lets
+// hotpath's h7, the determinism taint and goroutine's completion signals
+// follow calls across package boundaries.
 //
 // The framework also defines the `//sanlint:` annotation grammar shared by
 // the analyzers (see DESIGN.md §8 and §13):
@@ -20,8 +19,6 @@
 //	//sanlint:hotpath    on a function: the body must be allocation-free
 //	//sanlint:epoch      on a struct field: the invalidation counter
 //	//sanlint:topostate  on a struct field: writes must bump the epoch field
-//	//sanlint:guards a,b on a mutex field: it guards the sibling fields a, b
-//	//sanlint:daemon     on a function: may launch unjoined goroutines
 //
 // Annotations are directive comments (no space after //), so gofmt leaves
 // them alone, exactly like //go:noinline.
@@ -113,26 +110,6 @@ func (r *Result) ObjectFacts() []ObjectFact {
 		a, b := out[i], out[j]
 		if a.Key != b.Key {
 			return a.Key < b.Key
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return fmt.Sprintf("%T", a.Fact) < fmt.Sprintf("%T", b.Fact)
-	})
-	return out
-}
-
-// PackageFacts returns every exported package fact, sorted by path then
-// analyzer then fact type.
-func (r *Result) PackageFacts() []PackageFact {
-	var out []PackageFact
-	for k, f := range r.store.pkg {
-		out = append(out, PackageFact{Path: k.path, Analyzer: k.analyzer, Fact: f})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Path != b.Path {
-			return a.Path < b.Path
 		}
 		if a.Analyzer != b.Analyzer {
 			return a.Analyzer < b.Analyzer
@@ -265,48 +242,25 @@ func sortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
 const annotationPrefix = "//sanlint:"
 
 // HasAnnotation reports whether the comment group carries the directive
-// //sanlint:<name>, with or without an argument. Directive comments must
-// start the line exactly (no leading space after //), mirroring the //go:
-// convention.
+// //sanlint:<name>. Directive comments must start the line exactly (no
+// leading space after //), mirroring the //go: convention.
 func HasAnnotation(cg *ast.CommentGroup, name string) bool {
-	_, ok := AnnotationArg(cg, name)
-	return ok
-}
-
-// AnnotationArg returns the argument of the directive //sanlint:<name> in
-// the comment group — the text after the directive word, e.g. "model,epoch"
-// in `//sanlint:guards model,epoch` — and whether the directive is present
-// at all. Argument-free directives return ("", true).
-func AnnotationArg(cg *ast.CommentGroup, name string) (string, bool) {
 	if cg == nil {
-		return "", false
+		return false
 	}
 	want := annotationPrefix + name
 	for _, c := range cg.List {
-		text := strings.TrimSpace(c.Text)
-		if text == want {
-			return "", true
-		}
-		if rest, ok := strings.CutPrefix(text, want+" "); ok {
-			return strings.TrimSpace(rest), true
+		if strings.TrimSpace(c.Text) == want {
+			return true
 		}
 	}
-	return "", false
+	return false
 }
 
 // FieldHasAnnotation checks both the doc comment above a struct field and
 // the trailing comment on its line.
 func FieldHasAnnotation(f *ast.Field, name string) bool {
 	return HasAnnotation(f.Doc, name) || HasAnnotation(f.Comment, name)
-}
-
-// FieldAnnotationArg returns the argument of the field's directive, looking
-// at both the doc comment and the trailing line comment.
-func FieldAnnotationArg(f *ast.Field, name string) (string, bool) {
-	if arg, ok := AnnotationArg(f.Doc, name); ok {
-		return arg, ok
-	}
-	return AnnotationArg(f.Comment, name)
 }
 
 // FuncIsHotpath reports whether the function declaration is annotated
@@ -343,7 +297,3 @@ func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	return fn
 }
-
-// FuncIsDaemon reports whether the function declaration is annotated
-// //sanlint:daemon — exempt from the goroutine-lifecycle join rule.
-func FuncIsDaemon(fd *ast.FuncDecl) bool { return HasAnnotation(fd.Doc, "daemon") }

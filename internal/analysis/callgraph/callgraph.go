@@ -1,6 +1,6 @@
-// Package callgraph defines the shared call-graph input the interprocedural
-// sanlint analyzers build on. It is not a check: it reports nothing. Each
-// pass computes a lightweight static call graph of the package under
+// Package callgraph defines the call-graph input the determinism
+// analyzer's taint fixpoint builds on. It is not a check: it reports
+// nothing. Each pass computes a lightweight static call graph of the package under
 // analysis — one node per declared function or method, edges to every
 // statically-resolved callee (direct calls and concrete method calls,
 // including cross-package ones) — and returns it as the pass result, so
@@ -8,8 +8,8 @@
 //
 // Dynamic dispatch is out of scope by design: calls through interface
 // methods, function-typed variables and fields resolve to no edge. The
-// consuming rules treat those the way hotpath's h7 always has — as outside
-// the annotation's static reach, guarded instead by the runtime gates.
+// taint treats those the way hotpath's h7 does — as outside the static
+// reach, guarded instead by the runtime byte-identity tests.
 package callgraph
 
 import (
@@ -25,7 +25,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "callgraph",
 	Doc: "builds the intra-module static call graph consumed by the " +
-		"interprocedural analyzers (hotpath h7, determinism taint, lockcheck)",
+		"determinism taint",
 	Run: run,
 }
 

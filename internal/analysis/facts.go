@@ -4,16 +4,14 @@ import (
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // A Fact is a typed datum an analyzer attaches to an object (function,
-// named type, package-level variable) or to a whole package while analyzing
-// the package that declares it, and imports back when analyzing dependents.
-// Facts are how the interprocedural rules cross package boundaries: hotpath
-// exports "this function is provably allocation-free", determinism exports
-// "this function reaches time.Now", lockcheck exports acquisition sets and
-// lock-order edges.
+// named type, package-level variable) while analyzing the package that
+// declares it, and imports back when analyzing dependents. Facts are how
+// the interprocedural rules cross package boundaries: hotpath exports "this
+// function is provably allocation-free", determinism exports "this function
+// reaches time.Now", goroutine exports "this function signals completion".
 //
 // Fact types must be pointers to structs; each analyzer sees only its own
 // facts (the store is keyed by analyzer and concrete fact type).
@@ -26,15 +24,6 @@ type Fact interface {
 // the driver exposes the full set for `sanlint -fact-debug`.
 type ObjectFact struct {
 	Key      string // ObjectKey of the described object
-	Analyzer string
-	Fact     Fact
-}
-
-// A PackageFact pairs a fact with the import path of the package it
-// describes. Package facts carry whole-package summaries (e.g. lockcheck's
-// lock-order edges) that have no single carrier object.
-type PackageFact struct {
-	Path     string
 	Analyzer string
 	Fact     Fact
 }
@@ -74,7 +63,6 @@ func ObjectKey(obj types.Object) string {
 // its dependency's pass has already exported it.
 type factStore struct {
 	obj map[objFactKey]Fact
-	pkg map[pkgFactKey]Fact
 	// loaded records the import paths type-checked from source this run:
 	// the in-module universe the interprocedural rules can reason about.
 	loaded map[string]bool
@@ -86,16 +74,9 @@ type objFactKey struct {
 	typ      reflect.Type
 }
 
-type pkgFactKey struct {
-	path     string
-	analyzer string
-	typ      reflect.Type
-}
-
 func newFactStore() *factStore {
 	return &factStore{
 		obj:    make(map[objFactKey]Fact),
-		pkg:    make(map[pkgFactKey]Fact),
 		loaded: make(map[string]bool),
 	}
 }
@@ -127,47 +108,12 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	if key == "" {
 		return false
 	}
-	return p.importObjectFactKey(key, fact)
-}
-
-func (p *Pass) importObjectFactKey(key string, fact Fact) bool {
 	stored, ok := p.prog.obj[objFactKey{key, p.Analyzer.Name, factType(fact)}]
 	if !ok {
 		return false
 	}
 	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
 	return true
-}
-
-// ExportPackageFact records fact for the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	p.prog.pkg[pkgFactKey{p.ImportPath, p.Analyzer.Name, factType(fact)}] = fact
-}
-
-// ImportPackageFact copies the fact exported for the package at path into
-// fact and reports whether one was found.
-func (p *Pass) ImportPackageFact(path string, fact Fact) bool {
-	stored, ok := p.prog.pkg[pkgFactKey{path, p.Analyzer.Name, factType(fact)}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
-	return true
-}
-
-// AllPackageFacts returns every package fact this analyzer has exported so
-// far (across all packages analyzed before and including this one), sorted
-// by package path. Whole-program accumulators — lockcheck's global
-// lock-order graph — fold over this.
-func (p *Pass) AllPackageFacts() []PackageFact {
-	var out []PackageFact
-	for k, f := range p.prog.pkg {
-		if k.analyzer == p.Analyzer.Name {
-			out = append(out, PackageFact{Path: k.path, Analyzer: k.analyzer, Fact: f})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
 }
 
 // InModule reports whether pkg was type-checked from source during this run

@@ -1,10 +1,8 @@
 // Package goroutine defines the sanlint analyzer that forbids
 // fire-and-forget goroutines: every `go` statement must have a provable
 // join, so a test or a shutting-down daemon can always wait for the work it
-// started. The mapping-as-a-service roadmap (continuous remap loops, many
-// concurrent client sessions, cooperative mappers) will multiply goroutine
-// launch sites; an unjoined goroutine is a leak under the race detector and
-// a nondeterminism hazard for the byte-identity lanes.
+// started. An unjoined goroutine is a leak under the race detector and a
+// nondeterminism hazard for the byte-identity lanes.
 //
 // A `go` statement is considered joined when one of these holds:
 //
@@ -22,10 +20,6 @@
 //     through a parameter or its receiver. The fact crosses package
 //     boundaries, so `go worker.Run(wg)` joins even though worker's Done
 //     call is in another package.
-//   - g4 daemon exemption: the launching function — or the statically
-//     resolved callee — is annotated //sanlint:daemon, declaring a
-//     deliberately unjoined background goroutine (the annotation is the
-//     audit trail).
 //
 // Anything else — a bare closure that signals nothing, a dynamic call
 // through a func value with no WaitGroup or channel in sight — is flagged.
@@ -49,42 +43,26 @@ type CompletesFact struct{}
 func (*CompletesFact) AFact()         {}
 func (*CompletesFact) String() string { return "completes" }
 
-// DaemonFact marks a function annotated //sanlint:daemon, so launches of it
-// from other packages inherit the exemption.
-type DaemonFact struct{}
-
-func (*DaemonFact) AFact()         {}
-func (*DaemonFact) String() string { return "daemon" }
-
 // Analyzer enforces the goroutine-lifecycle join rule.
 var Analyzer = &analysis.Analyzer{
 	Name: "goroutine",
 	Doc: "every go statement needs a provable join (WaitGroup Done with a " +
 		"prior Add, a received-from or caller-owned done channel, or a " +
-		"callee that signals completion); fire-and-forget goroutines are " +
-		"only allowed in //sanlint:daemon functions",
-	FactTypes: []analysis.Fact{&CompletesFact{}, &DaemonFact{}},
+		"callee that signals completion)",
+	FactTypes: []analysis.Fact{&CompletesFact{}},
 	Run:       run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
 	// Export facts first so `go` statements checked below (and in dependent
 	// packages) can rely on them, declaration order notwithstanding.
-	daemons := make(map[types.Object]bool)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
-			obj := pass.TypesInfo.Defs[fd.Name]
-			fn, _ := obj.(*types.Func)
-			if analysis.FuncIsDaemon(fd) {
-				daemons[obj] = true
-				if fn != nil {
-					pass.ExportObjectFact(fn, &DaemonFact{})
-				}
-			}
+			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
 			if fd.Body != nil && fn != nil && signalsCompletion(pass, fd) {
 				pass.ExportObjectFact(fn, &CompletesFact{})
 			}
@@ -93,12 +71,12 @@ func run(pass *analysis.Pass) (any, error) {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || analysis.FuncIsDaemon(fd) {
+			if !ok || fd.Body == nil {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok {
-					checkGo(pass, fd, g, daemons)
+					checkGo(pass, fd, g)
 				}
 				return true
 			})
@@ -108,7 +86,7 @@ func run(pass *analysis.Pass) (any, error) {
 }
 
 // checkGo validates one go statement inside fd.
-func checkGo(pass *analysis.Pass, fd *ast.FuncDecl, g *ast.GoStmt, daemons map[types.Object]bool) {
+func checkGo(pass *analysis.Pass, fd *ast.FuncDecl, g *ast.GoStmt) {
 	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
 		checkClosure(pass, fd, g, lit)
 		return
@@ -123,10 +101,7 @@ func checkGo(pass *analysis.Pass, fd *ast.FuncDecl, g *ast.GoStmt, daemons map[t
 	}
 	fn := analysis.StaticCallee(pass.TypesInfo, g.Call)
 	if fn == nil {
-		pass.Reportf(g.Pos(), "goroutine: go through a dynamic call has no provable join; pass a *sync.WaitGroup or channel, launch a named worker, or annotate the launching function //sanlint:daemon")
-		return
-	}
-	if daemons[types.Object(fn)] || pass.ImportObjectFact(fn, &DaemonFact{}) {
+		pass.Reportf(g.Pos(), "goroutine: go through a dynamic call has no provable join; pass a *sync.WaitGroup or channel, or launch a named worker")
 		return
 	}
 	if pass.ImportObjectFact(fn, &CompletesFact{}) {
@@ -134,17 +109,17 @@ func checkGo(pass *analysis.Pass, fd *ast.FuncDecl, g *ast.GoStmt, daemons map[t
 	}
 	if fn.Pkg() == pass.Pkg {
 		// Same package: the fact for fn was exported above if it signals.
-		pass.Reportf(g.Pos(), "goroutine: go %s has no provable join: it signals completion through neither a parameter nor its receiver; add a WaitGroup/done channel or annotate it //sanlint:daemon", fn.Name())
+		pass.Reportf(g.Pos(), "goroutine: go %s has no provable join: it signals completion through neither a parameter nor its receiver; add a WaitGroup/done channel", fn.Name())
 		return
 	}
-	pass.Reportf(g.Pos(), "goroutine: go %s.%s has no provable join: pass a *sync.WaitGroup or channel, or annotate the launching function //sanlint:daemon", pkgName(fn), fn.Name())
+	pass.Reportf(g.Pos(), "goroutine: go %s.%s has no provable join: pass a *sync.WaitGroup or channel", pkgName(fn), fn.Name())
 }
 
 // checkClosure validates a `go func(){...}()` launch.
 func checkClosure(pass *analysis.Pass, fd *ast.FuncDecl, g *ast.GoStmt, lit *ast.FuncLit) {
 	wgs, chans := closureSignals(pass, lit)
 	if len(wgs) == 0 && len(chans) == 0 {
-		pass.Reportf(g.Pos(), "goroutine: fire-and-forget goroutine: nothing in the closure signals completion (WaitGroup.Done, channel send, or close); join it or annotate the launching function //sanlint:daemon")
+		pass.Reportf(g.Pos(), "goroutine: fire-and-forget goroutine: nothing in the closure signals completion (WaitGroup.Done, channel send, or close); join it")
 		return
 	}
 	var firstProblem string

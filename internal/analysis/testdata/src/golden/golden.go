@@ -7,7 +7,6 @@ package golden
 
 import (
 	"errors"
-	"sync"
 	"time"
 )
 
@@ -36,13 +35,6 @@ func (s *store) writeTopo() {
 	s.topo = nil
 }
 
-var mu sync.Mutex
-
-// lockLeak locks without ever unlocking (lockcheck L1).
-func lockLeak() {
-	mu.Lock()
-}
-
 // fireAndForget launches an unjoined goroutine (goroutine); the wall-clock
 // read inside it is a determinism finding that the scope filter drops.
 func fireAndForget() {
@@ -55,7 +47,6 @@ func keep() {
 	_ = identityCompare(nil)
 	_ = hotAlloc(1)
 	(&store{}).writeTopo()
-	lockLeak()
 	fireAndForget()
 }
 

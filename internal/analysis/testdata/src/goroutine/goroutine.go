@@ -1,7 +1,6 @@
 // Fixture for the goroutine analyzer: every go statement needs a provable
 // join (g1 WaitGroup, g2 done channel, g3 signalling callee — including one
-// proven by a fact exported from the worker sub-package) unless the launch
-// is covered by a //sanlint:daemon annotation (g4).
+// proven by a fact exported from the worker sub-package).
 package goroutine
 
 import (
@@ -103,30 +102,6 @@ func poolJoin() {
 	p.Track()
 	go p.Work()
 	p.Wait()
-}
-
-// g4 good: a daemon launcher owns deliberately unjoined goroutines.
-//
-//sanlint:daemon
-func daemonLauncher() {
-	go work()
-	go func() {
-		work()
-	}()
-}
-
-// g4 good: launching a function that is itself declared a daemon.
-func launchDaemonCallee() {
-	go backgroundLoop()
-}
-
-// backgroundLoop runs forever by design.
-//
-//sanlint:daemon
-func backgroundLoop() {
-	for {
-		work()
-	}
 }
 
 func work() {}

@@ -135,16 +135,16 @@ func runChaosTrial(prof faults.Profile, seed uint64) (chaosTrial, error) {
 }
 
 // ChaosSweep runs the three remap pipelines across the severity ladder,
-// seeds per severity, on the worker pool. Deterministic for a fixed seed
-// set and any worker count.
-func ChaosSweep(seeds []uint64, workers int) ([]ChaosRow, error) {
+// seeds per severity, through Sweep. Deterministic for a fixed seed set at
+// any GOMAXPROCS.
+func ChaosSweep(seeds []uint64) ([]ChaosRow, error) {
 	profs := chaosProfiles()
 	rows := make([]ChaosRow, len(profs))
 	type cell struct {
 		prof int
 		tr   chaosTrial
 	}
-	cells, err := Sweep(len(profs)*len(seeds), workers, func(trial int) (cell, error) {
+	cells, err := Sweep(len(profs)*len(seeds), func(trial int) (cell, error) {
 		pi, si := trial/len(seeds), trial%len(seeds)
 		tr, err := runChaosTrial(profs[pi].p, seeds[si])
 		return cell{prof: pi, tr: tr}, err

@@ -5,13 +5,10 @@ import "testing"
 // TestChaosSweepGolden pins the chaos experiment's qualitative claims under
 // fixed seeds: the incremental heal always reconstructs the surviving core,
 // costs a fraction of either from-scratch remap, and the whole sweep is
-// deterministic for any worker count (the `make chaos` CI lane).
+// deterministic at any GOMAXPROCS (the `make chaos` CI lane).
 func TestChaosSweepGolden(t *testing.T) {
 	seeds := []uint64{1, 2}
-	rows, err := ChaosSweep(seeds, 1)
-	if err != nil {
-		t.Fatalf("ChaosSweep: %v", err)
-	}
+	rows, par := atProcs(t, func() ([]ChaosRow, error) { return ChaosSweep(seeds) })
 	if len(rows) == 0 {
 		t.Fatal("empty sweep")
 	}
@@ -40,14 +37,10 @@ func TestChaosSweepGolden(t *testing.T) {
 		}
 	}
 
-	// Determinism across worker counts: the parallel sweep must render
+	// Determinism across GOMAXPROCS: the parallel sweep must render
 	// byte-identically to the serial one.
-	par, err := ChaosSweep(seeds, 4)
-	if err != nil {
-		t.Fatalf("parallel ChaosSweep: %v", err)
-	}
 	if FormatChaos(rows) != FormatChaos(par) {
-		t.Errorf("chaos sweep not deterministic across worker counts:\nserial:\n%s\nparallel:\n%s",
+		t.Errorf("chaos sweep not deterministic across GOMAXPROCS:\nserial:\n%s\nparallel:\n%s",
 			FormatChaos(rows), FormatChaos(par))
 	}
 }

@@ -71,7 +71,7 @@ func TestFig6Shape(t *testing.T) {
 // TestFig7Shape: times grow with system size; election is slower than
 // master on every system; magnitudes within 3x of the paper's averages.
 func TestFig7Shape(t *testing.T) {
-	rows, err := Fig7Sweep(3, 8, 1)
+	rows, err := Fig7Sweep(3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestFig8Shape(t *testing.T) {
 // final point is the fastest; random placement converges faster than
 // subcluster order early on.
 func TestFig9Shape(t *testing.T) {
-	ordered, random, err := Fig9Sweep(20, 1, 0, 1)
+	ordered, random, err := Fig9Sweep(20, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestFig9Shape(t *testing.T) {
 // algorithm's messages, comparisons dominate at scale, and the ratio grows
 // into the paper's band.
 func TestFig10Shape(t *testing.T) {
-	rows, err := Fig10Sweep(1)
+	rows, err := Fig10Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestFormatters(t *testing.T) {
 	if out := FormatFig6(rows6); !strings.Contains(out, "ratio") {
 		t.Error("FormatFig6")
 	}
-	rows7, err := Fig7Sweep(1, 8, 1)
+	rows7, err := Fig7Sweep(1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +212,14 @@ func TestFormatters(t *testing.T) {
 	if out := FormatFig8(s8); !strings.Contains(out, "peak model nodes") {
 		t.Error("FormatFig8")
 	}
-	ordered, random, err := Fig9Sweep(40, 2, 0, 1)
+	ordered, random, err := Fig9Sweep(40, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out := FormatFig9(ordered, random); !strings.Contains(out, "speedup") {
 		t.Error("FormatFig9")
 	}
-	rows10, err := Fig10Sweep(1)
+	rows10, err := Fig10Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}

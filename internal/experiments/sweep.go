@@ -1,12 +1,12 @@
 // The parallel sweep runner: every multi-trial experiment (Fig 7's
 // per-system repetitions, Fig 9's responder scaling, Fig 10's system table,
 // the randomized-trial extension) routes its independent trials through
-// Sweep, which runs them on a bounded worker pool.
+// Sweep, which runs them on one worker per GOMAXPROCS.
 //
 // Determinism contract: trials are pure functions of their index (any
 // randomness comes from a per-trial seeded RNG), results are collected by
 // trial index, and reductions iterate in index order — so the output of a
-// parallel sweep is byte-identical to the serial run, for any worker count.
+// parallel sweep is byte-identical to the serial run, at any GOMAXPROCS.
 package experiments
 
 import (
@@ -26,17 +26,18 @@ import (
 )
 
 // Sweep runs fn for every trial in [0, n) and returns the results indexed
-// by trial. workers bounds the number of concurrent trials; values <= 1
+// by trial. At most GOMAXPROCS trials run at once; under GOMAXPROCS 1 they
 // run serially on the calling goroutine. Trials must be independent: fn
 // must not mutate state shared between trials (shared inputs may be read
 // concurrently). On failure the error of the lowest-index failing trial is
 // returned — the same error a serial run would stop on — though in
 // parallel mode later trials may still have run.
-func Sweep[T any](n, workers int, fn func(trial int) (T, error)) ([]T, error) {
+func Sweep[T any](n int, fn func(trial int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	out := make([]T, n)
+	workers := runtime.GOMAXPROCS(0)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			v, err := fn(i)
@@ -75,15 +76,6 @@ func Sweep[T any](n, workers int, fn func(trial int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// DefaultWorkers resolves a -parallel flag value: positive values pass
-// through, anything else means one worker per CPU.
-func DefaultWorkers(requested int) int {
-	if requested > 0 {
-		return requested
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // ---------------------------------------------------------------- Fig 7
 
 // fig7Trial is the measurement of one (system, run) cell.
@@ -99,10 +91,10 @@ type fig7Trial struct {
 // addresses per run (the real system's variation came from rerunning on
 // live hardware). window is the pipelined column's probe window (values
 // <= 1 make it degenerate to a serial rerun). The (system × run) trials are
-// spread over a worker pool: each builds its own system from a per-run
-// seed, so trials share nothing; the reduction walks trials in index order
-// and the rows are byte-identical for any worker count.
-func Fig7Sweep(runs, window, workers int) ([]Fig7Row, error) {
+// spread over the sweep's workers: each builds its own system from a
+// per-run seed, so trials share nothing; the reduction walks trials in
+// index order and the rows are byte-identical at any GOMAXPROCS.
+func Fig7Sweep(runs, window int) ([]Fig7Row, error) {
 	paper := map[string][2]string{
 		"C":     {"248 / 256 / 265", "277 / 278 / 282"},
 		"C+A":   {"499 / 522 / 555", "569 / 577 / 587"},
@@ -116,7 +108,7 @@ func Fig7Sweep(runs, window, workers int) ([]Fig7Row, error) {
 		{"C+A", cluster.CAConfig},
 		{"C+A+B", cluster.CABConfig},
 	}
-	trials, err := Sweep(len(builders)*runs, workers, func(trial int) (fig7Trial, error) {
+	trials, err := Sweep(len(builders)*runs, func(trial int) (fig7Trial, error) {
 		bl := builders[trial/runs]
 		run := trial % runs
 		rng := rand.New(rand.NewSource(int64(run) + 1))
@@ -191,8 +183,8 @@ func Fig7Sweep(runs, window, workers int) ([]Fig7Row, error) {
 // paper does not state its own, and EXPERIMENTS.md discusses the
 // sensitivity). The system, host orders and sampled k values are fixed up
 // front and each trial builds its own transport over the shared read-only
-// topology, so any worker count produces byte-identical curves.
-func Fig9Sweep(step int, seed int64, depth, workers int) (ordered, random []Fig9Point, err error) {
+// topology, so the curves are byte-identical at any GOMAXPROCS.
+func Fig9Sweep(step int, seed int64, depth int) (ordered, random []Fig9Point, err error) {
 	if step < 1 {
 		step = 1
 	}
@@ -226,7 +218,7 @@ func Fig9Sweep(step int, seed int64, depth, workers int) (ordered, random []Fig9
 		ks = append(ks, total)
 	}
 	// Trials [0, len(ks)) walk the ordered curve, the rest the random one.
-	pts, err := Sweep(2*len(ks), workers, func(trial int) (Fig9Point, error) {
+	pts, err := Sweep(2*len(ks), func(trial int) (Fig9Point, error) {
 		order := hosts
 		if trial >= len(ks) {
 			order = shuffled
@@ -263,9 +255,9 @@ func Fig9Sweep(step int, seed int64, depth, workers int) (ordered, random []Fig9
 // the Berkeley algorithm for the ratio comparisons of §5.4, one trial per
 // system. Each trial rebuilds its own system, so the three mappings run
 // concurrently without sharing.
-func Fig10Sweep(workers int) ([]Fig10Row, error) {
+func Fig10Sweep() ([]Fig10Row, error) {
 	names := []string{"C", "C+A", "C+A+B"}
-	return Sweep(len(names), workers, func(trial int) (Fig10Row, error) {
+	return Sweep(len(names), func(trial int) (Fig10Row, error) {
 		ns := Systems(0)[trial]
 		net := ns.Sys.Net
 		h0 := ns.Sys.Mapper()
@@ -305,12 +297,12 @@ type RandomizedTrial struct {
 // RandomizedTrials runs independent randomized-hybrid mappings of a
 // hypercube (the extension benchmark's expander-ish topology), each with
 // its own seed-derived RNG, through the sweep runner. Trial i uses seed
-// seed+i, so results are reproducible and independent of the worker count.
-func RandomizedTrials(trials, couponProbes int, seed int64, workers int) ([]RandomizedTrial, error) {
+// seed+i, so results are reproducible and independent of GOMAXPROCS.
+func RandomizedTrials(trials, couponProbes int, seed int64) ([]RandomizedTrial, error) {
 	net := topology.MustHypercube(4, 1, rand.New(rand.NewSource(seed)))
 	h0 := net.Hosts()[0]
 	depth := net.DepthBound(h0)
-	return Sweep(trials, workers, func(trial int) (RandomizedTrial, error) {
+	return Sweep(trials, func(trial int) (RandomizedTrial, error) {
 		sn := simnet.NewDefault(net)
 		m, err := mapper.RandomizedRun(sn.Endpoint(h0), mapper.RandomizedConfig{
 			Config:       mapper.DefaultConfig(depth),
@@ -337,10 +329,10 @@ type HostQRow struct {
 // HostQTable computes Q(h) for every host of net — the per-candidate probe
 // bound a deployment would consult to place the master mapper — with one
 // trial per host. The topology is only read, so trials parallelise freely;
-// rows come back in host order regardless of worker count.
-func HostQTable(net *topology.Network, workers int) ([]HostQRow, error) {
+// rows come back in host order at any GOMAXPROCS.
+func HostQTable(net *topology.Network) ([]HostQRow, error) {
 	hosts := net.Hosts()
-	return Sweep(len(hosts), workers, func(trial int) (HostQRow, error) {
+	return Sweep(len(hosts), func(trial int) (HostQRow, error) {
 		h := hosts[trial]
 		q, _ := net.Q(h)
 		return HostQRow{Host: net.NameOf(h), Q: q}, nil

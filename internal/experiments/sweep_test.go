@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -14,12 +15,13 @@ import (
 	"sanmap/internal/topology"
 )
 
-// TestSweepOrderAndBound: results come back indexed by trial, and the pool
-// never runs more than the requested number of trials at once.
+// TestSweepOrderAndBound: results come back indexed by trial, and the
+// sweep never runs more than GOMAXPROCS trials at once.
 func TestSweepOrderAndBound(t *testing.T) {
 	const n, workers = 64, 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	var inFlight, peak int32
-	got, err := Sweep(n, workers, func(trial int) (int, error) {
+	got, err := Sweep(n, func(trial int) (int, error) {
 		cur := atomic.AddInt32(&inFlight, 1)
 		for {
 			p := atomic.LoadInt32(&peak)
@@ -46,38 +48,51 @@ func TestSweepOrderAndBound(t *testing.T) {
 // TestSweepError: the reported error is the lowest-index failure, matching
 // what a serial run stops on.
 func TestSweepError(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		_, err := Sweep(32, workers, func(trial int) (int, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		_, err := Sweep(32, func(trial int) (int, error) {
 			if trial == 7 || trial == 21 {
 				return 0, fmt.Errorf("trial %d failed", trial)
 			}
 			return trial, nil
 		})
 		if err == nil || err.Error() != "trial 7 failed" {
-			t.Errorf("workers=%d: err = %v, want trial 7's", workers, err)
+			t.Errorf("GOMAXPROCS %d: err = %v, want trial 7's", procs, err)
 		}
 	}
 }
 
 // TestSweepEmpty: zero trials is a clean no-op.
 func TestSweepEmpty(t *testing.T) {
-	got, err := Sweep(0, 4, func(int) (int, error) { return 0, errors.New("never") })
+	got, err := Sweep(0, func(int) (int, error) { return 0, errors.New("never") })
 	if err != nil || got != nil {
 		t.Errorf("Sweep(0) = %v, %v; want nil, nil", got, err)
 	}
 }
 
+// atProcs runs f under GOMAXPROCS 1 and then 8, restoring the setting
+// afterwards, and returns both results.
+func atProcs[T any](t *testing.T, f func() (T, error)) (serial, parallel T) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var err error
+	runtime.GOMAXPROCS(1)
+	if serial, err = f(); err != nil {
+		t.Fatalf("GOMAXPROCS 1: %v", err)
+	}
+	runtime.GOMAXPROCS(8)
+	if parallel, err = f(); err != nil {
+		t.Fatalf("GOMAXPROCS 8: %v", err)
+	}
+	return serial, parallel
+}
+
 // TestFig7SweepDeterministic locks the sweep determinism contract on a real
-// experiment: the parallel Fig 7 report is byte-identical to the serial one.
+// experiment: the Fig 7 report under GOMAXPROCS 8 is byte-identical to the
+// one under GOMAXPROCS 1.
 func TestFig7SweepDeterministic(t *testing.T) {
-	serial, err := Fig7Sweep(2, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Fig7Sweep(2, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, parallel := atProcs(t, func() ([]Fig7Row, error) { return Fig7Sweep(2, 4) })
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("parallel Fig 7 rows differ from serial")
 	}
@@ -87,23 +102,16 @@ func TestFig7SweepDeterministic(t *testing.T) {
 }
 
 // TestRandomizedTrialsDeterministic: per-trial seeding makes the randomized
-// sweep independent of the worker count.
+// sweep independent of GOMAXPROCS.
 func TestRandomizedTrialsDeterministic(t *testing.T) {
-	serial, err := RandomizedTrials(4, 100, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RandomizedTrials(4, 100, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, parallel := atProcs(t, func() ([]RandomizedTrial, error) { return RandomizedTrials(4, 100, 3) })
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel randomized trials differ from serial:\n%v\n%v", serial, parallel)
 	}
 }
 
 // TestReadOnlyAnalysesShareOneNetwork: read-only means shareable. Eight
-// workers run the diameter, Q, bridges, the route pipeline and the core
+// sweep workers run the diameter, Q, bridges, the route pipeline and the core
 // isomorphism check on one Network at once — its index not even built when
 // they start — and each must see what a serial pass over a private copy
 // saw. The race lane turns any shared scratch into a failure.
@@ -133,7 +141,8 @@ func TestReadOnlyAnalysesShareOneNetwork(t *testing.T) {
 	}
 	core, _ := ref.Core()
 
-	_, err = Sweep(32, 8, func(trial int) (struct{}, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	_, err = Sweep(32, func(trial int) (struct{}, error) {
 		var none struct{}
 		if d := net.Diameter(); d != wantDiameter {
 			return none, fmt.Errorf("trial %d: diameter %d, want %d", trial, d, wantDiameter)

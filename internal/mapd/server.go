@@ -73,7 +73,7 @@ type Server struct {
 	refused     atomic.Int64
 	failedReads atomic.Int64
 
-	mu     sync.Mutex //sanlint:guards conns,closed
+	mu     sync.Mutex // guards conns and closed
 	conns  map[net.Conn]struct{}
 	closed bool
 }

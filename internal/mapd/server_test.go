@@ -2,8 +2,10 @@ package mapd
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,12 @@ import (
 	"sanmap/internal/routes"
 	"sanmap/internal/topology"
 )
+
+// joinTimeout bounds how long a closed server may stay in Run. A server
+// still there after it is deadlocked, and so will be every later test that
+// starts one, so the join panics with every goroutine's stack rather than
+// leaving go test to time out ten minutes later.
+const joinTimeout = 10 * time.Second
 
 // startServer builds and runs an in-process server, returning it plus a
 // join function that stops it and surfaces Run's error.
@@ -32,8 +40,15 @@ func startServer(t *testing.T, cfg Config) (*Server, func()) {
 	go func() { done <- srv.Run() }()
 	return srv, func() {
 		srv.Close()
-		if err := <-done; err != nil {
-			t.Errorf("Run: %v", err)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("Run: %v", err)
+			}
+		case <-time.After(joinTimeout):
+			debug.SetTraceback("all")
+			panic(fmt.Sprintf("%s: server (gen %s, listen %v, state %s) still in Run %v after Close",
+				t.Name(), cfg.Gen, srv.Addr(), cfg.StateDir, joinTimeout))
 		}
 	}
 }
@@ -230,6 +245,44 @@ func TestServerRestartServesPreviousEpoch(t *testing.T) {
 			t.Fatalf("job IDs restarted: next %d", srv2.Store().NextJobID())
 		}
 		join2()
+	}
+}
+
+// TestShutdownBesideDials: clients keep connecting while the server starts
+// and shuts down, so connections are accepted before, during and after
+// shutdown marks the server closed. Each is served or dropped, and Run
+// returns on every life. track and shutdown share conns and closed under
+// the server's one mutex; the race lane turns an access outside it into a
+// failure.
+func TestShutdownBesideDials(t *testing.T) {
+	dir := t.TempDir()
+	sock := dir + "/sock"
+	for life := 0; life < 20; life++ {
+		_, join := startServer(t, Config{Gen: "now-c", Seed: 1, StateDir: dir, Listen: "unix:" + sock})
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for d := 0; d < 4; d++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if c, err := net.Dial("unix", sock); err == nil {
+						c.Close()
+					}
+				}
+			}()
+		}
+		// Not a wait: staggering the shutdown lands it at different points
+		// of start-up and accepting across lives.
+		time.Sleep(time.Duration(life%5) * time.Millisecond)
+		join()
+		close(stop)
+		wg.Wait()
 	}
 }
 
