@@ -233,7 +233,13 @@ func Run(net *topology.Network, cfg Config) (*Result, error) {
 			ep := cn.Endpoint(h, p)
 			ep.OnHostProbe = func(src, dst topology.NodeID) {
 				// The probe carries src's address; the response carries
-				// dst's. Both sides learn.
+				// dst's. Both sides learn. A crashed host's mapper can have
+				// probes left to send before it next polls its cancel hook,
+				// but the host is dead: they must not hand out a lease the
+				// crash revoked.
+				if crashed[src] {
+					return
+				}
 				if addr[src] > heard[dst] {
 					heard[dst] = addr[src]
 				}
