@@ -8,7 +8,7 @@ import (
 )
 
 // TestDeterministicInterleave: processes interleave strictly by virtual
-// time with FIFO tie-breaking, independent of goroutine scheduling.
+// time with FIFO tie-breaking.
 func TestDeterministicInterleave(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		e := New()
@@ -164,6 +164,89 @@ func TestRunEndsWithStoppedSource(t *testing.T) {
 	if fired != 11 {
 		t.Fatalf("source fired %d times, want 11 (t = 0..10ms)", fired)
 	}
+}
+
+// recoverRun runs e and returns what Run panicked with, or nil.
+func recoverRun(e *Engine) (v any) {
+	defer func() { v = recover() }()
+	e.Run()
+	return nil
+}
+
+func explode() { panic("boom") }
+
+// TestProcessPanicKeepsStack: a panic inside a process, on its first
+// resumption or a later one, panics Run with a value that names the
+// process and carries the stack it panicked on, down to the faulting
+// function.
+func TestProcessPanicKeepsStack(t *testing.T) {
+	for _, sleeps := range []int{0, 3} {
+		e := New()
+		e.Spawn("ticker", func(p *Proc) {
+			for i := 0; i < 10; i++ {
+				p.Sleep(time.Millisecond)
+			}
+		})
+		e.Spawn("doomed", func(p *Proc) {
+			for i := 0; i < sleeps; i++ {
+				p.Sleep(time.Millisecond)
+			}
+			explode()
+		})
+		v := recoverRun(e)
+		s, ok := v.(string)
+		if !ok {
+			t.Fatalf("after %d sleeps: Run panicked with %T %v, want the process's report", sleeps, v, v)
+		}
+		for _, want := range []string{"desim: process doomed panicked: boom", "desim.explode("} {
+			if !strings.Contains(s, want) {
+				t.Errorf("after %d sleeps: panic value lacks %q:\n%s", sleeps, want, s)
+			}
+		}
+	}
+}
+
+// TestSleptAfterDeath: a process handle outlives its process, but sleeping
+// on it is a bug, reported with both names.
+func TestSleptAfterDeath(t *testing.T) {
+	e := New()
+	var early *Proc
+	e.Spawn("early", func(p *Proc) { early = p })
+	e.Spawn("late", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		early.Sleep(time.Millisecond)
+	})
+	s, _ := recoverRun(e).(string)
+	if want := "desim: process late panicked: desim: process early slept after death"; !strings.Contains(s, want) {
+		t.Fatalf("Run panicked with %q, want it to contain %q", s, want)
+	}
+}
+
+// BenchmarkSleepSwitch: two processes alternate, so every Sleep is a
+// switch to the other one and back.
+func BenchmarkSleepSwitch(b *testing.B) {
+	e := New()
+	for k := 0; k < 2; k++ {
+		e.SpawnAt(time.Duration(k), "p", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				p.Sleep(2)
+			}
+		})
+	}
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkSleepAlone: one process sleeps with nothing else scheduled.
+func BenchmarkSleepAlone(b *testing.B) {
+	e := New()
+	e.Spawn("p", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	b.ResetTimer()
+	e.Run()
 }
 
 // TestZeroAndNegativeSleep.
