@@ -1,12 +1,12 @@
 GO ?= go
 
 # Packages with concurrency-sensitive code (the pipelined probe engine and
-# everything layered on it, plus the event queue, worm simulator, experiment
-# drivers, telemetry and the route table's parallel fill) get a dedicated
-# race-detector lane.
+# everything layered on it, plus the event queue, the process engine, worm
+# simulator, experiment drivers, telemetry and the route table's parallel
+# fill) get a dedicated race-detector lane.
 RACE_PKGS = ./internal/simnet/... ./internal/mapper/... ./internal/connet/... \
-	./internal/election/... ./internal/eventq/... ./internal/wormsim/... \
-	./internal/experiments/... ./internal/obs/... \
+	./internal/election/... ./internal/eventq/... ./internal/desim/... \
+	./internal/wormsim/... ./internal/experiments/... ./internal/obs/... \
 	./internal/mapd/... ./internal/workload/... ./internal/loadsim/... \
 	./internal/place/... ./internal/routes/...
 # cmd/sanload replays its three tables on concurrent goroutines, so it rides
@@ -67,6 +67,9 @@ vet:
 #     analyzer (one production mutex, covered by the race lane), the
 #     package facts only it used, and the goroutine analyzer's unclaimed
 #     daemon exemption stay deleted.
+# 10. A desim process is an iter.Pull coroutine: internal/desim/desim.go
+#     starts no goroutine and declares no channel (comments aside), so a
+#     virtual-time wait never goes back to a goroutine hand-off.
 MAPD_SRC = $(filter-out %_test.go,$(wildcard internal/mapd/*.go))
 MAPPER_SRC = $(filter-out %_test.go,$(wildcard internal/mapper/*.go))
 WORKLOAD_SRC = $(filter-out %_test.go,$(wildcard internal/workload/*.go))
@@ -125,6 +128,10 @@ lint: vet
 	if [ -n "$$fork" ]; then \
 		echo "the lock-order analyzer, package facts or the daemon exemption are growing back:"; \
 		echo "$$fork"; exit 1; fi
+	@handoff=$$(sed 's://.*$$::' internal/desim/desim.go | grep -nE '(^|[^[:alnum:]_.])go[[:space:]]|\<chan\>'); \
+	if [ -n "$$handoff" ]; then \
+		echo "internal/desim/desim.go hands control over a goroutine or a channel again (a process is an iter.Pull coroutine):"; \
+		echo "$$handoff"; exit 1; fi
 
 # trace-smoke is the golden-trace lane: a chaos run on a pinned seed must
 # emit a Chrome trace sidecar byte-identical to the checked-in fixture
@@ -218,20 +225,22 @@ bench-large:
 		$(GO) run ./cmd/sanbench > /dev/null
 
 # bench-gate is the wall-clock regression gate (DESIGN.md §12): re-measure
-# the gated lanes — the window-8 probe pipeline and the 1k-switch fat-tree
-# (with its diameter at 0 allocs/op) and the daemon's two start-up layers on
-# the 768-host fat-tree (Q+D and the route table, plus the table's lookup and
-# a whole served route query, each at 0 allocs/op), and the load report's
-# plan draw, merge and replays (on allocs/op alone) — and check them against
-# the committed baseline's gates
+# the gated lanes — the window-8 probe pipeline, the election on subcluster
+# C beside the single master on the same fabric (what the desim engine
+# costs), the 1k-switch fat-tree (with its diameter at 0 allocs/op), the
+# daemon's two start-up layers on the 768-host fat-tree (Q+D and the route
+# table, plus the table's lookup and a whole served route query, each at
+# 0 allocs/op), and the load report's plan draw, merge and replays (on
+# allocs/op alone) — and check them against the committed baseline's gates
 # block. Fails on a >15% ns/op regression, an allocation ceiling broken, or
 # a broken relative gate (window8 must stay within 2x the serial loop's
-# wall clock). Runs use -count so sanbench
-# can gate on per-lane minima, the statistic that survives shared-runner
-# noise.
+# wall clock, the election within 14x the master's). Runs use -count so
+# sanbench can gate on per-lane minima, the statistic that survives
+# shared-runner noise.
 BENCH_BASELINE ?= BENCH_a5c7565.json
 bench-gate:
 	@{ $(GO) test -bench PipelinedVsSerial -benchtime 100x -count 3 -run ^$$ . && \
+	   $(GO) test -bench 'MapElectionC$$|MapMasterC$$' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench 'LoadReplay|LoadReport|NewPlan|PlanMerge' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench 'FatTree768|RouteLookup|ServeRoute' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench 'MapFatTree1k|IndexDiameter1k' -benchtime 20x -count 3 -run ^$$ . ; } | \

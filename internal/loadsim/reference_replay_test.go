@@ -12,7 +12,7 @@ import (
 )
 
 // spawnPlanProcesses is workload.SpawnPlan as it was while traffic sources
-// were desim processes — one goroutine per plan host, sleeping to each
+// were desim processes — one process per plan host, sleeping to each
 // send's time and then through its serialisation — kept verbatim as the
 // reference TestCallbackReplayMatchesProcessReplay holds the callback
 // sources to.
