@@ -22,14 +22,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs go vet plus the repo's own analyzers (cmd/sanlint: determinism,
-# epochcheck, goroutine, hotpath, senterr — see DESIGN.md §8 and §13), then
-# checks that the tree is gofmt-clean and go.mod/go.sum are tidy.
+# lint runs go vet plus the repo's own analyzers (cmd/sanlint: determinism
+# and hotpath — see DESIGN.md §8 and §13), then checks that the tree is
+# gofmt-clean and go.mod/go.sum are tidy.
 #
-# Annotation grammar recognised by the analyzers:
+# The one annotation the analyzers read:
 #   //sanlint:hotpath        (func)  body must be allocation-free; exports the fact
-#   //sanlint:epoch          (field) cache-epoch counter for epochcheck
-#   //sanlint:topostate      (field) epoch-guarded state for epochcheck
 #
 # Surface checks, in the order they run:
 #  1. The module has no external importers, so a deprecated symbol is
@@ -63,10 +61,11 @@ vet:
 #     non-test importer outside itself (cmd/, examples/, benchmark/ and the
 #     root package count). go list skips testdata; analysistest is
 #     test support by name.
-#  9. sanlint stays five analyzers over object facts: the lock-order
-#     analyzer (one production mutex, covered by the race lane), the
-#     package facts only it used, and the goroutine analyzer's unclaimed
-#     daemon exemption stay deleted.
+#  9. sanlint is two analyzers over object facts: determinism and hotpath.
+#     The lock-order, goroutine, epochcheck and senterr analyzers (every
+#     bug seeded against them failed tier-1 or the race lane), the package
+#     facts, completion facts and field annotations only they used, and
+#     the callgraph analyzer with its result passing stay deleted.
 # 10. A desim process is an iter.Pull coroutine: internal/desim/desim.go
 #     starts no goroutine and declares no channel (comments aside), so a
 #     virtual-time wait never goes back to a goroutine hand-off.
@@ -123,10 +122,12 @@ lint: vet
 	if [ -n "$$orphans" ]; then \
 		echo "internal packages no non-test code imports (delete them, or give them a caller):"; \
 		echo "$$orphans"; exit 1; fi
-	@fork=$$(grep -rnE --include='*.go' \
-		'lockcheck|AcquiresFact|LockOrderFact|PackageFact|DaemonFact|FuncIsDaemon|sanlint:daemon' . ); \
+	@fork=$$(ls -d internal/analysis/goroutine internal/analysis/epochcheck \
+		internal/analysis/senterr internal/analysis/callgraph 2>/dev/null; \
+		grep -rnE --include='*.go' \
+		'lockcheck|AcquiresFact|LockOrderFact|PackageFact|DaemonFact|FuncIsDaemon|sanlint:daemon|internal/analysis/(goroutine|epochcheck|senterr|callgraph)|CompletesFact|FieldHasAnnotation|ResultOf|sanlint:epoch|sanlint:topostate' . ); \
 	if [ -n "$$fork" ]; then \
-		echo "the lock-order analyzer, package facts or the daemon exemption are growing back:"; \
+		echo "sanlint is two analyzers (determinism, hotpath); a deleted analyzer, its facts or its annotations are growing back:"; \
 		echo "$$fork"; exit 1; fi
 	@handoff=$$(sed 's://.*$$::' internal/desim/desim.go | grep -nE '(^|[^[:alnum:]_.])go[[:space:]]|\<chan\>'); \
 	if [ -n "$$handoff" ]; then \

@@ -1,13 +1,11 @@
-// Command sanlint is the repo's multichecker: it runs the five sanlint
-// analyzers (determinism, epochcheck, goroutine, hotpath, senterr)
-// whole-program over the packages matched by the given patterns
-// (default ./...) and exits non-zero if any diagnostic is reported.
-// `make lint` runs it over the whole tree.
+// Command sanlint is the repo's multichecker: it runs the two sanlint
+// analyzers (determinism, hotpath) whole-program over the packages matched
+// by the given patterns (default ./...) and exits non-zero if any
+// diagnostic is reported. `make lint` runs it over the whole tree.
 //
 // Packages load in dependency order so facts exported by a dependency —
-// hotpath's allocation-free proofs, determinism's taint chains,
-// goroutine's completion signals — are visible when its importers are
-// analyzed.
+// hotpath's allocation-free proofs, determinism's taint chains — are
+// visible when its importers are analyzed.
 //
 // Diagnostics print in the familiar vet format:
 //
@@ -36,19 +34,13 @@ import (
 
 	"sanmap/internal/analysis"
 	"sanmap/internal/analysis/determinism"
-	"sanmap/internal/analysis/epochcheck"
-	"sanmap/internal/analysis/goroutine"
 	"sanmap/internal/analysis/hotpath"
-	"sanmap/internal/analysis/senterr"
 )
 
 // analyzers is the full suite, in display order.
 var analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
-	epochcheck.Analyzer,
-	goroutine.Analyzer,
 	hotpath.Analyzer,
-	senterr.Analyzer,
 }
 
 // determinismScope lists the import-path suffixes where map-iteration order
@@ -115,15 +107,11 @@ func run(wd string, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "sanlint:", err)
 		return 1
 	}
-	res, err := analysis.Run(pkgs, analyzers)
-	if err != nil {
-		fmt.Fprintln(stderr, "sanlint:", err)
-		return 1
-	}
 	if len(pkgs) == 0 {
 		fmt.Fprintln(stderr, "sanlint: no packages matched")
 		return 1
 	}
+	res := analysis.Run(pkgs, analyzers)
 
 	fset := pkgs[0].Fset
 	findings := []finding{}

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// goldenDir is the fixture tree with one deliberate finding per analyzer
-// (and one out-of-scope determinism finding that must be filtered).
+// goldenDir is the fixture tree with one deliberate hotpath finding and one
+// out-of-scope determinism finding that must be filtered.
 func goldenDir(t *testing.T) string {
 	t.Helper()
 	dir, err := filepath.Abs(filepath.Join("..", "..", "internal", "analysis", "testdata", "src", "golden"))
@@ -46,15 +46,13 @@ func TestJSONGolden(t *testing.T) {
 }
 
 // TestJSONFindings sanity-checks the analyzer coverage of the golden tree:
-// exactly one finding per analyzer, determinism filtered by scope.
+// exactly one hotpath finding, determinism filtered by scope.
 func TestJSONFindings(t *testing.T) {
 	var out, stderr bytes.Buffer
 	run(goldenDir(t), nil, &out, &stderr)
 	text := out.String()
-	for _, name := range []string{"senterr", "hotpath", "epochcheck", "goroutine"} {
-		if got := strings.Count(text, ": "+name+": "); got != 1 {
-			t.Errorf("golden tree: %d %s findings, want 1\noutput:\n%s", got, name, text)
-		}
+	if got := strings.Count(text, ": hotpath: "); got != 1 {
+		t.Errorf("golden tree: %d hotpath findings, want 1\noutput:\n%s", got, text)
 	}
 	if strings.Contains(text, "determinism") {
 		t.Errorf("determinism finding leaked through the scope filter:\n%s", text)
@@ -75,7 +73,7 @@ func TestFactDebug(t *testing.T) {
 		"fact hotpath ",
 		"allocfree",
 		"fact determinism ",
-		"reaches fireAndForget -> time.Now",
+		"reaches stamp -> time.Now",
 	} {
 		if !strings.Contains(first.String(), want) {
 			t.Errorf("-fact-debug output missing %q:\n%s", want, first.String())
@@ -83,7 +81,7 @@ func TestFactDebug(t *testing.T) {
 	}
 }
 
-// TestList covers -list: all five analyzers, no loading.
+// TestList covers -list: both analyzers, no loading.
 func TestList(t *testing.T) {
 	var out, stderr bytes.Buffer
 	if code := run(t.TempDir(), []string{"-list"}, &out, &stderr); code != 0 {
@@ -93,7 +91,7 @@ func TestList(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	if want := []string{"determinism", "epochcheck", "goroutine", "hotpath", "senterr"}; !slices.Equal(names, want) {
+	if want := []string{"determinism", "hotpath"}; !slices.Equal(names, want) {
 		t.Errorf("-list names %v, want %v:\n%s", names, want, out.String())
 	}
 }

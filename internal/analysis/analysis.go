@@ -6,22 +6,15 @@
 // and diagnostics are collected positions with messages.
 //
 // The framework is whole-program: the loader returns the full in-module
-// dependency closure in dependency order, analyzers export typed Facts on
-// objects (facts.go) and import them when analyzing dependents, and an
-// analyzer may Require others — most usefully the callgraph analyzer —
-// whose per-package results arrive via Pass.ResultOf. That is what lets
-// hotpath's h7, the determinism taint and goroutine's completion signals
-// follow calls across package boundaries.
+// dependency closure in dependency order, and analyzers export typed Facts
+// on objects (facts.go) and import them when analyzing dependents. That is
+// what lets hotpath's h7 and the determinism taint follow calls across
+// package boundaries.
 //
-// The framework also defines the `//sanlint:` annotation grammar shared by
-// the analyzers (see DESIGN.md §8 and §13):
-//
-//	//sanlint:hotpath    on a function: the body must be allocation-free
-//	//sanlint:epoch      on a struct field: the invalidation counter
-//	//sanlint:topostate  on a struct field: writes must bump the epoch field
-//
-// Annotations are directive comments (no space after //), so gofmt leaves
-// them alone, exactly like //go:noinline.
+// The one annotation the analyzers read is //sanlint:hotpath on a function
+// (the body must be allocation-free; see DESIGN.md §8). Annotations are
+// directive comments (no space after //), so gofmt leaves them alone,
+// exactly like //go:noinline.
 package analysis
 
 import (
@@ -35,22 +28,14 @@ import (
 
 // An Analyzer is one static check. Run is invoked once per package — in
 // dependency order across the program — and reports findings through the
-// Pass. Its optional result value (e.g. the callgraph) is made available to
-// same-package passes of analyzers that list it in Requires.
+// Pass.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and fixture expectations.
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
-	// Requires lists analyzers that must run on the same package first;
-	// their results are available through Pass.ResultOf.
-	Requires []*Analyzer
-	// FactTypes declares the fact types this analyzer exports, one zero
-	// value per type (documentation and -fact-debug labelling).
-	FactTypes []Fact
-	// Run executes the check over one type-checked package and optionally
-	// returns a result for dependent analyzers.
-	Run func(*Pass) (any, error)
+	// Run executes the check over one type-checked package.
+	Run func(*Pass)
 }
 
 // A Diagnostic is one finding, anchored to a source position.
@@ -73,9 +58,6 @@ type Pass struct {
 	Pkg        *types.Package
 	TypesInfo  *types.Info
 	ImportPath string
-	// ResultOf holds the same-package results of the analyzers listed in
-	// Analyzer.Requires.
-	ResultOf map[*Analyzer]any
 
 	prog        *factStore
 	diagnostics []Diagnostic
@@ -119,29 +101,21 @@ func (r *Result) ObjectFacts() []ObjectFact {
 	return out
 }
 
-// Run applies the analyzers (plus their transitive Requires) to every
-// package in pkgs, which must be in dependency order as returned by Load:
-// facts exported while analyzing a dependency are importable by its
-// dependents. Dependency-only packages are analyzed for their facts but
-// their diagnostics are discarded; only findings in the target packages are
-// returned, sorted by file, line, column, then analyzer name. The error
-// aggregates analyzer failures (not findings; findings are the
-// diagnostics).
-func Run(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
-	ordered, err := expandRequires(analyzers)
-	if err != nil {
-		return nil, err
-	}
+// Run applies the analyzers to every package in pkgs, which must be in
+// dependency order as returned by Load: facts exported while analyzing a
+// dependency are importable by its dependents. Dependency-only packages are
+// analyzed for their facts but their diagnostics are discarded; only
+// findings in the target packages are returned, sorted by file, line,
+// column, then analyzer name.
+func Run(pkgs []*Package, analyzers []*Analyzer) *Result {
 	store := newFactStore()
 	for _, pkg := range pkgs {
 		store.loaded[pkg.ImportPath] = true
 	}
 
 	res := &Result{store: store}
-	var errs []string
 	for _, pkg := range pkgs {
-		results := make(map[*Analyzer]any)
-		for _, a := range ordered {
+		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:   a,
 				Fset:       pkg.Fset,
@@ -149,70 +123,16 @@ func Run(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 				Pkg:        pkg.Types,
 				TypesInfo:  pkg.TypesInfo,
 				ImportPath: pkg.ImportPath,
-				ResultOf:   make(map[*Analyzer]any, len(a.Requires)),
 				prog:       store,
 			}
-			for _, req := range a.Requires {
-				pass.ResultOf[req] = results[req]
-			}
-			out, err := a.Run(pass)
-			if err != nil {
-				errs = append(errs, fmt.Sprintf("%s on %s: %v", a.Name, pkg.ImportPath, err))
-				continue
-			}
-			results[a] = out
-			if !pkg.DepOnly && requested(analyzers, a) {
+			a.Run(pass)
+			if !pkg.DepOnly {
 				res.Diagnostics = append(res.Diagnostics, pass.diagnostics...)
 			}
 		}
 	}
 	sortDiagnostics(firstFset(pkgs), res.Diagnostics)
-	if len(errs) > 0 {
-		return res, fmt.Errorf("analysis: %s", strings.Join(errs, "; "))
-	}
-	return res, nil
-}
-
-// requested reports whether a was asked for directly (diagnostics of
-// analyzers pulled in only as Requires dependencies are not reported).
-func requested(analyzers []*Analyzer, a *Analyzer) bool {
-	for _, x := range analyzers {
-		if x == a {
-			return true
-		}
-	}
-	return false
-}
-
-// expandRequires returns the analyzers plus their transitive requirements
-// in an order where every requirement precedes its dependents.
-func expandRequires(analyzers []*Analyzer) ([]*Analyzer, error) {
-	var out []*Analyzer
-	state := make(map[*Analyzer]int) // 0 unvisited, 1 visiting, 2 done
-	var visit func(a *Analyzer) error
-	visit = func(a *Analyzer) error {
-		switch state[a] {
-		case 1:
-			return fmt.Errorf("analysis: requirement cycle through %s", a.Name)
-		case 2:
-			return nil
-		}
-		state[a] = 1
-		for _, req := range a.Requires {
-			if err := visit(req); err != nil {
-				return err
-			}
-		}
-		state[a] = 2
-		out = append(out, a)
-		return nil
-	}
-	for _, a := range analyzers {
-		if err := visit(a); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return res
 }
 
 func firstFset(pkgs []*Package) *token.FileSet {
@@ -238,34 +158,20 @@ func sortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
 	})
 }
 
-// annotationPrefix introduces every sanlint directive comment.
-const annotationPrefix = "//sanlint:"
-
-// HasAnnotation reports whether the comment group carries the directive
-// //sanlint:<name>. Directive comments must start the line exactly (no
-// leading space after //), mirroring the //go: convention.
-func HasAnnotation(cg *ast.CommentGroup, name string) bool {
-	if cg == nil {
+// FuncIsHotpath reports whether the function's doc comment carries the
+// directive //sanlint:hotpath. Directive comments must start the line
+// exactly (no leading space after //), mirroring the //go: convention.
+func FuncIsHotpath(fd *ast.FuncDecl) bool {
+	if fd.Doc == nil {
 		return false
 	}
-	want := annotationPrefix + name
-	for _, c := range cg.List {
-		if strings.TrimSpace(c.Text) == want {
+	for _, c := range fd.Doc.List {
+		if strings.TrimSpace(c.Text) == "//sanlint:hotpath" {
 			return true
 		}
 	}
 	return false
 }
-
-// FieldHasAnnotation checks both the doc comment above a struct field and
-// the trailing comment on its line.
-func FieldHasAnnotation(f *ast.Field, name string) bool {
-	return HasAnnotation(f.Doc, name) || HasAnnotation(f.Comment, name)
-}
-
-// FuncIsHotpath reports whether the function declaration is annotated
-// //sanlint:hotpath.
-func FuncIsHotpath(fd *ast.FuncDecl) bool { return HasAnnotation(fd.Doc, "hotpath") }
 
 // StaticCallee resolves call to the concrete function or method it invokes,
 // or nil when the callee is dynamic (an interface method, a func-typed

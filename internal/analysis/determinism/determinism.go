@@ -35,10 +35,11 @@
 // Since PR 8 the wall-clock and global-rand rules are interprocedural: the
 // analyzer exports a NondetFact for every function that reaches time.Now or
 // the global generator — directly, through same-package helpers (a local
-// fixpoint over the callgraph result), or through already-tainted functions
-// in dependency packages (imported facts). A call that crosses a package
-// boundary into a tainted function is flagged at that call site: the
-// virtual-time entry point, not the helper package the source hides in.
+// fixpoint over the package's static call graph), or through
+// already-tainted functions in dependency packages (imported facts). A call
+// that crosses a package boundary into a tainted function is flagged at
+// that call site: the virtual-time entry point, not the helper package the
+// source hides in.
 package determinism
 
 import (
@@ -48,7 +49,6 @@ import (
 	"strings"
 
 	"sanmap/internal/analysis"
-	"sanmap/internal/analysis/callgraph"
 )
 
 // NondetFact marks a function that reaches a nondeterministic source. Path
@@ -69,12 +69,11 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "experiments must be reproducible: no time.Now or global " +
 		"math/rand reach (even through helper packages), no map iteration " +
 		"that publishes order-dependent output",
-	Requires:  []*analysis.Analyzer{callgraph.Analyzer},
-	FactTypes: []analysis.Fact{&NondetFact{}},
-	Run:       run,
+	Run: run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) {
+	g := make(map[string]*localFunc)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -82,30 +81,65 @@ func run(pass *analysis.Pass) (any, error) {
 				continue
 			}
 			checkFunc(pass, fd.Body)
+			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+				g[analysis.ObjectKey(fn)] = &localFunc{fn: fn, body: fd.Body, callees: staticCallees(pass, fd.Body)}
+			}
 		}
 	}
-	g, _ := pass.ResultOf[callgraph.Analyzer].(*callgraph.Graph)
-	if g != nil {
-		taint(pass, g)
+	taint(pass, g)
+}
+
+// localFunc is one function or method declared in the package under
+// analysis: a node of its static call graph, which run keys by ObjectKey.
+type localFunc struct {
+	fn      *types.Func
+	body    *ast.BlockStmt
+	callees []*types.Func
+}
+
+// staticCallees returns the statically-resolved callees of one body, local
+// and imported, deduplicated and sorted by ObjectKey. Dynamic dispatch is
+// out of scope by design: calls through interface methods, function-typed
+// variables and fields resolve to no edge. The taint treats those the way
+// hotpath's h7 does — as outside the static reach, guarded instead by the
+// runtime byte-identity tests.
+func staticCallees(pass *analysis.Pass, body *ast.BlockStmt) []*types.Func {
+	seen := make(map[string]*types.Func)
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if fn := analysis.StaticCallee(pass.TypesInfo, call); fn != nil {
+				seen[analysis.ObjectKey(fn)] = fn
+			}
+		}
+		return true
+	})
+	var out []*types.Func
+	for _, k := range sortedKeys(seen) {
+		out = append(out, seen[k])
 	}
-	return nil, nil
+	return out
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // taint computes which local functions reach a nondeterministic source,
 // exports their facts, and flags calls that import taint from another
 // package — the entry points where real time would leak into virtual time.
-func taint(pass *analysis.Pass, g *callgraph.Graph) {
-	keys := make([]string, 0, len(g.Decls))
-	for key := range g.Decls {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
+func taint(pass *analysis.Pass, g map[string]*localFunc) {
+	keys := sortedKeys(g)
 
 	// Seed: functions calling time.Now / global math/rand directly.
 	nondet := make(map[string][]string)
 	for _, key := range keys {
 		src := ""
-		ast.Inspect(g.Decls[key].Body, func(n ast.Node) bool {
+		ast.Inspect(g[key].body, func(n ast.Node) bool {
 			if src != "" {
 				return false
 			}
@@ -131,7 +165,7 @@ func taint(pass *analysis.Pass, g *callgraph.Graph) {
 			if nondet[key] != nil {
 				continue
 			}
-			for _, callee := range g.Callees[key] {
+			for _, callee := range g[key].callees {
 				var chain []string
 				if local := nondet[analysis.ObjectKey(callee)]; local != nil {
 					chain = local
@@ -151,7 +185,7 @@ func taint(pass *analysis.Pass, g *callgraph.Graph) {
 	}
 	for _, key := range keys {
 		if chain := nondet[key]; chain != nil {
-			pass.ExportObjectFact(g.Funcs[key], &NondetFact{Path: chain})
+			pass.ExportObjectFact(g[key].fn, &NondetFact{Path: chain})
 		}
 	}
 

@@ -11,7 +11,7 @@ import (
 // declares it, and imports back when analyzing dependents. Facts are how
 // the interprocedural rules cross package boundaries: hotpath exports "this
 // function is provably allocation-free", determinism exports "this function
-// reaches time.Now", goroutine exports "this function signals completion".
+// reaches time.Now".
 //
 // Fact types must be pointers to structs; each analyzer sees only its own
 // facts (the store is keyed by analyzer and concrete fact type).

@@ -1,9 +1,9 @@
 // Package hotpath defines the sanlint analyzer that keeps annotated
 // functions allocation-free. The eval kernel (simnet.evalRoute and the
-// evalScratch helpers), the eventq heap and the wormsim step loop are
-// guarded by runtime testing.AllocsPerRun gates; this analyzer enforces the
-// same contract statically, so a heap allocation introduced on the hot path
-// fails `make lint` before it ever reaches a benchmark.
+// evalScratch helpers) and the eventq heap are guarded by runtime
+// testing.AllocsPerRun gates; this analyzer enforces the same contract
+// statically, so a heap allocation introduced on the hot path fails
+// `make lint` before it ever reaches a benchmark.
 //
 // A function annotated //sanlint:hotpath must not contain:
 //
@@ -24,8 +24,13 @@
 //     is annotated transitively across package boundaries (closing the
 //     simnet→eventq→wormsim gap the per-package rule used to punt on).
 //     Stdlib callees and dynamic calls (interface methods, func values)
-//     remain outside the annotation's static reach and are left to the
-//     runtime AllocsPerRun gates.
+//     remain outside the annotation's static reach: the runtime
+//     AllocsPerRun gates own them (fmt.Sprintf in routes.Table.Route passes
+//     here and fails mapd's TestReadPathAllocatesNothing).
+//
+// The converse holds too: for annotated functions no AllocsPerRun gate
+// executes — wormsim's step loop among them (DESIGN.md §8) — this analyzer
+// is the only allocation guard.
 //
 // Arguments of panic(...) are exempt from every rule: panics are cold
 // guard paths (the eval kernel formats its invariant violations there).
@@ -55,11 +60,10 @@ var Analyzer = &analysis.Analyzer{
 		"interface boxing, defer/go, string concatenation, or calls to " +
 		"functions not provably allocation-free (transitive annotation, " +
 		"across packages)",
-	FactTypes: []analysis.Fact{&AllocFreeFact{}},
-	Run:       run,
+	Run: run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) {
 	// Annotated function objects, for the transitive-annotation rule h7.
 	// Exporting the fact first makes every annotated function visible to
 	// dependent packages analyzed later in the program order.
@@ -85,7 +89,6 @@ func run(pass *analysis.Pass) (any, error) {
 			c.walk(fd.Body)
 		}
 	}
-	return nil, nil
 }
 
 // ownedObjects collects the receiver and parameter objects of fd: the roots

@@ -109,6 +109,32 @@ func badDerivedTaint(m map[string]int, r *recorder) {
 	}
 }
 
+// badCollectThenPublish is mapper's oracle shape with its sort dropped:
+// names collected into a preallocated slice, then published one by one
+// through an effectful call after the loop, in the order the runtime
+// visited the keys.
+func badCollectThenPublish(m map[string]int, r *recorder) {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name) // want "append to names inside map iteration records keys in randomized order"
+	}
+	for _, name := range names {
+		r.note(name)
+	}
+}
+
+// goodCollectSortPublish is the same shape with the sort in place.
+func goodCollectSortPublish(m map[string]int, r *recorder) {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		r.note(name)
+	}
+}
+
 func alive(v int) bool { return v > 0 }
 
 // goodAccumulate folds order-independently: counters, min/max, writes into

@@ -247,3 +247,18 @@ func (s *scratch) crossPackage(buf []int, v int) []int {
 	extra := xhelper.Alloc(v)  // want "call to .*helper.Alloc which is not provably allocation-free"
 	return append(buf, extra...)
 }
+
+// Bad: simnet's traverse shape. The common branch stays on owned state; a
+// rare one (a loopback plug) reaches the graph's cached index, which
+// rebuilds when stale. A runtime gate that never drives that branch, or
+// drives it only with a warm cache, measures 0 allocs.
+//
+//sanlint:hotpath
+func (s *scratch) traverse(g *xhelper.Graph, v int) int {
+	if v >= 0 {
+		s.hops = append(s.hops, v)
+		return v
+	}
+	ix := g.Index() // want "call to .*helper.Index which is not provably allocation-free"
+	return ix[0]
+}

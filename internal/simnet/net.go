@@ -75,28 +75,30 @@ func (s Stats) Hits() int64 { return s.HostHits + s.SwitchHits }
 // builds on it for the election, parallel-mapping and cross-traffic
 // experiments.
 type Net struct {
-	topo    *topology.Network //sanlint:topostate
-	model   Model             //sanlint:topostate
-	timing  Timing            //sanlint:topostate
+	topo    *topology.Network
+	model   Model
+	timing  Timing
 	clock   time.Duration
 	stats   Stats
 	scratch evalScratch
 	// epoch counts responder/configuration changes; the route-prefix memo in
 	// scratch is keyed on it (plus the topology's structural version), so any
-	// state change invalidates memoized traversal automatically. epochcheck
-	// enforces that every method writing a topostate field bumps it.
-	epoch uint64 //sanlint:epoch
+	// state change invalidates memoized traversal automatically. Every method
+	// writing topo, model, timing or silent bumps it. A skipped bump fails
+	// TestEvalCacheEpochInvalidation, a skipped topology version bump
+	// TestEvalCacheTopologyInvalidation.
+	epoch uint64
 	// loopBuf is the reusable buffer for loopback route expansion in submit.
 	loopBuf Route
 	// mtVal/mtVer cache the topology-derived turn bound (largest radix
 	// minus one); derived state, revalidated against the structural
-	// version on use, so it is deliberately not topostate.
+	// version on use, so writing it bumps no epoch.
 	mtVal Turn
 	mtVer uint64
 	mtOK  bool
 	// responder marks hosts running a mapper daemon; only they answer
 	// host-probes. Hosts absent from the map respond (default true).
-	silent map[topology.NodeID]bool //sanlint:topostate
+	silent map[topology.NodeID]bool
 	// probeLog, when non-nil, receives every probe issued (testing hook).
 	probeLog func(kind string, from topology.NodeID, r Route, ok bool)
 	// selfID enables the §6 self-identifying-switch oracle (ProbeID).

@@ -110,17 +110,18 @@ type node struct {
 // for concurrent mutation; the simulator and mappers treat them as
 // read-only once built.
 type Network struct {
-	nodes []node //sanlint:topostate
-	wires []Wire //sanlint:topostate
+	nodes []node
+	wires []Wire
 	// dead marks wires removed by RemoveWire so indices stay stable.
-	dead   []bool            //sanlint:topostate
-	nDead  int               //sanlint:topostate
-	byName map[string]NodeID //sanlint:topostate
+	dead   []bool
+	nDead  int
+	byName map[string]NodeID
 	// version counts structural mutations (nodes, wires, reflectors). Route
-	// evaluators key their memoized traversal state on it, so reconfiguring
-	// a network invalidates caches automatically. epochcheck enforces that
-	// every method writing a topostate field bumps it.
-	version uint64 //sanlint:epoch
+	// evaluators and the CSR index key their cached state on it, so
+	// reconfiguring a network invalidates caches automatically. Every
+	// method writing one of the fields above bumps it; a mutator that does
+	// not fails TestComponents or simnet's TestEvalCacheTopologyInvalidation.
+	version uint64
 	// csr is the cached flat-adjacency view (csr.go). It is derived state
 	// keyed on version, rebuilt lazily by Index(); updating it is not a
 	// structural mutation, and the slot is atomic so concurrent readers of
