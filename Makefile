@@ -58,9 +58,10 @@ vet:
 #     deleted (DESIGN.md §12). A miss is the answer, so Prober has no
 #     Sleep for a backoff to wait with.
 #  8. Nothing under internal/ lives only for its tests: every package has a
-#     non-test importer outside itself (cmd/, examples/, benchmark/ and the
-#     root package count). go list skips testdata; analysistest is
-#     test support by name.
+#     non-test importer outside itself (cmd/, benchmark/ and the root
+#     package count). go list skips testdata; analysistest is test support
+#     by name, and internal/wormsim is the one dynamic oracle kept for tests
+#     (hold-and-wait deadlocks that routes' static check is held against).
 #  9. sanlint is two analyzers over object facts: determinism and hotpath.
 #     The lock-order, goroutine, epochcheck and senterr analyzers (every
 #     bug seeded against them failed tier-1 or the race lane), the package
@@ -69,6 +70,10 @@ vet:
 # 10. A desim process is an iter.Pull coroutine: internal/desim/desim.go
 #     starts no goroutine and declares no channel (comments aside), so a
 #     virtual-time wait never goes back to a goroutine hand-off.
+# 11. Every package has tests except the four that are wiring or test
+#     support: cmd/sanbench, cmd/sanmapd, internal/analysis and
+#     internal/analysis/analysistest. A scenario is an Example with
+#     // Output:, not a main package whose output nothing checks.
 MAPD_SRC = $(filter-out %_test.go,$(wildcard internal/mapd/*.go))
 MAPPER_SRC = $(filter-out %_test.go,$(wildcard internal/mapper/*.go))
 WORKLOAD_SRC = $(filter-out %_test.go,$(wildcard internal/workload/*.go))
@@ -117,7 +122,7 @@ lint: vet
 		echo "simnet.Prober declares Sleep again (a miss is the answer; nothing backs off):"; \
 		echo "$$sleep"; exit 1; fi
 	@used=" $$($(GO) list -f '{{join .Imports " "}}' ./... | tr '\n' ' ') "; \
-	orphans=$$(for p in $$($(GO) list ./internal/... | grep -v '/internal/analysis/analysistest$$'); do \
+	orphans=$$(for p in $$($(GO) list ./internal/... | grep -vE '/internal/(analysis/analysistest|wormsim)$$'); do \
 		case "$$used" in *" $$p "*) ;; *) echo "$$p";; esac; done); \
 	if [ -n "$$orphans" ]; then \
 		echo "internal packages no non-test code imports (delete them, or give them a caller):"; \
@@ -133,6 +138,11 @@ lint: vet
 	if [ -n "$$handoff" ]; then \
 		echo "internal/desim/desim.go hands control over a goroutine or a channel again (a process is an iter.Pull coroutine):"; \
 		echo "$$handoff"; exit 1; fi
+	@untested=$$(echo $$($(GO) list -f '{{if not (or .TestGoFiles .XTestGoFiles)}}{{.ImportPath}}{{end}}' ./...)); \
+	want="sanmap/cmd/sanbench sanmap/cmd/sanmapd sanmap/internal/analysis sanmap/internal/analysis/analysistest"; \
+	if [ "$$untested" != "$$want" ]; then \
+		echo "packages without tests: $$untested"; \
+		echo "want exactly: $$want (give the package a test or an Example with // Output:)"; exit 1; fi
 
 # trace-smoke is the golden-trace lane: a chaos run on a pinned seed must
 # emit a Chrome trace sidecar byte-identical to the checked-in fixture

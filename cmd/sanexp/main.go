@@ -3,11 +3,11 @@
 //
 // Usage:
 //
-//	sanexp [-fig all|3|4|5|6|7|8|9|10|routes|chaos] [-runs N] [-window W] [-step N] [-seed N] [-dot]
+//	sanexp [-fig all|3|4|5|6|7|8|9|10|routes|chaos|crosstraffic] [-runs N] [-window W] [-step N] [-seed N] [-dot]
 //	       [-trace file.json] [-metrics file]
 //
-// The multi-trial sweeps (Figs 7, 9, 10 and chaos) run one trial per
-// GOMAXPROCS at a time; their output is the same at any setting.
+// The multi-trial sweeps (Figs 7, 9, 10, chaos and crosstraffic) run one
+// trial per GOMAXPROCS at a time; their output is the same at any setting.
 //
 // Every report prints the measured values next to the paper's, so the
 // shape comparison is visible at a glance. Timings are virtual (see
@@ -31,7 +31,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which figure to reproduce: all, 3, 4, 5, 6, 7, 8, 9, 10, routes, chaos")
+	fig := flag.String("fig", "all", "which figure to reproduce: all, 3, 4, 5, 6, 7, 8, 9, 10, routes, chaos, crosstraffic")
 	runs := flag.Int("runs", 5, "repetitions for the Fig 7 timing table and seeds per chaos severity (at least 1)")
 	window := flag.Int("window", 8, "pipelined probe window for the Fig 7 pipelined column (1 = serial)")
 	step := flag.Int("step", 5, "responder sweep granularity for Fig 9")
@@ -158,6 +158,11 @@ func main() {
 			fail("routes", err)
 		}
 		section(report)
+	}
+	if want("crosstraffic") {
+		ran = true
+		rows := experiments.CrossTrafficSweep([]float64{0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.35, 0.45})
+		section(experiments.FormatCrossTraffic(rows))
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "sanexp: unknown figure %q\n", *fig)

@@ -8,7 +8,7 @@
 // concurrent-mapping and cross-traffic experiments.
 //
 // The implementation lives under internal/ (one package per subsystem; see
-// DESIGN.md for the inventory), the runnable entry points under cmd/ and
-// examples/, and the paper's tables and figures are regenerated by
-// cmd/sanexp and by the benchmarks in bench_test.go.
+// DESIGN.md for the inventory), the runnable entry points under cmd/ and the
+// paper's scenarios in Example functions go test checks; the paper's tables
+// and figures are regenerated by cmd/sanexp and bench_test.go's benchmarks.
 package sanmap

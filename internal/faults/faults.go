@@ -86,11 +86,6 @@ type Schedule struct {
 	Seed uint64
 }
 
-// Empty reports whether the schedule injects nothing at all.
-func (s Schedule) Empty() bool {
-	return len(s.Events) == 0 && s.LossRate == 0 && s.TruncRate == 0 && s.CrossRate == 0
-}
-
 // Record is one FaultLog entry: an applied structural event or a
 // probe-level fault, in virtual-time order.
 type Record struct {

@@ -79,7 +79,7 @@ func TestMapUnderLightTraffic(t *testing.T) {
 
 // TestAccuracyDegradesWithLoad: heavier cross-traffic must not improve
 // accuracy, and heavy load should cost mapping time. The heavy point sits
-// just past the knee (exact maps through 0.30, see examples/crosstraffic):
+// just past the knee (exact maps through 0.30, see sanexp -fig crosstraffic):
 // a third of every host link's bandwidth.
 func TestAccuracyDegradesWithLoad(t *testing.T) {
 	sys := cluster.CConfig(nil)

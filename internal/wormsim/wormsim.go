@@ -11,9 +11,10 @@
 // deadlock timeout ("Switches automatically detect and break message
 // deadlock in 50 ms") by destroying a participant.
 //
-// The headline experiment (wormsim_test.go, examples): permutation traffic
+// The headline experiment (Example in example_test.go): permutation traffic
 // on a torus deadlocks under shortest-path routes and never under
 // UP*/DOWN* — the Dally-Seitz channel-dependency argument made executable.
+// Only tests import the package: it is routes' dynamic deadlock oracle.
 package wormsim
 
 import (

@@ -63,38 +63,6 @@ func TestUpDownNeverDeadlocks(t *testing.T) {
 	}
 }
 
-// TestShortestPathsDeadlock: the same experiment with naive shortest-path
-// routes must produce at least one actual deadlock on a cyclic topology for
-// some permutation — the reason the §5.5 pipeline exists.
-func TestShortestPathsDeadlock(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	net := topology.MustTorus(4, 4, 1, rng)
-	tab, err := routes.ShortestPaths(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The dependency graph is cyclic; confirm that translates into real
-	// deadlock under some permutation.
-	if err := tab.VerifyDeadlockFree(); err == nil {
-		t.Fatal("expected a cyclic dependency graph on the torus")
-	}
-	deadlocks := 0
-	for shift := 1; shift < net.NumHosts(); shift++ {
-		s := New(net, simnet.DefaultTiming())
-		injectPermutation(t, s, net, tab, shift)
-		st := s.Run()
-		deadlocks += st.Deadlocked
-		if st.Delivered+st.Deadlocked != st.Injected {
-			t.Fatalf("shift %d: %d delivered + %d dead != %d injected",
-				shift, st.Delivered, st.Deadlocked, st.Injected)
-		}
-	}
-	if deadlocks == 0 {
-		t.Fatal("no permutation deadlocked naive torus routes; expected at least one")
-	}
-	t.Logf("naive shortest paths on a 4x4 torus: %d worms deadlock-broken across all shifts", deadlocks)
-}
-
 // TestDeadlockBreakUnblocksOthers: after the hardware break, the surviving
 // worms of the cycle complete.
 func TestDeadlockBreakUnblocksOthers(t *testing.T) {
