@@ -2,8 +2,9 @@ GO ?= go
 
 # Packages with concurrency-sensitive code (the pipelined probe engine and
 # everything layered on it, plus the event queue, the process engine, worm
-# simulator, experiment drivers, telemetry and the route table's parallel
-# fill) get a dedicated race-detector lane.
+# simulator, experiment drivers, telemetry and the route table, built
+# serially but pinned identical at any GOMAXPROCS) get a dedicated
+# race-detector lane.
 RACE_PKGS = ./internal/simnet/... ./internal/mapper/... ./internal/connet/... \
 	./internal/election/... ./internal/eventq/... ./internal/desim/... \
 	./internal/wormsim/... ./internal/experiments/... ./internal/obs/... \
@@ -240,14 +241,14 @@ bench-large:
 # C beside the single master on the same fabric (what the desim engine
 # costs), the 1k-switch fat-tree (with its diameter at 0 allocs/op), the
 # daemon's two start-up layers on the 768-host fat-tree (Q+D and the route
-# table, plus the table's lookup and a whole served route query, each at
-# 0 allocs/op), and the load report's plan draw, merge and replays (on
-# allocs/op alone) — and check them against the committed baseline's gates
-# block. Fails on a >15% ns/op regression, an allocation ceiling broken, or
-# a broken relative gate (window8 must stay within 2x the serial loop's
-# wall clock, the election within 14x the master's). Runs use -count so
-# sanbench can gate on per-lane minima, the statistic that survives
-# shared-runner noise.
+# table, the table under 12 MB written per build, plus the table's lookup
+# and a whole served route query, each at 0 allocs/op), and the load
+# report's plan draw, merge and replays (on allocs/op alone) — and check
+# them against the committed baseline's gates block. Fails on a >15% ns/op
+# regression, an allocation ceiling broken, or a broken relative gate
+# (window8 must stay within 2x the serial loop's wall clock, the election
+# within 14x the master's). Runs use -count so sanbench can gate on
+# per-lane minima, the statistic that survives shared-runner noise.
 BENCH_BASELINE ?= BENCH_a5c7565.json
 bench-gate:
 	@{ $(GO) test -bench PipelinedVsSerial -benchtime 100x -count 3 -run ^$$ . && \

@@ -752,7 +752,7 @@ func BenchmarkRouteLookup(b *testing.B) {
 			src, dst := hosts[k%len(hosts)], hosts[(k*331+1)%len(hosts)]
 			r, _ := tab.Route(src, dst)
 			w, _ := tab.WirePath(src, dst)
-			benchSink += len(r) + len(w)
+			benchSink += len(r) + w.Len()
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sweep), "ns/lookup")

@@ -387,11 +387,9 @@ func RoutesReport() (string, error) {
 	hosts := m.Network.NumHosts()
 	pairs := 0
 	maxLen := 0
-	tab.Pairs(func(_, _ topology.NodeID, wires []int, _ simnet.Route) {
+	tab.Pairs(func(_, _ topology.NodeID, p routes.Path) {
 		pairs++
-		if len(wires) > maxLen {
-			maxLen = len(wires)
-		}
+		maxLen = max(maxLen, p.Len())
 	})
 	var b strings.Builder
 	b.WriteString("§5.5 — UP*/DOWN* deadlock-free routes on the mapped 100-node system\n")

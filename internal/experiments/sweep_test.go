@@ -11,7 +11,6 @@ import (
 
 	"sanmap/internal/isomorph"
 	"sanmap/internal/routes"
-	"sanmap/internal/simnet"
 	"sanmap/internal/topology"
 )
 
@@ -130,8 +129,8 @@ func TestReadOnlyAnalysesShareOneNetwork(t *testing.T) {
 			return "", err
 		}
 		out := fmt.Sprintf("root %d", tbl.Root)
-		tbl.Pairs(func(src, dst topology.NodeID, _ []int, turns simnet.Route) {
-			out += fmt.Sprintf("\n%d>%d %v", src, dst, turns)
+		tbl.Pairs(func(src, dst topology.NodeID, p routes.Path) {
+			out += fmt.Sprintf("\n%d>%d %v", src, dst, p.Route())
 		})
 		return out, nil
 	}

@@ -124,26 +124,15 @@ func New(net *topology.Network, tab *routes.Table, timing simnet.Timing, msgByte
 			if si == di {
 				continue
 			}
-			wires, ok := tab.WirePath(s, d)
+			path, ok := tab.WirePath(s, d)
 			if !ok {
 				continue
 			}
 			cur := s
-			for _, wi := range wires {
-				w := net.WireByIndex(wi)
-				e.wires[wi] = w
-				var from topology.End
-				if w.A.Node == cur {
-					from = w.A
-				} else {
-					from = w.B
-				}
-				id := linkID(2 * wi)
-				if from != w.A {
-					id++
-				}
-				e.hops = append(e.hops, id)
-				cur = w.Other(from).Node
+			for w := path.Walk(); w.Next(); {
+				e.wires[w.Wire()] = net.WireByIndex(w.Wire())
+				e.hops = append(e.hops, linkID(w.Channel()))
+				cur = w.To().Node
 			}
 			if cur != d {
 				return nil, fmt.Errorf("loadsim: table path %s -> %s ends at node %d",
@@ -152,7 +141,7 @@ func New(net *topology.Network, tab *routes.Table, timing simnet.Timing, msgByte
 			e.valid[p] = true
 			// Worm size matches connet.Inject: envelope + one routing
 			// flit per transited switch + payload.
-			e.wormBytes[p] = int32(simnet.MessageBytes(len(wires)-1) + msgBytes)
+			e.wormBytes[p] = int32(simnet.MessageBytes(path.Len()-1) + msgBytes)
 		}
 	}
 	e.pairStart[e.nh*e.nh] = int32(len(e.hops))

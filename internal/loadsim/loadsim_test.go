@@ -35,6 +35,19 @@ func line3(t *testing.T) (*topology.Network, *routes.Table) {
 	return net, tab
 }
 
+// hopWire returns the k-th wire on the table's path between two named hosts.
+func hopWire(t *testing.T, net *topology.Network, tab *routes.Table, src, dst string, k int) int {
+	t.Helper()
+	p, _ := tab.WirePath(net.Lookup(src), net.Lookup(dst))
+	w := p.Walk()
+	for i := 0; i <= k; i++ {
+		if !w.Next() {
+			t.Fatalf("%s -> %s has %d wires, want a %d-th", src, dst, p.Len(), k)
+		}
+	}
+	return w.Wire()
+}
+
 // plan2 schedules h0 and h1 each sending one worm to h2, offset ns apart.
 func plan2(net *topology.Network, offset time.Duration) *workload.Plan {
 	h2 := net.Lookup("h2")
@@ -88,8 +101,7 @@ func TestHandComputedContention(t *testing.T) {
 		t.Errorf("makespan %v, want %v", r.Makespan, want)
 	}
 	// Both worms crossed the shared s0--s1 wire once each.
-	w, _ := tab.WirePath(net.Lookup("h0"), net.Lookup("h2"))
-	shared := w[1]
+	shared := hopWire(t, net, tab, "h0", "h2", 1)
 	if got := r.BusyOn([]int{shared}); got != 2*occ {
 		t.Errorf("BusyOn(shared) = %v, want %v", got, 2*occ)
 	}
@@ -117,8 +129,7 @@ func TestForwardResetKill(t *testing.T) {
 		t.Fatalf("accounting: %+v", r)
 	}
 	// The killed worm still reserved h1->s0 before dying at s0->s1.
-	w, _ := tab.WirePath(net.Lookup("h1"), net.Lookup("h2"))
-	first := w[0]
+	first := hopWire(t, net, tab, "h1", "h2", 0)
 	found := false
 	for _, ll := range r.Links {
 		if ll.Wire == first && ll.Worms == 1 {
@@ -138,8 +149,7 @@ func TestStaleTableLosses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, _ := tab.WirePath(net.Lookup("h0"), net.Lookup("h2"))
-	shared := w[1] // the s0--s1 wire both routes need
+	shared := hopWire(t, net, tab, "h0", "h2", 1) // the s0--s1 wire both routes need
 	if err := net.RemoveWire(shared); err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +296,7 @@ func TestEngineCopySharesRoutesNotState(t *testing.T) {
 
 	// The copy goes stale; the source must not notice, before or after the
 	// copy replays.
-	w, _ := tab.WirePath(net.Lookup("h0"), net.Lookup("h2"))
-	if err := net.RemoveWire(w[1]); err != nil {
+	if err := net.RemoveWire(hopWire(t, net, tab, "h0", "h2", 1)); err != nil {
 		t.Fatal(err)
 	}
 	cp.Revalidate()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"sanmap/internal/loadsim"
+	"sanmap/internal/routes"
 	"sanmap/internal/simnet"
 	"sanmap/internal/topology"
 )
@@ -145,9 +146,9 @@ func oracleRouteAnswer(snap *Snapshot, from, to string) map[string]any {
 		resp["error"] = "no route"
 		return resp
 	}
-	wires, _ := snap.Table.WirePath(src, dst)
+	path, _ := snap.Table.WirePath(src, dst)
 	if snap.Level == LevelGuarded {
-		if bad := crossesSuspect(snap, src, dst, wires); bad != topology.None {
+		if bad := oracleSuspect(snap, src, dst, path); bad != topology.None {
 			resp["ok"] = false
 			resp["refused"] = true
 			resp["error"] = fmt.Sprintf("route crosses suspect node %s", snap.Net.NameOf(bad))
@@ -156,7 +157,7 @@ func oracleRouteAnswer(snap *Snapshot, from, to string) map[string]any {
 	}
 	resp["ok"] = true
 	resp["route"] = route.String()
-	resp["hops"] = len(wires)
+	resp["hops"] = len(route) + 1
 	return resp
 }
 
@@ -211,4 +212,25 @@ func oracleMeasureQuality(snap *Snapshot) map[string]any {
 		"congested_links": len(rep.Links),
 		"makespan_ns":     int64(rep.Makespan),
 	}
+}
+
+// oracleSuspect is the suspect scan the served reply replaced: endpoints
+// first, then both ends of every wire on the path in order.
+func oracleSuspect(snap *Snapshot, src, dst topology.NodeID, path routes.Path) topology.NodeID {
+	if snap.SuspectIDs[src] {
+		return src
+	}
+	if snap.SuspectIDs[dst] {
+		return dst
+	}
+	for w := path.Walk(); w.Next(); {
+		wire := snap.Net.WireByIndex(w.Wire())
+		if snap.SuspectIDs[wire.A.Node] {
+			return wire.A.Node
+		}
+		if snap.SuspectIDs[wire.B.Node] {
+			return wire.B.Node
+		}
+	}
+	return topology.None
 }

@@ -274,8 +274,7 @@ func appendRoute(dst []byte, snap *Snapshot, from, to []byte) ([]byte, outcome) 
 	var (
 		fail    string                          // why no route is served, unless a suspect is why
 		suspect topology.NodeID = topology.None // the suspect node a refused route crosses
-		route   simnet.Route
-		wires   []int
+		path    routes.Path
 	)
 	dst = append(dst, '{')
 	if snap == nil {
@@ -294,13 +293,12 @@ func appendRoute(dst []byte, snap *Snapshot, from, to []byte) ([]byte, outcome) 
 			fail = "no route table for this epoch"
 		default:
 			var ok bool
-			if route, ok = snap.Table.Route(src, dest); !ok {
+			if path, ok = snap.Table.WirePath(src, dest); !ok {
 				fail = "no route"
 				break
 			}
-			wires, _ = snap.Table.WirePath(src, dest)
 			if snap.Level == LevelGuarded {
-				suspect = crossesSuspect(snap, src, dest, wires)
+				suspect = crossesSuspect(snap, src, dest, path)
 			}
 		}
 	}
@@ -318,7 +316,7 @@ func appendRoute(dst []byte, snap *Snapshot, from, to []byte) ([]byte, outcome) 
 	}
 	dst = fieldString(dst, "from", from)
 	if res == served {
-		dst = fieldInt(dst, "hops", int64(len(wires)))
+		dst = fieldInt(dst, "hops", int64(path.Len()))
 	}
 	dst = fieldBool(dst, "ok", res == served)
 	dst = fieldString(dst, "op", "route")
@@ -328,6 +326,7 @@ func appendRoute(dst []byte, snap *Snapshot, from, to []byte) ([]byte, outcome) 
 	case served:
 		dst = appendKey(dst, "route")
 		dst = append(dst, '"')
+		route := path.Route()
 		if len(route) == 0 {
 			dst = append(dst, "ε"...) // as Route.String spells the empty route
 		}
@@ -417,20 +416,16 @@ func measureQuality(snap *Snapshot) *loadsim.Report {
 // (endpoints included), or topology.None.
 //
 //sanlint:hotpath
-func crossesSuspect(snap *Snapshot, src, dst topology.NodeID, wires []int) topology.NodeID {
+func crossesSuspect(snap *Snapshot, src, dst topology.NodeID, path routes.Path) topology.NodeID {
 	if snap.SuspectIDs[src] {
 		return src
 	}
 	if snap.SuspectIDs[dst] {
 		return dst
 	}
-	for _, wi := range wires {
-		w := snap.Net.WireByIndex(wi)
-		if snap.SuspectIDs[w.A.Node] {
-			return w.A.Node
-		}
-		if snap.SuspectIDs[w.B.Node] {
-			return w.B.Node
+	for w := path.Walk(); w.Next(); {
+		if n := w.To().Node; snap.SuspectIDs[n] {
+			return n
 		}
 	}
 	return topology.None

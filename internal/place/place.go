@@ -93,22 +93,13 @@ func build(tab *routes.Table, m *workload.Matrix, cfg Config) (*problem, error) 
 			if !ok {
 				return nil, fmt.Errorf("place: no route %d -> %d", m.Hosts[i], m.Hosts[j])
 			}
-			path := make([]int32, len(wires))
-			cur := m.Hosts[i]
-			for k, wi := range wires {
-				w := tab.Net.WireByIndex(wi)
-				id := int32(2 * wi)
-				if w.A.Node != cur {
-					id++
-					cur = w.A.Node
-				} else {
-					cur = w.B.Node
-				}
-				path[k] = id
+			path := make([]int32, 0, wires.Len())
+			for w := wires.Walk(); w.Next(); {
+				path = append(path, int32(w.Channel()))
 			}
 			p.paths[i*n+j] = path
-			p.dist[i][j] = int32(len(wires))
-			if d := int64(len(wires)); d > 0 && d < p.minHop {
+			p.dist[i][j] = int32(len(path))
+			if d := int64(len(path)); d > 0 && d < p.minHop {
 				p.minHop = d
 			}
 		}
@@ -266,7 +257,7 @@ func Cost(tab *routes.Table, m *workload.Matrix, hosts []topology.NodeID) (int64
 			if !ok {
 				return 0, fmt.Errorf("place: no route %d -> %d", hosts[t], hosts[u])
 			}
-			c += m.Bytes[t][u] * int64(len(wires))
+			c += m.Bytes[t][u] * int64(wires.Len())
 		}
 	}
 	return c, nil
@@ -289,17 +280,8 @@ func MaxLinkDemand(tab *routes.Table, m *workload.Matrix, hosts []topology.NodeI
 			if !ok {
 				return 0, fmt.Errorf("place: no route %d -> %d", hosts[t], hosts[u])
 			}
-			cur := hosts[t]
-			for _, wi := range wires {
-				w := tab.Net.WireByIndex(wi)
-				id := int64(2 * wi)
-				if w.A.Node != cur {
-					id++
-					cur = w.A.Node
-				} else {
-					cur = w.B.Node
-				}
-				use[id] += m.Bytes[t][u]
+			for w := wires.Walk(); w.Next(); {
+				use[int64(w.Channel())] += m.Bytes[t][u]
 			}
 		}
 	}

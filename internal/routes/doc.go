@@ -20,34 +20,51 @@
 // node, Floyd-Warshall runs over the switches alone, and the route s→t is
 // s's wire, then the route between their two leaf switches, then t's wire.
 // The meeting-node scan and both path extractions run once per leaf-switch
-// pair, serially, into a template: the middle's wires, its interior turns,
-// and the ports it leaves the first leaf by and enters the second by. Leaf
-// pairs are visited in the order of their first host pair, so a pair with
-// no compliant path is reported under the same host names as a scan over
-// host pairs would. Each source row's length depends only on its leaf, so a
-// prefix sum over hosts places every row, and the rows are then filled in
-// contiguous blocks, one per GOMAXPROCS: a pair copies its template and
-// writes the two turns at the leaves from the host ports. The scan order
-// and the Rng's draw order (one draw per parallel switch-switch cable, in
-// wire order) are those of the construction over all nodes, so the tables
-// are the same byte for byte at any GOMAXPROCS: oracle_test.go keeps the
-// replaced construction, flat_diff_test.go compares against it, and
-// parallel_test.go compares the arenas across goroutine counts.
+// pair, serially, into a template: the route between two hosts on those
+// leaves with the host ports left out — one turn per switch on the way, the
+// first still the raw port the route leaves the source leaf by, the last
+// minus the port it enters the destination leaf by. Leaf pairs are visited
+// in the order of their first host pair, so a pair with no compliant path
+// is reported under the same host names as a scan over host pairs would.
 //
-// A Table stores the result in two flat arenas. Hosts get dense ordinals
-// in ascending id order; ordered pair (s,t) is slot ord(s)*H+ord(t); one
-// offset array bounds the slot's span in the wire arena, and the turn arena
-// runs parallel to it (the turn taken onto a wire sits at that wire's
-// index), so there is no second offset array, no per-route allocation, and
-// a lookup is two array reads. Spans are sized exactly before the arena is
-// allocated, because the best cost found by the scan is the path's length.
+// Rows of hosts on the same leaf differ in exactly one turn per pair, the
+// first: out − port(src). So each leaf gets one prototype row over every
+// destination host, each cell its template with the destination's port
+// added to the last turn, and a host's row is a copy of its leaf's
+// prototype without its own one-turn cell, then the host's port subtracted
+// from each pair's first turn — one patched byte per pair. Turns wrap like
+// the int8s they are, so adding and subtracting ports separately gives the
+// bytes the two-port difference would. The fill is serial: at a copy and a
+// byte per pair, one goroutine per GOMAXPROCS measured slower than one.
+// The scan order and the Rng's draw order (one draw per parallel
+// switch-switch cable, in wire order) are those of the construction over
+// all nodes, so the tables are the same byte for byte: oracle_test.go keeps
+// the replaced construction, flat_diff_test.go compares against it, and
+// parallel_test.go compares the arenas across GOMAXPROCS, so that a
+// parallel fill cannot come back unless it is byte-identical.
 //
-// Consumers read the result three ways: WirePath for analyses (loadsim,
-// place), Route for the relative-turn strings the simulated interfaces
-// consume — both return capacity-capped views of the arenas, allocation-
-// free, not to be modified — and Pairs, which visits every routed pair in
-// ascending (src, dst) order. VerifyDeadlockFree is a channel-dependency-
-// graph cycle check over any route set, including tables recomputed on
-// healed maps after fault injection, where deadlock freedom must survive
-// the missing links.
+// A Table stores the result in one flat arena of turns. Hosts get dense
+// ordinals in ascending id order; ordered pair (s,t) is slot ord(s)*H+ord(t);
+// one offset array bounds the slot's span, and the span is the route
+// itself, so there is no per-route allocation and a lookup is two array
+// reads. The wires a route takes are not stored: §2.2's turns fix them given
+// the map (at each switch, out port = in port + turn), and a Path walks them
+// on demand from the source's host wire. That keeps a table at one byte per
+// hop instead of nine, which is what every start, heal and restart writes.
+// The walk reads per-end tables taken from the map when the table is built
+// — for every (node, port) end, the end across its wire and the channel
+// arriving by it — so a step is one array read, and a walk keeps following
+// the map the table was computed on even if Net is edited later.
+//
+// Consumers read the result three ways: Route for the relative-turn strings
+// the simulated interfaces consume (a capacity-capped view of the arena,
+// not to be modified), WirePath for analyses (loadsim, place, the verifiers,
+// mapd's suspect check) — a Path whose Walker yields each wire with the end
+// the route enters it by and its directed channel, all allocation-free —
+// and Pairs, which visits every routed pair's Path in ascending (src, dst)
+// order. VerifyDeadlockFree is a channel-dependency-graph cycle check over
+// any route set, including tables recomputed on healed maps after fault
+// injection, where deadlock freedom must survive the missing links; it
+// numbers channels densely and searches them in ascending order, so the
+// cycle it reports is the same on every call.
 package routes

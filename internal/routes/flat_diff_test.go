@@ -19,24 +19,71 @@ var diffSpecs = []string{
 }
 
 // sameAsOracle checks that the flat table answers every ordered node pair —
-// hosts, switches and out-of-range ids alike — exactly as the nested maps do.
+// hosts, switches and out-of-range ids alike — exactly as the nested maps do:
+// the same turns, and a walked wire path equal to the oracle's. Pairs must
+// visit exactly the routed pairs with the same paths.
 func sameAsOracle(t *testing.T, what string, tab *Table, o *oracleTable) {
 	t.Helper()
 	n := topology.NodeID(tab.Net.NumNodes())
+	routed := 0
 	for s := topology.None; s <= n; s++ {
 		for d := topology.None; d <= n; d++ {
-			wantW, wantOK := o.paths[s][d]
-			gotW, gotOK := tab.WirePath(s, d)
-			if gotOK != wantOK || !slices.Equal(gotW, wantW) {
-				t.Fatalf("%s: WirePath(%d,%d) = %v,%v, oracle %v,%v", what, s, d, gotW, gotOK, wantW, wantOK)
-			}
 			wantR, wantOK := o.turns[s][d]
 			gotR, gotOK := tab.Route(s, d)
 			if gotOK != wantOK || !slices.Equal(gotR, wantR) {
 				t.Fatalf("%s: Route(%d,%d) = %v,%v, oracle %v,%v", what, s, d, gotR, gotOK, wantR, wantOK)
 			}
+			wantW := o.paths[s][d]
+			p, gotOK := tab.WirePath(s, d)
+			if gotW := walked(t, tab.Net, s, d, p); gotOK != wantOK || p.Len() != len(wantW) || !slices.Equal(gotW, wantW) {
+				t.Fatalf("%s: WirePath(%d,%d) walks %v (Len %d),%v, oracle %v,%v", what, s, d, gotW, p.Len(), gotOK, wantW, wantOK)
+			}
+			if gotOK {
+				routed++
+			}
 		}
 	}
+	if got, want := tab.VerifyDeadlockFree() == nil, oracleDeadlockFree(tab.Net, o); got != want {
+		t.Fatalf("%s: VerifyDeadlockFree says deadlock free %v, the map-based check %v", what, got, want)
+	}
+	visited := 0
+	tab.Pairs(func(s, d topology.NodeID, p Path) {
+		if want, _ := tab.WirePath(s, d); !slices.Equal(p.Route(), want.Route()) {
+			t.Fatalf("%s: Pairs gives %d->%d route %v, WirePath %v", what, s, d, p.Route(), want.Route())
+		}
+		visited++
+	})
+	if visited != routed {
+		t.Fatalf("%s: Pairs visited %d pairs, %d are routed", what, visited, routed)
+	}
+}
+
+// walked returns p's wires in order, checking each step of the walk: the
+// first wire is src's own, each later one is entered at the switch the
+// previous one reached, the step's ends and channel belong to its wire, and
+// the last wire reaches dst.
+func walked(t *testing.T, net *topology.Network, src, dst topology.NodeID, p Path) []int {
+	t.Helper()
+	var wires []int
+	at := src
+	for w := p.Walk(); w.Next(); {
+		wire := net.WireByIndex(w.Wire())
+		from, to := w.From(), w.To()
+		dir := 0
+		if from != wire.A {
+			dir = 1
+		}
+		if from.Node != at || (len(wires) == 0 && from.Port != topology.HostPort) || wire.Other(from) != to || w.Channel() != 2*w.Wire()+dir {
+			t.Fatalf("walk %d->%d: step %d onto wire %d %v from %v to %v (channel %d) after node %d",
+				src, dst, len(wires), w.Wire(), wire, from, to, w.Channel(), at)
+		}
+		wires = append(wires, w.Wire())
+		at = to.Node
+	}
+	if wires != nil && at != dst {
+		t.Fatalf("walk %d->%d ends at node %d", src, dst, at)
+	}
+	return wires
 }
 
 // diffCompute compares Compute against the oracle on net, without an Rng
@@ -105,21 +152,55 @@ func TestFlatTableMatchesNestedMaps(t *testing.T) {
 	}
 }
 
+// TestChooseRootMatchesAllNodeBFS: the switch-graph root choice picks the
+// same root as one BFS over every node per switch, on every registered
+// generator × 3 seeds, ignoring no host, the first host, or a random third
+// of the hosts (which leaves the leaves unevenly weighted).
+func TestChooseRootMatchesAllNodeBFS(t *testing.T) {
+	for _, spec := range diffSpecs {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			res, err := genspec.Build(spec, rng)
+			if err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			hosts := res.Net.Hosts()
+			var third []topology.NodeID
+			for _, h := range hosts {
+				if rng.Intn(3) == 0 {
+					third = append(third, h)
+				}
+			}
+			for _, ignore := range [][]topology.NodeID{nil, hosts[:1], third} {
+				got, want := ChooseRoot(res.Net, ignore...), oracleChooseRoot(res.Net, ignore...)
+				if got != want {
+					t.Errorf("%s seed %d ignoring %d hosts: root %d, all-node BFS picks %d", spec, seed, len(ignore), got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestFlatTableMatchesNestedMapsHealed repeats the comparison on healed,
 // suspect-annotated maps: a mapper session's Remap result after link cuts
-// (TestHealedTableDeadlockFree's networks).
+// (TestHealedTableDeadlockFree's networks), for both constructions.
 func TestFlatTableMatchesNestedMapsHealed(t *testing.T) {
 	for _, spec := range []string{"fattree2:8x2", "dragonfly:2,2,2"} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			_, healed := healedMap(t, spec, seed)
 			diffCompute(t, spec+" healed", healed.Network, int64(seed))
+			naive, err := ShortestPaths(healed.Network)
+			if err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			sameAsOracle(t, spec+" healed shortest", naive, oracleShortestPaths(healed.Network))
 		}
 	}
 }
 
 // TestPairsAscendingAndCapped: Pairs visits ordered pairs in ascending
-// (src, dst) order, and no returned slice can be grown into its arena
-// neighbour's route.
+// (src, dst) order, and no returned route can be grown into its arena
+// neighbour's.
 func TestPairsAscendingAndCapped(t *testing.T) {
 	res, err := genspec.Build("fattree2:8x2", nil)
 	if err != nil {
@@ -127,7 +208,7 @@ func TestPairsAscendingAndCapped(t *testing.T) {
 	}
 	tab := computeOn(t, res.Net, DefaultConfig())
 	prevS, prevD, n := topology.None, topology.None, 0
-	tab.Pairs(func(s, d topology.NodeID, wires []int, turns simnet.Route) {
+	tab.Pairs(func(s, d topology.NodeID, p Path) {
 		if s < prevS || (s == prevS && d <= prevD) {
 			t.Fatalf("pair (%d,%d) after (%d,%d)", s, d, prevS, prevD)
 		}
@@ -135,9 +216,9 @@ func TestPairsAscendingAndCapped(t *testing.T) {
 		n++
 		w, _ := tab.WirePath(s, d)
 		r, _ := tab.Route(s, d)
-		for _, c := range []int{cap(wires) - len(wires), cap(turns) - len(turns), cap(w) - len(w), cap(r) - len(r)} {
-			if c != 0 {
-				t.Fatalf("pair (%d,%d): a returned slice has %d spare capacity", s, d, c)
+		for _, turns := range []simnet.Route{p.Route(), w.Route(), r} {
+			if c := cap(turns) - len(turns); c != 0 {
+				t.Fatalf("pair (%d,%d): a returned route has %d spare capacity", s, d, c)
 			}
 		}
 	})
@@ -146,11 +227,37 @@ func TestPairsAscendingAndCapped(t *testing.T) {
 	}
 	// Appending to one route must not disturb the next.
 	hosts := res.Net.Hosts()
-	first, _ := tab.WirePath(hosts[0], hosts[1])
-	next, _ := tab.WirePath(hosts[0], hosts[2])
+	first, _ := tab.Route(hosts[0], hosts[1])
+	next, _ := tab.Route(hosts[0], hosts[2])
 	want := slices.Clone(next)
 	_ = append(first, -1)
 	if !slices.Equal(next, want) {
-		t.Fatal("append to one wire path overwrote the next pair's")
+		t.Fatal("append to one route overwrote the next pair's")
+	}
+}
+
+// TestLookupAllocatesNothing: a Route, a WirePath and a full walk of it
+// cost no allocation.
+func TestLookupAllocatesNothing(t *testing.T) {
+	res, err := genspec.Build("fattree2:8x2", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := computeOn(t, res.Net, DefaultConfig())
+	hosts := res.Net.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
+	sum := 0
+	if n := testing.AllocsPerRun(100, func() {
+		r, _ := tab.Route(src, dst)
+		p, _ := tab.WirePath(src, dst)
+		for w := p.Walk(); w.Next(); {
+			sum += w.Channel() + int(w.From().Port) + int(w.To().Node)
+		}
+		sum += len(r) + p.Len()
+	}); n != 0 {
+		t.Fatalf("Route + WirePath + walk: %v allocs, want 0", n)
+	}
+	if sum == 0 {
+		t.Fatal("walked nothing")
 	}
 }

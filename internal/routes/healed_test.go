@@ -36,7 +36,8 @@ func TestHealedTableDeadlockFree(t *testing.T) {
 			// path would).
 			actual := simnet.New(net, simnet.PacketModel, simnet.DefaultTiming())
 			checked := 0
-			tab.Pairs(func(src, dst topology.NodeID, _ []int, turns simnet.Route) {
+			tab.Pairs(func(src, dst topology.NodeID, p Path) {
+				turns := p.Route()
 				aSrc := net.Lookup(healed.Network.NameOf(src))
 				aDst := net.Lookup(healed.Network.NameOf(dst))
 				if aSrc == topology.None || aDst == topology.None {

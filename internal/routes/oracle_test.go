@@ -3,6 +3,7 @@ package routes
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sanmap/internal/simnet"
 	"sanmap/internal/topology"
@@ -17,12 +18,47 @@ type oracleTable struct {
 	turns map[topology.NodeID]map[topology.NodeID]simnet.Route
 }
 
-// oracleCompute is the replaced Compute: same root choice and labelling
-// (those did not change), then the old all-pairs construction.
+// oracleChooseRoot is the replaced ChooseRoot: one BFS over every node per
+// switch, each non-ignored host's distance read off directly.
+func oracleChooseRoot(net *topology.Network, ignore ...topology.NodeID) topology.NodeID {
+	hosts := net.Hosts()
+	for _, h := range ignore {
+		if i := slices.Index(hosts, h); i >= 0 {
+			hosts = slices.Delete(hosts, i, i+1)
+		}
+	}
+	best := topology.None
+	bestMin, bestSum := -1, -1
+	ix := net.Index()
+	dist := make([]int32, ix.NumNodes())
+	for _, s := range net.Switches() {
+		ix.BFSInto(s, dist)
+		minD, sumD := math.MaxInt, 0
+		for _, h := range hosts {
+			if dist[h] < 0 {
+				continue
+			}
+			if int(dist[h]) < minD {
+				minD = int(dist[h])
+			}
+			sumD += int(dist[h])
+		}
+		if minD == math.MaxInt {
+			continue
+		}
+		if minD > bestMin || (minD == bestMin && sumD > bestSum) {
+			best, bestMin, bestSum = s, minD, sumD
+		}
+	}
+	return best
+}
+
+// oracleCompute is the replaced Compute: the all-node root choice, the same
+// labelling (that did not change), then the old all-pairs construction.
 func oracleCompute(net *topology.Network, cfg Config) (*oracleTable, error) {
 	root := cfg.Root
 	if root == topology.None {
-		root = ChooseRoot(net, cfg.IgnoreHosts...)
+		root = oracleChooseRoot(net, cfg.IgnoreHosts...)
 	}
 	t := &Table{Net: net, Root: root}
 	t.label()
@@ -53,10 +89,10 @@ func (o *oracleTable) allPairs(t *Table, cfg Config) error {
 			if w.A.Node == w.B.Node {
 				continue
 			}
-			if !t.upEnd(w, from) {
+			to := w.Other(from)
+			if !t.isUp(from, to) {
 				continue
 			}
-			to := w.Other(from)
 			i, j := int(from.Node), int(to.Node)
 			if up[i][j] > 1 {
 				up[i][j] = 1
@@ -200,4 +236,55 @@ func (o *oracleTable) buildTurns(net *topology.Network) {
 			o.turns[s][d] = route
 		}
 	}
+}
+
+// oracleDeadlockFree is the replaced VerifyDeadlockFree verdict: the channel
+// dependency graph as nested maps keyed by (wire, direction), searched for a
+// cycle from its keys in map order.
+func oracleDeadlockFree(net *topology.Network, o *oracleTable) bool {
+	type channel struct {
+		wire  int
+		fromA bool
+	}
+	deps := make(map[channel]map[channel]bool)
+	for s, row := range o.paths {
+		for _, wires := range row {
+			cur := s
+			var prev *channel
+			for _, wi := range wires {
+				w := net.WireByIndex(wi)
+				from := w.B
+				if w.A.Node == cur {
+					from = w.A
+				}
+				ch := channel{wire: wi, fromA: from == w.A}
+				if prev != nil {
+					if deps[*prev] == nil {
+						deps[*prev] = make(map[channel]bool)
+					}
+					deps[*prev][ch] = true
+				}
+				prev = &ch
+				cur = w.Other(from).Node
+			}
+		}
+	}
+	colour := make(map[channel]int)
+	var visit func(c channel) bool // false on a cycle
+	visit = func(c channel) bool {
+		colour[c] = 1
+		for next := range deps[c] {
+			if colour[next] == 1 || (colour[next] == 0 && !visit(next)) {
+				return false
+			}
+		}
+		colour[c] = 2
+		return true
+	}
+	for c := range deps {
+		if colour[c] == 0 && !visit(c) {
+			return false
+		}
+	}
+	return true
 }

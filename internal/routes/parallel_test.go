@@ -10,9 +10,10 @@ import (
 	"sanmap/internal/topology"
 )
 
-// TestComputeSameAtAnyGOMAXPROCS: the fill pass splits source rows across
-// GOMAXPROCS goroutines, and the table must not depend on how. Every arena
-// and the Rng's next draw are compared with the single-goroutine build.
+// TestComputeSameAtAnyGOMAXPROCS: Compute builds serially, and the table
+// must not depend on GOMAXPROCS — a guard against a parallel fill coming
+// back without byte-identical output. The offsets, the turn arena and the
+// Rng's next draw are compared with the GOMAXPROCS 1 build.
 func TestComputeSameAtAnyGOMAXPROCS(t *testing.T) {
 	nets := map[string]*topology.Network{}
 	for _, spec := range []string{"fattree2:32x4", "now-cab"} {
@@ -45,8 +46,7 @@ func TestComputeSameAtAnyGOMAXPROCS(t *testing.T) {
 					want, wantDraw = tab, draw
 					continue
 				}
-				if !slices.Equal(tab.off, want.off) || !slices.Equal(tab.wires, want.wires) ||
-					!slices.Equal(tab.turns, want.turns) || draw != wantDraw {
+				if !slices.Equal(tab.off, want.off) || !slices.Equal(tab.turns, want.turns) || draw != wantDraw {
 					t.Fatalf("%s (Rng %v): GOMAXPROCS %d builds a different table or leaves the Rng elsewhere than GOMAXPROCS 1", name, withRng, procs)
 				}
 			}

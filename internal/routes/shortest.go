@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"sanmap/internal/simnet"
 	"sanmap/internal/topology"
 )
 
@@ -32,6 +31,7 @@ func ShortestPaths(net *topology.Network) (*Table, error) {
 	prevWire := make([]int, net.NumNodes())
 	dist := make([]int, net.NumNodes())
 	queue := make([]topology.NodeID, 0, net.NumNodes())
+	var path []int // one pair's wires
 	for si, s := range t.hosts {
 		// BFS recording the first wire on a shortest path to each node.
 		for i := range dist {
@@ -54,7 +54,7 @@ func ShortestPaths(net *topology.Network) (*Table, error) {
 			}
 		}
 		for di, d := range t.hosts {
-			lo := len(t.wires)
+			lo := len(t.turns)
 			t.off[si*len(t.hosts)+di] = uint32(lo)
 			if d == s {
 				continue
@@ -62,20 +62,19 @@ func ShortestPaths(net *topology.Network) (*Table, error) {
 			if dist[d] < 0 {
 				return nil, fmt.Errorf("routes: no path %s -> %s", net.NameOf(s), net.NameOf(d))
 			}
-			// Walk back from d to s, filling the pair's span from its end.
-			t.wires = slices.Grow(t.wires, dist[d])[:lo+dist[d]]
+			// Walk back from d to s, filling the pair's wires from the end,
+			// then turn them into the route.
+			path = slices.Grow(path[:0], dist[d])[:dist[d]]
 			cur := int(d)
-			for i := len(t.wires) - 1; i >= lo; i-- {
-				t.wires[i] = prevWire[cur]
+			for i := len(path) - 1; i >= 0; i-- {
+				path[i] = prevWire[cur]
 				cur = t.across(prevWire[cur], cur)
 			}
+			t.turns = slices.Grow(t.turns, len(path)-1)[:lo+len(path)-1]
+			t.walk(path, t.turns[lo:], s)
 		}
 	}
-	t.off[len(t.off)-1] = uint32(len(t.wires))
-	t.turns = make([]simnet.Turn, len(t.wires))
-	for slot := range t.off[1:] {
-		t.walkTurns(slot)
-	}
+	t.off[len(t.off)-1] = uint32(len(t.turns))
 	return t, nil
 }
 
@@ -85,9 +84,11 @@ func ShortestPaths(net *topology.Network) (*Table, error) {
 // this is the measurement.
 func (t *Table) LinkLoads() map[int]int {
 	loads := make(map[int]int)
-	for _, wi := range t.wires {
-		loads[wi]++
-	}
+	t.Pairs(func(_, _ topology.NodeID, p Path) {
+		for w := p.Walk(); w.Next(); {
+			loads[w.Wire()]++
+		}
+	})
 	return loads
 }
 

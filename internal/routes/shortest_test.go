@@ -2,6 +2,7 @@ package routes
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sanmap/internal/cluster"
@@ -45,6 +46,29 @@ func TestShortestPathsDeadlockOnTorus(t *testing.T) {
 	}
 	if err := safe.VerifyDeadlockFree(); err != nil {
 		t.Errorf("UP*/DOWN* on the same torus deadlocked: %v", err)
+	}
+}
+
+// TestDeadlockCycleReportStable: the cycle VerifyDeadlockFree names is the
+// same on every call and at any GOMAXPROCS, because the search runs over
+// dense channel numbers in ascending order rather than a map's.
+func TestDeadlockCycleReportStable(t *testing.T) {
+	naive, err := ShortestPaths(topology.MustTorus(4, 4, 1, rand.New(rand.NewSource(2))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := naive.VerifyDeadlockFree()
+	if want == nil {
+		t.Fatal("expected a channel-dependency cycle in naive torus routes")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		for i := 0; i < 20; i++ {
+			if got := naive.VerifyDeadlockFree(); got == nil || got.Error() != want.Error() {
+				t.Fatalf("GOMAXPROCS %d call %d: %v, first call: %v", procs, i, got, want)
+			}
+		}
 	}
 }
 
@@ -113,7 +137,8 @@ func TestMappedRoutesWorkOnActualNetwork(t *testing.T) {
 		// endpoints by host name.
 		actual := simnet.New(net, simnet.PacketModel, simnet.DefaultTiming())
 		checked := 0
-		tab.Pairs(func(src, dst topology.NodeID, _ []int, turns simnet.Route) {
+		tab.Pairs(func(src, dst topology.NodeID, p Path) {
+			turns := p.Route()
 			aSrc := net.Lookup(m.Network.NameOf(src))
 			aDst := net.Lookup(m.Network.NameOf(dst))
 			if aSrc == topology.None || aDst == topology.None {
@@ -151,7 +176,8 @@ func TestMappedRoutesOnNOW(t *testing.T) {
 	}
 	actual := simnet.New(net, simnet.PacketModel, simnet.DefaultTiming())
 	failures := 0
-	tab.Pairs(func(src, dst topology.NodeID, _ []int, turns simnet.Route) {
+	tab.Pairs(func(src, dst topology.NodeID, p Path) {
+		turns := p.Route()
 		aSrc := net.Lookup(m.Network.NameOf(src))
 		aDst := net.Lookup(m.Network.NameOf(dst))
 		res := actual.Eval(aSrc, turns)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
 
 	"sanmap/internal/simnet"
 	"sanmap/internal/topology"
@@ -34,7 +32,10 @@ func DefaultConfig() Config {
 }
 
 // Table is a computed route set: one relative-turn source route per ordered
-// host pair, held in two flat arenas (doc.go has the layout's rationale).
+// host pair, held in one flat turn arena (doc.go has the layout's
+// rationale). The wires a route takes are not stored: the map and the turns
+// fix them, and WirePath walks them on demand over a snapshot of Net's
+// wiring taken when the table was built.
 type Table struct {
 	Net    *topology.Network
 	Root   topology.NodeID
@@ -44,21 +45,18 @@ type Table struct {
 
 	// hosts lists the hosts in ascending id order and ord maps a node id
 	// back to its position there (-1 for switches). Ordered pair (s, d) is
-	// slot ord[s]*len(hosts)+ord[d]; its wire path is
-	// wires[off[slot]:off[slot+1]], empty on the diagonal. turns runs
-	// parallel to wires — turns[i] is the turn taken onto wires[i] — so the
-	// pair's route is turns[off[slot]+1:off[slot+1]] and the first cell of
-	// every span is unused.
+	// slot ord[s]*len(hosts)+ord[d], and its route is
+	// turns[off[slot]:off[slot+1]], empty on the diagonal.
 	hosts []topology.NodeID
 	ord   []int32
 	off   []uint32
-	wires []int
 	turns []simnet.Turn
+	ends  ends // what WirePath walks
 }
 
 // newTable returns an empty table over net's hosts with room for off.
 func newTable(net *topology.Network, root topology.NodeID) *Table {
-	t := &Table{Net: net, Root: root, hosts: net.Hosts(), ord: make([]int32, net.NumNodes())}
+	t := &Table{Net: net, Root: root, hosts: net.Hosts(), ord: make([]int32, net.NumNodes()), ends: newEnds(net)}
 	for i := range t.ord {
 		t.ord[i] = -1
 	}
@@ -74,30 +72,74 @@ func newTable(net *topology.Network, root topology.NodeID) *Table {
 // then lowest id. This "picks a natural root of the network and allows
 // packets to flow up to the least common ancestor of a source and
 // destination".
+//
+// A host has one wire, so its distance from any switch is its own switch's
+// distance plus one. One BFS per switch over the switch graph alone
+// therefore suffices: each switch with hosts counts once, weighted by its
+// non-ignored hosts.
 func ChooseRoot(net *topology.Network, ignore ...topology.NodeID) topology.NodeID {
-	hosts := net.Hosts()
-	for _, h := range ignore {
-		if i := slices.Index(hosts, h); i >= 0 {
-			hosts = slices.Delete(hosts, i, i+1)
+	swNode := net.Switches()
+	S := len(swNode)
+	sw := make([]int32, net.NumNodes())
+	for i := range sw {
+		sw[i] = -1
+	}
+	for i, s := range swNode {
+		sw[s] = int32(i)
+	}
+	// weight[i]: the non-ignored hosts cabled to switch i; leaves: the
+	// switches with any.
+	weight := make([]int, S)
+	var leaves []int32
+	for _, h := range net.Hosts() {
+		s, _, ok := net.HostSwitch(h)
+		if !ok || sw[s] < 0 || slices.Contains(ignore, h) {
+			continue // unreachable from every switch, or ignored
 		}
+		if weight[sw[s]] == 0 {
+			leaves = append(leaves, sw[s])
+		}
+		weight[sw[s]]++
+	}
+	// The switch graph in CSR form, over switch ordinals.
+	ix := net.Index()
+	adjOff := make([]int32, S+1)
+	var adj []int32
+	for i, s := range swNode {
+		for _, v := range ix.Neighbors(s) {
+			if sw[v] >= 0 && topology.NodeID(v) != s {
+				adj = append(adj, sw[v])
+			}
+		}
+		adjOff[i+1] = int32(len(adj))
 	}
 	best := topology.None
 	bestMin, bestSum := -1, -1
-	// One BFS per switch over the CSR index, reusing a single distance
-	// buffer — the dominant cost of route computation on large fabrics.
-	ix := net.Index()
-	dist := make([]int32, ix.NumNodes())
-	for _, s := range net.Switches() {
-		ix.BFSInto(s, dist)
+	dist := make([]int32, S)
+	queue := make([]int32, 0, S)
+	for i, s := range swNode {
+		for k := range dist {
+			dist[k] = -1
+		}
+		dist[i] = 0
+		queue = append(queue[:0], int32(i))
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, v := range adj[adjOff[u]:adjOff[u+1]] {
+				if dist[v] < 0 {
+					dist[v] = dist[u] + 1
+					queue = append(queue, v)
+				}
+			}
+		}
 		minD, sumD := math.MaxInt, 0
-		for _, h := range hosts {
-			if dist[h] < 0 {
+		for _, l := range leaves {
+			if dist[l] < 0 {
 				continue
 			}
-			if int(dist[h]) < minD {
-				minD = int(dist[h])
-			}
-			sumD += int(dist[h])
+			d := int(dist[l]) + 1
+			minD = min(minD, d)
+			sumD += weight[l] * d
 		}
 		if minD == math.MaxInt {
 			continue
@@ -198,10 +240,9 @@ func (t *Table) label() {
 	}
 }
 
-// upEnd reports whether traversing wire w from end e is an "up" move
-// (toward a smaller label; a valid route is up moves then down moves).
-func (t *Table) upEnd(w topology.Wire, from topology.End) bool {
-	to := w.Other(from)
+// isUp reports whether crossing a wire from end `from` to end `to` is an "up"
+// move (toward a smaller label; a valid route is up moves then down moves).
+func (t *Table) isUp(from, to topology.End) bool {
 	return t.Labels[to.Node] < t.Labels[from.Node]
 }
 
@@ -215,7 +256,8 @@ func (t *Table) upEnd(w topology.Wire, from topology.End) bool {
 // never meeting or transit nodes, FW runs over switches alone, and the pair
 // (s,t) is s's wire, the path of the leaf-switch pair (leaf(s), leaf(t)),
 // then t's wire — the meeting-node scan and both extractions happen once
-// per leaf-switch pair, into a template every host pair under it copies.
+// per leaf-switch pair, into a template; each leaf's prototype row is built
+// from the templates once, and every host row copies its leaf's.
 func (t *Table) allPairs(cfg Config) error {
 	net := t.Net
 	const inf = int32(math.MaxInt32 / 4)
@@ -242,7 +284,7 @@ func (t *Table) allPairs(cfg Config) error {
 			return // loopback cables are never on shortest paths; host wires are added per pair
 		}
 		for _, from := range [2]topology.End{w.A, w.B} {
-			if !t.upEnd(w, from) {
+			if !t.isUp(from, w.Other(from)) {
 				continue
 			}
 			k := int(sw[from.Node])*S + int(sw[w.Other(from).Node])
@@ -295,13 +337,11 @@ func (t *Table) allPairs(cfg Config) error {
 	// their first host pair under ascending (s,t).
 	H := len(t.hosts)
 	var leaves []int           // each leaf's switch ordinal,
-	lord := make([]int32, H)   // each host's leaf ordinal,
-	leafPort := make([]int, H) // the port it occupies there
-	hostWire := make([]int, H) // and the wire between them
+	lord := make([]int32, H)   // each host's leaf ordinal
+	leafPort := make([]int, H) // and the port it occupies there
 	lordOf := make([]int32, S) // a switch's leaf ordinal + 1; 0 if it has no host
 	for i, h := range t.hosts {
-		hostWire[i] = net.WireAt(h, topology.HostPort)
-		far := net.WireByIndex(hostWire[i]).Other(topology.End{Node: h, Port: topology.HostPort})
+		far, _ := net.Neighbor(h, topology.HostPort)
 		a := sw[far.Node]
 		if lordOf[a] == 0 {
 			leaves = append(leaves, int(a))
@@ -314,14 +354,19 @@ func (t *Table) allPairs(cfg Config) error {
 	// Template pass, serial: each leaf pair picks its meeting node — first
 	// strict minimum over ascending switches — and the best cost is the
 	// exact length of its middle, so the template arena is sized before it
-	// exists. A leaf paired with itself has an empty middle.
+	// exists. A template is the route between two hosts on the pair's
+	// leaves with the host ports left out: one turn per switch on the way,
+	// the first still the raw port the route leaves the source leaf by and
+	// the last minus the port it enters the destination leaf by. A leaf
+	// paired with itself has the one turn 0.
 	paths := make([]leafPath, L*L)
 	meet := make([]int32, L*L)
-	n := int32(0)
+	n, longest := int32(0), int32(0)
 	for i, a := range leaves {
 		for j, b := range leaves {
 			p := &paths[i*L+j]
-			p.lo = n
+			p.lo, p.n = n, 1
+			n++
 			if i == j {
 				continue
 			}
@@ -336,108 +381,96 @@ func (t *Table) allPairs(cfg Config) error {
 				s, d := t.hosts[slices.Index(lord, int32(i))], t.hosts[slices.Index(lord, int32(j))]
 				return fmt.Errorf("routes: no compliant path %s -> %s", net.NameOf(s), net.NameOf(d))
 			}
-			meet[i*L+j], p.n = int32(bestW), bestC
+			meet[i*L+j], p.n = int32(bestW), bestC+1
 			n += bestC
+			longest = max(longest, bestC)
 		}
 	}
 	// Extract each middle (up half, then the down half reversed where it
 	// lies) and walk its turns.
-	mids, midTurns := make([]int, n), make([]simnet.Turn, n)
+	tmpl, mid := make([]simnet.Turn, n), make([]int, longest)
 	for i, a := range leaves {
 		for j, b := range leaves {
 			p := &paths[i*L+j]
-			if p.n == 0 {
+			if i == j {
 				continue
 			}
-			mid := mids[p.lo : p.lo+p.n]
+			mid := mid[:p.n-1]
 			w := int(meet[i*L+j])
 			k := up[a*S+w]
 			fillUp(mid[:k], a, w)
 			fillUp(mid[k:], b, w)
 			slices.Reverse(mid[k:])
-			out, in := t.walk(mid, midTurns[p.lo:p.lo+p.n], swNode[a])
-			p.out, p.in = int32(out), int32(in)
+			cell := tmpl[p.lo : p.lo+p.n]
+			out, in := t.walk(mid, cell[1:p.n-1], swNode[a])
+			cell[0], cell[p.n-1] = simnet.Turn(out), simnet.Turn(-in)
 		}
 	}
 
-	// Row starts: a source row's length depends only on its leaf — each
-	// pair's span is the template's middle between two host wires — so one
-	// pass per leaf pair and a prefix sum over hosts size the whole arena.
-	// Each row's start is parked in its first slot's offset.
-	perLeaf := make([]int, L) // hosts on each leaf
-	for _, i := range lord {
-		perLeaf[i]++
-	}
-	rowLen := make([]int, L)
+	// Prototype rows: leaf i's row over every destination host in ascending
+	// order, each cell its leaf pair's template with the destination's port
+	// added to the last turn. rel[i*H+di] is where destination di's cell
+	// starts in it. Turns wrap like int8s, so adding a port now and
+	// subtracting the source's later gives the bytes the two-port
+	// difference would.
+	protoOff := make([]uint32, L+1)
 	for i := range leaves {
-		rowLen[i] = -2 // a host's own pair has no span
-		for j, c := range perLeaf {
-			rowLen[i] += c * (2 + int(paths[i*L+j].n))
+		protoOff[i+1] = protoOff[i]
+		for _, j := range lord {
+			protoOff[i+1] += uint32(paths[i*L+int(j)].n)
 		}
 	}
-	total := 0
-	for si, i := range lord {
-		t.off[si*H] = uint32(total)
-		total += rowLen[i]
+	proto, rel := make([]simnet.Turn, protoOff[L]), make([]uint32, L*H)
+	for i := range leaves {
+		pos := uint32(0)
+		row := proto[protoOff[i]:protoOff[i+1]]
+		for di, j := range lord {
+			p := paths[i*L+int(j)]
+			rel[i*H+di] = pos
+			cell := row[pos : pos+uint32(p.n)]
+			copy(cell, tmpl[p.lo:p.lo+p.n])
+			cell[p.n-1] += simnet.Turn(leafPort[di])
+			pos += uint32(p.n)
+		}
 	}
-	t.off[H*H] = uint32(total)
 
-	// Fill pass: contiguous blocks of source rows, one per GOMAXPROCS, each
-	// writing only its own rows' offsets and spans. A pair copies its
-	// template's middle and interior turns; the two turns at the leaves are
-	// written from the host ports directly.
-	t.wires, t.turns = make([]int, total), make([]simnet.Turn, total)
-	fillRows := func(from, to int) {
-		for si := from; si < to; si++ {
-			row := paths[int(lord[si])*L : int(lord[si]+1)*L]
-			off := t.off[si*H : si*H+H]
-			pos := off[0]
-			for di, dl := range lord {
-				off[di] = pos
-				if di == si {
-					continue
-				}
-				p := &row[dl]
-				wires, turns := t.wires[pos:pos+2+uint32(p.n)], t.turns[pos:pos+2+uint32(p.n)]
-				wires[0], wires[len(wires)-1] = hostWire[si], hostWire[di]
-				if p.n == 0 {
-					turns[1] = simnet.Turn(leafPort[di] - leafPort[si])
-				} else {
-					// The middles are a few wires long: a loop beats copy's call.
-					for x, w := range mids[p.lo : p.lo+p.n] {
-						wires[1+x] = w
-					}
-					for x, turn := range midTurns[p.lo+1 : p.lo+p.n] {
-						turns[2+x] = turn
-					}
-					turns[1] = simnet.Turn(int(p.out) - leafPort[si])
-					turns[len(turns)-1] = simnet.Turn(leafPort[di] - int(p.in))
-				}
-				pos += uint32(len(wires))
-			}
+	// Fill pass: a host's row is its leaf's prototype without the host's
+	// own one-turn cell, then the host's port subtracted from the first
+	// turn of every pair. Rows are laid out in host order, so each row
+	// starts where the previous one ends.
+	total := 0
+	for _, i := range lord {
+		total += int(protoOff[i+1]-protoOff[i]) - 1
+	}
+	t.turns = make([]simnet.Turn, total)
+	pos := uint32(0)
+	for si, i := range lord {
+		pr, r := proto[protoOff[i]:protoOff[i+1]], rel[int(i)*H:int(i+1)*H]
+		own := r[si]
+		row := t.turns[pos : pos+uint32(len(pr))-1]
+		copy(row, pr[:own])
+		copy(row[own:], pr[own+1:])
+		off := t.off[si*H : si*H+H]
+		port := simnet.Turn(leafPort[si])
+		for di, x := range r[:si] {
+			off[di] = pos + x
+			row[x] -= port
 		}
+		off[si] = pos + own
+		for di, x := range r[si+1:] {
+			off[si+1+di] = pos + x - 1
+			row[x-1] -= port
+		}
+		pos += uint32(len(row))
 	}
-	blocks := min(runtime.GOMAXPROCS(0), H)
-	var wg sync.WaitGroup
-	for b := 0; b < blocks; b++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fillRows(b*H/blocks, (b+1)*H/blocks)
-		}()
-	}
-	wg.Wait()
+	t.off[H*H] = pos
 	return nil
 }
 
-// leafPath is the template of every route between two leaf switches: the
-// middle between the two host wires, held at [lo, lo+n) in the template
-// arenas with its interior turns, and the ports the middle leaves the
-// source leaf by and enters the destination leaf by. n is 0 when the two
-// leaves are one switch.
+// leafPath locates the template of every route between two leaf switches
+// in the template arena: n turns from lo, one per switch on the way.
 type leafPath struct {
-	lo, n   int32
-	out, in int32
+	lo, n int32
 }
 
 // across returns the node on the far side of wire wi from node `from`.
@@ -449,15 +482,8 @@ func (t *Table) across(wi, from int) int {
 	return int(w.A.Node)
 }
 
-// walkTurns converts one slot's wire path into the relative-turn source
-// route the interfaces consume.
-func (t *Table) walkTurns(slot int) {
-	lo, hi := t.off[slot], t.off[slot+1]
-	t.walk(t.wires[lo:hi], t.turns[lo:hi], t.hosts[slot/len(t.hosts)])
-}
-
-// walk follows wires from node cur and writes turns[i], for i ≥ 1, the turn
-// taken from wires[i-1] onto wires[i]: at each intermediate switch the
+// walk follows wires from node cur and writes turns[i-1], for i ≥ 1, the
+// turn taken from wires[i-1] onto wires[i]: at each intermediate switch the
 // routing flit is the signed difference between the output and input ports
 // (§2.2's addressing). It returns the port the first wire leaves cur by and
 // the port the last wire arrives on.
@@ -471,23 +497,23 @@ func (t *Table) walk(wires []int, turns []simnet.Turn, cur topology.NodeID) (out
 		if i == 0 {
 			out = from.Port
 		} else {
-			turns[i] = simnet.Turn(from.Port - in)
+			turns[i-1] = simnet.Turn(from.Port - in)
 		}
 		cur, in = to.Node, to.Port
 	}
 	return out, in
 }
 
-// span returns the arena bounds of the pair's wire path; lo == hi when the
+// span returns the arena bounds of the pair's route; ok is false when the
 // table holds no route from src to dst.
 //
 //sanlint:hotpath
-func (t *Table) span(src, dst topology.NodeID) (lo, hi uint32) {
-	if uint(src) >= uint(len(t.ord)) || uint(dst) >= uint(len(t.ord)) || t.ord[src] < 0 || t.ord[dst] < 0 {
-		return 0, 0
+func (t *Table) span(src, dst topology.NodeID) (lo, hi uint32, ok bool) {
+	if uint(src) >= uint(len(t.ord)) || uint(dst) >= uint(len(t.ord)) || t.ord[src] < 0 || t.ord[dst] < 0 || src == dst {
+		return 0, 0, false
 	}
 	slot := int(t.ord[src])*len(t.hosts) + int(t.ord[dst])
-	return t.off[slot], t.off[slot+1]
+	return t.off[slot], t.off[slot+1], true
 }
 
 // Route returns the turn route from src to dst. The slice aliases the
@@ -495,28 +521,34 @@ func (t *Table) span(src, dst topology.NodeID) (lo, hi uint32) {
 //
 //sanlint:hotpath
 func (t *Table) Route(src, dst topology.NodeID) (simnet.Route, bool) {
-	lo, hi := t.span(src, dst)
-	if lo == hi {
+	lo, hi, ok := t.span(src, dst)
+	if !ok {
 		return nil, false
 	}
-	return t.turns[lo+1 : hi : hi], true
+	return t.turns[lo:hi:hi], true
 }
 
-// WirePath returns the wire sequence from src to dst, aliasing the arena
-// like Route.
+// WirePath returns the wire path from src to dst: the route's turns read
+// against Net, walked on demand.
 //
 //sanlint:hotpath
-func (t *Table) WirePath(src, dst topology.NodeID) ([]int, bool) {
-	lo, hi := t.span(src, dst)
-	return t.wires[lo:hi:hi], lo != hi
+func (t *Table) WirePath(src, dst topology.NodeID) (Path, bool) {
+	lo, hi, ok := t.span(src, dst)
+	if !ok {
+		return Path{}, false
+	}
+	return Path{t: t, src: src, lo: lo, hi: hi}, true
 }
 
 // Pairs calls f for every ordered host pair with a route, in ascending
 // (src, dst) order.
-func (t *Table) Pairs(f func(src, dst topology.NodeID, wires []int, turns simnet.Route)) {
-	for slot, lo := range t.off[:len(t.off)-1] {
-		if hi := t.off[slot+1]; lo < hi {
-			f(t.hosts[slot/len(t.hosts)], t.hosts[slot%len(t.hosts)], t.wires[lo:hi:hi], t.turns[lo+1:hi:hi])
+func (t *Table) Pairs(f func(src, dst topology.NodeID, p Path)) {
+	H := len(t.hosts)
+	for si, s := range t.hosts {
+		for di, d := range t.hosts {
+			if si != di {
+				f(s, d, Path{t: t, src: s, lo: t.off[si*H+di], hi: t.off[si*H+di+1]})
+			}
 		}
 	}
 }

@@ -185,9 +185,9 @@ func TestNoRouteThroughLoopback(t *testing.T) {
 	loop := net.NumWires() - 1
 	tab := computeOn(t, net, DefaultConfig())
 	verifyAll(t, tab)
-	tab.Pairs(func(s, d topology.NodeID, wires []int, _ simnet.Route) {
-		for _, wi := range wires {
-			if wi == loop {
+	tab.Pairs(func(s, d topology.NodeID, p Path) {
+		for w := p.Walk(); w.Next(); {
+			if w.Wire() == loop {
 				t.Errorf("route %s->%s uses loopback cable", net.NameOf(s), net.NameOf(d))
 			}
 		}

@@ -2,6 +2,7 @@ package routes
 
 import (
 	"fmt"
+	"slices"
 
 	"sanmap/internal/simnet"
 	"sanmap/internal/topology"
@@ -12,109 +13,107 @@ import (
 // onto an up edge").
 func (t *Table) VerifyUpDown() error {
 	var firstErr error
-	t.Pairs(func(src, dst topology.NodeID, wires []int, _ simnet.Route) {
+	t.Pairs(func(src, dst topology.NodeID, p Path) {
 		if firstErr != nil {
 			return
 		}
-		cur := src
-		wentDown := false
-		for _, wi := range wires {
-			w := t.Net.WireByIndex(wi)
-			var from topology.End
-			if w.A.Node == cur {
-				from = w.A
-			} else {
-				from = w.B
-			}
-			up := t.upEnd(w, from)
+		end, wentDown := src, false
+		for w := p.Walk(); w.Next(); {
+			up := t.isUp(w.From(), w.To())
 			if up && wentDown {
 				firstErr = fmt.Errorf("routes: %s -> %s turns from down onto up at wire %d",
-					t.Net.NameOf(src), t.Net.NameOf(dst), wi)
+					t.Net.NameOf(src), t.Net.NameOf(dst), w.Wire())
 				return
 			}
 			if !up {
 				wentDown = true
 			}
-			cur = w.Other(from).Node
+			end = w.To().Node
 		}
-		if cur != dst {
+		if end != dst {
 			firstErr = fmt.Errorf("routes: %s -> %s path ends at node %d",
-				t.Net.NameOf(src), t.Net.NameOf(dst), cur)
+				t.Net.NameOf(src), t.Net.NameOf(dst), end)
 		}
 	})
 	return firstErr
 }
 
-// channel identifies a directed link occupancy: a wire plus the traversal
-// direction, the unit of the Dally-Seitz dependency analysis the paper
-// invokes for deadlock freedom.
-type channel struct {
-	wire  int
-	fromA bool
-}
-
 // VerifyDeadlockFree builds the channel dependency graph induced by the
 // route set — an arc from channel c1 to c2 whenever some route occupies c2
 // while holding c1 — and reports an error if it contains a cycle (a
-// potential wormhole deadlock).
+// potential wormhole deadlock). A channel is a directed link occupancy, the
+// unit of the Dally-Seitz dependency analysis the paper invokes for
+// deadlock freedom, numbered densely two per wire slot (Walker.Channel).
+// The arcs are deduplicated into a CSR graph and searched depth-first from
+// each channel in ascending order, each channel's arcs in ascending order,
+// so the cycle reported is the same on every call.
 func (t *Table) VerifyDeadlockFree() error {
-	deps := make(map[channel]map[channel]bool)
-	t.Pairs(func(src, dst topology.NodeID, wires []int, _ simnet.Route) {
-		cur := src
-		var prev *channel
-		for _, wi := range wires {
-			w := t.Net.WireByIndex(wi)
-			var from topology.End
-			if w.A.Node == cur {
-				from = w.A
-			} else {
-				from = w.B
-			}
-			ch := channel{wire: wi, fromA: from == w.A}
-			if prev != nil {
-				m := deps[*prev]
-				if m == nil {
-					m = make(map[channel]bool)
-					deps[*prev] = m
+	C := 2 * t.Net.NumWireSlots()
+	// arcs calls f for every consecutive channel pair on every route.
+	arcs := func(f func(c1, c2 int32)) {
+		t.Pairs(func(_, _ topology.NodeID, p Path) {
+			prev := int32(-1)
+			for w := p.Walk(); w.Next(); {
+				c := int32(w.Channel())
+				if prev >= 0 {
+					f(prev, c)
 				}
-				m[ch] = true
+				prev = c
 			}
-			p := ch
-			prev = &p
-			cur = w.Other(from).Node
-		}
+		})
+	}
+	// Count each channel's arcs, place them, then deduplicate each
+	// channel's list in place (mark[c2] == c1+1: already kept) and sort it.
+	off := make([]int32, C+1)
+	arcs(func(c1, _ int32) { off[c1+1]++ })
+	for c := range C {
+		off[c+1] += off[c]
+	}
+	succ, next := make([]int32, off[C]), slices.Clone(off[:C])
+	arcs(func(c1, c2 int32) {
+		succ[next[c1]] = c2
+		next[c1]++
 	})
-	// Iterative DFS cycle detection (colours: 0 white, 1 grey, 2 black).
-	colour := make(map[channel]int, len(deps))
-	var stack []channel
-	for start := range deps {
+	mark := make([]int32, C)
+	n := int32(0)
+	for c := range C {
+		lo := n
+		for _, c2 := range succ[off[c]:off[c+1]] {
+			if mark[c2] != int32(c)+1 {
+				mark[c2] = int32(c) + 1
+				succ[n] = c2
+				n++
+			}
+		}
+		slices.Sort(succ[lo:n])
+		off[c] = lo
+	}
+	off[C] = n
+	// Iterative DFS (colours: 0 unvisited, 1 on the stack, 2 done); a
+	// frame is a channel and the index of its next arc.
+	colour := make([]uint8, C)
+	var stack [][2]int32
+	for start := range C {
 		if colour[start] != 0 {
 			continue
 		}
-		stack = append(stack[:0], start)
-		path := []channel{}
+		colour[start] = 1
+		stack = append(stack[:0], [2]int32{int32(start), off[start]})
 		for len(stack) > 0 {
-			c := stack[len(stack)-1]
+			f := &stack[len(stack)-1]
+			if f[1] == off[f[0]+1] {
+				colour[f[0]] = 2
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			c := succ[f[1]]
+			f[1]++
 			switch colour[c] {
+			case 1:
+				return fmt.Errorf("routes: channel dependency cycle through wire %d", c/2)
 			case 0:
 				colour[c] = 1
-				path = append(path, c)
-				for next := range deps[c] {
-					if colour[next] == 1 {
-						return fmt.Errorf("routes: channel dependency cycle through wire %d", next.wire)
-					}
-					if colour[next] == 0 {
-						stack = append(stack, next)
-					}
-				}
-			case 1:
-				colour[c] = 2
-				stack = stack[:len(stack)-1]
-				if len(path) > 0 && path[len(path)-1] == c {
-					path = path[:len(path)-1]
-				}
-			default:
-				stack = stack[:len(stack)-1]
+				stack = append(stack, [2]int32{c, off[c]})
 			}
 		}
 	}
@@ -130,10 +129,11 @@ func (t *Table) VerifyDeadlockFree() error {
 func (t *Table) VerifyDelivery(net *topology.Network) error {
 	sn := simnet.New(net, simnet.PacketModel, simnet.DefaultTiming())
 	var firstErr error
-	t.Pairs(func(src, dst topology.NodeID, _ []int, turns simnet.Route) {
+	t.Pairs(func(src, dst topology.NodeID, p Path) {
 		if firstErr != nil {
 			return
 		}
+		turns := p.Route()
 		res := sn.Eval(src, turns)
 		if res.Outcome != simnet.Delivered || res.Dest != dst {
 			firstErr = fmt.Errorf("routes: route %v from %s to %s: %s at node %d",
