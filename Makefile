@@ -33,8 +33,14 @@ vet:
 # Surface checks, in the order they run:
 #  1. The module has no external importers, so a deprecated symbol is
 #     always deletable now rather than kept.
-#  2. simnet declares exactly one prober interface, Prober: a second is a
-#     transport-specific submit path or the compatibility layer growing back.
+#  2. Prober is the whole transport view. simnet declares exactly one prober
+#     interface, Prober: a second is a transport-specific submit path or the
+#     compatibility layer growing back. MaxPorts and Stats are on Prober, so
+#     nothing in the module sniffs a prober for them with an anonymous
+#     interface (a wrapper that embeds Prober inherits both, and a sniff
+#     would silently miss them). genspec declares no Register, Lookup or
+#     interface type: the generators are one table, and nothing outside it
+#     registers one.
 #  3. sanmapd's replies stay typed: map[string]any belongs to tests, and in
 #     the serve path it is the per-query map and encoding/json reflection
 #     growing back.
@@ -90,6 +96,11 @@ lint: vet
 	@n=$$(cat internal/simnet/*.go | grep -cE '^type ([A-Za-z][A-Za-z0-9]*)?Prober interface'); \
 	if [ "$$n" -ne 1 ]; then \
 		echo "simnet declares $$n prober interfaces, want exactly one (Prober)"; exit 1; fi
+	@sniff=$$(grep -rnE --include='*.go' 'interface *\{ *(MaxPorts\(\) int|Stats\(\))' . ; \
+		grep -nE '^func (Register|Lookup)\(|^type [A-Za-z0-9_]+ interface' internal/genspec/*.go); \
+	if [ -n "$$sniff" ]; then \
+		echo "Prober is the whole transport view (MaxPorts and Stats are on it) and genspec a table, not a registry:"; \
+		echo "$$sniff"; exit 1; fi
 	@untyped=$$(grep -nE 'map\[string\](any|interface *\{)' $(MAPD_SRC)); \
 	if [ -n "$$untyped" ]; then \
 		echo "untyped reply maps in sanmapd's serve path (append typed replies instead):"; \

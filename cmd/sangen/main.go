@@ -8,7 +8,7 @@
 //	sangen -gen now-cab -o cab.san
 //	sangen -gen random:8,20,4 -seed 7 -analyze
 //	sangen -gen fattree:6x4 -tail 2 -analyze      # adds a hostless F region
-//	sangen -list                                  # enumerate registered generators
+//	sangen -list                                  # enumerate the generators
 package main
 
 import (
@@ -30,11 +30,11 @@ func main() {
 	tail := flag.Int("tail", 0, "attach a hostless switch tail of this length (creates F)")
 	loops := flag.Int("loops", 0, "add this many loopback plugs on free switch ports")
 	analyze := flag.Bool("analyze", false, "print D, Q, |F| and other analysis parameters")
-	list := flag.Bool("list", false, "list registered generators and exit")
+	list := flag.Bool("list", false, "list the generators and exit")
 	flag.Parse()
 
 	if *list {
-		listGenerators(os.Stdout)
+		genspec.List(os.Stdout)
 		return
 	}
 
@@ -83,18 +83,6 @@ func main() {
 		if err := printAnalysis(os.Stderr, net); err != nil {
 			die("%v", err)
 		}
-	}
-}
-
-// listGenerators enumerates the genspec registry, one generator per line.
-func listGenerators(w io.Writer) {
-	for _, name := range genspec.Names() {
-		g, _ := genspec.Lookup(name)
-		desc := ""
-		if d, ok := g.(genspec.Describer); ok {
-			desc = d.Describe()
-		}
-		fmt.Fprintf(w, "%-22s %s\n", genspec.UsageOf(g), desc)
 	}
 }
 

@@ -120,11 +120,10 @@ func (e *Endpoint) LocalHost() string { return e.net.quiet.Topology().NameOf(e.h
 // Clock implements simnet.Prober: the process's virtual time.
 func (e *Endpoint) Clock() time.Duration { return e.proc.Now() }
 
-// MaxPorts reports the fabric's largest port count, so mappers can
-// discover the switch radix to plan for.
+// MaxPorts implements simnet.Prober.
 func (e *Endpoint) MaxPorts() int { return e.net.quiet.Topology().MaxPorts() }
 
-// Stats implements the optional probe-counter interface.
+// Stats implements simnet.Prober.
 func (e *Endpoint) Stats() simnet.Stats { return e.stats }
 
 // Submit implements simnet.Prober: pay the per-probe host overhead,

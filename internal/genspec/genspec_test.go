@@ -29,6 +29,22 @@ func TestBuildValidSpecs(t *testing.T) {
 		"star:3":          {6, 4},
 		"line:3":          {6, 3},
 	}
+	// Build finds rows by binary search, so the table must stay strictly
+	// sorted by name; every row has a case here.
+	covered := map[string]bool{}
+	for spec := range cases {
+		name, _, _ := strings.Cut(spec, ":")
+		covered[name] = true
+	}
+	names := Names()
+	for i, name := range names {
+		if i > 0 && names[i-1] >= name {
+			t.Errorf("table not strictly sorted: %q before %q", names[i-1], name)
+		}
+		if !covered[name] {
+			t.Errorf("no case builds generator %q", name)
+		}
+	}
 	for spec, want := range cases {
 		res, err := Build(spec, rng)
 		if err != nil {

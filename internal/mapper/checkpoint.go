@@ -113,11 +113,12 @@ func b2i(b bool) int {
 }
 
 // configLine renders the fields a restore must agree on.
-func configLine(cfg Config) string {
+func (r *run) configLine() string {
+	cfg := r.cfg
 	// The trailing 1 is the column of a retired switch (skip slots that
 	// already hold an edge) that was never anything but on.
 	return fmt.Sprintf("config %d %d %d %d %d %d %d %d 1",
-		cfg.Depth, cfg.MaxPorts, cfg.Confirm, cfg.FaultBudget,
+		cfg.Depth, r.model.maxPorts, cfg.Confirm, cfg.FaultBudget,
 		cfg.Policy, cfg.ProbeOrder, cfg.TurnOrder,
 		b2i(cfg.EliminateProbes))
 }
@@ -138,7 +139,7 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
 	fmt.Fprintln(w, checkpointMagic)
-	fmt.Fprintln(w, configLine(r.cfg))
+	fmt.Fprintln(w, r.configLine())
 	fmt.Fprintf(w, "heal %d %d %d %d %d\n",
 		s.heal.round, b2i(s.heal.sweepDone), s.heal.dropped, b2i(s.heal.done), b2i(r.partial))
 	fmt.Fprintf(w, "stats %d %d %d %d %d %d %d %d\n",
@@ -410,7 +411,7 @@ func RestoreSession(p simnet.Prober, data []byte, opts ...Option) (*Session, err
 	if err != nil {
 		return nil, err
 	}
-	if want := configLine(r.cfg); line != want {
+	if want := r.configLine(); line != want {
 		return nil, fmt.Errorf("%w: checkpoint %q vs session %q", ErrCheckpointMismatch, line, want)
 	}
 

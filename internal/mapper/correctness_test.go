@@ -201,11 +201,12 @@ func TestModelInvariants(t *testing.T) {
 	cfg := DefaultConfig(net.DepthBound(h0))
 	cfg.MaxVertices = 1 << 20
 	ep := sn.Endpoint(h0)
-	if err := resolveMaxPorts(&cfg, ep); err != nil {
+	maxPorts, err := proberRadix(ep)
+	if err != nil {
 		t.Fatal(err)
 	}
 	r := &run{cfg: cfg, p: ep, model: newModel()}
-	r.model.maxPorts = cfg.MaxPorts
+	r.model.maxPorts = maxPorts
 	h0v, _ := r.model.hostVertex(r.p.LocalHost(), simnet.Route{})
 	if len(r.turnSequence()) == 0 {
 		t.Fatal("empty turn sequence")

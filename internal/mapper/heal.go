@@ -182,7 +182,7 @@ func (r *run) sweep() (int, error) {
 					continue // loopback cable: no distinct far side to confirm
 				}
 				t := i - it.entry
-				if mt := r.cfg.MaxPorts - 1; t == 0 || t > mt || t < -mt {
+				if mt := r.model.maxPorts - 1; t == 0 || t > mt || t < -mt {
 					continue // unroutable from this entry; another visit may cover it
 				}
 				if len(it.route) >= r.cfg.Depth {

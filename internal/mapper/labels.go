@@ -293,10 +293,7 @@ func LabelRun(p simnet.Prober, depth int) (*Map, error) {
 	if mapperID == topology.None {
 		return nil, fmt.Errorf("mapper: label algorithm lost the mapping host")
 	}
-	st := Stats{Elapsed: p.Clock() - start}
-	if ns, ok := p.(interface{ Stats() simnet.Stats }); ok {
-		st.Probes = ns.Stats()
-	}
+	st := Stats{Elapsed: p.Clock() - start, Probes: p.Stats()}
 	return &Map{Network: net, Mapper: mapperID, Stats: st}, nil
 }
 

@@ -71,12 +71,6 @@ type Config struct {
 	EliminateProbes bool
 	// MaxVertices aborts pathological runs (0 = default 1<<20).
 	MaxVertices int
-	// MaxPorts is the largest switch radix the run plans for: it bounds
-	// the candidate turn magnitudes and the feasible-port windows. Zero
-	// discovers the value from the prober when it exposes MaxPorts()
-	// (simnet transports do) and falls back to the paper's 8-port default
-	// otherwise, so existing configurations behave identically.
-	MaxPorts int
 	// Snapshots enables the Fig 8 instrumentation: one Snapshot per switch
 	// exploration.
 	Snapshots bool
@@ -86,7 +80,8 @@ type Config struct {
 	Cancel func() bool
 	// Tracer, when non-nil, records the run onto the unified observability
 	// layer: phase spans ("explore-phase", "explore", "prune", "sweep")
-	// and one instant per TraceEvent, all under cat "mapper" (the
+	// and instants ("probe", "discover", "merge", "prune", "explore-done",
+	// "pipeline"), all under cat "mapper" (the
 	// self-healing fault log additionally lands under cat "heal"). See
 	// internal/obs.
 	Tracer *obs.Tracer
@@ -225,6 +220,10 @@ type run struct {
 	m runMetrics
 }
 
+// tracing reports whether the run records onto a tracer, so trace sites
+// can skip building instants nobody will read.
+func (r *run) tracing() bool { return r.cfg.Tracer != nil }
+
 // runMetrics is the mapper's obs handle set, mirroring the Stats fields
 // that describe deduction work (probe-engine counters live with the
 // window; transport counters with the net).
@@ -279,12 +278,13 @@ func newRun(p simnet.Prober, cfg Config) (*run, error) {
 	if cfg.MaxVertices == 0 {
 		cfg.MaxVertices = 1 << 20
 	}
-	if err := resolveMaxPorts(&cfg, p); err != nil {
+	maxPorts, err := proberRadix(p)
+	if err != nil {
 		return nil, err
 	}
 	r := &run{cfg: cfg, p: p, model: newModel(), m: registerRunMetrics(cfg.Metrics),
 		staleCount: make(map[*Vertex]int), start: p.Clock()}
-	r.model.maxPorts = cfg.MaxPorts
+	r.model.maxPorts = maxPorts
 	r.model.onInconsistency = r.noteContradiction
 	r.initPipeline()
 	return r, nil
@@ -370,9 +370,9 @@ func (r *run) markStale(v *Vertex) {
 }
 
 // turnSequence returns the candidate turns in configured order, bounded by
-// the configured switch radix (turn magnitudes up to MaxPorts-1).
+// the prober's switch radix (turn magnitudes up to MaxPorts-1).
 func (r *run) turnSequence() []simnet.Turn {
-	maxTurn := r.cfg.MaxPorts - 1
+	maxTurn := r.model.maxPorts - 1
 	var out []simnet.Turn
 	switch r.cfg.TurnOrder {
 	case SmallTurnsFirst:
@@ -389,18 +389,6 @@ func (r *run) turnSequence() []simnet.Turn {
 	return out
 }
 
-// proberMaxPorts discovers the largest port count of the fabric behind p,
-// for transports that expose it (simnet endpoints do); the paper's 8-port
-// default applies otherwise.
-func proberMaxPorts(p any) int {
-	if mp, ok := p.(interface{ MaxPorts() int }); ok {
-		if m := mp.MaxPorts(); m > 0 {
-			return m
-		}
-	}
-	return topology.SwitchPorts
-}
-
 // requireCaps rejects a transport that cannot execute every probe kind an
 // algorithm depends on.
 func requireCaps(p simnet.Prober, want simnet.ProbeCaps) error {
@@ -410,16 +398,14 @@ func requireCaps(p simnet.Prober, want simnet.ProbeCaps) error {
 	return nil
 }
 
-// resolveMaxPorts fills a zero Config.MaxPorts from the prober and bounds
-// the result to representable radices.
-func resolveMaxPorts(cfg *Config, p any) error {
-	if cfg.MaxPorts == 0 {
-		cfg.MaxPorts = proberMaxPorts(p)
+// proberRadix reads the switch radix the run plans for off the prober,
+// refusing one the model cannot represent.
+func proberRadix(p simnet.Prober) (int, error) {
+	mp := p.MaxPorts()
+	if mp < 2 || mp > topology.MaxSwitchRadix {
+		return 0, fmt.Errorf("mapper: prober MaxPorts %d outside [2, %d]", mp, topology.MaxSwitchRadix)
 	}
-	if cfg.MaxPorts < 2 || cfg.MaxPorts > topology.MaxSwitchRadix {
-		return fmt.Errorf("mapper: MaxPorts %d outside [2, %d]", cfg.MaxPorts, topology.MaxSwitchRadix)
-	}
-	return nil
+	return mp, nil
 }
 
 // explore pops one job: probes every candidate turn out of the switch the
@@ -469,7 +455,8 @@ func (r *run) explore(jb job) error {
 			if resp.Kind == simnet.RespHost {
 				desc = "host:" + resp.Host
 			}
-			r.emit(TraceEvent{Kind: TraceProbe, Probe: probeStr, Response: desc})
+			r.cfg.Tracer.Instant("mapper", "probe", r.p.Clock(),
+				obs.String("route", probeStr.String()), obs.String("resp", desc))
 		}
 		switch resp.Kind {
 		case simnet.RespNothing:
@@ -478,8 +465,9 @@ func (r *run) explore(jb job) error {
 			hv, created := r.model.hostVertex(resp.Host, probeStr)
 			// Host side is always the host's single port, index 0.
 			r.model.addEdge(root, idx, hv, 0)
-			if created {
-				r.emit(TraceEvent{Kind: TraceDiscover, Vertex: hv.id, Probe: probeStr})
+			if created && r.tracing() {
+				r.cfg.Tracer.Instant("mapper", "discover", r.p.Clock(),
+					obs.Int("vertex", hv.id), obs.String("route", probeStr.String()))
 			}
 		case simnet.RespSwitch:
 			w := r.model.newVertex(topology.SwitchNode, "", probeStr)
@@ -490,12 +478,16 @@ func (r *run) explore(jb job) error {
 			// wire back toward the mapper is its relative index 0.
 			r.model.addEdge(root, idx, w, 0)
 			r.front = append(r.front, job{v: w, route: probeStr})
-			r.emit(TraceEvent{Kind: TraceDiscover, Vertex: w.id, Probe: probeStr})
+			if r.tracing() {
+				r.cfg.Tracer.Instant("mapper", "discover", r.p.Clock(),
+					obs.Int("vertex", w.id), obs.String("route", probeStr.String()))
+			}
 		}
 		before := r.model.liveVerts
 		if r.tracing() {
 			r.model.onMerge = func(into, victim, shift int) {
-				r.emit(TraceEvent{Kind: TraceMerge, Vertex: into, Other: victim, Shift: shift})
+				r.cfg.Tracer.Instant("mapper", "merge", r.p.Clock(), obs.Int("into", into),
+					obs.Int("victim", victim), obs.String("shift", fmt.Sprintf("%+d", shift)))
 			}
 		}
 		r.model.processMerges()
@@ -513,7 +505,9 @@ func (r *run) explore(jb job) error {
 	}
 	root.explored = true
 	r.endStream()
-	r.emit(TraceEvent{Kind: TraceExplore, Vertex: root.id})
+	if r.tracing() {
+		r.cfg.Tracer.Instant("mapper", "explore-done", r.p.Clock(), obs.Int("vertex", root.id))
+	}
 	r.stats.Explorations++
 	r.m.explorations.Inc()
 	r.m.exploreTime.Observe(r.p.Clock() - began)
@@ -598,10 +592,8 @@ func (r *run) confirmResponse(s simnet.Route, first simnet.ProbeResponse) simnet
 func (r *run) prune() {
 	if r.tracing() {
 		r.model.onDelete = func(id int) {
-			r.emit(TraceEvent{Kind: TracePrune, Vertex: id})
+			r.cfg.Tracer.Instant("mapper", "prune", r.p.Clock(), obs.Int("vertex", id))
 		}
-	}
-	if r.cfg.Tracer != nil {
 		r.cfg.Tracer.Begin("mapper", "prune", r.p.Clock())
 		defer func() { r.cfg.Tracer.End(r.p.Clock()) }()
 	}

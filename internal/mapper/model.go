@@ -101,7 +101,7 @@ type Model struct {
 
 	// maxPorts is the switch radix the model plans for: the feasible-port
 	// windows pin relative indices into {0..maxPorts-1}. newModel defaults
-	// it to the paper's 8; runs override it from Config.MaxPorts.
+	// it to the paper's 8; runs override it from Prober.MaxPorts.
 	maxPorts int
 
 	liveVerts int

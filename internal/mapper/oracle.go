@@ -32,7 +32,10 @@ func OracleRun(p simnet.Prober, depth int) (*Map, error) {
 	}
 	start := p.Clock()
 	stats := Stats{}
-	maxPorts := proberMaxPorts(p)
+	maxPorts, err := proberRadix(p)
+	if err != nil {
+		return nil, err
+	}
 
 	type oswitch struct {
 		id    int
@@ -144,8 +147,6 @@ func OracleRun(p simnet.Prober, depth int) (*Map, error) {
 	}
 
 	stats.Elapsed = p.Clock() - start
-	if ns, ok := p.(interface{ Stats() simnet.Stats }); ok {
-		stats.Probes = ns.Stats()
-	}
+	stats.Probes = p.Stats()
 	return &Map{Network: net, Mapper: mapperID, Stats: stats}, nil
 }

@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"sanmap/internal/obs"
 	"sanmap/internal/simnet"
 )
 
@@ -36,7 +37,9 @@ func (r *run) finishPipeline() {
 		return
 	}
 	r.stats.Pipeline = r.win.Stats()
-	r.emit(TraceEvent{Kind: TracePipeline, Response: r.stats.Pipeline.String()})
+	if r.tracing() {
+		r.cfg.Tracer.Instant("mapper", "pipeline", r.p.Clock(), obs.String("stats", r.stats.Pipeline.String()))
+	}
 }
 
 // exploreStream drives one exploration's probe pairs through a

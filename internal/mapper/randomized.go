@@ -46,7 +46,7 @@ func RandomizedRun(p simnet.Prober, cfg RandomizedConfig) (*Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxTurnMagnitude <= 0 || cfg.MaxTurnMagnitude > r.cfg.MaxPorts-1 {
+	if cfg.MaxTurnMagnitude <= 0 || cfg.MaxTurnMagnitude > r.model.maxPorts-1 {
 		cfg.MaxTurnMagnitude = 4
 	}
 	rootSwitch := r.initialize()

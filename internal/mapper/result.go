@@ -102,9 +102,7 @@ type Result struct {
 func (r *run) result() (*Result, error) {
 	r.prune()
 	r.stats.Elapsed = r.p.Clock() - r.start
-	if ns, ok := r.p.(interface{ Stats() simnet.Stats }); ok {
-		r.stats.Probes = ns.Stats()
-	}
+	r.stats.Probes = r.p.Stats()
 	r.stats.Inconsistent = r.model.Inconsistencies
 	r.finishPipeline()
 

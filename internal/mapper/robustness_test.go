@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sanmap/internal/genspec"
 	"sanmap/internal/isomorph"
 	"sanmap/internal/simnet"
 	"sanmap/internal/topology"
@@ -39,9 +40,20 @@ func TestSentinelErrors(t *testing.T) {
 }
 
 // TestMapMoreTopologyFamilies extends the Theorem 1 property test to the
-// classic interconnects the paper's introduction contrasts SANs with.
+// classic interconnects the paper's introduction contrasts SANs with, and to
+// two fabrics wider than the paper's 8-port switches. Each family is mapped
+// twice: from the bare endpoint, and through a wrapper that embeds the
+// Prober interface (as FlakyProber and the test probers do), which must
+// plan for the same radix and report the same probe counters.
 func TestMapMoreTopologyFamilies(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
+	build := func(spec string) *topology.Network {
+		res, err := genspec.Build(spec, rng)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		return res.Net
+	}
 	nets := []struct {
 		name string
 		net  *topology.Network
@@ -50,11 +62,25 @@ func TestMapMoreTopologyFamilies(t *testing.T) {
 		{"torus", topology.MustTorus(3, 3, 2, rng)},
 		{"hypercube", topology.MustHypercube(3, 2, rng)},
 		{"line-long", topology.MustLine(7, 1, rng)},
+		{"butterfly:8x2", build("butterfly:8x2")},
+		{"d3:12,3,1", build("d3:12,3,1")},
 	}
 	for _, tc := range nets {
 		net := tc.net
 		t.Run(tc.name, func(t *testing.T) {
-			mapAndVerify(t, net, simnet.CircuitModel, nil)
+			bare := mapAndVerify(t, net, simnet.CircuitModel, nil)
+			h0 := net.Hosts()[0]
+			wrapped, err := Run(struct{ simnet.Prober }{simnet.NewDefault(net).Endpoint(h0)},
+				WithDepth(net.DepthBound(h0)))
+			if err != nil {
+				t.Fatalf("Run through a wrapper: %v", err)
+			}
+			if err := isomorph.MustEqualCore(wrapped.Network, net); err != nil {
+				t.Fatalf("map through a wrapper: %v", err)
+			}
+			if got, want := wrapped.Stats.Probes, bare.Stats.Probes; got != want {
+				t.Errorf("probes through a wrapper = %+v, bare endpoint = %+v", got, want)
+			}
 		})
 	}
 }

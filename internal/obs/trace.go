@@ -220,8 +220,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 
 // FormatLine renders one event as a deterministic text log line: the
 // virtual timestamp, a dotted cat.name label, then key=value args. It is
-// the single text rendering of an event — WriteText and the legacy
-// mapper.TraceEvent shim both call it.
+// the single text rendering of an event; WriteText calls it.
 func FormatLine(at time.Duration, cat, name string, args ...Arg) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%12v %-18s", at, cat+"."+name)

@@ -36,10 +36,11 @@
 // the int8s they are, so adding and subtracting ports separately gives the
 // bytes the two-port difference would. The fill is serial: at a copy and a
 // byte per pair, one goroutine per GOMAXPROCS measured slower than one.
-// The scan order and the Rng's draw order (one draw per parallel
-// switch-switch cable, in wire order) are those of the construction over
-// all nodes, so the tables are the same byte for byte: oracle_test.go keeps
-// the replaced construction, flat_diff_test.go compares against it, and
+// The scan order (the first of parallel switch-switch cables, in wire
+// order, carries every route between its ends) is that of the
+// construction over all nodes, so the tables are the same byte for byte:
+// oracle_test.go keeps the replaced construction, flat_diff_test.go
+// compares against it, and
 // parallel_test.go compares the arenas across GOMAXPROCS, so that a
 // parallel fill cannot come back unless it is byte-identical.
 //

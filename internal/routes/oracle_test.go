@@ -63,14 +63,14 @@ func oracleCompute(net *topology.Network, cfg Config) (*oracleTable, error) {
 	t := &Table{Net: net, Root: root}
 	t.label()
 	o := &oracleTable{}
-	if err := o.allPairs(t, cfg); err != nil {
+	if err := o.allPairs(t); err != nil {
 		return nil, err
 	}
 	o.buildTurns(net)
 	return o, nil
 }
 
-func (o *oracleTable) allPairs(t *Table, cfg Config) error {
+func (o *oracleTable) allPairs(t *Table) error {
 	n := t.Net.NumNodes()
 	const inf = int32(math.MaxInt32 / 4)
 	up := make([][]int32, n)
@@ -96,8 +96,6 @@ func (o *oracleTable) allPairs(t *Table, cfg Config) error {
 			i, j := int(from.Node), int(to.Node)
 			if up[i][j] > 1 {
 				up[i][j] = 1
-				via[i][j] = int32(wi)
-			} else if up[i][j] == 1 && cfg.Rng != nil && cfg.Rng.Intn(2) == 0 {
 				via[i][j] = int32(wi)
 			}
 		}

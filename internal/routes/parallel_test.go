@@ -12,8 +12,8 @@ import (
 
 // TestComputeSameAtAnyGOMAXPROCS: Compute builds serially, and the table
 // must not depend on GOMAXPROCS — a guard against a parallel fill coming
-// back without byte-identical output. The offsets, the turn arena and the
-// Rng's next draw are compared with the GOMAXPROCS 1 build.
+// back without byte-identical output. The offsets and the turn arena are
+// compared with the GOMAXPROCS 1 build.
 func TestComputeSameAtAnyGOMAXPROCS(t *testing.T) {
 	nets := map[string]*topology.Network{}
 	for _, spec := range []string{"fattree2:32x4", "now-cab"} {
@@ -28,27 +28,16 @@ func TestComputeSameAtAnyGOMAXPROCS(t *testing.T) {
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for name, net := range nets {
-		for _, withRng := range []bool{false, true} {
-			var want *Table
-			var wantDraw int64
-			for _, procs := range []int{1, 2, 8} {
-				runtime.GOMAXPROCS(procs)
-				cfg := DefaultConfig()
-				if withRng {
-					cfg.Rng = rand.New(rand.NewSource(5))
-				}
-				tab := computeOn(t, net, cfg)
-				var draw int64
-				if withRng {
-					draw = cfg.Rng.Int63()
-				}
-				if want == nil {
-					want, wantDraw = tab, draw
-					continue
-				}
-				if !slices.Equal(tab.off, want.off) || !slices.Equal(tab.turns, want.turns) || draw != wantDraw {
-					t.Fatalf("%s (Rng %v): GOMAXPROCS %d builds a different table or leaves the Rng elsewhere than GOMAXPROCS 1", name, withRng, procs)
-				}
+		var want *Table
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			tab := computeOn(t, net, DefaultConfig())
+			if want == nil {
+				want = tab
+				continue
+			}
+			if !slices.Equal(tab.off, want.off) || !slices.Equal(tab.turns, want.turns) {
+				t.Fatalf("%s: GOMAXPROCS %d builds a different table than GOMAXPROCS 1", name, procs)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package routes
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 
 	"sanmap/internal/simnet"
@@ -20,13 +19,10 @@ type Config struct {
 	// specially-designated utility host when picking a switch distant from
 	// all hosts").
 	IgnoreHosts []topology.NodeID
-	// Rng randomises the choice among equal-cost parallel edges for load
-	// balance; nil picks deterministically.
-	Rng *rand.Rand
 }
 
-// DefaultConfig runs the paper's §5.5 pipeline from its natural root,
-// choosing deterministically among parallel edges.
+// DefaultConfig runs the paper's §5.5 pipeline from its natural root.
+// Among parallel wires every route takes the first in wire order.
 func DefaultConfig() Config {
 	return Config{Root: topology.None}
 }
@@ -169,7 +165,7 @@ func Compute(net *topology.Network, cfg Config) (*Table, error) {
 	}
 	t := newTable(net, root)
 	t.label()
-	if err := t.allPairs(cfg); err != nil {
+	if err := t.allPairs(); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -258,7 +254,7 @@ func (t *Table) isUp(from, to topology.End) bool {
 // then t's wire — the meeting-node scan and both extractions happen once
 // per leaf-switch pair, into a template; each leaf's prototype row is built
 // from the templates once, and every host row copies its leaf's.
-func (t *Table) allPairs(cfg Config) error {
+func (t *Table) allPairs() error {
 	net := t.Net
 	const inf = int32(math.MaxInt32 / 4)
 	// Switch ordinals ascend with node ids, so scanning ordinals keeps the
@@ -277,8 +273,7 @@ func (t *Table) allPairs(cfg Config) error {
 	for i := 0; i < S; i++ {
 		up[i*S+i] = 0
 	}
-	// Direct up arcs. Parallel wires: keep one; the Rng may swap in a later
-	// one for load balance.
+	// Direct up arcs. Parallel wires: keep the first.
 	net.WiresIndexed(func(wi int, w topology.Wire) {
 		if w.A.Node == w.B.Node || net.KindOf(w.A.Node) != topology.SwitchNode || net.KindOf(w.B.Node) != topology.SwitchNode {
 			return // loopback cables are never on shortest paths; host wires are added per pair
@@ -290,8 +285,6 @@ func (t *Table) allPairs(cfg Config) error {
 			k := int(sw[from.Node])*S + int(sw[w.Other(from).Node])
 			if up[k] > 1 {
 				up[k], via[k] = 1, int32(wi)
-			} else if cfg.Rng != nil && cfg.Rng.Intn(2) == 0 {
-				via[k] = int32(wi) // random choice among parallel wires
 			}
 		}
 	})

@@ -70,9 +70,7 @@ func TestRoutesRandom(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		net := topology.MustRandomConnected(3+rng.Intn(6), 2+rng.Intn(10), rng.Intn(4), rng)
-		cfg := DefaultConfig()
-		cfg.Rng = rng
-		tab := computeOn(t, net, cfg)
+		tab := computeOn(t, net, DefaultConfig())
 		verifyAll(t, tab)
 	}
 }

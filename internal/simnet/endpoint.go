@@ -24,15 +24,13 @@ func (n *Net) Endpoint(h topology.NodeID) *Endpoint {
 // LocalHost implements Prober.
 func (e *Endpoint) LocalHost() string { return e.net.topo.NameOf(e.host) }
 
-// MaxPorts reports the fabric's largest port count, so mappers can
-// discover the switch radix to plan for.
+// MaxPorts implements Prober.
 func (e *Endpoint) MaxPorts() int { return e.net.MaxPorts() }
 
 // Clock implements Prober.
 func (e *Endpoint) Clock() time.Duration { return e.net.Clock() }
 
-// Stats exposes the transport's probe counters (picked up by the mappers'
-// run statistics).
+// Stats implements Prober.
 func (e *Endpoint) Stats() Stats { return e.net.Stats() }
 
 // Submit implements Prober: the probe is evaluated and its messages
@@ -76,21 +74,4 @@ func (f *FlakyProber) Submit(p Probe) ProbeResult {
 		return ProbeResult{Probe: p, Err: ErrTimeout, Done: r.Done, Latency: r.Latency}
 	}
 	return r
-}
-
-// MaxPorts forwards the fabric's largest port count when the inner
-// transport exposes it (0 otherwise: callers fall back to the default).
-func (f *FlakyProber) MaxPorts() int {
-	if mp, ok := f.Prober.(interface{ MaxPorts() int }); ok {
-		return mp.MaxPorts()
-	}
-	return 0
-}
-
-// Stats forwards the inner transport's counters when available.
-func (f *FlakyProber) Stats() Stats {
-	if s, ok := f.Prober.(interface{ Stats() Stats }); ok {
-		return s.Stats()
-	}
-	return Stats{}
 }

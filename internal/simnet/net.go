@@ -206,8 +206,8 @@ func (n *Net) Reconfigure() { n.epoch++ }
 func (n *Net) EvalCacheStats() EvalCacheStats { return n.scratch.stats }
 
 // MaxPorts reports the largest port count of any node in the underlying
-// topology — the switch radix a mapper must plan for. Probers forward it
-// so mapper.Config.MaxPorts can be discovered instead of configured.
+// topology — the switch radix a mapper must plan for, which endpoints
+// report through Prober.MaxPorts.
 func (n *Net) MaxPorts() int { return n.topo.MaxPorts() }
 
 // MaxTurn reports the largest legal turn magnitude on this fabric

@@ -159,11 +159,13 @@ func CapOf(k ProbeKind) ProbeCaps {
 }
 
 // Prober is the one view a mapping algorithm has of the network: the ability
-// to send probes from one fixed host and observe responses and elapsed
-// virtual time. Every mapper (Berkeley, Myricom, label, oracle, randomized,
-// election) runs against it, so the same algorithm code runs over the
-// quiescent transport, the discrete-event contended transport and
-// fault-injecting wrappers.
+// to send probes from one fixed host and observe responses, elapsed virtual
+// time, the switch radix to plan for and the transport's probe counters.
+// Every mapper (Berkeley, Myricom, label, oracle, randomized, election) runs
+// against it, so the same algorithm code runs over the quiescent transport,
+// the discrete-event contended transport and fault-injecting wrappers. A
+// wrapper that embeds a Prober overrides what it changes (usually Submit)
+// and inherits the rest, so it can never hide the radix or the counters.
 //
 // Submit issues a probe — paying only the per-probe host overhead — and
 // returns its completed result; the caller's virtual clock does not wait for
@@ -186,6 +188,12 @@ type Prober interface {
 	LocalHost() string
 	// Clock is the prober's elapsed virtual time.
 	Clock() time.Duration
+	// MaxPorts is the fabric's largest port count: the switch radix a
+	// mapper plans its turns and feasible-port windows for.
+	MaxPorts() int
+	// Stats is the transport's probe counters, which the mappers copy into
+	// their run statistics.
+	Stats() Stats
 }
 
 // Do sends one probe and waits for its response: Submit, then Collect — the

@@ -14,15 +14,20 @@ import (
 )
 
 // Contract tests every simnet.Prober implementation must pass, run over
-// every transport: the quiescent endpoint, bare and behind a lossy wrapper,
-// and the contended endpoint (inside its simulation process).
+// every transport: the quiescent endpoint, bare, behind a lossy wrapper and
+// behind a wrapper that only embeds the interface, and the contended
+// endpoint (inside its simulation process).
+
+// contractRadix is the port count of s1, wider than the paper's 8 so a
+// transport that lost the fabric's radix would report the default instead.
+const contractRadix = 12
 
 // contractFabric is h0 — s0 — s1 — h1: Route{3} parks on s1, Route{3, 3}
 // reaches h1, Route{7} leaves s0 through an unwired port.
 func contractFabric() (*topology.Network, topology.NodeID) {
 	n := &topology.Network{}
 	s0 := n.AddSwitch("s0")
-	s1 := n.AddSwitch("s1")
+	s1 := n.AddSwitchRadix("s1", contractRadix)
 	h0 := n.AddHost("h0")
 	h1 := n.AddHost("h1")
 	n.MustConnect(h0, 0, s0, 2)
@@ -52,6 +57,10 @@ var proberTransports = []struct {
 		body(&simnet.FlakyProber{Prober: simnet.NewDefault(net).Endpoint(h0),
 			DropRate: 0.3, Rng: rand.New(rand.NewSource(17))})
 	}},
+	{"struct{simnet.Prober}", func(body func(simnet.Prober)) {
+		net, h0 := contractFabric()
+		body(struct{ simnet.Prober }{simnet.NewDefault(net).Endpoint(h0)})
+	}},
 	{"connet.Endpoint", func(body func(simnet.Prober)) {
 		net, h0 := contractFabric()
 		eng := desim.New()
@@ -61,16 +70,18 @@ var proberTransports = []struct {
 	}},
 }
 
-// TestProberCapabilityHonesty: a transport executes exactly the probe kinds
-// its Probes() reports; any other kind comes back ErrUnsupported having sent
-// nothing and cost no virtual time.
+// TestProberCapabilityHonesty: a transport reports the fabric's radix and
+// executes exactly the probe kinds its Probes() reports, counting each; any
+// other kind comes back ErrUnsupported having sent nothing and cost no
+// virtual time.
 func TestProberCapabilityHonesty(t *testing.T) {
 	kinds := []simnet.ProbeKind{simnet.ProbeHost, simnet.ProbeSwitch, simnet.ProbeRaw, simnet.ProbeID, simnet.ProbeTolerant}
 	for _, tr := range proberTransports {
 		tr.run(func(p simnet.Prober) {
-			sent := func() int64 {
-				return p.(interface{ Stats() simnet.Stats }).Stats().TotalProbes()
+			if got := p.MaxPorts(); got != contractRadix {
+				t.Errorf("%s: MaxPorts() = %d, want %d", tr.name, got, contractRadix)
 			}
+			sent := func() int64 { return p.Stats().TotalProbes() }
 			for _, k := range kinds {
 				clock, msgs := p.Clock(), sent()
 				r := simnet.Do(p, simnet.Probe{Kind: k, Route: simnet.Route{3}})
@@ -122,7 +133,7 @@ func TestWindowDoIsASubmitLoop(t *testing.T) {
 			tr.run(func(p simnet.Prober) {
 				o.Results, o.Window = drive(p)
 				o.Clock = p.Clock()
-				o.Transport = p.(interface{ Stats() simnet.Stats }).Stats()
+				o.Transport = p.Stats()
 			})
 			return o
 		}
