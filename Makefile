@@ -81,6 +81,11 @@ vet:
 #     support: cmd/sanbench, cmd/sanmapd, internal/analysis and
 #     internal/analysis/analysistest. A scenario is an Example with
 #     // Output:, not a main package whose output nothing checks.
+# 12. mapd has one durable write. Store.write (write a temp file, fsync,
+#     rename, fsync the directory) makes both epoch commits and job files,
+#     so it is the one os.Rename in non-test internal/mapd; the framed
+#     append log it replaced (Truncate, Seek, encoding/binary) stays
+#     deleted.
 MAPD_SRC = $(filter-out %_test.go,$(wildcard internal/mapd/*.go))
 MAPPER_SRC = $(filter-out %_test.go,$(wildcard internal/mapper/*.go))
 WORKLOAD_SRC = $(filter-out %_test.go,$(wildcard internal/workload/*.go))
@@ -155,6 +160,11 @@ lint: vet
 	if [ "$$untested" != "$$want" ]; then \
 		echo "packages without tests: $$untested"; \
 		echo "want exactly: $$want (give the package a test or an Example with // Output:)"; exit 1; fi
+	@n=$$(cat $(MAPD_SRC) | grep -c 'os\.Rename('); \
+	log=$$(grep -nE 'Truncate\(|Seek\(|"encoding/binary"' $(MAPD_SRC)); \
+	if [ "$$n" -ne 1 ] || [ -n "$$log" ]; then \
+		echo "internal/mapd has $$n os.Rename call(s), want one (Store.write), and no append-log machinery:"; \
+		echo "$$log"; exit 1; fi
 
 # trace-smoke is the golden-trace lane: a chaos run on a pinned seed must
 # emit a Chrome trace sidecar byte-identical to the checked-in fixture
@@ -201,11 +211,13 @@ chaos:
 		./internal/wormsim/... ./internal/election/... ./internal/experiments/...
 
 # crash-smoke is the kill/restart lane (DESIGN.md §14): sanmapd — run as a
-# real OS process — is killed at every successive WAL append and restarted
-# onto the same state directory. The surviving committed epochs must be
-# byte-identical to an uninterrupted daemon's (checkpoints included), the
-# final heal must resume from its WAL rather than start over, and no WAL
-# may outlive its epoch's commit.
+# real OS process — is killed right after every successive durable write
+# (a job-file step or an epoch commit) and restarted onto the same state
+# directory. The surviving committed epochs must be byte-identical to an
+# uninterrupted daemon's (checkpoints included), the final heal must resume
+# from its job file rather than start over, and no job file may outlive its
+# epoch's commit. A daemon stopped after epoch 1 and restarted under chaos
+# must heal to the same epoch 2 as well.
 crash-smoke:
 	$(GO) test -count=1 -v -run 'TestCrashRestart' ./internal/mapd/
 
@@ -225,6 +237,7 @@ fuzz-smoke:
 	$(GO) test -run ^$$ -fuzz FuzzParseRoute -fuzztime=10s ./internal/simnet/
 	$(GO) test -run ^$$ -fuzz FuzzDecodeRequest -fuzztime=10s ./internal/mapd/
 	$(GO) test -run ^$$ -fuzz FuzzAppendString -fuzztime=10s ./internal/mapd/
+	$(GO) test -run ^$$ -fuzz FuzzParseEpoch -fuzztime=10s ./internal/mapd/
 	$(GO) test -run ^$$ -fuzz FuzzParseProfile -fuzztime=10s ./internal/faults/
 
 bench:

@@ -6,16 +6,18 @@
 //
 //   - The epoch store (store.go) persists every completed Map/Remap as a
 //     numbered, checksummed epoch file — a bookmark the daemon can always
-//     serve from — committed via write-temp-then-rename. Each epoch embeds
-//     the mapper.Session checkpoint that produced it, so the next remap
-//     starts from committed state even in a fresh process.
+//     serve from. Each epoch embeds the mapper.Session checkpoint that
+//     produced it, so the next remap starts from committed state even in a
+//     fresh process, with the virtual clock the epoch was committed at.
 //
-//   - The write-ahead log (wal.go) records in-flight remap steps: after
-//     every verification sweep and explore drain the session checkpoint
-//     (scoped re-explore frontier, surviving edge sets, probe spend) is
-//     appended as a checksummed record. A daemon killed mid-remap resumes
-//     from the last record instead of restarting — monotone progress —
-//     and unique job IDs fence a stale resumed mapper off a newer epoch.
+//   - The job file (wal.go) is the in-flight job's write-ahead state: at
+//     every step boundary (map drain, verification sweep, explore drain)
+//     the session checkpoint is written as job-<id>.san in the epoch file
+//     format, replacing the previous step's. A daemon killed mid-job
+//     resumes from it instead of restarting — monotone progress — and
+//     unique job IDs fence a stale resumed mapper off a newer epoch. Epochs
+//     and job files go through one durable write, Store.write: temp file,
+//     fsync, rename, fsync the directory.
 //
 //   - The query front-end (conn.go, wire.go, query.go) serves
 //     route/topology/epoch queries over a unix or tcp socket in
@@ -35,7 +37,8 @@
 // The continuous remap loop (server.go) is driven by internal/faults
 // suspicion records, with capped exponential backoff (charged to virtual
 // time) between heal attempts. Crash injection for the daemon itself —
-// -crash-after n kills the process at the n-th WAL append — powers the
-// kill/restart harness (harness_test.go), which asserts the final
-// committed map is byte-identical to an uninterrupted run's.
+// -crash-after n kills the process after its n-th durable write, job step
+// or epoch commit — powers the kill/restart harness (harness_test.go),
+// which asserts the committed epochs are byte-identical to an
+// uninterrupted run's.
 package mapd

@@ -1,10 +1,10 @@
 package mapd
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -19,6 +19,27 @@ func TestMain(m *testing.M) {
 		os.Exit(Main(strings.Split(args, "\x1f"), os.Stdout, os.Stderr))
 	}
 	os.Exit(m.Run())
+}
+
+// chaosArgs is the daemon run the crash harness replays: an initial map of
+// now-c, then a heal after two scheduled cuts.
+var chaosArgs = []string{"-gen", "now-c", "-seed", "1", "-chaos", "seed=5,cuts=2", "-once"}
+
+// chaosReference returns the store of an uninterrupted chaosArgs run.
+func chaosReference(t *testing.T) *Store {
+	t.Helper()
+	dir := t.TempDir()
+	if code, out := runDaemon(t, append([]string{"-state", dir}, chaosArgs...)...); code != 0 {
+		t.Fatalf("reference run exited %d:\n%s", code, out)
+	}
+	ref, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Epochs()) < 2 {
+		t.Fatalf("reference run committed %d epoch(s), want a map and a heal", len(ref.Epochs()))
+	}
+	return ref
 }
 
 // runDaemon execs this test binary as a sanmapd process and returns its
@@ -38,39 +59,24 @@ func runDaemon(t *testing.T, args ...string) (int, string) {
 	return -1, ""
 }
 
-// netSection extracts the serialized network from a committed epoch.
-func netSection(t *testing.T, ep *Epoch) string {
-	t.Helper()
-	if ep == nil {
-		t.Fatal("nil epoch")
-	}
-	return string(ep.NetText)
-}
-
-// TestCrashRestartConvergesByteIdentical is the crash harness from the
-// issue: kill sanmapd at the 1st, 2nd, 3rd, ... WAL append — every
-// durable point there is — restarting onto the same state directory each
-// time, and require that the surviving committed epochs are byte-for-byte
-// the same maps an uninterrupted daemon produces.
+// TestCrashRestartConvergesByteIdentical is the crash harness: kill
+// sanmapd right after its 1st, 2nd, 3rd, ... durable write — every job
+// step and every epoch commit, each point there is — restarting onto the
+// same state directory each time, and require that the surviving
+// committed epochs are byte-for-byte the same maps an uninterrupted daemon
+// produces.
 func TestCrashRestartConvergesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
 	}
-	base := []string{
-		"-gen", "now-c", "-seed", "1", "-chaos", "seed=5,cuts=2", "-once",
-	}
-	refDir := t.TempDir()
-	if code, out := runDaemon(t, append([]string{"-state", refDir}, base...)...); code != 0 {
-		t.Fatalf("reference run exited %d:\n%s", code, out)
-	}
-
+	ref := chaosReference(t)
 	crashDir := t.TempDir()
 	converged := false
 	crashes := 0
 	var lastOut string
 	for n := 1; n <= 64; n++ {
 		code, out := runDaemon(t, append([]string{
-			"-state", crashDir, "-crash-after", fmt.Sprint(n)}, base...)...)
+			"-state", crashDir, "-crash-after", fmt.Sprint(n)}, chaosArgs...)...)
 		lastOut = out
 		switch code {
 		case crashExitCode:
@@ -90,28 +96,7 @@ func TestCrashRestartConvergesByteIdentical(t *testing.T) {
 	if crashes == 0 {
 		t.Fatal("crash hook never fired — harness tested nothing")
 	}
-
-	ref, err := OpenStore(refDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crash, err := OpenStore(crashDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref.Epochs()) != len(crash.Epochs()) || len(ref.Epochs()) < 2 {
-		t.Fatalf("epoch counts differ: ref %d, crash-looped %d",
-			len(ref.Epochs()), len(crash.Epochs()))
-	}
-	for i, re := range ref.Epochs() {
-		ce := crash.Epochs()[i]
-		if netSection(t, re) != netSection(t, ce) {
-			t.Errorf("epoch %d: crash-looped network differs from uninterrupted run", re.Number)
-		}
-		if !bytes.Equal(re.Checkpoint, ce.Checkpoint) {
-			t.Errorf("epoch %d: crash-looped checkpoint differs from uninterrupted run", re.Number)
-		}
-	}
+	crash := requireSameEpochs(t, ref, crashDir)
 
 	// Resumability must have been exercised and must pay: the final
 	// epoch of the crash loop comes from a resumed job whose last process
@@ -128,15 +113,33 @@ func TestCrashRestartConvergesByteIdentical(t *testing.T) {
 			crashFinal.Probes, refFinal.Probes)
 	}
 
-	// No WAL survives a committed convergence.
-	if leftovers := staleWALs(crashDir, 0); len(leftovers) != 0 {
-		t.Errorf("stale WALs after convergence: %v", leftovers)
+	// No job file or temp file survives a committed convergence.
+	if leftovers, _ := filepath.Glob(filepath.Join(crashDir, "[^e]*")); len(leftovers) != 0 {
+		t.Errorf("files other than epochs after convergence: %v", leftovers)
 	}
 }
 
+// TestCrashRestartAfterInitialMap stops the daemon once epoch 1 commits
+// and restarts it under chaos: the heal runs in a process whose session
+// is restored from epoch 1, and must commit the epoch 2 an uninterrupted
+// run commits, observation timestamps included.
+func TestCrashRestartAfterInitialMap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	dir := t.TempDir()
+	if code, out := runDaemon(t, "-state", dir, "-gen", "now-c", "-seed", "1", "-once"); code != 0 {
+		t.Fatalf("initial map exited %d:\n%s", code, out)
+	}
+	if code, out := runDaemon(t, append([]string{"-state", dir}, chaosArgs...)...); code != 0 {
+		t.Fatalf("chaos restart exited %d:\n%s", code, out)
+	}
+	requireSameEpochs(t, chaosReference(t), dir)
+}
+
 // TestCrashRestartInterruptedInitialMap crashes inside the very first
-// map job (before any epoch exists) and checks the restart recovers it
-// from the WAL and still commits the identical epoch 1.
+// map job (before any epoch exists) and checks the restart resumes it
+// from its job file and still commits the identical epoch 1.
 func TestCrashRestartInterruptedInitialMap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
@@ -168,7 +171,7 @@ func TestCrashRestartInterruptedInitialMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if netSection(t, ref.Latest()) != netSection(t, got.Latest()) {
+	if string(ref.Latest().NetText) != string(got.Latest().NetText) {
 		t.Error("recovered initial map differs from uninterrupted run")
 	}
 }

@@ -23,10 +23,10 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	chaos := fs.String("chaos", "", "fault profile to converge against (key=value[,key=value...]; see sanmap -chaos)")
 	depth := fs.Int("depth", 0, "base probe depth (0 = derive from the topology)")
 	mapperHost := fs.String("mapper", "", "mapping host name (default: utility host, else first host)")
-	state := fs.String("state", "", "state directory for epochs and WAL (required)")
+	state := fs.String("state", "", "state directory for epochs and the in-flight job file (required)")
 	listen := fs.String("listen", "", "query front-end: unix:PATH or host:port (port 0 picks one)")
 	once := fs.Bool("once", false, "exit after initial convergence instead of serving")
-	crashAfter := fs.Int("crash-after", 0, "crash injection: kill the process at the n-th WAL append")
+	crashAfter := fs.Int("crash-after", 0, "crash injection: kill the process after its n-th durable write (job step or epoch commit)")
 	tele := obs.AddFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -43,7 +43,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "sanmapd:", err)
 		return 1
 	}
-	// The daemon always keeps a registry for its own epoch/WAL/heal
+	// The daemon always keeps a registry for its own epoch/job/heal
 	// metrics, even when no -metrics sidecar was requested.
 	reg := tele.Metrics
 	if reg == nil {

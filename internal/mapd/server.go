@@ -30,13 +30,13 @@ type Config struct {
 	// host, then the first attached host).
 	Mapper string
 
-	StateDir string // epoch store + WAL directory (required)
+	StateDir string // epoch store + job file directory (required)
 	Listen   string // "unix:PATH", a path, or "host:port"; "" disables the front-end
 	Once     bool   // exit after initial convergence instead of serving
 
-	// CrashAfter kills the process (exit code 7) at the n-th WAL append
-	// — the daemon's own crash-injection hook, driven by the kill/restart
-	// harness. 0 disables.
+	// CrashAfter kills the process (exit code 7) after the n-th durable
+	// write — a job step or an epoch commit — the daemon's own
+	// crash-injection hook, driven by the kill/restart harness. 0 disables.
 	CrashAfter int
 
 	// Interrupt, when non-nil, makes Run return cleanly on a received
@@ -58,7 +58,6 @@ type Config struct {
 type Server struct {
 	cfg   Config
 	store *Store
-	crash *crashHook
 	w     *world
 
 	snap atomic.Pointer[Snapshot]
@@ -116,10 +115,10 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	store.crash = &crashHook{after: cfg.CrashAfter, exit: cfg.exit}
 	s := &Server{
 		cfg:   cfg,
 		store: store,
-		crash: &crashHook{after: cfg.CrashAfter, exit: cfg.exit},
 		cmds:  make(chan command),
 		stop:  make(chan struct{}),
 		conns: make(map[net.Conn]struct{}),
@@ -179,15 +178,12 @@ func (s *Server) Close() { s.once.Do(func() { close(s.stop) }) }
 // start has nothing to publish and accepts at once.
 func (s *Server) Run() error {
 	defer s.shutdown()
-	walSt, err := s.w.recoverEpoch()
-	if err != nil {
-		return err
-	}
+	resume := s.w.recoverEpoch()
 	if s.ln != nil {
 		s.wg.Add(1)
 		go s.acceptLoop()
 	}
-	if err := s.w.converge(walSt); err != nil {
+	if err := s.w.converge(resume); err != nil {
 		return err
 	}
 	if s.cfg.Once {
@@ -382,106 +378,59 @@ func (w *world) applyChaos() {
 	fmt.Fprintf(w.out(), "sanmapd: applied %d scheduled fault events\n", len(w.sched.Events))
 }
 
-// recoverEpoch is crash recovery: pick the WAL job worth resuming (nil when
-// none), discard fenced and stale ones, and publish the latest committed
-// epoch, if there is one, as the serving snapshot.
-func (w *world) recoverEpoch() (*walState, error) {
+// recoverEpoch is crash recovery: pick the job file worth resuming (nil
+// when none), sweep the others and any unrenamed temp file, and publish
+// the latest committed epoch, if there is one, as the serving snapshot.
+func (w *world) recoverEpoch() *Epoch {
 	st := w.s.store
-	walSt, err := loadWAL(st.Dir())
-	if err != nil {
-		return nil, err
-	}
+	resume := st.newestJob()
 	latest := st.Latest()
 	var latestN uint64
 	if latest != nil {
 		latestN = latest.Number
 	}
-	if walSt != nil && walSt.Parent != latestN {
-		// Job-ID fencing: this WAL's job heals from an epoch that is no
-		// longer the tip, so its work is superseded. Discard.
-		fmt.Fprintf(w.out(), "sanmapd: discarding fenced wal job %d (parent %d, latest %d)\n",
-			walSt.Job, walSt.Parent, latestN)
-		w.m.fenced.Inc()
-		walSt = nil
+	if resume != nil && resume.Parent != latestN {
+		// The job heals from an epoch that is no longer the tip. Either it
+		// committed the tip itself and died before removing its file, or
+		// job-ID fencing applies: its work is superseded. Discard.
+		if latest == nil || latest.Job != resume.Job {
+			fmt.Fprintf(w.out(), "sanmapd: discarding fenced job %d (parent %d, latest %d)\n",
+				resume.Job, resume.Parent, latestN)
+			w.m.fenced.Inc()
+		}
+		resume = nil
 	}
 	var keep uint64
-	if walSt != nil {
-		keep = walSt.Job
+	if resume != nil {
+		keep = resume.Job
 	}
-	for _, p := range staleWALs(st.Dir(), keep) {
-		os.Remove(p)
-	}
+	st.sweep(keep)
 	if latest != nil {
 		fmt.Fprintf(w.out(), "sanmapd: recovered %d epoch(s), latest %d\n", len(st.Epochs()), latestN)
 		w.publish(latest)
 	}
-	return walSt, nil
+	return resume
 }
 
-// converge is initial convergence after recoverEpoch: make sure an initial-map
-// epoch exists (resuming an interrupted map job from its WAL), then,
-// under -chaos, apply the faults and heal to the repaired epoch (resuming
-// an interrupted remap job likewise). Publishes a serving snapshot at
-// each committed epoch.
-func (w *world) converge(walSt *walState) error {
-	latest := w.s.store.Latest()
-	if latest == nil {
-		if err := w.mapJob(walSt); err != nil {
+// converge is initial convergence after recoverEpoch: make sure an
+// initial-map epoch exists (resuming an interrupted map job from its job
+// file), then, under -chaos, apply the faults and heal to the repaired
+// epoch (resuming an interrupted remap job likewise). Publishes a serving
+// snapshot at each committed epoch.
+func (w *world) converge(resume *Epoch) error {
+	if w.s.store.Latest() == nil {
+		if _, err := w.job(resume); err != nil {
 			return err
 		}
-		walSt = nil
-		latest = w.s.store.Latest()
+		resume = nil
 	}
 	if w.s.cfg.Chaos != "" {
 		w.applyChaos()
-		if latest.Number < 2 {
-			return w.heal("chaos", walSt)
+		if w.s.store.Latest().Number < 2 {
+			return w.heal(resume)
 		}
 	}
 	return nil
-}
-
-// mapJob runs (or resumes) the initial-map job and commits epoch 1.
-func (w *world) mapJob(resume *walState) error {
-	st := w.s.store
-	var wal *WAL
-	var err error
-	resumed := false
-	if resume != nil {
-		target := resume.VClock
-		if resume.Last != nil {
-			sess, rerr := mapper.RestoreSession(w.ep, resume.Last.Checkpoint, w.sessionOpts()...)
-			if rerr != nil {
-				return fmt.Errorf("mapd: restore map job %d: %w", resume.Job, rerr)
-			}
-			w.session = sess
-			target = resume.Last.VClock
-		}
-		w.alignClock(target)
-		if wal, err = resumeWAL(resume, w.s.crash, w.m.walAppends); err != nil {
-			return err
-		}
-		resumed = true
-		w.m.resumed.Inc()
-		fmt.Fprintf(w.out(), "sanmapd: resuming map job %d (%d wal step(s))\n", resume.Job, resume.Steps)
-	} else {
-		if wal, err = createWAL(st.Dir(), st.NextJobID(), w.s.crash, w.m.walAppends); err != nil {
-			return err
-		}
-		if err = wal.Begin(0, int64(w.sn.Clock()), "initial-map"); err != nil {
-			return err
-		}
-	}
-	if w.session == nil {
-		if w.session, err = mapper.NewSession(w.ep, w.sessionOpts()...); err != nil {
-			return err
-		}
-	}
-	res, probes, err := w.runJob(wal, func() (*mapper.Result, error) { return w.session.Map() })
-	if err != nil {
-		return err
-	}
-	return w.commit(wal, 0, resumed, probes, res)
 }
 
 // The heal loop's tuning: remap attempts per suspicion burst, and the capped
@@ -498,13 +447,13 @@ const (
 // result is clean (not partial, no suspects, no new suspicion raised
 // mid-remap) or attempts run out, with capped exponential backoff —
 // charged to virtual time — between attempts. The first attempt may
-// resume an interrupted remap job from its WAL.
-func (w *world) heal(reason string, resume *walState) error {
+// resume an interrupted remap job from its job file.
+func (w *world) heal(resume *Epoch) error {
 	backoff := healBackoff
 	for attempt := 1; ; attempt++ {
 		w.m.healAttempts.Inc()
 		before := w.suspicion
-		res, err := w.remapJob(reason, resume)
+		res, err := w.job(resume)
 		resume = nil
 		if err != nil {
 			return err
@@ -525,75 +474,96 @@ func (w *world) heal(reason string, resume *walState) error {
 	}
 }
 
-// remapJob runs (or resumes) one remap job and commits the next epoch.
-func (w *world) remapJob(reason string, resume *walState) (*mapper.Result, error) {
+// job runs one mapper job — the initial map while no epoch exists, else a
+// remap of the latest — and commits its result as the next epoch. resume,
+// when non-nil, is this job's file, left by a crash: the session and the
+// virtual clock continue from its newest step. Every step boundary
+// durably rewrites the job file (giving the crash hook its window) before
+// the job proceeds.
+func (w *world) job(resume *Epoch) (*mapper.Result, error) {
 	st := w.s.store
-	latest := st.Latest()
-	var wal *WAL
-	var err error
-	resumed := false
-	if resume != nil {
-		ckpt, src, target := latest.Checkpoint, fmt.Sprintf("epoch %d", latest.Number), resume.VClock
-		if resume.Last != nil {
-			ckpt, src, target = resume.Last.Checkpoint, fmt.Sprintf("wal step %d", resume.Steps), resume.Last.VClock
-		}
-		sess, rerr := mapper.RestoreSession(w.ep, ckpt, w.sessionOpts()...)
-		if rerr != nil {
-			return nil, fmt.Errorf("mapd: restore remap job %d: %w", resume.Job, rerr)
-		}
-		w.session = sess
-		w.alignClock(target)
-		if wal, err = resumeWAL(resume, w.s.crash, w.m.walAppends); err != nil {
-			return nil, err
-		}
-		resumed = true
-		w.m.resumed.Inc()
-		fmt.Fprintf(w.out(), "sanmapd: resuming remap job %d from %s\n", resume.Job, src)
-	} else {
-		if err = w.ensureSession(); err != nil {
-			return nil, err
-		}
-		if wal, err = createWAL(st.Dir(), st.NextJobID(), w.s.crash, w.m.walAppends); err != nil {
-			return nil, err
-		}
-		if err = wal.Begin(latest.Number, int64(w.sn.Clock()), reason); err != nil {
-			return nil, err
-		}
+	var parent uint64
+	if latest := st.Latest(); latest != nil {
+		parent = latest.Number
 	}
-	res, probes, err := w.runJob(wal, func() (*mapper.Result, error) { return w.session.Remap() })
-	if err != nil {
+	id := st.NextJobID()
+	if resume != nil {
+		sess, err := mapper.RestoreSession(w.ep, resume.Checkpoint, w.sessionOpts()...)
+		if err != nil {
+			return nil, fmt.Errorf("mapd: restore job %d: %w", resume.Job, err)
+		}
+		w.session, id = sess, resume.Job
+		w.alignClock(resume.VClock)
+		w.m.resumed.Inc()
+		kind := "remap"
+		if parent == 0 {
+			kind = "map"
+		}
+		fmt.Fprintf(w.out(), "sanmapd: resuming %s job %d\n", kind, id)
+	} else if err := w.ensureSession(); err != nil {
 		return nil, err
 	}
-	if err := w.commit(wal, latest.Number, resumed, probes, res); err != nil {
+	base := w.sn.Stats().TotalProbes()
+	w.session.OnStep(func(mapper.Step) error {
+		ckpt, err := w.session.Checkpoint()
+		if err != nil {
+			return err
+		}
+		w.m.walAppends.Inc()
+		return st.writeJob(&Epoch{
+			EpochMeta:  EpochMeta{Number: parent + 1, Parent: parent, Job: id, VClock: w.sn.Clock()},
+			Checkpoint: ckpt,
+		})
+	})
+	var res *mapper.Result
+	var err error
+	if parent == 0 {
+		res, err = w.session.Map()
+	} else {
+		res, err = w.session.Remap()
+	}
+	w.session.OnStep(nil)
+	if err == nil {
+		err = w.commit(id, parent, resume != nil, w.sn.Stats().TotalProbes()-base, res)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// alignClock fast-forwards the virtual clock to the persisted timeline
-// position of the record a resumed job continues from. A restarted
-// process's clock begins at zero; without this the resumed segment would
-// log virtual timestamps shifted by everything the dead processes already
-// spent, and the committed checkpoint's observation log would differ from
-// an uninterrupted run's byte-for-byte.
-func (w *world) alignClock(target int64) {
-	if d := time.Duration(target) - w.sn.Clock(); d > 0 {
+// alignClock fast-forwards the virtual clock to a persisted timeline
+// position: a job file's newest step, or the epoch a session is restored
+// from. A restarted process's clock begins at zero; without this the
+// resumed segment would log virtual timestamps shifted by everything the
+// dead processes already spent, and the committed checkpoint's
+// observation log would differ from an uninterrupted run's byte-for-byte.
+func (w *world) alignClock(target time.Duration) {
+	if d := target - w.sn.Clock(); d > 0 {
 		w.sn.AdvanceClock(d)
 	}
 }
 
-// ensureSession lazily restores the mapper session from the latest
-// epoch's embedded checkpoint — the boot path when no WAL survived.
+// ensureSession makes sure a mapper session exists: a fresh one before
+// the initial map, else one restored from the latest epoch's embedded
+// checkpoint — the boot path when no job file survived — whose clock
+// continues from that epoch's.
 func (w *world) ensureSession() error {
 	if w.session != nil {
 		return nil
 	}
 	latest := w.s.store.Latest()
+	if latest == nil {
+		sess, err := mapper.NewSession(w.ep, w.sessionOpts()...)
+		w.session = sess
+		return err
+	}
 	sess, err := mapper.RestoreSession(w.ep, latest.Checkpoint, w.sessionOpts()...)
 	if err != nil {
 		return fmt.Errorf("mapd: restore session from epoch %d: %w", latest.Number, err)
 	}
 	w.session = sess
+	w.alignClock(latest.VClock)
 	fmt.Fprintf(w.out(), "sanmapd: session restored from epoch %d checkpoint\n", latest.Number)
 	return nil
 }
@@ -607,48 +577,20 @@ func (w *world) sessionOpts() []mapper.Option {
 	}
 }
 
-// runJob drives one mapper call with the WAL step hook installed: every
-// step boundary durably logs a full session checkpoint (and gives the
-// crash hook its window) before the job proceeds.
-func (w *world) runJob(wal *WAL, f func() (*mapper.Result, error)) (*mapper.Result, int64, error) {
-	base := w.sn.Stats().TotalProbes()
-	w.session.OnStep(func(stp mapper.Step) error {
-		ckpt, err := w.session.Checkpoint()
-		if err != nil {
-			return err
-		}
-		return wal.Step(stepRecord{
-			Kind: stp.Kind, Round: stp.Round, Dropped: stp.Dropped,
-			Probes:     w.sn.Stats().TotalProbes() - base,
-			VClock:     int64(w.sn.Clock()),
-			Checkpoint: ckpt,
-		})
-	})
-	res, err := f()
-	w.session.OnStep(nil)
-	if err != nil {
-		wal.Close()
-		return nil, 0, err
-	}
-	return res, w.sn.Stats().TotalProbes() - base, nil
-}
-
 // commit writes the next epoch (fenced against concurrent committers),
-// discharges the WAL and publishes the serving snapshot.
-func (w *world) commit(wal *WAL, parent uint64, resumed bool, probes int64, res *mapper.Result) error {
+// discharges the job file and publishes the serving snapshot.
+func (w *world) commit(id, parent uint64, resumed bool, probes int64, res *mapper.Result) error {
 	ckpt, err := w.session.Checkpoint()
 	if err != nil {
-		wal.Close()
 		return err
 	}
 	var netBuf bytes.Buffer
 	if err := res.Network.Write(&netBuf); err != nil {
-		wal.Close()
 		return err
 	}
 	ep := &Epoch{
 		EpochMeta: EpochMeta{
-			Number: parent + 1, Parent: parent, Job: wal.job, Resumed: resumed,
+			Number: parent + 1, Parent: parent, Job: id, Resumed: resumed,
 			VClock: w.sn.Clock(), Probes: probes,
 			Confidence: res.Confidence, Partial: res.Partial,
 			Suspects: res.Suspect, SuspectIDs: res.SuspectIDs,
@@ -656,11 +598,11 @@ func (w *world) commit(wal *WAL, parent uint64, resumed bool, probes int64, res 
 		NetText:    netBuf.Bytes(),
 		Checkpoint: ckpt,
 	}
-	if err := w.s.store.Commit(ep); err != nil {
-		wal.Remove() // fenced or invalid — this job is dead either way
+	err = w.s.store.Commit(ep)
+	w.s.store.removeJob(id) // committed, or fenced: this job is done either way
+	if err != nil {
 		return err
 	}
-	wal.Remove()
 	w.m.commits.Inc()
 	w.m.latest.Set(int64(ep.Number))
 	if w.s.cfg.Tracer != nil {
@@ -707,14 +649,14 @@ func (w *world) handleCmd(c command) {
 			break
 		}
 		if w.suspicion > w.handled {
-			if err := w.heal("inject", nil); err != nil {
+			if err := w.heal(nil); err != nil {
 				rep.err = err
 				break
 			}
 		}
 		rep.msg = fmt.Sprintf("%d fault event(s) applied", n)
 	case "remap":
-		rep.err = w.heal("manual", nil)
+		rep.err = w.heal(nil)
 		if rep.err == nil {
 			rep.msg = "remapped"
 		}

@@ -18,8 +18,8 @@ import (
 // ErrFenced is returned by Store.Commit when the epoch's parent is no
 // longer the latest committed epoch: some other job (a newer mapper, or a
 // faster resumed one) committed first. The losing job must discard its
-// result — its WAL is stale — and, if it still wants to heal, start a new
-// job from the winner's epoch.
+// result — its job file is stale — and, if it still wants to heal, start a
+// new job from the winner's epoch.
 var ErrFenced = errors.New("mapd: commit fenced: parent is not the latest epoch")
 
 // ErrBadEpoch wraps any parse or checksum failure on an epoch file.
@@ -30,11 +30,13 @@ type EpochMeta struct {
 	Number uint64 // 1-based, dense: Number == Parent+1
 	Parent uint64 // 0 for the initial map
 	Job    uint64 // the job that committed this epoch (fencing token)
-	// Resumed records that the committing job continued from a WAL or
-	// epoch checkpoint after a crash rather than mapping from scratch.
+	// Resumed records that the committing job continued from its job file
+	// after a crash rather than from its start.
 	Resumed bool
-	// VClock is the committing process's virtual clock at commit time.
-	// Informational: it restarts at zero with each process.
+	// VClock is the virtual clock at commit time (in a job file, at the
+	// job's newest step). A session restored from this file continues the
+	// clock from here, so a restarted process logs the timestamps an
+	// uninterrupted one would.
 	VClock time.Duration
 	// Probes is the probe spend of the committing job's final process
 	// segment (a resumed job counts only post-resume probes).
@@ -57,12 +59,14 @@ type Epoch struct {
 }
 
 // Store is the on-disk epoch sequence: dir/epoch-%06d.san files, each
-// fully checksummed and committed via write-temp-then-rename so a crash
-// never leaves a torn epoch — only a missing one, which the WAL covers.
+// fully checksummed and committed by the store's one durable write, so a
+// crash never leaves a torn epoch — only a missing one, which the
+// in-flight job's file covers.
 type Store struct {
 	dir     string
-	epochs  []*Epoch // valid epochs, ascending by number
-	corrupt int      // files that failed checksum or parse at Open
+	epochs  []*Epoch   // valid epochs, ascending by number
+	corrupt int        // files that failed checksum or parse at Open
+	crash   *crashHook // nil outside a daemon run with -crash-after
 }
 
 // OpenStore opens (creating if necessary) the epoch store in dir and
@@ -114,24 +118,18 @@ func (st *Store) Latest() *Epoch {
 func (st *Store) Epochs() []*Epoch { return st.epochs }
 
 // NextJobID returns a job ID strictly greater than every job recorded in
-// any epoch or WAL file in the store — the fencing token for a new map or
+// any epoch or job file in the store — the fencing token for a new map or
 // remap job. Derived from disk, not a clock, so it is deterministic and
 // survives restarts.
 func (st *Store) NextJobID() uint64 {
-	var max uint64
+	var id uint64
 	for _, ep := range st.epochs {
-		if ep.Job > max {
-			max = ep.Job
-		}
+		id = max(id, ep.Job)
 	}
-	paths, _ := filepath.Glob(filepath.Join(st.dir, "wal-*.log"))
-	for _, p := range paths {
-		base := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "wal-"), ".log")
-		if j, err := strconv.ParseUint(base, 10, 64); err == nil && j > max {
-			max = j
-		}
+	for _, p := range st.jobFiles() {
+		id = max(id, fileNumber(p, "job-"))
 	}
-	return max + 1
+	return id + 1
 }
 
 // Commit durably writes ep as the next epoch. The fencing rule: ep.Parent
@@ -147,33 +145,76 @@ func (st *Store) Commit(ep *Epoch) error {
 	if ep.Number != ep.Parent+1 {
 		return fmt.Errorf("mapd: epoch %d must be parent %d + 1", ep.Number, ep.Parent)
 	}
-	data := encodeEpoch(ep)
-	final := filepath.Join(st.dir, fmt.Sprintf("epoch-%06d.san", ep.Number))
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o666); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
+	if err := st.write(fmt.Sprintf("epoch-%06d.san", ep.Number), encodeEpoch(ep)); err != nil {
 		return err
 	}
 	st.epochs = append(st.epochs, ep)
 	return nil
 }
 
-// diskLatest scans the directory for the highest epoch file number. This
-// is the fencing ground truth; the in-memory slice can be behind when a
-// concurrent (stale, resumed) process raced us.
-func (st *Store) diskLatest() uint64 {
-	paths, _ := filepath.Glob(filepath.Join(st.dir, "epoch-*.san"))
-	var max uint64
-	for _, p := range paths {
-		base := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "epoch-"), ".san")
-		if n, err := strconv.ParseUint(base, 10, 64); err == nil && n > max {
-			max = n
+// write is the store's one durable write: data goes to name.tmp, which is
+// fsynced and renamed over name, and then the directory is fsynced so the
+// rename itself survives power loss. Epoch commits and job-file steps both
+// come through here, and each then gives the crash hook its chance.
+func (st *Store) write(name string, data []byte) error {
+	final := filepath.Join(st.dir, name)
+	tmp := final + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
+	if err == nil {
+		_, err = f.Write(data)
+		if err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
 	}
-	return max
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("mapd: write %s: %w", name, err)
+	}
+	dir, err := os.Open(st.dir)
+	if err == nil {
+		err = dir.Sync()
+		dir.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("mapd: sync %s: %w", st.dir, err)
+	}
+	st.crash.note()
+	return nil
+}
+
+// diskLatest returns the highest epoch number on disk that validates. This
+// is the fencing ground truth; the in-memory slice can be behind when a
+// concurrent (stale, resumed) process raced us. A file that fails
+// parseEpoch does not count, so the next commit replaces it.
+func (st *Store) diskLatest() uint64 {
+	var latest uint64
+	if ep := st.Latest(); ep != nil {
+		latest = ep.Number
+	}
+	paths, _ := filepath.Glob(filepath.Join(st.dir, "epoch-*.san"))
+	for _, p := range paths {
+		if n := fileNumber(p, "epoch-"); n > latest {
+			if data, err := os.ReadFile(p); err == nil {
+				if ep, err := parseEpoch(data); err == nil && ep.Number == n {
+					latest = n
+				}
+			}
+		}
+	}
+	return latest
+}
+
+// fileNumber parses n out of dir/<prefix><n>.san, or returns 0.
+func fileNumber(path, prefix string) uint64 {
+	s, _ := strings.CutPrefix(filepath.Base(path), prefix)
+	n, _ := strconv.ParseUint(strings.TrimSuffix(s, ".san"), 10, 64)
+	return n
 }
 
 const epochMagic = "sanmapd-epoch 1"
@@ -232,8 +273,8 @@ func parseEpoch(data []byte) (*Epoch, error) {
 	ep.Parent = p.uintField("parent")
 	ep.Job = p.uintField("job")
 	ep.Resumed = p.uintField("resumed") != 0
-	ep.VClock = time.Duration(p.uintField("vclock"))
-	ep.Probes = int64(p.uintField("probes"))
+	ep.VClock = time.Duration(p.intField("vclock"))
+	ep.Probes = p.intField("probes")
 	if v, ok := strings.CutPrefix(p.line(), "confidence "); ok {
 		ep.Confidence, _ = strconv.ParseFloat(v, 64)
 	} else {
@@ -267,6 +308,9 @@ func parseEpoch(data []byte) (*Epoch, error) {
 	}
 	ep.NetText = p.section("network")
 	ep.Checkpoint = p.section("checkpoint")
+	if p.pos != len(p.data) {
+		p.fail("end of checkpoint")
+	}
 	if p.err != nil {
 		return nil, p.err
 	}
@@ -306,12 +350,18 @@ func (p *epochParser) line() string {
 
 func (p *epochParser) uintField(key string) uint64 {
 	v, ok := strings.CutPrefix(p.line(), key+" ")
-	if !ok {
+	n, err := strconv.ParseUint(v, 10, 64)
+	if !ok || err != nil {
 		p.fail(key)
 		return 0
 	}
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
+	return n
+}
+
+func (p *epochParser) intField(key string) int64 {
+	v, ok := strings.CutPrefix(p.line(), key+" ")
+	n, err := strconv.ParseInt(v, 10, 64)
+	if !ok || err != nil {
 		p.fail(key)
 		return 0
 	}
@@ -324,7 +374,7 @@ func (p *epochParser) section(key string) []byte {
 	if p.err != nil {
 		return nil
 	}
-	if p.pos+int(n) > len(p.data) {
+	if n > uint64(len(p.data)-p.pos) {
 		p.fail(key + " body")
 		return nil
 	}

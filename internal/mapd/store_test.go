@@ -1,7 +1,10 @@
 package mapd
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -87,36 +90,59 @@ func TestStoreCommitAndReopen(t *testing.T) {
 	}
 }
 
+// TestStoreSkipsCorruptEpochs: a newest epoch file that fails to parse —
+// bit-rotted, or left empty by a rename that reached the disk before its
+// data — is skipped at open, does not count for fencing, and the next
+// commit replaces it.
 func TestStoreSkipsCorruptEpochs(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := uint64(1); n <= 2; n++ {
-		if err := st.Commit(testEpoch(n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Corrupt the newest file: the store must fall back to epoch 1.
-	path := filepath.Join(dir, "epoch-000002.san")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/3] ^= 0xff
-	if err := os.WriteFile(path, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := st2.Latest(); got == nil || got.Number != 1 {
-		t.Fatalf("Latest with corrupt newest: %+v", got)
-	}
-	if st2.Corrupt() != 1 {
-		t.Fatalf("Corrupt() = %d, want 1", st2.Corrupt())
+	for _, corrupt := range []struct {
+		name string
+		mend func([]byte) []byte
+	}{
+		{"flipped", func(data []byte) []byte { data[len(data)/3] ^= 0xff; return data }},
+		{"empty", func([]byte) []byte { return nil }},
+	} {
+		t.Run(corrupt.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := uint64(1); n <= 2; n++ {
+				if err := st.Commit(testEpoch(n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Corrupt the newest file: the store must fall back to epoch 1.
+			path := filepath.Join(dir, "epoch-000002.san")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, corrupt.mend(data), 0o666); err != nil {
+				t.Fatal(err)
+			}
+			st2, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := st2.Latest(); got == nil || got.Number != 1 {
+				t.Fatalf("Latest with corrupt newest: %+v", got)
+			}
+			if st2.Corrupt() != 1 {
+				t.Fatalf("Corrupt() = %d, want 1", st2.Corrupt())
+			}
+			if err := st2.Commit(testEpoch(2)); err != nil {
+				t.Fatalf("commit over the corrupt epoch 2: %v", err)
+			}
+			st3, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := st3.Latest(); got == nil || got.Number != 2 || st3.Corrupt() != 0 {
+				t.Fatalf("after the replacing commit: latest %+v, %d corrupt", got, st3.Corrupt())
+			}
+		})
 	}
 }
 
@@ -167,17 +193,41 @@ func TestNextJobID(t *testing.T) {
 	if got := st.NextJobID(); got != 6 {
 		t.Fatalf("after epoch job 5: NextJobID = %d, want 6", got)
 	}
-	// A leftover WAL from a dead job must fence its ID too, even without
-	// an epoch: job IDs never repeat.
-	w, err := createWAL(dir, 9, nil, nil)
-	if err != nil {
+	// A leftover job file from a dead job must fence its ID too, even
+	// without an epoch: job IDs never repeat.
+	if err := st.writeJob(&Epoch{EpochMeta: EpochMeta{Number: 2, Parent: 1, Job: 9}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Begin(1, 0, "test"); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
 	if got := st.NextJobID(); got != 10 {
-		t.Fatalf("with wal-9: NextJobID = %d, want 10", got)
+		t.Fatalf("with job-9.san: NextJobID = %d, want 10", got)
 	}
+}
+
+// FuzzParseEpoch holds the one decoder of epoch and job files: it never
+// panics, and whatever it accepts re-encodes to bytes it parses back to
+// the same encoding. Each input is also tried with a valid CRC trailer
+// appended, so mutations reach the field parser, not only the checksum.
+func FuzzParseEpoch(f *testing.F) {
+	f.Add(encodeEpoch(testEpoch(3)))
+	f.Add(encodeEpoch(&Epoch{EpochMeta: EpochMeta{Number: 1, Confidence: 1}}))
+	f.Add(encodeEpoch(&Epoch{EpochMeta: EpochMeta{Number: 5, Parent: 4, Job: 9, VClock: 42}, Checkpoint: []byte("x\n")}))
+	body := encodeEpoch(testEpoch(2))
+	f.Add(body[:bytes.LastIndex(body, []byte("crc "))])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		withCRC := fmt.Appendf(append([]byte(nil), data...), "crc %08x\n", crc32.ChecksumIEEE(data))
+		for _, in := range [][]byte{data, withCRC} {
+			ep, err := parseEpoch(in)
+			if err != nil {
+				continue
+			}
+			enc := encodeEpoch(ep)
+			again, err := parseEpoch(enc)
+			if err != nil {
+				t.Fatalf("re-encoding of an accepted file does not parse: %v\n%q", err, enc)
+			}
+			if got := encodeEpoch(again); !bytes.Equal(got, enc) {
+				t.Fatalf("encode → parse → encode differs:\n%q\n%q", enc, got)
+			}
+		}
+	})
 }

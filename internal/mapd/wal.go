@@ -1,45 +1,28 @@
 package mapd
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
-
-	"sanmap/internal/mapper"
-	"sanmap/internal/obs"
 )
 
-// The WAL holds the in-flight state of one map or remap job: a begin
-// record naming the job and the epoch it heals from, then one step record
-// per completed mapper phase (initial-map drain, verification sweep,
-// re-explore drain), each embedding a full session checkpoint. Records
-// are length- and CRC-framed; recovery truncates a torn tail (the crash
-// window is inside a single append) and resumes from the last whole
-// record. The file is wal-<job>.log and is removed after its epoch
-// commits, so a WAL on disk always means "job in flight or dead".
+// The daemon's write-ahead state is one job file per in-flight map or
+// remap job, job-<id>.san: the epoch the job would commit if it stopped at
+// its newest step boundary — parent, job ID, the step's virtual clock and
+// the full session checkpoint, but no network — in the epoch file format,
+// so parseEpoch reads both. The step hook rewrites it at every boundary
+// through Store.write, and commit removes it once the epoch is durable, so
+// a job file on disk always means "job in flight or dead".
 //
-// Record payloads, binary little-endian:
-//
-//	begin: 'B' | u64 job | u64 parent | i64 vclock | u32 len | reason bytes
-//	step:  'S' | u8 kind | i32 round | i32 dropped | i64 probes | i64 vclock |
-//	       u32 len | checkpoint bytes
-//
-// vclock is the simulation's virtual clock at the record's boundary; a
-// resumed process re-aligns its clock to it so the healed timeline — and
-// with it every timestamp the session logs — replays identically to an
-// uninterrupted run.
+// A job that dies before its first step leaves no file, and loses nothing
+// by it: its parent is the latest epoch, its ID is NextJobID and its start
+// clock is the parent's VClock, so the rerun is the same job.
 
-// crashHook implements -crash-after n: the n-th durable WAL append in
-// this process kills it, after the bytes hit the disk — modelling a
-// daemon that dies at the worst moment but never loses acknowledged
-// writes. The counter is shared across all WALs a process opens.
+// crashHook implements -crash-after n: the n-th durable write in this
+// process (a job step or an epoch commit) kills it, after the bytes and
+// the rename hit the disk — modelling a daemon that dies at the worst
+// moment but never loses acknowledged writes.
 type crashHook struct {
 	after int
 	n     int
@@ -59,266 +42,57 @@ func (c *crashHook) note() {
 	}
 }
 
-// WAL is an open, appendable write-ahead log for one job.
-type WAL struct {
-	f       *os.File
-	path    string
-	job     uint64
-	crash   *crashHook
-	appends *obs.Counter
+func jobName(id uint64) string { return fmt.Sprintf("job-%d.san", id) }
+
+// writeJob durably replaces the job file of ep.Job with ep, the job's
+// newest resumable state.
+func (st *Store) writeJob(ep *Epoch) error {
+	return st.write(jobName(ep.Job), encodeEpoch(ep))
 }
 
-// stepRecord is one persisted mapper step.
-type stepRecord struct {
-	Kind       mapper.StepKind
-	Round      int
-	Dropped    int
-	Probes     int64 // job probe spend up to this step (this process segment)
-	VClock     int64 // virtual clock (ns) when the step completed
-	Checkpoint []byte
+// removeJob discharges a job: its epoch has committed, or it was fenced.
+func (st *Store) removeJob(id uint64) error {
+	return os.Remove(filepath.Join(st.dir, jobName(id)))
 }
 
-// walState is the result of recovering a WAL from disk.
-type walState struct {
-	Path   string
-	Job    uint64
-	Parent uint64
-	Reason string
-	VClock int64 // virtual clock (ns) when the job began
-	Steps  int
-	Last   *stepRecord // nil when only the begin record survived
-	valid  int64       // byte offset past the last whole record
-}
-
-func walPath(dir string, job uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("wal-%d.log", job))
-}
-
-// createWAL starts a fresh log for job, truncating any leftover.
-func createWAL(dir string, job uint64, crash *crashHook, appends *obs.Counter) (*WAL, error) {
-	f, err := os.OpenFile(walPath(dir, job), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o666)
-	if err != nil {
-		return nil, fmt.Errorf("mapd: wal: %w", err)
-	}
-	return &WAL{f: f, path: f.Name(), job: job, crash: crash, appends: appends}, nil
-}
-
-// resumeWAL reopens a recovered log for appending, truncating any torn
-// tail past the last whole record.
-func resumeWAL(st *walState, crash *crashHook, appends *obs.Counter) (*WAL, error) {
-	f, err := os.OpenFile(st.Path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, fmt.Errorf("mapd: wal: %w", err)
-	}
-	if err := f.Truncate(st.valid); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("mapd: wal: %w", err)
-	}
-	if _, err := f.Seek(st.valid, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("mapd: wal: %w", err)
-	}
-	return &WAL{f: f, path: st.Path, job: st.Job, crash: crash, appends: appends}, nil
-}
-
-// Begin appends the job header. parent is the epoch this job heals from
-// (0 for the initial map); vclock is the virtual time the job starts at;
-// reason is a short human-readable tag.
-func (w *WAL) Begin(parent uint64, vclock int64, reason string) error {
-	var b bytes.Buffer
-	b.WriteByte('B')
-	le64(&b, w.job)
-	le64(&b, parent)
-	le64(&b, uint64(vclock))
-	le32(&b, uint32(len(reason)))
-	b.WriteString(reason)
-	return w.append(b.Bytes())
-}
-
-// Step appends one mapper step with its embedded checkpoint.
-func (w *WAL) Step(rec stepRecord) error {
-	var b bytes.Buffer
-	b.WriteByte('S')
-	b.WriteByte(byte(rec.Kind))
-	le32(&b, uint32(int32(rec.Round)))
-	le32(&b, uint32(int32(rec.Dropped)))
-	le64(&b, uint64(rec.Probes))
-	le64(&b, uint64(rec.VClock))
-	le32(&b, uint32(len(rec.Checkpoint)))
-	b.Write(rec.Checkpoint)
-	return w.append(b.Bytes())
-}
-
-// append frames, writes and syncs one record, then gives the crash hook
-// its chance. The frame is u32 payload length, u32 payload CRC-32 (IEEE),
-// payload.
-func (w *WAL) append(payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := w.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("mapd: wal append: %w", err)
-	}
-	if _, err := w.f.Write(payload); err != nil {
-		return fmt.Errorf("mapd: wal append: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("mapd: wal sync: %w", err)
-	}
-	w.appends.Inc()
-	w.crash.note()
-	return nil
-}
-
-// Close closes the file without removing it (the job is still in flight).
-func (w *WAL) Close() error { return w.f.Close() }
-
-// Remove closes and deletes the log — the job's epoch has committed (or
-// the job is fenced) and the WAL's promise is discharged.
-func (w *WAL) Remove() error {
-	w.f.Close()
-	return os.Remove(w.path)
-}
-
-// loadWAL recovers the newest WAL in dir (highest job number), or nil if
-// none exists. Torn or corrupt tails are noted in the returned state and
-// truncated by resumeWAL; a log whose begin record is unreadable is
-// treated as absent.
-func loadWAL(dir string) (*walState, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if err != nil {
-		return nil, err
-	}
+// jobFiles lists the job files in the store, ascending by job ID.
+func (st *Store) jobFiles() []string {
+	paths, _ := filepath.Glob(filepath.Join(st.dir, "job-*.san"))
 	sort.Slice(paths, func(i, j int) bool {
-		return walJobOf(paths[i]) < walJobOf(paths[j])
+		return fileNumber(paths[i], "job-") < fileNumber(paths[j], "job-")
 	})
-	for i := len(paths) - 1; i >= 0; i-- {
-		st, err := readWAL(paths[i])
-		if err != nil {
-			return nil, err
-		}
-		if st != nil {
-			return st, nil
-		}
+	return paths
+}
+
+// newestJob returns the job file with the highest ID, or nil when there
+// is none or it fails its checksum: a job whose file is bad reruns from
+// its parent epoch.
+func (st *Store) newestJob() *Epoch {
+	paths := st.jobFiles()
+	if len(paths) == 0 {
+		return nil
 	}
-	return nil, nil
-}
-
-// staleWALs returns the paths of every WAL in dir except keep (0 keeps
-// none) — used to sweep fenced jobs' leftovers at recovery.
-func staleWALs(dir string, keep uint64) []string {
-	paths, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	var out []string
-	for _, p := range paths {
-		if walJobOf(p) != keep || keep == 0 {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func walJobOf(path string) uint64 {
-	base := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "wal-"), ".log")
-	j, _ := strconv.ParseUint(base, 10, 64)
-	return j
-}
-
-// readWAL parses one log, stopping at the first torn or corrupt record.
-// Returns nil (no error) when not even the begin record is whole.
-func readWAL(path string) (*walState, error) {
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(paths[len(paths)-1])
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	st := &walState{Path: path}
-	pos := 0
-	for {
-		payload, next, ok := walFrame(data, pos)
-		if !ok {
-			break
-		}
-		if !st.decode(payload) {
-			break
-		}
-		pos = next
-		st.valid = int64(pos)
+	ep, err := parseEpoch(data)
+	if err != nil {
+		return nil
 	}
-	if st.Job == 0 { // no whole begin record
-		return nil, nil
-	}
-	return st, nil
+	return ep
 }
 
-// walFrame extracts the framed record at pos, reporting false on a torn
-// or corrupt frame.
-func walFrame(data []byte, pos int) (payload []byte, next int, ok bool) {
-	if pos+8 > len(data) {
-		return nil, 0, false
+// sweep removes what a crash can leave behind: unrenamed *.tmp files and
+// every job file except keep's (0 keeps none).
+func (st *Store) sweep(keep uint64) {
+	tmps, _ := filepath.Glob(filepath.Join(st.dir, "*.tmp"))
+	for _, p := range tmps {
+		os.Remove(p)
 	}
-	n := int(binary.LittleEndian.Uint32(data[pos:]))
-	sum := binary.LittleEndian.Uint32(data[pos+4:])
-	if pos+8+n > len(data) {
-		return nil, 0, false
+	for _, p := range st.jobFiles() {
+		if fileNumber(p, "job-") != keep {
+			os.Remove(p)
+		}
 	}
-	payload = data[pos+8 : pos+8+n]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, 0, false
-	}
-	return payload, pos + 8 + n, true
-}
-
-// decode applies one record payload to the state, reporting false on a
-// malformed record (treated like a torn tail).
-func (st *walState) decode(p []byte) bool {
-	if len(p) < 1 {
-		return false
-	}
-	switch p[0] {
-	case 'B':
-		if len(p) < 29 {
-			return false
-		}
-		st.Job = binary.LittleEndian.Uint64(p[1:])
-		st.Parent = binary.LittleEndian.Uint64(p[9:])
-		st.VClock = int64(binary.LittleEndian.Uint64(p[17:]))
-		n := int(binary.LittleEndian.Uint32(p[25:]))
-		if 29+n != len(p) {
-			return false
-		}
-		st.Reason = string(p[29:])
-		return st.Job != 0
-	case 'S':
-		if st.Job == 0 || len(p) < 30 {
-			return false
-		}
-		rec := &stepRecord{
-			Kind:    mapper.StepKind(p[1]),
-			Round:   int(int32(binary.LittleEndian.Uint32(p[2:]))),
-			Dropped: int(int32(binary.LittleEndian.Uint32(p[6:]))),
-			Probes:  int64(binary.LittleEndian.Uint64(p[10:])),
-			VClock:  int64(binary.LittleEndian.Uint64(p[18:])),
-		}
-		n := int(binary.LittleEndian.Uint32(p[26:]))
-		if 30+n != len(p) {
-			return false
-		}
-		rec.Checkpoint = append([]byte(nil), p[30:]...)
-		st.Last = rec
-		st.Steps++
-		return true
-	default:
-		return false
-	}
-}
-
-func le32(b *bytes.Buffer, v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	b.Write(buf[:])
-}
-
-func le64(b *bytes.Buffer, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	b.Write(buf[:])
 }

@@ -1,184 +1,202 @@
 package mapd
 
 import (
+	"bytes"
 	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
-
-	"sanmap/internal/mapper"
+	"time"
 )
 
-func writeTestWAL(t *testing.T, dir string, job uint64, crash *crashHook, steps int) *WAL {
+// testJob is the state a job file holds: no network, the rest as in the
+// epoch the job would commit.
+func testJob(id, parent uint64, step int) *Epoch {
+	return &Epoch{
+		EpochMeta:  EpochMeta{Number: parent + 1, Parent: parent, Job: id, VClock: time.Duration(1000 * step)},
+		Checkpoint: []byte("checkpoint image " + string(rune('a'+step)) + "\n"),
+	}
+}
+
+func openTestStore(t *testing.T, crash *crashHook) *Store {
 	t.Helper()
-	w, err := createWAL(dir, job, crash, nil)
+	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Begin(job-1, 42, "chaos"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < steps; i++ {
-		err := w.Step(stepRecord{
-			Kind: mapper.StepSweep, Round: i, Dropped: 3 - i, Probes: int64(100 * (i + 1)),
-			VClock:     int64(1000 * (i + 1)),
-			Checkpoint: []byte("checkpoint image " + string(rune('a'+i))),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return w
+	st.crash = crash
+	return st
 }
 
+// TestWALRoundTrip: each step rewrites the job file whole, and recovery
+// reads back exactly the newest step's state.
 func TestWALRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	w := writeTestWAL(t, dir, 4, nil, 2)
-	w.Close()
-
-	st, err := loadWAL(dir)
-	if err != nil {
-		t.Fatal(err)
+	st := openTestStore(t, nil)
+	for step := 0; step < 3; step++ {
+		if err := st.writeJob(testJob(4, 3, step)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if st == nil {
-		t.Fatal("loadWAL found nothing")
+	got := st.newestJob()
+	if want := testJob(4, 3, 2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %+v, want %+v", got, want)
 	}
-	if st.Job != 4 || st.Parent != 3 || st.Reason != "chaos" || st.VClock != 42 || st.Steps != 2 {
-		t.Fatalf("state %+v", st)
-	}
-	if st.Last == nil || st.Last.Round != 1 || st.Last.Dropped != 2 ||
-		st.Last.Probes != 200 || st.Last.VClock != 2000 ||
-		string(st.Last.Checkpoint) != "checkpoint image b" {
-		t.Fatalf("last step %+v", st.Last)
+	if files := st.jobFiles(); len(files) != 1 || filepath.Base(files[0]) != "job-4.san" {
+		t.Fatalf("job files %v, want just job-4.san", files)
 	}
 }
 
-// TestWALTornTailTruncated: a crash mid-append leaves a torn frame;
-// recovery must return the last whole record and resumeWAL must truncate
-// the tail so new appends land on a clean boundary.
-func TestWALTornTailTruncated(t *testing.T) {
-	dir := t.TempDir()
-	w := writeTestWAL(t, dir, 2, nil, 2)
-	w.Close()
-
-	whole, err := os.ReadFile(walPath(dir, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 1; cut < 24; cut += 7 {
-		torn := whole[:len(whole)-cut]
-		if err := os.WriteFile(walPath(dir, 2), torn, 0o666); err != nil {
-			t.Fatal(err)
-		}
-		st, err := loadWAL(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st == nil || st.Steps != 1 {
-			t.Fatalf("cut %d: recovered %+v, want 1 whole step", cut, st)
-		}
-		if st.Last.Probes != 100 {
-			t.Fatalf("cut %d: last step %+v", cut, st.Last)
-		}
-
-		// Resume, append a replacement step, and re-recover: the torn
-		// bytes must be gone.
-		rw, err := resumeWAL(st, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rw.Step(stepRecord{Kind: mapper.StepExplore, Round: 7, Probes: 700}); err != nil {
-			t.Fatal(err)
-		}
-		rw.Close()
-		st2, err := loadWAL(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st2.Steps != 2 || st2.Last.Round != 7 || st2.Last.Probes != 700 {
-			t.Fatalf("cut %d: after resume %+v last %+v", cut, st2, st2.Last)
-		}
-	}
-}
-
-// TestWALCorruptFrameStopsRecovery: a bit flip inside an acknowledged
-// record fails its CRC; recovery keeps everything before it.
-func TestWALCorruptFrameStopsRecovery(t *testing.T) {
-	dir := t.TempDir()
-	w := writeTestWAL(t, dir, 3, nil, 2)
-	w.Close()
-	data, err := os.ReadFile(walPath(dir, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-5] ^= 1 // inside the final step's checkpoint
-	if err := os.WriteFile(walPath(dir, 3), data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	st, err := loadWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st == nil || st.Steps != 1 {
-		t.Fatalf("recovered %+v, want the one intact step", st)
-	}
-}
-
-// TestWALLoadsNewestJob: with several leftover logs, recovery picks the
-// highest job number and staleWALs lists the rest for sweeping.
+// TestWALLoadsNewestJob: with several leftover job files, recovery picks
+// the highest job ID, and sweep removes the rest together with any temp
+// file a crash left unrenamed.
 func TestWALLoadsNewestJob(t *testing.T) {
-	dir := t.TempDir()
-	for _, job := range []uint64{2, 10, 7} {
-		w := writeTestWAL(t, dir, job, nil, 1)
-		w.Close()
+	st := openTestStore(t, nil)
+	for _, id := range []uint64{2, 10, 7} {
+		if err := st.writeJob(testJob(id, 1, int(id))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	st, err := loadWAL(dir)
+	if err := os.WriteFile(filepath.Join(st.Dir(), "job-10.san.tmp"), []byte("torn"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.newestJob(); got == nil || got.Job != 10 {
+		t.Fatalf("newestJob picked %+v, want job 10", got)
+	}
+	st.sweep(10)
+	if files, _ := filepath.Glob(filepath.Join(st.Dir(), "*")); len(files) != 1 ||
+		filepath.Base(files[0]) != "job-10.san" {
+		t.Fatalf("after sweep(10): %v", files)
+	}
+	st.sweep(0)
+	if got := st.newestJob(); got != nil {
+		t.Fatalf("after sweep(0): recovered %+v", got)
+	}
+}
+
+// TestWALCorruptJobFileReruns: a job file with a flipped byte fails its
+// checksum and is ignored, both by newestJob and by a restarted daemon,
+// whose job then reruns from its parent epoch to the uninterrupted run's
+// epochs.
+func TestWALCorruptJobFileReruns(t *testing.T) {
+	st := openTestStore(t, nil)
+	if err := st.writeJob(testJob(3, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	flipJobFile(t, st.jobFiles()[0])
+	if got := st.newestJob(); got != nil {
+		t.Fatalf("corrupt job file recovered as %+v", got)
+	}
+
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	dir := t.TempDir()
+	// Durable writes: the map step, epoch 1, then the remap's first step.
+	if code, out := runDaemon(t, append([]string{"-state", dir, "-crash-after", "3"}, chaosArgs...)...); code != crashExitCode {
+		t.Fatalf("crash-after=3 exited %d:\n%s", code, out)
+	}
+	crashed, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st == nil || st.Job != 10 {
-		t.Fatalf("loadWAL picked %+v, want job 10", st)
+	files := crashed.jobFiles()
+	if job := crashed.newestJob(); len(files) != 1 || job == nil || job.Parent != 1 {
+		t.Fatalf("want one remap job file after the crash, got %v", files)
 	}
-	stale := staleWALs(dir, 10)
-	if len(stale) != 2 {
-		t.Fatalf("staleWALs(keep=10) = %v", stale)
+	flipJobFile(t, files[0])
+	code, out := runDaemon(t, append([]string{"-state", dir}, chaosArgs...)...)
+	if code != 0 {
+		t.Fatalf("restart exited %d:\n%s", code, out)
 	}
-	if got := staleWALs(dir, 0); len(got) != 3 {
-		t.Fatalf("staleWALs(keep=0) = %v", got)
+	if strings.Contains(out, "resuming") {
+		t.Fatalf("restart resumed from a corrupt job file:\n%s", out)
+	}
+	requireSameEpochs(t, chaosReference(t), dir)
+}
+
+func flipJobFile(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 1
+	if err := os.WriteFile(path, data, 0o666); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestCrashHookFiresOnNthAppend: the -crash-after hook triggers exactly
-// at the n-th durable append, counted across every record kind.
+// at the n-th durable write, counting job steps and epoch commits alike.
 func TestCrashHookFiresOnNthAppend(t *testing.T) {
-	dir := t.TempDir()
 	fired := 0
 	crash := &crashHook{after: 3, exit: func() { fired++ }}
-	w := writeTestWAL(t, dir, 1, crash, 4) // 1 begin + 4 steps = 5 appends
-	w.Close()
-	if fired != 1 {
-		t.Fatalf("crash hook fired %d times, want exactly once", fired)
+	st := openTestStore(t, crash)
+	for _, write := range []func() error{
+		func() error { return st.writeJob(testJob(1, 0, 0)) },
+		func() error { return st.writeJob(testJob(1, 0, 1)) },
+		func() error { return st.Commit(testEpoch(1)) }, // the 3rd write
+		func() error { return st.writeJob(testJob(2, 1, 0)) },
+		func() error { return st.Commit(testEpoch(2)) },
+	} {
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		if want := crash.n >= 3; (fired == 1) != want {
+			t.Fatalf("after write %d: hook fired %d times", crash.n, fired)
+		}
 	}
-	if crash.n != 5 {
-		t.Fatalf("hook counted %d appends, want 5", crash.n)
+	if fired != 1 || crash.n != 5 {
+		t.Fatalf("hook fired %d times over %d writes, want once over 5", fired, crash.n)
 	}
-	// Disabled hook (after=0) never fires.
-	quiet := &crashHook{exit: func() { t.Error("disabled hook fired") }}
-	w2 := writeTestWAL(t, t.TempDir(), 1, quiet, 2)
-	w2.Close()
-}
-
-// TestWALRemoveDischarges: Remove deletes the file so recovery finds
-// nothing — the committed epoch has taken over the job's promise.
-func TestWALRemoveDischarges(t *testing.T) {
-	dir := t.TempDir()
-	w := writeTestWAL(t, dir, 6, nil, 1)
-	if err := w.Remove(); err != nil {
+	// A disabled hook (after=0) never fires.
+	quiet := openTestStore(t, &crashHook{exit: func() { t.Error("disabled hook fired") }})
+	if err := quiet.writeJob(testJob(1, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	st, err := loadWAL(dir)
+	if err := quiet.Commit(testEpoch(1)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALRemoveDischarges: removeJob deletes the file so recovery finds
+// nothing — the committed epoch has taken over the job's promise.
+func TestWALRemoveDischarges(t *testing.T) {
+	st := openTestStore(t, nil)
+	if err := st.writeJob(testJob(6, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.removeJob(6); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.newestJob(); got != nil {
+		t.Fatalf("recovered %+v after removeJob", got)
+	}
+	if files, _ := filepath.Glob(filepath.Join(st.Dir(), "*")); len(files) != 0 {
+		t.Fatalf("files left behind: %v", files)
+	}
+}
+
+// requireSameEpochs fails unless dir holds the reference run's epochs,
+// networks and checkpoints byte for byte.
+func requireSameEpochs(t *testing.T, ref *Store, dir string) *Store {
+	t.Helper()
+	got, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st != nil {
-		t.Fatalf("recovered %+v after Remove", st)
+	if len(ref.Epochs()) != len(got.Epochs()) {
+		t.Fatalf("epoch counts differ: reference %d, got %d", len(ref.Epochs()), len(got.Epochs()))
 	}
+	for i, re := range ref.Epochs() {
+		ge := got.Epochs()[i]
+		if !bytes.Equal(re.NetText, ge.NetText) {
+			t.Errorf("epoch %d: network differs from the uninterrupted run", re.Number)
+		}
+		if !bytes.Equal(re.Checkpoint, ge.Checkpoint) {
+			t.Errorf("epoch %d: checkpoint differs from the uninterrupted run", re.Number)
+		}
+	}
+	return got
 }

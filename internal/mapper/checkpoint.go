@@ -26,11 +26,13 @@ const (
 	// StepSweep fires after each Remap verification sweep, with the
 	// re-explore frontier enqueued but not yet probed.
 	StepSweep
-	// StepExplore fires after each Remap round's explore drain.
+	// StepExplore fires after a Remap round's explore drain, unless the
+	// round's sweep dropped nothing: that drain probes nothing, so the
+	// boundary holds no state the StepSweep before it lacks.
 	StepExplore
 )
 
-// String names the step kind (the WAL record grammar uses these).
+// String names the step kind.
 func (k StepKind) String() string {
 	switch k {
 	case StepMap:
@@ -73,7 +75,7 @@ var ErrBadCheckpoint = errors.New("mapper: malformed checkpoint")
 // every completed phase — see Step — at a point where Checkpoint captures
 // an exactly-resumable state; an error return aborts the surrounding
 // Map/Remap call with the hook's error wrapped, leaving the session
-// checkpointable. Daemons use the hook to append WAL records; tests use it
+// checkpointable. Daemons use the hook to write their job files; tests use it
 // with ErrSuspended to cut a run at every boundary.
 func (s *Session) OnStep(f func(Step) error) { s.hook = f }
 

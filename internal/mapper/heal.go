@@ -75,10 +75,12 @@ const healRounds = 4
 // verification costs one probe per live edge, an incremental Remap after a
 // small fault is far cheaper than a from-scratch run.
 // Remap is a resumable state machine over Session.heal: the step hook
-// fires after each sweep (StepSweep) and each explore drain (StepExplore),
-// and a checkpoint taken at either boundary restores to exactly this
-// position — a resumed Remap re-issues no probe an interrupted one already
-// paid for. The probe sequence is byte-identical to the pre-checkpoint
+// fires after each sweep (StepSweep) and after each explore drain that
+// followed a sweep that dropped something (StepExplore; a clean sweep's
+// drain runs on an empty frontier and issues no probe, so resuming at the
+// sweep is the same), and a checkpoint taken at either boundary restores
+// to exactly this position — a resumed Remap re-issues no probe an
+// interrupted one already paid for. The probe sequence is byte-identical to the pre-checkpoint
 // single-loop implementation.
 func (s *Session) Remap() (*Result, error) {
 	for !s.heal.done && s.heal.round < healRounds {
@@ -102,6 +104,9 @@ func (s *Session) Remap() (*Result, error) {
 		s.heal.sweepDone = false
 		s.heal.done = s.heal.dropped == 0
 		s.heal.round++
+		if s.heal.done {
+			break // nothing dropped, nothing explored: no new state to step on
+		}
 		if err := s.emitStep(StepExplore); err != nil {
 			return nil, err
 		}
