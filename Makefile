@@ -239,6 +239,8 @@ fuzz-smoke:
 	$(GO) test -run ^$$ -fuzz FuzzAppendString -fuzztime=10s ./internal/mapd/
 	$(GO) test -run ^$$ -fuzz FuzzParseEpoch -fuzztime=10s ./internal/mapd/
 	$(GO) test -run ^$$ -fuzz FuzzParseProfile -fuzztime=10s ./internal/faults/
+	$(GO) test -run ^$$ -fuzz FuzzRestoreSession -fuzztime=10s ./internal/mapper/
+	$(GO) test -run ^$$ -fuzz FuzzReadTopology -fuzztime=10s ./internal/topology/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run ^$$ .

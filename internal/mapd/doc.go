@@ -22,7 +22,11 @@
 //   - The query front-end (conn.go, wire.go, query.go) serves
 //     route/topology/epoch queries over a unix or tcp socket in
 //     line-delimited JSON, always against an atomically-swapped immutable
-//     Snapshot of the latest epoch; queries never block on healing. A query
+//     Snapshot of the latest epoch; queries never block on healing. A
+//     commit builds the next Snapshot — parse the network text, compute
+//     the route table — on one helper goroutine while the world loop
+//     encodes the checkpoint and writes the epoch, joins it on every path,
+//     and publishes only after the durable write returned. A query
 //     allocates nothing: requests in the canonical form are scanned in
 //     place, replies are appended to the connection's buffer, which is
 //     written out when the next read would block, and what depends on the

@@ -65,29 +65,30 @@ type Snapshot struct {
 	epochReply, topoReply, loadReply, metricsObject lazyReply
 }
 
-// buildSnapshot materializes the serving state for a committed epoch.
-// The route table is computed here, once, on the world loop — queries
-// only ever read it.
-func buildSnapshot(ep *Epoch) (*Snapshot, error) {
-	topo, err := topology.ReadFrom(bytes.NewReader(ep.NetText))
+// buildSnapshot materializes the serving state for a committed epoch from
+// its metadata and network text alone. The route table is computed here,
+// once — beside the epoch's durable write on a commit, on the world loop at
+// a restart — and queries only ever read it.
+func buildSnapshot(meta EpochMeta, netText []byte) (*Snapshot, error) {
+	topo, err := topology.ReadFrom(bytes.NewReader(netText))
 	if err != nil {
-		return nil, fmt.Errorf("mapd: epoch %d network: %w", ep.Number, err)
+		return nil, fmt.Errorf("mapd: epoch %d network: %w", meta.Number, err)
 	}
 	snap := &Snapshot{
-		Epoch: ep.Number, Job: ep.Job, Resumed: ep.Resumed,
-		VClock: ep.VClock, Probes: ep.Probes,
-		Confidence: ep.Confidence, Partial: ep.Partial,
-		Suspects:   ep.Suspects,
-		SuspectIDs: make(map[topology.NodeID]bool, len(ep.SuspectIDs)),
+		Epoch: meta.Number, Job: meta.Job, Resumed: meta.Resumed,
+		VClock: meta.VClock, Probes: meta.Probes,
+		Confidence: meta.Confidence, Partial: meta.Partial,
+		Suspects:   meta.Suspects,
+		SuspectIDs: make(map[topology.NodeID]bool, len(meta.SuspectIDs)),
 		Net:        topo,
 	}
-	for _, id := range ep.SuspectIDs {
+	for _, id := range meta.SuspectIDs {
 		snap.SuspectIDs[id] = true
 	}
 	switch {
-	case ep.Partial || len(ep.SuspectIDs) > 0:
+	case meta.Partial || len(meta.SuspectIDs) > 0:
 		snap.Level = LevelGuarded
-	case ep.Confidence < 1:
+	case meta.Confidence < 1:
 		snap.Level = LevelAnnotated
 	}
 	if tab, err := routes.Compute(topo, routes.DefaultConfig()); err == nil {

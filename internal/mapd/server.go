@@ -278,6 +278,11 @@ type world struct {
 
 	session *mapper.Session
 	m       worldMetrics
+
+	// build turns an epoch's metadata and network text into its serving
+	// snapshot: buildSnapshot, which tests wrap to watch the helper
+	// goroutine commit runs it on.
+	build func(EpochMeta, []byte) (*Snapshot, error)
 }
 
 type worldMetrics struct {
@@ -314,7 +319,8 @@ func (s *Server) buildWorld() (*world, error) {
 	reg := s.cfg.Metrics
 	w := &world{
 		s: s, topo: topo, h0: h0, h0Name: topo.NameOf(h0), depth: depth,
-		sn: simnet.NewDefault(topo),
+		sn:    simnet.NewDefault(topo),
+		build: buildSnapshot,
 		m: worldMetrics{
 			commits:      reg.Counter("mapd.epoch.commits"),
 			walAppends:   reg.Counter("mapd.wal.appends"),
@@ -578,12 +584,13 @@ func (w *world) sessionOpts() []mapper.Option {
 }
 
 // commit writes the next epoch (fenced against concurrent committers),
-// discharges the job file and publishes the serving snapshot.
+// discharges the job file and publishes the serving snapshot. The snapshot
+// is built from the rendered network text on one helper goroutine while
+// this one encodes the checkpoint and makes the epoch durable; the helper
+// reads nothing but that text and the epoch's metadata. It is joined on
+// every path, and its snapshot is published only once Store.Commit has
+// succeeded, so no query sees an epoch that is not on disk.
 func (w *world) commit(id, parent uint64, resumed bool, probes int64, res *mapper.Result) error {
-	ckpt, err := w.session.Checkpoint()
-	if err != nil {
-		return err
-	}
 	var netBuf bytes.Buffer
 	if err := res.Network.Write(&netBuf); err != nil {
 		return err
@@ -595,11 +602,24 @@ func (w *world) commit(id, parent uint64, resumed bool, probes int64, res *mappe
 			Confidence: res.Confidence, Partial: res.Partial,
 			Suspects: res.Suspect, SuspectIDs: res.SuspectIDs,
 		},
-		NetText:    netBuf.Bytes(),
-		Checkpoint: ckpt,
+		NetText: netBuf.Bytes(),
 	}
-	err = w.s.store.Commit(ep)
-	w.s.store.removeJob(id) // committed, or fenced: this job is done either way
+	var snap *Snapshot
+	var buildErr error
+	meta, text := ep.EpochMeta, ep.NetText
+	build, built := w.build, make(chan struct{})
+	go func() {
+		defer close(built)
+		snap, buildErr = build(meta, text)
+	}()
+
+	ckpt, err := w.session.Checkpoint()
+	if err == nil {
+		ep.Checkpoint = ckpt
+		err = w.s.store.Commit(ep)
+		w.s.store.removeJob(id) // committed, or fenced: this job is done either way
+	}
+	<-built
 	if err != nil {
 		return err
 	}
@@ -609,15 +629,22 @@ func (w *world) commit(id, parent uint64, resumed bool, probes int64, res *mappe
 		w.s.cfg.Tracer.Instant("mapd", "commit", w.sn.Clock(),
 			obs.Int("epoch", int(ep.Number)), obs.Int("probes", int(probes)))
 	}
-	w.publish(ep)
+	w.serve(ep, snap, buildErr)
 	return nil
 }
 
-// publish swaps in the immutable serving snapshot for ep. On a snapshot
-// build failure the previous snapshot keeps serving (degradation ladder
-// rung 0: serve what we have).
+// publish serves a recovered epoch, building its snapshot with the builder
+// commit uses, on the world loop: a restart has no durable write for the
+// build to overlap.
 func (w *world) publish(ep *Epoch) {
-	snap, err := buildSnapshot(ep)
+	snap, err := w.build(ep.EpochMeta, ep.NetText)
+	w.serve(ep, snap, err)
+}
+
+// serve swaps in ep's immutable serving snapshot. On a snapshot build
+// failure the previous snapshot keeps serving (degradation ladder rung 0:
+// serve what we have).
+func (w *world) serve(ep *Epoch, snap *Snapshot, err error) {
 	if err != nil {
 		fmt.Fprintf(w.out(), "sanmapd: epoch %d unservable: %v\n", ep.Number, err)
 		return

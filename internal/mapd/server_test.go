@@ -2,9 +2,12 @@ package mapd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -512,5 +515,118 @@ func TestLoadQuery(t *testing.T) {
 	bare := &Server{}
 	if line, _ := bare.Answer(nil, []byte(`{"op":"load"}`)); decodeReply(t, line)["ok"] != false || bare.failedReads.Load() != 1 {
 		t.Errorf("nil snapshot served a load report: %s", line)
+	}
+}
+
+// TestFencedCommitKeepsSnapshotAndJoinsBuilder: a commit that loses the
+// fencing race to another committer leaves the served snapshot alone,
+// discharges its job file, and returns only once the goroutine building its
+// snapshot has finished. The builder is slowed so that a commit that did
+// not join it would return first; the race lane also flags the unguarded
+// read of finished if it did.
+func TestFencedCommitKeepsSnapshotAndJoinsBuilder(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := New(Config{Gen: "now-c", Seed: 1, StateDir: dir, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := srv.w // this goroutine plays the world loop
+	if err := w.converge(w.recoverEpoch()); err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Snapshot()
+	if before == nil || before.Epoch != 1 {
+		t.Fatalf("snapshot after the initial map: %+v", before)
+	}
+
+	// A rival process commits epoch 2 first.
+	rival, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep1 := rival.Latest()
+	if err := rival.Commit(&Epoch{EpochMeta: EpochMeta{Number: 2, Parent: 1, Job: 99, Confidence: 1},
+		NetText: ep1.NetText, Checkpoint: ep1.Checkpoint}); err != nil {
+		t.Fatal(err)
+	}
+
+	finished, builds := false, 0
+	w.build = func(meta EpochMeta, text []byte) (*Snapshot, error) {
+		builds++
+		time.Sleep(50 * time.Millisecond)
+		snap, err := buildSnapshot(meta, text)
+		finished = true
+		return snap, err
+	}
+	if _, err := w.inject("seed=5,cuts=2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.heal(nil); !errors.Is(err, ErrFenced) {
+		t.Fatalf("heal against a rival's epoch 2: %v, want ErrFenced", err)
+	}
+	if builds != 1 || !finished {
+		t.Fatalf("fenced commit returned with %d build(s) started, finished %v; want 1 finished", builds, finished)
+	}
+	if srv.Snapshot() != before {
+		t.Fatalf("fenced commit replaced the served snapshot: epoch %d", srv.Snapshot().Epoch)
+	}
+	if jobs := srv.Store().jobFiles(); len(jobs) != 0 {
+		t.Fatalf("fenced job left its file: %v", jobs)
+	}
+}
+
+// TestSnapshotNeverAheadOfStore: while heals commit epoch after epoch, an
+// observer polling Snapshot() never sees an epoch whose file is not yet on
+// disk: the snapshot is built beside Store.Commit but published after it.
+func TestSnapshotNeverAheadOfStore(t *testing.T) {
+	dir := t.TempDir()
+	srv, join := startServer(t, Config{Gen: "now-c", Seed: 1, StateDir: dir, Listen: "127.0.0.1:0"})
+	join = sync.OnceFunc(join) // called below, to read the store race-free
+	defer join()
+	waitSnap(t, srv)
+	cl := dialServer(t, srv)
+
+	stop := make(chan struct{})
+	observed := make(chan int, 1)
+	go func() {
+		seen, last := 0, uint64(0)
+		defer func() { observed <- seen }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snap := srv.Snapshot()
+			if snap.Epoch == last {
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("epoch-%06d.san", snap.Epoch)))
+			if err == nil {
+				_, err = parseEpoch(data)
+			}
+			if err != nil {
+				t.Errorf("served epoch %d before the store holds it: %v", snap.Epoch, err)
+				return
+			}
+			last = snap.Epoch
+			seen++
+		}
+	}()
+
+	const heals = 4
+	for i := 0; i < heals; i++ {
+		if rep, err := cl.Call(map[string]any{"op": "remap"}); err != nil || rep["ok"] != true {
+			t.Errorf("remap %d: %v %v", i, rep, err)
+			break
+		}
+	}
+	close(stop)
+	if seen := <-observed; seen < 2 || t.Failed() {
+		t.Fatalf("observer saw %d epochs during %d heals", seen, heals)
+	}
+	join()
+	if got, want := srv.Snapshot().Epoch, srv.Store().Latest().Number; got != want || want != 1+heals {
+		t.Fatalf("serving epoch %d, store latest %d, want both %d", got, want, 1+heals)
 	}
 }

@@ -221,9 +221,11 @@ const epochMagic = "sanmapd-epoch 1"
 
 // encodeEpoch renders the epoch file: a text header, the two raw
 // sections with byte-length framing, and a trailing CRC-32 (IEEE) over
-// everything before the crc line.
+// everything before the crc line. The buffer is sized for both sections
+// up front, so each of their bytes is copied once.
 func encodeEpoch(ep *Epoch) []byte {
 	var b bytes.Buffer
+	b.Grow(512 + len(ep.NetText) + len(ep.Checkpoint))
 	fmt.Fprintf(&b, "%s\n", epochMagic)
 	fmt.Fprintf(&b, "epoch %d\n", ep.Number)
 	fmt.Fprintf(&b, "parent %d\n", ep.Parent)

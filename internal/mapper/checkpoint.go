@@ -3,10 +3,11 @@ package mapper
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -114,15 +115,36 @@ func b2i(b bool) int {
 	return 0
 }
 
-// configLine renders the fields a restore must agree on.
-func (r *run) configLine() string {
+// appendConfig appends the fields a restore must agree on.
+func (r *run) appendConfig(b []byte) []byte {
 	cfg := r.cfg
 	// The trailing 1 is the column of a retired switch (skip slots that
 	// already hold an edge) that was never anything but on.
-	return fmt.Sprintf("config %d %d %d %d %d %d %d %d 1",
-		cfg.Depth, r.model.maxPorts, cfg.Confirm, cfg.FaultBudget,
-		cfg.Policy, cfg.ProbeOrder, cfg.TurnOrder,
-		b2i(cfg.EliminateProbes))
+	return appendFields(b, "config", cfg.Depth, r.model.maxPorts, cfg.Confirm, cfg.FaultBudget,
+		int(cfg.Policy), int(cfg.ProbeOrder), int(cfg.TurnOrder),
+		b2i(cfg.EliminateProbes), 1)
+}
+
+// appendFields appends key and then each value, each after one space.
+func appendFields(b []byte, key string, vals ...int) []byte {
+	b = append(b, key...)
+	for _, v := range vals {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return b
+}
+
+// appendQuotedRoute appends r's String rendering in double quotes — the
+// %q of it: route text is signs and digits, or ε, and never needs escaping.
+func appendQuotedRoute(b []byte, r simnet.Route) []byte {
+	b = append(b, '"')
+	if len(r) == 0 {
+		b = append(b, "ε"...)
+	} else {
+		b = r.AppendText(b)
+	}
+	return append(b, '"')
 }
 
 // Checkpoint serializes the session — model graph, heal position, pending
@@ -138,24 +160,32 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	if err := checkpointable(r.cfg); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	fmt.Fprintln(w, checkpointMagic)
-	fmt.Fprintln(w, r.configLine())
-	fmt.Fprintf(w, "heal %d %d %d %d %d\n",
-		s.heal.round, b2i(s.heal.sweepDone), s.heal.dropped, b2i(s.heal.done), b2i(r.partial))
-	fmt.Fprintf(w, "stats %d %d %d %d %d %d %d %d\n",
-		r.stats.Explorations, r.stats.SkippedJobs, r.stats.Merges, r.stats.PrunedVerts,
-		r.stats.Inconsistent, r.stats.EliminatedPro, r.stats.Contradictions, r.stats.Reexplored)
 	m := r.model
-	fmt.Fprintf(w, "model %d %d\n", m.nextID, m.Inconsistencies)
-
 	live := m.liveVertices()
-	fmt.Fprintf(w, "verts %d\n", len(live))
+	// The image is appended into one buffer sized from the previous one
+	// (from the model's size on the first call); the slot and frontier
+	// lines, whose counts precede them, go through a second.
+	size := s.ckptLen
+	if size == 0 {
+		size = 64*len(live) + 40*m.liveEdges + 64*len(r.obs) + 512
+	}
+	b := make([]byte, 0, size+size/8)
+	side := make([]byte, 0, 24*m.liveEdges+64)
+
+	b = append(b, checkpointMagic+"\n"...)
+	b = append(r.appendConfig(b), '\n')
+	b = append(appendFields(b, "heal", s.heal.round, b2i(s.heal.sweepDone), s.heal.dropped,
+		b2i(s.heal.done), b2i(r.partial)), '\n')
+	b = append(appendFields(b, "stats", r.stats.Explorations, r.stats.SkippedJobs, r.stats.Merges,
+		r.stats.PrunedVerts, r.stats.Inconsistent, r.stats.EliminatedPro, r.stats.Contradictions,
+		r.stats.Reexplored), '\n')
+	b = append(appendFields(b, "model", m.nextID, m.Inconsistencies), '\n')
+
+	b = append(appendFields(b, "verts", len(live)), '\n')
 	for _, v := range live {
-		kind := "s"
+		kind := byte('s')
 		if v.kind == topology.HostNode {
-			kind = "h"
+			kind = 'h'
 		}
 		// The port-window memo is part of the observable state: dropEdge
 		// leaves editGen alone, so a window narrowed by a since-dropped
@@ -167,8 +197,13 @@ func (s *Session) Checkpoint() ([]byte, error) {
 		if v.winGen == m.editGen {
 			wc, wlo, whi = 1, v.winLo, v.winHi
 		}
-		fmt.Fprintf(w, "v %d %s %d %d %d %d %q %q\n",
-			v.id, kind, b2i(v.explored), wc, wlo, whi, v.name, v.probe.String())
+		b = appendFields(b, "v", v.id)
+		b = append(b, ' ', kind)
+		b = appendFields(b, "", b2i(v.explored), wc, wlo, whi)
+		b = append(b, ' ')
+		b = strconv.AppendQuote(b, v.name)
+		b = append(b, ' ')
+		b = append(appendQuotedRoute(b, v.probe), '\n')
 	}
 
 	// Edges are enumerated once, in the deterministic walk order
@@ -176,22 +211,18 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	// order); the slot lines then record, per (vertex, slot), the indices
 	// into that enumeration in list order. List order is semantic: export
 	// trusts the oldest deduction in a conflicted slot.
-	edgeIdx := make(map[*Edge]int)
-	var edges []*Edge
-	type slotLine struct {
-		vid, slot int
-		refs      []int
-	}
-	var slots []slotLine
+	edgeIdx := make(map[*Edge]int, m.liveEdges)
+	edges := make([]*Edge, 0, m.liveEdges)
+	nSlots := 0
 	var slotKeys []int
 	for _, v := range live {
 		slotKeys = slotKeys[:0]
 		for i := range v.slots {
 			slotKeys = append(slotKeys, i)
 		}
-		sort.Ints(slotKeys)
+		slices.Sort(slotKeys)
 		for _, i := range slotKeys {
-			var refs []int
+			refs := 0
 			for _, e := range v.slots[i] {
 				if e.deleted {
 					continue
@@ -202,45 +233,42 @@ func (s *Session) Checkpoint() ([]byte, error) {
 					edgeIdx[e] = idx
 					edges = append(edges, e)
 				}
-				refs = append(refs, idx)
+				if refs == 0 {
+					side = appendFields(side, "s", v.id, i)
+				}
+				side = appendFields(side, "", idx)
+				refs++
 			}
-			if len(refs) > 0 {
-				slots = append(slots, slotLine{vid: v.id, slot: i, refs: refs})
+			if refs > 0 {
+				side = append(side, '\n')
+				nSlots++
 			}
 		}
 	}
-	fmt.Fprintf(w, "edges %d\n", len(edges))
+	b = append(appendFields(b, "edges", len(edges)), '\n')
 	for _, e := range edges {
-		fmt.Fprintf(w, "e %d %d %d %d\n", e.a.id, e.ai, e.b.id, e.bi)
+		b = append(appendFields(b, "e", e.a.id, e.ai, e.b.id, e.bi), '\n')
 	}
-	fmt.Fprintf(w, "slots %d\n", len(slots))
-	for _, sl := range slots {
-		fmt.Fprintf(w, "s %d %d", sl.vid, sl.slot)
-		for _, ref := range sl.refs {
-			fmt.Fprintf(w, " %d", ref)
-		}
-		fmt.Fprintln(w)
-	}
+	b = append(appendFields(b, "slots", nSlots), '\n')
+	b = append(b, side...)
 
 	// Frontier jobs, resolved through the union-find: serializing the live
 	// root plus the shifted entry index is observationally identical to
 	// serializing the original reference (explore re-resolves either way).
-	type frontLine struct {
-		id, entry int
-		route     string
-	}
-	var front []frontLine
+	side = side[:0]
+	nFront := 0
 	for _, jb := range r.front {
 		root, shift := find(jb.v)
 		if root.deleted {
 			continue
 		}
-		front = append(front, frontLine{id: root.id, entry: jb.entry + shift, route: jb.route.String()})
+		side = appendFields(side, "j", root.id, jb.entry+shift)
+		side = append(side, ' ')
+		side = append(appendQuotedRoute(side, jb.route), '\n')
+		nFront++
 	}
-	fmt.Fprintf(w, "front %d\n", len(front))
-	for _, f := range front {
-		fmt.Fprintf(w, "j %d %d %q\n", f.id, f.entry, f.route)
-	}
+	b = append(appendFields(b, "front", nFront), '\n')
+	b = append(b, side...)
 
 	// Stale caps keyed by live roots only: entries for merged or deleted
 	// vertices can never be read again (markStale and reexploreAt always
@@ -248,27 +276,28 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	type staleLine struct {
 		id, n int
 	}
-	var stale []staleLine
+	stale := make([]staleLine, 0, len(r.staleCount))
 	for v, n := range r.staleCount {
 		if !v.deleted {
 			stale = append(stale, staleLine{id: v.id, n: n})
 		}
 	}
-	sort.Slice(stale, func(i, j int) bool { return stale[i].id < stale[j].id })
-	fmt.Fprintf(w, "stale %d\n", len(stale))
+	slices.SortFunc(stale, func(x, y staleLine) int { return cmp.Compare(x.id, y.id) })
+	b = append(appendFields(b, "stale", len(stale)), '\n')
 	for _, st := range stale {
-		fmt.Fprintf(w, "c %d %d\n", st.id, st.n)
+		b = append(appendFields(b, "c", st.id, st.n), '\n')
 	}
 
-	fmt.Fprintf(w, "obslog %d\n", len(r.obs))
+	b = append(appendFields(b, "obslog", len(r.obs)), '\n')
 	for _, o := range r.obs {
-		fmt.Fprintf(w, "o %d %q %q\n", int64(o.At), o.What, o.Probe)
+		b = strconv.AppendInt(append(b, "o "...), int64(o.At), 10)
+		b = strconv.AppendQuote(append(b, ' '), o.What)
+		b = strconv.AppendQuote(append(b, ' '), o.Probe)
+		b = append(b, '\n')
 	}
-	fmt.Fprintln(w, "end")
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	b = append(b, "end\n"...)
+	s.ckptLen = len(b)
+	return b, nil
 }
 
 // ckptReader is a line-oriented parser with positioned errors.
@@ -413,7 +442,7 @@ func RestoreSession(p simnet.Prober, data []byte, opts ...Option) (*Session, err
 	if err != nil {
 		return nil, err
 	}
-	if want := r.configLine(); line != want {
+	if want := string(r.appendConfig(nil)); line != want {
 		return nil, fmt.Errorf("%w: checkpoint %q vs session %q", ErrCheckpointMismatch, line, want)
 	}
 
@@ -445,7 +474,9 @@ func RestoreSession(p simnet.Prober, data []byte, opts ...Option) (*Session, err
 		if err != nil {
 			return 0, err
 		}
-		if v[0] < 0 {
+		// Every record takes at least one byte, so a count beyond the
+		// image's length is corrupt — and must not size an allocation.
+		if v[0] < 0 || v[0] > len(data) {
 			return 0, cr.errf("%s count %d", key, v[0])
 		}
 		return v[0], nil

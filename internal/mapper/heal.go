@@ -26,6 +26,9 @@ type Session struct {
 	// heal is the Remap state machine position, persisted by Checkpoint so
 	// a restored session resumes mid-Remap instead of starting over.
 	heal healState
+	// ckptLen is the length of the last Checkpoint image, which sizes the
+	// next one's buffer.
+	ckptLen int
 }
 
 // healState is the resumable position inside one Remap call.

@@ -2,9 +2,10 @@ package topology
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -24,53 +25,101 @@ import (
 // (sorted) and round-trips through ReadFrom.
 
 // Write serialises the network. Unnamed switches get synthetic names.
+// The text is appended into one buffer and handed to w in a single Write.
 func (n *Network) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	names := make(map[NodeID]string, len(n.nodes))
+	// Every node's name, synthetic ones included, lives in one arena:
+	// node i's is names[off[i]:off[i+1]].
+	off := make([]int, len(n.nodes)+1)
+	names := make([]byte, 0, 8*len(n.nodes))
 	for i := range n.nodes {
-		id := NodeID(i)
-		name := n.nodes[i].name
-		if name == "" {
-			name = fmt.Sprintf("sw%d", i)
+		if name := n.nodes[i].name; name != "" {
+			names = append(names, name...)
+		} else {
+			names = append(names, "sw"...)
+			names = strconv.AppendInt(names, int64(i), 10)
 		}
-		names[id] = name
+		off[i+1] = len(names)
 	}
-	fmt.Fprintf(bw, "# %d hosts, %d switches, %d links\n",
-		n.NumHosts(), n.NumSwitches(), n.NumWires())
-	var lines []string
-	for i := range n.nodes {
-		switch {
-		case n.nodes[i].kind == HostNode:
-			lines = append(lines, fmt.Sprintf("host %s", names[NodeID(i)]))
-		case len(n.nodes[i].ports) != SwitchPorts:
-			lines = append(lines, fmt.Sprintf("switch %s %d", names[NodeID(i)], len(n.nodes[i].ports)))
-		default:
-			lines = append(lines, fmt.Sprintf("switch %s", names[NodeID(i)]))
-		}
-	}
+	name := func(id NodeID) []byte { return names[off[id]:off[id+1]] }
+
+	// A wire line holds two names and two ports; size the arena from the
+	// mean name length.
+	wireLen := 16 + 2*len(names)/max(len(n.nodes), 1)
+	lines := make([]byte, 0, wireLen*n.NumWires())
+	spans := make([]lineSpan, 0, n.NumWires())
+	buf := make([]byte, 0, 64+len(names)+10*len(n.nodes)+cap(lines))
+
+	buf = append(buf, "# "...)
+	buf = strconv.AppendInt(buf, int64(n.NumHosts()), 10)
+	buf = append(buf, " hosts, "...)
+	buf = strconv.AppendInt(buf, int64(n.NumSwitches()), 10)
+	buf = append(buf, " switches, "...)
+	buf = strconv.AppendInt(buf, int64(n.NumWires()), 10)
+	buf = append(buf, " links\n"...)
 	// Node lines keep insertion order (hosts may depend on it); wires and
 	// reflectors are sorted for stability.
-	for _, l := range lines {
-		fmt.Fprintln(bw, l)
+	for i := range n.nodes {
+		nd := &n.nodes[i]
+		if nd.kind == HostNode {
+			buf = append(buf, "host "...)
+		} else {
+			buf = append(buf, "switch "...)
+		}
+		buf = append(buf, name(NodeID(i))...)
+		if nd.kind != HostNode && len(nd.ports) != SwitchPorts {
+			buf = append(buf, ' ')
+			buf = strconv.AppendInt(buf, int64(len(nd.ports)), 10)
+		}
+		buf = append(buf, '\n')
 	}
-	var wires []string
-	n.WiresIndexed(func(_ int, w Wire) {
-		wires = append(wires, fmt.Sprintf("wire %s %d %s %d",
-			names[w.A.Node], w.A.Port, names[w.B.Node], w.B.Port))
+	for i, w := range n.wires {
+		if n.dead[i] {
+			continue
+		}
+		lo := len(lines)
+		lines = append(lines, "wire "...)
+		lines = append(lines, name(w.A.Node)...)
+		lines = append(lines, ' ')
+		lines = strconv.AppendInt(lines, int64(w.A.Port), 10)
+		lines = append(lines, ' ')
+		lines = append(lines, name(w.B.Node)...)
+		lines = append(lines, ' ')
+		lines = strconv.AppendInt(lines, int64(w.B.Port), 10)
+		spans = append(spans, lineSpan{lo, len(lines)})
+	}
+	buf = appendSorted(buf, lines, spans)
+	lines, spans = lines[:0], spans[:0]
+	for i := range n.nodes {
+		for p, r := range n.nodes[i].reflect {
+			if r {
+				lo := len(lines)
+				lines = append(lines, "reflector "...)
+				lines = append(lines, name(NodeID(i))...)
+				lines = append(lines, ' ')
+				lines = strconv.AppendInt(lines, int64(p), 10)
+				spans = append(spans, lineSpan{lo, len(lines)})
+			}
+		}
+	}
+	buf = appendSorted(buf, lines, spans)
+	_, err := w.Write(buf)
+	return err
+}
+
+// lineSpan is one line of an arena, lines[lo:hi], without its newline.
+type lineSpan struct{ lo, hi int }
+
+// appendSorted appends the arena's lines to buf in bytewise order — the
+// order sort.Strings gives the same lines as strings — each with a newline.
+func appendSorted(buf, lines []byte, spans []lineSpan) []byte {
+	slices.SortFunc(spans, func(a, b lineSpan) int {
+		return bytes.Compare(lines[a.lo:a.hi], lines[b.lo:b.hi])
 	})
-	sort.Strings(wires)
-	for _, l := range wires {
-		fmt.Fprintln(bw, l)
+	for _, s := range spans {
+		buf = append(buf, lines[s.lo:s.hi]...)
+		buf = append(buf, '\n')
 	}
-	var refl []string
-	for _, e := range n.Reflectors() {
-		refl = append(refl, fmt.Sprintf("reflector %s %d", names[e.Node], e.Port))
-	}
-	sort.Strings(refl)
-	for _, l := range refl {
-		fmt.Fprintln(bw, l)
-	}
-	return bw.Flush()
+	return buf
 }
 
 // ReadFrom parses the textual format into a fresh network.
