@@ -86,6 +86,9 @@ vet:
 #     so it is the one os.Rename in non-test internal/mapd; the framed
 #     append log it replaced (Truncate, Seek, encoding/binary) stays
 #     deleted.
+# 13. The durable text formats have one reader, internal/textrec: non-test
+#     internal/mapper uses no bufio.Scanner, and the hand-rolled readers
+#     it replaced (ckptReader, splitQuoted, epochParser) stay deleted.
 MAPD_SRC = $(filter-out %_test.go,$(wildcard internal/mapd/*.go))
 MAPPER_SRC = $(filter-out %_test.go,$(wildcard internal/mapper/*.go))
 WORKLOAD_SRC = $(filter-out %_test.go,$(wildcard internal/workload/*.go))
@@ -165,6 +168,11 @@ lint: vet
 	if [ "$$n" -ne 1 ] || [ -n "$$log" ]; then \
 		echo "internal/mapd has $$n os.Rename call(s), want one (Store.write), and no append-log machinery:"; \
 		echo "$$log"; exit 1; fi
+	@fork=$$(grep -n 'bufio\.Scanner' $(MAPPER_SRC); \
+		grep -rnE --include='*.go' 'ckptReader|splitQuoted|epochParser' . ); \
+	if [ -n "$$fork" ]; then \
+		echo "a second reader of the checkpoint or epoch format is growing back (read through internal/textrec):"; \
+		echo "$$fork"; exit 1; fi
 
 # trace-smoke is the golden-trace lane: a chaos run on a pinned seed must
 # emit a Chrome trace sidecar byte-identical to the checked-in fixture
@@ -241,6 +249,8 @@ fuzz-smoke:
 	$(GO) test -run ^$$ -fuzz FuzzParseProfile -fuzztime=10s ./internal/faults/
 	$(GO) test -run ^$$ -fuzz FuzzRestoreSession -fuzztime=10s ./internal/mapper/
 	$(GO) test -run ^$$ -fuzz FuzzReadTopology -fuzztime=10s ./internal/topology/
+	$(GO) test -run ^$$ -fuzz FuzzBuild -fuzztime=10s ./internal/genspec/
+	$(GO) test -run ^$$ -fuzz FuzzRoundTrip -fuzztime=10s ./internal/textrec/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run ^$$ .

@@ -247,7 +247,7 @@ func BenchmarkAblationLabelsVsMerge(b *testing.B) {
 	})
 }
 
-// Ablation 2: replicate policy (frontier dedup vs retry vs explore-all).
+// Ablation 2: replicate policy (frontier dedup vs retry-unknown).
 func BenchmarkAblationPolicy(b *testing.B) {
 	sys := cluster.CConfig(nil)
 	h0 := sys.Mapper()
@@ -258,7 +258,6 @@ func BenchmarkAblationPolicy(b *testing.B) {
 	}{
 		{"dedup", mapper.DedupFrontier},
 		{"retry-unknown", mapper.RetryUnknown},
-		{"explore-all", mapper.ExploreAll},
 	} {
 		b.Run(pc.name, func(b *testing.B) {
 			var last *mapper.Map

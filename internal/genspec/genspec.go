@@ -119,8 +119,17 @@ var table = []generator{
 	{usage: "random:S,H,E", min: 3, max: 3,
 		desc: "connected random multigraph: S switches, H hosts, E extra links",
 		build: func(v []int, rng *rand.Rand) (Result, error) {
+			// The switch cap comes first, so the bounds below cannot overflow.
+			if v[0] > topology.MaxFabricSwitches {
+				return Result{}, fmt.Errorf("genspec: at most %d switches", topology.MaxFabricSwitches)
+			}
 			if v[1] > 4*v[0] {
 				return Result{}, fmt.Errorf("genspec: at most %d hosts for %d switches", 4*v[0], v[0])
+			}
+			// An extra link takes two of the 8 ports, so more than 4 per
+			// switch can never be placed.
+			if v[2] > 4*v[0] {
+				return Result{}, fmt.Errorf("genspec: at most %d extra links for %d switches", 4*v[0], v[0])
 			}
 			if rng == nil {
 				rng = rand.New(rand.NewSource(1))

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"sanmap/internal/textrec"
 	"sanmap/internal/topology"
 )
 
@@ -224,170 +225,78 @@ const epochMagic = "sanmapd-epoch 1"
 // everything before the crc line. The buffer is sized for both sections
 // up front, so each of their bytes is copied once.
 func encodeEpoch(ep *Epoch) []byte {
-	var b bytes.Buffer
-	b.Grow(512 + len(ep.NetText) + len(ep.Checkpoint))
-	fmt.Fprintf(&b, "%s\n", epochMagic)
-	fmt.Fprintf(&b, "epoch %d\n", ep.Number)
-	fmt.Fprintf(&b, "parent %d\n", ep.Parent)
-	fmt.Fprintf(&b, "job %d\n", ep.Job)
-	fmt.Fprintf(&b, "resumed %d\n", b2i(ep.Resumed))
-	fmt.Fprintf(&b, "vclock %d\n", int64(ep.VClock))
-	fmt.Fprintf(&b, "probes %d\n", ep.Probes)
-	fmt.Fprintf(&b, "confidence %s\n", strconv.FormatFloat(ep.Confidence, 'g', -1, 64))
-	fmt.Fprintf(&b, "partial %d\n", b2i(ep.Partial))
-	fmt.Fprintf(&b, "suspects %d\n", len(ep.Suspects))
+	b := make([]byte, 0, 512+len(ep.NetText)+len(ep.Checkpoint))
+	b = append(b, epochMagic+"\n"...)
+	b = append(textrec.AppendUint(b, "epoch", ep.Number), '\n')
+	b = append(textrec.AppendUint(b, "parent", ep.Parent), '\n')
+	b = append(textrec.AppendUint(b, "job", ep.Job), '\n')
+	b = append(textrec.AppendInts(b, "resumed", textrec.Flag(ep.Resumed)), '\n')
+	b = append(textrec.AppendInts(b, "vclock", int(ep.VClock)), '\n')
+	b = append(textrec.AppendInts(b, "probes", int(ep.Probes)), '\n')
+	b = append(strconv.AppendFloat(append(b, "confidence "...), ep.Confidence, 'g', -1, 64), '\n')
+	b = append(textrec.AppendInts(b, "partial", textrec.Flag(ep.Partial)), '\n')
+	b = append(textrec.AppendInts(b, "suspects", len(ep.Suspects)), '\n')
 	for _, s := range ep.Suspects {
-		fmt.Fprintf(&b, "suspect %q\n", s)
+		b = append(textrec.AppendQuoted(append(b, "suspect"...), s), '\n')
 	}
-	fmt.Fprintf(&b, "suspect-ids %d", len(ep.SuspectIDs))
+	b = textrec.AppendInts(b, "suspect-ids", len(ep.SuspectIDs))
 	for _, id := range ep.SuspectIDs {
-		fmt.Fprintf(&b, " %d", id)
+		b = textrec.AppendInts(b, "", int(id))
 	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "network %d\n", len(ep.NetText))
-	b.Write(ep.NetText)
-	fmt.Fprintf(&b, "checkpoint %d\n", len(ep.Checkpoint))
-	b.Write(ep.Checkpoint)
-	fmt.Fprintf(&b, "crc %08x\n", crc32.ChecksumIEEE(b.Bytes()))
-	return b.Bytes()
+	b = append(textrec.AppendInts(append(b, '\n'), "network", len(ep.NetText)), '\n')
+	b = append(b, ep.NetText...)
+	b = append(textrec.AppendInts(b, "checkpoint", len(ep.Checkpoint)), '\n')
+	b = append(b, ep.Checkpoint...)
+	return fmt.Appendf(b, "crc %08x\n", crc32.ChecksumIEEE(b))
 }
 
-// parseEpoch validates the checksum and decodes one epoch file.
+// parseEpoch validates the checksum and decodes one epoch file. The two
+// sections alias data.
 func parseEpoch(data []byte) (*Epoch, error) {
-	i := bytes.LastIndex(data, []byte("\ncrc "))
-	if i < 0 {
-		return nil, fmt.Errorf("%w: no crc trailer", ErrBadEpoch)
+	i := bytes.LastIndex(data, []byte("\ncrc ")) + 1
+	body, trailer := data[:i], data[i:]
+	if want := fmt.Appendf(nil, "crc %08x\n", crc32.ChecksumIEEE(body)); !bytes.Equal(trailer, want) {
+		return nil, fmt.Errorf("%w: line %d: crc trailer %q, want %q",
+			ErrBadEpoch, bytes.Count(body, []byte{'\n'})+1, trailer, want)
 	}
-	body, trailer := data[:i+1], data[i+1:]
-	var want uint32
-	if _, err := fmt.Sscanf(string(trailer), "crc %08x\n", &want); err != nil {
-		return nil, fmt.Errorf("%w: bad crc trailer", ErrBadEpoch)
+	r := textrec.NewReader(body, ErrBadEpoch)
+	num := func(key string) uint64 {
+		r.Next(key)
+		v := r.Uint()
+		r.Done()
+		return v
 	}
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("%w: crc mismatch %08x != %08x", ErrBadEpoch, got, want)
-	}
-	p := &epochParser{data: body}
-	if p.line() != epochMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadEpoch)
-	}
+	r.Expect(epochMagic)
 	ep := &Epoch{}
-	ep.Number = p.uintField("epoch")
-	ep.Parent = p.uintField("parent")
-	ep.Job = p.uintField("job")
-	ep.Resumed = p.uintField("resumed") != 0
-	ep.VClock = time.Duration(p.intField("vclock"))
-	ep.Probes = p.intField("probes")
-	if v, ok := strings.CutPrefix(p.line(), "confidence "); ok {
-		ep.Confidence, _ = strconv.ParseFloat(v, 64)
+	ep.Number, ep.Parent = num("epoch"), num("parent")
+	if ep.Number == 0 || ep.Number != ep.Parent+1 {
+		r.Failf("epoch %d with parent %d", ep.Number, ep.Parent)
+	}
+	ep.Job = num("job")
+	ep.Resumed = num("resumed") != 0
+	ep.VClock = time.Duration(r.Ints("vclock", 1)[0])
+	ep.Probes = int64(r.Ints("probes", 1)[0])
+	r.Next("confidence")
+	ep.Confidence = r.Float()
+	r.Done()
+	ep.Partial = num("partial") != 0
+	for n := r.Count("suspects"); n > 0 && r.Err() == nil; n-- {
+		r.Next("suspect")
+		ep.Suspects = append(ep.Suspects, r.Quoted())
+		r.Done()
+	}
+	if ids := r.Ints("suspect-ids", -1); len(ids) == 0 || ids[0] != len(ids)-1 {
+		r.Failf("suspect-ids record: want a count and as many ids")
 	} else {
-		p.fail("confidence")
-	}
-	ep.Partial = p.uintField("partial") != 0
-	for n := p.uintField("suspects"); n > 0 && p.err == nil; n-- {
-		v, ok := strings.CutPrefix(p.line(), "suspect ")
-		if !ok {
-			p.fail("suspect")
-			break
-		}
-		s, err := strconv.Unquote(v)
-		if err != nil {
-			p.fail("suspect quote")
-			break
-		}
-		ep.Suspects = append(ep.Suspects, s)
-	}
-	if f := strings.Fields(p.line()); len(f) >= 2 && f[0] == "suspect-ids" {
-		for _, s := range f[2:] {
-			id, err := strconv.Atoi(s)
-			if err != nil {
-				p.fail("suspect-ids")
-				break
-			}
+		for _, id := range ids[1:] {
 			ep.SuspectIDs = append(ep.SuspectIDs, topology.NodeID(id))
 		}
-	} else {
-		p.fail("suspect-ids")
 	}
-	ep.NetText = p.section("network")
-	ep.Checkpoint = p.section("checkpoint")
-	if p.pos != len(p.data) {
-		p.fail("end of checkpoint")
-	}
-	if p.err != nil {
-		return nil, p.err
-	}
-	if ep.Number == 0 || ep.Number != ep.Parent+1 {
-		return nil, fmt.Errorf("%w: epoch %d with parent %d", ErrBadEpoch, ep.Number, ep.Parent)
+	ep.NetText = r.Section("network")
+	ep.Checkpoint = r.Section("checkpoint")
+	r.End()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return ep, nil
-}
-
-type epochParser struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (p *epochParser) fail(what string) {
-	if p.err == nil {
-		p.err = fmt.Errorf("%w: missing or malformed %s", ErrBadEpoch, what)
-	}
-}
-
-// line returns the next newline-terminated line, without the newline.
-func (p *epochParser) line() string {
-	if p.err != nil || p.pos >= len(p.data) {
-		p.fail("line")
-		return ""
-	}
-	i := bytes.IndexByte(p.data[p.pos:], '\n')
-	if i < 0 {
-		p.fail("newline")
-		return ""
-	}
-	s := string(p.data[p.pos : p.pos+i])
-	p.pos += i + 1
-	return s
-}
-
-func (p *epochParser) uintField(key string) uint64 {
-	v, ok := strings.CutPrefix(p.line(), key+" ")
-	n, err := strconv.ParseUint(v, 10, 64)
-	if !ok || err != nil {
-		p.fail(key)
-		return 0
-	}
-	return n
-}
-
-func (p *epochParser) intField(key string) int64 {
-	v, ok := strings.CutPrefix(p.line(), key+" ")
-	n, err := strconv.ParseInt(v, 10, 64)
-	if !ok || err != nil {
-		p.fail(key)
-		return 0
-	}
-	return n
-}
-
-// section reads a "key <len>" line followed by exactly len raw bytes.
-func (p *epochParser) section(key string) []byte {
-	n := p.uintField(key)
-	if p.err != nil {
-		return nil
-	}
-	if n > uint64(len(p.data)-p.pos) {
-		p.fail(key + " body")
-		return nil
-	}
-	out := append([]byte(nil), p.data[p.pos:p.pos+int(n)]...)
-	p.pos += int(n)
-	return out
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"sanmap/internal/obs"
 	"sanmap/internal/topology"
 )
 
@@ -60,6 +61,35 @@ func TestEpochChecksumRejectsFlips(t *testing.T) {
 	if _, err := parseEpoch(data[:len(data)-4]); !errors.Is(err, ErrBadEpoch) {
 		t.Errorf("truncated file: got %v", err)
 	}
+}
+
+// TestEpochStrictHeader: a confidence that is not a number, and a
+// suspect-ids record whose count is not a number or does not match the ids
+// after it, make the file bad instead of reading as 0 or as whatever ids
+// follow.
+func TestEpochStrictHeader(t *testing.T) {
+	for _, c := range []struct{ old, new string }{
+		{"confidence 0.875\n", "confidence banana\n"},
+		{"suspect-ids 2 3 9\n", "suspect-ids x 7 9\n"},
+		{"suspect-ids 2 3 9\n", "suspect-ids 3 3 9\n"},
+		{"suspect-ids 2 3 9\n", "suspect-ids 1 3 9\n"},
+	} {
+		data := withCRC(bytes.Replace(epochBody(testEpoch(3)), []byte(c.old), []byte(c.new), 1))
+		if _, err := parseEpoch(data); !errors.Is(err, ErrBadEpoch) {
+			t.Errorf("%q: got %v, want ErrBadEpoch", c.new, err)
+		}
+	}
+}
+
+// epochBody is ep's encoding without its crc trailer.
+func epochBody(ep *Epoch) []byte {
+	data := encodeEpoch(ep)
+	return data[:bytes.LastIndex(data, []byte("crc "))]
+}
+
+// withCRC appends a valid crc trailer to body.
+func withCRC(body []byte) []byte {
+	return fmt.Appendf(append([]byte(nil), body...), "crc %08x\n", crc32.ChecksumIEEE(body))
 }
 
 func TestStoreCommitAndReopen(t *testing.T) {
@@ -204,18 +234,17 @@ func TestNextJobID(t *testing.T) {
 }
 
 // FuzzParseEpoch holds the one decoder of epoch and job files: it never
-// panics, and whatever it accepts re-encodes to bytes it parses back to
-// the same encoding. Each input is also tried with a valid CRC trailer
-// appended, so mutations reach the field parser, not only the checksum.
+// panics, and whatever it accepts re-encodes — as the fmt oracle does — to
+// bytes it parses back to the same encoding. Each input is also tried with
+// a valid CRC trailer appended, so mutations reach the field parser, not
+// only the checksum.
 func FuzzParseEpoch(f *testing.F) {
 	f.Add(encodeEpoch(testEpoch(3)))
 	f.Add(encodeEpoch(&Epoch{EpochMeta: EpochMeta{Number: 1, Confidence: 1}}))
 	f.Add(encodeEpoch(&Epoch{EpochMeta: EpochMeta{Number: 5, Parent: 4, Job: 9, VClock: 42}, Checkpoint: []byte("x\n")}))
-	body := encodeEpoch(testEpoch(2))
-	f.Add(body[:bytes.LastIndex(body, []byte("crc "))])
+	f.Add(epochBody(testEpoch(2)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		withCRC := fmt.Appendf(append([]byte(nil), data...), "crc %08x\n", crc32.ChecksumIEEE(data))
-		for _, in := range [][]byte{data, withCRC} {
+		for _, in := range [][]byte{data, withCRC(data)} {
 			ep, err := parseEpoch(in)
 			if err != nil {
 				continue
@@ -228,6 +257,33 @@ func FuzzParseEpoch(f *testing.F) {
 			if got := encodeEpoch(again); !bytes.Equal(got, enc) {
 				t.Fatalf("encode → parse → encode differs:\n%q\n%q", enc, got)
 			}
+			if want := encodeEpochFmt(ep); !bytes.Equal(enc, want) {
+				t.Fatalf("append encoder differs from the fmt oracle:\n%q\n%q", enc, want)
+			}
 		}
 	})
+}
+
+// BenchmarkParseEpoch decodes the first epoch sanmapd commits for the
+// 768-host leaf/spine fabric: the checksum, the header and both sections.
+func BenchmarkParseEpoch(b *testing.B) {
+	dir := b.TempDir()
+	srv, err := New(Config{Gen: "fattree2:128x6", StateDir: dir, Once: true, Metrics: obs.NewRegistry()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := srv.Run(); err != nil {
+		b.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "epoch-000001.san"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := parseEpoch(data); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -1,18 +1,15 @@
 package mapper
 
 import (
-	"bufio"
 	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
-	"strconv"
-	"strings"
 	"time"
 
 	"sanmap/internal/simnet"
+	"sanmap/internal/textrec"
 	"sanmap/internal/topology"
 )
 
@@ -107,38 +104,21 @@ func checkpointable(cfg Config) error {
 	return nil
 }
 
-// b2i renders a flag as the 0/1 the checkpoint format stores.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // appendConfig appends the fields a restore must agree on.
 func (r *run) appendConfig(b []byte) []byte {
 	cfg := r.cfg
 	// The trailing 1 is the column of a retired switch (skip slots that
 	// already hold an edge) that was never anything but on.
-	return appendFields(b, "config", cfg.Depth, r.model.maxPorts, cfg.Confirm, cfg.FaultBudget,
+	return textrec.AppendInts(b, "config", cfg.Depth, r.model.maxPorts, cfg.Confirm, cfg.FaultBudget,
 		int(cfg.Policy), int(cfg.ProbeOrder), int(cfg.TurnOrder),
-		b2i(cfg.EliminateProbes), 1)
+		textrec.Flag(cfg.EliminateProbes), 1)
 }
 
-// appendFields appends key and then each value, each after one space.
-func appendFields(b []byte, key string, vals ...int) []byte {
-	b = append(b, key...)
-	for _, v := range vals {
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	return b
-}
-
-// appendQuotedRoute appends r's String rendering in double quotes — the
-// %q of it: route text is signs and digits, or ε, and never needs escaping.
+// appendQuotedRoute appends one space and r's String rendering in double
+// quotes — textrec.AppendQuoted of it: route text is signs and digits, or
+// ε, and never needs escaping.
 func appendQuotedRoute(b []byte, r simnet.Route) []byte {
-	b = append(b, '"')
+	b = append(b, ' ', '"')
 	if len(r) == 0 {
 		b = append(b, "ε"...)
 	} else {
@@ -174,14 +154,14 @@ func (s *Session) Checkpoint() ([]byte, error) {
 
 	b = append(b, checkpointMagic+"\n"...)
 	b = append(r.appendConfig(b), '\n')
-	b = append(appendFields(b, "heal", s.heal.round, b2i(s.heal.sweepDone), s.heal.dropped,
-		b2i(s.heal.done), b2i(r.partial)), '\n')
-	b = append(appendFields(b, "stats", r.stats.Explorations, r.stats.SkippedJobs, r.stats.Merges,
+	b = append(textrec.AppendInts(b, "heal", s.heal.round, textrec.Flag(s.heal.sweepDone), s.heal.dropped,
+		textrec.Flag(s.heal.done), textrec.Flag(r.partial)), '\n')
+	b = append(textrec.AppendInts(b, "stats", r.stats.Explorations, r.stats.SkippedJobs, r.stats.Merges,
 		r.stats.PrunedVerts, r.stats.Inconsistent, r.stats.EliminatedPro, r.stats.Contradictions,
 		r.stats.Reexplored), '\n')
-	b = append(appendFields(b, "model", m.nextID, m.Inconsistencies), '\n')
+	b = append(textrec.AppendInts(b, "model", m.nextID, m.Inconsistencies), '\n')
 
-	b = append(appendFields(b, "verts", len(live)), '\n')
+	b = append(textrec.AppendInts(b, "verts", len(live)), '\n')
 	for _, v := range live {
 		kind := byte('s')
 		if v.kind == topology.HostNode {
@@ -197,12 +177,10 @@ func (s *Session) Checkpoint() ([]byte, error) {
 		if v.winGen == m.editGen {
 			wc, wlo, whi = 1, v.winLo, v.winHi
 		}
-		b = appendFields(b, "v", v.id)
+		b = textrec.AppendInts(b, "v", v.id)
 		b = append(b, ' ', kind)
-		b = appendFields(b, "", b2i(v.explored), wc, wlo, whi)
-		b = append(b, ' ')
-		b = strconv.AppendQuote(b, v.name)
-		b = append(b, ' ')
+		b = textrec.AppendInts(b, "", textrec.Flag(v.explored), wc, wlo, whi)
+		b = textrec.AppendQuoted(b, v.name)
 		b = append(appendQuotedRoute(b, v.probe), '\n')
 	}
 
@@ -234,9 +212,9 @@ func (s *Session) Checkpoint() ([]byte, error) {
 					edges = append(edges, e)
 				}
 				if refs == 0 {
-					side = appendFields(side, "s", v.id, i)
+					side = textrec.AppendInts(side, "s", v.id, i)
 				}
-				side = appendFields(side, "", idx)
+				side = textrec.AppendInts(side, "", idx)
 				refs++
 			}
 			if refs > 0 {
@@ -245,11 +223,11 @@ func (s *Session) Checkpoint() ([]byte, error) {
 			}
 		}
 	}
-	b = append(appendFields(b, "edges", len(edges)), '\n')
+	b = append(textrec.AppendInts(b, "edges", len(edges)), '\n')
 	for _, e := range edges {
-		b = append(appendFields(b, "e", e.a.id, e.ai, e.b.id, e.bi), '\n')
+		b = append(textrec.AppendInts(b, "e", e.a.id, e.ai, e.b.id, e.bi), '\n')
 	}
-	b = append(appendFields(b, "slots", nSlots), '\n')
+	b = append(textrec.AppendInts(b, "slots", nSlots), '\n')
 	b = append(b, side...)
 
 	// Frontier jobs, resolved through the union-find: serializing the live
@@ -262,12 +240,11 @@ func (s *Session) Checkpoint() ([]byte, error) {
 		if root.deleted {
 			continue
 		}
-		side = appendFields(side, "j", root.id, jb.entry+shift)
-		side = append(side, ' ')
+		side = textrec.AppendInts(side, "j", root.id, jb.entry+shift)
 		side = append(appendQuotedRoute(side, jb.route), '\n')
 		nFront++
 	}
-	b = append(appendFields(b, "front", nFront), '\n')
+	b = append(textrec.AppendInts(b, "front", nFront), '\n')
 	b = append(b, side...)
 
 	// Stale caps keyed by live roots only: entries for merged or deleted
@@ -283,130 +260,19 @@ func (s *Session) Checkpoint() ([]byte, error) {
 		}
 	}
 	slices.SortFunc(stale, func(x, y staleLine) int { return cmp.Compare(x.id, y.id) })
-	b = append(appendFields(b, "stale", len(stale)), '\n')
+	b = append(textrec.AppendInts(b, "stale", len(stale)), '\n')
 	for _, st := range stale {
-		b = append(appendFields(b, "c", st.id, st.n), '\n')
+		b = append(textrec.AppendInts(b, "c", st.id, st.n), '\n')
 	}
 
-	b = append(appendFields(b, "obslog", len(r.obs)), '\n')
+	b = append(textrec.AppendInts(b, "obslog", len(r.obs)), '\n')
 	for _, o := range r.obs {
-		b = strconv.AppendInt(append(b, "o "...), int64(o.At), 10)
-		b = strconv.AppendQuote(append(b, ' '), o.What)
-		b = strconv.AppendQuote(append(b, ' '), o.Probe)
-		b = append(b, '\n')
+		b = textrec.AppendQuoted(textrec.AppendInts(b, "o", int(o.At)), o.What)
+		b = append(textrec.AppendQuoted(b, o.Probe), '\n')
 	}
 	b = append(b, "end\n"...)
 	s.ckptLen = len(b)
 	return b, nil
-}
-
-// ckptReader is a line-oriented parser with positioned errors.
-type ckptReader struct {
-	sc   *bufio.Scanner
-	line int
-}
-
-func (cr *ckptReader) next() (string, error) {
-	if !cr.sc.Scan() {
-		if err := cr.sc.Err(); err != nil {
-			return "", err
-		}
-		return "", fmt.Errorf("%w: truncated at line %d", ErrBadCheckpoint, cr.line)
-	}
-	cr.line++
-	return cr.sc.Text(), nil
-}
-
-func (cr *ckptReader) errf(format string, args ...any) error {
-	return fmt.Errorf("%w: line %d: %s", ErrBadCheckpoint, cr.line, fmt.Sprintf(format, args...))
-}
-
-// fields splits a line, checks the keyword and an exact argument count.
-func (cr *ckptReader) fields(line, key string, n int) ([]string, error) {
-	f := strings.Fields(line)
-	if len(f) == 0 || f[0] != key {
-		return nil, cr.errf("want %q record, got %q", key, line)
-	}
-	if n >= 0 && len(f)-1 != n {
-		return nil, cr.errf("%s record wants %d fields, got %d", key, n, len(f)-1)
-	}
-	return f[1:], nil
-}
-
-// ints reads the next line as a key record of exactly n integer fields
-// (n < 0: any number).
-func (cr *ckptReader) ints(key string, n int) ([]int, error) {
-	line, err := cr.next()
-	if err != nil {
-		return nil, err
-	}
-	f, err := cr.fields(line, key, n)
-	if err != nil {
-		return nil, err
-	}
-	v, err := atoiAll(f)
-	if err != nil {
-		return nil, cr.errf("%s: %v", key, err)
-	}
-	return v, nil
-}
-
-func atoiAll(fields []string) ([]int, error) {
-	out := make([]int, len(fields))
-	for i, f := range fields {
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// splitQuoted splits a line of the form "key n... q... q..." where the
-// trailing fields are Go-quoted strings (which may contain spaces).
-func splitQuoted(s string, nPlain, nQuoted int) (plain []string, quoted []string, err error) {
-	rest := s
-	for i := 0; i < nPlain; i++ {
-		rest = strings.TrimLeft(rest, " ")
-		j := strings.IndexByte(rest, ' ')
-		if j < 0 {
-			return nil, nil, io.ErrUnexpectedEOF
-		}
-		plain = append(plain, rest[:j])
-		rest = rest[j:]
-	}
-	for i := 0; i < nQuoted; i++ {
-		rest = strings.TrimLeft(rest, " ")
-		if len(rest) == 0 || rest[0] != '"' {
-			return nil, nil, fmt.Errorf("want quoted field in %q", s)
-		}
-		// Find the closing quote, honouring escapes.
-		j := 1
-		for j < len(rest) {
-			if rest[j] == '\\' {
-				j += 2
-				continue
-			}
-			if rest[j] == '"' {
-				break
-			}
-			j++
-		}
-		if j >= len(rest) {
-			return nil, nil, fmt.Errorf("unterminated quote in %q", s)
-		}
-		q, err := strconv.Unquote(rest[:j+1])
-		if err != nil {
-			return nil, nil, err
-		}
-		quoted = append(quoted, q)
-		rest = rest[j+1:]
-	}
-	if strings.TrimSpace(rest) != "" {
-		return nil, nil, fmt.Errorf("trailing junk in %q", s)
-	}
-	return plain, quoted, nil
 }
 
 // RestoreSession reconstructs a checkpointed session over a fresh prober
@@ -429,240 +295,125 @@ func RestoreSession(p simnet.Prober, data []byte, opts ...Option) (*Session, err
 		return nil, err
 	}
 
-	cr := &ckptReader{sc: bufio.NewScanner(bytes.NewReader(data))}
-	cr.sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line, err := cr.next()
-	if err != nil {
-		return nil, err
-	}
-	if line != checkpointMagic {
-		return nil, cr.errf("bad magic %q", line)
-	}
-	line, err = cr.next()
-	if err != nil {
-		return nil, err
-	}
-	if want := string(r.appendConfig(nil)); line != want {
+	cr := textrec.NewReader(data, ErrBadCheckpoint)
+	cr.Expect(checkpointMagic)
+	if line, want := cr.Line(), r.appendConfig(nil); cr.Err() == nil && !bytes.Equal(line, want) {
 		return nil, fmt.Errorf("%w: checkpoint %q vs session %q", ErrCheckpointMismatch, line, want)
 	}
 
 	s := &Session{r: r}
-
-	hv, err := cr.ints("heal", 5)
-	if err != nil {
-		return nil, err
-	}
+	hv := cr.Ints("heal", 5)
 	s.heal = healState{round: hv[0], sweepDone: hv[1] != 0, dropped: hv[2], done: hv[3] != 0}
 	r.partial = hv[4] != 0
-
-	sv, err := cr.ints("stats", 8)
-	if err != nil {
-		return nil, err
-	}
+	sv := cr.Ints("stats", 8)
 	r.stats.Explorations, r.stats.SkippedJobs, r.stats.Merges, r.stats.PrunedVerts = sv[0], sv[1], sv[2], sv[3]
 	r.stats.Inconsistent, r.stats.EliminatedPro, r.stats.Contradictions, r.stats.Reexplored = sv[4], sv[5], sv[6], sv[7]
-
-	mv, err := cr.ints("model", 2)
-	if err != nil {
-		return nil, err
-	}
+	mv := cr.Ints("model", 2)
 	m := r.model
-	m.Inconsistencies = mv[1]
+	m.nextID, m.Inconsistencies = mv[0], mv[1]
 
-	count := func(key string) (int, error) {
-		v, err := cr.ints(key, 1)
-		if err != nil {
-			return 0, err
-		}
-		// Every record takes at least one byte, so a count beyond the
-		// image's length is corrupt — and must not size an allocation.
-		if v[0] < 0 || v[0] > len(data) {
-			return 0, cr.errf("%s count %d", key, v[0])
-		}
-		return v[0], nil
-	}
-
-	// verts
-	nVerts, err := count("verts")
-	if err != nil {
-		return nil, err
-	}
+	// Each loop stops at the reader's first failure; Err is checked once,
+	// after the end record.
+	nVerts := cr.Count("verts")
 	byID := make(map[int]*Vertex, nVerts)
-	for i := 0; i < nVerts; i++ {
-		line, err := cr.next()
+	vertex := func(id int) *Vertex {
+		v := byID[id]
+		if v == nil {
+			cr.Failf("unknown vertex %d", id)
+		}
+		return v
+	}
+	route := func(text string) simnet.Route {
+		rt, err := simnet.ParseRoute(text)
 		if err != nil {
-			return nil, err
+			cr.Failf("route: %v", err)
 		}
-		if !strings.HasPrefix(line, "v ") {
-			return nil, cr.errf("want vertex record, got %q", line)
-		}
-		plain, quoted, err := splitQuoted(line[2:], 6, 2)
-		if err != nil {
-			return nil, cr.errf("vertex: %v", err)
-		}
-		iv, err := atoiAll([]string{plain[0], plain[2], plain[3], plain[4], plain[5]})
-		if err != nil {
-			return nil, cr.errf("vertex: %v", err)
-		}
-		kind := topology.SwitchNode
-		if plain[1] == "h" {
-			kind = topology.HostNode
-		} else if plain[1] != "s" {
-			return nil, cr.errf("vertex kind %q", plain[1])
-		}
-		probe, err := simnet.ParseRoute(quoted[1])
-		if err != nil {
-			return nil, cr.errf("vertex route: %v", err)
-		}
-		if _, dup := byID[iv[0]]; dup {
-			return nil, cr.errf("duplicate vertex id %d", iv[0])
-		}
-		v := &Vertex{id: iv[0], kind: kind, name: quoted[0], probe: probe,
-			explored: iv[1] != 0, slots: make(map[int][]*Edge)}
-		if iv[2] != 0 {
-			// Re-pin the serialized window memo. Restore fills slots by
-			// direct append (never insertSide), so editGen stays at its
-			// NewModel value and the memo is live exactly as it was.
-			v.winLo, v.winHi, v.winGen = iv[3], iv[4], m.editGen
-		}
-		byID[v.id] = v
-		m.verts = append(m.verts, v)
-		m.liveVerts++
-		if kind == topology.HostNode {
-			m.hostByName[v.name] = v
-		}
-		if v.id >= mv[0] {
-			return nil, cr.errf("vertex id %d outside nextID %d", v.id, mv[0])
+		return rt
+	}
+	for i := 0; i < nVerts && cr.Err() == nil; i++ {
+		cr.Next("v")
+		id, kind := cr.Int(), cr.Word()
+		explored, wc, wlo, whi := cr.Int(), cr.Int(), cr.Int(), cr.Int()
+		name, probe := cr.Quoted(), route(cr.Quoted())
+		cr.Done()
+		switch {
+		case cr.Err() != nil:
+		case string(kind) != "h" && string(kind) != "s":
+			cr.Failf("vertex kind %q", kind)
+		case byID[id] != nil:
+			cr.Failf("duplicate vertex id %d", id)
+		case id >= m.nextID:
+			cr.Failf("vertex id %d outside nextID %d", id, m.nextID)
+		default:
+			v := &Vertex{id: id, kind: topology.SwitchNode, name: name, probe: probe,
+				explored: explored != 0, slots: make(map[int][]*Edge)}
+			if kind[0] == 'h' {
+				v.kind = topology.HostNode
+				m.hostByName[name] = v
+			}
+			if wc != 0 {
+				// Re-pin the serialized window memo. Restore fills slots by
+				// direct append (never insertSide), so editGen stays at its
+				// NewModel value and the memo is live exactly as it was.
+				v.winLo, v.winHi, v.winGen = wlo, whi, m.editGen
+			}
+			byID[id] = v
+			m.verts = append(m.verts, v)
+			m.liveVerts++
 		}
 	}
-	m.nextID = mv[0]
 
-	// edges
-	nEdges, err := count("edges")
-	if err != nil {
-		return nil, err
+	edges := make([]*Edge, cr.Count("edges"))
+	for i := 0; i < len(edges) && cr.Err() == nil; i++ {
+		ev := cr.Ints("e", 4)
+		edges[i] = &Edge{a: vertex(ev[0]), ai: ev[1], b: vertex(ev[2]), bi: ev[3]}
 	}
-	edges := make([]*Edge, nEdges)
-	for i := 0; i < nEdges; i++ {
-		ev, err := cr.ints("e", 4)
-		if err != nil {
-			return nil, err
-		}
-		a, okA := byID[ev[0]]
-		b, okB := byID[ev[2]]
-		if !okA || !okB {
-			return nil, cr.errf("edge references unknown vertex (%d, %d)", ev[0], ev[2])
-		}
-		edges[i] = &Edge{a: a, ai: ev[1], b: b, bi: ev[3]}
-	}
-	m.liveEdges = nEdges
+	m.liveEdges = len(edges)
 
-	// slots
-	nSlots, err := count("slots")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nSlots; i++ {
-		lv, err := cr.ints("s", -1)
-		if err != nil {
-			return nil, err
-		}
+	nSlots := cr.Count("slots")
+	for i := 0; i < nSlots && cr.Err() == nil; i++ {
+		lv := cr.Ints("s", -1)
 		if len(lv) < 3 {
-			return nil, cr.errf("slot record wants at least 3 fields")
+			cr.Failf("slot record wants at least 3 fields")
+			break
 		}
-		v, ok := byID[lv[0]]
-		if !ok {
-			return nil, cr.errf("slot references unknown vertex %d", lv[0])
-		}
+		v := vertex(lv[0])
 		for _, ref := range lv[2:] {
-			if ref < 0 || ref >= nEdges {
-				return nil, cr.errf("slot references unknown edge %d", ref)
+			if v == nil || ref < 0 || ref >= len(edges) {
+				cr.Failf("slot references unknown edge %d", ref)
+				break
 			}
 			v.slots[lv[1]] = append(v.slots[lv[1]], edges[ref])
 		}
 	}
 
-	// front
-	nFront, err := count("front")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nFront; i++ {
-		line, err := cr.next()
-		if err != nil {
-			return nil, err
-		}
-		if !strings.HasPrefix(line, "j ") {
-			return nil, cr.errf("want frontier record, got %q", line)
-		}
-		plain, quoted, err := splitQuoted(line[2:], 2, 1)
-		if err != nil {
-			return nil, cr.errf("frontier: %v", err)
-		}
-		jv, err := atoiAll(plain)
-		if err != nil {
-			return nil, cr.errf("frontier: %v", err)
-		}
-		v, ok := byID[jv[0]]
-		if !ok {
-			return nil, cr.errf("frontier references unknown vertex %d", jv[0])
-		}
-		route, err := simnet.ParseRoute(quoted[0])
-		if err != nil {
-			return nil, cr.errf("frontier route: %v", err)
-		}
-		r.front = append(r.front, job{v: v, route: route, entry: jv[1]})
+	nFront := cr.Count("front")
+	for i := 0; i < nFront && cr.Err() == nil; i++ {
+		cr.Next("j")
+		v, entry, probe := vertex(cr.Int()), cr.Int(), route(cr.Quoted())
+		cr.Done()
+		r.front = append(r.front, job{v: v, route: probe, entry: entry})
 	}
 
-	// stale
-	nStale, err := count("stale")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nStale; i++ {
-		cv, err := cr.ints("c", 2)
-		if err != nil {
-			return nil, err
-		}
-		v, ok := byID[cv[0]]
-		if !ok {
-			return nil, cr.errf("stale references unknown vertex %d", cv[0])
-		}
-		r.staleCount[v] = cv[1]
+	nStale := cr.Count("stale")
+	for i := 0; i < nStale && cr.Err() == nil; i++ {
+		cv := cr.Ints("c", 2)
+		r.staleCount[vertex(cv[0])] = cv[1]
 	}
 
-	// obslog
-	nObs, err := count("obslog")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nObs; i++ {
-		line, err := cr.next()
-		if err != nil {
-			return nil, err
-		}
-		if !strings.HasPrefix(line, "o ") {
-			return nil, cr.errf("want observation record, got %q", line)
-		}
-		plain, quoted, err := splitQuoted(line[2:], 1, 2)
-		if err != nil {
-			return nil, cr.errf("observation: %v", err)
-		}
-		at, err := strconv.ParseInt(plain[0], 10, 64)
-		if err != nil {
-			return nil, cr.errf("observation: %v", err)
-		}
-		r.obs = append(r.obs, Observation{At: time.Duration(at), What: quoted[0], Probe: quoted[1]})
+	nObs := cr.Count("obslog")
+	for i := 0; i < nObs && cr.Err() == nil; i++ {
+		cr.Next("o")
+		at, what, probe := cr.Int(), cr.Quoted(), cr.Quoted()
+		cr.Done()
+		r.obs = append(r.obs, Observation{At: time.Duration(at), What: what, Probe: probe})
 	}
 
-	line, err = cr.next()
-	if err != nil {
+	cr.Expect("end")
+	cr.End()
+	if err := cr.Err(); err != nil {
 		return nil, err
 	}
-	if line != "end" {
-		return nil, cr.errf("want end, got %q", line)
-	}
-
 	if _, ok := m.hostByName[p.LocalHost()]; !ok {
 		return nil, fmt.Errorf("%w: mapping host %q missing from checkpoint", ErrCheckpointMismatch, p.LocalHost())
 	}

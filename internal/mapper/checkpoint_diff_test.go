@@ -192,3 +192,24 @@ func FuzzRestoreSession(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkRestoreSession restores the checkpoint the daemon commits after
+// mapping the 768-host leaf/spine fabric: the decode a restarted sanmapd
+// pays before it can heal.
+func BenchmarkRestoreSession(b *testing.B) {
+	s, sn, h0, opts := daemonSession(b, "fattree2:128x6", 1)
+	if _, err := s.Map(); err != nil {
+		b.Fatal(err)
+	}
+	img, err := s.Checkpoint()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := RestoreSession(sn.Endpoint(h0), img, opts...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -152,3 +152,12 @@ func (s *Session) checkpointFmt() ([]byte, error) {
 	}
 	return buf.Bytes(), nil
 }
+
+// b2i renders a flag as the oracle's 0/1; the oracle shares no code with
+// the encoder it checks.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -24,10 +24,6 @@ const (
 	// have lost to self-collisions. A middle ground between probe cost and
 	// the label algorithm's exhaustiveness.
 	RetryUnknown
-	// ExploreAll explores every created vertex to the depth bound as the
-	// §3.1 label algorithm does. No policy re-probes a slot that already
-	// holds an edge, so today it probes exactly what RetryUnknown does.
-	ExploreAll
 )
 
 // ProbeOrder selects which of the two §2.3 probe types is sent first for a
@@ -422,7 +418,7 @@ func (r *run) explore(jb job) error {
 			r.stats.SkippedJobs++
 			return nil
 		}
-	case RetryUnknown, ExploreAll:
+	case RetryUnknown:
 		// Proceed; slots that already hold an edge are skipped below.
 	}
 	if len(jb.route) >= r.cfg.Depth {

@@ -23,9 +23,10 @@ import (
 // switches, which is exactly what the CSR topology index and the
 // radix-aware mapper exist for.
 
-// maxFabricSwitches bounds generated fabric sizes so malformed specs fail
-// fast instead of exhausting memory.
-const maxFabricSwitches = 1 << 16
+// MaxFabricSwitches bounds the switch count of every generator here and
+// in gen.go: a malformed or oversized spec fails before anything is built
+// instead of exhausting memory. The bounds checks never overflow.
+const MaxFabricSwitches = 1 << 16
 
 // FatTree2Spec configures a two-layer leaf/spine fat-tree.
 type FatTree2Spec struct {
@@ -70,8 +71,8 @@ func FatTree2(spec FatTree2Spec, rng *rand.Rand) (*Network, error) {
 	if l < s-1 {
 		return nil, fmt.Errorf("topology: FatTree2: %d leaves cannot reach all %d spines", l, s)
 	}
-	if l+s > maxFabricSwitches {
-		return nil, fmt.Errorf("topology: FatTree2: %d switches exceeds the %d cap", l+s, maxFabricSwitches)
+	if l > MaxFabricSwitches-s {
+		return nil, fmt.Errorf("topology: FatTree2: %d switches exceeds the %d cap", l+s, MaxFabricSwitches)
 	}
 	// Assign each leaf a spine pair, cycling through all pairs in
 	// lexicographic order; tally spine degrees first so every spine is
@@ -129,12 +130,12 @@ func Dragonfly(groupSize, hostsPer, globalLinks int, rng *rand.Rand) (*Network, 
 		return nil, fmt.Errorf("topology: Dragonfly needs positive group size, hosts and global links")
 	}
 	radix := p + (a - 1) + h
-	if radix > MaxSwitchRadix {
+	if max(a, p, h) > MaxSwitchRadix || radix > MaxSwitchRadix {
 		return nil, fmt.Errorf("topology: Dragonfly: radix %d exceeds %d", radix, MaxSwitchRadix)
 	}
 	g := a*h + 1
-	if a*g > maxFabricSwitches {
-		return nil, fmt.Errorf("topology: Dragonfly: %d switches exceeds the %d cap", a*g, maxFabricSwitches)
+	if a*g > MaxFabricSwitches {
+		return nil, fmt.Errorf("topology: Dragonfly: %d switches exceeds the %d cap", a*g, MaxFabricSwitches)
 	}
 	n := &Network{}
 	nm := namer{prefix: "Node"}
@@ -189,11 +190,11 @@ func SwappedDragonfly(k, m, hostsPer int, rng *rand.Rand) (*Network, error) {
 		return nil, fmt.Errorf("topology: SwappedDragonfly needs at least one host per switch")
 	}
 	radix := k + hostsPer // K-1 intra + 1 swap + hosts
-	if radix > MaxSwitchRadix {
+	if max(k, hostsPer) > MaxSwitchRadix || radix > MaxSwitchRadix {
 		return nil, fmt.Errorf("topology: SwappedDragonfly: radix %d exceeds %d", radix, MaxSwitchRadix)
 	}
-	if k*m > maxFabricSwitches {
-		return nil, fmt.Errorf("topology: SwappedDragonfly: %d switches exceeds the %d cap", k*m, maxFabricSwitches)
+	if k*m > MaxFabricSwitches {
+		return nil, fmt.Errorf("topology: SwappedDragonfly: %d switches exceeds the %d cap", k*m, MaxFabricSwitches)
 	}
 	n := &Network{}
 	nm := namer{prefix: "Node"}
@@ -234,18 +235,18 @@ func Butterfly(k, stages int, rng *rand.Rand) (*Network, error) {
 	if k < 2 || stages < 2 {
 		return nil, fmt.Errorf("topology: Butterfly needs arity >= 2 and >= 2 stages")
 	}
-	if 2*k > MaxSwitchRadix {
+	if k > MaxSwitchRadix/2 {
 		return nil, fmt.Errorf("topology: Butterfly: radix %d exceeds %d", 2*k, MaxSwitchRadix)
 	}
 	width := 1
 	for i := 1; i < stages; i++ {
-		if width > maxFabricSwitches/(k*stages) {
-			return nil, fmt.Errorf("topology: Butterfly: %d-ary %d-fly exceeds the %d-switch cap", k, stages, maxFabricSwitches)
+		if width > MaxFabricSwitches/k/stages {
+			return nil, fmt.Errorf("topology: Butterfly: %d-ary %d-fly exceeds the %d-switch cap", k, stages, MaxFabricSwitches)
 		}
 		width *= k
 	}
-	if width*stages > maxFabricSwitches {
-		return nil, fmt.Errorf("topology: Butterfly: %d switches exceeds the %d cap", width*stages, maxFabricSwitches)
+	if width*stages > MaxFabricSwitches {
+		return nil, fmt.Errorf("topology: Butterfly: %d switches exceeds the %d cap", width*stages, MaxFabricSwitches)
 	}
 	n := &Network{}
 	nm := namer{prefix: "Node"}

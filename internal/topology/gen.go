@@ -70,8 +70,8 @@ func connectRandomPorts(n *Network, a, b NodeID, rng *rand.Rand) error {
 
 // Line returns switches in a path, each with hostsPer hosts attached.
 func Line(switches, hostsPer int, rng *rand.Rand) (*Network, error) {
-	if switches < 1 {
-		return nil, fmt.Errorf("topology: Line needs at least 1 switch")
+	if switches < 1 || switches > MaxFabricSwitches {
+		return nil, fmt.Errorf("topology: Line: between 1 and %d switches", MaxFabricSwitches)
 	}
 	if hostsPer < 0 || hostsPer > SwitchPorts-2 {
 		return nil, fmt.Errorf("topology: Line: at most %d hosts per switch", SwitchPorts-2)
@@ -153,6 +153,9 @@ func MustStar(leaves, hostsPer int, rng *rand.Rand) *Network {
 func Mesh(w, h, hostsPer int, rng *rand.Rand) (*Network, error) {
 	if w < 1 || h < 1 {
 		return nil, fmt.Errorf("topology: Mesh needs positive dimensions")
+	}
+	if w > MaxFabricSwitches/h {
+		return nil, fmt.Errorf("topology: Mesh: %dx%d exceeds the %d-switch cap", w, h, MaxFabricSwitches)
 	}
 	if hostsPer < 0 || hostsPer > SwitchPorts-4 {
 		return nil, fmt.Errorf("topology: Mesh: at most %d hosts per switch", SwitchPorts-4)
@@ -269,6 +272,9 @@ func FatTree(spec FatTreeSpec, rng *rand.Rand) (*Network, error) {
 	if spec.LeafSwitches < 1 || spec.MidSwitches < 1 || spec.RootSwitches < 1 {
 		return nil, fmt.Errorf("topology: FatTree: every level needs at least one switch")
 	}
+	if l, m, r := spec.LeafSwitches, spec.MidSwitches, spec.RootSwitches; max(l, m, r) > MaxFabricSwitches || l+m+r > MaxFabricSwitches {
+		return nil, fmt.Errorf("topology: FatTree: more than the %d-switch cap", MaxFabricSwitches)
+	}
 	if spec.HostsPerLeaf < 0 || spec.HostsPerLeaf+spec.UplinksPerLeaf > SwitchPorts {
 		return nil, fmt.Errorf("topology: FatTree: leaf ports exceeded")
 	}
@@ -336,8 +342,8 @@ func MustFatTree(spec FatTreeSpec, rng *rand.Rand) *Network {
 // uniformly random switches with free ports. The result always validates
 // and is connected; link placement respects the 8-port budget.
 func RandomConnected(switches, hosts, extraLinks int, rng *rand.Rand) (*Network, error) {
-	if switches < 1 {
-		return nil, fmt.Errorf("topology: RandomConnected needs at least one switch")
+	if switches < 1 || switches > MaxFabricSwitches {
+		return nil, fmt.Errorf("topology: RandomConnected: between 1 and %d switches", MaxFabricSwitches)
 	}
 	if hosts < 0 || extraLinks < 0 {
 		return nil, fmt.Errorf("topology: RandomConnected: negative counts")
@@ -354,20 +360,21 @@ func RandomConnected(switches, hosts, extraLinks int, rng *rand.Rand) (*Network,
 		sw[i] = n.AddSwitch(fmt.Sprintf("S%d", i))
 	}
 	// Random spanning tree: connect each switch to a random earlier one.
+	// A tree this size gives some switch more children than it has ports;
+	// a full one hands the new switch on to the next earlier switch with a
+	// free port (there always is one: i-1 wires use 2i-2 of 8i ports).
 	for i := 1; i < switches; i++ {
 		j := rng.Intn(i)
+		for n.FreePort(sw[j]) < 0 {
+			j = (j + 1) % i
+		}
 		must(connectRandomPorts(n, sw[i], sw[j], rng))
 	}
-	freePorts := func() int {
-		total := 0
-		for _, s := range sw {
-			total += SwitchPorts - n.Degree(s)
-		}
-		return total
-	}
+	// Every wire takes two switch ports.
+	freePorts := switches*SwitchPorts - 2*(switches-1)
 	for i := 0; i < extraLinks; i++ {
 		// Reserve enough free ports for the hosts still to be attached.
-		if freePorts()-2 < hosts {
+		if freePorts-2 < hosts {
 			break
 		}
 		a := sw[rng.Intn(switches)]
@@ -381,7 +388,9 @@ func RandomConnected(switches, hosts, extraLinks int, rng *rand.Rand) (*Network,
 		if err := connectRandomPorts(n, a, b, rng); err != nil {
 			continue
 		}
+		freePorts -= 2
 	}
+	full := 0 // switches before sw[full] have no free port, and never regain one
 	for h := 0; h < hosts; h++ {
 		// Find a switch with a free port; bounded retries then linear scan.
 		var target NodeID = None
@@ -392,12 +401,10 @@ func RandomConnected(switches, hosts, extraLinks int, rng *rand.Rand) (*Network,
 				break
 			}
 		}
-		if target == None {
-			for _, c := range sw {
-				if n.FreePort(c) >= 0 {
-					target = c
-					break
-				}
+		for ; target == None && full < switches; full++ {
+			if n.FreePort(sw[full]) >= 0 {
+				target = sw[full]
+				break
 			}
 		}
 		if target == None {
