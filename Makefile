@@ -278,18 +278,21 @@ bench-large:
 # costs), the 1k-switch fat-tree (with its diameter at 0 allocs/op), the
 # daemon's two start-up layers on the 768-host fat-tree (Q+D and the route
 # table, the table under 12 MB written per build, plus the table's lookup
-# and a whole served route query, each at 0 allocs/op), and the load
-# report's plan draw, merge and replays (on allocs/op alone) — and check
-# them against the committed baseline's gates block. Fails on a >15% ns/op
+# and a whole served route query, each at 0 allocs/op), the load report's
+# plan draw, merge and replays (on allocs/op alone) and its placement
+# search (internal/place, beside the search it replaced) — and check them
+# against the committed baseline's gates block. Fails on a >15% ns/op
 # regression, an allocation ceiling broken, or a broken relative gate
 # (window8 must stay within 2x the serial loop's wall clock, the election
-# within 14x the master's). Runs use -count so sanbench can gate on
+# within 14x the master's, the placement search within 0.6x the one it
+# replaced). Runs use -count so sanbench can gate on
 # per-lane minima, the statistic that survives shared-runner noise.
 BENCH_BASELINE ?= BENCH_a5c7565.json
 bench-gate:
 	@{ $(GO) test -bench PipelinedVsSerial -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench 'MapElectionC$$|MapMasterC$$' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench 'LoadReplay|LoadReport|NewPlan|PlanMerge' -benchtime 100x -count 3 -run ^$$ . && \
+	   $(GO) test -bench PlaceOptimize -benchtime 20x -count 3 -run ^$$ ./internal/place && \
 	   $(GO) test -bench 'FatTree768|RouteLookup|ServeRoute' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench 'MapFatTree1k|IndexDiameter1k' -benchtime 20x -count 3 -run ^$$ . ; } | \
 		$(GO) run ./cmd/sanbench -gate $(BENCH_BASELINE)
@@ -299,12 +302,15 @@ bench-gate:
 # collapsed to minima and the bench_gates.json policy embedded (and
 # self-checked — a run that breaks its own gates is not a valid baseline).
 # The 1k-scale lanes run separately at 20x: one op is a full datacenter map.
+# The placement search lanes live in internal/place, beside the reference
+# search they are gated against.
 # Compare later with
 #   go run ./cmd/sanbench -text BENCH_<rev>.json > old.txt && benchstat old.txt new.txt
 REV := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 bench-baseline:
 	@{ $(GO) test -bench . -skip 1k -benchtime 100x -count 5 -run ^$$ . && \
-	   $(GO) test -bench 1k -benchtime 20x -count 3 -run ^$$ . ; } | \
+	   $(GO) test -bench 1k -benchtime 20x -count 3 -run ^$$ . && \
+	   $(GO) test -bench PlaceOptimize -benchtime 20x -count 5 -run ^$$ ./internal/place ; } | \
 		$(GO) run ./cmd/sanbench -rev $(REV) -min -gates bench_gates.json -o BENCH_$(REV).json
 	@echo wrote BENCH_$(REV).json
 

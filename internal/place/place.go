@@ -140,89 +140,6 @@ func (p *problem) cost(perm []int) int64 {
 	return c
 }
 
-// feasible checks the per-link bandwidth budget over the first k placed
-// tasks (in branching order). Directed demand routes over the directed
-// path, so both directions of a pair load their own links.
-func (p *problem) feasible(perm []int, k int, m *workload.Matrix, use map[int32]int64) bool {
-	if p.cap <= 0 {
-		return true
-	}
-	for id := range use {
-		delete(use, id)
-	}
-	for a := 0; a < k; a++ {
-		t := p.order[a]
-		for b := 0; b < k; b++ {
-			if a == b {
-				continue
-			}
-			u := p.order[b]
-			d := m.Bytes[t][u]
-			if d == 0 {
-				continue
-			}
-			for _, id := range p.paths[perm[t]*p.n+perm[u]] {
-				use[id] += d
-				if use[id] > p.cap {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// node is one partial assignment in the search tree.
-type node struct {
-	perm  []int // perm[t] = host index, -1 unassigned; indexed by task
-	used  []bool
-	depth int   // tasks placed, in p.order order
-	g     int64 // exact cost among placed tasks
-	f     int64 // g + admissible remainder bound
-	seq   int64 // insertion order, the deterministic tie-break
-}
-
-func nodeLess(a, b *node) bool {
-	if a.f != b.f {
-		return a.f < b.f
-	}
-	if a.depth != b.depth {
-		return a.depth > b.depth // deeper first: reach incumbents sooner
-	}
-	return a.seq < b.seq
-}
-
-// bound completes g with an admissible estimate of the unplaced remainder:
-// placed↔unplaced volume travels at least the placed host's distance to its
-// nearest free host; unplaced↔unplaced volume at least minHop.
-func (p *problem) bound(nd *node) int64 {
-	b := nd.g
-	// Nearest free host per placed task, computed once per node.
-	for a := 0; a < nd.depth; a++ {
-		t := p.order[a]
-		ht := nd.perm[t]
-		var nearest int64 = math.MaxInt64
-		for h := 0; h < p.n; h++ {
-			if nd.used[h] || int64(p.dist[ht][h]) >= nearest {
-				continue
-			}
-			nearest = int64(p.dist[ht][h])
-		}
-		if nearest == math.MaxInt64 {
-			continue
-		}
-		for bi := nd.depth; bi < p.n; bi++ {
-			b += p.vol[t][p.order[bi]] * nearest
-		}
-	}
-	for a := nd.depth; a < p.n; a++ {
-		for bi := a + 1; bi < p.n; bi++ {
-			b += p.vol[p.order[a]][p.order[bi]] * p.minHop
-		}
-	}
-	return b
-}
-
 // Identity returns the do-nothing placement: task i stays on m.Hosts[i].
 func Identity(m *workload.Matrix) []topology.NodeID {
 	return append([]topology.NodeID(nil), m.Hosts...)
@@ -325,6 +242,234 @@ func (p *problem) greedy() []int {
 	return perm
 }
 
+// search is one branch-and-bound run: the frontier, the arena its nodes'
+// partial assignments live in, the incumbent, the tables the bound reads and
+// the scratch an expansion scores its children on.
+type search struct {
+	p *problem
+	m *workload.Matrix
+	// ovol[a*n+b] is vol between the tasks at branching positions a and b.
+	// rem[a*(n+1)+k] is the volume position a exchanges with positions k
+	// and later, and pair[k] is minHop times the volume among positions k
+	// and later themselves: the bound's unplaced terms, per depth.
+	ovol, rem, pair []int64
+	q               *eventq.Heap[item]
+	// arena[s*n:] holds slot s's hosts by branching position and g[s] its
+	// exact cost among them; spare lists the slots of expanded nodes.
+	arena, spare []int32
+	g            []int64
+	seq          int64
+	// best is the incumbent placement by task (nil until one is feasible).
+	best     []int
+	bestCost int64
+	leaf     []int // the buffer a complete placement becomes best in
+	// Expansion scratch: the parent's hosts, its used and free hosts, the
+	// bound's surcharge per host for taking a placed task's nearest free
+	// host, and per-channel bandwidth usage.
+	placed    []int32
+	freeHosts []int32
+	used      []bool
+	surcharge []int64
+	use       []int64
+}
+
+// item is one frontier node: a partial assignment of depth positions in
+// arena slot slot, and its bound f.
+type item struct {
+	f     int64
+	seq   int64 // insertion order, the deterministic tie-break
+	depth int32
+	slot  int32
+}
+
+func itemLess(a, b item) bool {
+	if a.f != b.f {
+		return a.f < b.f
+	}
+	if a.depth != b.depth {
+		return a.depth > b.depth // deeper first: reach incumbents sooner
+	}
+	return a.seq < b.seq
+}
+
+// newSearch precomputes the bound's per-depth terms. Products factor
+// exactly in int64 (wrapping arithmetic is a ring), so the bound equals the
+// term-by-term sum bit for bit.
+func newSearch(p *problem, m *workload.Matrix) *search {
+	n := p.n
+	s := &search{
+		p: p, m: m, q: eventq.New(itemLess), bestCost: math.MaxInt64,
+		ovol: make([]int64, n*n), rem: make([]int64, n*(n+1)), pair: make([]int64, n+1),
+		leaf: make([]int, n), placed: make([]int32, n), freeHosts: make([]int32, 0, n), used: make([]bool, n), surcharge: make([]int64, n),
+	}
+	for a, t := range p.order {
+		for b, u := range p.order {
+			s.ovol[a*n+b] = p.vol[t][u]
+		}
+		for k := n - 1; k >= 0; k-- {
+			s.rem[a*(n+1)+k] = s.rem[a*(n+1)+k+1] + s.ovol[a*n+k]
+		}
+	}
+	var pairVol int64
+	for k := n - 1; k >= 0; k-- {
+		pairVol += s.rem[k*(n+1)+k+1]
+		s.pair[k] = pairVol * p.minHop
+	}
+	if p.cap > 0 {
+		channels := 0
+		for _, path := range p.paths {
+			for _, id := range path {
+				channels = max(channels, int(id)+1)
+			}
+		}
+		s.use = make([]int64, channels)
+	}
+	return s
+}
+
+// push adds a node with the first depth positions of placed, at cost g
+// and bound f.
+func (s *search) push(placed []int32, g, f int64) {
+	n := s.p.n
+	var slot int32
+	if k := len(s.spare); k > 0 {
+		slot, s.spare = s.spare[k-1], s.spare[:k-1]
+	} else {
+		slot = int32(len(s.g))
+		s.arena = append(s.arena, make([]int32, n)...)
+		s.g = append(s.g, 0)
+	}
+	copy(s.arena[int(slot)*n:], placed)
+	s.g[slot] = g
+	s.q.Push(item{f: f, seq: s.seq, depth: int32(len(placed)), slot: slot})
+	s.seq++
+}
+
+// expand scores every child of nd — the next task in branching order on
+// each free host — on the scratch arrays, records a better complete
+// placement, and pushes the children whose bound beats the incumbent and
+// whose placed traffic fits the bandwidth budget.
+func (s *search) expand(nd item) {
+	p, n, d := s.p, s.p.n, int(nd.depth)
+	placed := s.placed[:d+1]
+	copy(placed, s.arena[int(nd.slot)*n:int(nd.slot)*n+d])
+	parentG := s.g[nd.slot]
+	s.spare = append(s.spare, nd.slot)
+	clear(s.used)
+	for _, h := range placed[:d] {
+		s.used[h] = true
+	}
+	free := s.freeHosts[:0]
+	for h, u := range s.used {
+		if !u {
+			free = append(free, int32(h))
+		}
+	}
+	k := d + 1
+	vol := s.ovol[d*n : d*n+d]
+	remNew := s.rem[d*(n+1)+k]
+	var base int64
+	if k < n {
+		base = s.summarize(placed[:d], free, k)
+	}
+	for _, h := range free {
+		g := parentG
+		row := p.dist[h]
+		for b, hb := range placed[:d] {
+			g += vol[b] * int64(row[hb])
+		}
+		if g >= s.bestCost {
+			continue
+		}
+		placed[d] = h
+		if k == n {
+			if s.feasible(placed) {
+				for a, ha := range placed {
+					s.leaf[p.order[a]] = int(ha)
+				}
+				s.best, s.bestCost = s.leaf, g
+			}
+			continue
+		}
+		// The new task's nearest free host.
+		nearest := int64(math.MaxInt64)
+		for _, x := range free {
+			if x != h {
+				nearest = min(nearest, int64(row[x]))
+			}
+		}
+		f := g + base + s.surcharge[h] + nearest*remNew
+		if f >= s.bestCost || !s.feasible(placed) {
+			continue
+		}
+		s.push(placed, g, f)
+	}
+}
+
+// summarize returns the bound's terms shared by every child at depth k:
+// each placed task's volume to the unplaced ones at its nearest free
+// distance, plus the unplaced pairs at minHop. A child that takes a placed
+// task's one nearest free host leaves that task its runner-up instead;
+// surcharge[h] holds the difference for host h.
+func (s *search) summarize(placed, free []int32, k int) int64 {
+	n := s.p.n
+	clear(s.surcharge)
+	base := s.pair[k]
+	for a, ha := range placed {
+		row := s.p.dist[ha]
+		b1, b2, nearest := int64(math.MaxInt64), int64(math.MaxInt64), int32(0)
+		for _, x := range free {
+			if dist := int64(row[x]); dist < b1 {
+				b1, b2, nearest = dist, b1, x
+			} else if dist < b2 {
+				b2 = dist
+			}
+		}
+		r := s.rem[a*(n+1)+k]
+		base += b1 * r
+		s.surcharge[nearest] += (b2 - b1) * r
+	}
+	return base
+}
+
+// feasible checks the per-link bandwidth budget over the placed positions.
+// Directed demand routes over the directed path, so both directions of a
+// pair load their own links.
+func (s *search) feasible(placed []int32) bool {
+	p := s.p
+	if p.cap <= 0 {
+		return true
+	}
+	clear(s.use)
+	for a, ha := range placed {
+		t := p.order[a]
+		for b, hb := range placed {
+			if a == b {
+				continue
+			}
+			d := s.m.Bytes[t][p.order[b]]
+			if d == 0 {
+				continue
+			}
+			for _, id := range p.paths[int(ha)*p.n+int(hb)] {
+				s.use[id] += d
+				if s.use[id] > p.cap {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// feasiblePerm checks a complete placement, by task, against the budget.
+func (s *search) feasiblePerm(perm []int) bool {
+	for a, t := range s.p.order {
+		s.placed[a] = int32(perm[t])
+	}
+	return s.feasible(s.placed)
+}
+
 // Optimize runs the branch-and-bound search and returns the best placement
 // found. The incumbent starts at the better of identity and greedy, so the
 // returned cost is never above the identity placement's.
@@ -336,36 +481,27 @@ func Optimize(tab *routes.Table, m *workload.Matrix, cfg Config) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	use := make(map[int32]int64)
+	s := newSearch(p, m)
 	// Incumbent: identity, improved by greedy — each only when it fits the
 	// bandwidth budget. With no feasible seed the search starts unbounded.
-	var best []int
-	bestCost := int64(math.MaxInt64)
 	id := make([]int, p.n)
 	for i := range id {
 		id[i] = i
 	}
-	if p.feasible(id, p.n, m, use) {
-		best, bestCost = id, p.cost(id)
+	if s.feasiblePerm(id) {
+		s.best, s.bestCost = id, p.cost(id)
 	}
-	if g := p.greedy(); p.feasible(g, p.n, m, use) {
-		if c := p.cost(g); c < bestCost {
-			best, bestCost = g, c
+	if g := p.greedy(); s.feasiblePerm(g) {
+		if c := p.cost(g); c < s.bestCost {
+			s.best, s.bestCost = g, c
 		}
 	}
-	q := eventq.New(nodeLess)
-	root := &node{perm: make([]int, p.n), used: make([]bool, p.n)}
-	for i := range root.perm {
-		root.perm[i] = -1
-	}
-	root.f = p.bound(root)
-	q.Push(root)
-	var seq int64
+	s.push(nil, 0, s.pair[0]) // the root: nothing placed, seq 0
 	expanded := 0
 	optimal := true
-	for q.Len() > 0 {
-		nd := q.Pop()
-		if nd.f >= bestCost {
+	for s.q.Len() > 0 {
+		nd := s.q.Pop()
+		if nd.f >= s.bestCost {
 			// Best-first: every remaining node is at least as bad.
 			break
 		}
@@ -374,51 +510,14 @@ func Optimize(tab *routes.Table, m *workload.Matrix, cfg Config) (*Result, error
 			break
 		}
 		expanded++
-		t := p.order[nd.depth]
-		for h := 0; h < p.n; h++ {
-			if nd.used[h] {
-				continue
-			}
-			g := nd.g
-			for b := 0; b < nd.depth; b++ {
-				u := p.order[b]
-				g += p.vol[t][u] * int64(p.dist[h][nd.perm[u]])
-			}
-			if g >= bestCost {
-				continue
-			}
-			child := &node{
-				perm:  append([]int(nil), nd.perm...),
-				used:  append([]bool(nil), nd.used...),
-				depth: nd.depth + 1,
-				g:     g,
-			}
-			child.perm[t] = h
-			child.used[h] = true
-			if !p.feasible(child.perm, child.depth, m, use) {
-				continue
-			}
-			if child.depth == p.n {
-				if g < bestCost {
-					best, bestCost = child.perm, g
-				}
-				continue
-			}
-			child.f = p.bound(child)
-			if child.f >= bestCost {
-				continue
-			}
-			seq++
-			child.seq = seq
-			q.Push(child)
-		}
+		s.expand(nd)
 	}
-	if best == nil {
+	if s.best == nil {
 		return nil, fmt.Errorf("place: no placement satisfies link capacity %d within budget", cfg.LinkCapacity)
 	}
-	res := &Result{Cost: bestCost, Expanded: expanded, Optimal: optimal}
+	res := &Result{Cost: s.bestCost, Expanded: expanded, Optimal: optimal}
 	res.Hosts = make([]topology.NodeID, p.n)
-	for t, h := range best {
+	for t, h := range s.best {
 		res.Hosts[t] = p.hosts[h]
 	}
 	return res, nil

@@ -182,17 +182,11 @@ func NewPlan(net *topology.Network, cfg PlanConfig) *Plan {
 	}
 	n := expectedSends(cfg.Duration, streams[0].gap)
 	blocks := min(runtime.GOMAXPROCS(0), len(streams))
-	var wg sync.WaitGroup
-	for b := 0; b < blocks; b++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := b * len(streams) / blocks; i < (b+1)*len(streams)/blocks; i++ {
-				p.Sends[i] = streams[i].drain(cfg.Duration, n)
-			}
-		}()
-	}
-	wg.Wait()
+	parallel(blocks, func(b int) {
+		for i := b * len(streams) / blocks; i < (b+1)*len(streams)/blocks; i++ {
+			p.Sends[i] = streams[i].drain(cfg.Duration, n)
+		}
+	})
 	return p
 }
 
@@ -217,13 +211,18 @@ type Injection struct {
 // order: ascending time, same-instant sends by host index, then by position
 // in the host's schedule. That order is a stable sort by time of the
 // schedules laid end to end in host order, and Merge is that sort: a radix
-// sort on each send's offset from the plan's first instant. One counting
-// pass over the schedules, in host order, places every send in one of 1024
-// time windows by the offset's top bits; a schedule ascends, so each host's
-// writes sweep the output once, in order. Each window, small enough to stay
-// in cache, is then LSD-sorted on the low bits, a byte per pass. Merge sorts
-// afresh on every call: replay the result as often as needed rather than
-// merging again.
+// sort on each send's offset from the plan's first instant, on one
+// goroutine per GOMAXPROCS. A counting pass, over contiguous blocks of
+// hosts at once, counts each block's sends in each of 1024 time windows
+// picked by the offset's top bits. A scatter pass, over the same blocks,
+// writes every send into its window: within a window, block b's sends land
+// after those of the blocks before it, and a schedule ascends, so each
+// host's writes sweep the output once, in order. Each window, small enough
+// to stay in cache, is then LSD-sorted on the low bits, a byte per pass, the
+// windows split into one contiguous range per goroutine. Every pass is
+// stable, so the result is the same at any GOMAXPROCS. Merge sorts afresh on
+// every call: replay the result as often as needed rather than merging
+// again.
 func (p *Plan) Merge() []Injection {
 	// Each schedule ascends, so its ends bound the plan's times.
 	first, last := time.Duration(math.MaxInt64), time.Duration(math.MinInt64)
@@ -235,58 +234,114 @@ func (p *Plan) Merge() []Injection {
 	base := uint64(first)
 	low := max(0, bits.Len64(uint64(last)-base)-windowBits)
 
+	blocks := max(1, min(runtime.GOMAXPROCS(0), len(p.Sends)))
+	lo := func(b int) int { return b * len(p.Sends) / blocks }
+	// next[b][w] counts block b's sends in window w, then becomes the slot
+	// its next one there goes to.
+	next := make([][1 << windowBits]int, blocks)
+	parallel(blocks, func(b int) {
+		countWindows(&next[b], p.Sends[lo(b):lo(b+1)], base, low)
+	})
 	// starts[w] is window w's first slot in the merged order.
 	var starts [1<<windowBits + 1]int
-	for _, sends := range p.Sends {
-		for _, s := range sends {
-			starts[(uint64(s.At)-base)>>low+1]++
+	for w := 0; w < 1<<windowBits; w++ {
+		sum := starts[w]
+		for b := range next {
+			next[b][w], sum = sum, sum+next[b][w]
 		}
-	}
-	widest := 0
-	for w := 1; w < len(starts); w++ {
-		widest = max(widest, starts[w])
-		starts[w] += starts[w-1]
+		starts[w+1] = sum
 	}
 	out := make([]Injection, starts[len(starts)-1])
-	next := starts
-	for i, sends := range p.Sends {
-		for _, s := range sends {
-			w := (uint64(s.At) - base) >> low
-			out[next[w]] = Injection{At: s.At, Src: int32(i), Dst: s.Dst}
-			next[w]++
-		}
-	}
+	parallel(blocks, func(b int) {
+		scatter(out, &next[b], p.Sends[lo(b):lo(b+1)], lo(b), base, low)
+	})
 	if low == 0 {
 		return out
 	}
 
-	// Within a window the sends differ in the low bits alone.
-	tmp := make([]Injection, widest)
-	for w := 0; w+1 < len(starts); w++ {
-		win := out[starts[w]:starts[w+1]]
-		if len(win) < 2 {
-			continue
+	// Within a window the sends differ in the low bits alone. Range r holds
+	// the windows from cut[r], whose first slot is the first at or past its
+	// share r/blocks of the sends; its scratch, tmp[scratch[r]:], fits its
+	// widest window.
+	bounds := make([]int, 2*(blocks+1))
+	cut, scratch := bounds[:blocks+1], bounds[blocks+1:]
+	for r, w := 1, 0; r <= blocks; r++ {
+		widest := 0
+		for ; w < 1<<windowBits && (r == blocks || starts[w] < r*len(out)/blocks); w++ {
+			widest = max(widest, starts[w+1]-starts[w])
 		}
-		src, dst := win, tmp[:len(win)]
-		for shift := 0; shift < low; shift += 8 {
-			var at [256]int
-			for _, in := range src {
-				at[byte((uint64(in.At)-base)>>shift)]++
-			}
-			sum := 0
-			for b, n := range at {
-				at[b], sum = sum, sum+n
-			}
-			for _, in := range src {
-				b := byte((uint64(in.At) - base) >> shift)
-				dst[at[b]] = in
-				at[b]++
-			}
-			src, dst = dst, src
-		}
-		copy(win, src)
+		cut[r], scratch[r] = w, scratch[r-1]+widest
 	}
+	tmp := make([]Injection, scratch[blocks])
+	parallel(blocks, func(r int) {
+		for w := cut[r]; w < cut[r+1]; w++ {
+			if win := out[starts[w]:starts[w+1]]; len(win) > 1 {
+				sortLow(win, tmp[scratch[r]:scratch[r]+len(win)], base, low)
+			}
+		}
+	})
 	return out
+}
+
+// countWindows counts the sends of scheds in each window: the top bits of
+// their offsets from base, past the low ones.
+func countWindows(count *[1 << windowBits]int, scheds [][]Send, base uint64, low int) {
+	for _, sends := range scheds {
+		for _, s := range sends {
+			count[(uint64(s.At)-base)>>low]++
+		}
+	}
+}
+
+// scatter writes the sends of scheds, the schedules of hosts first and on,
+// to out: each to the next slot of its window, which it then advances.
+func scatter(out []Injection, next *[1 << windowBits]int, scheds [][]Send, first int, base uint64, low int) {
+	for i, sends := range scheds {
+		for _, s := range sends {
+			w := (uint64(s.At) - base) >> low
+			out[next[w]] = Injection{At: s.At, Src: int32(first + i), Dst: s.Dst}
+			next[w]++
+		}
+	}
+}
+
+// sortLow sorts win by its sends' offsets from base, which differ in their
+// low bits alone: an LSD radix sort, a byte per pass, through tmp (as long
+// as win). The sort is stable.
+func sortLow(win, tmp []Injection, base uint64, low int) {
+	src, dst := win, tmp
+	for shift := 0; shift < low; shift += 8 {
+		var at [256]int
+		for _, in := range src {
+			at[byte((uint64(in.At)-base)>>shift)]++
+		}
+		sum := 0
+		for b, n := range at {
+			at[b], sum = sum, sum+n
+		}
+		for _, in := range src {
+			b := byte((uint64(in.At) - base) >> shift)
+			dst[at[b]] = in
+			at[b]++
+		}
+		src, dst = dst, src
+	}
+	copy(win, src)
+}
+
+// parallel calls f(0), …, f(n-1) concurrently, f(0) on the calling
+// goroutine, and returns when every call has.
+func parallel(n int, f func(int)) {
+	var wg sync.WaitGroup
+	for b := 1; b < n; b++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(b)
+		}()
+	}
+	f(0)
+	wg.Wait()
 }
 
 // windowBits is how many top bits of a send's offset pick its Merge window.

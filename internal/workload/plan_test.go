@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -287,6 +288,46 @@ func TestMergeMatchesReference(t *testing.T) {
 		got, want := p.Merge(), referenceMerge(p)
 		if !slices.Equal(got, want) {
 			t.Errorf("%s: Merge differs from the heap merge (%d vs %d injections)", name, len(got), len(want))
+		}
+	}
+}
+
+// TestMergeMatchesStableSort: at any GOMAXPROCS, Merge is a stable sort by
+// time of the schedules laid end to end in host order — on every merge
+// case, and on plans whose same-instant sends come from hosts in different
+// blocks, in windows that different goroutines sort.
+func TestMergeMatchesStableSort(t *testing.T) {
+	cases := mergeCases(t)
+	rng := rand.New(rand.NewSource(2))
+	for c, hosts := range []int{3, 5, 7, 16} {
+		p := &Plan{Hosts: make([]topology.NodeID, hosts), Sends: make([][]Send, hosts)}
+		for i := range p.Sends {
+			p.Hosts[i] = topology.NodeID(i)
+			// A few instants shared by every host, spread wide enough that
+			// the windows need their low-bit sort.
+			at := time.Duration(0)
+			for k := rng.Intn(40); k > 0; k-- {
+				at += time.Duration(rng.Intn(3)) << (8 + 4*c)
+				p.Sends[i] = append(p.Sends[i], Send{At: at, Dst: topology.NodeID(rng.Intn(hosts))})
+			}
+		}
+		cases[fmt.Sprintf("%d hosts at shared instants", hosts)] = p
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
+		for name, p := range cases {
+			var want []Injection
+			for i, sends := range p.Sends {
+				for _, s := range sends {
+					want = append(want, Injection{At: s.At, Src: int32(i), Dst: s.Dst})
+				}
+			}
+			slices.SortStableFunc(want, func(a, b Injection) int { return cmp.Compare(a.At, b.At) })
+			if got := p.Merge(); !slices.Equal(got, want) {
+				t.Errorf("GOMAXPROCS %d, %s: Merge differs from the stable sort (%d vs %d injections)",
+					procs, name, len(got), len(want))
+			}
 		}
 	}
 }
