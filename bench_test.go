@@ -666,11 +666,11 @@ func BenchmarkNewPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanMerge is RunAll's front on the same plan: 128 schedules
-// sorted into one injection order, on one goroutine per GOMAXPROCS. Gated
-// at 40 allocs/op: the order, its sort's scratch and per-block window
-// counts, and each of three fan-outs' closures — 12 at GOMAXPROCS 1, three
-// more per further CPU, none per send or per window.
+// BenchmarkPlanMerge is RunAll's serial front on the same plan: 128
+// schedules sorted into one injection order. Gated at 2 allocs/op, the
+// order and its sort's scratch. Its 44 k sends are too few for Merge to fan
+// out (it does from 2×mergeShare, 262 k); workload's TestMergeAllocs bounds
+// the fan-out's allocations whatever GOMAXPROCS is.
 func BenchmarkPlanMerge(b *testing.B) {
 	res, err := genspec.Build("fattree2:32x4", nil)
 	if err != nil {

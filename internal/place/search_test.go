@@ -183,16 +183,15 @@ func checkBounds(t *testing.T, s *search, nd item) int64 {
 	t.Helper()
 	s.best, s.bestCost = nil, math.MaxInt64
 	s.expand(nd)
-	if int(nd.depth) == s.p.n-1 {
-		return s.bestCost // the one leaf
-	}
-	var children []item
-	for s.q.Len() > 0 {
-		children = append(children, s.q.Pop())
-	}
-	best := int64(math.MaxInt64)
-	for _, c := range children {
-		best = min(best, checkBounds(t, s, c))
+	best := s.bestCost // the one leaf, when nd places the last task
+	if int(nd.depth) < s.p.n-1 {
+		var children []item
+		for s.q.Len() > 0 {
+			children = append(children, s.q.Pop())
+		}
+		for _, c := range children {
+			best = min(best, checkBounds(t, s, c))
+		}
 	}
 	if nd.f > best {
 		t.Errorf("depth %d: bound %d above best completion %d", nd.depth, nd.f, best)

@@ -211,19 +211,38 @@ type Injection struct {
 // order: ascending time, same-instant sends by host index, then by position
 // in the host's schedule. That order is a stable sort by time of the
 // schedules laid end to end in host order, and Merge is that sort: a radix
-// sort on each send's offset from the plan's first instant, on one
-// goroutine per GOMAXPROCS. A counting pass, over contiguous blocks of
-// hosts at once, counts each block's sends in each of 1024 time windows
-// picked by the offset's top bits. A scatter pass, over the same blocks,
-// writes every send into its window: within a window, block b's sends land
-// after those of the blocks before it, and a schedule ascends, so each
-// host's writes sweep the output once, in order. Each window, small enough
-// to stay in cache, is then LSD-sorted on the low bits, a byte per pass, the
-// windows split into one contiguous range per goroutine. Every pass is
-// stable, so the result is the same at any GOMAXPROCS. Merge sorts afresh on
-// every call: replay the result as often as needed rather than merging
-// again.
+// sort on each send's offset from the plan's first instant. A counting pass
+// counts the sends in each of 1024 time windows picked by the offset's top
+// bits, and a scatter pass writes every send into its window; a schedule
+// ascends, so each host's writes sweep the output once, in order. Each
+// window, small enough to stay in cache, is then LSD-sorted on the low
+// bits, a byte per pass. A plan of at least 2×mergeShare sends is sorted on
+// up to maxMergeBlocks goroutines, one per GOMAXPROCS: the counting and
+// scatter passes over contiguous blocks of hosts, block b's sends in each
+// window placed after those of the blocks before it, and the window sorts
+// over contiguous ranges of windows. Every pass is stable, so the order is
+// the same on any number of goroutines. Merge sorts afresh on every call:
+// replay the result as often as needed rather than merging again.
 func (p *Plan) Merge() []Injection {
+	return p.merge(min(runtime.GOMAXPROCS(0), p.TotalSends()/mergeShare))
+}
+
+// Merge's fan-out, measured on a 128-host plan (2-CPU 2.1 GHz Xeon VM).
+// Below about 2×mergeShare sends a second goroutine bought nothing: 44 k to
+// 168 k sends sorted at parity or slower, 254 k to 338 k at parity to 10 %
+// faster, 511 k in 13–19 ms against 17–21, 840 k in 20–25 against 28–35. The
+// serial sort allocates its output and scratch alone; each block past the
+// first adds three goroutines' closures to the fan-out's eleven
+// allocations, so the cap bounds them at 20 whatever GOMAXPROCS is. Four
+// blocks sorted no slower than two on 2 CPUs; more were not measured.
+const (
+	mergeShare     = 1 << 17
+	maxMergeBlocks = 4
+)
+
+// merge is Merge on blocks goroutines (at least one, at most one per host
+// and maxMergeBlocks); the order is the same for any count.
+func (p *Plan) merge(blocks int) []Injection {
 	// Each schedule ascends, so its ends bound the plan's times.
 	first, last := time.Duration(math.MaxInt64), time.Duration(math.MinInt64)
 	for _, sends := range p.Sends {
@@ -233,53 +252,46 @@ func (p *Plan) Merge() []Injection {
 	}
 	base := uint64(first)
 	low := max(0, bits.Len64(uint64(last)-base)-windowBits)
+	if blocks = min(blocks, len(p.Sends), maxMergeBlocks); blocks > 1 {
+		// The sends fill windows 0 to (last-base)>>low, between half and
+		// all of them.
+		return p.mergeBlocks(blocks, base, low, int((uint64(last)-base)>>low)+1)
+	}
 
-	blocks := max(1, min(runtime.GOMAXPROCS(0), len(p.Sends)))
+	// One block sorts on this goroutine, its counts on the stack.
+	var next [1][1 << windowBits]int
+	countWindows(&next[0], p.Sends, base, low)
+	var starts [1<<windowBits + 1]int
+	widest := windowStarts(&starts, next[:])
+	out := make([]Injection, starts[len(starts)-1])
+	scatter(out, &next[0], p.Sends, 0, base, low)
+	if low > 0 {
+		sortWindows(out, &starts, 0, 1<<windowBits, make([]Injection, widest), base, low)
+	}
+	return out
+}
+
+// mergeBlocks is merge on blocks > 1 goroutines, for sends that fill the
+// first windows of the 1024; each goroutine sorts an equal share of those.
+func (p *Plan) mergeBlocks(blocks int, base uint64, low, windows int) []Injection {
 	lo := func(b int) int { return b * len(p.Sends) / blocks }
-	// next[b][w] counts block b's sends in window w, then becomes the slot
-	// its next one there goes to.
 	next := make([][1 << windowBits]int, blocks)
 	parallel(blocks, func(b int) {
 		countWindows(&next[b], p.Sends[lo(b):lo(b+1)], base, low)
 	})
-	// starts[w] is window w's first slot in the merged order.
-	var starts [1<<windowBits + 1]int
-	for w := 0; w < 1<<windowBits; w++ {
-		sum := starts[w]
-		for b := range next {
-			next[b][w], sum = sum, sum+next[b][w]
-		}
-		starts[w+1] = sum
-	}
+	starts := new([1<<windowBits + 1]int)
+	widest := windowStarts(starts, next)
 	out := make([]Injection, starts[len(starts)-1])
 	parallel(blocks, func(b int) {
 		scatter(out, &next[b], p.Sends[lo(b):lo(b+1)], lo(b), base, low)
 	})
-	if low == 0 {
-		return out
+	if low > 0 {
+		tmp := make([]Injection, blocks*widest)
+		parallel(blocks, func(r int) {
+			sortWindows(out, starts, r*windows/blocks, (r+1)*windows/blocks,
+				tmp[r*widest:(r+1)*widest], base, low)
+		})
 	}
-
-	// Within a window the sends differ in the low bits alone. Range r holds
-	// the windows from cut[r], whose first slot is the first at or past its
-	// share r/blocks of the sends; its scratch, tmp[scratch[r]:], fits its
-	// widest window.
-	bounds := make([]int, 2*(blocks+1))
-	cut, scratch := bounds[:blocks+1], bounds[blocks+1:]
-	for r, w := 1, 0; r <= blocks; r++ {
-		widest := 0
-		for ; w < 1<<windowBits && (r == blocks || starts[w] < r*len(out)/blocks); w++ {
-			widest = max(widest, starts[w+1]-starts[w])
-		}
-		cut[r], scratch[r] = w, scratch[r-1]+widest
-	}
-	tmp := make([]Injection, scratch[blocks])
-	parallel(blocks, func(r int) {
-		for w := cut[r]; w < cut[r+1]; w++ {
-			if win := out[starts[w]:starts[w+1]]; len(win) > 1 {
-				sortLow(win, tmp[scratch[r]:scratch[r]+len(win)], base, low)
-			}
-		}
-	})
 	return out
 }
 
@@ -291,6 +303,22 @@ func countWindows(count *[1 << windowBits]int, scheds [][]Send, base uint64, low
 			count[(uint64(s.At)-base)>>low]++
 		}
 	}
+}
+
+// windowStarts turns next[b][w], block b's count of sends in window w, into
+// the slot block b's next send there goes to, and sets starts[w] to window
+// w's first slot, starts[1024] to the number of sends. It returns the most
+// sends in one window.
+func windowStarts(starts *[1<<windowBits + 1]int, next [][1 << windowBits]int) (widest int) {
+	for w := 0; w < 1<<windowBits; w++ {
+		sum := starts[w]
+		for b := range next {
+			next[b][w], sum = sum, sum+next[b][w]
+		}
+		starts[w+1] = sum
+		widest = max(widest, sum-starts[w])
+	}
+	return widest
 }
 
 // scatter writes the sends of scheds, the schedules of hosts first and on,
@@ -305,28 +333,34 @@ func scatter(out []Injection, next *[1 << windowBits]int, scheds [][]Send, first
 	}
 }
 
-// sortLow sorts win by its sends' offsets from base, which differ in their
-// low bits alone: an LSD radix sort, a byte per pass, through tmp (as long
-// as win). The sort is stable.
-func sortLow(win, tmp []Injection, base uint64, low int) {
-	src, dst := win, tmp
-	for shift := 0; shift < low; shift += 8 {
-		var at [256]int
-		for _, in := range src {
-			at[byte((uint64(in.At)-base)>>shift)]++
+// sortWindows sorts windows from through to-1 of out, whose sends differ in
+// their low bits alone: each an LSD radix sort, a byte per pass, through
+// tmp, which holds the widest. The sort is stable.
+func sortWindows(out []Injection, starts *[1<<windowBits + 1]int, from, to int, tmp []Injection, base uint64, low int) {
+	for w := from; w < to; w++ {
+		win := out[starts[w]:starts[w+1]]
+		if len(win) < 2 {
+			continue
 		}
-		sum := 0
-		for b, n := range at {
-			at[b], sum = sum, sum+n
+		src, dst := win, tmp[:len(win)]
+		for shift := 0; shift < low; shift += 8 {
+			var at [256]int
+			for _, in := range src {
+				at[byte((uint64(in.At)-base)>>shift)]++
+			}
+			sum := 0
+			for b, n := range at {
+				at[b], sum = sum, sum+n
+			}
+			for _, in := range src {
+				b := byte((uint64(in.At) - base) >> shift)
+				dst[at[b]] = in
+				at[b]++
+			}
+			src, dst = dst, src
 		}
-		for _, in := range src {
-			b := byte((uint64(in.At) - base) >> shift)
-			dst[at[b]] = in
-			at[b]++
-		}
-		src, dst = dst, src
+		copy(win, src)
 	}
-	copy(win, src)
 }
 
 // parallel calls f(0), …, f(n-1) concurrently, f(0) on the calling

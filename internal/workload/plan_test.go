@@ -292,42 +292,85 @@ func TestMergeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMergeMatchesStableSort: at any GOMAXPROCS, Merge is a stable sort by
-// time of the schedules laid end to end in host order — on every merge
-// case, and on plans whose same-instant sends come from hosts in different
-// blocks, in windows that different goroutines sort.
+// TestMergeMatchesStableSort: on any number of goroutines, Merge is a
+// stable sort by time of the schedules laid end to end in host order — on
+// every merge case, and on plans whose same-instant sends come from hosts in
+// different blocks, in windows that different goroutines sort. Small plans
+// are sorted on 1 to 5 blocks through merge; one of 3×mergeShare sends
+// through Merge at GOMAXPROCS 1, 2 and 3, which picks that many blocks.
 func TestMergeMatchesStableSort(t *testing.T) {
 	cases := mergeCases(t)
 	rng := rand.New(rand.NewSource(2))
 	for c, hosts := range []int{3, 5, 7, 16} {
-		p := &Plan{Hosts: make([]topology.NodeID, hosts), Sends: make([][]Send, hosts)}
-		for i := range p.Sends {
-			p.Hosts[i] = topology.NodeID(i)
-			// A few instants shared by every host, spread wide enough that
-			// the windows need their low-bit sort.
-			at := time.Duration(0)
-			for k := rng.Intn(40); k > 0; k-- {
-				at += time.Duration(rng.Intn(3)) << (8 + 4*c)
-				p.Sends[i] = append(p.Sends[i], Send{At: at, Dst: topology.NodeID(rng.Intn(hosts))})
+		// Up to 40 sends a host, spread wide enough that the windows need
+		// their low-bit sort.
+		cases[fmt.Sprintf("%d hosts at shared instants", hosts)] = sharedInstants(rng, hosts, 40, 8+4*c)
+	}
+	stable := func(p *Plan) []Injection {
+		var want []Injection
+		for i, sends := range p.Sends {
+			for _, s := range sends {
+				want = append(want, Injection{At: s.At, Src: int32(i), Dst: s.Dst})
 			}
 		}
-		cases[fmt.Sprintf("%d hosts at shared instants", hosts)] = p
+		slices.SortStableFunc(want, func(a, b Injection) int { return cmp.Compare(a.At, b.At) })
+		return want
 	}
+	for name, p := range cases {
+		want := stable(p)
+		for blocks := 1; blocks <= maxMergeBlocks+1; blocks++ {
+			if got := p.merge(blocks); !slices.Equal(got, want) {
+				t.Errorf("%d blocks, %s: merge differs from the stable sort (%d vs %d injections)",
+					blocks, name, len(got), len(want))
+			}
+		}
+	}
+
+	const hosts = 16
+	big := sharedInstants(rng, hosts, -(3*mergeShare/hosts + 1), 8)
+	want := stable(big)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 3} {
 		runtime.GOMAXPROCS(procs)
-		for name, p := range cases {
-			var want []Injection
-			for i, sends := range p.Sends {
-				for _, s := range sends {
-					want = append(want, Injection{At: s.At, Src: int32(i), Dst: s.Dst})
-				}
-			}
-			slices.SortStableFunc(want, func(a, b Injection) int { return cmp.Compare(a.At, b.At) })
-			if got := p.Merge(); !slices.Equal(got, want) {
-				t.Errorf("GOMAXPROCS %d, %s: Merge differs from the stable sort (%d vs %d injections)",
-					procs, name, len(got), len(want))
-			}
+		if got := big.Merge(); !slices.Equal(got, want) {
+			t.Errorf("GOMAXPROCS %d: Merge of %d sends differs from the stable sort", procs, len(want))
+		}
+	}
+}
+
+// sharedInstants is a plan of hosts whose sends fall on instants a multiple
+// of 1<<shift apart, so hosts share many: each host makes a random number
+// of sends below n, or exactly -n of them when n is negative.
+func sharedInstants(rng *rand.Rand, hosts, n, shift int) *Plan {
+	p := &Plan{Hosts: make([]topology.NodeID, hosts), Sends: make([][]Send, hosts)}
+	for i := range p.Sends {
+		p.Hosts[i] = topology.NodeID(i)
+		k := -n
+		if n > 0 {
+			k = rng.Intn(n)
+		}
+		at := time.Duration(0)
+		for ; k > 0; k-- {
+			at += time.Duration(rng.Intn(3)) << shift
+			p.Sends[i] = append(p.Sends[i], Send{At: at, Dst: topology.NodeID(rng.Intn(hosts))})
+		}
+	}
+	return p
+}
+
+// TestMergeAllocs: the serial sort allocates its output and its scratch
+// alone, and the fan-out a bounded number more whatever the block count
+// asked for — three goroutines' closures per block past the first, capped
+// by maxMergeBlocks.
+func TestMergeAllocs(t *testing.T) {
+	p := sharedInstants(rand.New(rand.NewSource(3)), 16, 200, 12)
+	if n := testing.AllocsPerRun(20, func() { p.merge(1) }); n != 2 {
+		t.Errorf("serial merge allocates %.1f, want 2", n)
+	}
+	const bound = 11 + 3*(maxMergeBlocks-1)
+	for _, blocks := range []int{2, maxMergeBlocks, 64} {
+		if n := testing.AllocsPerRun(20, func() { p.merge(blocks) }); n > bound {
+			t.Errorf("merge on %d blocks allocates %.1f, want at most %d", blocks, n, bound)
 		}
 	}
 }
