@@ -275,7 +275,8 @@ bench-large:
 # bench-gate is the wall-clock regression gate (DESIGN.md §12): re-measure
 # the gated lanes — the window-8 probe pipeline, the election on subcluster
 # C beside the single master on the same fabric (what the desim engine
-# costs), the 1k-switch fat-tree (with its diameter at 0 allocs/op), the
+# costs), the Berkeley and Myricom maps of C+A+B (on allocs/op alone), the
+# 1k-switch fat-tree (with its diameter at 0 allocs/op), the
 # daemon's two start-up layers on the 768-host fat-tree (Q+D and the route
 # table, the table under 12 MB written per build, plus the table's lookup
 # and a whole served route query, each at 0 allocs/op), the load report's
@@ -291,6 +292,7 @@ BENCH_BASELINE ?= BENCH_a5c7565.json
 bench-gate:
 	@{ $(GO) test -bench PipelinedVsSerial -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench 'MapElectionC$$|MapMasterC$$' -benchtime 100x -count 3 -run ^$$ . && \
+	   $(GO) test -bench 'MyricomCAB$$|MapMasterCAB$$' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench 'LoadReplay|LoadReport|NewPlan|PlanMerge' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench PlaceOptimize -benchtime 20x -count 3 -run ^$$ ./internal/place && \
 	   $(GO) test -bench 'FatTree768|RouteLookup|ServeRoute' -benchtime 100x -count 3 -run ^$$ . && \

@@ -45,6 +45,7 @@ func benchBerkeley(b *testing.B, sys *cluster.System) {
 	h0 := sys.Mapper()
 	depth := net.DepthBound(h0)
 	var last *mapper.Map
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sn := simnet.NewDefault(net)
@@ -174,6 +175,7 @@ func benchMyricom(b *testing.B, sys *cluster.System) {
 	h0 := sys.Mapper()
 	depth := net.DepthBound(h0)
 	var last *myricom.Map
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sn := simnet.New(net, simnet.PacketModel, simnet.DefaultTiming())

@@ -185,23 +185,18 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	}
 
 	// Edges are enumerated once, in the deterministic walk order
-	// export uses (vertex creation order, sorted slots, slot-list
+	// export uses (vertex creation order, slot index order, slot-list
 	// order); the slot lines then record, per (vertex, slot), the indices
 	// into that enumeration in list order. List order is semantic: export
 	// trusts the oldest deduction in a conflicted slot.
 	edgeIdx := make(map[*Edge]int, m.liveEdges)
 	edges := make([]*Edge, 0, m.liveEdges)
 	nSlots := 0
-	var slotKeys []int
 	for _, v := range live {
-		slotKeys = slotKeys[:0]
-		for i := range v.slots {
-			slotKeys = append(slotKeys, i)
-		}
-		slices.Sort(slotKeys)
-		for _, i := range slotKeys {
+		for _, sl := range v.slots {
+			i := sl.idx
 			refs := 0
-			for _, e := range v.slots[i] {
+			for _, e := range sl.edges {
 				if e.deleted {
 					continue
 				}
@@ -346,7 +341,7 @@ func RestoreSession(p simnet.Prober, data []byte, opts ...Option) (*Session, err
 			cr.Failf("vertex id %d outside nextID %d", id, m.nextID)
 		default:
 			v := &Vertex{id: id, kind: topology.SwitchNode, name: name, probe: probe,
-				explored: explored != 0, slots: make(map[int][]*Edge)}
+				explored: explored != 0}
 			if kind[0] == 'h' {
 				v.kind = topology.HostNode
 				m.hostByName[name] = v
@@ -383,7 +378,7 @@ func RestoreSession(p simnet.Prober, data []byte, opts ...Option) (*Session, err
 				cr.Failf("slot references unknown edge %d", ref)
 				break
 			}
-			v.slots[lv[1]] = append(v.slots[lv[1]], edges[ref])
+			v.file(lv[1], edges[ref])
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"regexp"
+	"runtime"
 	"testing"
 
 	"sanmap/internal/faults"
@@ -173,6 +174,10 @@ func FuzzRestoreSession(f *testing.F) {
 	// An edge count no image could hold once sized an allocation, and
 	// RestoreSession panicked.
 	f.Add(regexp.MustCompile(`\nedges \d+\n`).ReplaceAll(img, []byte("\nedges 999999999999999\n")))
+	// Slot indices far outside any radix, as a forged image can carry:
+	// the slot list is searched, never indexed by them.
+	f.Add(shiftSlots(img, 1<<40))
+	f.Add(shiftSlots(img, -1<<40))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := RestoreSession(sn.Endpoint(h0), data, opts...)
 		if err != nil {
@@ -191,6 +196,60 @@ func FuzzRestoreSession(f *testing.F) {
 			t.Fatalf("not a fixpoint:\n%s\nvs\n%s", img, img2)
 		}
 	})
+}
+
+// shiftSlots rewrites every slot record of a checkpoint image to sit at
+// its index plus by.
+func shiftSlots(img []byte, by int) []byte {
+	return regexp.MustCompile(`(?m)^s (\d+) (-?\d+) `).ReplaceAllFunc(img, func(line []byte) []byte {
+		var v, idx int
+		if _, err := fmt.Sscanf(string(line), "s %d %d ", &v, &idx); err != nil {
+			panic(err)
+		}
+		return fmt.Appendf(nil, "s %d %d ", v, idx+by)
+	})
+}
+
+// TestRestoreExtremeSlotIndices: an image whose slot records sit at ±2^40
+// restores, checkpoints back to those indices, and costs no more memory
+// than the image it was shifted from.
+func TestRestoreExtremeSlotIndices(t *testing.T) {
+	s, sn, h0, opts := daemonSession(t, "ring:3", 1)
+	if _, err := s.Map(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restoreBytes := func(data []byte) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := RestoreSession(sn.Endpoint(h0), data, opts...)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(s)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	base := restoreBytes(img)
+	for _, by := range []int{1 << 40, -1 << 40} {
+		shifted := shiftSlots(img, by)
+		if bytes.Equal(shifted, img) {
+			t.Fatal("no slot record rewritten")
+		}
+		if got := restoreBytes(shifted); got > base+64<<10 {
+			t.Errorf("shift %d: restore allocated %d bytes, unshifted %d", by, got, base)
+		}
+		s2, err := RestoreSession(sn.Endpoint(h0), shifted, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := requireCheckpointMatchesOracle(t, s2, "shifted"); !bytes.Equal(got, shifted) {
+			t.Errorf("shift %d: checkpoint is not the restored image:\n%s\nvs\n%s", by, got, shifted)
+		}
+	}
 }
 
 // BenchmarkRestoreSession restores the checkpoint the daemon commits after

@@ -68,13 +68,13 @@ func (s *Session) checkpointFmt() ([]byte, error) {
 	var slotKeys []int
 	for _, v := range live {
 		slotKeys = slotKeys[:0]
-		for i := range v.slots {
-			slotKeys = append(slotKeys, i)
+		for _, sl := range v.slots {
+			slotKeys = append(slotKeys, sl.idx)
 		}
 		sort.Ints(slotKeys)
 		for _, i := range slotKeys {
 			var refs []int
-			for _, e := range v.slots[i] {
+			for _, e := range v.at(i) {
 				if e.deleted {
 					continue
 				}

@@ -205,10 +205,10 @@ func TestModelInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &run{cfg: cfg, p: ep, model: newModel()}
+	r := &run{cfg: cfg, p: ep, model: newModel(), turns: turnSequence(cfg.TurnOrder, maxPorts-1)}
 	r.model.maxPorts = maxPorts
 	h0v, _ := r.model.hostVertex(r.p.LocalHost(), simnet.Route{})
-	if len(r.turnSequence()) == 0 {
+	if len(r.turns) == 0 {
 		t.Fatal("empty turn sequence")
 	}
 	root := r.model.newVertex(topology.SwitchNode, "", simnet.Route{})

@@ -53,12 +53,12 @@ func oracleExportModel(model *Model, localHost string) (*topology.Network, topol
 		// Walk slots in sorted index order: wire creation order (and with it
 		// the exported byte stream) must not depend on map iteration order.
 		slotIdx = slotIdx[:0]
-		for i := range v.slots {
-			slotIdx = append(slotIdx, i)
+		for _, sl := range v.slots {
+			slotIdx = append(slotIdx, sl.idx)
 		}
 		sort.Ints(slotIdx)
 		for _, i := range slotIdx {
-			for _, e := range v.slots[i] {
+			for _, e := range v.at(i) {
 				if e.deleted || seen[e] {
 					continue
 				}
@@ -241,10 +241,10 @@ func exportWorlds(t *testing.T) []exportWorld {
 func conflictSlot(s *Session) bool {
 	m := s.r.model
 	h0, _ := find(m.hostByName[s.r.p.LocalHost()])
-	for _, e := range h0.slots[0] {
+	for _, e := range h0.at(0) {
 		if !e.deleted {
 			v, i := e.otherSide(h0, 0)
-			v.slots[i] = append(v.slots[i], &Edge{a: v, ai: i, b: v, bi: i})
+			v.file(i, &Edge{a: v, ai: i, b: v, bi: i})
 			m.liveEdges++
 			return true
 		}

@@ -2,7 +2,7 @@ package mapper
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"sanmap/internal/simnet"
 	"sanmap/internal/topology"
@@ -148,7 +148,7 @@ func (r *run) sweep() (int, error) {
 	}
 	h0, _ := find(hv)
 	var rootEdge *Edge
-	for _, e := range h0.slots[0] {
+	for _, e := range h0.at(0) {
 		if !e.deleted {
 			rootEdge = e
 			break
@@ -165,7 +165,6 @@ func (r *run) sweep() (int, error) {
 	queue := []sweepItem{{v: rootV, entry: rootIdx, route: simnet.Route{}}}
 	visited := map[*Vertex]bool{rootV: true}
 	checked := map[*Edge]bool{rootEdge: true}
-	var slotIdx []int
 	for len(queue) > 0 {
 		it := queue[0]
 		queue = queue[1:]
@@ -173,15 +172,9 @@ func (r *run) sweep() (int, error) {
 		if v.deleted {
 			continue
 		}
-		// Sorted slot order: the sweep's probe sequence must not depend on
-		// map iteration order.
-		slotIdx = slotIdx[:0]
-		for i := range v.slots {
-			slotIdx = append(slotIdx, i)
-		}
-		sort.Ints(slotIdx)
-		for _, i := range slotIdx {
-			for _, e := range v.slots[i] {
+		for _, sl := range v.slots {
+			i := sl.idx
+			for _, e := range sl.edges {
 				if e.deleted || checked[e] {
 					continue
 				}
@@ -199,7 +192,8 @@ func (r *run) sweep() (int, error) {
 				far, fidx := e.otherSide(v, i)
 				far, fshift := find(far)
 				fidx += fshift
-				probeStr := it.route.Extend(simnet.Turn(t))
+				r.probeBuf = append(append(r.probeBuf[:0], it.route...), simnet.Turn(t))
+				probeStr := r.probeBuf
 				ok := r.verifyEdge(far, probeStr)
 				if !ok {
 					ok = r.verifyEdge(far, probeStr) // one confirmation retry
@@ -215,7 +209,7 @@ func (r *run) sweep() (int, error) {
 				}
 				if far.kind == topology.SwitchNode && !visited[far] {
 					visited[far] = true
-					queue = append(queue, sweepItem{v: far, entry: fidx, route: probeStr})
+					queue = append(queue, sweepItem{v: far, entry: fidx, route: slices.Clone(probeStr)})
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package mapper
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"sanmap/internal/obs"
@@ -204,6 +205,12 @@ type run struct {
 	win    *simnet.ProbeWindow
 	ps     *exploreStream
 	psPool exploreStream
+	// turns is the candidate turn sequence every exploration walks, and
+	// probeBuf the scratch route the serial explore loop and the heal
+	// sweep build each probe in; a probe string is copied only when it
+	// becomes a vertex's or a job's.
+	turns    []simnet.Turn
+	probeBuf simnet.Route
 	// Self-healing state: partial marks a run stopped by an exhausted fault
 	// budget; obs is the mapper-side fault log; staleCount bounds per-vertex
 	// re-explorations so a persistently lying region cannot loop the run
@@ -282,6 +289,7 @@ func newRun(p simnet.Prober, cfg Config) (*run, error) {
 		staleCount: make(map[*Vertex]int), start: p.Clock()}
 	r.model.maxPorts = maxPorts
 	r.model.onInconsistency = r.noteContradiction
+	r.turns = turnSequence(cfg.TurnOrder, maxPorts-1)
 	r.initPipeline()
 	return r, nil
 }
@@ -365,12 +373,11 @@ func (r *run) markStale(v *Vertex) {
 	r.reexploreAt(root, root.probe, 0)
 }
 
-// turnSequence returns the candidate turns in configured order, bounded by
-// the prober's switch radix (turn magnitudes up to MaxPorts-1).
-func (r *run) turnSequence() []simnet.Turn {
-	maxTurn := r.model.maxPorts - 1
-	var out []simnet.Turn
-	switch r.cfg.TurnOrder {
+// turnSequence returns the candidate turns in the given order, bounded by
+// the switch radix (turn magnitudes up to maxTurn).
+func turnSequence(order TurnOrder, maxTurn int) []simnet.Turn {
+	out := make([]simnet.Turn, 0, 2*maxTurn)
+	switch order {
 	case SmallTurnsFirst:
 		for mag := 1; mag <= maxTurn; mag++ {
 			out = append(out, simnet.Turn(mag), simnet.Turn(-mag))
@@ -431,8 +438,8 @@ func (r *run) explore(jb job) error {
 		defer func() { r.cfg.Tracer.End(r.p.Clock()) }()
 	}
 	entry := jb.entry + shift // frame index of this route's entry port
-	r.beginStream(jb, r.turnSequence())
-	for ti, t := range r.turnSequence() {
+	r.beginStream(jb, r.turns)
+	for ti, t := range r.turns {
 		idx := entry + int(t)
 		if r.cfg.EliminateProbes {
 			lo, hi := r.model.window(root)
@@ -466,6 +473,7 @@ func (r *run) explore(jb job) error {
 					obs.Int("vertex", hv.id), obs.String("route", probeStr.String()))
 			}
 		case simnet.RespSwitch:
+			probeStr = slices.Clone(probeStr)
 			w := r.model.newVertex(topology.SwitchNode, "", probeStr)
 			if r.model.nextID > r.cfg.MaxVertices {
 				return ErrTooManyVertices
@@ -525,6 +533,8 @@ func (r *run) explore(jb job) error {
 // route; candidates the prefetch did not cover (possible when a
 // mid-exploration merge rewrites the frontier vertex) fall back to the
 // serial probes, so the deduction sequence never depends on the pipeline.
+// The route is scratch, valid until the next pairAt or beginStream: a
+// caller that keeps it copies it.
 func (r *run) pairAt(root *Vertex, entry int, ti int, base simnet.Route, t simnet.Turn) (simnet.ProbeResponse, simnet.Route) {
 	if ps := r.ps; ps != nil {
 		r.streamWant(root, entry, ti)
@@ -534,7 +544,8 @@ func (r *run) pairAt(root *Vertex, entry int, ti int, base simnet.Route, t simne
 			return r.confirmResponse(s, ps.resp[tag]), s
 		}
 	}
-	s := base.Extend(t)
+	r.probeBuf = append(append(r.probeBuf[:0], base...), t)
+	s := r.probeBuf
 	return r.confirmResponse(s, r.probeOnce(s)), s
 }
 
@@ -570,12 +581,23 @@ func (r *run) confirmResponse(s simnet.Route, first simnet.ProbeResponse) simnet
 	if k <= 1 || first.Kind == simnet.RespNothing {
 		return first
 	}
-	votes := make(map[simnet.ProbeResponse]int, 2)
-	votes[first] = 1
+	// At most 2k−1 distinct responses: a short list beats a map.
+	type vote struct {
+		resp simnet.ProbeResponse
+		n    int
+	}
+	var buf [4]vote
+	votes := append(buf[:0], vote{first, 1})
 	for samples := 1; samples < 2*k-1; samples++ {
 		resp := r.probeOnce(s)
-		votes[resp]++
-		if votes[resp] >= k {
+		i := 0
+		for i < len(votes) && votes[i].resp != resp {
+			i++
+		}
+		if i == len(votes) {
+			votes = append(votes, vote{resp, 0})
+		}
+		if votes[i].n++; votes[i].n >= k {
 			return resp
 		}
 	}

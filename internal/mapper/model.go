@@ -13,7 +13,7 @@ package mapper
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"sanmap/internal/simnet"
 	"sanmap/internal/topology"
@@ -29,11 +29,15 @@ type Vertex struct {
 	name  string       // host name; "" for switches
 	probe simnet.Route // the successful probe string that created the vertex
 
-	// slots maps a relative port index to the edges currently claiming it.
+	// slots lists the relative port indices that edges claim, sorted by
+	// index, each with its claiming edges in filing order; index order is
+	// the order every walk (merge, export, checkpoint, sweep) visits them.
 	// The merge engine drives every slot towards at most one edge; two
 	// distinct edges in a slot is the structural impossibility ("an actual
 	// switch port has a single cable") that identifies more replicates.
-	slots map[int][]*Edge
+	// Indices are not bounded by the radix (a restored or inconsistent
+	// model can hold any int), so the list is searched, never indexed.
+	slots []slot
 
 	explored bool
 	deleted  bool
@@ -50,6 +54,46 @@ type Vertex struct {
 	// index i in this vertex's frame is index i+fshift in forward's frame.
 	forward *Vertex
 	fshift  int
+}
+
+// slot is one relative port index of a vertex and the edges filed at it.
+type slot struct {
+	idx   int
+	edges []*Edge
+}
+
+// search returns the position of idx in v.slots, or the position it would
+// be inserted at, and whether it is present.
+func (v *Vertex) search(idx int) (int, bool) {
+	lo, hi := 0, len(v.slots)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if v.slots[mid].idx < idx {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(v.slots) && v.slots[lo].idx == idx
+}
+
+// at returns the edges filed at relative index idx, oldest first (nil when
+// none).
+func (v *Vertex) at(idx int) []*Edge {
+	if i, ok := v.search(idx); ok {
+		return v.slots[i].edges
+	}
+	return nil
+}
+
+// file appends e to the edges at relative index idx, inserting the slot in
+// index order when idx is new.
+func (v *Vertex) file(idx int, e *Edge) {
+	i, ok := v.search(idx)
+	if !ok {
+		v.slots = slices.Insert(v.slots, i, slot{idx: idx})
+	}
+	v.slots[i].edges = append(v.slots[i].edges, e)
 }
 
 // ID returns the vertex's creation sequence number (stable, unique).
@@ -116,12 +160,9 @@ type Model struct {
 
 	// markGen is bumped per edge-enumeration walk (merge, degree, delete);
 	// edges stamped with it form the walk's visited set. edgeScratch is the
-	// reusable buffer those walks collect into, and slotScratch holds the
-	// sorted slot indices that keep those walks independent of map
-	// iteration order.
+	// reusable buffer those walks collect into.
 	markGen     uint32
 	edgeScratch []*Edge
-	slotScratch []int
 
 	// Inconsistencies counts deductions that contradicted each other — a
 	// vertex asked to merge with itself under a non-zero offset, which is
@@ -179,7 +220,7 @@ func (m *Model) NumEdges() int { return m.liveEdges }
 
 // newVertex creates a fresh live vertex.
 func (m *Model) newVertex(kind topology.Kind, name string, probe simnet.Route) *Vertex {
-	v := &Vertex{id: m.nextID, kind: kind, name: name, probe: probe, slots: make(map[int][]*Edge)}
+	v := &Vertex{id: m.nextID, kind: kind, name: name, probe: probe}
 	m.nextID++
 	m.verts = append(m.verts, v)
 	m.liveVerts++
@@ -189,13 +230,14 @@ func (m *Model) newVertex(kind topology.Kind, name string, probe simnet.Route) *
 // hostVertex returns the canonical vertex for host name, creating it if
 // needed. Host vertices carry the unique host id as their label (§3.1.1),
 // which is why a second discovery of the same name immediately identifies
-// replicates.
+// replicates. A created vertex keeps its own copy of probe, so callers may
+// pass a scratch route.
 func (m *Model) hostVertex(name string, probe simnet.Route) (v *Vertex, created bool) {
 	if hv, ok := m.hostByName[name]; ok {
 		root, _ := find(hv)
 		return root, false
 	}
-	hv := m.newVertex(topology.HostNode, name, probe)
+	hv := m.newVertex(topology.HostNode, name, slices.Clone(probe))
 	m.hostByName[name] = hv
 	return hv, true
 }
@@ -207,7 +249,7 @@ func (m *Model) hostVertex(name string, probe simnet.Route) (v *Vertex, created 
 func (m *Model) addEdge(a *Vertex, ai int, b *Vertex, bi int) *Edge {
 	e := &Edge{a: a, ai: ai, b: b, bi: bi}
 	// Duplicate check first: rediscovering a known wire is a no-op.
-	for _, prev := range a.slots[ai] {
+	for _, prev := range a.at(ai) {
 		if prev.sameAs(e) {
 			return prev
 		}
@@ -220,12 +262,12 @@ func (m *Model) addEdge(a *Vertex, ai int, b *Vertex, bi int) *Edge {
 	return e
 }
 
-// insertSide files edge e into v.slots[idx] and enqueues replicate
+// insertSide files edge e at v's index idx and enqueues replicate
 // deductions against the edges already claiming that slot: "multiple links
 // incident to a switch port identify additional replicates" (§1.2).
 func (m *Model) insertSide(e *Edge, v *Vertex, idx int) {
 	m.editGen++
-	for _, prev := range v.slots[idx] {
+	for _, prev := range v.at(idx) {
 		if prev.deleted || prev == e {
 			continue
 		}
@@ -236,7 +278,7 @@ func (m *Model) insertSide(e *Edge, v *Vertex, idx int) {
 		// k1−k2 (the paper's mergeLabels re-indexing).
 		m.merges = append(m.merges, mergeTask{a: w1, b: w2, shift: k1 - k2})
 	}
-	v.slots[idx] = append(v.slots[idx], e)
+	v.file(idx, e)
 }
 
 // processMerges drains the merge list (§3.3's mergelist loop), performing
@@ -288,19 +330,12 @@ func (m *Model) mergeInto(ra, rb *Vertex, s int) {
 	if rb.name != "" && ra.name == "" {
 		ra.name = rb.name
 	}
-	// Detach rb's edges, rewrite their rb sides, and re-file them under ra.
-	// Slots are walked in sorted index order so the re-filing order (and
-	// with it the exported wire order) is reproducible.
+	// Detach rb's edges, rewrite their rb sides, and re-file them under ra
+	// in rb's index order.
 	m.markGen++
 	edges := m.edgeScratch[:0]
-	slots := m.slotScratch[:0]
-	for i := range rb.slots {
-		slots = append(slots, i)
-	}
-	sort.Ints(slots)
-	m.slotScratch = slots
-	for _, i := range slots {
-		for _, e := range rb.slots[i] {
+	for _, sl := range rb.slots {
+		for _, e := range sl.edges {
 			if !e.deleted && e.mark != m.markGen {
 				e.mark = m.markGen
 				edges = append(edges, e)
@@ -325,7 +360,7 @@ func (m *Model) mergeInto(ra, rb *Vertex, s int) {
 		}
 		// Re-file under ra; drop if it collapses onto an identical edge.
 		dup := false
-		for _, prev := range ra.slots[slotOf(e, ra)] {
+		for _, prev := range ra.at(slotOf(e, ra)) {
 			if prev != e && !prev.deleted && prev.sameAs(e) {
 				dup = true
 				break
@@ -361,10 +396,11 @@ func (m *Model) window(v *Vertex) (lo, hi int) {
 		return v.winLo, v.winHi
 	}
 	lo, hi = 0, m.maxPorts-1
-	for i, es := range v.slots {
-		if !liveAny(es) {
+	for _, sl := range v.slots {
+		if !liveAny(sl.edges) {
 			continue
 		}
+		i := sl.idx
 		if l := -i; l > lo {
 			lo = l
 		}
@@ -392,15 +428,15 @@ func (m *Model) feasible(j, lo, hi int) bool {
 }
 
 // occupied reports whether slot j holds a live edge.
-func (v *Vertex) occupied(j int) bool { return liveAny(v.slots[j]) }
+func (v *Vertex) occupied(j int) bool { return liveAny(v.at(j)) }
 
 // degree counts live edges incident to v (self-loops count twice, matching
 // switch-port usage).
 func (m *Model) degree(v *Vertex) int {
 	d := 0
 	m.markGen++
-	for _, es := range v.slots {
-		for _, e := range es {
+	for _, sl := range v.slots {
+		for _, e := range sl.edges {
 			if e.deleted || e.mark == m.markGen {
 				continue
 			}
@@ -432,8 +468,8 @@ func (m *Model) deleteVertex(v *Vertex) {
 	}
 	m.editGen++
 	m.markGen++
-	for _, es := range v.slots {
-		for _, e := range es {
+	for _, sl := range v.slots {
+		for _, e := range sl.edges {
 			if !e.deleted && e.mark != m.markGen {
 				e.mark = m.markGen
 				e.deleted = true
@@ -460,14 +496,12 @@ func (m *Model) check() error {
 		if v.deleted {
 			continue
 		}
-		// Sorted slot order keeps the reported violation stable across runs.
-		idxs := make([]int, 0, len(v.slots))
-		for idx := range v.slots {
-			idxs = append(idxs, idx)
-		}
-		sort.Ints(idxs)
-		for _, idx := range idxs {
-			for _, e := range v.slots[idx] {
+		for k, sl := range v.slots {
+			idx := sl.idx
+			if k > 0 && v.slots[k-1].idx >= idx {
+				return fmt.Errorf("vertex %d slot %d out of index order after slot %d", v.id, idx, v.slots[k-1].idx)
+			}
+			for _, e := range sl.edges {
 				if e.deleted {
 					continue
 				}

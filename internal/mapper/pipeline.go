@@ -58,7 +58,8 @@ type exploreStream struct {
 	turns         []simnet.Turn
 	next          int
 	first, second simnet.ProbeKind
-	routes        []simnet.Route         // tag -> route
+	arena         []simnet.Turn          // backing turns of routes, reset per stream
+	routes        []simnet.Route         // tag -> route (a capped window of arena)
 	tagTurn       []simnet.Turn          // tag -> candidate turn
 	phase2        []bool                 // tag -> second-order probe issued
 	resp          []simnet.ProbeResponse // tag -> folded pair response
@@ -79,6 +80,7 @@ func (r *run) beginStream(jb job, turns []simnet.Turn) {
 	ps.turns = turns
 	ps.next = 0
 	ps.first, ps.second = first, second
+	ps.arena = ps.arena[:0]
 	ps.routes = ps.routes[:0]
 	ps.tagTurn = ps.tagTurn[:0]
 	ps.phase2 = ps.phase2[:0]
@@ -118,7 +120,12 @@ func (ps *exploreStream) fillStep(r *run, root *Vertex, entry int) {
 		return
 	}
 	tag := len(ps.routes)
-	ps.routes = append(ps.routes, ps.jb.route.Extend(t))
+	// A route outlives an arena regrowth (it keeps the old backing array),
+	// and the arena is rewritten only by the next stream, by which time
+	// every route the deduction loop kept has been copied.
+	start := len(ps.arena)
+	ps.arena = append(append(ps.arena, ps.jb.route...), t)
+	ps.routes = append(ps.routes, ps.arena[start:len(ps.arena):len(ps.arena)])
 	ps.tagTurn = append(ps.tagTurn, t)
 	ps.phase2 = append(ps.phase2, false)
 	ps.resp = append(ps.resp, simnet.ProbeResponse{})

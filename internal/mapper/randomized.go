@@ -127,7 +127,7 @@ func (r *run) walkChain(rootSwitch *Vertex, route simnet.Route, host string) {
 		// Follow an existing edge when the slot is already known.
 		var next *Vertex
 		var nextEntry int
-		if es := cur.slots[idx]; len(es) > 0 {
+		if es := cur.at(idx); len(es) > 0 {
 			for _, e := range es {
 				if e.deleted {
 					continue

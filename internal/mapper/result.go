@@ -194,21 +194,13 @@ func export(model *Model, localHost string) (*topology.Network, topology.NodeID,
 		suspectIDSet[ids[e.b]] = true
 	}
 	seen := make(map[*Edge]bool)
-	var slotIdx []int
 	for _, v := range model.liveVertices() {
-		// Walk slots in sorted index order: wire creation order (and with it
-		// the exported byte stream) must not depend on map iteration order.
-		slotIdx = slotIdx[:0]
-		for i := range v.slots {
-			slotIdx = append(slotIdx, i)
-		}
-		sort.Ints(slotIdx)
-		for _, i := range slotIdx {
+		for _, sl := range v.slots {
 			// One actual port holds one actual cable: with several live
 			// edges claiming the slot, trust the oldest deduction and mark
 			// the rest suspect.
 			taken := false
-			for _, e := range v.slots[i] {
+			for _, e := range sl.edges {
 				if e.deleted || seen[e] {
 					if seen[e] && !e.deleted {
 						taken = true

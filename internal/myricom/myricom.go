@@ -19,7 +19,7 @@ package myricom
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"sanmap/internal/simnet"
@@ -77,21 +77,29 @@ type Map struct {
 	Reflectors []topology.End
 }
 
+// frames is the number of frame indices a record can hold: every index
+// the run produces is a turn, or the negation of one, in
+// [−simnet.MaxTurn, simnet.MaxTurn], stored at idx+simnet.MaxTurn.
+const frames = 2*simnet.MaxTurn + 1
+
 // swRecord is an explored switch. Frame index 0 is the entry port of its
-// exploration route.
+// exploration route. The per-port arrays are indexed by frame index plus
+// simnet.MaxTurn, so walking one visits the ports in ascending index order.
 type swRecord struct {
-	id     int
-	route  simnet.Route
-	hostAt map[int]string
-	loopAt map[int]bool
-	usedAt map[int]bool // any occupied frame index (for window/export)
+	id    int
+	route simnet.Route
+	rev   simnet.Route // route.Reversed(): the comparison probes' way home
+	// hostAt names the host seen on each frame index ("" for none).
+	hostAt [frames]string
+	loopAt [frames]bool
+	usedAt [frames]bool // any occupied frame index (for window/export)
 	// swCandAt marks frame indices where this switch's exploration saw
 	// another switch. A replicate candidate necessarily enters through one
 	// of these ports, which is what lets compare() prune its X scan.
-	swCandAt map[int]bool
+	swCandAt [frames]bool
 }
 
-func (r *swRecord) use(idx int) { r.usedAt[idx] = true }
+func (r *swRecord) use(idx int) { r.usedAt[idx+simnet.MaxTurn] = true }
 
 // swEdge is a resolved switch-to-switch cable with both frame indices.
 type swEdge struct {
@@ -115,6 +123,10 @@ type runner struct {
 	stats Stats
 	done  []*swRecord
 	edges []swEdge
+	// order and probe are compare's and explore's scratch: the explored
+	// switches in comparison order, and the probe route being sent.
+	order []*swRecord
+	probe simnet.Route
 }
 
 // Run executes the Myricom algorithm.
@@ -149,17 +161,15 @@ func Run(p simnet.Prober, cfg Config) (*Map, error) {
 			}
 			continue
 		}
-		rec := &swRecord{id: len(r.done), route: c.route,
-			hostAt: make(map[int]string), loopAt: make(map[int]bool),
-			usedAt: make(map[int]bool), swCandAt: make(map[int]bool)}
+		rec := &swRecord{id: len(r.done), route: c.route, rev: c.route.Reversed()}
 		r.done = append(r.done, rec)
 		if c.parent != nil {
 			r.addEdge(c.parent, c.parentIdx, rec, 0)
-			rec.swCandAt[0] = true // the entry cable leads to the parent switch
+			rec.swCandAt[simnet.MaxTurn] = true // the entry cable leads to the parent switch
 		} else {
 			// The first switch's entry port is the mapper's own cable; the
 			// mapper knows its own identity without probing.
-			rec.hostAt[0] = p.LocalHost()
+			rec.hostAt[simnet.MaxTurn] = p.LocalHost()
 			rec.use(0)
 		}
 		frontier = append(frontier, r.explore(rec)...)
@@ -201,10 +211,11 @@ func (r *runner) compare(c candidate) (*swRecord, int) {
 	// Scan explored switches nearest in route length first (BFS order makes
 	// same-depth replicates overwhelmingly likely), most recent first
 	// within a length class.
-	order := make([]*swRecord, 0, len(r.done))
+	order := r.order[:0]
 	for i := len(r.done) - 1; i >= 0; i-- {
 		order = append(order, r.done[i])
 	}
+	r.order = order
 	sortByLenDiff(order, len(c.route))
 	for _, b := range order {
 		if r.cfg.CompareWindow >= 0 {
@@ -213,7 +224,6 @@ func (r *runner) compare(c candidate) (*swRecord, int) {
 				continue
 			}
 		}
-		rev := b.route.Reversed()
 		for x := simnet.Turn(-simnet.MaxTurn); x <= simnet.MaxTurn; x++ {
 			if x == 0 {
 				continue
@@ -222,15 +232,12 @@ func (r *runner) compare(c candidate) (*swRecord, int) {
 			// frame index -x, and a replicate's entry port must be one
 			// where b's own exploration saw a switch. Ports b never saw a
 			// switch on cannot match, so their probes are skipped.
-			if !b.swCandAt[-int(x)] {
+			if !b.swCandAt[simnet.MaxTurn-x] {
 				continue
 			}
-			probe := make(simnet.Route, 0, len(c.route)+1+len(rev))
-			probe = append(probe, c.route...)
-			probe = append(probe, x)
-			probe = append(probe, rev...)
+			r.probe = append(append(append(r.probe[:0], c.route...), x), b.rev...)
 			r.stats.Compare++
-			if simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeRaw, Route: probe}).OK {
+			if simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeRaw, Route: r.probe}).OK {
 				r.stats.Matches++
 				return b, -int(x)
 			}
@@ -247,8 +254,8 @@ func sortByLenDiff(recs []*swRecord, n int) {
 		}
 		return x
 	}
-	sort.SliceStable(recs, func(i, j int) bool {
-		return abs(len(recs[i].route)-n) < abs(len(recs[j].route)-n)
+	slices.SortStableFunc(recs, func(a, b *swRecord) int {
+		return abs(len(a.route)-n) - abs(len(b.route)-n)
 	})
 }
 
@@ -260,7 +267,6 @@ func (r *runner) explore(rec *swRecord) []candidate {
 	if len(rec.route) >= r.cfg.Depth {
 		return nil
 	}
-	revT := rec.route.Reversed()
 	for t := simnet.Turn(-simnet.MaxTurn); t <= simnet.MaxTurn; t++ {
 		if t == 0 {
 			continue
@@ -268,40 +274,28 @@ func (r *runner) explore(rec *swRecord) []candidate {
 		idx := int(t)
 		// Loop-cable probe: T t −t −T. A loopback plug reflects the message
 		// straight back in; −t returns it to the entry port; −T walks home.
-		loop := make(simnet.Route, 0, len(rec.route)*2+2)
-		loop = append(loop, rec.route...)
-		loop = append(loop, t, -t)
-		loop = append(loop, revT...)
+		r.probe = append(append(append(r.probe[:0], rec.route...), t, -t), rec.rev...)
 		r.stats.Loop++
-		if simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeRaw, Route: loop}).OK {
-			rec.loopAt[idx] = true
+		if simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeRaw, Route: r.probe}).OK {
+			rec.loopAt[idx+simnet.MaxTurn] = true
 			rec.use(idx)
 			continue
 		}
+		r.probe = append(append(r.probe[:0], rec.route...), t)
 		r.stats.Host++
-		if res := simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeHost, Route: rec.route.Extend(t)}); res.OK {
-			rec.hostAt[idx] = res.Host
+		if res := simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeHost, Route: r.probe}); res.OK {
+			rec.hostAt[idx+simnet.MaxTurn] = res.Host
 			rec.use(idx)
 			continue
 		}
 		r.stats.Switch++
-		if simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeSwitch, Route: rec.route.Extend(t)}).OK {
+		if simnet.Do(r.p, simnet.Probe{Kind: simnet.ProbeSwitch, Route: r.probe}).OK {
 			rec.use(idx)
-			rec.swCandAt[idx] = true
-			out = append(out, candidate{route: rec.route.Extend(t), parent: rec, parentIdx: idx})
+			rec.swCandAt[idx+simnet.MaxTurn] = true
+			out = append(out, candidate{route: slices.Clone(r.probe), parent: rec, parentIdx: idx})
 		}
 	}
 	return out
-}
-
-// sortedIdx returns a frame-index map's keys in ascending order.
-func sortedIdx[V any](m map[int]V) []int {
-	idx := make([]int, 0, len(m))
-	for i := range m {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	return idx
 }
 
 // export assembles the final map, normalising each switch's frame indices
@@ -316,18 +310,19 @@ func (r *runner) export() (*Map, error) {
 	for i, rec := range r.done {
 		ids[i] = net.AddSwitch(fmt.Sprintf("y%d", i))
 		minIdx := 0
-		for idx := range rec.usedAt {
-			if idx < minIdx {
-				minIdx = idx
-			}
+		if k := slices.Index(rec.usedAt[:], true); k >= 0 && k < simnet.MaxTurn {
+			minIdx = k - simnet.MaxTurn
 		}
 		base[i] = -minIdx
 	}
 	m := &Map{Network: net}
 	hostIDs := make(map[string]topology.NodeID)
 	for i, rec := range r.done {
-		for _, idx := range sortedIdx(rec.hostAt) {
-			host := rec.hostAt[idx]
+		for k, host := range rec.hostAt {
+			if host == "" {
+				continue
+			}
+			idx := k - simnet.MaxTurn
 			h, ok := hostIDs[host]
 			if !ok {
 				h = net.AddHost(host)
@@ -337,7 +332,11 @@ func (r *runner) export() (*Map, error) {
 				return nil, fmt.Errorf("myricom: export host edge: %w", err)
 			}
 		}
-		for _, idx := range sortedIdx(rec.loopAt) {
+		for k, loop := range rec.loopAt {
+			if !loop {
+				continue
+			}
+			idx := k - simnet.MaxTurn
 			if err := net.AddReflector(ids[i], idx+base[i]); err != nil {
 				return nil, fmt.Errorf("myricom: export reflector: %w", err)
 			}

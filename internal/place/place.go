@@ -62,7 +62,10 @@ type problem struct {
 	hosts []topology.NodeID
 	n     int
 	dist  [][]int32 // hops between host i and host j
-	paths [][]int32 // directed link ids (2*wire+dir) per ordered pair i*n+j
+	// paths holds the directed link ids (2*wire+dir) per ordered pair
+	// i*n+j; only the bandwidth budget reads them, so it is nil when
+	// LinkCapacity is 0.
+	paths [][]int32
 	// vol[t][u] is the demand between tasks t and u in both directions —
 	// cost is symmetric in the hop metric, so fold once here.
 	vol [][]int64
@@ -82,7 +85,9 @@ func build(tab *routes.Table, m *workload.Matrix, cfg Config) (*problem, error) 
 	}
 	p := &problem{hosts: m.Hosts, n: n, cap: cfg.LinkCapacity, minHop: math.MaxInt64}
 	p.dist = make([][]int32, n)
-	p.paths = make([][]int32, n*n)
+	if p.cap > 0 {
+		p.paths = make([][]int32, n*n)
+	}
 	for i := range p.dist {
 		p.dist[i] = make([]int32, n)
 		for j := range p.dist[i] {
@@ -93,13 +98,15 @@ func build(tab *routes.Table, m *workload.Matrix, cfg Config) (*problem, error) 
 			if !ok {
 				return nil, fmt.Errorf("place: no route %d -> %d", m.Hosts[i], m.Hosts[j])
 			}
-			path := make([]int32, 0, wires.Len())
-			for w := wires.Walk(); w.Next(); {
-				path = append(path, int32(w.Channel()))
+			if p.paths != nil {
+				path := make([]int32, 0, wires.Len())
+				for w := wires.Walk(); w.Next(); {
+					path = append(path, int32(w.Channel()))
+				}
+				p.paths[i*n+j] = path
 			}
-			p.paths[i*n+j] = path
-			p.dist[i][j] = int32(len(path))
-			if d := int64(len(path)); d > 0 && d < p.minHop {
+			p.dist[i][j] = int32(wires.Len())
+			if d := int64(wires.Len()); d > 0 && d < p.minHop {
 				p.minHop = d
 			}
 		}

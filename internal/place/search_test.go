@@ -67,6 +67,7 @@ func TestOptimizeMatchesReference(t *testing.T) {
 func matchReference(t *testing.T, spec string) {
 	tab := fabric(t, spec)
 	hosts := tab.Net.Hosts()
+	checkDist(t, tab, hosts)
 	for seed := int64(0); seed < 30; seed++ {
 		// Nine tasks only sparse: dense, the reference search runs up to
 		// its 200000-expansion budget, seconds under the race detector.
@@ -109,6 +110,33 @@ func matchReference(t *testing.T, spec string) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s seed %d n=%d %+v:\n got %+v\nwant %+v", spec, seed, n, cfg, got, want)
+			}
+		}
+	}
+}
+
+// checkDist holds build's hop distances, taken from the path length, to
+// the channels a walk of each path crosses, on every ordered host pair.
+func checkDist(t *testing.T, tab *routes.Table, hosts []topology.NodeID) {
+	t.Helper()
+	p, err := build(tab, workload.NewMatrix(hosts), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range hosts {
+		for j, b := range hosts {
+			walked := 0
+			if i != j {
+				path, ok := tab.WirePath(a, b)
+				if !ok {
+					t.Fatalf("no route %d -> %d", a, b)
+				}
+				for w := path.Walk(); w.Next(); {
+					walked++
+				}
+			}
+			if got := int(p.dist[i][j]); got != walked {
+				t.Fatalf("dist %d -> %d = %d, walk crosses %d channels", a, b, got, walked)
 			}
 		}
 	}
