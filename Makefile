@@ -2,9 +2,9 @@ GO ?= go
 
 # Packages with concurrency-sensitive code (the pipelined probe engine and
 # everything layered on it, plus the event queue, the process engine, worm
-# simulator, experiment drivers, telemetry and the route table, built
-# serially but pinned identical at any GOMAXPROCS) get a dedicated
-# race-detector lane.
+# simulator, experiment drivers, telemetry and the route table, whose rows
+# are written on first read by whichever goroutine reads them and must equal
+# an eagerly written copy) get a dedicated race-detector lane.
 RACE_PKGS = ./internal/simnet/... ./internal/mapper/... ./internal/connet/... \
 	./internal/election/... ./internal/eventq/... ./internal/desim/... \
 	./internal/wormsim/... ./internal/experiments/... ./internal/obs/... \
@@ -278,8 +278,9 @@ bench-large:
 # costs), the Berkeley and Myricom maps of C+A+B (on allocs/op alone), the
 # 1k-switch fat-tree (with its diameter at 0 allocs/op), the
 # daemon's two start-up layers on the 768-host fat-tree (Q+D and the route
-# table, the table under 12 MB written per build, plus the table's lookup
-# and a whole served route query, each at 0 allocs/op), the load report's
+# table's templates, under 7 MB written per build and at most 0.6x the
+# table with every row written, plus the table's lookup and a whole served
+# route query, each at 0 allocs/op), the load report's
 # plan draw, merge and replays (on allocs/op alone) and its placement
 # search (internal/place, beside the search it replaced) — and check them
 # against the committed baseline's gates block. Fails on a >15% ns/op

@@ -722,7 +722,9 @@ func BenchmarkDepthBoundFatTree768(b *testing.B) {
 }
 
 // BenchmarkRoutesComputeFatTree768 is the second: the full §5.5 pipeline
-// for 589,056 ordered host pairs, paid on every start, heal and restart.
+// for 589,056 ordered host pairs, paid on every start, heal and restart —
+// up to the leaf-pair templates, from which each host's row is written
+// when a lookup first reads it.
 func BenchmarkRoutesComputeFatTree768(b *testing.B) {
 	net, _ := fatTree768(b)
 	b.ReportAllocs()
@@ -733,6 +735,25 @@ func BenchmarkRoutesComputeFatTree768(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink += len(tab.Labels)
+	}
+}
+
+// BenchmarkRoutesTableFatTree768 is the same table with every row written:
+// Compute, then every ordered pair through Pairs, as loadsim, place and the
+// verifiers read it. Compute writes only the leaf-pair templates and rows
+// are written on first read, so the full fill is measured here; the
+// Compute lane is gated at a fraction of this one, so an eager fill cannot
+// come back into Compute unseen.
+func BenchmarkRoutesTableFatTree768(b *testing.B) {
+	net, _ := fatTree768(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tab, err := routes.Compute(net, routes.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		tab.Pairs(func(_, _ topology.NodeID, p routes.Path) { benchSink += p.Len() })
 	}
 }
 

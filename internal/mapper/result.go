@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"sanmap/internal/obs"
@@ -151,31 +152,35 @@ func refuseSuspects(suspects []string) error {
 // suspectIDs (sorted, deduplicated).
 func export(model *Model, localHost string) (*topology.Network, topology.NodeID, []string, []topology.NodeID, error) {
 	net := &topology.Network{}
-	ids := make(map[*Vertex]topology.NodeID)
+	// Vertex ids are dense below nextID, so per-vertex state is a slice.
+	live := model.liveVertices()
+	ids := make([]topology.NodeID, model.nextID)
 	swCount := 0
-	for _, v := range model.liveVertices() {
+	var name []byte
+	for _, v := range live {
 		if v.kind == topology.HostNode {
-			ids[v] = net.AddHost(v.name)
+			ids[v.id] = net.AddHost(v.name)
 		} else {
 			// Model switches carry the radix the run planned for; on the
 			// paper's 8-port fabrics this is exactly AddSwitch.
-			ids[v] = net.AddSwitchRadix(fmt.Sprintf("m%d", swCount), model.maxPorts)
+			name = strconv.AppendInt(append(name[:0], 'm'), int64(swCount), 10)
+			ids[v.id] = net.AddSwitchRadix(string(name), model.maxPorts)
 			swCount++
 		}
 	}
 	var suspects []string
 	// Port assignment: place index i at port i+p0 with p0 = lo (the lowest
 	// feasible offset).
-	portOf := make(map[*Vertex]int) // cached p0 per vertex
+	portOf := make([]int, model.nextID) // cached p0+1 per vertex id; 0 until computed
 	base := func(v *Vertex) int {
-		if p0, ok := portOf[v]; ok {
-			return p0
+		if p := portOf[v.id]; p > 0 {
+			return p - 1
 		}
 		lo, hi := model.window(v)
 		if lo > hi {
 			lo = 0 // inconsistent window (possible only under noise)
 		}
-		portOf[v] = lo
+		portOf[v.id] = lo + 1
 		return lo
 	}
 	desc := func(e *Edge) string {
@@ -190,29 +195,30 @@ func export(model *Model, localHost string) (*topology.Network, topology.NodeID,
 	suspectIDSet := make(map[topology.NodeID]bool)
 	suspect := func(e *Edge) {
 		suspects = append(suspects, desc(e))
-		suspectIDSet[ids[e.a]] = true
-		suspectIDSet[ids[e.b]] = true
+		suspectIDSet[ids[e.a.id]] = true
+		suspectIDSet[ids[e.b.id]] = true
 	}
-	seen := make(map[*Edge]bool)
-	for _, v := range model.liveVertices() {
+	// An edge is seen once it carries this walk's stamp.
+	model.markGen++
+	seen := model.markGen
+	for _, v := range live {
 		for _, sl := range v.slots {
 			// One actual port holds one actual cable: with several live
 			// edges claiming the slot, trust the oldest deduction and mark
 			// the rest suspect.
 			taken := false
 			for _, e := range sl.edges {
-				if e.deleted || seen[e] {
-					if seen[e] && !e.deleted {
+				if e.deleted || e.mark == seen {
+					if e.mark == seen && !e.deleted {
 						taken = true
 					}
 					continue
 				}
+				e.mark = seen
 				if taken {
-					seen[e] = true
 					suspect(e)
 					continue
 				}
-				seen[e] = true
 				taken = true
 				pa, pb := e.ai, e.bi
 				if e.a.kind == topology.SwitchNode {
@@ -230,12 +236,12 @@ func export(model *Model, localHost string) (*topology.Network, topology.NodeID,
 					// plug: probes out of it re-entered through it, and the
 					// merge machinery collapsed the apparent far switch
 					// onto this one at the same index.
-					if err := net.AddReflector(ids[e.a], pa); err != nil {
+					if err := net.AddReflector(ids[e.a.id], pa); err != nil {
 						suspect(e)
 					}
 					continue
 				}
-				if _, err := net.Connect(ids[e.a], pa, ids[e.b], pb); err != nil {
+				if _, err := net.Connect(ids[e.a.id], pa, ids[e.b.id], pb); err != nil {
 					suspect(e)
 				}
 			}

@@ -27,35 +27,44 @@
 // in the order of their first host pair, so a pair with no compliant path
 // is reported under the same host names as a scan over host pairs would.
 //
-// Rows of hosts on the same leaf differ in exactly one turn per pair, the
-// first: out − port(src). So each leaf gets one prototype row over every
-// destination host, each cell its template with the destination's port
-// added to the last turn, and a host's row is a copy of its leaf's
-// prototype without its own one-turn cell, then the host's port subtracted
-// from each pair's first turn — one patched byte per pair. Turns wrap like
-// the int8s they are, so adding and subtracting ports separately gives the
-// bytes the two-port difference would. The fill is serial: at a copy and a
-// byte per pair, one goroutine per GOMAXPROCS measured slower than one.
-// The scan order (the first of parallel switch-switch cables, in wire
-// order, carries every route between its ends) is that of the
-// construction over all nodes, so the tables are the same byte for byte:
-// oracle_test.go keeps the replaced construction, flat_diff_test.go
-// compares against it, and
-// parallel_test.go compares the arenas across GOMAXPROCS, so that a
-// parallel fill cannot come back unless it is byte-identical.
+// Compute stops there. The route between two hosts is their leaf pair's
+// template with the source's port subtracted from the first turn and the
+// destination's added to the last; turns wrap like the int8s they are, so
+// patching the two ports separately gives the bytes the two-port
+// difference would. So a Table is logically immutable, rows written on
+// first read: Compute sizes the arena and sets each row's start from the
+// template lengths, and the first lookup from a host writes that host's
+// row from the templates, under a mutex, publishing it with an atomic
+// flag that every later lookup loads, so lookups from any number of
+// goroutines — sanmapd's connections share a snapshot's table — are safe. A commit therefore pays for the
+// templates, and readers for the rows they read; the consumers that walk
+// every pair (Pairs: loadsim, place, the verifiers, Distribute) write
+// every row. The arena is sized up front, so a first lookup allocates no
+// more than a later one: nothing. ShortestPaths writes the same templates
+// from one BFS per leaf switch — a host's one wire makes a shortest path
+// from it its wire, then one from its leaf — so both tables share the
+// layout and the row writer. The scan order (the first of parallel
+// switch-switch cables, in wire order, carries every route between its
+// ends) is that of the construction over all nodes, so the tables are the
+// same byte for byte: oracle_test.go keeps the replaced constructions,
+// which build each host pair's route on its own, flat_diff_test.go
+// compares against them on every generator, and parallel_test.go writes
+// every row and compares the arenas across GOMAXPROCS, and rows written
+// by concurrent first lookups in different orders with an eagerly written
+// copy.
 //
 // A Table stores the result in one flat arena of turns. Hosts get dense
 // ordinals in ascending id order; ordered pair (s,t) is slot ord(s)*H+ord(t);
 // one offset array bounds the slot's span, and the span is the route
-// itself, so there is no per-route allocation and a lookup is two array
-// reads. The wires a route takes are not stored: §2.2's turns fix them given
-// the map (at each switch, out port = in port + turn), and a Path walks them
-// on demand from the source's host wire. That keeps a table at one byte per
-// hop instead of nine, which is what every start, heal and restart writes.
-// The walk reads per-end tables taken from the map when the table is built
-// — for every (node, port) end, the end across its wire and the channel
-// arriving by it — so a step is one array read, and a walk keeps following
-// the map the table was computed on even if Net is edited later.
+// itself, so there is no per-route allocation and a lookup is a flag load
+// and two array reads. The wires a route takes are not stored: §2.2's
+// turns fix them given the map (at each switch, out port = in port +
+// turn), and a Path walks them on demand from the source's host wire. That
+// keeps a table at one byte per hop instead of nine. The walk reads
+// per-end tables taken from the map when the table is built — for every
+// (node, port) end, the end across its wire and the channel arriving by it
+// — so a step is one array read, and a walk keeps following the map the
+// table was computed on even if Net is edited later.
 //
 // Consumers read the result three ways: Route for the relative-turn strings
 // the simulated interfaces consume (a capacity-capped view of the arena,

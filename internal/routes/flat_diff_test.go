@@ -102,7 +102,9 @@ func diffCompute(t *testing.T, what string, net *topology.Network) {
 // TestFlatTableMatchesNestedMaps: every generator × 5 port-
 // embedding seeds, plus the same networks with extra parallel cables (where
 // both keep the first of the parallel wires) — UP*/DOWN* and shortest-path
-// tables.
+// tables. Both write rows from leaf-pair templates, and the oracles build
+// every host pair's route on its own, so each generator checks that the
+// routes factor by leaf pair.
 func TestFlatTableMatchesNestedMaps(t *testing.T) {
 	if got := len(genspec.Names()); got != len(diffSpecs) {
 		t.Fatalf("genspec has %d generators, diffSpecs %d", got, len(diffSpecs))
@@ -137,6 +139,11 @@ func TestFlatTableMatchesNestedMaps(t *testing.T) {
 				}
 			}
 			diffCompute(t, spec+" +parallel", net)
+			naive, err = ShortestPaths(net)
+			if err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			sameAsOracle(t, spec+" +parallel shortest", naive, oracleShortestPaths(net))
 		}
 	}
 }

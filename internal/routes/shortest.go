@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"sanmap/internal/simnet"
 	"sanmap/internal/topology"
 )
 
@@ -25,21 +26,31 @@ func ShortestPaths(net *topology.Network) (*Table, error) {
 		return nil, fmt.Errorf("routes: network is disconnected")
 	}
 	t := newTable(net, topology.None)
-	// Per-host BFS over the CSR index (adjacency in port order, matching
-	// the historical per-port scan); the buffers are reused across hosts.
+	leaves, err := t.leaves()
+	if err != nil {
+		return nil, err
+	}
+	// A host has one wire, so a shortest path from it is its wire, then a
+	// shortest path from its leaf: one BFS per leaf over the CSR index
+	// (adjacency in port order, matching the historical per-host scan)
+	// records the route between every two leaves as a template, the same
+	// form Compute writes. The buffers are reused across leaves.
 	ix := net.Index()
+	L := len(leaves)
 	prevWire := make([]int, net.NumNodes())
 	dist := make([]int, net.NumNodes())
 	queue := make([]topology.NodeID, 0, net.NumNodes())
-	var path []int // one pair's wires
-	for si, s := range t.hosts {
+	paths := make([]leafPath, L*L)
+	var tmpl []simnet.Turn
+	var path []int // one leaf pair's wires
+	for i, a := range leaves {
 		// BFS recording the first wire on a shortest path to each node.
-		for i := range dist {
-			dist[i] = -1
-			prevWire[i] = -1
+		for k := range dist {
+			dist[k] = -1
+			prevWire[k] = -1
 		}
-		dist[s] = 0
-		queue = append(queue[:0], s)
+		dist[a] = 0
+		queue = append(queue[:0], a)
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
 			nbrs := ix.Neighbors(u)
@@ -53,28 +64,32 @@ func ShortestPaths(net *topology.Network) (*Table, error) {
 				queue = append(queue, topology.NodeID(v))
 			}
 		}
-		for di, d := range t.hosts {
-			lo := len(t.turns)
-			t.off[si*len(t.hosts)+di] = uint32(lo)
-			if d == s {
+		for j, b := range leaves {
+			if dist[b] < 0 {
+				return nil, t.noPath("path", i, j)
+			}
+			lo, n := len(tmpl), dist[b]+1
+			paths[i*L+j] = leafPath{lo: int32(lo), n: int32(n)}
+			tmpl = slices.Grow(tmpl, n)[:lo+n]
+			if i == j {
+				tmpl[lo] = 0
 				continue
 			}
-			if dist[d] < 0 {
-				return nil, fmt.Errorf("routes: no path %s -> %s", net.NameOf(s), net.NameOf(d))
-			}
-			// Walk back from d to s, filling the pair's wires from the end,
-			// then turn them into the route.
-			path = slices.Grow(path[:0], dist[d])[:dist[d]]
-			cur := int(d)
-			for i := len(path) - 1; i >= 0; i-- {
-				path[i] = prevWire[cur]
+			// Walk back from b to a, filling the pair's wires from the
+			// end, then turn them into the template.
+			path = slices.Grow(path[:0], n-1)[:n-1]
+			cur := int(b)
+			for k := len(path) - 1; k >= 0; k-- {
+				path[k] = prevWire[cur]
 				cur = t.across(prevWire[cur], cur)
 			}
-			t.turns = slices.Grow(t.turns, len(path)-1)[:lo+len(path)-1]
-			t.walk(path, t.turns[lo:], s)
+			cell := tmpl[lo : lo+n]
+			out, in := t.walk(path, cell[1:n-1], a)
+			cell[0], cell[n-1] = simnet.Turn(out), simnet.Turn(-in)
 		}
 	}
-	t.off[len(t.off)-1] = uint32(len(t.turns))
+	t.nleaf, t.paths, t.tmpl = L, paths, append(tmpl, make([]simnet.Turn, tmplPad)...)
+	t.layout()
 	return t, nil
 }
 
@@ -84,7 +99,8 @@ func ShortestPaths(net *topology.Network) (*Table, error) {
 // this is the measurement.
 func (t *Table) LinkLoads() map[int]int {
 	loads := make(map[int]int)
-	t.Pairs(func(_, _ topology.NodeID, p Path) {
+	t.writeAll()
+	t.pairs(func(_, _ topology.NodeID, p Path) {
 		for w := p.Walk(); w.Next(); {
 			loads[w.Wire()]++
 		}

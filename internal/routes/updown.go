@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"sanmap/internal/simnet"
 	"sanmap/internal/topology"
@@ -32,6 +34,11 @@ func DefaultConfig() Config {
 // rationale). The wires a route takes are not stored: the map and the turns
 // fix them, and WirePath walks them on demand over a snapshot of Net's
 // wiring taken when the table was built.
+//
+// A Table is logically immutable: Compute and ShortestPaths write the
+// leaf-pair templates, and each source host's row of the arena is written
+// from them the first time a lookup reads it. Lookups from any number of
+// goroutines are safe.
 type Table struct {
 	Net    *topology.Network
 	Root   topology.NodeID
@@ -39,28 +46,104 @@ type Table struct {
 	// Dominant lists switches that were locally dominant before the fix.
 	Dominant []topology.NodeID
 
-	// hosts lists the hosts in ascending id order and ord maps a node id
-	// back to its position there (-1 for switches). Ordered pair (s, d) is
-	// slot ord[s]*len(hosts)+ord[d], and its route is
-	// turns[off[slot]:off[slot+1]], empty on the diagonal.
+	// hosts lists the hosts in ascending id order and ord[v].at is host
+	// v's position there (-1 for switches). Ordered pair (s, d) is
+	// slot ord[s].at*len(hosts)+ord[d].at, and its route is
+	// turns[off[slot]:off[slot+1]], empty on the diagonal. A row's start
+	// off[si*H], and off[H*H], are set when the table is built; the rest
+	// of the row's offsets and turns when the row is written.
 	hosts []topology.NodeID
-	ord   []int32
+	ord   []hostOrd
 	off   []uint32
 	turns []simnet.Turn
 	ends  ends // what WirePath walks
+
+	// The templates rows are written from: each host's leaf ordinal and
+	// the port it occupies there, and leaf pair (i, j)'s template
+	// tmpl[paths[i*nleaf+j].lo:][:paths[i*nleaf+j].n].
+	lord  []int32
+	port  []simnet.Turn
+	nleaf int
+	paths []leafPath
+	tmpl  []simnet.Turn
+
+	mu sync.Mutex // serialises row writers
 }
 
-// newTable returns an empty table over net's hosts with room for off.
+// hostOrd is a node's host ordinal, -1 for a switch, twice: at is fixed,
+// and row is -1 until the host's row is written. row publishes the row:
+// writers store it, under Table.mu, after the row, so a lookup that loads
+// an ordinal reads a finished row.
+type hostOrd struct {
+	at  int32
+	row atomic.Int32
+}
+
+// newTable returns an empty table over net's hosts.
 func newTable(net *topology.Network, root topology.NodeID) *Table {
-	t := &Table{Net: net, Root: root, hosts: net.Hosts(), ord: make([]int32, net.NumNodes()), ends: newEnds(net)}
+	n := net.NumNodes()
+	t := &Table{Net: net, Root: root, hosts: net.Hosts(), ord: make([]hostOrd, n), ends: newEnds(net)}
 	for i := range t.ord {
-		t.ord[i] = -1
+		t.ord[i].at = -1
+		t.ord[i].row.Store(-1)
 	}
 	for i, h := range t.hosts {
-		t.ord[h] = int32(i)
+		t.ord[h].at = int32(i)
 	}
-	t.off = make([]uint32, len(t.hosts)*len(t.hosts)+1)
 	return t
+}
+
+// leaves gives every host its leaf, the switch across its wire, and
+// returns the leaves. Leaves get dense ordinals in the order their first
+// host appears, so ascending leaf-ordinal pairs visit leaf-switch pairs in
+// the order of their first host pair under ascending (s,t).
+func (t *Table) leaves() ([]topology.NodeID, error) {
+	net := t.Net
+	var leaves []topology.NodeID
+	lordOf := make([]int32, net.NumNodes()) // a switch's leaf ordinal + 1; 0 if it has no host
+	t.lord, t.port = make([]int32, len(t.hosts)), make([]simnet.Turn, len(t.hosts))
+	for i, h := range t.hosts {
+		far, ok := net.Neighbor(h, topology.HostPort)
+		if !ok || net.KindOf(far.Node) != topology.SwitchNode {
+			return nil, fmt.Errorf("routes: host %s is not cabled to a switch", net.NameOf(h))
+		}
+		if lordOf[far.Node] == 0 {
+			leaves = append(leaves, far.Node)
+			lordOf[far.Node] = int32(len(leaves))
+		}
+		t.lord[i], t.port[i] = lordOf[far.Node]-1, simnet.Turn(far.Port)
+	}
+	return leaves, nil
+}
+
+// noPath reports leaf pair (i, j) unroutable under the first host pair
+// that falls under it: the first a scan over host pairs would fail on.
+func (t *Table) noPath(what string, i, j int) error {
+	s, d := t.hosts[slices.Index(t.lord, int32(i))], t.hosts[slices.Index(t.lord, int32(j))]
+	return fmt.Errorf("routes: no %s %s -> %s", what, t.Net.NameOf(s), t.Net.NameOf(d))
+}
+
+// layout sizes the row arena from the templates: source si's row holds
+// every other host's route in ascending order, each its leaf pair's
+// template long. Only each row's start is written here; writeRow fills the
+// rest on first read.
+func (t *Table) layout() {
+	H, L := len(t.hosts), t.nleaf
+	// rowLen[i]: a row from leaf i, the source's own one-turn cell included.
+	rowLen := make([]uint32, L)
+	for i := range rowLen {
+		for _, j := range t.lord {
+			rowLen[i] += uint32(t.paths[i*L+int(j)].n)
+		}
+	}
+	t.off = make([]uint32, H*H+1)
+	pos := uint32(0)
+	for si, i := range t.lord {
+		t.off[si*H] = pos
+		pos += rowLen[i] - 1
+	}
+	t.off[H*H] = pos
+	t.turns = make([]simnet.Turn, pos)
 }
 
 // ChooseRoot picks the UP*/DOWN* root: the switch maximising the minimum
@@ -252,8 +335,8 @@ func (t *Table) isUp(from, to topology.End) bool {
 // never meeting or transit nodes, FW runs over switches alone, and the pair
 // (s,t) is s's wire, the path of the leaf-switch pair (leaf(s), leaf(t)),
 // then t's wire — the meeting-node scan and both extractions happen once
-// per leaf-switch pair, into a template; each leaf's prototype row is built
-// from the templates once, and every host row copies its leaf's.
+// per leaf-switch pair, into a template, and host rows are written from
+// the templates when they are first read.
 func (t *Table) allPairs() error {
 	net := t.Net
 	const inf = int32(math.MaxInt32 / 4)
@@ -325,22 +408,13 @@ func (t *Table) allPairs() error {
 		}
 		ancOff[a+1] = int32(len(anc))
 	}
-	// Leaves get dense ordinals in the order their first host appears, so
-	// ascending leaf-ordinal pairs visit leaf-switch pairs in the order of
-	// their first host pair under ascending (s,t).
-	H := len(t.hosts)
-	var leaves []int           // each leaf's switch ordinal,
-	lord := make([]int32, H)   // each host's leaf ordinal
-	leafPort := make([]int, H) // and the port it occupies there
-	lordOf := make([]int32, S) // a switch's leaf ordinal + 1; 0 if it has no host
-	for i, h := range t.hosts {
-		far, _ := net.Neighbor(h, topology.HostPort)
-		a := sw[far.Node]
-		if lordOf[a] == 0 {
-			leaves = append(leaves, int(a))
-			lordOf[a] = int32(len(leaves))
-		}
-		lord[i], leafPort[i] = lordOf[a]-1, far.Port
+	leafNodes, err := t.leaves()
+	if err != nil {
+		return err
+	}
+	leaves := make([]int, len(leafNodes)) // each leaf's switch ordinal
+	for i, a := range leafNodes {
+		leaves[i] = int(sw[a])
 	}
 	L := len(leaves)
 
@@ -370,9 +444,7 @@ func (t *Table) allPairs() error {
 				}
 			}
 			if bestW < 0 {
-				// The first host pair under it is the first to fail.
-				s, d := t.hosts[slices.Index(lord, int32(i))], t.hosts[slices.Index(lord, int32(j))]
-				return fmt.Errorf("routes: no compliant path %s -> %s", net.NameOf(s), net.NameOf(d))
+				return t.noPath("compliant path", i, j)
 			}
 			meet[i*L+j], p.n = int32(bestW), bestC+1
 			n += bestC
@@ -381,7 +453,7 @@ func (t *Table) allPairs() error {
 	}
 	// Extract each middle (up half, then the down half reversed where it
 	// lies) and walk its turns.
-	tmpl, mid := make([]simnet.Turn, n), make([]int, longest)
+	tmpl, mid := make([]simnet.Turn, n+tmplPad), make([]int, longest)
 	for i, a := range leaves {
 		for j, b := range leaves {
 			p := &paths[i*L+j]
@@ -400,63 +472,8 @@ func (t *Table) allPairs() error {
 		}
 	}
 
-	// Prototype rows: leaf i's row over every destination host in ascending
-	// order, each cell its leaf pair's template with the destination's port
-	// added to the last turn. rel[i*H+di] is where destination di's cell
-	// starts in it. Turns wrap like int8s, so adding a port now and
-	// subtracting the source's later gives the bytes the two-port
-	// difference would.
-	protoOff := make([]uint32, L+1)
-	for i := range leaves {
-		protoOff[i+1] = protoOff[i]
-		for _, j := range lord {
-			protoOff[i+1] += uint32(paths[i*L+int(j)].n)
-		}
-	}
-	proto, rel := make([]simnet.Turn, protoOff[L]), make([]uint32, L*H)
-	for i := range leaves {
-		pos := uint32(0)
-		row := proto[protoOff[i]:protoOff[i+1]]
-		for di, j := range lord {
-			p := paths[i*L+int(j)]
-			rel[i*H+di] = pos
-			cell := row[pos : pos+uint32(p.n)]
-			copy(cell, tmpl[p.lo:p.lo+p.n])
-			cell[p.n-1] += simnet.Turn(leafPort[di])
-			pos += uint32(p.n)
-		}
-	}
-
-	// Fill pass: a host's row is its leaf's prototype without the host's
-	// own one-turn cell, then the host's port subtracted from the first
-	// turn of every pair. Rows are laid out in host order, so each row
-	// starts where the previous one ends.
-	total := 0
-	for _, i := range lord {
-		total += int(protoOff[i+1]-protoOff[i]) - 1
-	}
-	t.turns = make([]simnet.Turn, total)
-	pos := uint32(0)
-	for si, i := range lord {
-		pr, r := proto[protoOff[i]:protoOff[i+1]], rel[int(i)*H:int(i+1)*H]
-		own := r[si]
-		row := t.turns[pos : pos+uint32(len(pr))-1]
-		copy(row, pr[:own])
-		copy(row[own:], pr[own+1:])
-		off := t.off[si*H : si*H+H]
-		port := simnet.Turn(leafPort[si])
-		for di, x := range r[:si] {
-			off[di] = pos + x
-			row[x] -= port
-		}
-		off[si] = pos + own
-		for di, x := range r[si+1:] {
-			off[si+1+di] = pos + x - 1
-			row[x-1] -= port
-		}
-		pos += uint32(len(row))
-	}
-	t.off[H*H] = pos
+	t.nleaf, t.paths, t.tmpl = L, paths, tmpl
+	t.layout()
 	return nil
 }
 
@@ -465,6 +482,10 @@ func (t *Table) allPairs() error {
 type leafPath struct {
 	lo, n int32
 }
+
+// tmplPad is the slack at the template arena's end, so that writeRow can
+// read any template as one eight-turn word.
+const tmplPad = 7
 
 // across returns the node on the far side of wire wi from node `from`.
 func (t *Table) across(wi, from int) int {
@@ -497,16 +518,105 @@ func (t *Table) walk(wires []int, turns []simnet.Turn, cur topology.NodeID) (out
 	return out, in
 }
 
+// writeRow makes sure src's row is written, writing it unless another
+// goroutine has, and reports whether src has a row. Each other host's
+// route is its leaf pair's template with src's port subtracted from the
+// first turn and the destination's added to the last. Turns wrap like the
+// int8s they are, so the two patches give the bytes the two-port
+// difference would, also on one-turn routes between hosts of one leaf.
+//
+//sanlint:hotpath
+func (t *Table) writeRow(src topology.NodeID) bool {
+	if uint(src) >= uint(len(t.ord)) || t.ord[src].at < 0 {
+		return false
+	}
+	o := &t.ord[src]
+	if o.row.Load() >= 0 {
+		return true
+	}
+	t.mu.Lock()
+	if o.row.Load() < 0 {
+		H, si := len(t.hosts), int(o.at)
+		// off[di] is where cell di starts. The row's own start, and the
+		// next row's, were set by layout and are read by other rows'
+		// spans, so they are not written again.
+		off := t.off[si*H : si*H+H]
+		base := off[0]
+		row := t.turns[base:t.off[si*H+H]]
+		lord, port, tmpl := t.lord[:H], t.port[:H], t.tmpl
+		paths := t.paths[int(lord[si])*t.nleaf:][:t.nleaf]
+		from, k := port[si], 0
+		for di, j := range lord {
+			if di > 0 {
+				off[di] = base + uint32(k)
+			}
+			if di == si {
+				continue
+			}
+			p := paths[j]
+			cell := row[k : k+int(p.n)]
+			if len(cell) <= 8 && k+8 <= len(row) {
+				// One word moves the template; the garbage it leaves
+				// past the cell is overwritten by the cells after it.
+				put8(row[k:], get8(tmpl[p.lo:]))
+			} else {
+				copy(cell, tmpl[p.lo:p.lo+p.n])
+			}
+			cell[0] -= from
+			cell[len(cell)-1] += port[di]
+			k += len(cell)
+		}
+		o.row.Store(int32(si))
+	}
+	t.mu.Unlock()
+	return true
+}
+
+// get8 returns b's first eight turns as one little-endian word; the
+// compiler merges the byte loads into one.
+//
+//sanlint:hotpath
+func get8(b []simnet.Turn) uint64 {
+	_ = b[7]
+	return uint64(uint8(b[0])) | uint64(uint8(b[1]))<<8 | uint64(uint8(b[2]))<<16 | uint64(uint8(b[3]))<<24 |
+		uint64(uint8(b[4]))<<32 | uint64(uint8(b[5]))<<40 | uint64(uint8(b[6]))<<48 | uint64(uint8(b[7]))<<56
+}
+
+// put8 stores v in b's first eight turns, get8's inverse; the compiler
+// merges the byte stores into one.
+//
+//sanlint:hotpath
+func put8(b []simnet.Turn, v uint64) {
+	_ = b[7]
+	b[0], b[1], b[2], b[3] = simnet.Turn(v), simnet.Turn(v>>8), simnet.Turn(v>>16), simnet.Turn(v>>24)
+	b[4], b[5], b[6], b[7] = simnet.Turn(v>>32), simnet.Turn(v>>40), simnet.Turn(v>>48), simnet.Turn(v>>56)
+}
+
 // span returns the arena bounds of the pair's route; ok is false when the
-// table holds no route from src to dst.
+// table holds no route from src to dst, or src's row is not written yet.
+// It must stay within the compiler's inlining budget: Route and WirePath
+// take no call on the path of a lookup whose row is written.
 //
 //sanlint:hotpath
 func (t *Table) span(src, dst topology.NodeID) (lo, hi uint32, ok bool) {
-	if uint(src) >= uint(len(t.ord)) || uint(dst) >= uint(len(t.ord)) || t.ord[src] < 0 || t.ord[dst] < 0 || src == dst {
+	if uint(src) < uint(len(t.ord)) && uint(dst) < uint(len(t.ord)) && src != dst {
+		if si, di := t.ord[src].row.Load(), t.ord[dst].at; si|di >= 0 { // both ordinals
+			slot := int(si)*len(t.hosts) + int(di)
+			return t.off[slot], t.off[slot+1], true
+		}
+	}
+	return 0, 0, false
+}
+
+// spanFirst is span after a miss, which may be src's first lookup: it
+// writes src's row if it is a host's, then looks again.
+//
+//sanlint:hotpath
+func (t *Table) spanFirst(src, dst topology.NodeID) (lo, hi uint32, ok bool) {
+	if !t.writeRow(src) {
 		return 0, 0, false
 	}
-	slot := int(t.ord[src])*len(t.hosts) + int(t.ord[dst])
-	return t.off[slot], t.off[slot+1], true
+	return t.span(src, dst)
 }
 
 // Route returns the turn route from src to dst. The slice aliases the
@@ -514,11 +624,13 @@ func (t *Table) span(src, dst topology.NodeID) (lo, hi uint32, ok bool) {
 //
 //sanlint:hotpath
 func (t *Table) Route(src, dst topology.NodeID) (simnet.Route, bool) {
-	lo, hi, ok := t.span(src, dst)
-	if !ok {
-		return nil, false
+	if lo, hi, ok := t.span(src, dst); ok {
+		return t.turns[lo:hi:hi], true
 	}
-	return t.turns[lo:hi:hi], true
+	if lo, hi, ok := t.spanFirst(src, dst); ok {
+		return t.turns[lo:hi:hi], true
+	}
+	return nil, false
 }
 
 // WirePath returns the wire path from src to dst: the route's turns read
@@ -526,16 +638,33 @@ func (t *Table) Route(src, dst topology.NodeID) (simnet.Route, bool) {
 //
 //sanlint:hotpath
 func (t *Table) WirePath(src, dst topology.NodeID) (Path, bool) {
-	lo, hi, ok := t.span(src, dst)
-	if !ok {
-		return Path{}, false
+	if lo, hi, ok := t.span(src, dst); ok {
+		return Path{t: t, src: src, lo: lo, hi: hi}, true
 	}
-	return Path{t: t, src: src, lo: lo, hi: hi}, true
+	if lo, hi, ok := t.spanFirst(src, dst); ok {
+		return Path{t: t, src: src, lo: lo, hi: hi}, true
+	}
+	return Path{}, false
 }
 
 // Pairs calls f for every ordered host pair with a route, in ascending
-// (src, dst) order.
+// (src, dst) order, writing first every row no lookup has.
 func (t *Table) Pairs(f func(src, dst topology.NodeID, p Path)) {
+	t.writeAll()
+	t.pairs(f)
+}
+
+// writeAll writes every row no lookup has.
+func (t *Table) writeAll() {
+	for _, h := range t.hosts {
+		t.writeRow(h)
+	}
+}
+
+// pairs is Pairs on a table whose rows are all written. Unlike Pairs it
+// is within the inlining budget, so the package's own walks over every
+// pair call writeAll and then pairs, and their callbacks inline with it.
+func (t *Table) pairs(f func(src, dst topology.NodeID, p Path)) {
 	H := len(t.hosts)
 	for si, s := range t.hosts {
 		for di, d := range t.hosts {

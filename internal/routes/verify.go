@@ -13,7 +13,8 @@ import (
 // onto an up edge").
 func (t *Table) VerifyUpDown() error {
 	var firstErr error
-	t.Pairs(func(src, dst topology.NodeID, p Path) {
+	t.writeAll()
+	t.pairs(func(src, dst topology.NodeID, p Path) {
 		if firstErr != nil {
 			return
 		}
@@ -49,9 +50,10 @@ func (t *Table) VerifyUpDown() error {
 // so the cycle reported is the same on every call.
 func (t *Table) VerifyDeadlockFree() error {
 	C := 2 * t.Net.NumWireSlots()
+	t.writeAll()
 	// arcs calls f for every consecutive channel pair on every route.
 	arcs := func(f func(c1, c2 int32)) {
-		t.Pairs(func(_, _ topology.NodeID, p Path) {
+		t.pairs(func(_, _ topology.NodeID, p Path) {
 			prev := int32(-1)
 			for w := p.Walk(); w.Next(); {
 				c := int32(w.Channel())
@@ -129,7 +131,8 @@ func (t *Table) VerifyDeadlockFree() error {
 func (t *Table) VerifyDelivery(net *topology.Network) error {
 	sn := simnet.New(net, simnet.PacketModel, simnet.DefaultTiming())
 	var firstErr error
-	t.Pairs(func(src, dst topology.NodeID, p Path) {
+	t.writeAll()
+	t.pairs(func(src, dst topology.NodeID, p Path) {
 		if firstErr != nil {
 			return
 		}
