@@ -249,6 +249,7 @@ fuzz-smoke:
 	$(GO) test -run ^$$ -fuzz FuzzParseProfile -fuzztime=10s ./internal/faults/
 	$(GO) test -run ^$$ -fuzz FuzzRestoreSession -fuzztime=10s ./internal/mapper/
 	$(GO) test -run ^$$ -fuzz FuzzReadTopology -fuzztime=10s ./internal/topology/
+	$(GO) test -run ^$$ -fuzz FuzzDiameter -fuzztime=10s ./internal/topology/
 	$(GO) test -run ^$$ -fuzz FuzzBuild -fuzztime=10s ./internal/genspec/
 	$(GO) test -run ^$$ -fuzz FuzzRoundTrip -fuzztime=10s ./internal/textrec/
 
@@ -276,9 +277,10 @@ bench-large:
 # the gated lanes — the window-8 probe pipeline, the election on subcluster
 # C beside the single master on the same fabric (what the desim engine
 # costs), the Berkeley and Myricom maps of C+A+B (on allocs/op alone), the
-# 1k-switch fat-tree (with its diameter at 0 allocs/op), the
-# daemon's two start-up layers on the 768-host fat-tree (Q+D and the route
-# table's templates, under 7 MB written per build and at most 0.6x the
+# 1k-switch fat-tree (with its diameter at 0 allocs/op and at most 0.35x
+# the per-source search it replaced), the daemon's two start-up layers on
+# the 768-host fat-tree (Q+D, at a fixed handful of allocations, and the
+# route table's templates, under 7 MB written per build and at most 0.6x the
 # table with every row written, plus the table's lookup and a whole served
 # route query, each at 0 allocs/op), the load report's
 # plan draw, merge and replays (on allocs/op alone) and its placement
@@ -286,9 +288,10 @@ bench-large:
 # against the committed baseline's gates block. Fails on a >15% ns/op
 # regression, an allocation ceiling broken, or a broken relative gate
 # (window8 must stay within 2x the serial loop's wall clock, the election
-# within 14x the master's, the placement search within 0.6x the one it
-# replaced). Runs use -count so sanbench can gate on
-# per-lane minima, the statistic that survives shared-runner noise.
+# within 14x the master's, the placement search within 0.6x and the
+# diameter within 0.35x the searches they replaced). Runs use -count so
+# sanbench can gate on per-lane minima, the statistic that survives
+# shared-runner noise.
 BENCH_BASELINE ?= BENCH_a5c7565.json
 bench-gate:
 	@{ $(GO) test -bench PipelinedVsSerial -benchtime 100x -count 3 -run ^$$ . && \
@@ -297,7 +300,7 @@ bench-gate:
 	   $(GO) test -bench 'LoadReplay|LoadReport|NewPlan|PlanMerge' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench PlaceOptimize -benchtime 20x -count 3 -run ^$$ ./internal/place && \
 	   $(GO) test -bench 'FatTree768|RouteLookup|ServeRoute' -benchtime 100x -count 3 -run ^$$ . && \
-	   $(GO) test -bench 'MapFatTree1k|IndexDiameter1k' -benchtime 20x -count 3 -run ^$$ . ; } | \
+	   $(GO) test -bench 'MapFatTree1k|IndexDiameter1k$$|IndexDiameter1kReference$$' -benchtime 20x -count 3 -run ^$$ . ; } | \
 		$(GO) run ./cmd/sanbench -gate $(BENCH_BASELINE)
 
 # bench-baseline records a benchstat-compatible JSON baseline for the

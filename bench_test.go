@@ -544,9 +544,11 @@ func BenchmarkIndexBFS1k(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexDiameter1k is the eccentricity sweep on the 1k fabric, one
-// search per switch (hosts are leaves), the heaviest pure-graph analysis
-// the tools run. Gated at 0 allocs/op.
+// BenchmarkIndexDiameter1k is the diameter of the 1k fabric, the heaviest
+// pure-graph analysis the tools run: one bit-parallel breadth-first search
+// over the 1004 switches, 64 sources per word (hosts are leaves, read off
+// their switches). Gated at 0 allocs/op and at a fraction of the
+// per-source search below, timed in the same run.
 func BenchmarkIndexDiameter1k(b *testing.B) {
 	net := fatTree1k()
 	ix := net.Index()
@@ -557,6 +559,53 @@ func BenchmarkIndexDiameter1k(b *testing.B) {
 			b.Fatalf("diameter %d, want 6", d)
 		}
 	}
+}
+
+// BenchmarkIndexDiameter1kReference is the same diameter by the search
+// Diameter replaced: one breadth-first search from every node that is not a
+// leaf, a leaf's eccentricity read off its neighbour's.
+func BenchmarkIndexDiameter1kReference(b *testing.B) {
+	net := fatTree1k()
+	ix := net.Index()
+	dist := make([]int32, ix.NumNodes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d := referenceDiameter(ix, dist); d != 6 {
+			b.Fatalf("diameter %d, want 6", d)
+		}
+	}
+}
+
+// referenceDiameter is the per-source diameter search: every node that is
+// not a leaf runs a search; its leaves' eccentricity is one more when its
+// component holds a third node, and two leaves cabled to each other are a
+// component of diameter 1.
+func referenceDiameter(ix *topology.Index, dist []int32) int {
+	d := 0
+	for i := 0; i < ix.NumNodes(); i++ {
+		u := topology.NodeID(i)
+		if ix.Degree(u) == 1 {
+			if ix.Degree(topology.NodeID(ix.Neighbors(u)[0])) == 1 {
+				d = max(d, 1)
+			}
+			continue
+		}
+		e, reached := int32(0), 0
+		for _, x := range ix.BFSInto(u, dist) {
+			if x >= 0 {
+				e, reached = max(e, x), reached+1
+			}
+		}
+		for _, v := range ix.Neighbors(u) {
+			if ix.Degree(topology.NodeID(v)) == 1 && reached > 2 {
+				e++
+				break
+			}
+		}
+		d = max(d, int(e))
+	}
+	return d
 }
 
 // BenchmarkLoadReplay is the traffic lane (WORKLOADS.md): replay a seeded
@@ -709,9 +758,10 @@ func fatTree768(b *testing.B) (*topology.Network, topology.NodeID) {
 }
 
 // BenchmarkDepthBoundFatTree768 is the daemon's first start-up layer at
-// scale: Q (one two-unit min-cost flow per vertex, 912 of them) plus the
-// diameter (one search per switch, 144 of them: a host's eccentricity is
-// read off its switch's). Run with -benchmem: Q must stay allocation-flat.
+// scale: Q (one two-unit min-cost flow per vertex, 912 of them, on one flow
+// network whose arc lists are sized before it is built) plus the diameter
+// (one bit-parallel search over the 144 switches: a host's eccentricity is
+// read off its switch's). Gated on allocs/op: Q must stay allocation-flat.
 func BenchmarkDepthBoundFatTree768(b *testing.B) {
 	net, h0 := fatTree768(b)
 	b.ReportAllocs()

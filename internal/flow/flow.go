@@ -33,6 +33,28 @@ func New(n int) *Graph {
 	return &Graph{n: n, head: make([][]int32, n)}
 }
 
+// NewSized returns an empty flow network on len(deg) vertices whose arc
+// lists are sized up front: deg[v] is the number of arcs AddArc will start
+// or end at v (an arc takes a slot at both its ends, so AddEdge takes two
+// at each), and the arcs of a graph built within those counts go into
+// arrays allocated here, in the order they are added, with no further
+// allocation. A vertex given more arcs than its count still takes them.
+func NewSized(deg []int) *Graph {
+	total := 0
+	for _, d := range deg {
+		total += d
+	}
+	g := &Graph{n: len(deg), head: make([][]int32, len(deg))}
+	lists := make([]int32, total)
+	for v, d := range deg {
+		g.head[v], lists = lists[:0:d], lists[d:]
+	}
+	g.to = make([]int32, 0, total)
+	g.cap = make([]int64, 0, total)
+	g.cost = make([]int64, 0, total)
+	return g
+}
+
 // N reports the number of vertices.
 func (g *Graph) N() int { return g.n }
 

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -204,5 +205,65 @@ func TestTwoUnitCostAllocatesOnce(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("%v allocs per sweep, want 0", allocs)
+	}
+}
+
+// TestNewSizedMatchesNew: a graph built on NewSized's presized arc lists
+// holds the same arcs in the same order as one built on New, so every
+// answer is the same, and building it within its counts allocates nothing
+// after NewSized; a vertex given more arcs than its count still takes them
+// without disturbing its neighbours' lists.
+func TestNewSizedMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 40; trial++ {
+		n := 3 + rng.Intn(7)
+		type arc struct{ u, v int }
+		var arcs []arc
+		for k := rng.Intn(4 * n); k >= 0; k-- {
+			arcs = append(arcs, arc{rng.Intn(n), rng.Intn(n)})
+		}
+		deg := make([]int, n)
+		for _, a := range arcs {
+			deg[a.u]++
+			deg[a.v]++
+		}
+		if trial%4 == 3 {
+			deg[rng.Intn(n)] /= 2 // too few slots: that list grows
+		}
+		build := func(g *Graph) *Graph {
+			for i, a := range arcs {
+				g.AddArc(a.u, a.v, int64(1+i%2), int64(i%3))
+			}
+			return g
+		}
+		want, got := build(New(n)), build(NewSized(deg))
+		for v := range n {
+			if !slices.Equal(got.head[v], want.head[v]) {
+				t.Fatalf("trial %d: vertex %d lists arcs %v, New lists %v", trial, v, got.head[v], want.head[v])
+			}
+		}
+		if !slices.Equal(got.to, want.to) || !slices.Equal(got.cap, want.cap) || !slices.Equal(got.cost, want.cost) {
+			t.Fatalf("trial %d: arc arrays differ from New's", trial)
+		}
+		for s := 0; s < n-1; s++ {
+			p1, c1 := got.TwoUnitCost(s, n-1)
+			p2, c2 := want.TwoUnitCost(s, n-1)
+			if p1 != p2 || c1 != c2 {
+				t.Fatalf("trial %d: source %d: %d,%d, New's graph %d,%d", trial, s, p1, c1, p2, c2)
+			}
+		}
+	}
+
+	deg := []int{2, 3, 1}
+	var sink *Graph
+	alone := testing.AllocsPerRun(20, func() { sink = NewSized(deg) })
+	built := testing.AllocsPerRun(20, func() {
+		sink = NewSized(deg)
+		sink.AddArc(0, 1, 1, 1)
+		sink.AddArc(1, 2, 1, 1)
+		sink.AddArc(0, 1, 1, 1)
+	})
+	if built != alone {
+		t.Fatalf("NewSized and three arcs within its counts: %v allocs, NewSized alone %v", built, alone)
 	}
 }

@@ -70,6 +70,15 @@ func oracleCompute(net *topology.Network, cfg Config) (*oracleTable, error) {
 	return o, nil
 }
 
+// across returns the node on the far side of wire wi from node `from`.
+func across(net *topology.Network, wi, from int) int {
+	w := net.WireByIndex(wi)
+	if int(w.A.Node) == from {
+		return int(w.B.Node)
+	}
+	return int(w.A.Node)
+}
+
 func (o *oracleTable) allPairs(t *Table) error {
 	n := t.Net.NumNodes()
 	const inf = int32(math.MaxInt32 / 4)
@@ -123,7 +132,7 @@ func (o *oracleTable) allPairs(t *Table) error {
 				return nil
 			}
 			out = append(out, int(w))
-			i = t.across(int(w), i)
+			i = across(t.Net, int(w), i)
 		}
 		return out
 	}

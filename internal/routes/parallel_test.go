@@ -25,8 +25,8 @@ func writeAll(tab *Table) *Table {
 // must not depend on GOMAXPROCS — a guard against a parallel fill coming
 // back without byte-identical output. Every row is written first (rows are
 // otherwise written on first read, and two unwritten arenas would compare
-// equal), then the offsets and the turn arena are compared with the
-// GOMAXPROCS 1 build.
+// equal), then the cells, the row starts and the turn arena are compared
+// with the GOMAXPROCS 1 build.
 func TestComputeSameAtAnyGOMAXPROCS(t *testing.T) {
 	nets := map[string]*topology.Network{}
 	for _, spec := range []string{"fattree2:32x4", "now-cab"} {
@@ -49,7 +49,7 @@ func TestComputeSameAtAnyGOMAXPROCS(t *testing.T) {
 				want = tab
 				continue
 			}
-			if !slices.Equal(tab.off, want.off) || !slices.Equal(tab.turns, want.turns) {
+			if !slices.Equal(tab.cells, want.cells) || !slices.Equal(tab.start, want.start) || !slices.Equal(tab.turns, want.turns) {
 				t.Fatalf("%s: GOMAXPROCS %d builds a different table than GOMAXPROCS 1", name, procs)
 			}
 		}
@@ -109,26 +109,35 @@ func TestConcurrentFirstReads(t *testing.T) {
 			for e := range errs {
 				t.Fatal(e)
 			}
-			if !slices.Equal(lazy.off, eager.off) || !slices.Equal(lazy.turns, eager.turns) {
+			if !slices.Equal(lazy.turns, eager.turns) {
 				t.Fatalf("%s: rows written concurrently leave a different arena", spec)
 			}
 		}
 	}
 }
 
-// TestComputeWritesNoRow: Compute writes the templates and each row's
-// start, and one lookup writes its source's row alone; every other row's
-// offsets and turns are still unwritten.
+// TestComputeWritesNoRow: Compute writes the templates and places the
+// rows but allocates no arena, and one lookup writes its source's row
+// alone; every other row, its leaf siblings' too, is still unwritten.
 func TestComputeWritesNoRow(t *testing.T) {
 	res, err := genspec.Build("fattree2:8x2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tab := computeOn(t, res.Net, DefaultConfig())
+	if tab.turns != nil {
+		t.Fatalf("Compute allocated a %d-turn arena", len(tab.turns))
+	}
 	hosts := res.Net.Hosts()
 	src := hosts[len(hosts)/2]
 	if _, ok := tab.Route(src, hosts[0]); !ok {
 		t.Fatal("no route")
+	}
+	if len(tab.turns) != tab.size {
+		t.Fatalf("arena of %d turns, want %d", len(tab.turns), tab.size)
+	}
+	if si := tab.ord[src].at; tab.written[tab.lord[si]] != si {
+		t.Fatalf("host %d's row is not the one its leaf's next rows are copied from", src)
 	}
 	H := len(hosts)
 	for si, s := range hosts {
@@ -138,9 +147,9 @@ func TestComputeWritesNoRow(t *testing.T) {
 		if s == src {
 			continue
 		}
-		lo, hi := tab.off[si*H], tab.off[si*H+H]
-		if slices.ContainsFunc(tab.off[si*H+1:si*H+H], func(x uint32) bool { return x != 0 }) ||
-			slices.ContainsFunc(tab.turns[lo:hi], func(x simnet.Turn) bool { return x != 0 }) {
+		lo := tab.start[si]
+		hi := lo + tab.cells[int(tab.ord[s].cells)+H]
+		if slices.ContainsFunc(tab.turns[lo:hi], func(x simnet.Turn) bool { return x != 0 }) {
 			t.Fatalf("row of host %d written though only host %d was looked up", s, src)
 		}
 	}
@@ -148,7 +157,10 @@ func TestComputeWritesNoRow(t *testing.T) {
 
 // TestSpanInlined: a lookup whose row is written takes no call, because
 // span, which checks for the row, stays within the compiler's inlining
-// budget (a lookup that calls it measured 20-30 % slower per lookup).
+// budget (a lookup that calls it measured 20-30 % slower per lookup); and
+// pairs does too, so the callbacks of the package's walks over every pair
+// inline with it (without, VerifyUpDown and VerifyDeadlockFree measured
+// 10-50 % slower).
 func TestSpanInlined(t *testing.T) {
 	gobin, err := exec.LookPath("go")
 	if err != nil {
@@ -158,7 +170,7 @@ func TestSpanInlined(t *testing.T) {
 	if err != nil {
 		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
 	}
-	for _, want := range []string{"can inline (*Table).span", "can inline Path.Route"} {
+	for _, want := range []string{"can inline (*Table).span", "can inline Path.Route", "can inline (*Table).pairs"} {
 		if !strings.Contains(string(out), want+"\n") {
 			t.Errorf("the compiler no longer says %q", want)
 		}

@@ -31,37 +31,36 @@ func ShortestPaths(net *topology.Network) (*Table, error) {
 		return nil, err
 	}
 	// A host has one wire, so a shortest path from it is its wire, then a
-	// shortest path from its leaf: one BFS per leaf over the CSR index
-	// (adjacency in port order, matching the historical per-host scan)
+	// shortest path from its leaf: one BFS per leaf over the wiring's end
+	// tables (ports in port order, matching the historical per-host scan)
 	// records the route between every two leaves as a template, the same
 	// form Compute writes. The buffers are reused across leaves.
-	ix := net.Index()
+	ix, at, peer := t.ends.ix, t.ends.at, t.ends.peer
 	L := len(leaves)
-	prevWire := make([]int, net.NumNodes())
+	prevEnd := make([]int32, net.NumNodes()) // the end a shortest path to the node leaves its parent by
 	dist := make([]int, net.NumNodes())
 	queue := make([]topology.NodeID, 0, net.NumNodes())
 	paths := make([]leafPath, L*L)
 	var tmpl []simnet.Turn
-	var path []int // one leaf pair's wires
 	for i, a := range leaves {
-		// BFS recording the first wire on a shortest path to each node.
 		for k := range dist {
 			dist[k] = -1
-			prevWire[k] = -1
 		}
 		dist[a] = 0
 		queue = append(queue[:0], a)
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
-			nbrs := ix.Neighbors(u)
-			wires := ix.Wires(u)
-			for k, v := range nbrs {
-				if topology.NodeID(v) == u || dist[v] >= 0 {
+			for e := ix.EndID(u, 0); e < ix.EndID(u, net.NumPorts(u)); e++ {
+				if peer[e] < 0 {
+					continue
+				}
+				v := at[peer[e]].Node
+				if v == u || dist[v] >= 0 {
 					continue
 				}
 				dist[v] = dist[u] + 1
-				prevWire[v] = int(wires[k])
-				queue = append(queue, topology.NodeID(v))
+				prevEnd[v] = e
+				queue = append(queue, v)
 			}
 		}
 		for j, b := range leaves {
@@ -71,25 +70,23 @@ func ShortestPaths(net *topology.Network) (*Table, error) {
 			lo, n := len(tmpl), dist[b]+1
 			paths[i*L+j] = leafPath{lo: int32(lo), n: int32(n)}
 			tmpl = slices.Grow(tmpl, n)[:lo+n]
-			if i == j {
-				tmpl[lo] = 0
-				continue
+			// Walk back from b to a, writing the template from its end:
+			// at each switch the port it leaves by minus the port it
+			// arrived on, the port leaving a first, minus the one
+			// arriving at b last.
+			cell, cur, out := tmpl[lo:lo+n], b, 0
+			for k := n - 1; k > 0; k-- {
+				e := prevEnd[cur]
+				cell[k] = simnet.Turn(out - at[peer[e]].Port)
+				out, cur = at[e].Port, at[e].Node
 			}
-			// Walk back from b to a, filling the pair's wires from the
-			// end, then turn them into the template.
-			path = slices.Grow(path[:0], n-1)[:n-1]
-			cur := int(b)
-			for k := len(path) - 1; k >= 0; k-- {
-				path[k] = prevWire[cur]
-				cur = t.across(prevWire[cur], cur)
-			}
-			cell := tmpl[lo : lo+n]
-			out, in := t.walk(path, cell[1:n-1], a)
-			cell[0], cell[n-1] = simnet.Turn(out), simnet.Turn(-in)
+			cell[0] = simnet.Turn(out)
 		}
 	}
 	t.nleaf, t.paths, t.tmpl = L, paths, append(tmpl, make([]simnet.Turn, tmplPad)...)
-	t.layout()
+	if err := t.layout(); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 

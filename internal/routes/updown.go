@@ -47,14 +47,19 @@ type Table struct {
 	Dominant []topology.NodeID
 
 	// hosts lists the hosts in ascending id order and ord[v].at is host
-	// v's position there (-1 for switches). Ordered pair (s, d) is
-	// slot ord[s].at*len(hosts)+ord[d].at, and its route is
-	// turns[off[slot]:off[slot+1]], empty on the diagonal. A row's start
-	// off[si*H], and off[H*H], are set when the table is built; the rest
-	// of the row's offsets and turns when the row is written.
+	// v's position there (-1 for switches). The route of ordered pair
+	// (s, d) is the cell of d in s's row of the turn arena, empty on the
+	// diagonal. A row holds one cell per host in ascending order, its own
+	// one turn long, so every row from one leaf switch has the same cells:
+	// cells[c:][d] is where d's cell starts in those rows, for c =
+	// ord[s].cells, and cells[c:][H] is their length. start[i] is where
+	// host i's row starts in turns. turns is allocated, and a row written,
+	// when a lookup first reads the row.
 	hosts []topology.NodeID
 	ord   []hostOrd
-	off   []uint32
+	cells []uint32
+	start []uint32
+	size  int // the arena's length
 	turns []simnet.Turn
 	ends  ends // what WirePath walks
 
@@ -67,16 +72,18 @@ type Table struct {
 	paths []leafPath
 	tmpl  []simnet.Turn
 
-	mu sync.Mutex // serialises row writers
+	mu      sync.Mutex // serialises row writers
+	arena   sync.Once  // allocates turns
+	written []int32    // per leaf, the ordinal of a host whose row is written, or -1
 }
 
-// hostOrd is a node's host ordinal, -1 for a switch, twice: at is fixed,
-// and row is -1 until the host's row is written. row publishes the row:
-// writers store it, under Table.mu, after the row, so a lookup that loads
-// an ordinal reads a finished row.
+// hostOrd is a node's host ordinal, -1 for a switch, its row's cells in
+// Table.cells, and its row's start: -1 until the row is written. row
+// publishes the row: writers store it, under Table.mu, after the row, so
+// a lookup that loads a start reads a finished row.
 type hostOrd struct {
-	at  int32
-	row atomic.Int32
+	at, cells int32
+	row       atomic.Int64
 }
 
 // newTable returns an empty table over net's hosts.
@@ -123,27 +130,38 @@ func (t *Table) noPath(what string, i, j int) error {
 	return fmt.Errorf("routes: no %s %s -> %s", what, t.Net.NameOf(s), t.Net.NameOf(d))
 }
 
-// layout sizes the row arena from the templates: source si's row holds
-// every other host's route in ascending order, each its leaf pair's
-// template long. Only each row's start is written here; writeRow fills the
-// rest on first read.
-func (t *Table) layout() {
+// layout places the rows from the templates: source si's row holds every
+// host's cell in ascending order, each its leaf pair's template long, so
+// the cells of a row depend on its leaf alone. Nothing is written to the
+// rows here, and the arena is not allocated: writeRow does both when a row
+// is first read.
+func (t *Table) layout() error {
 	H, L := len(t.hosts), t.nleaf
-	// rowLen[i]: a row from leaf i, the source's own one-turn cell included.
-	rowLen := make([]uint32, L)
-	for i := range rowLen {
-		for _, j := range t.lord {
-			rowLen[i] += uint32(t.paths[i*L+int(j)].n)
+	t.cells = make([]uint32, L*(H+1))
+	rowLen := make([]int, L)
+	for i := range L {
+		cells, paths := t.cells[i*(H+1):][:H+1], t.paths[i*L:][:L]
+		pos := 0
+		for di, j := range t.lord {
+			cells[di] = uint32(pos)
+			pos += int(paths[j].n)
 		}
+		cells[H], rowLen[i] = uint32(pos), pos
 	}
-	t.off = make([]uint32, H*H+1)
-	pos := uint32(0)
+	t.start = make([]uint32, H)
 	for si, i := range t.lord {
-		t.off[si*H] = pos
-		pos += rowLen[i] - 1
+		t.start[si] = uint32(t.size)
+		t.ord[t.hosts[si]].cells = i * int32(H+1)
+		t.size += rowLen[i]
 	}
-	t.off[H*H] = pos
-	t.turns = make([]simnet.Turn, pos)
+	if t.size > math.MaxUint32 || len(t.cells) > math.MaxInt32 {
+		return fmt.Errorf("routes: %d hosts' routes take %d turns, more than a table holds", H, t.size)
+	}
+	t.written = make([]int32, L)
+	for i := range t.written {
+		t.written[i] = -1
+	}
+	return nil
 }
 
 // ChooseRoot picks the UP*/DOWN* root: the switch maximising the minimum
@@ -334,9 +352,11 @@ func (t *Table) isUp(from, to topology.End) bool {
 // after its switch, and relabelling only lowers switches). So hosts are
 // never meeting or transit nodes, FW runs over switches alone, and the pair
 // (s,t) is s's wire, the path of the leaf-switch pair (leaf(s), leaf(t)),
-// then t's wire — the meeting-node scan and both extractions happen once
-// per leaf-switch pair, into a template, and host rows are written from
-// the templates when they are first read.
+// then t's wire — the meeting-node scan happens once per leaf-switch pair,
+// into a template, and host rows are written from the templates when they
+// are first read. A template is the up path from leaf(s) to the meeting
+// node, then the up path from leaf(t) to it reversed, and each leaf's up
+// path to each meeting node it uses is extracted once.
 func (t *Table) allPairs() error {
 	net := t.Net
 	const inf = int32(math.MaxInt32 / 4)
@@ -349,7 +369,7 @@ func (t *Table) allPairs() error {
 		sw[s] = int32(i)
 	}
 	up := make([]int32, S*S)  // up[i*S+j]: shortest up-only distance
-	via := make([]int32, S*S) // via[i*S+j]: first wire on that path
+	via := make([]int32, S*S) // via[i*S+j]: the end the first wire on that path leaves i by
 	for i := range up {
 		up[i], via[i] = inf, -1
 	}
@@ -357,6 +377,7 @@ func (t *Table) allPairs() error {
 		up[i*S+i] = 0
 	}
 	// Direct up arcs. Parallel wires: keep the first.
+	ix := t.ends.ix
 	net.WiresIndexed(func(wi int, w topology.Wire) {
 		if w.A.Node == w.B.Node || net.KindOf(w.A.Node) != topology.SwitchNode || net.KindOf(w.B.Node) != topology.SwitchNode {
 			return // loopback cables are never on shortest paths; host wires are added per pair
@@ -367,7 +388,7 @@ func (t *Table) allPairs() error {
 			}
 			k := int(sw[from.Node])*S + int(sw[w.Other(from).Node])
 			if up[k] > 1 {
-				up[k], via[k] = 1, int32(wi)
+				up[k], via[k] = 1, ix.EndID(from.Node, from.Port)
 			}
 		}
 	})
@@ -384,15 +405,6 @@ func (t *Table) allPairs() error {
 					row[j], vrow[j] = d, vrow[k]
 				}
 			}
-		}
-	}
-	// fillUp writes the recorded up path from switch i to j, all len(dst)
-	// wires of it. First-hop extraction is sound because up distances
-	// strictly decrease along recorded first hops.
-	fillUp := func(dst []int, i, j int) {
-		for k := range dst {
-			dst[k] = int(via[i*S+j])
-			i = int(sw[t.across(dst[k], int(swNode[i]))])
 		}
 	}
 	// anc lists every switch's up-reachable switches, itself included, in
@@ -418,17 +430,33 @@ func (t *Table) allPairs() error {
 	}
 	L := len(leaves)
 
-	// Template pass, serial: each leaf pair picks its meeting node — first
+	// Meeting pass, serial: each leaf pair picks its meeting node — first
 	// strict minimum over ascending switches — and the best cost is the
 	// exact length of its middle, so the template arena is sized before it
-	// exists. A template is the route between two hosts on the pair's
-	// leaves with the host ports left out: one turn per switch on the way,
-	// the first still the raw port the route leaves the source leaf by and
-	// the last minus the port it enters the destination leaf by. A leaf
-	// paired with itself has the one turn 0.
+	// exists. Each (leaf, meeting node) pair met gets its up path.
 	paths := make([]leafPath, L*L)
 	meet := make([]int32, L*L)
-	n, longest := int32(0), int32(0)
+	upAt := make([]int32, L*S) // upAt[i*S+w]: leaf i's up path to switch w in ups, or -1
+	for k := range upAt {
+		upAt[k] = -1
+	}
+	var ups []upPath
+	var upTurns []simnet.Turn
+	upTo := func(i, w int) {
+		if upAt[i*S+w] >= 0 {
+			return
+		}
+		upAt[i*S+w] = int32(len(ups))
+		n := int(up[leaves[i]*S+w])
+		lo := len(upTurns)
+		upTurns = slices.Grow(upTurns, 2*n)[:lo+2*n]
+		in := t.climb(upTurns[lo:lo+n], via, S, sw, leaves[i], w)
+		for h, x := range upTurns[lo : lo+n] {
+			upTurns[lo+2*n-1-h] = -x
+		}
+		ups = append(ups, upPath{lo: int32(lo), n: int32(n), in: in})
+	}
+	n := int32(0)
 	for i, a := range leaves {
 		for j, b := range leaves {
 			p := &paths[i*L+j]
@@ -448,33 +476,56 @@ func (t *Table) allPairs() error {
 			}
 			meet[i*L+j], p.n = int32(bestW), bestC+1
 			n += bestC
-			longest = max(longest, bestC)
+			upTo(i, bestW)
+			upTo(j, bestW)
 		}
 	}
-	// Extract each middle (up half, then the down half reversed where it
-	// lies) and walk its turns.
-	tmpl, mid := make([]simnet.Turn, n+tmplPad), make([]int, longest)
-	for i, a := range leaves {
-		for j, b := range leaves {
-			p := &paths[i*L+j]
+	// Each template: the source leaf's up path, the turn at the meeting
+	// node, and the destination leaf's up path reversed.
+	tmpl := make([]simnet.Turn, n+tmplPad)
+	for i := range leaves {
+		for j := range leaves {
 			if i == j {
 				continue
 			}
-			mid := mid[:p.n-1]
-			w := int(meet[i*L+j])
-			k := up[a*S+w]
-			fillUp(mid[:k], a, w)
-			fillUp(mid[k:], b, w)
-			slices.Reverse(mid[k:])
+			p, w := paths[i*L+j], int(meet[i*L+j])
+			src, dst := ups[upAt[i*S+w]], ups[upAt[j*S+w]]
 			cell := tmpl[p.lo : p.lo+p.n]
-			out, in := t.walk(mid, cell[1:p.n-1], swNode[a])
-			cell[0], cell[p.n-1] = simnet.Turn(out), simnet.Turn(-in)
+			copy(cell, upTurns[src.lo:src.lo+src.n])
+			cell[src.n] = dst.in - src.in
+			copy(cell[src.n+1:], upTurns[dst.lo+dst.n:dst.lo+2*dst.n])
 		}
 	}
 
 	t.nleaf, t.paths, t.tmpl = L, paths, tmpl
-	t.layout()
-	return nil
+	return t.layout()
+}
+
+// upPath locates a leaf's up path to a meeting node in an arena of turns:
+// from lo, its n turns as a template from the leaf would start — the raw
+// port it leaves the leaf by, then the turn at each switch before the
+// meeting node — then the same n turns as a template to the leaf would end
+// (the path reversed, each turn negated: the last is minus the port it
+// enters the leaf by). in is the port it arrives at the meeting node on,
+// 0 if the leaf is the meeting node.
+type upPath struct {
+	lo, n int32
+	in    simnet.Turn
+}
+
+// climb writes into turns, len(turns) of them, the recorded up path from
+// switch ordinal a to w as the first half of an upPath, and returns the
+// port it arrives at w on. First-hop extraction is sound because up
+// distances strictly decrease along recorded first hops.
+func (t *Table) climb(turns []simnet.Turn, via []int32, S int, sw []int32, a, w int) (in simnet.Turn) {
+	at, peer := t.ends.at, t.ends.peer
+	for h := range turns {
+		e := via[a*S+w]
+		turns[h] = simnet.Turn(at[e].Port) - in
+		far := at[peer[e]]
+		in, a = simnet.Turn(far.Port), int(sw[far.Node])
+	}
+	return in
 }
 
 // leafPath locates the template of every route between two leaf switches
@@ -487,43 +538,16 @@ type leafPath struct {
 // read any template as one eight-turn word.
 const tmplPad = 7
 
-// across returns the node on the far side of wire wi from node `from`.
-func (t *Table) across(wi, from int) int {
-	w := t.Net.WireByIndex(wi)
-	if int(w.A.Node) == from {
-		return int(w.B.Node)
-	}
-	return int(w.A.Node)
-}
-
-// walk follows wires from node cur and writes turns[i-1], for i ≥ 1, the
-// turn taken from wires[i-1] onto wires[i]: at each intermediate switch the
-// routing flit is the signed difference between the output and input ports
-// (§2.2's addressing). It returns the port the first wire leaves cur by and
-// the port the last wire arrives on.
-func (t *Table) walk(wires []int, turns []simnet.Turn, cur topology.NodeID) (out, in int) {
-	for i, wi := range wires {
-		w := t.Net.WireByIndex(wi)
-		from, to := w.A, w.B
-		if from.Node != cur {
-			from, to = to, from
-		}
-		if i == 0 {
-			out = from.Port
-		} else {
-			turns[i-1] = simnet.Turn(from.Port - in)
-		}
-		cur, in = to.Node, to.Port
-	}
-	return out, in
-}
-
 // writeRow makes sure src's row is written, writing it unless another
-// goroutine has, and reports whether src has a row. Each other host's
-// route is its leaf pair's template with src's port subtracted from the
-// first turn and the destination's added to the last. Turns wrap like the
-// int8s they are, so the two patches give the bytes the two-port
-// difference would, also on one-turn routes between hosts of one leaf.
+// goroutine has, and reports whether src has a row. The first row of a
+// leaf is written from the templates: each host's cell is its leaf pair's
+// template with src's port subtracted from the first turn and the
+// destination's added to the last (src's own cell, template 0, is then 0).
+// Turns wrap like the int8s they are, so the two patches give the bytes
+// the two-port difference would, also on one-turn routes between hosts of
+// one leaf. Every later row of that leaf is a copy of a written one with
+// the first turn of each cell moved by the difference of the two sources'
+// ports.
 //
 //sanlint:hotpath
 func (t *Table) writeRow(src topology.NodeID) bool {
@@ -536,40 +560,54 @@ func (t *Table) writeRow(src topology.NodeID) bool {
 	}
 	t.mu.Lock()
 	if o.row.Load() < 0 {
+		// The arena is the one allocation lookups make: once per table,
+		// by the first row written, outside this allocation-free body.
+		t.arena.Do(t.allocTurns)
 		H, si := len(t.hosts), int(o.at)
-		// off[di] is where cell di starts. The row's own start, and the
-		// next row's, were set by layout and are read by other rows'
-		// spans, so they are not written again.
-		off := t.off[si*H : si*H+H]
-		base := off[0]
-		row := t.turns[base:t.off[si*H+H]]
-		lord, port, tmpl := t.lord[:H], t.port[:H], t.tmpl
-		paths := t.paths[int(lord[si])*t.nleaf:][:t.nleaf]
-		from, k := port[si], 0
-		for di, j := range lord {
-			if di > 0 {
-				off[di] = base + uint32(k)
+		cells := t.cells[o.cells:][:H+1]
+		row := t.turns[t.start[si]:][:cells[H]]
+		lord, port := t.lord[:H], t.port[:H]
+		if sib := t.written[lord[si]]; sib >= 0 {
+			copy(row, t.turns[t.start[sib]:])
+			delta := port[sib] - port[si]
+			for _, c := range cells[:H] {
+				row[c] += delta
 			}
-			if di == si {
-				continue
-			}
-			p := paths[j]
-			cell := row[k : k+int(p.n)]
-			if len(cell) <= 8 && k+8 <= len(row) {
-				// One word moves the template; the garbage it leaves
-				// past the cell is overwritten by the cells after it.
-				put8(row[k:], get8(tmpl[p.lo:]))
-			} else {
-				copy(cell, tmpl[p.lo:p.lo+p.n])
-			}
-			cell[0] -= from
-			cell[len(cell)-1] += port[di]
-			k += len(cell)
+		} else {
+			t.fromTemplates(row, si)
+			t.written[lord[si]] = int32(si)
 		}
-		o.row.Store(int32(si))
+		o.row.Store(int64(t.start[si]))
 	}
 	t.mu.Unlock()
 	return true
+}
+
+// allocTurns allocates the turn arena.
+func (t *Table) allocTurns() { t.turns = make([]simnet.Turn, t.size) }
+
+// fromTemplates writes source si's row from the templates, as writeRow
+// describes.
+//
+//sanlint:hotpath
+func (t *Table) fromTemplates(row []simnet.Turn, si int) {
+	lord, port, tmpl := t.lord, t.port[:len(t.lord)], t.tmpl
+	paths := t.paths[int(lord[si])*t.nleaf:][:t.nleaf]
+	from, k := port[si], 0
+	for di, j := range lord {
+		p := paths[j]
+		cell := row[k : k+int(p.n)]
+		if len(cell) <= 8 && k+8 <= len(row) {
+			// One word moves the template; the garbage it leaves past
+			// the cell is overwritten by the cells after it.
+			put8(row[k:], get8(tmpl[p.lo:]))
+		} else {
+			copy(cell, tmpl[p.lo:p.lo+p.n])
+		}
+		cell[0] -= from
+		cell[len(cell)-1] += port[di]
+		k += len(cell)
+	}
 }
 
 // get8 returns b's first eight turns as one little-endian word; the
@@ -592,29 +630,31 @@ func put8(b []simnet.Turn, v uint64) {
 	b[4], b[5], b[6], b[7] = simnet.Turn(v>>32), simnet.Turn(v>>40), simnet.Turn(v>>48), simnet.Turn(v>>56)
 }
 
-// span returns the arena bounds of the pair's route; ok is false when the
-// table holds no route from src to dst, or src's row is not written yet.
-// It must stay within the compiler's inlining budget: Route and WirePath
-// take no call on the path of a lookup whose row is written.
+// span returns the arena bounds of the route from src to dst, or hi = 0
+// when the table holds none or src's row is not written yet (a route has a
+// turn at each switch on the way, so it is never empty). span(s, s) is the
+// padding cell in s's own row: callers rule out src == dst. span must stay
+// within the compiler's inlining budget: Route and WirePath take no call
+// on the path of a lookup whose row is written.
 //
 //sanlint:hotpath
-func (t *Table) span(src, dst topology.NodeID) (lo, hi uint32, ok bool) {
-	if uint(src) < uint(len(t.ord)) && uint(dst) < uint(len(t.ord)) && src != dst {
-		if si, di := t.ord[src].row.Load(), t.ord[dst].at; si|di >= 0 { // both ordinals
-			slot := int(si)*len(t.hosts) + int(di)
-			return t.off[slot], t.off[slot+1], true
+func (t *Table) span(src, dst topology.NodeID) (lo, hi uint32) {
+	if uint(src) < uint(len(t.ord)) && uint(dst) < uint(len(t.ord)) {
+		if start, di := t.ord[src].row.Load(), t.ord[dst].at; start|int64(di) >= 0 { // a written row, a host
+			c := t.ord[src].cells + di
+			return uint32(start) + t.cells[c], uint32(start) + t.cells[c+1]
 		}
 	}
-	return 0, 0, false
+	return 0, 0
 }
 
 // spanFirst is span after a miss, which may be src's first lookup: it
 // writes src's row if it is a host's, then looks again.
 //
 //sanlint:hotpath
-func (t *Table) spanFirst(src, dst topology.NodeID) (lo, hi uint32, ok bool) {
+func (t *Table) spanFirst(src, dst topology.NodeID) (lo, hi uint32) {
 	if !t.writeRow(src) {
-		return 0, 0, false
+		return 0, 0
 	}
 	return t.span(src, dst)
 }
@@ -624,13 +664,16 @@ func (t *Table) spanFirst(src, dst topology.NodeID) (lo, hi uint32, ok bool) {
 //
 //sanlint:hotpath
 func (t *Table) Route(src, dst topology.NodeID) (simnet.Route, bool) {
-	if lo, hi, ok := t.span(src, dst); ok {
-		return t.turns[lo:hi:hi], true
+	if src == dst {
+		return nil, false
 	}
-	if lo, hi, ok := t.spanFirst(src, dst); ok {
-		return t.turns[lo:hi:hi], true
+	lo, hi := t.span(src, dst)
+	if hi == 0 {
+		if lo, hi = t.spanFirst(src, dst); hi == 0 {
+			return nil, false
+		}
 	}
-	return nil, false
+	return t.turns[lo:hi:hi], true
 }
 
 // WirePath returns the wire path from src to dst: the route's turns read
@@ -638,13 +681,16 @@ func (t *Table) Route(src, dst topology.NodeID) (simnet.Route, bool) {
 //
 //sanlint:hotpath
 func (t *Table) WirePath(src, dst topology.NodeID) (Path, bool) {
-	if lo, hi, ok := t.span(src, dst); ok {
-		return Path{t: t, src: src, lo: lo, hi: hi}, true
+	if src == dst {
+		return Path{}, false
 	}
-	if lo, hi, ok := t.spanFirst(src, dst); ok {
-		return Path{t: t, src: src, lo: lo, hi: hi}, true
+	lo, hi := t.span(src, dst)
+	if hi == 0 {
+		if lo, hi = t.spanFirst(src, dst); hi == 0 {
+			return Path{}, false
+		}
 	}
-	return Path{}, false
+	return Path{t: t, src: src, lo: lo, hi: hi}, true
 }
 
 // Pairs calls f for every ordered host pair with a route, in ascending
@@ -665,11 +711,11 @@ func (t *Table) writeAll() {
 // is within the inlining budget, so the package's own walks over every
 // pair call writeAll and then pairs, and their callbacks inline with it.
 func (t *Table) pairs(f func(src, dst topology.NodeID, p Path)) {
-	H := len(t.hosts)
 	for si, s := range t.hosts {
+		row := t.cells[t.ord[s].cells:]
 		for di, d := range t.hosts {
 			if si != di {
-				f(s, d, Path{t: t, src: s, lo: t.off[si*H+di], hi: t.off[si*H+di+1]})
+				f(s, d, Path{t: t, src: s, lo: t.start[si] + row[di], hi: t.start[si] + row[di+1]})
 			}
 		}
 	}

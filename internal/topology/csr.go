@@ -46,6 +46,11 @@ type indexScratch struct {
 	disc   []int32
 	low    []int32
 	frames []dfsFrame
+	// Diameter's core graph and its per-node source bitsets.
+	coreOff         []int32
+	coreAdj         []int32
+	flags           []uint8
+	seen, cur, next []uint64
 }
 
 type dfsFrame struct {
@@ -74,6 +79,13 @@ func (n *Network) Index() *Index {
 			disc:   make([]int32, nn),
 			low:    make([]int32, nn),
 			frames: make([]dfsFrame, 0, nn),
+			// off[0] stays 0: only later entries are written.
+			coreOff: make([]int32, nn+1),
+			coreAdj: make([]int32, 0, len(ix.nbr)),
+			flags:   make([]uint8, nn),
+			seen:    make([]uint64, nn),
+			cur:     make([]uint64, nn),
+			next:    make([]uint64, nn),
 		}
 	}
 	entries := 0
@@ -219,47 +231,130 @@ func (ix *Index) eccentricity(src NodeID, sc *indexScratch) int {
 // Diameter returns the largest finite BFS distance between any node pair,
 // considering each component separately.
 //
-// Only nodes that are not leaves run a search. A leaf u (one cabled port,
-// so every host) reaches everything through its one neighbour v, so
-// ecc(u) = 1 + max over x≠u of dist(v, x). v's own search gives that: v's
-// eccentricity m is at least 1, because u is at distance 1, and when v's
-// component holds a third node the farthest x≠u is still at m (if m = 1,
-// that third node is at distance 1 too), so ecc(u) = m+1. When the
-// component is just {u, v}, ecc(u) = 1 = m. Two leaves cabled to each
-// other are such a component, with no search behind it. On a fabric where
-// hosts outnumber switches this skips most of the searches.
+// Leaves are read off their neighbours. A leaf u (one cabled port, so
+// every host) reaches everything through its one neighbour v, and no
+// shortest path passes through a leaf, so distances between the other
+// nodes — the core — are those of the core graph alone, and
+//
+//   - a core node c reaches a leaf on core node x at dist(c, x)+1, so
+//     ecc(c) is the largest dist(c, x), plus one where x has a leaf;
+//   - a leaf on c reaches every node but itself through c, so its
+//     eccentricity is ecc(c)+1 when c's component holds a third node (a
+//     second leaf on c, or a core neighbour), and ecc(c) = 1 otherwise;
+//   - two leaves cabled to each other are a component of diameter 1.
+//
+// So only the core is searched, as one breadth-first search from 64
+// sources at once: each core node holds a word, one bit per source, and a
+// level ORs each node's neighbours' frontier words into it. The largest
+// level a source's bit reaches, with the one-hop bonuses above, is the
+// largest eccentricity of the source and its leaves. On a fabric where
+// hosts outnumber switches the core is the switch graph.
 //
 //sanlint:hotpath
 func (ix *Index) Diameter() int {
 	sc := ix.scratch.Get().(*indexScratch)
-	d := 0
-	for i := 0; i < ix.NumNodes(); i++ {
-		if ix.Degree(NodeID(i)) == 1 {
-			if ix.Degree(NodeID(ix.Neighbors(NodeID(i))[0])) == 1 {
-				d = max(d, 1)
-			}
-			continue
-		}
-		e := ix.eccentricity(NodeID(i), sc)
-		if len(sc.queue) > 2 && ix.hasLeaf(NodeID(i)) {
-			e++
-		}
-		d = max(d, e)
-	}
+	d := ix.diameter(sc)
 	ix.scratch.Put(sc)
 	return d
 }
 
-// hasLeaf reports whether one of node id's neighbours is a leaf.
-//
+// Per-core-node flags of diameter's search.
+const (
+	withLeaf  = 1 << iota // a leaf hangs off the node
+	leafExtra             // and a leaf of it reaches a third node: its eccentricity is one more
+)
+
 //sanlint:hotpath
-func (ix *Index) hasLeaf(id NodeID) bool {
-	for _, v := range ix.Neighbors(id) {
-		if ix.Degree(NodeID(v)) == 1 {
-			return true
+func (ix *Index) diameter(sc *indexScratch) int {
+	d := 0
+	// Number the core, and settle leaf-leaf components on the way.
+	coreOf := sc.disc
+	sc.queue = sc.queue[:0]
+	for u := 0; u < ix.NumNodes(); u++ {
+		coreOf[u] = -1
+		if ix.Degree(NodeID(u)) != 1 {
+			coreOf[u] = int32(len(sc.queue))
+			sc.queue = append(sc.queue, int32(u))
+		} else if ix.Degree(NodeID(ix.nbr[ix.off[u]])) == 1 {
+			d = 1
 		}
 	}
-	return false
+	// The core graph, self-loops dropped, in core ordinals; and the flags.
+	core := sc.queue
+	off, flags := sc.coreOff[:len(core)+1], sc.flags[:len(core)]
+	sc.coreAdj = sc.coreAdj[:0]
+	for c, u := range core {
+		leaves, others := 0, 0
+		for _, v := range ix.nbr[ix.off[u]:ix.off[u+1]] {
+			switch {
+			case v == u:
+			case coreOf[v] < 0:
+				leaves++
+			default:
+				sc.coreAdj = append(sc.coreAdj, coreOf[v])
+				others++
+			}
+		}
+		flags[c] = 0
+		if leaves > 0 {
+			flags[c] = withLeaf
+			if leaves > 1 || others > 0 {
+				flags[c] |= leafExtra
+			}
+		}
+		off[c+1] = int32(len(sc.coreAdj))
+	}
+	adj := sc.coreAdj
+	seen, cur, next := sc.seen[:len(core)], sc.cur[:len(core)], sc.next[:len(core)]
+	for base := 0; base < len(core); base += 64 {
+		var extra, reach, leafReach uint64
+		for c := range core {
+			seen[c] = 0
+			if b := c - base; b >= 0 && b < 64 {
+				seen[c] = 1 << b
+				reach |= seen[c]
+				if flags[c]&withLeaf != 0 {
+					leafReach |= seen[c]
+				}
+				if flags[c]&leafExtra != 0 {
+					extra |= seen[c]
+				}
+			}
+			cur[c] = seen[c]
+		}
+		for level := 0; reach != 0; level++ {
+			// reach holds the sources that reach a node first at this
+			// level, leafReach those of them that reach a node with a
+			// leaf: the node is level away, its leaf one more, and the
+			// leaves of a source with leafExtra one more still.
+			e := level
+			if reach&extra != 0 || leafReach != 0 {
+				e++
+			}
+			if leafReach&extra != 0 {
+				e++
+			}
+			d = max(d, e)
+			reach, leafReach = 0, 0
+			for c := range core {
+				var w uint64
+				for _, y := range adj[off[c]:off[c+1]] {
+					w |= cur[y]
+				}
+				w &^= seen[c]
+				next[c] = w
+				reach |= w
+				if flags[c]&withLeaf != 0 {
+					leafReach |= w
+				}
+			}
+			for c, w := range next {
+				seen[c] |= w
+			}
+			cur, next = next, cur
+		}
+	}
+	return d
 }
 
 // ComponentsInto fills label with a component id per node and returns the

@@ -28,8 +28,25 @@ func (n *Network) qGraph(h0 NodeID) *flow.Graph {
 	if n.nodes[h0].kind != HostNode {
 		panic(fmt.Sprintf("topology: mapper %d is not a host", h0))
 	}
-	g := flow.New(len(n.nodes) + 1)
+	// Size every arc list first: two slots at each end of a wire's arc
+	// pair, one at each end of a sink arc.
 	sink := len(n.nodes)
+	deg := make([]int, sink+1)
+	for wi, w := range n.wires {
+		if !n.dead[wi] {
+			deg[w.A.Node] += 2
+			deg[w.B.Node] += 2
+		}
+	}
+	deg[h0]++
+	deg[sink]++
+	for i := range n.nodes {
+		if n.nodes[i].kind == HostNode {
+			deg[i]++
+			deg[sink]++
+		}
+	}
+	g := flow.NewSized(deg)
 	h0Wire := n.WireAt(h0, HostPort)
 	for wi, w := range n.wires {
 		if n.dead[wi] {
@@ -67,16 +84,24 @@ func (n *Network) QOf(h0, v NodeID) (q int, ok bool) {
 // equals F, which TestLemma1 verifies against the switch-bridge definition.
 func (n *Network) Q(h0 NodeID) (q int, undefined map[NodeID]bool) {
 	undefined = make(map[NodeID]bool)
+	return n.q(h0, undefined), undefined
+}
+
+// q is Q, recording the nodes with undefined Q in undefined unless it is
+// nil.
+func (n *Network) q(h0 NodeID, undefined map[NodeID]bool) (q int) {
 	g := n.qGraph(h0)
 	for i := range n.nodes {
 		pushed, cost := g.TwoUnitCost(i, len(n.nodes))
 		if pushed < 2 {
-			undefined[NodeID(i)] = true
+			if undefined != nil {
+				undefined[NodeID(i)] = true
+			}
 		} else if int(cost) > q {
 			q = int(cost)
 		}
 	}
-	return q, undefined
+	return q
 }
 
 // FByFlow computes F with the Max-Flow Min-Cut argument of Lemma 1, as an
@@ -96,6 +121,5 @@ func (n *Network) FByFlow(h0 NodeID) map[NodeID]bool {
 // Probe strings of this length suffice for Theorem 1's reconstruction
 // guarantee.
 func (n *Network) DepthBound(h0 NodeID) int {
-	q, _ := n.Q(h0)
-	return q + n.Diameter()
+	return n.q(h0, nil) + n.Diameter()
 }

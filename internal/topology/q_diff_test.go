@@ -2,7 +2,8 @@
 // potentials, only the first path undone between sources) must agree with
 // the construction it replaced — a fresh network and a full successive-
 // shortest-path solve per vertex — on the value of every Q(v) and on which
-// vertices have none. External package for the same reason as
+// vertices have none; and so must DepthBound, Q plus the diameter, with the
+// per-source diameter search. External package for the same reason as
 // csr_equiv_test.go.
 package topology_test
 
@@ -58,6 +59,9 @@ func checkQ(t *testing.T, n *topology.Network, h0 topology.NodeID) (undefined in
 	}
 	if q != wantQ {
 		t.Fatalf("Q = %d, oracle %d", q, wantQ)
+	}
+	if got, want := n.DepthBound(h0), wantQ+perSourceDiameter(n.Index()); got != want {
+		t.Fatalf("DepthBound = %d, oracle Q + per-source diameter %d", got, want)
 	}
 	return len(undef)
 }
