@@ -52,7 +52,7 @@ vet:
 #     survives only as a test reference), and the one desim process
 #     internal/workload starts is the mapper.
 #  6. loadsim's per-worm path stays engine-local: the replay functions
-#     (Run, replay, scan, inject) update no obs handle — replays run
+#     (Run, start, scan, inject, finish) update no obs handle — replays run
 #     concurrently and registries are folded in afterwards — and the
 #     package sorts nothing through sort.Slice's reflect swapper.
 #  7. A probe window stays only a window, and Net.submit the only code that
@@ -127,7 +127,7 @@ lint: vet
 	@n=$$(cat $(WORKLOAD_SRC) | grep -cE '\.Spawn(At)?\('); \
 	if [ "$$n" -gt 1 ]; then \
 		echo "internal/workload starts $$n desim processes, want one (the mapper; sources are Engine.At callbacks)"; exit 1; fi
-	@slow=$$(awk '/^func \(e \*Engine\) (Run|replay|scan|inject)\(/,/^}/' internal/loadsim/loadsim.go | \
+	@slow=$$(awk '/^func \(e \*Engine\) (Run|start|scan|inject|finish)\(/,/^}/' internal/loadsim/loadsim.go | \
 		grep -n 'e\.m\.'; grep -n 'sort\.Slice' $(LOADSIM_SRC)); \
 	if [ -n "$$slow" ]; then \
 		echo "per-worm overhead is back in loadsim's replay path (mirror after the loop, slices.Sort):"; \
@@ -283,13 +283,16 @@ bench-large:
 # route table's templates, under 7 MB written per build and at most 0.6x the
 # table with every row written, plus the table's lookup and a whole served
 # route query, each at 0 allocs/op), the load report's
-# plan draw, merge and replays (on allocs/op alone) and its placement
-# search (internal/place, beside the search it replaced) — and check them
+# plan draw, merge and replays (on allocs/op alone), its replay in the
+# blocked regime (internal/loadsim, beside the heap-driven replay it
+# replaced) and its placement search (internal/place, beside the search it
+# replaced) — and check them
 # against the committed baseline's gates block. Fails on a >15% ns/op
 # regression, an allocation ceiling broken, or a broken relative gate
 # (window8 must stay within 2x the serial loop's wall clock, the election
-# within 14x the master's, the placement search within 0.6x and the
-# diameter within 0.35x the searches they replaced). Runs use -count so
+# within 14x the master's, the saturated replay within 0.9x the replay it
+# replaced, the placement search within 0.6x and the diameter within 0.35x
+# the searches they replaced). Runs use -count so
 # sanbench can gate on per-lane minima, the statistic that survives
 # shared-runner noise.
 BENCH_BASELINE ?= BENCH_a5c7565.json
@@ -298,6 +301,7 @@ bench-gate:
 	   $(GO) test -bench 'MapElectionC$$|MapMasterC$$' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench 'MyricomCAB$$|MapMasterCAB$$' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench 'LoadReplay|LoadReport|NewPlan|PlanMerge' -benchtime 100x -count 3 -run ^$$ . && \
+	   $(GO) test -bench LoadReplaySaturated -benchtime 20x -count 3 -run ^$$ ./internal/loadsim && \
 	   $(GO) test -bench PlaceOptimize -benchtime 20x -count 3 -run ^$$ ./internal/place && \
 	   $(GO) test -bench 'FatTree768|RouteLookup|ServeRoute' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench 'MapFatTree1k|IndexDiameter1k$$|IndexDiameter1kReference$$' -benchtime 20x -count 3 -run ^$$ . ; } | \
@@ -308,14 +312,16 @@ bench-gate:
 # collapsed to minima and the bench_gates.json policy embedded (and
 # self-checked — a run that breaks its own gates is not a valid baseline).
 # The 1k-scale lanes run separately at 20x: one op is a full datacenter map.
-# The placement search lanes live in internal/place, beside the reference
-# search they are gated against.
+# The saturated replay and placement search lanes live in internal/loadsim
+# and internal/place, beside the reference replay and search they are gated
+# against.
 # Compare later with
 #   go run ./cmd/sanbench -text BENCH_<rev>.json > old.txt && benchstat old.txt new.txt
 REV := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 bench-baseline:
 	@{ $(GO) test -bench . -skip 1k -benchtime 100x -count 5 -run ^$$ . && \
 	   $(GO) test -bench 1k -benchtime 20x -count 3 -run ^$$ . && \
+	   $(GO) test -bench LoadReplaySaturated -benchtime 20x -count 5 -run ^$$ ./internal/loadsim && \
 	   $(GO) test -bench PlaceOptimize -benchtime 20x -count 5 -run ^$$ ./internal/place ; } | \
 		$(GO) run ./cmd/sanbench -rev $(REV) -min -gates bench_gates.json -o BENCH_$(REV).json
 	@echo wrote BENCH_$(REV).json

@@ -648,13 +648,13 @@ func benchLoadReplay(b *testing.B, gen string, load float64, duration time.Durat
 // healthy, stale and healed tables. worms/op is three replays' worth.
 func BenchmarkLoadReportFatTree128(b *testing.B) {
 	plan, eng := loadFixture(b, "fattree2:32x4", 0.4, 2500*time.Microsecond)
-	engines := []*loadsim.Engine{eng, eng.Copy(), eng.Copy()}
+	replays := []loadsim.Replay{{Engine: eng}, {Engine: eng.Copy()}, {Engine: eng.Copy()}}
 	var reps []*loadsim.Report
 	var err error
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reps, err = loadsim.RunAll(plan, engines...)
+		reps, err = loadsim.RunAll(plan, replays...)
 		if err != nil {
 			b.Fatal(err)
 		}

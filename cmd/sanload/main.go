@@ -19,6 +19,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -61,13 +62,16 @@ type options struct {
 var errUsage = errors.New("invalid flag")
 
 // validate rejects the flag values the layers below would quietly turn into
-// something else: loadsim.New replays a non-positive -msg as 512 bytes,
-// NewPlan answers a negative -load or -duration with an empty plan, and a
-// negative count reads as zero.
+// something else or refuse midway: loadsim.New replays a non-positive -msg
+// as 512 bytes and refuses one past loadsim.MaxMsgBytes, NewPlan answers a
+// negative -load or -duration with an empty plan, and a negative count
+// reads as zero.
 func (o options) validate() error {
 	switch {
 	case o.msg <= 0:
 		return fmt.Errorf("%w: -msg %d: payload must be positive", errUsage, o.msg)
+	case o.msg > loadsim.MaxMsgBytes:
+		return fmt.Errorf("%w: -msg %d: payload cannot exceed %d bytes", errUsage, o.msg, loadsim.MaxMsgBytes)
 	case o.load < 0:
 		return fmt.Errorf("%w: -load %v: offered load cannot be negative", errUsage, o.load)
 	case o.duration < 0:
@@ -118,11 +122,13 @@ func main() {
 	}
 }
 
-// run executes the full pipeline and writes the deterministic report:
-// everything the three replays need is built first — the cuts applied, the
-// map healed, the healed routes computed — then one RunAll replays the plan
-// on the healthy, stale and healed engines at once, and the sections print
-// in the pipeline's order.
+// run executes the full pipeline and writes the deterministic report. Each
+// phase starts once its inputs exist: the plan is drawn beside the healthy
+// engine's compilation and the heal (it reads only the host list, which
+// cuts leave alone); one RunAll replays it on the healthy, stale and healed
+// engines at once; the placement search starts on the goroutine of the
+// replay it reads as soon as that replay ends, beside the others. The
+// sections print in the pipeline's order once everything has ended.
 func run(o options, w io.Writer) error {
 	if err := o.validate(); err != nil {
 		return err
@@ -151,10 +157,25 @@ func run(o options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	plan := workload.NewPlan(net, workload.PlanConfig{
-		Pattern: pat, Load: o.load, MsgBytes: o.msg, Duration: o.duration,
-		ByteTime: timing.ByteTime, Seed: o.seed,
-	})
+	drawn := make(chan *workload.Plan, 1)
+	go func() {
+		drawn <- workload.NewPlan(net, workload.PlanConfig{
+			Pattern: pat, Load: o.load, MsgBytes: o.msg, Duration: o.duration,
+			ByteTime: timing.ByteTime, Seed: o.seed,
+		})
+	}()
+	eng, err := loadsim.New(net, tab, timing, o.msg)
+	var hl *heal
+	if err == nil {
+		eng.Instrument(o.reg)
+		if o.cuts > 0 {
+			hl, err = cutAndHeal(o, net, timing, eng)
+		}
+	}
+	plan := <-drawn
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "plan: pattern=%s load=%.2f msg=%d duration=%v sends=%d seed=%d\n",
 		pat, o.load, o.msg, o.duration, plan.TotalSends(), o.seed)
 	if o.planOut != "" {
@@ -171,20 +192,23 @@ func run(o options, w io.Writer) error {
 		}
 	}
 
-	eng, err := loadsim.New(net, tab, timing, o.msg)
-	if err != nil {
-		return err
+	replays := []loadsim.Replay{{Engine: eng}}
+	// After cuts, placement reads what the stale table still delivered —
+	// the demand the fabric last measured before its routes were recomputed
+	// — over the healed routes, and the golden report pins that choice.
+	measured, live := 0, tab
+	if hl != nil {
+		replays = append(replays, loadsim.Replay{Engine: hl.stale}, loadsim.Replay{Engine: hl.healed})
+		measured, live = 1, hl.tab
 	}
-	eng.Instrument(o.reg)
-	engines := []*loadsim.Engine{eng}
-	var hl *heal
-	if o.cuts > 0 {
-		if hl, err = cutAndHeal(o, net, timing, eng); err != nil {
-			return err
+	var placed bytes.Buffer
+	var placeErr error
+	if o.place > 0 {
+		replays[measured].Then = func(*loadsim.Report) {
+			placeErr = placement(o, &placed, replays[measured].Engine, live)
 		}
-		engines = append(engines, hl.stale, hl.healed)
 	}
-	reps, err := loadsim.RunAll(plan, engines...)
+	reps, err := loadsim.RunAll(plan, replays...)
 	if err != nil {
 		return err
 	}
@@ -193,7 +217,6 @@ func run(o options, w io.Writer) error {
 	if err := reps[0].WriteText(w, net, o.top); err != nil {
 		return err
 	}
-	measured, live := eng, tab
 	if hl != nil {
 		fmt.Fprintf(w, "== faults ==\n%s== stale table ==\n", hl.faults)
 		if err := reps[1].WriteText(w, net, o.top); err != nil {
@@ -208,17 +231,12 @@ func run(o options, w io.Writer) error {
 		hb, eb := reps[0].BusyOn(hl.adjacent), reps[2].BusyOn(hl.adjacent)
 		fmt.Fprintf(w, "congestion on %d links around the cuts: healthy=%v healed=%v (%+d%%)\n",
 			len(hl.adjacent), hb, eb, pctDelta(int64(hb), int64(eb)))
-		// After cuts, placement reads what the stale table still delivered —
-		// the demand the fabric last measured before its routes were
-		// recomputed — and the golden report pins that choice.
-		measured, live = hl.stale, hl.tab
 	}
-	if o.place > 0 {
-		if err := placement(o, w, measured, live); err != nil {
-			return err
-		}
+	if placeErr != nil {
+		return placeErr
 	}
-	return nil
+	_, err = w.Write(placed.Bytes())
+	return err
 }
 
 // heal is what the fault → stale → remap → healed phases leave for the

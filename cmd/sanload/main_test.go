@@ -5,11 +5,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"sanmap/internal/genspec"
+	"sanmap/internal/obs"
 	"sanmap/internal/simnet"
 	"sanmap/internal/workload"
 )
@@ -106,6 +108,7 @@ func TestRejectsBadFlags(t *testing.T) {
 	}{
 		{"-msg -5", func(o *options) { o.msg = -5 }},
 		{"-msg 0", func(o *options) { o.msg = 0 }},
+		{"-msg 3000000000", func(o *options) { o.msg = 3_000_000_000 }},
 		{"-load -1", func(o *options) { o.load = -1 }},
 		{"-duration -1ms", func(o *options) { o.duration = -time.Millisecond }},
 		{"-cuts -1", func(o *options) { o.cuts = -1 }},
@@ -132,6 +135,85 @@ func TestRejectsBadFlags(t *testing.T) {
 	o.load, o.duration, o.cuts, o.top, o.place = 0, 0, 0, 0, 0
 	if err := run(o, &bytes.Buffer{}); err != nil {
 		t.Errorf("zero-valued flags: %v", err)
+	}
+}
+
+// TestRatesPastInt64: a report whose delivered payload times 10⁹ passes
+// int64 (14.5 GB over 20 s) prints the exact rate, and one whose links are
+// busy for hours (2 GB worms over 8 h) the exact utilisations, not wrapped
+// negative ones.
+func TestRatesPastInt64(t *testing.T) {
+	o := smokeOptions()
+	o.msg, o.duration, o.cuts, o.place = 4_000_000, 20*time.Second, 0, 0
+	var buf bytes.Buffer
+	if err := run(o, &buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "payload 14528000000 bytes in 20.051661477s (724528489 bytes/s)" // ⌊14528000000·10⁹ / 20051661477⌋
+	if got := line(buf.String(), "payload "); got != want {
+		t.Errorf("got  %q\nwant %q", got, want)
+	}
+
+	o.msg, o.load, o.duration = 2_000_000_000, 0.9, 8*time.Hour
+	buf.Reset()
+	if err := run(o, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var util int
+	if l, err := sscanLine(buf.String(), "link ", "util=", &util); err != nil || util < 400_000 || util > 1_000_000 {
+		t.Errorf("busiest link %q: utilisation %d ppm, want about half the makespan", l, util)
+	}
+}
+
+// TestDeterministicUnderScheduling: a report's stdout, its metrics text and
+// its trace bytes are the same on 1, 2 and 4 CPUs and on a second run in the
+// same process, however the plan draw, the heal, the replays' stretches and
+// the placement search are spread over goroutines. The plan is past one
+// RunAll stretch, so the workers trade replays; without -short it is also
+// past the size at which Plan.Merge fans out, and a hotspot plan with three
+// cuts runs too.
+func TestDeterministicUnderScheduling(t *testing.T) {
+	cases := []options{{
+		gen: "fattree2:32x4", pattern: "uniform", load: 0.4, msg: 512,
+		duration: 5 * time.Millisecond, seed: 3, cuts: 2, top: 5, place: 8,
+	}}
+	if !testing.Short() {
+		cases[0].duration = 16 * time.Millisecond
+		cases = append(cases, options{
+			gen: "torus:4x4", pattern: "hotspot", load: 0.5, msg: 512,
+			duration: 10 * time.Millisecond, seed: 13, cuts: 3, top: 5, place: 8,
+		})
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, o := range cases {
+		var first [3][]byte
+		for i, procs := range []int{1, 2, 4, 1} {
+			runtime.GOMAXPROCS(procs)
+			o.reg, o.tracer = obs.NewRegistry(), obs.NewTracer()
+			var out, metrics, trace bytes.Buffer
+			if err := run(o, &out); err != nil {
+				t.Fatal(err)
+			}
+			if err := o.reg.WriteText(&metrics); err != nil {
+				t.Fatal(err)
+			}
+			if err := o.tracer.WriteChrome(&trace); err != nil {
+				t.Fatal(err)
+			}
+			got := [3][]byte{out.Bytes(), metrics.Bytes(), trace.Bytes()}
+			if i == 0 {
+				first = got
+				continue
+			}
+			for k, what := range []string{"stdout", "metrics", "trace"} {
+				if !bytes.Equal(got[k], first[k]) {
+					t.Errorf("%s %s: %s on GOMAXPROCS=%d (run %d) differs from the first run's", o.gen, o.pattern, what, procs, i+1)
+				}
+			}
+		}
+		if len(first[1]) == 0 || len(first[2]) == 0 || !bytes.Contains(first[1], []byte("load.worms.sent")) {
+			t.Errorf("%s: the run left %d bytes of metrics and %d of trace", o.gen, len(first[1]), len(first[2]))
+		}
 	}
 }
 

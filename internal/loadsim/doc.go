@@ -31,9 +31,22 @@
 // run in seconds, and the isolation is what lets RunAll replay one merged
 // schedule on several engines concurrently (cmd/sanload's healthy, stale
 // and healed tables; Engine.Copy shares the compiled routes between the
-// first two). Instrument's mirrors are folded in after the replays, engine
-// by engine in argument order, so a shared registry reads as if the
+// first two). RunAll's workers, one per CPU, advance the replays a stretch
+// of the schedule at a time: a replay with a Then (sanload's stale replay,
+// whose demand matrix the placement search reads) first, then the one with
+// the most left, so the Then starts as early as it can and overlaps the
+// other replays. Instrument's mirrors are folded in after the replays,
+// engine by engine in argument order, so a shared registry reads as if the
 // engines had run one after another.
+//
+// The hop rule in the walk has one data-dependent branch, the kill: a
+// head's wait at a link is max(busyUntil-arrival, 0), charged to the link
+// and to the arrival whether it is zero or not, and whether the worm waited
+// at all is read off its arrival after the last hop. A report's latency
+// percentiles are exact order statistics found by selection: one pass
+// counts the latencies into 2048 ascending buckets (and takes the least,
+// the greatest and the sum), and only the at most three buckets holding
+// the p50, p90 and p99 ranks are copied out and sorted.
 //
 // Determinism: a replay is a pure function of (engine, plan). The injection
 // order is a strict total order, aggregation never iterates a map, and

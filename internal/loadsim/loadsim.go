@@ -2,6 +2,8 @@ package loadsim
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -59,8 +61,6 @@ type Engine struct {
 	linkWait  []int64 // head blocking time per directed link, ns
 	pairBytes []int64 // delivered payload per pair
 	lat       []int64 // per-delivered-worm latency, ns
-	// latScratch is the second buffer report's radix sort of lat needs.
-	latScratch []int64
 
 	sent, lost, blocked, delayed int64
 	makespan                     int64
@@ -88,9 +88,15 @@ type metrics struct {
 	makespan  *obs.Gauge
 }
 
+// MaxMsgBytes is the largest payload New takes on any route of under 65 516
+// switches: an engine holds a worm's size — envelope, one routing flit per
+// transited switch, payload — in 32 bits.
+const MaxMsgBytes = math.MaxInt32 - 1<<16
+
 // New compiles the route table into a replay engine. The table must have
 // been computed on net (wire indices are shared); msgBytes is the payload
-// size worms carry. Deadlock freedom of the table is verified once here and
+// size worms carry, and New fails when a route's worms would not fit in 32
+// bits (see MaxMsgBytes). Deadlock freedom of the table is verified once here and
 // reported on every Report.
 func New(net *topology.Network, tab *routes.Table, timing simnet.Timing, msgBytes int) (*Engine, error) {
 	if msgBytes <= 0 {
@@ -141,7 +147,12 @@ func New(net *topology.Network, tab *routes.Table, timing simnet.Timing, msgByte
 			e.valid[p] = true
 			// Worm size matches connet.Inject: envelope + one routing
 			// flit per transited switch + payload.
-			e.wormBytes[p] = int32(simnet.MessageBytes(path.Len()-1) + msgBytes)
+			size := int64(simnet.MessageBytes(path.Len()-1)) + int64(msgBytes)
+			if size > math.MaxInt32 {
+				return nil, fmt.Errorf("loadsim: a %d-byte worm from %s to %s does not fit in 32 bits",
+					size, net.NameOf(s), net.NameOf(d))
+			}
+			e.wormBytes[p] = int32(size)
 		}
 	}
 	e.pairStart[e.nh*e.nh] = int32(len(e.hops))
@@ -157,7 +168,7 @@ func (e *Engine) allocState() {
 	e.linkWorms = make([]int64, e.nLinks)
 	e.linkWait = make([]int64, e.nLinks)
 	e.pairBytes = make([]int64, e.nh*e.nh)
-	e.lat, e.latScratch = nil, nil
+	e.lat = nil
 }
 
 // Copy returns an engine over the same compiled routes with route validity,
@@ -252,36 +263,45 @@ func (e *Engine) reset(n int) {
 // returns the delivery completion time in ns and whether the worm survived,
 // and charges the per-link accumulators as it goes.
 //
+// The walk has one data-dependent branch a hop, the kill: the wait is
+// max(busyUntil-arr, 0), charged to the link and to the head's arrival
+// whether it is zero or not, so a free link and a busy one take the same
+// path, and whether the worm waited at all is read off its arrival at the
+// end. The wait histogram is fed only on an instrumented engine.
+//
 //sanlint:hotpath
 func (e *Engine) inject(at int64, p int, payload int64) (int64, bool) {
 	occupancy := int64(e.wormBytes[p]) * int64(e.timing.ByteTime)
 	reset := int64(e.timing.BlockedPortReset)
 	latency := int64(e.timing.SwitchLatency)
+	// Resliced to one length, the four arrays share one bounds check.
+	busyUntil := e.busyUntil
+	linkWait, linkBusy, linkWorms := e.linkWait[:len(busyUntil)], e.linkBusy[:len(busyUntil)], e.linkWorms[:len(busyUntil)]
+	tally := e.waitTally
+	hops := e.hops[e.pairStart[p]:e.pairStart[p+1]]
 	arr := at
-	wasDelayed := false
-	for _, id := range e.hops[e.pairStart[p]:e.pairStart[p+1]] {
-		if b := e.busyUntil[id]; b > arr {
-			wait := b - arr
-			if wait > reset {
-				e.blocked++
-				return 0, false
-			}
-			e.linkWait[id] += wait
-			e.waitTally.Observe(time.Duration(wait))
-			arr = b
-			wasDelayed = true
+	for _, id := range hops {
+		wait := max(busyUntil[id]-arr, 0)
+		if wait > reset {
+			e.blocked++
+			return 0, false
 		}
-		e.busyUntil[id] = arr + occupancy
-		e.linkBusy[id] += occupancy
-		e.linkWorms[id]++
+		if tally != nil && wait > 0 {
+			tally.Observe(time.Duration(wait))
+		}
+		linkWait[id] += wait
+		arr += wait
+		busyUntil[id] = arr + occupancy
+		linkBusy[id] += occupancy
+		linkWorms[id]++
 		arr += latency
 	}
-	if wasDelayed {
+	// The head's arrival is late by exactly what it waited.
+	if arr-at > int64(len(hops))*latency {
 		e.delayed++
 	}
-	done := arr + occupancy
 	e.pairBytes[p] += payload
-	return done, true
+	return arr + occupancy, true
 }
 
 // scan replays a merged schedule in order; sender maps a plan host's index
@@ -314,9 +334,9 @@ func (e *Engine) scan(sched []workload.Injection, sender []int32, payload int64)
 	return -1
 }
 
-// replay runs one merged schedule of plan through the engine and assembles
-// the report. It touches nothing outside the engine.
-func (e *Engine) replay(plan *workload.Plan, sched []workload.Injection) (*Report, error) {
+// start readies the engine to replay n injections of plan and returns the
+// sender map scan takes: plan host index to engine host index.
+func (e *Engine) start(plan *workload.Plan, n int) ([]int32, error) {
 	if len(plan.Hosts) > e.nh {
 		return nil, fmt.Errorf("loadsim: plan has %d hosts, network %d", len(plan.Hosts), e.nh)
 	}
@@ -327,16 +347,18 @@ func (e *Engine) replay(plan *workload.Plan, sched []workload.Injection) (*Repor
 		}
 		sender[i] = e.hidx[h]
 	}
-	e.reset(len(sched))
-	if bad := e.scan(sched, sender, int64(plan.MsgBytes)); bad >= 0 {
-		return nil, fmt.Errorf("loadsim: plan destination %d not in network", sched[bad].Dst)
-	}
+	e.reset(n)
+	return sender, nil
+}
+
+// finish assembles the report of a replay whose schedule has been scanned.
+func (e *Engine) finish(plan *workload.Plan) *Report {
 	if e.latTally != nil {
 		for _, v := range e.lat {
 			e.latTally.Observe(time.Duration(v))
 		}
 	}
-	return e.report(plan), nil
+	return e.report(plan)
 }
 
 // mirror folds a finished replay into the registry the engine is
@@ -363,11 +385,65 @@ func (e *Engine) mirror(r *Report) {
 // function of (engine state, plan): repeated Runs of one plan produce
 // byte-identical reports.
 func (e *Engine) Run(plan *workload.Plan) (*Report, error) {
-	reps, err := RunAll(plan, e)
+	reps, err := RunAll(plan, Replay{Engine: e})
 	if err != nil {
 		return nil, err
 	}
 	return reps[0], nil
+}
+
+// Replay is one engine's part in RunAll.
+type Replay struct {
+	Engine *Engine
+	// Then, if not nil, is called with the engine's report as soon as its
+	// replay has ended, while the other replays may still be running, on
+	// the goroutine that scanned the replay's last stretch. It runs before
+	// any mirror is folded in, so it must not touch a registry the engines
+	// are instrumented with, nor another replay's engine. It is not called
+	// for a replay that failed.
+	Then func(*Report)
+}
+
+// stretch is how many injections of one replay a RunAll worker scans before
+// it picks again which replay to advance: about 4 ms of the 128-host load
+// report's replays on a 2.1 GHz Xeon. A quarter of it made the report
+// slower, four times it no faster.
+const stretch = 1 << 16
+
+// run is one replay's progress through RunAll's schedule.
+type run struct {
+	sender []int32 // nil until the replay has started
+	next   int     // injections scanned
+	busy   bool    // a worker is advancing it
+	done   bool
+	rep    *Report
+	err    error
+}
+
+// advance scans the run's next stretch of sched on rp's engine, starting
+// the replay first and finishing it — the report, then rp.Then — after the
+// last.
+func (r *run) advance(plan *workload.Plan, sched []workload.Injection, rp Replay) {
+	e := rp.Engine
+	if r.sender == nil {
+		if r.sender, r.err = e.start(plan, len(sched)); r.err != nil {
+			r.done = true
+			return
+		}
+	}
+	end := min(r.next+stretch, len(sched))
+	if bad := e.scan(sched[r.next:end], r.sender, int64(plan.MsgBytes)); bad >= 0 {
+		r.err = fmt.Errorf("loadsim: plan destination %d not in network", sched[r.next+bad].Dst)
+		r.done = true
+		return
+	}
+	if r.next = end; end < len(sched) {
+		return
+	}
+	r.rep, r.done = e.finish(plan), true
+	if rp.Then != nil {
+		rp.Then(r.rep)
+	}
 }
 
 // RunAll replays one plan on every engine — the plan's schedules are merged
@@ -378,28 +454,67 @@ func (e *Engine) Run(plan *workload.Plan) (*Report, error) {
 // time, in argument order, after all replays have ended. Like those Runs it
 // stops at the first engine, in that order, whose replay fails. The engines
 // must be distinct.
-func RunAll(plan *workload.Plan, engines ...*Engine) ([]*Report, error) {
+//
+// One worker per CPU, up to one per replay, advances the replays a stretch
+// of the schedule at a time. At each stretch a worker takes, of the replays
+// no other worker holds, one with a Then before any without, and otherwise
+// the one with the most injections left: a Then's work starts as early as
+// it can and overlaps the other replays, and the replays without one end
+// together instead of one trailing alone. Which worker scans which stretch
+// changes nothing in a report: one replay's stretches are scanned in order,
+// one at a time.
+func RunAll(plan *workload.Plan, replays ...Replay) ([]*Report, error) {
 	sched := plan.Merge()
-	reps := make([]*Report, len(engines))
-	errs := make([]error, len(engines))
-	if len(engines) == 1 {
-		reps[0], errs[0] = engines[0].replay(plan, sched)
-	} else {
-		var wg sync.WaitGroup
-		for i, e := range engines {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				reps[i], errs[i] = e.replay(plan, sched)
-			}()
+	runs := make([]run, len(replays))
+	var mu sync.Mutex
+	// ahead reports whether replay i is to be advanced before replay j.
+	ahead := func(i, j int) bool {
+		if ti, tj := replays[i].Then != nil, replays[j].Then != nil; ti != tj {
+			return ti
 		}
-		wg.Wait()
+		return runs[i].next < runs[j].next
 	}
-	for i, e := range engines {
-		if errs[i] != nil {
-			return nil, errs[i]
+	// claim marks the replay to advance next busy and returns it, or -1
+	// when every replay is held or done; mu must be held.
+	claim := func() int {
+		pick := -1
+		for i := range runs {
+			if !runs[i].busy && !runs[i].done && (pick < 0 || ahead(i, pick)) {
+				pick = i
+			}
 		}
-		e.mirror(reps[i])
+		if pick >= 0 {
+			runs[pick].busy = true
+		}
+		return pick
+	}
+	work := func() {
+		mu.Lock()
+		for i := claim(); i >= 0; i = claim() {
+			mu.Unlock()
+			runs[i].advance(plan, sched, replays[i])
+			mu.Lock()
+			runs[i].busy = false
+		}
+		mu.Unlock()
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(replays)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	reps := make([]*Report, len(replays))
+	for i, r := range runs {
+		if r.err != nil {
+			return nil, r.err
+		}
+		replays[i].Engine.mirror(r.rep)
+		reps[i] = r.rep
 	}
 	return reps, nil
 }

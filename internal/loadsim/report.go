@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"slices"
 	"time"
@@ -64,38 +65,108 @@ type Report struct {
 	wireBusy map[int]time.Duration
 }
 
-// sortedLatencies sorts the run's latencies by LSD radix on their offset
-// from the least, eleven bits a pass (three passes span 8.6 s), through the
-// engine's scratch slice, and returns whichever of the two holds the
-// result. Neither allocates once both have grown to a run's size.
-func (e *Engine) sortedLatencies() []int64 {
-	const digit = 11
-	src := e.lat
-	if cap(e.latScratch) < len(src) {
-		e.latScratch = make([]int64, len(src))
+// pcts are the latency ranks a Report gives, in percent.
+var pcts = [3]int{50, 90, 99}
+
+// rank is the 0-based index of percentile p in n sorted samples: the
+// smallest sample with at least p % of the samples at or below it.
+func rank(n, p int) int {
+	return max((n*p+99)/100-1, 0)
+}
+
+// bucketBits is how many top bits of a latency pick its selection bucket:
+// 2048 buckets, a 16 KB count array on the stack.
+const bucketBits = 11
+
+// bucket is the selection bucket of latency v when the buckets start at
+// base and are 1<<shift wide; a latency past the last bucket's range counts
+// in the last.
+func bucket(v, base int64, shift int) uint64 {
+	return min(uint64(v-base)>>shift, 1<<bucketBits-1)
+}
+
+// latencyStats returns the exact p50, p90 and p99 of lat (the samples at
+// rank's indexes had lat been sorted), their mean and their maximum,
+// without sorting lat; span is where the samples are expected to lie,
+// [0, span]. A pass takes the least, the greatest and the sum, and counts
+// the samples in each of 2048 buckets of that range, so that the buckets
+// hold ascending ranges and their counts place every rank in one of them;
+// a second copies out the samples of the at most three buckets that hold
+// the ranks, and only those are sorted. When the samples turn out to fill
+// less than a sixteenth of span, or to lie outside it, the buckets are
+// counted again over [least, greatest] before the copy. lat is not
+// modified and must not be empty.
+func latencyStats(lat []int64, span int64) (p [3]int64, mean, hi int64) {
+	base, shift := int64(0), max(bits.Len64(uint64(max(span, 0)))-bucketBits, 0)
+	var count [1 << bucketBits]int
+	lo, hi := lat[0], lat[0]
+	var sum int64
+	for _, v := range lat {
+		lo, hi, sum = min(lo, v), max(hi, v), sum+v
+		count[bucket(v, base, shift)]++
 	}
-	dst := e.latScratch[:len(src)]
-	lo, hi := src[0], src[0]
-	for _, v := range src {
-		lo, hi = min(lo, v), max(hi, v)
+	n := len(lat)
+	mean = sum / int64(n)
+	if lo == hi {
+		return [3]int64{lo, lo, lo}, mean, hi
 	}
-	for shift := 0; shift < bits.Len64(uint64(hi)-uint64(lo)); shift += digit {
-		var starts [1 << digit]int
-		for _, v := range src {
-			starts[(uint64(v)-uint64(lo))>>shift%(1<<digit)]++
+	if fit := max(bits.Len64(uint64(hi)-uint64(lo))-bucketBits, 0); fit+4 < shift || lo < 0 || hi > span {
+		base, shift, count = lo, fit, [1 << bucketBits]int{}
+		for _, v := range lat {
+			count[bucket(v, base, shift)]++
 		}
-		sum := 0
-		for b, n := range starts {
-			starts[b], sum = sum, sum+n
-		}
-		for _, v := range src {
-			b := (uint64(v) - uint64(lo)) >> shift % (1 << digit)
-			dst[starts[b]] = v
-			starts[b]++
-		}
-		src, dst = dst, src
 	}
-	return src
+	// Which bucket holds each rank, and how many samples sort below it.
+	var at, below [len(pcts)]int
+	for i, b, sum := 0, 0, 0; i < len(pcts); i++ {
+		r := rank(n, pcts[i])
+		for sum+count[b] <= r {
+			sum += count[b]
+			b++
+		}
+		at[i], below[i] = b, sum
+	}
+	// end[b] is where bucket b's samples end in sel, for the buckets that
+	// hold a rank (once each), and 0 for the rest; the copy fills each
+	// bucket back to front, leaving end[b] at its start.
+	var end [1 << bucketBits]int
+	size := 0
+	for i, b := range at {
+		if i == 0 || b != at[i-1] {
+			size += count[b]
+			end[b] = size
+		}
+	}
+	sel := make([]int64, size)
+	for _, v := range lat {
+		if b := bucket(v, base, shift); end[b] != 0 {
+			end[b]--
+			sel[end[b]] = v
+		}
+	}
+	for i, b := range at {
+		s := sel[end[b] : end[b]+count[b]]
+		if i == 0 || b != at[i-1] {
+			slices.Sort(s)
+		}
+		p[i] = s[rank(n, pcts[i])-below[i]]
+	}
+	return p, mean, hi
+}
+
+// scaleDiv is x·scale/span rounded down, exactly: the product is taken in
+// 128 bits, so it cannot overflow, and a quotient past int64 reads as
+// math.MaxInt64. A report's rates are scaleDiv of a total over its
+// makespan — bytes per second, busy parts per million — which overflowed
+// int64 arithmetic past 9.2 GB delivered, or 2.6 hours of one link's
+// busy time. x and scale must not be negative, span must be positive.
+func scaleDiv(x, scale, span int64) int64 {
+	hi, lo := bits.Mul64(uint64(x), uint64(scale))
+	if hi >= uint64(span) {
+		return math.MaxInt64 // the quotient needs more than 64 bits
+	}
+	q, _ := bits.Div64(hi, lo, uint64(span))
+	return int64(min(q, math.MaxInt64))
 }
 
 // report assembles the Report from the engine's accumulators.
@@ -114,24 +185,12 @@ func (e *Engine) report(plan *workload.Plan) *Report {
 		wireBusy:     make(map[int]time.Duration),
 	}
 	if e.makespan > 0 {
-		r.ThroughputBps = r.PayloadBytes * int64(time.Second) / e.makespan
+		r.ThroughputBps = scaleDiv(r.PayloadBytes, int64(time.Second), e.makespan)
 	}
-	if n := len(e.lat); n > 0 {
-		lat := e.sortedLatencies()
-		var sum int64
-		for _, v := range lat {
-			sum += v
-		}
-		pct := func(p int) time.Duration {
-			i := (n*p + 99) / 100
-			if i > 0 {
-				i--
-			}
-			return time.Duration(lat[i])
-		}
-		r.P50, r.P90, r.P99 = pct(50), pct(90), pct(99)
-		r.Mean = time.Duration(sum / int64(n))
-		r.MaxLatency = time.Duration(lat[n-1])
+	if len(e.lat) > 0 {
+		p, mean, hi := latencyStats(e.lat, e.makespan)
+		r.P50, r.P90, r.P99 = time.Duration(p[0]), time.Duration(p[1]), time.Duration(p[2])
+		r.Mean, r.MaxLatency = time.Duration(mean), time.Duration(hi)
 	}
 	for id := 0; id < e.nLinks; id++ {
 		if e.linkWorms[id] == 0 {
@@ -151,7 +210,7 @@ func (e *Engine) report(plan *workload.Plan) *Report {
 			ll.From, ll.To = w.B, w.A
 		}
 		if e.makespan > 0 {
-			ll.UtilPPM = e.linkBusy[id] * 1_000_000 / e.makespan
+			ll.UtilPPM = scaleDiv(e.linkBusy[id], 1_000_000, e.makespan)
 		}
 		r.Links = append(r.Links, ll)
 		r.wireBusy[ll.Wire] += ll.Busy
@@ -186,7 +245,7 @@ func (r *Report) MaxUtilPPM() int64 {
 	if len(r.Links) == 0 || r.Makespan == 0 {
 		return 0
 	}
-	return r.Links[0].Busy.Nanoseconds() * 1_000_000 / r.Makespan.Nanoseconds()
+	return scaleDiv(r.Links[0].Busy.Nanoseconds(), 1_000_000, r.Makespan.Nanoseconds())
 }
 
 // Matrix returns the measured demand matrix: delivered payload bytes per
