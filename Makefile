@@ -47,6 +47,10 @@ vet:
 #  4. The Berkeley mapper keeps one run path: one function that reads a
 #     topology.Network off a *Model (strict callers refuse its suspect
 #     list), and none of the knobs and wrappers the second path hung from.
+#     Every run is a Session: non-test internal/mapper calls newRun only
+#     from NewSession and RestoreSession, and the retired entry points and
+#     second configuration surface (RunConfig, RandomizedRun,
+#     RandomizedConfig, BuildConfig) appear in no Go file as whole words.
 #  5. Traffic keeps one generator with no source processes: the retired
 #     sender, decoder and config stay deleted (the process-per-host replay
 #     survives only as a test reference), and the one desim process
@@ -120,6 +124,16 @@ lint: vet
 		'SelfHeal|SkipKnownSlots|RunResult|exportTolerant' . ); \
 	if [ -n "$$fork" ]; then \
 		echo "the second Berkeley run path is growing back:"; echo "$$fork"; exit 1; fi
+	@fork=$$(grep -rnwE --include='*.go' 'RunConfig|RandomizedRun|RandomizedConfig|BuildConfig' . ); \
+	if [ -n "$$fork" ]; then \
+		echo "a second way into a Berkeley run is growing back (map through NewSession, configure with options):"; \
+		echo "$$fork"; exit 1; fi
+	@callers=$$(for f in $(MAPPER_SRC); do sed 's://.*$$::' $$f | \
+		awk '/^func /{fn=$$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[[(].*/, "", fn)} \
+			/newRun\(/ && !/^func newRun\(/{print fn}'; done | sort | tr '\n' ' '); \
+	if [ "$$callers" != "NewSession RestoreSession " ]; then \
+		echo "newRun is called from: $$callers"; \
+		echo "want exactly NewSession and RestoreSession (every Berkeley run is a Session)"; exit 1; fi
 	@fork=$$(grep -rnE --include='*.go' --exclude=reference_replay_test.go \
 		'SendWorm|ReadPlan|workload\.Config' . ; grep -n '^func Spawn(' $(WORKLOAD_SRC)); \
 	if [ -n "$$fork" ]; then \

@@ -403,16 +403,11 @@ func BenchmarkRandomizedHybrid(b *testing.B) {
 		window int
 	}{{"hybrid", 1}, {"hybrid-window8", 8}} {
 		b.Run(hc.name, func(b *testing.B) {
-			cfg := mapper.DefaultConfig(depth)
-			cfg.Pipeline = simnet.WindowConfig{Window: hc.window}
 			var last *mapper.Map
 			for i := 0; i < b.N; i++ {
 				sn := simnet.NewDefault(net)
-				m, err := mapper.RandomizedRun(sn.Endpoint(h0), mapper.RandomizedConfig{
-					Config:       cfg,
-					CouponProbes: 200,
-					Rng:          rand.New(rand.NewSource(int64(i))),
-				})
+				m, err := mapper.Run(sn.Endpoint(h0), mapper.WithDepth(depth), mapper.WithPipeline(hc.window),
+					mapper.WithCoupons(200, rand.New(rand.NewSource(int64(i)))))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -222,11 +222,8 @@ func runAlgo(algo string, net *topology.Network, h0 topology.NodeID,
 		case "label":
 			return mapper.LabelRun(sn.Endpoint(h0), depth)
 		case "random":
-			return mapper.RandomizedRun(sn.Endpoint(h0), mapper.RandomizedConfig{
-				Config:       mapper.BuildConfig(opts...),
-				CouponProbes: 32 * net.NumSwitches(),
-				Rng:          rand.New(rand.NewSource(seed)),
-			})
+			return mapper.Run(sn.Endpoint(h0), append(opts,
+				mapper.WithCoupons(32*net.NumSwitches(), rand.New(rand.NewSource(seed))))...)
 		case "myricom":
 			my, err := myricom.Run(sn.Endpoint(h0), myricom.DefaultConfig(depth))
 			if err != nil {

@@ -34,19 +34,25 @@ import (
 // operational modes", §4.2); see BerkeleyAlgo and MyricomAlgo.
 type Algo func(ep simnet.Prober, cancel func() bool) (*mapper.Result, error)
 
-// BerkeleyAlgo adapts the Berkeley mapper for election mode.
+// BerkeleyAlgo adapts the Berkeley mapper for election mode: each host maps
+// through a session, whose Result the election keeps once Exact accepts it.
 func BerkeleyAlgo(cfg mapper.Config) Algo {
 	return func(ep simnet.Prober, cancel func() bool) (*mapper.Result, error) {
-		cfg := cfg
-		cfg.Cancel = cancel
-		m, err := mapper.RunConfig(ep, cfg)
+		s, err := mapper.NewSession(ep, func(c *mapper.Config) { *c = cfg; c.Cancel = cancel })
+		if err != nil {
+			return nil, err
+		}
+		res, err := s.Map()
+		if err == nil {
+			_, err = res.Exact()
+		}
 		if errors.Is(err, mapper.ErrCanceled) {
 			return nil, errPassivated
 		}
 		if err != nil {
 			return nil, err
 		}
-		return &mapper.Result{Map: m, Confidence: 1}, nil
+		return res, nil
 	}
 }
 

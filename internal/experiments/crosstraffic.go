@@ -33,15 +33,17 @@ func CrossTrafficSweep(loads []float64) []CrossTrafficRow {
 	rows, _ := Sweep(len(loads), func(trial int) (CrossTrafficRow, error) {
 		sys := cluster.CConfig(nil)
 		net, h0, load := sys.Net, sys.Mapper(), loads[trial]
-		m, traffic, took, err := workload.MapUnderTraffic(net, h0,
-			simnet.CircuitModel, simnet.DefaultTiming(),
-			mapper.DefaultConfig(net.DepthBound(h0)), workload.PlanConfig{
+		res, traffic, took, err := workload.MapUnderTraffic(net, h0,
+			simnet.CircuitModel, simnet.DefaultTiming(), workload.PlanConfig{
 				Pattern: workload.Uniform, Load: load, MsgBytes: 4096, Seed: uint64(load*1000) + 1,
-			})
+			}, mapper.WithDepth(net.DepthBound(h0)))
+		if err == nil {
+			_, err = res.Exact()
+		}
 		row := CrossTrafficRow{Load: load, Took: took, Err: err}
 		if err == nil {
 			core, _ := net.Core()
-			row.Sim, row.Traffic = isomorph.Compare(m.Network, core), *traffic
+			row.Sim, row.Traffic = isomorph.Compare(res.Network, core), *traffic
 		}
 		return row, nil
 	})

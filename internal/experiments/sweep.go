@@ -304,11 +304,8 @@ func RandomizedTrials(trials, couponProbes int, seed int64) ([]RandomizedTrial, 
 	depth := net.DepthBound(h0)
 	return Sweep(trials, func(trial int) (RandomizedTrial, error) {
 		sn := simnet.NewDefault(net)
-		m, err := mapper.RandomizedRun(sn.Endpoint(h0), mapper.RandomizedConfig{
-			Config:       mapper.DefaultConfig(depth),
-			CouponProbes: couponProbes,
-			Rng:          rand.New(rand.NewSource(seed + int64(trial))),
-		})
+		m, err := mapper.Run(sn.Endpoint(h0), mapper.WithDepth(depth),
+			mapper.WithCoupons(couponProbes, rand.New(rand.NewSource(seed+int64(trial)))))
 		if err != nil {
 			return RandomizedTrial{}, fmt.Errorf("trial %d: %w", trial, err)
 		}

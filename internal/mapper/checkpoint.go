@@ -59,7 +59,7 @@ var ErrSuspended = errors.New("mapper: session suspended by step hook")
 
 // ErrUncheckpointable reports a session whose configuration carries state
 // the checkpoint format cannot capture (pipelined probe window, Fig 8
-// snapshot series).
+// snapshot series, coupon phase).
 var ErrUncheckpointable = errors.New("mapper: session configuration not checkpointable")
 
 // ErrCheckpointMismatch reports a checkpoint restored under a different
@@ -92,7 +92,8 @@ const checkpointMagic = "sanmap-checkpoint 1"
 
 // checkpointable rejects configurations whose probe-engine state the text
 // format cannot capture: a pipelined window carries its counters across
-// calls, and the Fig 8 series is analysis-only. The serial self-healing
+// calls, the Fig 8 series is analysis-only, and a coupon session's first
+// phase draws from an rng the image cannot hold. The serial self-healing
 // path — what a serving daemon runs — has no such state.
 func checkpointable(cfg Config) error {
 	switch {
@@ -100,6 +101,8 @@ func checkpointable(cfg Config) error {
 		return fmt.Errorf("%w: pipelined window %d", ErrUncheckpointable, cfg.Pipeline.Window)
 	case cfg.Snapshots:
 		return fmt.Errorf("%w: snapshot series enabled", ErrUncheckpointable)
+	case cfg.Coupons > 0:
+		return fmt.Errorf("%w: coupon phase", ErrUncheckpointable)
 	}
 	return nil
 }
@@ -281,7 +284,7 @@ func (s *Session) Checkpoint() ([]byte, error) {
 // are placed exactly as serialized, bypassing addEdge's merge machinery —
 // so restoring replays no deductions and re-fires no contradiction hooks.
 func RestoreSession(p simnet.Prober, data []byte, opts ...Option) (*Session, error) {
-	cfg := BuildConfig(opts...)
+	cfg := buildConfig(opts...)
 	if err := checkpointable(cfg); err != nil {
 		return nil, err
 	}

@@ -82,12 +82,8 @@ func TestRandomizedRun(t *testing.T) {
 		net := topology.MustRandomConnected(4, 6, 2, rng)
 		h0 := net.Hosts()[0]
 		sn := simnet.NewDefault(net)
-		cfg := RandomizedConfig{
-			Config:       DefaultConfig(net.DepthBound(h0)),
-			CouponProbes: 60,
-			Rng:          rand.New(rand.NewSource(seed + 1000)),
-		}
-		m, err := RandomizedRun(sn.Endpoint(h0), cfg)
+		m, err := Run(sn.Endpoint(h0), WithDepth(net.DepthBound(h0)),
+			WithCoupons(60, rand.New(rand.NewSource(seed+1000))))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -112,11 +108,7 @@ func TestRandomizedChainsShortenBFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	snB := simnet.NewDefault(net)
-	hybrid, err := RandomizedRun(snB.Endpoint(h0), RandomizedConfig{
-		Config:       DefaultConfig(depth),
-		CouponProbes: 120,
-		Rng:          rand.New(rand.NewSource(9)),
-	})
+	hybrid, err := Run(snB.Endpoint(h0), WithDepth(depth), WithCoupons(120, rand.New(rand.NewSource(9))))
 	if err != nil {
 		t.Fatal(err)
 	}

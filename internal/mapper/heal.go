@@ -29,6 +29,9 @@ type Session struct {
 	// ckptLen is the length of the last Checkpoint image, which sizes the
 	// next one's buffer.
 	ckptLen int
+	// coupons is the root switch a pending coupon phase (WithCoupons)
+	// threads its chains from; nil once the first Map ran it.
+	coupons *Vertex
 }
 
 // healState is the resumable position inside one Remap call.
@@ -39,23 +42,36 @@ type healState struct {
 	done      bool // a sweep found nothing wrong; Remap only needs result()
 }
 
-// NewSession builds a self-healing session over the prober; the options are
-// as for Run, which is a session's first Map with the strict refusal rule.
+// NewSession builds a self-healing session over the prober: the one way into
+// a Berkeley run besides RestoreSession. Run is its first Map under the
+// strict refusal rule (Result.Exact).
 func NewSession(p simnet.Prober, opts ...Option) (*Session, error) {
-	r, err := newRun(p, BuildConfig(opts...))
+	cfg := buildConfig(opts...)
+	if err := couponCheck(p, cfg); err != nil {
+		return nil, err
+	}
+	r, err := newRun(p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	r.initialize()
-	return &Session{r: r}, nil
+	s := &Session{r: r}
+	root := r.initialize()
+	if cfg.Coupons > 0 {
+		s.coupons = root
+	}
+	return s, nil
 }
 
 // Map runs the initial exploration and returns its Result. The
 // session keeps the model for later Remap calls. The step hook (OnStep)
 // fires once with StepMap after the frontier drains; on a session restored
 // from a post-map checkpoint the drain is a no-op and Map just re-derives
-// the Result.
+// the Result. A coupon session's first Map runs the coupon phase first.
 func (s *Session) Map() (*Result, error) {
+	if s.coupons != nil {
+		s.r.coupons(s.coupons)
+		s.coupons = nil
+	}
 	if err := s.r.runLoop(); err != nil {
 		return nil, err
 	}

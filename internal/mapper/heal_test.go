@@ -44,6 +44,29 @@ func TestSessionMapMatchesRun(t *testing.T) {
 	}
 }
 
+// TestResultExact: the strict view refuses a result with suspects with the
+// export refusal's text, and hands back a clean result's own map.
+func TestResultExact(t *testing.T) {
+	res := &Result{Map: &Map{}, Suspect: []string{"h1[0]--s4[2]", "s4[3]--s7[1]"}}
+	m, err := res.Exact()
+	if m != nil || err == nil || err.Error() != "mapper: export: 2 conflicting deductions, first h1[0]--s4[2]" {
+		t.Errorf("suspect result: Exact() = %v, %v", m, err)
+	}
+
+	net := topology.MustRing(5, 2, rand.New(rand.NewSource(21)))
+	h0 := net.Hosts()[0]
+	s, err := NewSession(simnet.NewDefault(net).Endpoint(h0), WithDepth(net.DepthBound(h0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = s.Map(); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := res.Exact(); m != res.Map || err != nil {
+		t.Errorf("clean result: Exact() = %p, %v; want %p, nil", m, err, res.Map)
+	}
+}
+
 // cutSwitchWire removes one switch-switch wire from the live topology and
 // returns its index. With allowBridge false only non-bridge wires are
 // eligible (the cut keeps the network connected); with it true any

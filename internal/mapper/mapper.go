@@ -3,6 +3,7 @@ package mapper
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"time"
 
@@ -51,7 +52,8 @@ const (
 	NaiveScan
 )
 
-// Config parameterises a mapping run.
+// Config parameterises a mapping run: the value Options write over
+// DefaultConfig. No exported function takes one: options configure a run.
 type Config struct {
 	// Depth is the maximum probe-string length ("SearchDepth"). The paper's
 	// correctness bound is Q+D (§3.2.7); topology.DepthBound computes it
@@ -105,6 +107,10 @@ type Config struct {
 	// before it stops exploring and reports a partial result
 	// (Result.Partial rather than an error).
 	FaultBudget int
+	// Coupons > 0 makes the first Map send that many maximal-depth random
+	// probes, turns drawn from CouponRng, before the BFS (WithCoupons).
+	Coupons   int
+	CouponRng *rand.Rand
 }
 
 // DefaultConfig returns the paper-faithful production configuration; the
@@ -178,9 +184,8 @@ var ErrCanceled = errors.New("mapper: run canceled")
 // job is one pending frontier exploration: a vertex reference plus the
 // probe string that created it (the route this job's probes will extend).
 // entry is the index, in v's own frame, of the port this route enters
-// through — 0 for vertices created by the BFS itself; possibly other values
-// for jobs seeded by the randomized hybrid, which re-enters known vertices
-// over new routes.
+// through — 0 for vertices created by the BFS or the coupon chains; possibly
+// other values for jobs the heal sweep re-enqueues over fresh routes.
 type job struct {
 	v     *Vertex
 	route simnet.Route
@@ -257,23 +262,9 @@ func registerRunMetrics(reg *obs.Registry) runMetrics {
 // staleLimit bounds how many times one vertex may be re-enqueued stale.
 const staleLimit = 3
 
-// RunConfig executes the Berkeley algorithm from the given prober with an
-// explicit configuration. Most callers should use Run with options.
-func RunConfig(p simnet.Prober, cfg Config) (*Map, error) {
-	r, err := newRun(p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	r.initialize()
-	if err := r.runLoop(); err != nil {
-		return nil, err
-	}
-	return r.finish()
-}
-
-// newRun validates the configuration and builds the run every entry point
-// (Run, NewSession, RestoreSession, RandomizedRun) starts from: an empty
-// model with the contradiction hook and staleness caps installed.
+// newRun validates the configuration and builds the run both session
+// constructors (NewSession, RestoreSession) start from: an empty model with
+// the contradiction hook and staleness caps installed.
 func newRun(p simnet.Prober, cfg Config) (*run, error) {
 	if cfg.Depth < 1 {
 		return nil, fmt.Errorf("mapper: Depth must be at least 1, got %d: %w", cfg.Depth, ErrDepthExceeded)
@@ -340,19 +331,6 @@ func (r *run) budgetSpent() bool {
 	r.partial = true
 	r.observe("budget-exhausted", nil)
 	return true
-}
-
-// finish is the strict view of result: the same map, refused when any
-// deduction had to be dropped to export it.
-func (r *run) finish() (*Map, error) {
-	res, err := r.result()
-	if err != nil {
-		return nil, err
-	}
-	if err := refuseSuspects(res.Suspect); err != nil {
-		return nil, err
-	}
-	return res.Map, nil
 }
 
 // noteContradiction handles one contradictory deduction: count it against

@@ -1,16 +1,17 @@
 package mapper
 
 import (
+	"math/rand"
+
 	"sanmap/internal/obs"
 	"sanmap/internal/simnet"
 )
 
-// Option mutates a Config; Run applies options over the paper-faithful
-// defaults (DefaultConfig). The functional-options constructor replaces the
-// historical DefaultConfig(depth)-plus-field-pokes idiom at call sites;
-// Config itself remains exported for programmatic composition (election,
-// workload) through RunConfig. A field with no With function is set on the
-// Config, or through an Option literal.
+// Option mutates a Config. Options are the one way to configure a run:
+// NewSession and RestoreSession resolve them over the paper-faithful
+// defaults (DefaultConfig), and Run is a session's first Map under the
+// strict refusal rule (Result.Exact). A field with no With function is set
+// through an Option literal, func(c *Config) { ... }.
 type Option func(*Config)
 
 // WithDepth sets the maximum probe-string length ("SearchDepth"). Required:
@@ -45,8 +46,15 @@ func WithPipeline(window int) Option {
 // keeps the single-shot quiescent behaviour.
 func WithConfirm(k int) Option { return func(c *Config) { c.Confirm = k } }
 
-// BuildConfig resolves options over the defaults.
-func BuildConfig(opts ...Option) Config {
+// WithCoupons makes the session's first Map the §6 randomized hybrid: n
+// maximal-depth random probes, turns drawn from rng, seed the model before
+// the breadth-first drain (randomized.go). n <= 0 leaves the plain BFS.
+func WithCoupons(n int, rng *rand.Rand) Option {
+	return func(c *Config) { c.Coupons, c.CouponRng = n, rng }
+}
+
+// buildConfig resolves options over the defaults.
+func buildConfig(opts ...Option) Config {
 	cfg := DefaultConfig(0)
 	for _, o := range opts {
 		if o != nil {
@@ -56,10 +64,18 @@ func BuildConfig(opts ...Option) Config {
 	return cfg
 }
 
-// Run executes the Berkeley algorithm from the given prober with the
-// paper-faithful defaults plus the supplied options:
+// Run maps from the given prober with the paper-faithful defaults plus the
+// supplied options: a session's first Map, under the strict Result.Exact.
 //
 //	m, err := mapper.Run(p, mapper.WithDepth(d), mapper.WithPipeline(8))
 func Run(p simnet.Prober, opts ...Option) (*Map, error) {
-	return RunConfig(p, BuildConfig(opts...))
+	s, err := NewSession(p, opts...)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.Map()
+	if err != nil {
+		return nil, err
+	}
+	return res.Exact()
 }

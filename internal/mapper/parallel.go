@@ -45,9 +45,6 @@ func MergeMaps(partials ...*Map) (*Map, error) {
 	model.prune(vantage)
 
 	net, mapperID, suspects, _, err := export(model, vantage)
-	if err == nil {
-		err = refuseSuspects(suspects)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +62,7 @@ func MergeMaps(partials ...*Map) (*Map, error) {
 			out.Stats.Elapsed = pm.Stats.Elapsed
 		}
 	}
-	return out, nil
+	return (&Result{Map: out, Suspect: suspects}).Exact()
 }
 
 // importNetwork loads a concrete network into the model as vertices and

@@ -141,25 +141,20 @@ func TestPipelinedRandomizedRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	net := topology.MustHypercube(3, 2, rng)
 	h0 := net.Hosts()[0]
-	run := func(pipe simnet.WindowConfig) *Map {
+	run := func(window int) *Map {
 		sn := simnet.NewDefault(net)
-		cfg := DefaultConfig(net.DepthBound(h0))
-		cfg.Pipeline = pipe
-		m, err := RandomizedRun(sn.Endpoint(h0), RandomizedConfig{
-			Config:       cfg,
-			CouponProbes: 64,
-			Rng:          rand.New(rand.NewSource(42)),
-		})
+		m, err := Run(sn.Endpoint(h0), WithDepth(net.DepthBound(h0)), WithPipeline(window),
+			WithCoupons(64, rand.New(rand.NewSource(42))))
 		if err != nil {
-			t.Fatalf("RandomizedRun: %v", err)
+			t.Fatalf("hybrid run: %v", err)
 		}
 		if err := isomorph.MustEqualCore(m.Network, net); err != nil {
 			t.Fatalf("hybrid map: %v", err)
 		}
 		return m
 	}
-	serial := run(simnet.WindowConfig{})
-	piped := run(simnet.WindowConfig{Window: 8})
+	serial := run(1)
+	piped := run(8)
 	if !bytes.Equal(exportBytes(t, serial), exportBytes(t, piped)) {
 		t.Error("pipelined hybrid export differs from serial")
 	}

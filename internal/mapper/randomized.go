@@ -1,8 +1,7 @@
 package mapper
 
 import (
-	"fmt"
-	"math/rand"
+	"errors"
 
 	"sanmap/internal/simnet"
 	"sanmap/internal/topology"
@@ -21,54 +20,54 @@ import (
 // switch vertices ending in a host anchor — dense merge fodder — after
 // which the ordinary BFS (phase 2) only has to fill in the gaps, skipping
 // every slot the chains already occupy.
+//
+// The hybrid is a Session option, not a second run: WithCoupons makes
+// NewSession check the transport and the rng, and the session's first Map
+// runs the coupon phase before it drains the frontier. Run, Remap and
+// Result.Exact apply unchanged; Checkpoint refuses a coupon session.
 
-// RandomizedConfig parameterises a hybrid run.
-type RandomizedConfig struct {
-	Config
-	// CouponProbes is the number of maximal-depth random probes (phase 1).
-	CouponProbes int
-	// MaxTurnMagnitude bounds the random turns drawn; small magnitudes
-	// survive longer on densely-populated switches (§3.3's observation).
-	MaxTurnMagnitude int
-	// Rng drives the random directions; required.
-	Rng *rand.Rand
+// couponTurnMagnitude bounds the random turns drawn; small magnitudes
+// survive longer on densely-populated switches (§3.3's observation). It is
+// 4 on every radix, radix 4 included.
+const couponTurnMagnitude = 4
+
+// couponCheck refuses a coupon session the transport or the options cannot
+// run: the phase needs tolerant hosts and a source of random directions.
+func couponCheck(p simnet.Prober, cfg Config) error {
+	if cfg.Coupons <= 0 {
+		return nil
+	}
+	if err := requireCaps(p, simnet.CapHost|simnet.CapSwitch|simnet.CapTolerant); err != nil {
+		return err
+	}
+	if cfg.CouponRng == nil {
+		return errors.New("mapper: WithCoupons needs a non-nil rng")
+	}
+	return nil
 }
 
-// RandomizedRun executes the coupon-collecting hybrid.
-func RandomizedRun(p simnet.Prober, cfg RandomizedConfig) (*Map, error) {
-	if err := requireCaps(p, simnet.CapHost|simnet.CapSwitch|simnet.CapTolerant); err != nil {
-		return nil, err
-	}
-	if cfg.Rng == nil {
-		return nil, fmt.Errorf("mapper: RandomizedConfig.Rng is required")
-	}
-	r, err := newRun(p, cfg.Config)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.MaxTurnMagnitude <= 0 || cfg.MaxTurnMagnitude > r.model.maxPorts-1 {
-		cfg.MaxTurnMagnitude = 4
-	}
-	rootSwitch := r.initialize()
-
+// coupons runs the hybrid's first phase from the root switch and leaves
+// every chain vertex on the frontier for the ordinary drain.
+func (r *run) coupons(rootSwitch *Vertex) {
 	// Phase 1: coupon collecting. Each successful random probe of maximal
 	// depth yields a chain root → ... → host; walk it into the model,
 	// reusing vertices where slots are already known and creating fresh
-	// ones otherwise. The random routes depend only on the Rng, so they are
+	// ones otherwise. The random routes depend only on the rng, so they are
 	// all drawn up front; with the pipelined engine active the whole batch
 	// goes through the window (the chains are walked in submission order,
 	// so the model is the same either way).
-	routes := make([]simnet.Route, cfg.CouponProbes)
-	for i := range routes {
-		route := make(simnet.Route, cfg.Depth)
+	rng := r.cfg.CouponRng
+	batch := make([]simnet.Probe, r.cfg.Coupons)
+	for i := range batch {
+		route := make(simnet.Route, r.cfg.Depth)
 		for j := range route {
-			mag := 1 + cfg.Rng.Intn(cfg.MaxTurnMagnitude)
-			if cfg.Rng.Intn(2) == 0 {
+			mag := 1 + rng.Intn(couponTurnMagnitude)
+			if rng.Intn(2) == 0 {
 				mag = -mag
 			}
 			route[j] = simnet.Turn(mag)
 		}
-		routes[i] = route
+		batch[i] = simnet.Probe{Kind: simnet.ProbeTolerant, Route: route}
 	}
 	walk := func(res simnet.ProbeResult) {
 		if !res.OK {
@@ -77,41 +76,29 @@ func RandomizedRun(p simnet.Prober, cfg RandomizedConfig) (*Map, error) {
 		r.walkChain(rootSwitch, res.Probe.Route[:res.Consumed], res.Host)
 		r.model.processMerges()
 	}
-	batch := make([]simnet.Probe, len(routes))
-	for i, route := range routes {
-		batch[i] = simnet.Probe{Kind: simnet.ProbeTolerant, Route: route}
-	}
 	if r.win != nil {
 		for _, res := range r.win.Do(batch) {
 			walk(res)
 		}
 	} else {
 		for _, probe := range batch {
-			walk(simnet.Do(p, probe))
+			walk(simnet.Do(r.p, probe))
 		}
 	}
 
-	// Phase 2: breadth-first completion over the dangling edges. Behind the
-	// root switch (on the frontier since INITIALIZATION) every live switch
-	// vertex becomes a frontier job carrying the route and entry index
-	// recorded at its creation; the standard explorer skips occupied slots,
-	// so only genuinely unknown ports cost probes.
+	// Phase 2 is the ordinary frontier drain over the dangling edges. Behind
+	// the root switch (on the frontier since INITIALIZATION) every live
+	// switch vertex becomes a frontier job carrying the route and entry
+	// index recorded at its creation; the standard explorer skips occupied
+	// slots, so only genuinely unknown ports cost probes.
 	for _, v := range r.model.liveVertices() {
 		if v.kind != topology.SwitchNode || v == rootSwitch {
-			continue
-		}
-		root, _ := find(v)
-		if root != v {
-			continue
+			continue // live vertices are merge roots: a merged one is deleted
 		}
 		// Chain vertices are always created with their entry port at frame
 		// index 0, like BFS vertices, so no extra entry offset is needed.
 		r.front = append(r.front, job{v: v, route: v.probe})
 	}
-	if err := r.runLoop(); err != nil {
-		return nil, err
-	}
-	return r.finish()
 }
 
 // walkChain threads one successful probe prefix through the model: the
@@ -127,13 +114,9 @@ func (r *run) walkChain(rootSwitch *Vertex, route simnet.Route, host string) {
 		// Follow an existing edge when the slot is already known.
 		var next *Vertex
 		var nextEntry int
-		if es := cur.at(idx); len(es) > 0 {
-			for _, e := range es {
-				if e.deleted {
-					continue
-				}
-				far, fidx := e.otherSide(cur, idx)
-				next, nextEntry = far, fidx
+		for _, e := range cur.at(idx) {
+			if !e.deleted {
+				next, nextEntry = e.otherSide(cur, idx)
 				break
 			}
 		}

@@ -99,7 +99,7 @@ type Result struct {
 // result is the one epilogue of a run (§3.1): PRUNE, snapshot the
 // statistics, read the map off the model graph. Conflicting deductions are
 // left out of the map and reported — Suspect, SuspectIDs, Confidence, the
-// fault log — instead of failing the run; finish is the strict view.
+// fault log — instead of failing the run; Result.Exact is the strict view.
 func (r *run) result() (*Result, error) {
 	r.prune()
 	r.stats.Elapsed = r.p.Clock() - r.start
@@ -131,14 +131,14 @@ func (r *run) result() (*Result, error) {
 	}, nil
 }
 
-// refuseSuspects is the refusal rule of the strict callers (Run, RunConfig,
-// RandomizedRun, MergeMaps): a map that needed deductions dropped is an
-// error, not a map.
-func refuseSuspects(suspects []string) error {
-	if len(suspects) == 0 {
-		return nil
+// Exact is the strict view of the result: the same map, refused (an error,
+// not a map) when any deduction had to be dropped to export it. Run and
+// MergeMaps return it.
+func (res *Result) Exact() (*Map, error) {
+	if n := len(res.Suspect); n > 0 {
+		return nil, fmt.Errorf("mapper: export: %d conflicting deductions, first %s", n, res.Suspect[0])
 	}
-	return fmt.Errorf("mapper: export: %d conflicting deductions, first %s", len(suspects), suspects[0])
+	return res.Map, nil
 }
 
 // export converts a model graph into a topology.Network. Relative slot

@@ -6,10 +6,6 @@ import (
 	"fmt"
 	"os"
 	"testing"
-
-	"sanmap/internal/cluster"
-	"sanmap/internal/mapper"
-	"sanmap/internal/simnet"
 )
 
 // The traffic digest pins a mapper run as a desim process beside
@@ -23,19 +19,14 @@ import (
 const digestGolden = "testdata/digest.golden"
 
 func TestMapUnderTrafficDigest(t *testing.T) {
-	sys := cluster.CConfig(nil)
-	h0 := sys.Mapper()
-	depth := sys.Net.DepthBound(h0)
 	var got bytes.Buffer
 	for _, load := range []float64{0.05, 0.3, 0.35} {
-		m, stats, took, err := MapUnderTraffic(sys.Net, h0,
-			simnet.CircuitModel, simnet.DefaultTiming(),
-			mapper.DefaultConfig(depth), PlanConfig{
-				Pattern:  Uniform,
-				Load:     load,
-				MsgBytes: 4096,
-				Seed:     9,
-			})
+		m, stats, took, err := exactOnC(PlanConfig{
+			Pattern:  Uniform,
+			Load:     load,
+			MsgBytes: 4096,
+			Seed:     9,
+		})
 		fmt.Fprintf(&got, "load=%g took=%d traffic=%+v err=%v", load, took, *stats, err)
 		if m != nil {
 			h := sha256.New()

@@ -112,18 +112,18 @@ func SpawnPlan(eng *desim.Engine, cn *connet.Net, tab *routes.Table, p *Plan) *S
 	return &tr.stats
 }
 
-// MapUnderTraffic runs a Berkeley mapping while every host offers the mix
-// as cross-traffic along deadlock-free routes (computed on the actual
-// network, as resident applications would have them), and returns the
-// resulting map — which may be wrong or incomplete; measuring how wrong, as
-// a function of offered load, is the experiment — together with the traffic
-// stats and the mapping duration in virtual time. The traffic is the plan
-// NewPlan would materialise from the same mix, drawn lazily and cut off
-// when the mapper returns: mix.Duration is not consulted, and mix.ByteTime
-// is the transport's.
+// MapUnderTraffic maps with a Berkeley session (configured by opts) while
+// every host offers the mix as cross-traffic along deadlock-free routes
+// (computed on the actual network, as resident applications would have
+// them), and returns the session's Result — whose map may be wrong or
+// incomplete; measuring how wrong, as a function of offered load, is the
+// experiment — with the traffic stats and the mapping duration in virtual
+// time. The traffic is the plan NewPlan would materialise from the same
+// mix, drawn lazily and cut off when the mapper returns: mix.Duration is
+// not consulted, and mix.ByteTime is the transport's.
 func MapUnderTraffic(net *topology.Network, mapperHost topology.NodeID,
 	model simnet.Model, timing simnet.Timing,
-	mcfg mapper.Config, mix PlanConfig) (*mapper.Map, *Stats, time.Duration, error) {
+	mix PlanConfig, opts ...mapper.Option) (*mapper.Result, *Stats, time.Duration, error) {
 
 	tab, err := routes.Compute(net, routes.DefaultConfig())
 	if err != nil {
@@ -136,11 +136,14 @@ func MapUnderTraffic(net *topology.Network, mapperHost topology.NodeID,
 	for _, st := range newStreams(net.Hosts(), mix) {
 		tr.start(st.self, func() (Send, bool) { return st.next(), true })
 	}
-	var out *mapper.Map
+	var out *mapper.Result
 	var mapErr error
 	var took time.Duration
 	eng.Spawn("mapper", func(p *desim.Proc) {
-		out, mapErr = mapper.RunConfig(cn.Endpoint(mapperHost, p), mcfg)
+		var s *mapper.Session
+		if s, mapErr = mapper.NewSession(cn.Endpoint(mapperHost, p), opts...); mapErr == nil {
+			out, mapErr = s.Map()
+		}
 		took = p.Now()
 		tr.stopped = true
 	})

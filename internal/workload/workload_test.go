@@ -32,6 +32,21 @@ func replayC(t *testing.T, cfg PlanConfig) *Stats {
 	return stats
 }
 
+// exactOnC maps subcluster C from its mapper host under the mix, with the
+// paper's defaults and the network's own depth bound, and returns the
+// strict view of the session's result (Result.Exact).
+func exactOnC(mix PlanConfig) (*mapper.Map, *Stats, time.Duration, error) {
+	sys := cluster.CConfig(nil)
+	h0 := sys.Mapper()
+	res, stats, took, err := MapUnderTraffic(sys.Net, h0, simnet.CircuitModel, simnet.DefaultTiming(),
+		mix, mapper.WithDepth(sys.Net.DepthBound(h0)))
+	if err != nil {
+		return nil, stats, took, err
+	}
+	m, err := res.Exact()
+	return m, stats, took, err
+}
+
 // TestTrafficDelivers: on an idle network, routed traffic worms deliver.
 func TestTrafficDelivers(t *testing.T) {
 	stats := replayC(t, PlanConfig{
@@ -53,21 +68,16 @@ func TestTrafficDelivers(t *testing.T) {
 // the paper's §7 observation ("the algorithm can oftentimes correctly map
 // the network even in the face of heavy application cross-traffic").
 func TestMapUnderLightTraffic(t *testing.T) {
-	sys := cluster.CConfig(nil)
-	h0 := sys.Mapper()
-	depth := sys.Net.DepthBound(h0)
-	m, _, took, err := MapUnderTraffic(sys.Net, h0,
-		simnet.CircuitModel, simnet.DefaultTiming(),
-		mapper.DefaultConfig(depth), PlanConfig{
-			Pattern:  Uniform,
-			Load:     0.01,
-			MsgBytes: 256,
-			Seed:     2,
-		})
+	m, _, took, err := exactOnC(PlanConfig{
+		Pattern:  Uniform,
+		Load:     0.01,
+		MsgBytes: 256,
+		Seed:     2,
+	})
 	if err != nil {
 		t.Fatalf("map under traffic: %v", err)
 	}
-	core, _ := sys.Net.Core()
+	core, _ := cluster.CConfig(nil).Net.Core()
 	sim := isomorph.Compare(m.Network, core)
 	if sim.Score() < 0.9 {
 		t.Errorf("light-load map score %.2f; want ≥0.9 (%+v)", sim.Score(), sim)
@@ -82,21 +92,16 @@ func TestMapUnderLightTraffic(t *testing.T) {
 // just past the knee (exact maps through 0.30, see sanexp -fig crosstraffic):
 // a third of every host link's bandwidth.
 func TestAccuracyDegradesWithLoad(t *testing.T) {
-	sys := cluster.CConfig(nil)
-	h0 := sys.Mapper()
-	depth := sys.Net.DepthBound(h0)
-	core, _ := sys.Net.Core()
+	core, _ := cluster.CConfig(nil).Net.Core()
 	var scores []float64
 	var times []time.Duration
 	for _, load := range []float64{0.001, 0.33} {
-		m, _, took, err := MapUnderTraffic(sys.Net, h0,
-			simnet.CircuitModel, simnet.DefaultTiming(),
-			mapper.DefaultConfig(depth), PlanConfig{
-				Pattern:  Uniform,
-				Load:     load,
-				MsgBytes: 4096,
-				Seed:     3,
-			})
+		m, _, took, err := exactOnC(PlanConfig{
+			Pattern:  Uniform,
+			Load:     load,
+			MsgBytes: 4096,
+			Seed:     3,
+		})
 		if err != nil {
 			// A failed export under heavy traffic counts as accuracy 0.
 			scores = append(scores, 0)
@@ -123,18 +128,15 @@ func TestAccuracyDegradesWithLoad(t *testing.T) {
 // offered Load/(1+Load).)
 func TestLoadIsOfferedLoad(t *testing.T) {
 	sys := cluster.CConfig(nil)
-	h0 := sys.Mapper()
-	depth := sys.Net.DepthBound(h0)
 	timing := simnet.DefaultTiming()
 	const msgBytes = 512
 	for _, load := range []float64{0.1, 0.3} {
-		_, stats, took, err := MapUnderTraffic(sys.Net, h0, simnet.CircuitModel, timing,
-			mapper.DefaultConfig(depth), PlanConfig{
-				Pattern:  Uniform,
-				Load:     load,
-				MsgBytes: msgBytes,
-				Seed:     5,
-			})
+		_, stats, took, err := exactOnC(PlanConfig{
+			Pattern:  Uniform,
+			Load:     load,
+			MsgBytes: msgBytes,
+			Seed:     5,
+		})
 		if err != nil {
 			t.Fatalf("load %.1f: %v", load, err)
 		}

@@ -84,11 +84,7 @@ func TestProbeTranscriptGolden(t *testing.T) {
 		return mapper.OracleRun(ep, depth)
 	})
 	driver("randomized", false, func(ep *simnet.Endpoint) (*mapper.Map, error) {
-		return mapper.RandomizedRun(ep, mapper.RandomizedConfig{
-			Config:       mapper.DefaultConfig(depth),
-			CouponProbes: 200,
-			Rng:          rand.New(rand.NewSource(1)),
-		})
+		return mapper.Run(ep, mapper.WithDepth(depth), mapper.WithCoupons(200, rand.New(rand.NewSource(1))))
 	})
 
 	{
