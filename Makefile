@@ -292,12 +292,16 @@ bench-large:
 # C beside the single master on the same fabric (what the desim engine
 # costs), the Berkeley and Myricom maps of C+A+B (on allocs/op alone), the
 # 1k-switch fat-tree (with its diameter at 0 allocs/op and at most 0.35x
-# the per-source search it replaced), the daemon's two start-up layers on
-# the 768-host fat-tree (Q+D, at a fixed handful of allocations, and the
-# route table's templates, under 7 MB written per build and at most 0.6x the
-# table with every row written, plus the table's lookup and a whole served
-# route query, each at 0 allocs/op), the load report's
-# plan draw, merge and replays (on allocs/op alone), its replay in the
+# the per-source search it replaced; the map itself, serial and window-8,
+# at a few thousand allocs/op), the daemon's cold start on the 768-host
+# fat-tree (BuildFatTree768, MapFatTree768 with the daemon's options and
+# ReadTopologyFatTree768, the snapshot's parse, each at a ceiling on
+# allocs/op), its two start-up layers on the same fabric (Q+D, at a fixed
+# handful of allocations, and the route table's templates, under 7 MB
+# written per build and at most 0.6x the table with every row written, plus
+# the table's lookup and a whole served route query, each at 0 allocs/op),
+# the load report's plan draw, merge and replays (on allocs/op alone), its
+# replay in the
 # blocked regime (internal/loadsim, beside the heap-driven replay it
 # replaced) and its placement search (internal/place, beside the search it
 # replaced) — and check them
@@ -317,7 +321,7 @@ bench-gate:
 	   $(GO) test -bench 'LoadReplay|LoadReport|NewPlan|PlanMerge' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench LoadReplaySaturated -benchtime 20x -count 3 -run ^$$ ./internal/loadsim && \
 	   $(GO) test -bench PlaceOptimize -benchtime 20x -count 3 -run ^$$ ./internal/place && \
-	   $(GO) test -bench 'FatTree768|RouteLookup|ServeRoute' -benchtime 100x -count 3 -run ^$$ . && \
+	   $(GO) test -bench 'BuildFatTree768|MapFatTree768|ReadTopologyFatTree768|DepthBoundFatTree768|RoutesComputeFatTree768|RoutesTableFatTree768|RouteLookup|ServeRoute' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench 'MapFatTree1k|IndexDiameter1k$$|IndexDiameter1kReference$$' -benchtime 20x -count 3 -run ^$$ . ; } | \
 		$(GO) run ./cmd/sanbench -gate $(BENCH_BASELINE)
 

@@ -19,6 +19,7 @@ import (
 	"sanmap/internal/cluster"
 	"sanmap/internal/election"
 	"sanmap/internal/experiments"
+	"sanmap/internal/faults"
 	"sanmap/internal/genspec"
 	"sanmap/internal/loadsim"
 	"sanmap/internal/mapd"
@@ -763,6 +764,65 @@ func BenchmarkDepthBoundFatTree768(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink += net.DepthBound(h0)
+	}
+}
+
+// BenchmarkBuildFatTree768 is the daemon's very first step: generating the
+// 768-host fabric from its spec under a seeded port embedding, as sanmapd
+// does. Gated on allocs/op: nodes, ports, wires and names grow once.
+func BenchmarkBuildFatTree768(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := genspec.Build("fattree2:128x6", rand.New(faults.NewSource(7)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += res.Net.NumWires()
+	}
+}
+
+// BenchmarkMapFatTree768 is the daemon's own map of that fabric, with its
+// options: the start-up depth (DepthBound plus one per switch, the healing
+// margin) and two confirmations per answer. Gated on allocs/op: the model
+// allocates per chunk of vertices and edges, not per slot.
+func BenchmarkMapFatTree768(b *testing.B) {
+	net, h0 := fatTree768(b)
+	depth := net.DepthBound(h0) + net.NumSwitches()
+	var last *mapper.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sn := simnet.NewDefault(net)
+		sess, err := mapper.NewSession(sn.Endpoint(h0), mapper.WithDepth(depth), mapper.WithConfirm(2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if last, err = sess.Map(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(last.Stats.Probes.TotalProbes()), "probes/op")
+}
+
+// BenchmarkReadTopologyFatTree768 is what every commit's snapshot helper
+// does before it computes routes: parse the epoch's network text of the
+// 768-host fabric. Gated on allocs/op: the parse allocates per network,
+// not per line or name.
+func BenchmarkReadTopologyFatTree768(b *testing.B) {
+	net, _ := fatTree768(b)
+	var text bytes.Buffer
+	if err := net.Write(&text); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n, err := topology.Parse(text.Bytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += n.NumWires()
 	}
 }
 

@@ -70,7 +70,7 @@ type Snapshot struct {
 // once — beside the epoch's durable write on a commit, on the world loop at
 // a restart — and queries only ever read it.
 func buildSnapshot(meta EpochMeta, netText []byte) (*Snapshot, error) {
-	topo, err := topology.ReadFrom(bytes.NewReader(netText))
+	topo, err := topology.Parse(netText)
 	if err != nil {
 		return nil, fmt.Errorf("mapd: epoch %d network: %w", meta.Number, err)
 	}

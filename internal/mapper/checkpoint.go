@@ -199,7 +199,7 @@ func (s *Session) Checkpoint() ([]byte, error) {
 		for _, sl := range v.slots {
 			i := sl.idx
 			refs := 0
-			for _, e := range sl.edges {
+			for e := range sl.all() {
 				if e.deleted {
 					continue
 				}
@@ -343,7 +343,8 @@ func RestoreSession(p simnet.Prober, data []byte, opts ...Option) (*Session, err
 		case id >= m.nextID:
 			cr.Failf("vertex id %d outside nextID %d", id, m.nextID)
 		default:
-			v := &Vertex{id: id, kind: topology.SwitchNode, name: name, probe: probe,
+			v := m.vertChunks.new()
+			*v = Vertex{id: id, kind: topology.SwitchNode, name: name, probe: probe,
 				explored: explored != 0}
 			if kind[0] == 'h' {
 				v.kind = topology.HostNode
@@ -364,7 +365,8 @@ func RestoreSession(p simnet.Prober, data []byte, opts ...Option) (*Session, err
 	edges := make([]*Edge, cr.Count("edges"))
 	for i := 0; i < len(edges) && cr.Err() == nil; i++ {
 		ev := cr.Ints("e", 4)
-		edges[i] = &Edge{a: vertex(ev[0]), ai: ev[1], b: vertex(ev[2]), bi: ev[3]}
+		edges[i] = m.edgeChunks.new()
+		*edges[i] = Edge{a: vertex(ev[0]), ai: ev[1], b: vertex(ev[2]), bi: ev[3]}
 	}
 	m.liveEdges = len(edges)
 
@@ -381,7 +383,7 @@ func RestoreSession(p simnet.Prober, data []byte, opts ...Option) (*Session, err
 				cr.Failf("slot references unknown edge %d", ref)
 				break
 			}
-			v.file(lv[1], edges[ref])
+			m.file(v, lv[1], edges[ref])
 		}
 	}
 

@@ -74,7 +74,7 @@ func (s *Session) checkpointFmt() ([]byte, error) {
 		sort.Ints(slotKeys)
 		for _, i := range slotKeys {
 			var refs []int
-			for _, e := range v.at(i) {
+			for e := range v.at(i) {
 				if e.deleted {
 					continue
 				}

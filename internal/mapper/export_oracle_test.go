@@ -58,7 +58,7 @@ func oracleExportModel(model *Model, localHost string) (*topology.Network, topol
 		}
 		sort.Ints(slotIdx)
 		for _, i := range slotIdx {
-			for _, e := range v.at(i) {
+			for e := range v.at(i) {
 				if e.deleted || seen[e] {
 					continue
 				}
@@ -241,10 +241,10 @@ func exportWorlds(t *testing.T) []exportWorld {
 func conflictSlot(s *Session) bool {
 	m := s.r.model
 	h0, _ := find(m.hostByName[s.r.p.LocalHost()])
-	for _, e := range h0.at(0) {
+	for e := range h0.at(0) {
 		if !e.deleted {
 			v, i := e.otherSide(h0, 0)
-			v.file(i, &Edge{a: v, ai: i, b: v, bi: i})
+			m.file(v, i, &Edge{a: v, ai: i, b: v, bi: i})
 			m.liveEdges++
 			return true
 		}

@@ -164,7 +164,7 @@ func (r *run) sweep() (int, error) {
 	}
 	h0, _ := find(hv)
 	var rootEdge *Edge
-	for _, e := range h0.at(0) {
+	for e := range h0.at(0) {
 		if !e.deleted {
 			rootEdge = e
 			break
@@ -190,7 +190,7 @@ func (r *run) sweep() (int, error) {
 		}
 		for _, sl := range v.slots {
 			i := sl.idx
-			for _, e := range sl.edges {
+			for e := range sl.all() {
 				if e.deleted || checked[e] {
 					continue
 				}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"sanmap/internal/obs"
@@ -451,7 +450,7 @@ func (r *run) explore(jb job) error {
 					obs.Int("vertex", hv.id), obs.String("route", probeStr.String()))
 			}
 		case simnet.RespSwitch:
-			probeStr = slices.Clone(probeStr)
+			probeStr = r.model.keepRoute(probeStr)
 			w := r.model.newVertex(topology.SwitchNode, "", probeStr)
 			if r.model.nextID > r.cfg.MaxVertices {
 				return ErrTooManyVertices

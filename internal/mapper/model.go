@@ -13,6 +13,7 @@ package mapper
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 
 	"sanmap/internal/simnet"
@@ -32,6 +33,7 @@ type Vertex struct {
 	// slots lists the relative port indices that edges claim, sorted by
 	// index, each with its claiming edges in filing order; index order is
 	// the order every walk (merge, export, checkpoint, sweep) visits them.
+	// The list lives in the model's slot chunks (Model.file grows it).
 	// The merge engine drives every slot towards at most one edge; two
 	// distinct edges in a slot is the structural impossibility ("an actual
 	// switch port has a single cable") that identifies more replicates.
@@ -57,9 +59,39 @@ type Vertex struct {
 }
 
 // slot is one relative port index of a vertex and the edges filed at it.
+// A consistent model files one edge per slot, so the first is held inline
+// and only a second, contradicting edge allocates a list.
 type slot struct {
-	idx   int
-	edges []*Edge
+	idx  int
+	edge *Edge   // the first edge filed here; never nil
+	more []*Edge // the edges filed after it, oldest first
+}
+
+// all yields the slot's edges, oldest first.
+func (s *slot) all() iter.Seq[*Edge] {
+	return func(yield func(*Edge) bool) {
+		if !yield(s.edge) {
+			return
+		}
+		for _, e := range s.more {
+			if !yield(e) {
+				return
+			}
+		}
+	}
+}
+
+// live reports whether the slot holds an edge that is not deleted.
+func (s *slot) live() bool {
+	if !s.edge.deleted {
+		return true
+	}
+	for _, e := range s.more {
+		if !e.deleted {
+			return true
+		}
+	}
+	return false
 }
 
 // search returns the position of idx in v.slots, or the position it would
@@ -77,23 +109,30 @@ func (v *Vertex) search(idx int) (int, bool) {
 	return lo, lo < len(v.slots) && v.slots[lo].idx == idx
 }
 
-// at returns the edges filed at relative index idx, oldest first (nil when
-// none).
-func (v *Vertex) at(idx int) []*Edge {
-	if i, ok := v.search(idx); ok {
-		return v.slots[i].edges
+// at yields the edges filed at relative index idx, oldest first (none when
+// the slot is empty).
+func (v *Vertex) at(idx int) iter.Seq[*Edge] {
+	return func(yield func(*Edge) bool) {
+		if i, ok := v.search(idx); ok {
+			v.slots[i].all()(yield)
+		}
 	}
-	return nil
 }
 
-// file appends e to the edges at relative index idx, inserting the slot in
-// index order when idx is new.
-func (v *Vertex) file(idx int, e *Edge) {
+// file appends e to the edges at v's relative index idx, inserting the slot
+// in index order when idx is new. A full slot list moves to twice its
+// capacity in the model's slot chunks, so growing one allocates nothing of
+// its own.
+func (m *Model) file(v *Vertex, idx int, e *Edge) {
 	i, ok := v.search(idx)
-	if !ok {
-		v.slots = slices.Insert(v.slots, i, slot{idx: idx})
+	if ok {
+		v.slots[i].more = append(v.slots[i].more, e)
+		return
 	}
-	v.slots[i].edges = append(v.slots[i].edges, e)
+	if len(v.slots) == cap(v.slots) {
+		v.slots = append(m.slotChunks.take(max(2*cap(v.slots), 2)), v.slots...)
+	}
+	v.slots = slices.Insert(v.slots, i, slot{idx: idx, edge: e})
 }
 
 // ID returns the vertex's creation sequence number (stable, unique).
@@ -158,6 +197,13 @@ type Model struct {
 
 	merges []mergeTask
 
+	// Vertices, edges, slot lists and the probe strings vertices keep come
+	// from chunks, so a map allocates per chunk rather than per discovery.
+	vertChunks  chunks[Vertex]
+	edgeChunks  chunks[Edge]
+	slotChunks  chunks[slot]
+	routeChunks chunks[simnet.Turn]
+
 	// markGen is bumped per edge-enumeration walk (merge, degree, delete);
 	// edges stamped with it form the walk's visited set. edgeScratch is the
 	// reusable buffer those walks collect into.
@@ -194,6 +240,37 @@ type mergeTask struct {
 	shift int // index j in b's frame equals index j+shift in a's frame
 }
 
+// chunks hands out values and slices carved from chunks it allocates,
+// doubling from 16 to 1024 values a chunk.
+type chunks[T any] struct {
+	free []T
+	size int
+}
+
+// take returns an empty slice with capacity n, carved from the current
+// chunk, or from a fresh one when it has less than n values left.
+func (c *chunks[T]) take(n int) []T {
+	if n > len(c.free) {
+		c.size = min(max(2*c.size, 16), 1024)
+		c.free = make([]T, max(c.size, n))
+	}
+	s := c.free[:0:n]
+	c.free = c.free[n:]
+	return s
+}
+
+// new returns a pointer to a fresh zero value.
+func (c *chunks[T]) new() *T { return &c.take(1)[:1][0] }
+
+// keepRoute returns a copy of r that the model keeps: a vertex's probe
+// string, carved from the route chunks. Appending to it reallocates.
+func (m *Model) keepRoute(r simnet.Route) simnet.Route {
+	if len(r) == 0 {
+		return slices.Clone(r)
+	}
+	return append(m.routeChunks.take(len(r)), r...)
+}
+
 // newModel returns an empty model graph planning for the paper's 8-port
 // switches; runs override maxPorts from their configuration.
 func newModel() *Model {
@@ -220,7 +297,8 @@ func (m *Model) NumEdges() int { return m.liveEdges }
 
 // newVertex creates a fresh live vertex.
 func (m *Model) newVertex(kind topology.Kind, name string, probe simnet.Route) *Vertex {
-	v := &Vertex{id: m.nextID, kind: kind, name: name, probe: probe}
+	v := m.vertChunks.new()
+	*v = Vertex{id: m.nextID, kind: kind, name: name, probe: probe}
 	m.nextID++
 	m.verts = append(m.verts, v)
 	m.liveVerts++
@@ -230,14 +308,14 @@ func (m *Model) newVertex(kind topology.Kind, name string, probe simnet.Route) *
 // hostVertex returns the canonical vertex for host name, creating it if
 // needed. Host vertices carry the unique host id as their label (§3.1.1),
 // which is why a second discovery of the same name immediately identifies
-// replicates. A created vertex keeps its own copy of probe, so callers may
-// pass a scratch route.
+// replicates. A created vertex keeps its own copy of probe (keepRoute), so
+// callers may pass a scratch route.
 func (m *Model) hostVertex(name string, probe simnet.Route) (v *Vertex, created bool) {
 	if hv, ok := m.hostByName[name]; ok {
 		root, _ := find(hv)
 		return root, false
 	}
-	hv := m.newVertex(topology.HostNode, name, slices.Clone(probe))
+	hv := m.newVertex(topology.HostNode, name, m.keepRoute(probe))
 	m.hostByName[name] = hv
 	return hv, true
 }
@@ -247,13 +325,15 @@ func (m *Model) hostVertex(name string, probe simnet.Route) (v *Vertex, created 
 // the insertion exposes. It returns the edge (or the existing identical
 // edge if the discovery is a duplicate).
 func (m *Model) addEdge(a *Vertex, ai int, b *Vertex, bi int) *Edge {
-	e := &Edge{a: a, ai: ai, b: b, bi: bi}
 	// Duplicate check first: rediscovering a known wire is a no-op.
-	for _, prev := range a.at(ai) {
-		if prev.sameAs(e) {
+	cand := Edge{a: a, ai: ai, b: b, bi: bi}
+	for prev := range a.at(ai) {
+		if prev.sameAs(&cand) {
 			return prev
 		}
 	}
+	e := m.edgeChunks.new()
+	*e = cand
 	m.liveEdges++
 	m.insertSide(e, a, ai)
 	if !(e.a == e.b && e.ai == e.bi) {
@@ -267,7 +347,7 @@ func (m *Model) addEdge(a *Vertex, ai int, b *Vertex, bi int) *Edge {
 // incident to a switch port identify additional replicates" (§1.2).
 func (m *Model) insertSide(e *Edge, v *Vertex, idx int) {
 	m.editGen++
-	for _, prev := range v.at(idx) {
+	for prev := range v.at(idx) {
 		if prev.deleted || prev == e {
 			continue
 		}
@@ -278,7 +358,7 @@ func (m *Model) insertSide(e *Edge, v *Vertex, idx int) {
 		// k1−k2 (the paper's mergeLabels re-indexing).
 		m.merges = append(m.merges, mergeTask{a: w1, b: w2, shift: k1 - k2})
 	}
-	v.file(idx, e)
+	m.file(v, idx, e)
 }
 
 // processMerges drains the merge list (§3.3's mergelist loop), performing
@@ -335,7 +415,7 @@ func (m *Model) mergeInto(ra, rb *Vertex, s int) {
 	m.markGen++
 	edges := m.edgeScratch[:0]
 	for _, sl := range rb.slots {
-		for _, e := range sl.edges {
+		for e := range sl.all() {
 			if !e.deleted && e.mark != m.markGen {
 				e.mark = m.markGen
 				edges = append(edges, e)
@@ -360,7 +440,7 @@ func (m *Model) mergeInto(ra, rb *Vertex, s int) {
 		}
 		// Re-file under ra; drop if it collapses onto an identical edge.
 		dup := false
-		for _, prev := range ra.at(slotOf(e, ra)) {
+		for prev := range ra.at(slotOf(e, ra)) {
 			if prev != e && !prev.deleted && prev.sameAs(e) {
 				dup = true
 				break
@@ -397,7 +477,7 @@ func (m *Model) window(v *Vertex) (lo, hi int) {
 	}
 	lo, hi = 0, m.maxPorts-1
 	for _, sl := range v.slots {
-		if !liveAny(sl.edges) {
+		if !sl.live() {
 			continue
 		}
 		i := sl.idx
@@ -412,15 +492,6 @@ func (m *Model) window(v *Vertex) (lo, hi int) {
 	return lo, hi
 }
 
-func liveAny(es []*Edge) bool {
-	for _, e := range es {
-		if !e.deleted {
-			return true
-		}
-	}
-	return false
-}
-
 // feasible reports whether relative index j can possibly be a legal port
 // given the window: ∃ p0 ∈ [lo,hi] with 0 ≤ p0+j ≤ maxPorts-1.
 func (m *Model) feasible(j, lo, hi int) bool {
@@ -428,7 +499,10 @@ func (m *Model) feasible(j, lo, hi int) bool {
 }
 
 // occupied reports whether slot j holds a live edge.
-func (v *Vertex) occupied(j int) bool { return liveAny(v.at(j)) }
+func (v *Vertex) occupied(j int) bool {
+	i, ok := v.search(j)
+	return ok && v.slots[i].live()
+}
 
 // degree counts live edges incident to v (self-loops count twice, matching
 // switch-port usage).
@@ -436,7 +510,7 @@ func (m *Model) degree(v *Vertex) int {
 	d := 0
 	m.markGen++
 	for _, sl := range v.slots {
-		for _, e := range sl.edges {
+		for e := range sl.all() {
 			if e.deleted || e.mark == m.markGen {
 				continue
 			}
@@ -469,7 +543,7 @@ func (m *Model) deleteVertex(v *Vertex) {
 	m.editGen++
 	m.markGen++
 	for _, sl := range v.slots {
-		for _, e := range sl.edges {
+		for e := range sl.all() {
 			if !e.deleted && e.mark != m.markGen {
 				e.mark = m.markGen
 				e.deleted = true
@@ -501,7 +575,7 @@ func (m *Model) check() error {
 			if k > 0 && v.slots[k-1].idx >= idx {
 				return fmt.Errorf("vertex %d slot %d out of index order after slot %d", v.id, idx, v.slots[k-1].idx)
 			}
-			for _, e := range sl.edges {
+			for e := range sl.all() {
 				if e.deleted {
 					continue
 				}

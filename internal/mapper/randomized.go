@@ -114,20 +114,20 @@ func (r *run) walkChain(rootSwitch *Vertex, route simnet.Route, host string) {
 		// Follow an existing edge when the slot is already known.
 		var next *Vertex
 		var nextEntry int
-		for _, e := range cur.at(idx) {
+		for e := range cur.at(idx) {
 			if !e.deleted {
 				next, nextEntry = e.otherSide(cur, idx)
 				break
 			}
 		}
 		if next == nil {
-			prefix := route[:i+1].Clone()
+			prefix := route[:i+1]
 			if last {
 				hv, _ := r.model.hostVertex(host, prefix)
 				r.model.addEdge(cur, idx, hv, 0)
 				return
 			}
-			w := r.model.newVertex(topology.SwitchNode, "", prefix)
+			w := r.model.newVertex(topology.SwitchNode, "", r.model.keepRoute(prefix))
 			r.model.addEdge(cur, idx, w, 0)
 			next, nextEntry = w, 0
 		} else if last {
@@ -136,7 +136,7 @@ func (r *run) walkChain(rootSwitch *Vertex, route simnet.Route, host string) {
 			if next.kind != topology.HostNode {
 				// The chain ends at a host the model thinks is a switch:
 				// record the host edge and let the merge machinery object.
-				hv, _ := r.model.hostVertex(host, route[:i+1].Clone())
+				hv, _ := r.model.hostVertex(host, route[:i+1])
 				r.model.addEdge(cur, idx, hv, 0)
 			}
 			return

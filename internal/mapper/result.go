@@ -151,20 +151,31 @@ func (res *Result) Exact() (*Map, error) {
 // (sorted); the exported ids its endpoints map to are collected in
 // suspectIDs (sorted, deduplicated).
 func export(model *Model, localHost string) (*topology.Network, topology.NodeID, []string, []topology.NodeID, error) {
-	net := &topology.Network{}
 	// Vertex ids are dense below nextID, so per-vertex state is a slice.
 	live := model.liveVertices()
 	ids := make([]topology.NodeID, model.nextID)
+	// Size the network's tables, and build the switch names m0, m1, ...
+	// into one string, before the first node goes in.
+	// Switch k is named names[off[k]:off[k+1]].
+	var names []byte
+	off := []int{0}
+	for _, v := range live {
+		if v.kind == topology.SwitchNode {
+			names = strconv.AppendInt(append(names, 'm'), int64(len(off)-1), 10)
+			off = append(off, len(names))
+		}
+	}
+	switchNames, switches := string(names), len(off)-1
+	net := &topology.Network{}
+	net.Grow(len(live), len(live)-switches+switches*model.maxPorts, model.liveEdges)
 	swCount := 0
-	var name []byte
 	for _, v := range live {
 		if v.kind == topology.HostNode {
 			ids[v.id] = net.AddHost(v.name)
 		} else {
 			// Model switches carry the radix the run planned for; on the
 			// paper's 8-port fabrics this is exactly AddSwitch.
-			name = strconv.AppendInt(append(name[:0], 'm'), int64(swCount), 10)
-			ids[v.id] = net.AddSwitchRadix(string(name), model.maxPorts)
+			ids[v.id] = net.AddSwitchRadix(switchNames[off[swCount]:off[swCount+1]], model.maxPorts)
 			swCount++
 		}
 	}
@@ -207,7 +218,7 @@ func export(model *Model, localHost string) (*topology.Network, topology.NodeID,
 			// edges claiming the slot, trust the oldest deduction and mark
 			// the rest suspect.
 			taken := false
-			for _, e := range sl.edges {
+			for e := range sl.all() {
 				if e.deleted || e.mark == seen {
 					if e.mark == seen && !e.deleted {
 						taken = true

@@ -148,12 +148,15 @@ func TestFlatTableMatchesNestedMaps(t *testing.T) {
 	}
 }
 
-// TestChooseRootMatchesAllNodeBFS: the switch-graph root choice picks the
-// same root as one BFS over every node per switch, on every registered
-// generator × 3 seeds, ignoring no host, the first host, or a random third
-// of the hosts (which leaves the leaves unevenly weighted).
+// TestChooseRootMatchesAllNodeBFS: the bit-parallel root choice picks the
+// same root as one switch-graph search per switch and as one BFS over
+// every node per switch, on every registered generator × 3 seeds (and on
+// two fabrics past 64 switches, so a search takes more than one pass),
+// ignoring no host, the first host, a random third of the hosts (which
+// leaves the leaves unevenly weighted), or every host.
 func TestChooseRootMatchesAllNodeBFS(t *testing.T) {
-	for _, spec := range diffSpecs {
+	specs := append(slices.Clone(diffSpecs), "fattree2:128x2", "random:150,40,30")
+	for _, spec := range specs {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			res, err := genspec.Build(spec, rng)
@@ -167,10 +170,12 @@ func TestChooseRootMatchesAllNodeBFS(t *testing.T) {
 					third = append(third, h)
 				}
 			}
-			for _, ignore := range [][]topology.NodeID{nil, hosts[:1], third} {
-				got, want := ChooseRoot(res.Net, ignore...), oracleChooseRoot(res.Net, ignore...)
-				if got != want {
-					t.Errorf("%s seed %d ignoring %d hosts: root %d, all-node BFS picks %d", spec, seed, len(ignore), got, want)
+			for _, ignore := range [][]topology.NodeID{nil, hosts[:1], third, hosts} {
+				got := ChooseRoot(res.Net, ignore...)
+				perSwitch, allNode := perSwitchChooseRoot(res.Net, ignore...), oracleChooseRoot(res.Net, ignore...)
+				if got != perSwitch || got != allNode {
+					t.Errorf("%s seed %d ignoring %d hosts: root %d, per-switch search picks %d, all-node BFS %d",
+						spec, seed, len(ignore), got, perSwitch, allNode)
 				}
 			}
 		}

@@ -53,6 +53,80 @@ func oracleChooseRoot(net *topology.Network, ignore ...topology.NodeID) topology
 	return best
 }
 
+// perSwitchChooseRoot is the ChooseRoot the bit-parallel search replaced:
+// one breadth-first search per switch over the switch graph, each switch
+// with hosts weighted by its non-ignored hosts.
+func perSwitchChooseRoot(net *topology.Network, ignore ...topology.NodeID) topology.NodeID {
+	swNode := net.Switches()
+	S := len(swNode)
+	sw := make([]int32, net.NumNodes())
+	for i := range sw {
+		sw[i] = -1
+	}
+	for i, s := range swNode {
+		sw[s] = int32(i)
+	}
+	weight := make([]int, S)
+	var leaves []int32
+	for _, h := range net.Hosts() {
+		s, _, ok := net.HostSwitch(h)
+		if !ok || sw[s] < 0 || slices.Contains(ignore, h) {
+			continue
+		}
+		if weight[sw[s]] == 0 {
+			leaves = append(leaves, sw[s])
+		}
+		weight[sw[s]]++
+	}
+	ix := net.Index()
+	adjOff := make([]int32, S+1)
+	var adj []int32
+	for i, s := range swNode {
+		for _, v := range ix.Neighbors(s) {
+			if sw[v] >= 0 && topology.NodeID(v) != s {
+				adj = append(adj, sw[v])
+			}
+		}
+		adjOff[i+1] = int32(len(adj))
+	}
+	best := topology.None
+	bestMin, bestSum := -1, -1
+	dist := make([]int32, S)
+	queue := make([]int32, 0, S)
+	for i, s := range swNode {
+		for k := range dist {
+			dist[k] = -1
+		}
+		dist[i] = 0
+		queue = append(queue[:0], int32(i))
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, v := range adj[adjOff[u]:adjOff[u+1]] {
+				if dist[v] < 0 {
+					dist[v] = dist[u] + 1
+					queue = append(queue, v)
+				}
+			}
+		}
+		minD, sumD := math.MaxInt, 0
+		for _, l := range leaves {
+			if dist[l] < 0 {
+				continue
+			}
+			d := int(dist[l]) + 1
+			minD = min(minD, d)
+			sumD += weight[l] * d
+		}
+		if minD == math.MaxInt {
+			continue
+		}
+		if minD > bestMin || (minD == bestMin && sumD > bestSum) {
+			best, bestMin, bestSum = s, minD, sumD
+		}
+	}
+	return best
+}
+
 // oracleCompute is the replaced Compute: the all-node root choice, the same
 // labelling (that did not change), then the old all-pairs construction.
 func oracleCompute(net *topology.Network, cfg Config) (*oracleTable, error) {

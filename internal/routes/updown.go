@@ -3,6 +3,7 @@ package routes
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -171,9 +172,13 @@ func (t *Table) layout() error {
 // destination".
 //
 // A host has one wire, so its distance from any switch is its own switch's
-// distance plus one. One BFS per switch over the switch graph alone
-// therefore suffices: each switch with hosts counts once, weighted by its
-// non-ignored hosts.
+// distance plus one: only the switch graph is searched, each switch with
+// hosts counting once, weighted by its non-ignored hosts. The search runs
+// from 64 switches at once, as Index.Diameter's does: each switch holds a
+// word, one bit per source, and a level ORs each switch's neighbours'
+// frontier words into it. A source's bit first reaching a switch with
+// hosts at level d adds d+1 per host to the source's total; the first such
+// level is its minimum.
 func ChooseRoot(net *topology.Network, ignore ...topology.NodeID) topology.NodeID {
 	swNode := net.Switches()
 	S := len(swNode)
@@ -184,17 +189,12 @@ func ChooseRoot(net *topology.Network, ignore ...topology.NodeID) topology.NodeI
 	for i, s := range swNode {
 		sw[s] = int32(i)
 	}
-	// weight[i]: the non-ignored hosts cabled to switch i; leaves: the
-	// switches with any.
+	// weight[i]: the non-ignored hosts cabled to switch i.
 	weight := make([]int, S)
-	var leaves []int32
 	for _, h := range net.Hosts() {
 		s, _, ok := net.HostSwitch(h)
 		if !ok || sw[s] < 0 || slices.Contains(ignore, h) {
 			continue // unreachable from every switch, or ignored
-		}
-		if weight[sw[s]] == 0 {
-			leaves = append(leaves, sw[s])
 		}
 		weight[sw[s]]++
 	}
@@ -210,39 +210,59 @@ func ChooseRoot(net *topology.Network, ignore ...topology.NodeID) topology.NodeI
 		}
 		adjOff[i+1] = int32(len(adj))
 	}
-	best := topology.None
-	bestMin, bestSum := -1, -1
-	dist := make([]int32, S)
-	queue := make([]int32, 0, S)
-	for i, s := range swNode {
-		for k := range dist {
-			dist[k] = -1
+	// minD[i] is 0 until source i reaches a switch with hosts.
+	minD, sumD := make([]int, S), make([]int, S)
+	words := make([]uint64, 3*S)
+	seen, cur, next := words[:S], words[S:2*S], words[2*S:]
+	for base := 0; base < S; base += 64 {
+		for c := range S {
+			seen[c] = 0
+			if b := c - base; b >= 0 && b < 64 {
+				seen[c] = 1 << b
+			}
+			cur[c] = seen[c]
 		}
-		dist[i] = 0
-		queue = append(queue[:0], int32(i))
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, v := range adj[adjOff[u]:adjOff[u+1]] {
-				if dist[v] < 0 {
-					dist[v] = dist[u] + 1
-					queue = append(queue, v)
+		for level := 1; ; level++ {
+			// cur holds, per switch, the sources first reaching it at
+			// distance level-1: its hosts are level away from them.
+			var reach uint64
+			for c, w := range cur {
+				reach |= w
+				if weight[c] == 0 {
+					continue
+				}
+				for ; w != 0; w &= w - 1 {
+					src := base + bits.TrailingZeros64(w)
+					if minD[src] == 0 {
+						minD[src] = level
+					}
+					sumD[src] += weight[c] * level
 				}
 			}
-		}
-		minD, sumD := math.MaxInt, 0
-		for _, l := range leaves {
-			if dist[l] < 0 {
-				continue
+			if reach == 0 {
+				break
 			}
-			d := int(dist[l]) + 1
-			minD = min(minD, d)
-			sumD += weight[l] * d
+			for c := range S {
+				var w uint64
+				for _, y := range adj[adjOff[c]:adjOff[c+1]] {
+					w |= cur[y]
+				}
+				next[c] = w &^ seen[c]
+			}
+			for c, w := range next {
+				seen[c] |= w
+			}
+			cur, next = next, cur
 		}
-		if minD == math.MaxInt {
+	}
+	best := topology.None
+	bestMin, bestSum := -1, -1
+	for i, s := range swNode {
+		if minD[i] == 0 {
 			continue
 		}
-		if minD > bestMin || (minD == bestMin && sumD > bestSum) {
-			best, bestMin, bestSum = s, minD, sumD
+		if minD[i] > bestMin || (minD[i] == bestMin && sumD[i] > bestSum) {
+			best, bestMin, bestSum = s, minD[i], sumD[i]
 		}
 	}
 	return best

@@ -124,8 +124,8 @@ func (n *Network) sideOf(start NodeID, blocked int) []NodeID {
 		u := queue[0]
 		queue = queue[1:]
 		out = append(out, u)
-		for p := range n.nodes[u].ports {
-			wi := int(n.nodes[u].ports[p])
+		for p, w := range n.portsOf(u) {
+			wi := int(w)
 			if wi < 0 || wi == blocked {
 				continue
 			}
@@ -156,7 +156,7 @@ func (n *Network) Core() (*Network, map[NodeID]NodeID) {
 		if n.nodes[i].kind == HostNode {
 			nid = core.AddHost(n.nodes[i].name)
 		} else {
-			nid = core.AddSwitchRadix(n.nodes[i].name, len(n.nodes[i].ports))
+			nid = core.AddSwitchRadix(n.nodes[i].name, n.NumPorts(NodeID(i)))
 		}
 		old2new[id] = nid
 		new2old[nid] = id
@@ -198,7 +198,7 @@ func (n *Network) Filter(keep func(NodeID) bool) (*Network, map[NodeID]NodeID) {
 		if n.nodes[i].kind == HostNode {
 			nid = out.AddHost(n.nodes[i].name)
 		} else {
-			nid = out.AddSwitchRadix(n.nodes[i].name, len(n.nodes[i].ports))
+			nid = out.AddSwitchRadix(n.nodes[i].name, n.NumPorts(NodeID(i)))
 		}
 		old2new[id] = nid
 		new2old[nid] = id

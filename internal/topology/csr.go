@@ -34,8 +34,9 @@ type Index struct {
 	// port) pair, cabled or not, has the unique id portOff[node]+port.
 	portOff []int32
 	kinds   []Kind
-	// scratch pools *indexScratch values sized for this index.
-	scratch sync.Pool
+	// scratch pools *indexScratch values sized for this index, and
+	// diamScratch *diameterScratch values, which only Diameter borrows.
+	scratch, diamScratch sync.Pool
 }
 
 // indexScratch is the working set of one traversal, borrowed from the
@@ -46,7 +47,13 @@ type indexScratch struct {
 	disc   []int32
 	low    []int32
 	frames []dfsFrame
-	// Diameter's core graph and its per-node source bitsets.
+}
+
+// diameterScratch is Diameter's working set: the core's numbering, its
+// graph and its per-node source bitsets, pooled apart so that the searches
+// that only need a queue do not carry them.
+type diameterScratch struct {
+	coreOf, core    []int32
 	coreOff         []int32
 	coreAdj         []int32
 	flags           []uint8
@@ -79,6 +86,12 @@ func (n *Network) Index() *Index {
 			disc:   make([]int32, nn),
 			low:    make([]int32, nn),
 			frames: make([]dfsFrame, 0, nn),
+		}
+	}
+	ix.diamScratch.New = func() any {
+		return &diameterScratch{
+			coreOf: make([]int32, nn),
+			core:   make([]int32, 0, nn),
 			// off[0] stays 0: only later entries are written.
 			coreOff: make([]int32, nn+1),
 			coreAdj: make([]int32, 0, len(ix.nbr)),
@@ -91,12 +104,12 @@ func (n *Network) Index() *Index {
 	entries := 0
 	ends := int32(0)
 	for i := range n.nodes {
-		nd := &n.nodes[i]
-		ix.kinds[i] = nd.kind
+		ix.kinds[i] = n.nodes[i].kind
 		ix.portOff[i] = ends
-		ends += int32(len(nd.ports))
-		for _, w := range nd.ports {
-			if w != NoWire {
+		ports := n.portsOf(NodeID(i))
+		ends += int32(len(ports))
+		for _, w := range ports {
+			if w >= 0 {
 				entries++
 			}
 		}
@@ -107,8 +120,8 @@ func (n *Network) Index() *Index {
 	ix.wire = make([]int32, entries)
 	k := 0
 	for i := range n.nodes {
-		for p, wi := range n.nodes[i].ports {
-			if wi == NoWire {
+		for p, wi := range n.portsOf(NodeID(i)) {
+			if wi < 0 {
 				continue
 			}
 			other := n.wires[wi].Other(End{NodeID(i), p})
@@ -252,9 +265,9 @@ func (ix *Index) eccentricity(src NodeID, sc *indexScratch) int {
 //
 //sanlint:hotpath
 func (ix *Index) Diameter() int {
-	sc := ix.scratch.Get().(*indexScratch)
+	sc := ix.diamScratch.Get().(*diameterScratch)
 	d := ix.diameter(sc)
-	ix.scratch.Put(sc)
+	ix.diamScratch.Put(sc)
 	return d
 }
 
@@ -265,22 +278,22 @@ const (
 )
 
 //sanlint:hotpath
-func (ix *Index) diameter(sc *indexScratch) int {
+func (ix *Index) diameter(sc *diameterScratch) int {
 	d := 0
 	// Number the core, and settle leaf-leaf components on the way.
-	coreOf := sc.disc
-	sc.queue = sc.queue[:0]
+	coreOf := sc.coreOf
+	sc.core = sc.core[:0]
 	for u := 0; u < ix.NumNodes(); u++ {
 		coreOf[u] = -1
 		if ix.Degree(NodeID(u)) != 1 {
-			coreOf[u] = int32(len(sc.queue))
-			sc.queue = append(sc.queue, int32(u))
+			coreOf[u] = int32(len(sc.core))
+			sc.core = append(sc.core, int32(u))
 		} else if ix.Degree(NodeID(ix.nbr[ix.off[u]])) == 1 {
 			d = 1
 		}
 	}
 	// The core graph, self-loops dropped, in core ordinals; and the flags.
-	core := sc.queue
+	core := sc.core
 	off, flags := sc.coreOff[:len(core)+1], sc.flags[:len(core)]
 	sc.coreAdj = sc.coreAdj[:0]
 	for c, u := range core {

@@ -96,16 +96,30 @@ func FatTree2(spec FatTree2Spec, rng *rand.Rand) (*Network, error) {
 			return nil, fmt.Errorf("topology: FatTree2: spine %d needs radix %d > %d; add spines", i, d, MaxSwitchRadix)
 		}
 	}
+	// Every count is known here: size the tables and build the names in
+	// creation order, once.
+	hosts := l * spec.HostsPerLeaf
 	n := &Network{}
-	nm := namer{prefix: "Node"}
+	n.Grow(s+l+hosts, 2*l+l*SwitchPorts+hosts, hosts+2*l)
+	names := nameBatch{buf: make([]byte, 0, 8*(s+l+hosts)), ends: make([]int32, 0, s+l+hosts)}
+	for i := range s {
+		names.add("S", i)
+	}
+	for i := range l {
+		names.add("L", i)
+		for h := range spec.HostsPerLeaf {
+			names.add("Node", i*spec.HostsPerLeaf+h)
+		}
+	}
+	names.seal()
 	spines := make([]NodeID, s)
 	for i := range spines {
-		spines[i] = n.AddSwitchRadix(fmt.Sprintf("S%d", i), deg[i])
+		spines[i] = n.AddSwitchRadix(names.next(), deg[i])
 	}
 	for i := 0; i < l; i++ {
-		leaf := n.AddSwitch(fmt.Sprintf("L%d", i))
+		leaf := n.AddSwitch(names.next())
 		for h := 0; h < spec.HostsPerLeaf; h++ {
-			host := n.AddHost(nm.next())
+			host := n.AddHost(names.next())
 			must(connectRandomPorts(n, host, leaf, rng))
 		}
 		must(connectRandomPorts(n, leaf, spines[pairOf[i][0]], rng))

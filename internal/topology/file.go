@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Textual network format for the command-line tools:
@@ -66,9 +67,9 @@ func (n *Network) Write(w io.Writer) error {
 			buf = append(buf, "switch "...)
 		}
 		buf = append(buf, name(NodeID(i))...)
-		if nd.kind != HostNode && len(nd.ports) != SwitchPorts {
+		if nd.kind != HostNode && nd.nports != SwitchPorts {
 			buf = append(buf, ' ')
-			buf = strconv.AppendInt(buf, int64(len(nd.ports)), 10)
+			buf = strconv.AppendInt(buf, int64(nd.nports), 10)
 		}
 		buf = append(buf, '\n')
 	}
@@ -90,8 +91,8 @@ func (n *Network) Write(w io.Writer) error {
 	buf = appendSorted(buf, lines, spans)
 	lines, spans = lines[:0], spans[:0]
 	for i := range n.nodes {
-		for p, r := range n.nodes[i].reflect {
-			if r {
+		for p, w := range n.portsOf(NodeID(i)) {
+			if w == plugged {
 				lo := len(lines)
 				lines = append(lines, "reflector "...)
 				lines = append(lines, name(NodeID(i))...)
@@ -122,49 +123,81 @@ func appendSorted(buf, lines []byte, spans []lineSpan) []byte {
 	return buf
 }
 
-// ReadFrom parses the textual format into a fresh network.
+// ReadFrom parses the textual format into a fresh network. It reads r to
+// the end and parses the text as Parse does; a read error is returned when
+// the text read before it parses.
 func ReadFrom(r io.Reader) (*Network, error) {
+	data, rerr := io.ReadAll(r)
+	n, err := Parse(data)
+	if err != nil {
+		return nil, err
+	}
+	if rerr != nil {
+		return nil, rerr
+	}
+	return n, nil
+}
+
+// Parse parses the textual format into a fresh network. The text is copied
+// once and tokenised in place: every node name is a substring of that one
+// copy, and a header written by Write sizes the network's tables up front.
+// Lines follow bufio.Scanner's rules, so a line of bufio.MaxScanTokenSize
+// bytes or more fails with bufio.ErrTooLong once the lines before it have
+// parsed.
+func Parse(data []byte) (*Network, error) {
+	text := string(data)
 	n := &Network{}
-	byName := make(map[string]NodeID)
-	sc := bufio.NewScanner(r)
+	if hosts, switches, links, ok := headerCounts(text); ok {
+		// No table grows past one entry per line from a header that lies.
+		lines := strings.Count(text, "\n") + 1
+		hosts, switches = min(hosts, lines), min(switches, lines)
+		n.Grow(min(hosts+switches, lines), hosts+SwitchPorts*switches, min(links, lines))
+	}
 	lineNo := 0
 	lookup := func(name string) (NodeID, error) {
-		if id, ok := byName[name]; ok {
+		if id := n.Lookup(name); id != None {
 			return id, nil
 		}
 		return None, fmt.Errorf("line %d: unknown node %q", lineNo, name)
 	}
-	for sc.Scan() {
+	var f [5]string
+	for rest := text; rest != ""; {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
+		if len(line) >= bufio.MaxScanTokenSize {
+			return nil, bufio.ErrTooLong
+		}
+		nf := fields(line, &f)
+		if nf == 0 || f[0][0] == '#' {
 			continue
 		}
-		f := strings.Fields(line)
 		switch f[0] {
 		case "host", "switch":
-			if len(f) != 2 && !(f[0] == "switch" && len(f) == 3) {
+			if nf != 2 && !(f[0] == "switch" && nf == 3) {
 				return nil, fmt.Errorf("line %d: want '%s <name>'", lineNo, f[0])
 			}
-			if _, dup := byName[f[1]]; dup {
+			if n.Lookup(f[1]) != None {
 				return nil, fmt.Errorf("line %d: duplicate node %q", lineNo, f[1])
 			}
-			var id NodeID
 			switch {
 			case f[0] == "host":
-				id = n.AddHost(f[1])
-			case len(f) == 3:
+				n.AddHost(f[1])
+			case nf == 3:
 				radix, err := strconv.Atoi(f[2])
 				if err != nil || radix < 1 || radix > MaxSwitchRadix {
 					return nil, fmt.Errorf("line %d: bad switch radix %q", lineNo, f[2])
 				}
-				id = n.AddSwitchRadix(f[1], radix)
+				n.AddSwitchRadix(f[1], radix)
 			default:
-				id = n.AddSwitch(f[1])
+				n.AddSwitch(f[1])
 			}
-			byName[f[1]] = id
 		case "wire":
-			if len(f) != 5 {
+			if nf != 5 {
 				return nil, fmt.Errorf("line %d: want 'wire <a> <pa> <b> <pb>'", lineNo)
 			}
 			a, err := lookup(f[1])
@@ -184,7 +217,7 @@ func ReadFrom(r io.Reader) (*Network, error) {
 				return nil, fmt.Errorf("line %d: %v", lineNo, err)
 			}
 		case "reflector":
-			if len(f) != 3 {
+			if nf != 3 {
 				return nil, fmt.Errorf("line %d: want 'reflector <switch> <port>'", lineNo)
 			}
 			id, err := lookup(f[1])
@@ -202,8 +235,62 @@ func ReadFrom(r io.Reader) (*Network, error) {
 			return nil, fmt.Errorf("line %d: unknown directive %q", lineNo, f[0])
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
 	return n, nil
 }
+
+// headerCounts reads the counts off the comment line Write puts first,
+// "# H hosts, S switches, L links". They only size tables: Parse trusts
+// the lines that follow, not the header.
+func headerCounts(text string) (hosts, switches, links int, ok bool) {
+	line, _, _ := strings.Cut(text, "\n")
+	rest, ok1 := strings.CutPrefix(line, "# ")
+	h, rest, ok2 := strings.Cut(rest, " hosts, ")
+	s, rest, ok3 := strings.Cut(rest, " switches, ")
+	l, ok4 := strings.CutSuffix(rest, " links")
+	if !(ok1 && ok2 && ok3 && ok4) {
+		return 0, 0, 0, false
+	}
+	var err [3]error
+	hosts, err[0] = strconv.Atoi(h)
+	switches, err[1] = strconv.Atoi(s)
+	links, err[2] = strconv.Atoi(l)
+	if err != [3]error{} || hosts < 0 || switches < 0 || links < 0 {
+		return 0, 0, 0, false
+	}
+	return hosts, switches, links, true
+}
+
+// fields splits line around runs of white space as strings.Fields does,
+// keeping the first len(f) fields in f, and returns the field count. An
+// ASCII line is split in place; any other goes through strings.Fields,
+// which knows Unicode's spaces.
+func fields(line string, f *[5]string) int {
+	for i := 0; i < len(line); i++ {
+		if line[i] >= utf8.RuneSelf {
+			all := strings.Fields(line)
+			copy(f[:], all)
+			return len(all)
+		}
+	}
+	nf := 0
+	for i := 0; i < len(line); {
+		for i < len(line) && asciiSpace[line[i]] {
+			i++
+		}
+		if i == len(line) {
+			break
+		}
+		lo := i
+		for i < len(line) && !asciiSpace[line[i]] {
+			i++
+		}
+		if nf < len(f) {
+			f[nf] = line[lo:i]
+		}
+		nf++
+	}
+	return nf
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}

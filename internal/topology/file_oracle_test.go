@@ -29,8 +29,8 @@ func WriteOracle(n *Network, w io.Writer) error {
 		switch {
 		case n.nodes[i].kind == HostNode:
 			lines = append(lines, fmt.Sprintf("host %s", names[NodeID(i)]))
-		case len(n.nodes[i].ports) != SwitchPorts:
-			lines = append(lines, fmt.Sprintf("switch %s %d", names[NodeID(i)], len(n.nodes[i].ports)))
+		case n.NumPorts(NodeID(i)) != SwitchPorts:
+			lines = append(lines, fmt.Sprintf("switch %s %d", names[NodeID(i)], n.NumPorts(NodeID(i))))
 		default:
 			lines = append(lines, fmt.Sprintf("switch %s", names[NodeID(i)]))
 		}

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // Generators for the network families the paper discusses: fat-tree-like
@@ -34,21 +35,58 @@ func (nm *namer) next() string {
 	return s
 }
 
-// randomFreePort picks a uniformly random free port of id, or -1.
+// nameBatch builds a generator's node names in one buffer and turns them
+// into strings with one conversion: add every name in the order the nodes
+// are built, seal, then take them back in that order with next.
+type nameBatch struct {
+	buf  []byte
+	ends []int32 // name k is all[start:ends[k]], start being the end of name k-1
+	all  string
+	read int
+	from int32
+}
+
+// add appends the name prefix followed by i in decimal.
+func (b *nameBatch) add(prefix string, i int) {
+	b.buf = strconv.AppendInt(append(b.buf, prefix...), int64(i), 10)
+	b.ends = append(b.ends, int32(len(b.buf)))
+}
+
+// seal converts the batch to the one string every name slices.
+func (b *nameBatch) seal() { b.all = string(b.buf) }
+
+// next returns the next name in the order they were added.
+func (b *nameBatch) next() string {
+	lo, hi := b.from, b.ends[b.read]
+	b.from, b.read = hi, b.read+1
+	return b.all[lo:hi]
+}
+
+// randomFreePort picks a uniformly random free port of id, or -1: the k-th
+// free port in port order, k drawn from the free-port count.
 func randomFreePort(n *Network, id NodeID, rng *rand.Rand) int {
-	var free []int
-	for p := 0; p < n.NumPorts(id); p++ {
-		if n.WireAt(id, p) < 0 {
-			free = append(free, p)
+	free := 0
+	for _, w := range n.portsOf(id) {
+		if w < 0 {
+			free++
 		}
 	}
-	if len(free) == 0 {
+	if free == 0 {
 		return -1
 	}
-	if rng == nil {
-		return free[0]
+	k := 0
+	if rng != nil {
+		k = rng.Intn(free)
 	}
-	return free[rng.Intn(len(free))]
+	for p, w := range n.portsOf(id) {
+		if w < 0 {
+			if k == 0 {
+				return p
+			}
+			k--
+		}
+	}
+	panic("unreachable")
 }
 
 // connectRandomPorts cables a and b on random free ports.

@@ -10,6 +10,12 @@
 // installations used loopback cables, and the Myricom mapping algorithm
 // probes for them explicitly (§4.1).
 //
+// Storage is per structure, not per node: a Network keeps every node's
+// port table in one arena and indexes it by offset, and builders that know
+// their sizes reserve every table once with Grow. The text format (file.go)
+// is parsed in place by Parse: one copy of the text, node names sliced out
+// of it, and tables sized from the header Write puts first.
+//
 // The package also provides the graph analyses the paper relies on: the
 // diameter D, bridges and switch-bridges, the unmappable set F, the core
 // N−F (Lemma 1), and the probe-depth parameter Q (Definitions 2 and 3).
@@ -18,6 +24,8 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -92,25 +100,33 @@ func (w Wire) Other(from End) End {
 // Touches reports whether the wire has an end on node n.
 func (w Wire) Touches(n NodeID) bool { return w.A.Node == n || w.B.Node == n }
 
-// node is the internal node record.
+// node is the internal node record. Its ports live in the network's port
+// arena: node i's port p is Network.ports[off+p], for p below nports.
 type node struct {
-	kind  Kind
-	name  string
-	ports []int32 // wire index per port, NoWire if empty
-	// reflect marks ports carrying a loopback plug: a terminator that sends
-	// anything exiting the port straight back in. Myrinet installations
-	// used loopback cables on unused switch ports, and the Myricom mapping
-	// algorithm probes for them explicitly (§4.1's "loop" probes).
-	reflect []bool
+	name   string
+	off    int32
+	nports uint8 // at most MaxSwitchRadix
+	kind   Kind
 }
 
-// Network is a mutable multigraph of hosts and switches.
+// plugged is the port-arena entry of a port carrying a loopback plug: a
+// terminator that sends anything exiting the port straight back in.
+// Myrinet installations used loopback cables on unused switch ports, and
+// the Myricom mapping algorithm probes for them explicitly (§4.1's "loop"
+// probes). A plugged port holds no wire, so every test for a cable is a
+// test for an entry >= 0.
+const plugged = NoWire - 1
+
+// Network is a mutable multigraph of hosts and switches. Every node's port
+// table lives in the one ports arena, an entry per port: a wire index,
+// NoWire, or plugged.
 //
 // The zero value is an empty network ready for use. Networks are not safe
 // for concurrent mutation; the simulator and mappers treat them as
 // read-only once built.
 type Network struct {
 	nodes []node
+	ports []int32
 	wires []Wire
 	// dead marks wires removed by RemoveWire so indices stay stable.
 	dead   []bool
@@ -127,6 +143,29 @@ type Network struct {
 	// structural mutation, and the slot is atomic so concurrent readers of
 	// an unchanging network may all call Index().
 	csr atomic.Pointer[Index]
+}
+
+// portsOf returns node id's port table, aliasing the arena.
+//
+//sanlint:hotpath
+func (n *Network) portsOf(id NodeID) []int32 {
+	nd := &n.nodes[id]
+	end := nd.off + int32(nd.nports)
+	return n.ports[nd.off:end:end]
+}
+
+// Grow reserves room for nodes more nodes carrying ports more ports
+// between them, and for wires more wires, so that a builder that knows
+// its sizes fills each table without growing it again. It changes nothing
+// else: ids, wire indices and Version stay as they are.
+func (n *Network) Grow(nodes, ports, wires int) {
+	n.nodes = slices.Grow(n.nodes, nodes)
+	n.ports = slices.Grow(n.ports, ports)
+	n.wires = slices.Grow(n.wires, wires)
+	n.dead = slices.Grow(n.dead, wires)
+	if n.byName == nil && nodes > 0 {
+		n.byName = make(map[string]NodeID, nodes)
+	}
 }
 
 // Version reports the structural mutation counter: it changes whenever a
@@ -167,9 +206,7 @@ func (n *Network) AddSwitchRadix(name string, radix int) NodeID {
 func (n *Network) MaxPorts() int {
 	m := 0
 	for i := range n.nodes {
-		if p := len(n.nodes[i].ports); p > m {
-			m = p
-		}
+		m = max(m, int(n.nodes[i].nports))
 	}
 	return m
 }
@@ -184,11 +221,12 @@ func (n *Network) addNode(kind Kind, name string, ports int) NodeID {
 		}
 		n.byName[name] = NodeID(len(n.nodes))
 	}
-	p := make([]int32, ports)
-	for i := range p {
-		p[i] = NoWire
+	off := len(n.ports)
+	n.ports = slices.Grow(n.ports, ports)[:off+ports]
+	for i := off; i < len(n.ports); i++ {
+		n.ports[i] = NoWire
 	}
-	n.nodes = append(n.nodes, node{kind: kind, name: name, ports: p})
+	n.nodes = append(n.nodes, node{kind: kind, name: name, off: int32(off), nports: uint8(ports)})
 	n.version++
 	return NodeID(len(n.nodes) - 1)
 }
@@ -209,8 +247,8 @@ func (n *Network) Connect(a NodeID, ap int, b NodeID, bp int) (int, error) {
 	w := int32(len(n.wires))
 	n.wires = append(n.wires, Wire{A: End{a, ap}, B: End{b, bp}})
 	n.dead = append(n.dead, false)
-	n.nodes[a].ports[ap] = w
-	n.nodes[b].ports[bp] = w
+	n.ports[n.nodes[a].off+int32(ap)] = w
+	n.ports[n.nodes[b].off+int32(bp)] = w
 	n.version++
 	return int(w), nil
 }
@@ -235,9 +273,9 @@ func (n *Network) ConnectFree(a, b NodeID) (wire, ap, bp int, err error) {
 	bp = n.FreePort(b)
 	if a == b {
 		// A self-loop cable needs two distinct free ports.
-		for bp == ap || (bp >= 0 && n.nodes[b].ports[bp] != NoWire) {
+		for bp == ap || (bp >= 0 && n.portsOf(b)[bp] >= 0) {
 			bp++
-			if bp >= len(n.nodes[b].ports) {
+			if bp >= n.NumPorts(b) {
 				bp = -1
 				break
 			}
@@ -254,15 +292,15 @@ func (n *Network) checkEnd(id NodeID, port int) error {
 	if id < 0 || int(id) >= len(n.nodes) {
 		return fmt.Errorf("topology: node %d out of range", id)
 	}
-	nd := &n.nodes[id]
-	if port < 0 || port >= len(nd.ports) {
-		return fmt.Errorf("topology: port %d out of range for %s %d", port, nd.kind, id)
+	kind, ports := n.nodes[id].kind, n.portsOf(id)
+	if port < 0 || port >= len(ports) {
+		return fmt.Errorf("topology: port %d out of range for %s %d", port, kind, id)
 	}
-	if nd.ports[port] != NoWire {
-		return fmt.Errorf("topology: port %d of %s %d already cabled", port, nd.kind, id)
+	if ports[port] >= 0 {
+		return fmt.Errorf("topology: port %d of %s %d already cabled", port, kind, id)
 	}
-	if nd.reflect != nil && nd.reflect[port] {
-		return fmt.Errorf("topology: port %d of %s %d carries a loopback plug", port, nd.kind, id)
+	if ports[port] == plugged {
+		return fmt.Errorf("topology: port %d of %s %d carries a loopback plug", port, kind, id)
 	}
 	return nil
 }
@@ -276,10 +314,7 @@ func (n *Network) AddReflector(id NodeID, port int) error {
 	if n.nodes[id].kind != SwitchNode {
 		return fmt.Errorf("topology: loopback plugs go on switches, not %s %d", n.nodes[id].kind, id)
 	}
-	if n.nodes[id].reflect == nil {
-		n.nodes[id].reflect = make([]bool, len(n.nodes[id].ports))
-	}
-	n.nodes[id].reflect[port] = true
+	n.portsOf(id)[port] = plugged
 	n.version++
 	return nil
 }
@@ -288,16 +323,16 @@ func (n *Network) AddReflector(id NodeID, port int) error {
 //
 //sanlint:hotpath
 func (n *Network) ReflectorAt(id NodeID, port int) bool {
-	nd := &n.nodes[id]
-	return nd.reflect != nil && port >= 0 && port < len(nd.reflect) && nd.reflect[port]
+	ports := n.portsOf(id)
+	return port >= 0 && port < len(ports) && ports[port] == plugged
 }
 
 // Reflectors returns all loopback-plugged ends.
 func (n *Network) Reflectors() []End {
 	var out []End
 	for i := range n.nodes {
-		for p, r := range n.nodes[i].reflect {
-			if r {
+		for p, w := range n.portsOf(NodeID(i)) {
+			if w == plugged {
 				out = append(out, End{NodeID(i), p})
 			}
 		}
@@ -312,8 +347,8 @@ func (n *Network) RemoveWire(w int) error {
 		return fmt.Errorf("topology: no wire %d", w)
 	}
 	wire := n.wires[w]
-	n.nodes[wire.A.Node].ports[wire.A.Port] = NoWire
-	n.nodes[wire.B.Node].ports[wire.B.Port] = NoWire
+	n.portsOf(wire.A.Node)[wire.A.Port] = NoWire
+	n.portsOf(wire.B.Node)[wire.B.Port] = NoWire
 	n.dead[w] = true
 	n.nDead++
 	n.version++
@@ -374,17 +409,18 @@ func (n *Network) LookupBytes(name []byte) NodeID {
 // NumPorts reports the port count of node id (8 for switches, 1 for hosts).
 //
 //sanlint:hotpath
-func (n *Network) NumPorts(id NodeID) int { return len(n.nodes[id].ports) }
+func (n *Network) NumPorts(id NodeID) int { return int(n.nodes[id].nports) }
 
 // WireAt returns the index of the wire cabled to (id, port), or -1.
 //
 //sanlint:hotpath
 func (n *Network) WireAt(id NodeID, port int) int {
 	nd := &n.nodes[id]
-	if port < 0 || port >= len(nd.ports) {
+	if port < 0 || port >= int(nd.nports) {
 		return -1
 	}
-	return int(nd.ports[port])
+	// A loopback plug holds no wire.
+	return int(max(n.ports[int(nd.off)+port], NoWire))
 }
 
 // Neighbor follows the wire at (id, port) and returns the opposite end.
@@ -448,8 +484,8 @@ func (n *Network) WiresIndexed(f func(index int, w Wire)) {
 // contributes two.
 func (n *Network) Degree(id NodeID) int {
 	d := 0
-	for _, w := range n.nodes[id].ports {
-		if w != NoWire {
+	for _, w := range n.portsOf(id) {
+		if w >= 0 {
 			d++
 		}
 	}
@@ -458,8 +494,8 @@ func (n *Network) Degree(id NodeID) int {
 
 // FreePort returns the lowest-numbered empty port of id, or -1.
 func (n *Network) FreePort(id NodeID) int {
-	for p, w := range n.nodes[id].ports {
-		if w == NoWire {
+	for p, w := range n.portsOf(id) {
+		if w < 0 {
 			return p
 		}
 	}
@@ -537,26 +573,15 @@ func (n *Network) MappingHost(utility, override string) (NodeID, error) {
 
 // Clone returns a deep copy of the network.
 func (n *Network) Clone() *Network {
-	c := &Network{
-		nodes:   make([]node, len(n.nodes)),
-		wires:   append([]Wire(nil), n.wires...),
-		dead:    append([]bool(nil), n.dead...),
+	return &Network{
+		nodes:   slices.Clone(n.nodes),
+		ports:   slices.Clone(n.ports),
+		wires:   slices.Clone(n.wires),
+		dead:    slices.Clone(n.dead),
 		nDead:   n.nDead,
+		byName:  maps.Clone(n.byName),
 		version: n.version,
 	}
-	for i, nd := range n.nodes {
-		c.nodes[i] = node{kind: nd.kind, name: nd.name, ports: append([]int32(nil), nd.ports...)}
-		if nd.reflect != nil {
-			c.nodes[i].reflect = append([]bool(nil), nd.reflect...)
-		}
-	}
-	if n.byName != nil {
-		c.byName = make(map[string]NodeID, len(n.byName))
-		for k, v := range n.byName {
-			c.byName[k] = v
-		}
-	}
-	return c
 }
 
 // Validate checks the structural invariants of the model: port ranges,
@@ -565,13 +590,13 @@ func (n *Network) Clone() *Network {
 func (n *Network) Validate() error {
 	names := make(map[string]NodeID)
 	for i := range n.nodes {
-		nd := &n.nodes[i]
+		nd, ports := &n.nodes[i], n.portsOf(NodeID(i))
 		if nd.kind == HostNode {
-			if len(nd.ports) != 1 {
-				return fmt.Errorf("node %d: host has %d ports, want 1", i, len(nd.ports))
+			if len(ports) != 1 {
+				return fmt.Errorf("node %d: host has %d ports, want 1", i, len(ports))
 			}
-		} else if len(nd.ports) < 1 || len(nd.ports) > MaxSwitchRadix {
-			return fmt.Errorf("node %d: switch has %d ports, want 1..%d", i, len(nd.ports), MaxSwitchRadix)
+		} else if len(ports) < 1 || len(ports) > MaxSwitchRadix {
+			return fmt.Errorf("node %d: switch has %d ports, want 1..%d", i, len(ports), MaxSwitchRadix)
 		}
 		if nd.name != "" {
 			if prev, dup := names[nd.name]; dup {
@@ -579,8 +604,8 @@ func (n *Network) Validate() error {
 			}
 			names[nd.name] = NodeID(i)
 		}
-		for p, wi := range nd.ports {
-			if wi == NoWire {
+		for p, wi := range ports {
+			if wi < 0 {
 				continue
 			}
 			if wi < 0 || int(wi) >= len(n.wires) || n.dead[wi] {
@@ -601,7 +626,7 @@ func (n *Network) Validate() error {
 			if e.Node < 0 || int(e.Node) >= len(n.nodes) {
 				return fmt.Errorf("wire %d end %v: node out of range", wi, e)
 			}
-			if got := n.nodes[e.Node].ports[e.Port]; got != int32(wi) {
+			if got := n.portsOf(e.Node)[e.Port]; got != int32(wi) {
 				return fmt.Errorf("wire %d end %v: port table says wire %d", wi, e, got)
 			}
 		}
