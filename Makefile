@@ -2,14 +2,17 @@ GO ?= go
 
 # Packages with concurrency-sensitive code (the pipelined probe engine and
 # everything layered on it, plus the event queue, the process engine, worm
-# simulator, experiment drivers, telemetry and the route table, whose rows
-# are written on first read by whichever goroutine reads them and must equal
-# an eagerly written copy) get a dedicated race-detector lane.
+# simulator, experiment drivers, telemetry, the route table, whose leaves
+# are built and rows written on first read by whichever goroutine reads
+# them and must equal an eagerly built copy, and the topology index, whose
+# searches share pooled scratch across goroutines) get a dedicated
+# race-detector lane. Under -race, sync.Pool drops pooled items on purpose,
+# so the topology tests assert no allocation counts there.
 RACE_PKGS = ./internal/simnet/... ./internal/mapper/... ./internal/connet/... \
 	./internal/election/... ./internal/eventq/... ./internal/desim/... \
 	./internal/wormsim/... ./internal/experiments/... ./internal/obs/... \
 	./internal/mapd/... ./internal/workload/... ./internal/loadsim/... \
-	./internal/place/... ./internal/routes/...
+	./internal/place/... ./internal/routes/... ./internal/topology/...
 # cmd/sanload replays its three tables on concurrent goroutines, so it rides
 # the race and shuffle lanes too — under -short, which keeps the 25 s
 # TestScaleMillionWorms out of the race detector.
@@ -297,9 +300,11 @@ bench-large:
 # fat-tree (BuildFatTree768, MapFatTree768 with the daemon's options and
 # ReadTopologyFatTree768, the snapshot's parse, each at a ceiling on
 # allocs/op), its two start-up layers on the same fabric (Q+D, at a fixed
-# handful of allocations, and the route table's templates, under 7 MB
-# written per build and at most 0.6x the table with every row written, plus
-# the table's lookup and a whole served route query, each at 0 allocs/op),
+# handful of allocations, and the route table up to its up-only closure,
+# under 7 MB written per build and at most 0.6x the table with every leaf
+# built and every row written, and with one first lookup, which builds one
+# leaf, at most 0.15x of it; plus the table's lookup and a whole served
+# route query, each at 0 allocs/op),
 # the load report's plan draw, merge and replays (on allocs/op alone), its
 # replay in the
 # blocked regime (internal/loadsim, beside the heap-driven replay it
@@ -321,7 +326,7 @@ bench-gate:
 	   $(GO) test -bench 'LoadReplay|LoadReport|NewPlan|PlanMerge' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench LoadReplaySaturated -benchtime 20x -count 3 -run ^$$ ./internal/loadsim && \
 	   $(GO) test -bench PlaceOptimize -benchtime 20x -count 3 -run ^$$ ./internal/place && \
-	   $(GO) test -bench 'BuildFatTree768|MapFatTree768|ReadTopologyFatTree768|DepthBoundFatTree768|RoutesComputeFatTree768|RoutesTableFatTree768|RouteLookup|ServeRoute' -benchtime 100x -count 3 -run ^$$ . && \
+	   $(GO) test -bench 'BuildFatTree768|MapFatTree768|ReadTopologyFatTree768|DepthBoundFatTree768|RoutesComputeFatTree768|RoutesFirstLookupFatTree768|RoutesTableFatTree768|RouteLookup|ServeRoute' -benchtime 100x -count 3 -run ^$$ . && \
 	   $(GO) test -bench 'MapFatTree1k|IndexDiameter1k$$|IndexDiameter1kReference$$' -benchtime 20x -count 3 -run ^$$ . ; } | \
 		$(GO) run ./cmd/sanbench -gate $(BENCH_BASELINE)
 

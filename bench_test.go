@@ -826,10 +826,11 @@ func BenchmarkReadTopologyFatTree768(b *testing.B) {
 	}
 }
 
-// BenchmarkRoutesComputeFatTree768 is the second: the full §5.5 pipeline
-// for 589,056 ordered host pairs, paid on every start, heal and restart —
-// up to the leaf-pair templates, from which each host's row is written
-// when a lookup first reads it.
+// BenchmarkRoutesComputeFatTree768 is the second: the §5.5 pipeline for
+// 589,056 ordered host pairs as every start, heal and restart pays for it
+// — the root, the labels and the up-only closure. Each leaf switch's
+// routes are built, and each host's row written, when a lookup first
+// reads them.
 func BenchmarkRoutesComputeFatTree768(b *testing.B) {
 	net, _ := fatTree768(b)
 	b.ReportAllocs()
@@ -843,12 +844,32 @@ func BenchmarkRoutesComputeFatTree768(b *testing.B) {
 	}
 }
 
-// BenchmarkRoutesTableFatTree768 is the same table with every row written:
-// Compute, then every ordered pair through Pairs, as loadsim, place and the
-// verifiers read it. Compute writes only the leaf-pair templates and rows
-// are written on first read, so the full fill is measured here; the
-// Compute lane is gated at a fraction of this one, so an eager fill cannot
-// come back into Compute unseen.
+// BenchmarkRoutesFirstLookupFatTree768 is what a commit's first answered
+// route query pays for the table: Compute, then one Route, which builds
+// the source's leaf and writes the source's row. Gated at a fraction of
+// the Table lane, so a build of every leaf cannot come back into the first
+// lookup unseen.
+func BenchmarkRoutesFirstLookupFatTree768(b *testing.B) {
+	net, _ := fatTree768(b)
+	hosts := net.Hosts()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tab, err := routes.Compute(net, routes.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, _ := tab.Route(hosts[0], hosts[len(hosts)-1])
+		benchSink += len(r)
+	}
+}
+
+// BenchmarkRoutesTableFatTree768 is the same table with every leaf built
+// and every row written: Compute, then every ordered pair through Pairs, as
+// loadsim, place and the verifiers read it. Compute builds no leaf and
+// rows are written on first read, so the full fill is measured here; the
+// Compute and FirstLookup lanes are gated at fractions of this one, so an
+// eager fill cannot come back into either unseen.
 func BenchmarkRoutesTableFatTree768(b *testing.B) {
 	net, _ := fatTree768(b)
 	b.ReportAllocs()
@@ -865,13 +886,18 @@ func BenchmarkRoutesTableFatTree768(b *testing.B) {
 // BenchmarkRouteLookup is the serve path's table read. One op is a strided
 // walk of 65536 host pairs over the 768-host table, a Route plus a WirePath
 // each (long enough that -benchtime 100x times it stably); ns/lookup is the
-// per-pair figure. Gated at 0 allocs/op.
+// per-pair figure. Gated at 0 allocs/op. The leaves' builds, one or two
+// allocations each, happen before the timer: the Table and FirstLookup
+// lanes measure them.
 func BenchmarkRouteLookup(b *testing.B) {
 	net, _ := fatTree768(b)
 	tab, err := routes.Compute(net, routes.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
+	// Every leaf built and every row written first: the table as it serves
+	// once each source has been looked up, so an op is lookups alone.
+	tab.Pairs(func(_, _ topology.NodeID, _ routes.Path) {})
 	hosts := net.Hosts()
 	const sweep = 1 << 16
 	b.ReportAllocs()

@@ -24,9 +24,11 @@
 //     line-delimited JSON, always against an atomically-swapped immutable
 //     Snapshot of the latest epoch; queries never block on healing. A
 //     commit builds the next Snapshot — parse the network text, compute
-//     the route table — on one helper goroutine while the world loop
-//     encodes the checkpoint and writes the epoch, joins it on every path,
-//     and publishes only after the durable write returned. A query
+//     the route table up to its up-only closure — on one helper goroutine
+//     while the world loop encodes the checkpoint and writes the epoch,
+//     joins it on every path, and publishes only after the durable write
+//     returned. The first route query from a host on a leaf switch builds
+//     that leaf's routes, once per snapshot. A query on a built leaf
 //     allocates nothing: requests in the canonical form are scanned in
 //     place, replies are appended to the connection's buffer, which is
 //     written out when the next read would block, and what depends on the

@@ -68,7 +68,9 @@ type Snapshot struct {
 // buildSnapshot materializes the serving state for a committed epoch from
 // its metadata and network text alone. The route table is computed here,
 // once — beside the epoch's durable write on a commit, on the world loop at
-// a restart — and queries only ever read it.
+// a restart — up to its up-only closure; each leaf switch's routes are
+// built by the first query from one of its hosts, and queries otherwise
+// only read it.
 func buildSnapshot(meta EpochMeta, netText []byte) (*Snapshot, error) {
 	topo, err := topology.Parse(netText)
 	if err != nil {

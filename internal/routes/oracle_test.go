@@ -369,3 +369,239 @@ func oracleDeadlockFree(net *topology.Network, o *oracleTable) bool {
 	}
 	return true
 }
+
+// eagerTable is the table the leaves built on first lookup replaced: the
+// meeting-node scan of every leaf pair in one serial pass (or one BFS per
+// leaf for ShortestPaths), every leaf pair's template, every row's cells
+// placed in one arena, and every row written from the templates. Kept as
+// the reference the lazily built tables are compared against; it shares
+// only the labels and the wiring snapshot with them.
+type eagerTable struct {
+	ord   []int32 // host ordinal per node, -1 for a switch
+	cells []uint32
+	row   []int32 // per host ordinal, its row's cells in cells
+	start []uint32
+	turns []simnet.Turn
+}
+
+// Route returns the turns the eager table holds for src → dst.
+func (e *eagerTable) Route(src, dst topology.NodeID) (simnet.Route, bool) {
+	n := topology.NodeID(len(e.ord))
+	if src == dst || src < 0 || dst < 0 || src >= n || dst >= n || e.ord[src] < 0 || e.ord[dst] < 0 {
+		return nil, false
+	}
+	si, di := e.ord[src], e.ord[dst]
+	c := e.cells[e.row[si]+di:]
+	return e.turns[e.start[si]+c[0] : e.start[si]+c[1]], true
+}
+
+// eagerLeaves gives every host its leaf ordinal and port, leaves numbered
+// in the order their first host appears.
+func eagerLeaves(net *topology.Network) (leaves []topology.NodeID, lord []int32, port []simnet.Turn, err error) {
+	lordOf := make([]int32, net.NumNodes())
+	for _, h := range net.Hosts() {
+		far, ok := net.Neighbor(h, topology.HostPort)
+		if !ok || net.KindOf(far.Node) != topology.SwitchNode {
+			return nil, nil, nil, fmt.Errorf("routes: host %s is not cabled to a switch", net.NameOf(h))
+		}
+		if lordOf[far.Node] == 0 {
+			leaves = append(leaves, far.Node)
+			lordOf[far.Node] = int32(len(leaves))
+		}
+		lord, port = append(lord, lordOf[far.Node]-1), append(port, simnet.Turn(far.Port))
+	}
+	return leaves, lord, port, nil
+}
+
+// eagerNoPath reports leaf pair (i, j) unroutable under its first host pair.
+func eagerNoPath(net *topology.Network, lord []int32, what string, i, j int) error {
+	hosts := net.Hosts()
+	s, d := hosts[slices.Index(lord, int32(i))], hosts[slices.Index(lord, int32(j))]
+	return fmt.Errorf("routes: no %s %s -> %s", what, net.NameOf(s), net.NameOf(d))
+}
+
+// eagerCompute is Compute with the eager all-pairs pass.
+func eagerCompute(net *topology.Network, cfg Config) (*eagerTable, error) {
+	root := cfg.Root
+	if root == topology.None {
+		root = ChooseRoot(net, cfg.IgnoreHosts...)
+	}
+	t := &Table{Net: net, Root: root, ends: newEnds(net)}
+	t.label()
+	leafNodes, lord, port, err := eagerLeaves(net)
+	if err != nil {
+		return nil, err
+	}
+	swNode := net.Switches()
+	S := len(swNode)
+	sw := make([]int32, net.NumNodes())
+	for i, s := range swNode {
+		sw[s] = int32(i)
+	}
+	up, via := make([]int32, S*S), make([]int32, S*S)
+	for i := range up {
+		up[i], via[i] = inf, -1
+	}
+	for i := 0; i < S; i++ {
+		up[i*S+i] = 0
+	}
+	ix := t.ends.ix
+	net.WiresIndexed(func(wi int, w topology.Wire) {
+		if w.A.Node == w.B.Node || net.KindOf(w.A.Node) != topology.SwitchNode || net.KindOf(w.B.Node) != topology.SwitchNode {
+			return
+		}
+		for _, from := range [2]topology.End{w.A, w.B} {
+			if !t.isUp(from, w.Other(from)) {
+				continue
+			}
+			k := int(sw[from.Node])*S + int(sw[w.Other(from).Node])
+			if up[k] > 1 {
+				up[k], via[k] = 1, ix.EndID(from.Node, from.Port)
+			}
+		}
+	})
+	for k := 0; k < S; k++ {
+		for i := 0; i < S; i++ {
+			uik := up[i*S+k]
+			if uik == inf {
+				continue
+			}
+			for j := 0; j < S; j++ {
+				if d := uik + up[k*S+j]; d < up[i*S+j] {
+					up[i*S+j], via[i*S+j] = d, via[i*S+k]
+				}
+			}
+		}
+	}
+	// climb: the up path from switch ordinal a to w as template turns, and
+	// the port it arrives at w on.
+	climb := func(a, w int) (turns []simnet.Turn, in simnet.Turn) {
+		for a != w {
+			e := via[a*S+w]
+			turns = append(turns, simnet.Turn(t.ends.at[e].Port)-in)
+			far := t.ends.at[t.ends.peer[e]]
+			in, a = simnet.Turn(far.Port), int(sw[far.Node])
+		}
+		return turns, in
+	}
+	L := len(leafNodes)
+	tmpl := make([][]simnet.Turn, L*L)
+	for i, a := range leafNodes {
+		for j, b := range leafNodes {
+			if i == j {
+				tmpl[i*L+j] = []simnet.Turn{0}
+				continue
+			}
+			ai, bj := int(sw[a]), int(sw[b])
+			bestW, bestC := -1, inf
+			for w := 0; w < S; w++ {
+				if up[ai*S+w] == inf {
+					continue
+				}
+				if c := up[ai*S+w] + up[bj*S+w]; c < bestC {
+					bestC, bestW = c, w
+				}
+			}
+			if bestW < 0 {
+				return nil, eagerNoPath(net, lord, "compliant path", i, j)
+			}
+			src, srcIn := climb(ai, bestW)
+			dst, dstIn := climb(bj, bestW)
+			cell := append(slices.Clone(src), dstIn-srcIn)
+			for k := len(dst) - 1; k >= 0; k-- {
+				cell = append(cell, -dst[k])
+			}
+			tmpl[i*L+j] = cell
+		}
+	}
+	return eagerLayout(net, lord, port, tmpl), nil
+}
+
+// eagerShortestPaths is ShortestPaths with one BFS per leaf, all up front.
+func eagerShortestPaths(net *topology.Network) (*eagerTable, error) {
+	leafNodes, lord, port, err := eagerLeaves(net)
+	if err != nil {
+		return nil, err
+	}
+	e := newEnds(net)
+	L := len(leafNodes)
+	tmpl := make([][]simnet.Turn, L*L)
+	prevEnd := make([]int32, net.NumNodes())
+	dist := make([]int, net.NumNodes())
+	for i, a := range leafNodes {
+		for k := range dist {
+			dist[k] = -1
+		}
+		dist[a] = 0
+		queue := []topology.NodeID{a}
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for p := range net.NumPorts(u) {
+				k := e.ix.EndID(u, p)
+				if e.peer[k] < 0 {
+					continue
+				}
+				v := e.at[e.peer[k]].Node
+				if v == u || dist[v] >= 0 {
+					continue
+				}
+				dist[v] = dist[u] + 1
+				prevEnd[v] = k
+				queue = append(queue, v)
+			}
+		}
+		for j, b := range leafNodes {
+			if dist[b] < 0 {
+				return nil, eagerNoPath(net, lord, "path", i, j)
+			}
+			cell, cur, out := make([]simnet.Turn, dist[b]+1), b, 0
+			for k := dist[b]; k > 0; k-- {
+				pe := prevEnd[cur]
+				cell[k] = simnet.Turn(out - e.at[e.peer[pe]].Port)
+				out, cur = e.at[pe].Port, e.at[pe].Node
+			}
+			cell[0] = simnet.Turn(out)
+			tmpl[i*L+j] = cell
+		}
+	}
+	return eagerLayout(net, lord, port, tmpl), nil
+}
+
+// eagerLayout places every row's cells in one arena and writes every row
+// from the leaf-pair templates: the source's port subtracted from the
+// first turn, the destination's added to the last.
+func eagerLayout(net *topology.Network, lord []int32, port []simnet.Turn, tmpl [][]simnet.Turn) *eagerTable {
+	hosts := net.Hosts()
+	H, L := len(hosts), int(slices.Max(lord))+1
+	e := &eagerTable{ord: make([]int32, net.NumNodes()), cells: make([]uint32, L*(H+1)), row: make([]int32, H), start: make([]uint32, H)}
+	for i := range e.ord {
+		e.ord[i] = -1
+	}
+	for i, h := range hosts {
+		e.ord[h] = int32(i)
+	}
+	rowLen := make([]uint32, L)
+	for i := range L {
+		pos := uint32(0)
+		for di, j := range lord {
+			e.cells[i*(H+1)+di] = pos
+			pos += uint32(len(tmpl[i*L+int(j)]))
+		}
+		e.cells[i*(H+1)+H], rowLen[i] = pos, pos
+	}
+	size := uint32(0)
+	for si, i := range lord {
+		e.row[si], e.start[si] = i*int32(H+1), size
+		size += rowLen[i]
+	}
+	e.turns = make([]simnet.Turn, 0, size)
+	for si, i := range lord {
+		for di, j := range lord {
+			cell := slices.Clone(tmpl[int(i)*L+int(j)])
+			cell[0] -= port[si]
+			cell[len(cell)-1] += port[di]
+			e.turns = append(e.turns, cell...)
+		}
+	}
+	return e
+}

@@ -8,11 +8,11 @@ import (
 // Path is the wire path of one route, derived from its turns and the map:
 // the route leaves its source host by the host port, and at each switch
 // leaves by the port it entered on plus the next turn. The zero Path is
-// empty. A Path aliases the table's arena; it allocates nothing.
+// empty. A Path aliases its source leaf's arena; it allocates nothing.
 type Path struct {
-	t      *Table
+	lf     *leaf
 	src    topology.NodeID
-	lo, hi uint32 // the route's bounds in t's arena
+	lo, hi uint32 // the route's bounds in lf's arena
 }
 
 // Len reports the number of wires on the path: one more than the route has
@@ -20,7 +20,7 @@ type Path struct {
 //
 //sanlint:hotpath
 func (p Path) Len() int {
-	if p.t == nil {
+	if p.lf == nil {
 		return 0
 	}
 	return int(p.hi-p.lo) + 1
@@ -31,10 +31,10 @@ func (p Path) Len() int {
 //
 //sanlint:hotpath
 func (p Path) Route() simnet.Route {
-	if p.t == nil {
+	if p.lf == nil {
 		return nil
 	}
-	return p.t.turns[p.lo:p.hi:p.hi]
+	return p.lf.turns[p.lo:p.hi:p.hi]
 }
 
 // Walk returns a cursor before the path's first wire:
@@ -45,18 +45,18 @@ func (p Path) Route() simnet.Route {
 //
 //sanlint:hotpath
 func (p Path) Walk() Walker {
-	if p.t == nil {
+	if p.lf == nil {
 		return Walker{} // past the last turn already
 	}
-	return Walker{t: p.t, pos: p.lo, end: p.hi, to: ^p.t.ends.ix.EndID(p.src, topology.HostPort)}
+	return Walker{lf: p.lf, pos: p.lo, end: p.hi, to: ^p.lf.ix.EndID(p.src, topology.HostPort)}
 }
 
 // Walker steps along a Path one wire at a time, in the end ids of the
 // table's wiring snapshot. Its four fields fit in 24 bytes, small enough
 // for the compiler to keep them in registers.
 type Walker struct {
-	t        *Table
-	pos, end uint32 // the next turn to take and the route's end, in t's arena
+	lf       *leaf
+	pos, end uint32 // the next turn to take and the route's end, in lf's arena
 	// to is the end the current wire is left by; before the first wire it
 	// is ^e for the source's host end e.
 	to int32
@@ -68,13 +68,13 @@ type Walker struct {
 func (w *Walker) Next() bool {
 	switch {
 	case w.to < 0:
-		w.to = w.t.ends.peer[^w.to]
+		w.to = w.lf.peer[^w.to]
 	case w.pos == w.end:
 		return false
 	default:
 		// Ports of one node have consecutive end ids, so the turn applies
 		// to the id as it does to the port.
-		w.to = w.t.ends.peer[w.to+int32(w.t.turns[w.pos])]
+		w.to = w.lf.peer[w.to+int32(w.lf.turns[w.pos])]
 		w.pos++
 	}
 	return true
@@ -83,7 +83,7 @@ func (w *Walker) Next() bool {
 // Wire returns the current wire's index.
 //
 //sanlint:hotpath
-func (w *Walker) Wire() int { return int(w.t.ends.link[w.to] >> 1) }
+func (w *Walker) Wire() int { return int(w.lf.link[w.to] >> 1) }
 
 // Channel returns the current wire with its direction, the unit of the
 // deadlock analysis and the link numbering loadsim and place share:
@@ -91,24 +91,24 @@ func (w *Walker) Wire() int { return int(w.t.ends.link[w.to] >> 1) }
 // B end.
 //
 //sanlint:hotpath
-func (w *Walker) Channel() int { return int(w.t.ends.link[w.to]) }
+func (w *Walker) Channel() int { return int(w.lf.link[w.to]) }
 
 // From returns the end the route enters the current wire by.
 //
 //sanlint:hotpath
-func (w *Walker) From() topology.End { return w.t.ends.at[w.t.ends.peer[w.to]] }
+func (w *Walker) From() topology.End { return w.lf.at[w.lf.peer[w.to]] }
 
 // To returns the end the route leaves the current wire by.
 //
 //sanlint:hotpath
-func (w *Walker) To() topology.End { return w.t.ends.at[w.to] }
+func (w *Walker) To() topology.End { return w.lf.at[w.to] }
 
 // ends is the wiring a table was computed on, as flat per-end tables: the
-// only input of a walk, so walks keep following it if Net is changed
-// later. End ids are the CSR index's (topology.Index.EndID); at[e] is end
-// e itself, peer[e] the end across its wire, and link[e] the channel that
-// arrives by e, as Walker.Channel numbers them. peer and link are -1 at an
-// empty port.
+// only input of a walk and of a leaf's build, so walks and builds keep
+// following it if Net is changed later. End ids are the CSR index's
+// (topology.Index.EndID); at[e] is end e itself, peer[e] the end across
+// its wire, and link[e] the channel that arrives by e, as Walker.Channel
+// numbers them. peer and link are -1 at an empty port.
 type ends struct {
 	ix   *topology.Index
 	at   []topology.End

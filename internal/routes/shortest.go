@@ -25,69 +25,64 @@ func ShortestPaths(net *topology.Network) (*Table, error) {
 	if !net.IsConnected() {
 		return nil, fmt.Errorf("routes: network is disconnected")
 	}
-	t := newTable(net, topology.None)
-	leaves, err := t.leaves()
+	t, err := newTable(net, topology.None)
 	if err != nil {
 		return nil, err
 	}
-	// A host has one wire, so a shortest path from it is its wire, then a
-	// shortest path from its leaf: one BFS per leaf over the wiring's end
-	// tables (ports in port order, matching the historical per-host scan)
-	// records the route between every two leaves as a template, the same
-	// form Compute writes. The buffers are reused across leaves.
-	ix, at, peer := t.ends.ix, t.ends.at, t.ends.peer
-	L := len(leaves)
-	prevEnd := make([]int32, net.NumNodes()) // the end a shortest path to the node leaves its parent by
-	dist := make([]int, net.NumNodes())
-	queue := make([]topology.NodeID, 0, net.NumNodes())
-	paths := make([]leafPath, L*L)
-	var tmpl []simnet.Turn
-	for i, a := range leaves {
-		for k := range dist {
-			dist[k] = -1
-		}
-		dist[a] = 0
-		queue = append(queue[:0], a)
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for e := ix.EndID(u, 0); e < ix.EndID(u, net.NumPorts(u)); e++ {
-				if peer[e] < 0 {
-					continue
-				}
-				v := at[peer[e]].Node
-				if v == u || dist[v] >= 0 {
-					continue
-				}
-				dist[v] = dist[u] + 1
-				prevEnd[v] = e
-				queue = append(queue, v)
-			}
-		}
-		for j, b := range leaves {
-			if dist[b] < 0 {
-				return nil, t.noPath("path", i, j)
-			}
-			lo, n := len(tmpl), dist[b]+1
-			paths[i*L+j] = leafPath{lo: int32(lo), n: int32(n)}
-			tmpl = slices.Grow(tmpl, n)[:lo+n]
-			// Walk back from b to a, writing the template from its end:
-			// at each switch the port it leaves by minus the port it
-			// arrived on, the port leaving a first, minus the one
-			// arriving at b last.
-			cell, cur, out := tmpl[lo:lo+n], b, 0
-			for k := n - 1; k > 0; k-- {
-				e := prevEnd[cur]
-				cell[k] = simnet.Turn(out - at[peer[e]].Port)
-				out, cur = at[e].Port, at[e].Node
-			}
-			cell[0] = simnet.Turn(out)
-		}
-	}
-	t.nleaf, t.paths, t.tmpl = L, paths, append(tmpl, make([]simnet.Turn, tmplPad)...)
-	if err := t.layout(); err != nil {
-		return nil, err
-	}
+	t.b.dist, t.b.prevEnd = make([]int32, net.NumNodes()), make([]int32, net.NumNodes())
 	return t, nil
+}
+
+// searchFrom writes the templates of every route from leaf i, the
+// ShortestPaths table's. A host has one wire, so a shortest path from it
+// is its wire, then a shortest path from its leaf: one BFS from the leaf
+// over the wiring's end tables (ports in port order, matching the
+// historical per-host scan) records the route to every other leaf, in the
+// template form meetFrom writes. The network is connected, so the search
+// reaches every leaf.
+func (b *builder) searchFrom(t *Table, i int) {
+	ix, at, peer := t.ends.ix, t.ends.at, t.ends.peer
+	dist, prevEnd := b.dist, b.prevEnd // prevEnd: the end a shortest path to the node leaves its parent by
+	for k := range dist {
+		dist[k] = -1
+	}
+	a := b.leaves[i]
+	dist[a] = 0
+	queue := append(b.queue[:0], a)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for e := ix.EndID(u, 0); e < ix.EndID(u+1, 0); e++ {
+			if peer[e] < 0 {
+				continue
+			}
+			v := at[peer[e]].Node
+			if v == u || dist[v] >= 0 {
+				continue
+			}
+			dist[v] = dist[u] + 1
+			prevEnd[v] = e
+			queue = append(queue, v)
+		}
+	}
+	b.queue = queue
+	tmpl := b.tmpl[:0]
+	for j, node := range b.leaves {
+		lo, n := len(tmpl), int(dist[node])+1
+		b.paths[j] = leafPath{lo: int32(lo), n: int32(n)}
+		tmpl = slices.Grow(tmpl, n)[:lo+n]
+		// Walk back from the leaf to a, writing the template from its
+		// end: at each switch the port it leaves by minus the port it
+		// arrived on, the port leaving a first, minus the one arriving
+		// at the leaf last.
+		cell, cur, out := tmpl[lo:lo+n], node, 0
+		for k := n - 1; k > 0; k-- {
+			e := prevEnd[cur]
+			cell[k] = simnet.Turn(out - at[peer[e]].Port)
+			out, cur = at[e].Port, at[e].Node
+		}
+		cell[0] = simnet.Turn(out)
+	}
+	b.tmpl = slices.Grow(tmpl, tmplPad)[:len(tmpl)+tmplPad]
 }
 
 // LinkLoads returns, per wire index, the number of routes in the table that

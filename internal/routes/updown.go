@@ -31,14 +31,16 @@ func DefaultConfig() Config {
 }
 
 // Table is a computed route set: one relative-turn source route per ordered
-// host pair, held in one flat turn arena (doc.go has the layout's
-// rationale). The wires a route takes are not stored: the map and the turns
-// fix them, and WirePath walks them on demand over a snapshot of Net's
-// wiring taken when the table was built.
+// host pair, held in one flat turn arena per leaf switch (doc.go has the
+// layout's rationale). The wires a route takes are not stored: the map and
+// the turns fix them, and WirePath walks them on demand over a snapshot of
+// Net's wiring taken when the table was built.
 //
-// A Table is logically immutable: Compute and ShortestPaths write the
-// leaf-pair templates, and each source host's row of the arena is written
-// from them the first time a lookup reads it. Lookups from any number of
+// A Table is logically immutable: Compute and ShortestPaths fix what every
+// leaf switch's routes are built from, and a leaf's part of the table — its
+// templates, its cells and the arena for its hosts' rows — is built the
+// first time a lookup from one of its hosts reads it. Each host's row is
+// written by the first lookup from that host. Lookups from any number of
 // goroutines are safe.
 type Table struct {
 	Net    *topology.Network
@@ -47,122 +49,153 @@ type Table struct {
 	// Dominant lists switches that were locally dominant before the fix.
 	Dominant []topology.NodeID
 
-	// hosts lists the hosts in ascending id order and ord[v].at is host
-	// v's position there (-1 for switches). The route of ordered pair
-	// (s, d) is the cell of d in s's row of the turn arena, empty on the
-	// diagonal. A row holds one cell per host in ascending order, its own
-	// one turn long, so every row from one leaf switch has the same cells:
-	// cells[c:][d] is where d's cell starts in those rows, for c =
-	// ord[s].cells, and cells[c:][H] is their length. start[i] is where
-	// host i's row starts in turns. turns is allocated, and a row written,
-	// when a lookup first reads the row.
+	// hosts lists the hosts in ascending id order, and ord[v] is node v's
+	// place among them (doc on hostOrd). For host ordinal i, lord[i] is
+	// its leaf's ordinal, port[i] the port it occupies there and start[i]
+	// where its row starts in the leaf's arena, set when the row is
+	// written. The route of ordered pair (s, d) is the cell of d in s's
+	// row, empty on the diagonal.
 	hosts []topology.NodeID
 	ord   []hostOrd
-	cells []uint32
-	start []uint32
-	size  int // the arena's length
-	turns []simnet.Turn
-	ends  ends // what WirePath walks
-
-	// The templates rows are written from: each host's leaf ordinal and
-	// the port it occupies there, and leaf pair (i, j)'s template
-	// tmpl[paths[i*nleaf+j].lo:][:paths[i*nleaf+j].n].
 	lord  []int32
 	port  []simnet.Turn
-	nleaf int
-	paths []leafPath
-	tmpl  []simnet.Turn
+	start []uint32
+	leaf  []leaf
+	ends  ends // what WirePath walks and leaves are built from
 
-	mu      sync.Mutex // serialises row writers
-	arena   sync.Once  // allocates turns
-	written []int32    // per leaf, the ordinal of a host whose row is written, or -1
+	mu sync.Mutex // serialises leaf builds and row writes
+	// build builds host i's leaf and writes i's row: buildLeaf, held as a
+	// func value because it allocates (the leaf's cells and arena, once
+	// per leaf) and writeRow's body must not.
+	build func(i int)
+	b     *builder // what leaves are built from; nil once every leaf is
 }
 
-// hostOrd is a node's host ordinal, -1 for a switch, its row's cells in
-// Table.cells, and its row's start: -1 until the row is written. row
-// publishes the row: writers store it, under Table.mu, after the row, so
-// a lookup that loads a start reads a finished row.
+// hostOrd is a node's leaf and host ordinal, nil and -1 for a switch, its
+// rank among the leaf's hosts (the leaf's arena holds their rows in rank
+// order) and its row's start in the leaf's arena: -1 until the row is
+// written. row publishes the row, and the leaf with its first row: writers
+// store it, under Table.mu, after the row, so a lookup that loads a start
+// reads a finished row and leaf.
 type hostOrd struct {
-	at, cells int32
-	row       atomic.Int64
+	lf       *leaf
+	at, rank int32
+	row      atomic.Int64
 }
 
-// newTable returns an empty table over net's hosts.
-func newTable(net *topology.Network, root topology.NodeID) *Table {
-	n := net.NumNodes()
-	t := &Table{Net: net, Root: root, hosts: net.Hosts(), ord: make([]hostOrd, n), ends: newEnds(net)}
+// leaf is one leaf switch's part of a table. A row from any of its hosts
+// holds one cell per host in ascending order, its own one turn long, and
+// the cells' lengths depend on the leaf alone: cells[d] is where host
+// ordinal d's cell starts in each of those rows and cells[H] is their
+// length. turns holds the rows, nil until the leaf is built; first is the
+// host ordinal of a written row, the one later rows are copied from. A leaf
+// carries its own copy of the table's wiring snapshot, so a walk reads
+// both through one pointer.
+type leaf struct {
+	ends
+	turns        []simnet.Turn
+	cells        []uint32
+	hosts, first int32
+}
+
+// builder is what a table's leaves are built from, and the scratch they
+// are built in; only leaf builds touch it, under Table.mu. paths and tmpl
+// hold the templates of the leaf being built: the route to leaf j's hosts
+// is tmpl[paths[j].lo:][:paths[j].n]. cells and turns hand out the leaves'
+// cells and arenas.
+type builder struct {
+	leaves []topology.NodeID // each leaf ordinal's switch
+	left   int               // leaves not built yet
+	paths  []leafPath
+	tmpl   []simnet.Turn
+	cells  chunks[uint32]
+	turns  chunks[simnet.Turn]
+
+	// UP*/DOWN* (Compute; up is nil for ShortestPaths): the switch
+	// ordinal of every switch (they ascend with node ids), up[i*S+j], the
+	// shortest up-only distance between switch ordinals i and j, and
+	// via[i*S+j], the end the first wire of that path leaves i by. upAt
+	// memoises the leaves' up paths: upAt[l*S+w] is leaf l's up path to
+	// switch w in ups, or -1. anc and meet are scratch.
+	S       int
+	sw      []int32
+	up, via []int32
+	upAt    []int32
+	ups     []upPath
+	upTurns []simnet.Turn
+	anc     []int32
+	meet    []int32
+
+	// ShortestPaths: the search's scratch.
+	dist, prevEnd []int32
+	queue         []topology.NodeID
+}
+
+// chunks hands out slices carved from chunks it allocates. A chunk is at
+// least twice the last one, but no larger than the caller's estimate of
+// what is still to come: a lookup that builds one leaf allocates that
+// leaf's size, and a walk that builds all of them a few chunks, not one a
+// leaf (one allocation a leaf cost the full fill about a tenth of its
+// time).
+type chunks[T any] struct {
+	free []T
+	last int
+}
+
+// take returns n zeroed elements; most is the estimate of what this and
+// every later take will need.
+func (c *chunks[T]) take(n, most int) []T {
+	if len(c.free) < n {
+		c.last = max(n, min(2*c.last, most))
+		c.free = make([]T, c.last)
+	}
+	s := c.free[:n:n]
+	c.free = c.free[n:]
+	return s
+}
+
+// newTable returns a table over net's hosts with no leaf built. Every host
+// gets its leaf, the switch across its wire; leaves get dense ordinals in
+// the order their first host appears.
+func newTable(net *topology.Network, root topology.NodeID) (*Table, error) {
+	n, hosts := net.NumNodes(), net.Hosts()
+	H := len(hosts)
+	t := &Table{Net: net, Root: root, hosts: hosts, ord: make([]hostOrd, n), ends: newEnds(net),
+		lord: make([]int32, H), port: make([]simnet.Turn, H), start: make([]uint32, H), b: &builder{}}
 	for i := range t.ord {
 		t.ord[i].at = -1
 		t.ord[i].row.Store(-1)
 	}
-	for i, h := range t.hosts {
-		t.ord[h].at = int32(i)
-	}
-	return t
-}
-
-// leaves gives every host its leaf, the switch across its wire, and
-// returns the leaves. Leaves get dense ordinals in the order their first
-// host appears, so ascending leaf-ordinal pairs visit leaf-switch pairs in
-// the order of their first host pair under ascending (s,t).
-func (t *Table) leaves() ([]topology.NodeID, error) {
-	net := t.Net
-	var leaves []topology.NodeID
-	lordOf := make([]int32, net.NumNodes()) // a switch's leaf ordinal + 1; 0 if it has no host
-	t.lord, t.port = make([]int32, len(t.hosts)), make([]simnet.Turn, len(t.hosts))
-	for i, h := range t.hosts {
+	lordOf := make([]int32, n) // a switch's leaf ordinal + 1; 0 if it has no host
+	for i, h := range hosts {
 		far, ok := net.Neighbor(h, topology.HostPort)
 		if !ok || net.KindOf(far.Node) != topology.SwitchNode {
 			return nil, fmt.Errorf("routes: host %s is not cabled to a switch", net.NameOf(h))
 		}
 		if lordOf[far.Node] == 0 {
-			leaves = append(leaves, far.Node)
-			lordOf[far.Node] = int32(len(leaves))
+			t.b.leaves = append(t.b.leaves, far.Node)
+			t.leaf = append(t.leaf, leaf{ends: t.ends, first: -1})
+			lordOf[far.Node] = int32(len(t.b.leaves))
 		}
-		t.lord[i], t.port[i] = lordOf[far.Node]-1, simnet.Turn(far.Port)
+		l := lordOf[far.Node] - 1
+		t.ord[h].at, t.ord[h].rank = int32(i), t.leaf[l].hosts
+		t.lord[i], t.port[i] = l, simnet.Turn(far.Port)
+		t.leaf[l].hosts++
 	}
-	return leaves, nil
-}
-
-// noPath reports leaf pair (i, j) unroutable under the first host pair
-// that falls under it: the first a scan over host pairs would fail on.
-func (t *Table) noPath(what string, i, j int) error {
-	s, d := t.hosts[slices.Index(t.lord, int32(i))], t.hosts[slices.Index(t.lord, int32(j))]
-	return fmt.Errorf("routes: no %s %s -> %s", what, t.Net.NameOf(s), t.Net.NameOf(d))
-}
-
-// layout places the rows from the templates: source si's row holds every
-// host's cell in ascending order, each its leaf pair's template long, so
-// the cells of a row depend on its leaf alone. Nothing is written to the
-// rows here, and the arena is not allocated: writeRow does both when a row
-// is first read.
-func (t *Table) layout() error {
-	H, L := len(t.hosts), t.nleaf
-	t.cells = make([]uint32, L*(H+1))
-	rowLen := make([]int, L)
-	for i := range L {
-		cells, paths := t.cells[i*(H+1):][:H+1], t.paths[i*L:][:L]
-		pos := 0
-		for di, j := range t.lord {
-			cells[di] = uint32(pos)
-			pos += int(paths[j].n)
-		}
-		cells[H], rowLen[i] = uint32(pos), pos
+	most := int32(0)
+	for i, h := range hosts {
+		t.ord[h].lf = &t.leaf[t.lord[i]]
+		most = max(most, t.ord[h].lf.hosts)
 	}
-	t.start = make([]uint32, H)
-	for si, i := range t.lord {
-		t.start[si] = uint32(t.size)
-		t.ord[t.hosts[si]].cells = i * int32(H+1)
-		t.size += rowLen[i]
+	// A template crosses each switch at most once on either side of its
+	// meeting node, so it is under 2S turns: a leaf's arena, its hosts'
+	// rows, is under hosts·H·2S turns, and offsets into it are 32 bits.
+	if bound := uint64(most) * uint64(H) * uint64(2*net.NumSwitches()); bound > math.MaxUint32 {
+		return nil, fmt.Errorf("routes: %d hosts' routes may take %d turns per leaf, more than a table holds", H, bound)
 	}
-	if t.size > math.MaxUint32 || len(t.cells) > math.MaxInt32 {
-		return fmt.Errorf("routes: %d hosts' routes take %d turns, more than a table holds", H, t.size)
-	}
-	t.written = make([]int32, L)
-	for i := range t.written {
-		t.written[i] = -1
-	}
-	return nil
+	t.b.left, t.b.paths = len(t.leaf), make([]leafPath, len(t.leaf))
+	t.build = t.buildLeaf
+	return t, nil
 }
 
 // ChooseRoot picks the UP*/DOWN* root: the switch maximising the minimum
@@ -269,7 +302,10 @@ func ChooseRoot(net *topology.Network, ignore ...topology.NodeID) topology.NodeI
 }
 
 // Compute runs the §5.5 pipeline on a network (typically a mapper output)
-// and returns the route table.
+// up to the up-only closure and returns the route table; each leaf
+// switch's routes are built by the first lookup from one of its hosts.
+// Every error Compute can give, it gives here: a leaf's build cannot fail
+// (doc.go).
 func Compute(net *topology.Network, cfg Config) (*Table, error) {
 	if net.NumHosts() < 2 {
 		return nil, fmt.Errorf("routes: need at least two hosts, have %d", net.NumHosts())
@@ -284,11 +320,12 @@ func Compute(net *topology.Network, cfg Config) (*Table, error) {
 	if root == topology.None || net.KindOf(root) != topology.SwitchNode {
 		return nil, fmt.Errorf("routes: no usable root switch")
 	}
-	t := newTable(net, root)
-	t.label()
-	if err := t.allPairs(); err != nil {
+	t, err := newTable(net, root)
+	if err != nil {
 		return nil, err
 	}
+	t.label()
+	t.closeUp()
 	return t, nil
 }
 
@@ -363,8 +400,9 @@ func (t *Table) isUp(from, to topology.End) bool {
 	return t.Labels[to.Node] < t.Labels[from.Node]
 }
 
-// allPairs computes shortest compliant paths with the Floyd-Warshall
-// construction the paper cites: FW over up-only arcs gives U[i][j]; a
+// closeUp closes the up-only distances over the switches with the
+// Floyd-Warshall construction the paper cites, recording first hops: the
+// part of the all-pairs pass every leaf's routes are built from. A
 // compliant s→t path is up to some meeting node w then down, and a down
 // path w→t is an up path t→w reversed, so cost(s,t) = min_w U[s][w]+U[t][w].
 //
@@ -372,14 +410,10 @@ func (t *Table) isUp(from, to topology.End) bool {
 // after its switch, and relabelling only lowers switches). So hosts are
 // never meeting or transit nodes, FW runs over switches alone, and the pair
 // (s,t) is s's wire, the path of the leaf-switch pair (leaf(s), leaf(t)),
-// then t's wire — the meeting-node scan happens once per leaf-switch pair,
-// into a template, and host rows are written from the templates when they
-// are first read. A template is the up path from leaf(s) to the meeting
-// node, then the up path from leaf(t) to it reversed, and each leaf's up
-// path to each meeting node it uses is extracted once.
-func (t *Table) allPairs() error {
-	net := t.Net
-	const inf = int32(math.MaxInt32 / 4)
+// then t's wire: meetFrom picks the meeting nodes of one leaf's pairs when
+// the leaf is built.
+func (t *Table) closeUp() {
+	net, b := t.Net, t.b
 	// Switch ordinals ascend with node ids, so scanning ordinals keeps the
 	// node-order tie-breaks of a scan over all nodes.
 	swNode := net.Switches()
@@ -388,8 +422,7 @@ func (t *Table) allPairs() error {
 	for i, s := range swNode {
 		sw[s] = int32(i)
 	}
-	up := make([]int32, S*S)  // up[i*S+j]: shortest up-only distance
-	via := make([]int32, S*S) // via[i*S+j]: the end the first wire on that path leaves i by
+	up, via := make([]int32, S*S), make([]int32, S*S)
 	for i := range up {
 		up[i], via[i] = inf, -1
 	}
@@ -427,98 +460,121 @@ func (t *Table) allPairs() error {
 			}
 		}
 	}
-	// anc lists every switch's up-reachable switches, itself included, in
+	b.S, b.sw, b.up, b.via = S, sw, up, via
+}
+
+// inf is an up-only distance that is no path; two of them still add up
+// within an int32.
+const inf = int32(math.MaxInt32 / 4)
+
+// buildLeaf builds the leaf of host ordinal si — its templates, its cells
+// and the arena for its hosts' rows — and writes si's row from the
+// templates. Called by writeRow, under t.mu.
+func (t *Table) buildLeaf(si int) {
+	b, l := t.b, int(t.lord[si])
+	if b.up != nil {
+		b.meetFrom(t, l)
+	} else {
+		b.searchFrom(t, l)
+	}
+	// Each host's cell is its leaf pair's template long, so the cells of
+	// a row depend on its leaf alone.
+	H, lf := len(t.hosts), &t.leaf[l]
+	lf.cells = b.cells.take(H+1, (H+1)*b.left)
+	pos := uint32(0)
+	for di, j := range t.lord {
+		lf.cells[di] = pos
+		pos += uint32(b.paths[j].n)
+	}
+	lf.cells[H] = pos
+	lf.turns = b.turns.take(int(lf.hosts)*int(pos), int(lf.hosts)*int(pos)*b.left)
+	t.start[si] = uint32(t.ord[t.hosts[si]].rank) * pos
+	t.fromTemplates(lf.turns[t.start[si]:][:pos], si)
+	lf.first = int32(si)
+	if b.left--; b.left == 0 {
+		t.b = nil // every leaf is built: drop the closure and the scratch
+	}
+}
+
+// meetFrom writes the templates of every route from leaf i. Each leaf pair
+// picks its meeting node — first strict minimum over ascending switches —
+// and the best cost is the exact length of its middle, so the templates'
+// arena is sized before it is written. Each leaf's up path to each meeting
+// node it uses is extracted once, whichever leaf's build first needs it,
+// and a template is the source leaf's up path, the turn at the meeting
+// node, and the destination leaf's up path reversed.
+func (b *builder) meetFrom(t *Table, i int) {
+	S := b.S
+	if b.upAt == nil { // the first leaf built
+		b.upAt, b.meet = make([]int32, len(b.leaves)*S), make([]int32, len(b.leaves))
+		for k := range b.upAt {
+			b.upAt[k] = -1
+		}
+	}
+	upA := b.up[int(b.sw[b.leaves[i]])*S:][:S]
+	// The source leaf's up-reachable switches, itself included, in
 	// ascending order: the only candidate meeting nodes, a short list on
 	// real fabrics.
-	var anc []int32
-	ancOff := make([]int32, S+1)
-	for a := 0; a < S; a++ {
-		for w, d := range up[a*S : a*S+S] {
-			if d < inf {
-				anc = append(anc, int32(w))
-			}
+	b.anc = b.anc[:0]
+	for w, d := range upA {
+		if d < inf {
+			b.anc = append(b.anc, int32(w))
 		}
-		ancOff[a+1] = int32(len(anc))
-	}
-	leafNodes, err := t.leaves()
-	if err != nil {
-		return err
-	}
-	leaves := make([]int, len(leafNodes)) // each leaf's switch ordinal
-	for i, a := range leafNodes {
-		leaves[i] = int(sw[a])
-	}
-	L := len(leaves)
-
-	// Meeting pass, serial: each leaf pair picks its meeting node — first
-	// strict minimum over ascending switches — and the best cost is the
-	// exact length of its middle, so the template arena is sized before it
-	// exists. Each (leaf, meeting node) pair met gets its up path.
-	paths := make([]leafPath, L*L)
-	meet := make([]int32, L*L)
-	upAt := make([]int32, L*S) // upAt[i*S+w]: leaf i's up path to switch w in ups, or -1
-	for k := range upAt {
-		upAt[k] = -1
-	}
-	var ups []upPath
-	var upTurns []simnet.Turn
-	upTo := func(i, w int) {
-		if upAt[i*S+w] >= 0 {
-			return
-		}
-		upAt[i*S+w] = int32(len(ups))
-		n := int(up[leaves[i]*S+w])
-		lo := len(upTurns)
-		upTurns = slices.Grow(upTurns, 2*n)[:lo+2*n]
-		in := t.climb(upTurns[lo:lo+n], via, S, sw, leaves[i], w)
-		for h, x := range upTurns[lo : lo+n] {
-			upTurns[lo+2*n-1-h] = -x
-		}
-		ups = append(ups, upPath{lo: int32(lo), n: int32(n), in: in})
 	}
 	n := int32(0)
-	for i, a := range leaves {
-		for j, b := range leaves {
-			p := &paths[i*L+j]
-			p.lo, p.n = n, 1
-			n++
-			if i == j {
-				continue
-			}
-			bestW, bestC := -1, inf
-			for _, w := range anc[ancOff[a]:ancOff[a+1]] {
-				if c := up[a*S+int(w)] + up[b*S+int(w)]; c < bestC {
-					bestC, bestW = c, int(w)
-				}
-			}
-			if bestW < 0 {
-				return t.noPath("compliant path", i, j)
-			}
-			meet[i*L+j], p.n = int32(bestW), bestC+1
-			n += bestC
-			upTo(i, bestW)
-			upTo(j, bestW)
+	for j, node := range b.leaves {
+		p := &b.paths[j]
+		p.lo, p.n = n, 1
+		n++
+		if j == i {
+			continue
 		}
-	}
-	// Each template: the source leaf's up path, the turn at the meeting
-	// node, and the destination leaf's up path reversed.
-	tmpl := make([]simnet.Turn, n+tmplPad)
-	for i := range leaves {
-		for j := range leaves {
-			if i == j {
-				continue
+		// The root is up-reachable from every leaf (doc.go), so some
+		// candidate has a finite cost and the scan always finds a node.
+		upB := b.up[int(b.sw[node])*S:][:S]
+		bestW, bestC := int32(0), inf
+		for _, w := range b.anc {
+			if c := upA[w] + upB[w]; c < bestC {
+				bestC, bestW = c, w
 			}
-			p, w := paths[i*L+j], int(meet[i*L+j])
-			src, dst := ups[upAt[i*S+w]], ups[upAt[j*S+w]]
-			cell := tmpl[p.lo : p.lo+p.n]
-			copy(cell, upTurns[src.lo:src.lo+src.n])
-			cell[src.n] = dst.in - src.in
-			copy(cell[src.n+1:], upTurns[dst.lo+dst.n:dst.lo+2*dst.n])
 		}
+		b.meet[j], p.n = bestW, bestC+1
+		n += bestC
+		b.upTo(t, i, int(bestW))
+		b.upTo(t, j, int(bestW))
 	}
+	b.tmpl = slices.Grow(b.tmpl[:0], int(n)+tmplPad)[:int(n)+tmplPad]
+	for j := range b.leaves {
+		if j == i {
+			b.tmpl[b.paths[j].lo] = 0 // the one turn between two hosts of the leaf, before their ports
+			continue
+		}
+		p, w := b.paths[j], int(b.meet[j])
+		src, dst := b.ups[b.upAt[i*S+w]], b.ups[b.upAt[j*S+w]]
+		cell := b.tmpl[p.lo : p.lo+p.n]
+		copy(cell, b.upTurns[src.lo:src.lo+src.n])
+		cell[src.n] = dst.in - src.in
+		copy(cell[src.n+1:], b.upTurns[dst.lo+dst.n:dst.lo+2*dst.n])
+	}
+}
 
-	t.nleaf, t.paths, t.tmpl = L, paths, tmpl
-	return t.layout()
+// upTo makes sure leaf l's up path to switch ordinal w is extracted, both
+// ways round.
+func (b *builder) upTo(t *Table, l, w int) {
+	S := b.S
+	if b.upAt[l*S+w] >= 0 {
+		return
+	}
+	b.upAt[l*S+w] = int32(len(b.ups))
+	a := int(b.sw[b.leaves[l]])
+	n := int(b.up[a*S+w])
+	lo := len(b.upTurns)
+	b.upTurns = slices.Grow(b.upTurns, 2*n)[:lo+2*n]
+	in := b.climb(t, b.upTurns[lo:lo+n], a, w)
+	for h, x := range b.upTurns[lo : lo+n] {
+		b.upTurns[lo+2*n-1-h] = -x
+	}
+	b.ups = append(b.ups, upPath{lo: int32(lo), n: int32(n), in: in})
 }
 
 // upPath locates a leaf's up path to a meeting node in an arena of turns:
@@ -537,13 +593,13 @@ type upPath struct {
 // switch ordinal a to w as the first half of an upPath, and returns the
 // port it arrives at w on. First-hop extraction is sound because up
 // distances strictly decrease along recorded first hops.
-func (t *Table) climb(turns []simnet.Turn, via []int32, S int, sw []int32, a, w int) (in simnet.Turn) {
+func (b *builder) climb(t *Table, turns []simnet.Turn, a, w int) (in simnet.Turn) {
 	at, peer := t.ends.at, t.ends.peer
 	for h := range turns {
-		e := via[a*S+w]
+		e := b.via[a*b.S+w]
 		turns[h] = simnet.Turn(at[e].Port) - in
 		far := at[peer[e]]
-		in, a = simnet.Turn(far.Port), int(sw[far.Node])
+		in, a = simnet.Turn(far.Port), int(b.sw[far.Node])
 	}
 	return in
 }
@@ -554,20 +610,20 @@ type leafPath struct {
 	lo, n int32
 }
 
-// tmplPad is the slack at the template arena's end, so that writeRow can
-// read any template as one eight-turn word.
+// tmplPad is the slack at the template arena's end, so that fromTemplates
+// can read any template as one eight-turn word.
 const tmplPad = 7
 
 // writeRow makes sure src's row is written, writing it unless another
-// goroutine has, and reports whether src has a row. The first row of a
-// leaf is written from the templates: each host's cell is its leaf pair's
-// template with src's port subtracted from the first turn and the
-// destination's added to the last (src's own cell, template 0, is then 0).
-// Turns wrap like the int8s they are, so the two patches give the bytes
-// the two-port difference would, also on one-turn routes between hosts of
-// one leaf. Every later row of that leaf is a copy of a written one with
-// the first turn of each cell moved by the difference of the two sources'
-// ports.
+// goroutine has, and reports whether src has a row. The first row from a
+// leaf builds the leaf and is written from its templates: each host's cell
+// is its leaf pair's template with src's port subtracted from the first
+// turn and the destination's added to the last (src's own cell, template
+// 0, is then 0). Turns wrap like the int8s they are, so the two patches
+// give the bytes the two-port difference would, also on one-turn routes
+// between hosts of one leaf. Every later row of that leaf is a copy of a
+// written one with the first turn of each cell moved by the difference of
+// the two sources' ports.
 //
 //sanlint:hotpath
 func (t *Table) writeRow(src topology.NodeID) bool {
@@ -580,22 +636,18 @@ func (t *Table) writeRow(src topology.NodeID) bool {
 	}
 	t.mu.Lock()
 	if o.row.Load() < 0 {
-		// The arena is the one allocation lookups make: once per table,
-		// by the first row written, outside this allocation-free body.
-		t.arena.Do(t.allocTurns)
-		H, si := len(t.hosts), int(o.at)
-		cells := t.cells[o.cells:][:H+1]
-		row := t.turns[t.start[si]:][:cells[H]]
-		lord, port := t.lord[:H], t.port[:H]
-		if sib := t.written[lord[si]]; sib >= 0 {
-			copy(row, t.turns[t.start[sib]:])
-			delta := port[sib] - port[si]
-			for _, c := range cells[:H] {
+		H, si, lf := len(t.hosts), int(o.at), o.lf
+		if lf.turns == nil {
+			t.build(si) // the leaf's allocations, once per leaf
+		} else {
+			t.start[si] = uint32(o.rank) * lf.cells[H]
+			sib := lf.first
+			row := lf.turns[t.start[si]:][:lf.cells[H]]
+			copy(row, lf.turns[t.start[sib]:])
+			delta := t.port[sib] - t.port[si]
+			for _, c := range lf.cells[:H] {
 				row[c] += delta
 			}
-		} else {
-			t.fromTemplates(row, si)
-			t.written[lord[si]] = int32(si)
 		}
 		o.row.Store(int64(t.start[si]))
 	}
@@ -603,16 +655,13 @@ func (t *Table) writeRow(src topology.NodeID) bool {
 	return true
 }
 
-// allocTurns allocates the turn arena.
-func (t *Table) allocTurns() { t.turns = make([]simnet.Turn, t.size) }
-
-// fromTemplates writes source si's row from the templates, as writeRow
-// describes.
+// fromTemplates writes source si's row from the templates of its leaf,
+// which t.b holds, as writeRow describes.
 //
 //sanlint:hotpath
 func (t *Table) fromTemplates(row []simnet.Turn, si int) {
-	lord, port, tmpl := t.lord, t.port[:len(t.lord)], t.tmpl
-	paths := t.paths[int(lord[si])*t.nleaf:][:t.nleaf]
+	lord, port, tmpl := t.lord, t.port[:len(t.lord)], t.b.tmpl
+	paths := t.b.paths[:len(t.leaf)]
 	from, k := port[si], 0
 	for di, j := range lord {
 		p := paths[j]
@@ -650,31 +699,31 @@ func put8(b []simnet.Turn, v uint64) {
 	b[4], b[5], b[6], b[7] = simnet.Turn(v>>32), simnet.Turn(v>>40), simnet.Turn(v>>48), simnet.Turn(v>>56)
 }
 
-// span returns the arena bounds of the route from src to dst, or hi = 0
-// when the table holds none or src's row is not written yet (a route has a
-// turn at each switch on the way, so it is never empty). span(s, s) is the
-// padding cell in s's own row: callers rule out src == dst. span must stay
-// within the compiler's inlining budget: Route and WirePath take no call
-// on the path of a lookup whose row is written.
+// span returns the route from src to dst as its leaf and its bounds in the
+// leaf's arena, or a nil leaf when the table holds none or src's row is
+// not written yet. span(s, s) is the padding cell in s's own row: callers
+// rule out src == dst. span must stay within the compiler's inlining
+// budget: Route and WirePath take no call on the path of a lookup whose
+// row is written.
 //
 //sanlint:hotpath
-func (t *Table) span(src, dst topology.NodeID) (lo, hi uint32) {
+func (t *Table) span(src, dst topology.NodeID) (lf *leaf, lo, hi uint32) {
 	if uint(src) < uint(len(t.ord)) && uint(dst) < uint(len(t.ord)) {
 		if start, di := t.ord[src].row.Load(), t.ord[dst].at; start|int64(di) >= 0 { // a written row, a host
-			c := t.ord[src].cells + di
-			return uint32(start) + t.cells[c], uint32(start) + t.cells[c+1]
+			lf = t.ord[src].lf
+			return lf, uint32(start) + lf.cells[di], uint32(start) + lf.cells[di+1]
 		}
 	}
-	return 0, 0
+	return nil, 0, 0
 }
 
 // spanFirst is span after a miss, which may be src's first lookup: it
 // writes src's row if it is a host's, then looks again.
 //
 //sanlint:hotpath
-func (t *Table) spanFirst(src, dst topology.NodeID) (lo, hi uint32) {
+func (t *Table) spanFirst(src, dst topology.NodeID) (lf *leaf, lo, hi uint32) {
 	if !t.writeRow(src) {
-		return 0, 0
+		return nil, 0, 0
 	}
 	return t.span(src, dst)
 }
@@ -687,13 +736,13 @@ func (t *Table) Route(src, dst topology.NodeID) (simnet.Route, bool) {
 	if src == dst {
 		return nil, false
 	}
-	lo, hi := t.span(src, dst)
-	if hi == 0 {
-		if lo, hi = t.spanFirst(src, dst); hi == 0 {
+	lf, lo, hi := t.span(src, dst)
+	if lf == nil {
+		if lf, lo, hi = t.spanFirst(src, dst); lf == nil {
 			return nil, false
 		}
 	}
-	return t.turns[lo:hi:hi], true
+	return lf.turns[lo:hi:hi], true
 }
 
 // WirePath returns the wire path from src to dst: the route's turns read
@@ -704,23 +753,24 @@ func (t *Table) WirePath(src, dst topology.NodeID) (Path, bool) {
 	if src == dst {
 		return Path{}, false
 	}
-	lo, hi := t.span(src, dst)
-	if hi == 0 {
-		if lo, hi = t.spanFirst(src, dst); hi == 0 {
+	lf, lo, hi := t.span(src, dst)
+	if lf == nil {
+		if lf, lo, hi = t.spanFirst(src, dst); lf == nil {
 			return Path{}, false
 		}
 	}
-	return Path{t: t, src: src, lo: lo, hi: hi}, true
+	return Path{lf: lf, src: src, lo: lo, hi: hi}, true
 }
 
 // Pairs calls f for every ordered host pair with a route, in ascending
-// (src, dst) order, writing first every row no lookup has.
+// (src, dst) order, building first every leaf and writing every row no
+// lookup has.
 func (t *Table) Pairs(f func(src, dst topology.NodeID, p Path)) {
 	t.writeAll()
 	t.pairs(f)
 }
 
-// writeAll writes every row no lookup has.
+// writeAll builds every leaf and writes every row no lookup has.
 func (t *Table) writeAll() {
 	for _, h := range t.hosts {
 		t.writeRow(h)
@@ -732,10 +782,10 @@ func (t *Table) writeAll() {
 // pair call writeAll and then pairs, and their callbacks inline with it.
 func (t *Table) pairs(f func(src, dst topology.NodeID, p Path)) {
 	for si, s := range t.hosts {
-		row := t.cells[t.ord[s].cells:]
+		lf := t.ord[s].lf
 		for di, d := range t.hosts {
 			if si != di {
-				f(s, d, Path{t: t, src: s, lo: t.start[si] + row[di], hi: t.start[si] + row[di+1]})
+				f(s, d, Path{lf: lf, src: s, lo: t.start[si] + lf.cells[di], hi: t.start[si] + lf.cells[di+1]})
 			}
 		}
 	}

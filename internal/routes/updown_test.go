@@ -1,10 +1,13 @@
 package routes
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sanmap/internal/cluster"
+	"sanmap/internal/genspec"
 	"sanmap/internal/mapper"
 	"sanmap/internal/simnet"
 	"sanmap/internal/topology"
@@ -190,4 +193,63 @@ func TestNoRouteThroughLoopback(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRootInEveryUpClosure is the property Compute's refusal contract
+// rests on (doc.go): every leaf switch's up-only closure contains the
+// root, so every leaf pair has a compliant path through it and no leaf
+// build can meet a pair without one. Checked from the natural root on
+// every generator × 3 seeds, from every switch as a forced root on the
+// first seed, and on random fabrics whose relabelling fired (Dominant
+// non-empty), some of them with switches relabelled below the root.
+func TestRootInEveryUpClosure(t *testing.T) {
+	check := func(what string, net *topology.Network, cfg Config) *Table {
+		t.Helper()
+		tab := computeOn(t, net, cfg)
+		b := tab.b
+		root := int(b.sw[tab.Root])
+		for _, leaf := range b.leaves {
+			if b.up[int(b.sw[leaf])*b.S+root] >= inf {
+				t.Fatalf("%s: root %d is not up-reachable from leaf %d (Dominant %v)", what, tab.Root, leaf, tab.Dominant)
+			}
+		}
+		return tab
+	}
+	for _, spec := range diffSpecs {
+		for seed := int64(1); seed <= 3; seed++ {
+			res, err := genspec.Build(spec, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			check(spec, res.Net, DefaultConfig())
+			if seed > 1 {
+				continue
+			}
+			for _, s := range res.Net.Switches() {
+				check(spec+" forced root", res.Net, Config{Root: s})
+			}
+		}
+	}
+	relabelled, below := 0, 0
+	for seed := int64(1); (relabelled < 40 || below < 4) && seed <= 2000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		spec := fmt.Sprintf("random:%d,%d,%d", 4+rng.Intn(20), 2+rng.Intn(20), 1+rng.Intn(12))
+		res, err := genspec.Build(spec, rng)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		sw := res.Net.Switches()
+		for _, cfg := range []Config{DefaultConfig(), {Root: sw[rng.Intn(len(sw))]}} {
+			tab := check(spec, res.Net, cfg)
+			if len(tab.Dominant) > 0 {
+				relabelled++
+			}
+			if slices.Min(tab.Labels) < tab.Labels[tab.Root] {
+				below++
+			}
+		}
+	}
+	if relabelled < 40 || below < 4 {
+		t.Fatalf("%d random fabrics relabelled a dominant switch, %d below the root; want 40 and 4", relabelled, below)
+	}
 }

@@ -175,6 +175,8 @@ func TestFabricRoundTrip(t *testing.T) {
 // TestIndexZeroAlloc gates the CSR arena contract: after the index is
 // built, the core traversals must not allocate. These mirror the
 // //sanlint:hotpath annotations on the Index methods with a runtime check.
+// A -race build still runs every traversal but asserts no count: the
+// race detector drops the index's pooled scratch on purpose.
 func TestIndexZeroAlloc(t *testing.T) {
 	net := MustFatTree2(FatTree2Spec{LeafSwitches: 60, HostsPerLeaf: 2}, nil)
 	ix := net.Index()
@@ -194,7 +196,7 @@ func TestIndexZeroAlloc(t *testing.T) {
 	}
 	for _, c := range checks {
 		c.f() // warm up
-		if n := testing.AllocsPerRun(c.runs, c.f); n != 0 {
+		if n := testing.AllocsPerRun(c.runs, c.f); n != 0 && !raceEnabled {
 			t.Errorf("%s: %.1f allocs per run, want 0", c.name, n)
 		}
 	}
